@@ -245,4 +245,12 @@ fi
 ./target/release/probe rendezvous --nodes 150 >/dev/null
 echo "==> rendezvous smoke passed (fingerprint parity, shard-deterministic splits, hotspot flattened)"
 
+# Benchmark smoke: the detached benchmark crate measures the library
+# crates through their public items, so a signature it uses cannot change
+# unnoticed. Builds it, runs its unit tests and a 1/50-size pass of all
+# four workloads through the oracle gate.
+echo "==> benchmark smoke (benchmark/check.sh)"
+benchmark/check.sh
+echo "==> benchmark smoke passed"
+
 echo "==> tier-1 gate passed"

@@ -15,36 +15,12 @@
 //! un-optimized standard library is not a build configuration the
 //! zero-allocation claim covers (release `ci.sh` enforces it end to end).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod counting_alloc;
+
+use counting_alloc::{alloc_calls, CountingAlloc};
 
 use cbps_bench::runner::{self, paper_workload, run_trace, workload_gen, Deployment};
 use cbps_sim::{PoolMode, SimDuration};
-
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -88,9 +64,9 @@ fn steady_state_routed_events_do_not_allocate() {
             .expect("steady publish");
         let until = net.now() + SimDuration::from_secs(2);
         let ev0 = net.sim_mut().events_processed();
-        let a0 = ALLOC_CALLS.load(Ordering::Relaxed);
+        let a0 = alloc_calls();
         net.run_until(until);
-        let a1 = ALLOC_CALLS.load(Ordering::Relaxed);
+        let a1 = alloc_calls();
         processed += net.sim_mut().events_processed() - ev0;
         allocs += a1 - a0;
     }

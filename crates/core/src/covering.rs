@@ -18,13 +18,13 @@
 //! (`len`/`peak`/expiry/refresh) stays in the store's logical `meta` map,
 //! untouched by grouping.
 //!
-//! Detection is exact for "covered by an existing representative": a
-//! representative covering σ must match σ's *lower-corner event* (σ's
-//! lower bound on its constrained dimensions, 0 elsewhere — a cover is a
-//! wildcard wherever σ is), so one engine query plus a `covers` check per
-//! candidate finds it. The reverse direction — σ covering existing groups
-//! — is a bounded best-effort probe over a `(first dimension, lower
-//! bound)` ordering; missing an absorption only costs memory, never
+//! An insert decides in three steps, cheapest first: the shape digest
+//! finds an exact duplicate; the engine's
+//! [`find_cover`](crate::MatchEngine::find_cover) finds a representative
+//! covering σ — exactly, no stored cover is missed — by looking only where
+//! a cover can be filed; and the reverse direction — σ covering existing
+//! groups — is a bounded best-effort probe over a `(first dimension, lower
+//! bound)` ordering. Missing an absorption only costs memory, never
 //! correctness.
 
 use std::collections::{BTreeSet, HashMap};
@@ -33,7 +33,7 @@ use std::sync::Arc;
 use crate::engine::{AnyMatchEngine, MatchEngine};
 use crate::event::Event;
 use crate::store::StoredSub;
-use crate::subscription::{SubId, Subscription};
+use crate::subscription::{IdMap, SubId, Subscription};
 use cbps_overlay::InlineVec;
 
 /// Cap on reverse-absorption candidates examined per insert.
@@ -55,11 +55,11 @@ struct Group {
 /// never leave the store.
 #[derive(Clone, Debug)]
 pub(crate) struct CoveringTable {
-    groups: HashMap<SubId, Group>,
+    groups: IdMap<Group>,
     /// Logical id → (physical id, position in the member list). Positions
     /// are fixed up on `swap_remove`, mirroring the counting index's
     /// bucket-position records, so un-covering is O(1).
-    member_of: HashMap<SubId, (SubId, u32)>,
+    member_of: IdMap<(SubId, u32)>,
     /// Exact-duplicate fast path: shape → (physical id, member refcount).
     by_shape: HashMap<Subscription, (SubId, u32)>,
     /// Reverse-absorption probe order: (first constrained dimension of the
@@ -72,8 +72,8 @@ pub(crate) struct CoveringTable {
 impl CoveringTable {
     pub(crate) fn new() -> Self {
         CoveringTable {
-            groups: HashMap::new(),
-            member_of: HashMap::new(),
+            groups: IdMap::default(),
+            member_of: IdMap::default(),
             by_shape: HashMap::new(),
             probe: BTreeSet::new(),
             next_phys: 0,
@@ -93,22 +93,12 @@ impl CoveringTable {
             self.join(phys, id, sub);
             return;
         }
-        // Covered by an existing representative? Every true cover matches
-        // the lower-corner event, so an engine query over it enumerates all
-        // candidates; `find_match` stops at the first one that actually
-        // covers. Which covering group is picked when several qualify is
-        // engine-specific (but deterministic) — group membership never
-        // affects covers, the probe order, or delivered sets, so any
-        // covering group is equally correct.
-        let corner = Event::new_unchecked(
-            sub.constraints()
-                .iter()
-                .map(|c| c.map_or(0, |c| c.lo()))
-                .collect(),
-        );
-        let groups = &self.groups;
-        let cover = engine.find_match(&corner, &mut |phys| groups[&phys].cover.covers(sub));
-        if let Some(phys) = cover {
+        // Covered by an existing representative? Which covering group is
+        // picked when several qualify is engine-specific (but
+        // deterministic) — group membership never affects covers, the
+        // probe order, or delivered sets, so any covering group is equally
+        // correct.
+        if let Some(phys) = engine.find_cover(sub) {
             self.join(phys, id, sub);
             return;
         }
@@ -150,75 +140,11 @@ impl CoveringTable {
         self.by_shape.insert(sub.clone(), (phys, 1));
     }
 
-    /// Registers a batch of fresh logical subscriptions at once.
-    ///
-    /// Equivalent to calling [`CoveringTable::insert`] for each item in
-    /// order — the groups, covers, probe entries and by-shape map come out
-    /// identical — but the expensive half of the decision procedure (the
-    /// lower-corner engine query) runs once per *distinct shape* instead of
-    /// once per item. Duplicate shapes are grouped up front by sorting on a
-    /// shape digest; every non-first occurrence attaches to its shape's
-    /// group with O(1) work, exactly as the sequential `by_shape` fast
-    /// path would. The maps sized by the logical population are reserved
-    /// up front, so the build never pays an incremental rehash of a
-    /// million-entry table.
-    ///
-    /// The equivalence holds because duplicates never change the engine,
-    /// probe set, or group covers: replaying only each shape's first
-    /// occurrence, in original order, puts the table through the same
-    /// sequence of decision states as a one-at-a-time build.
-    pub(crate) fn insert_bulk(
-        &mut self,
-        engine: &mut AnyMatchEngine,
-        items: &[(SubId, &Subscription)],
-    ) {
-        self.member_of.reserve(items.len());
-        self.by_shape.reserve(items.len());
-        // Sort item indices by shape digest, ties broken by position, so
-        // equal shapes form runs led by their first occurrence. Runs split
-        // on full shape inequality, so a digest collision yields two runs
-        // whose later head simply takes the `by_shape` fast path —
-        // correctness never rests on the digest.
-        let mut order: Vec<(u64, u32)> = items
-            .iter()
-            .enumerate()
-            .map(|(i, (_, sub))| {
-                (
-                    shape_digest(sub),
-                    u32::try_from(i).expect("bulk batches exceed u32 items"),
-                )
-            })
-            .collect();
-        order.sort_unstable();
-        let mut runs: Vec<(u32, u32)> = Vec::new(); // (start, end) into `order`
-        let mut start = 0;
-        while start < order.len() {
-            let (digest, head) = order[start];
-            let head_sub = items[head as usize].1;
-            let mut end = start + 1;
-            while end < order.len()
-                && order[end].0 == digest
-                && items[order[end].1 as usize].1 == head_sub
-            {
-                end += 1;
-            }
-            runs.push((start as u32, end as u32));
-            start = end;
-        }
-        // Replay one head per distinct shape in first-occurrence order,
-        // then attach that shape's duplicates to wherever the head landed.
-        runs.sort_unstable_by_key(|&(start, _)| order[start as usize].1);
-        for &(start, end) in &runs {
-            let (head_id, head_sub) = items[order[start as usize].1 as usize];
-            self.insert(engine, head_id, head_sub);
-            if end - start > 1 {
-                let phys = self.member_of[&head_id].0;
-                for &(_, i) in &order[start as usize + 1..end as usize] {
-                    let (id, sub) = items[i as usize];
-                    self.join(phys, id, sub);
-                }
-            }
-        }
+    /// Makes room for `additional` more logical subscriptions, so a bulk
+    /// build never pays an incremental rehash of a million-entry table.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.member_of.reserve(additional);
+        self.by_shape.reserve(additional);
     }
 
     /// Removes a logical subscription; drops the group's physical entry
@@ -274,7 +200,7 @@ impl CoveringTable {
     pub(crate) fn matches_into(
         &mut self,
         engine: &mut AnyMatchEngine,
-        meta: &HashMap<SubId, Arc<StoredSub>>,
+        meta: &IdMap<Arc<StoredSub>>,
         event: &Event,
         out: &mut Vec<SubId>,
     ) {
@@ -335,19 +261,4 @@ impl CoveringTable {
         ));
         g.cover = cover.clone();
     }
-}
-
-/// FNV-1a digest of a subscription's shape for duplicate grouping: equal
-/// shapes always digest equally, so sorting by digest makes duplicates
-/// adjacent. (Distinct shapes colliding is tolerated by the caller.)
-fn shape_digest(sub: &Subscription) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for c in sub.constraints() {
-        let (tag, lo, hi) = c.map_or((0, 0, 0), |c| (1, c.lo(), c.hi()));
-        for word in [tag, lo, hi] {
-            h ^= word;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }

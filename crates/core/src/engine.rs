@@ -37,20 +37,14 @@ pub trait MatchEngine {
     /// Number of indexed subscriptions.
     fn len(&self) -> usize;
 
-    /// Returns some subscription matching `event` that satisfies `pred`,
-    /// or `None` when there is none.
+    /// Returns the id of some indexed subscription that covers `sub` (see
+    /// [`Subscription::covers`]), or `None` when there is none. Exact: a
+    /// stored cover is never missed.
     ///
-    /// Which of several acceptable subscriptions is returned is
-    /// engine-specific but deterministic for a given operation history.
-    /// Engines with a lazily scannable layout override this to stop at the
-    /// first acceptable candidate instead of enumerating the full match
-    /// set; the default falls back to [`MatchEngine::matches_into`]. The
-    /// covering table's group search is the intended caller.
-    fn find_match(&mut self, event: &Event, pred: &mut dyn FnMut(SubId) -> bool) -> Option<SubId> {
-        let mut out = Vec::new();
-        self.matches_into(event, &mut out);
-        out.into_iter().find(|&id| pred(id))
-    }
+    /// Which of several covers is returned is engine-specific but
+    /// deterministic for a given operation history. The covering table's
+    /// group search is the intended caller.
+    fn find_cover(&self, sub: &Subscription) -> Option<SubId>;
 
     /// `true` when nothing is stored.
     fn is_empty(&self) -> bool {
@@ -92,6 +86,10 @@ impl MatchEngine for MatchIndex {
         MatchIndex::matches_into(self, event, out)
     }
 
+    fn find_cover(&self, sub: &Subscription) -> Option<SubId> {
+        MatchIndex::find_cover(self, sub)
+    }
+
     fn len(&self) -> usize {
         MatchIndex::len(self)
     }
@@ -108,6 +106,10 @@ impl MatchEngine for SortedIndex {
 
     fn matches_into(&mut self, event: &Event, out: &mut Vec<SubId>) {
         SortedIndex::matches_into(self, event, out)
+    }
+
+    fn find_cover(&self, sub: &Subscription) -> Option<SubId> {
+        SortedIndex::find_cover(self, sub)
     }
 
     fn len(&self) -> usize {
@@ -174,10 +176,10 @@ impl MatchEngine for AnyMatchEngine {
         }
     }
 
-    fn find_match(&mut self, event: &Event, pred: &mut dyn FnMut(SubId) -> bool) -> Option<SubId> {
+    fn find_cover(&self, sub: &Subscription) -> Option<SubId> {
         match self {
-            AnyMatchEngine::Counting(e) => MatchEngine::find_match(e, event, pred),
-            AnyMatchEngine::Sorted(e) => SortedIndex::find_match_where(e, event, pred),
+            AnyMatchEngine::Counting(e) => e.find_cover(sub),
+            AnyMatchEngine::Sorted(e) => e.find_cover(sub),
         }
     }
 

@@ -8,15 +8,20 @@
 //! subscription matches when all of its constraints are satisfied.
 //! Wildcard dimensions never enter the count.
 
-use std::collections::HashMap;
-
 use crate::event::Event;
 use crate::space::EventSpace;
-use crate::subscription::{SubId, Subscription};
+use crate::subscription::{IdMap, SubId, Subscription};
 
 /// Number of buckets per dimension. Chosen so bucket lists stay short for
 /// the evaluation workloads without bloating empty stores.
 const BUCKETS: usize = 64;
+
+/// Set on a bucket entry when the bucket's dimension is the first one the
+/// slot's subscription constrains. [`MatchIndex::find_cover`] skips the
+/// other entries without leaving the bucket list.
+const FIRST_DIM: u32 = 1 << 31;
+/// The slot number of a bucket entry.
+const SLOT: u32 = !FIRST_DIM;
 
 /// Counting-based subscription index for one rendezvous node.
 ///
@@ -46,13 +51,14 @@ pub struct MatchIndex {
     /// memory at large ring sizes where most stores never fill.
     ///
     /// `per_dim[i][bucket]` = dense slots of subscriptions whose constraint
-    /// on dimension `i` overlaps the bucket.
+    /// on dimension `i` overlaps the bucket, each tagged [`FIRST_DIM`] when
+    /// `i` is the subscription's first constrained dimension.
     per_dim: Vec<Vec<Vec<u32>>>,
     /// Dense slot table; freed slots are recycled.
     slots: Vec<Option<SlotEntry>>,
     free: Vec<u32>,
     /// Id → slot.
-    by_id: HashMap<SubId, u32>,
+    by_id: IdMap<u32>,
     /// Scratch for the counting algorithm, reused across `matches` calls:
     /// `counts[slot]` is current only when `epochs[slot] == epoch`, so one
     /// counter bump invalidates every stale count instead of zeroing a
@@ -89,7 +95,7 @@ impl MatchIndex {
             per_dim: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            by_id: HashMap::new(),
+            by_id: IdMap::default(),
             epoch: 0,
             epochs: Vec::new(),
             counts: Vec::new(),
@@ -127,7 +133,9 @@ impl MatchIndex {
             Some(s) => s,
             None => {
                 self.slots.push(None);
-                (self.slots.len() - 1) as u32
+                let slot = (self.slots.len() - 1) as u32;
+                assert!(slot <= SLOT, "slot numbers share a word with a flag bit");
+                slot
             }
         };
         if self.per_dim.is_empty() {
@@ -135,14 +143,22 @@ impl MatchIndex {
                 .map(|_| vec![Vec::new(); BUCKETS])
                 .collect();
         }
-        let mut positions = Vec::new();
+        let spans = sub.constraints().iter().enumerate().map(|(i, c)| {
+            c.map_or(0, |c| {
+                let (blo, bhi) = self.bucket_span(i, c.lo(), c.hi());
+                bhi - blo + 1
+            })
+        });
+        let mut positions = Vec::with_capacity(spans.sum());
+        let mut tag = FIRST_DIM;
         for (i, c) in sub.constraints().iter().enumerate() {
             if let Some(c) = c {
                 let (blo, bhi) = self.bucket_span(i, c.lo(), c.hi());
                 for b in blo..=bhi {
                     positions.push(self.per_dim[i][b].len() as u32);
-                    self.per_dim[i][b].push(slot);
+                    self.per_dim[i][b].push(slot | tag);
                 }
+                tag = 0;
             }
         }
         let constrained = sub.constrained_count() as u32;
@@ -172,10 +188,10 @@ impl MatchIndex {
                     let pos = entry.positions[pi] as usize;
                     pi += 1;
                     let list = &mut self.per_dim[i][b];
-                    debug_assert_eq!(list[pos], slot, "stale position record");
+                    debug_assert_eq!(list[pos] & SLOT, slot, "stale position record");
                     list.swap_remove(pos);
                     if pos < list.len() {
-                        let moved = self.slots[list[pos] as usize]
+                        let moved = self.slots[(list[pos] & SLOT) as usize]
                             .as_mut()
                             .expect("bucket lists only hold live slots");
                         let off = position_offset(&self.widths, &moved.sub, i, b);
@@ -233,7 +249,8 @@ impl MatchIndex {
         self.touched.clear();
         for (i, &v) in event.values().iter().enumerate() {
             let b = ((v / self.widths[i]) as usize).min(BUCKETS - 1);
-            for &slot in &self.per_dim[i][b] {
+            for &tagged in &self.per_dim[i][b] {
+                let slot = tagged & SLOT;
                 let entry = self.slots[slot as usize]
                     .as_ref()
                     .expect("bucket lists only hold live slots");
@@ -260,6 +277,39 @@ impl MatchIndex {
             }
         }
         out.sort_unstable();
+    }
+
+    /// The lowest id among the indexed subscriptions covering `sub`, if
+    /// any (see [`MatchEngine::find_cover`](crate::MatchEngine::find_cover)).
+    ///
+    /// A cover encloses `sub`'s range on every dimension it constrains —
+    /// in particular on its own first constrained dimension `d`, so it is
+    /// listed, tagged [`FIRST_DIM`], in dimension `d`'s bucket for `sub`'s
+    /// lower bound there. Scanning that one bucket per dimension `sub`
+    /// constrains therefore meets every cover exactly once, and entries
+    /// filed under a later dimension of theirs are passed over by their
+    /// tag alone.
+    pub fn find_cover(&self, sub: &Subscription) -> Option<SubId> {
+        if self.per_dim.is_empty() {
+            return None;
+        }
+        let mut best: Option<SubId> = None;
+        for (i, c) in sub.constraints().iter().enumerate() {
+            let Some(c) = c else { continue };
+            let (b, _) = self.bucket_span(i, c.lo(), c.lo());
+            for &tagged in &self.per_dim[i][b] {
+                if tagged & FIRST_DIM == 0 {
+                    continue;
+                }
+                let entry = self.slots[(tagged & SLOT) as usize]
+                    .as_ref()
+                    .expect("bucket lists only hold live slots");
+                if best.is_none_or(|id| entry.id < id) && entry.sub.covers(sub) {
+                    best = Some(entry.id);
+                }
+            }
+        }
+        best
     }
 
     /// Reference implementation: linear scan with exact matching. Used by

@@ -130,8 +130,10 @@ pub enum PubSubMsg {
     Subscribe {
         /// Subscription id.
         id: SubId,
-        /// The stored record (query, subscriber, expiry, full `SK` set).
-        stored: StoredSub,
+        /// The stored record (query, subscriber, expiry, full `SK` set),
+        /// built once by the subscriber: m-cast splits and the rendezvous
+        /// stores all share it.
+        stored: Arc<StoredSub>,
     },
     /// `unsub(σ)`: drop the subscription at the rendezvous keys.
     Unsubscribe {
@@ -165,7 +167,7 @@ pub enum PubSubMsg {
     /// (one-hop direct messages, class `STATE_TRANSFER`).
     StateBatch {
         /// The records being transferred.
-        subs: Vec<(SubId, StoredSub)>,
+        subs: Vec<(SubId, Arc<StoredSub>)>,
         /// `true`: store passively as replicas; `false`: adopt as primary.
         as_replica: bool,
     },

@@ -33,9 +33,9 @@ pub struct PubSubNode {
     /// Rendezvous role: primary stored subscriptions.
     store: SubscriptionStore,
     /// Passive replicas held for ring predecessors (activated on failure).
-    replicas: HashMap<SubId, StoredSub>,
+    replicas: HashMap<SubId, Arc<StoredSub>>,
     /// Subscriber role: subscriptions this node issued.
-    my_subs: HashMap<SubId, StoredSub>,
+    my_subs: HashMap<SubId, Arc<StoredSub>>,
     next_sub_seq: u32,
     next_event_seq: u32,
     delivered: Vec<DeliveredNote>,
@@ -158,15 +158,17 @@ impl PubSubNode {
             Some(d) => svc.now() + d,
             None => SimTime::MAX,
         };
-        let stored = StoredSub {
+        // The one record of this subscription: this node, the messages
+        // carrying it and every rendezvous store hold handles to it.
+        let stored = Arc::new(StoredSub {
             sub,
             subscriber: me,
             expires,
             sk: sk.clone(),
             trace,
             subgroups,
-        };
-        self.my_subs.insert(id, stored.clone());
+        });
+        self.my_subs.insert(id, Arc::clone(&stored));
         svc.metrics().add("requests.subscribe", 1);
         svc.metrics()
             .histogram_mut("keys.per-subscription")
@@ -211,18 +213,26 @@ impl PubSubNode {
                 .rendezvous
                 .sub_targets(&self.cfg.mapping, &record.sub, id)
         };
+        // A renewed record replaces the shared one; the old one is never
+        // written to.
         let record = self.my_subs.get_mut(&id).expect("checked above");
-        record.expires = new_expiry;
-        record.sk = sk;
-        record.subgroups = subgroups;
-        let stored = record.clone();
+        let stored = Arc::new(StoredSub {
+            expires: new_expiry,
+            sk,
+            subgroups,
+            ..StoredSub::clone(record)
+        });
+        *record = Arc::clone(&stored);
         svc.metrics().add("requests.refresh", 1);
         svc.arm_timer(half_lease, PubSubTimer::Refresh { id });
         let trace = stored.trace;
         self.propagate(
-            &stored.sk.clone(),
+            &stored.sk,
             TrafficClass::SUBSCRIPTION,
-            PubSubMsg::Subscribe { id, stored },
+            PubSubMsg::Subscribe {
+                id,
+                stored: Arc::clone(&stored),
+            },
             trace,
             svc,
         );
@@ -305,9 +315,9 @@ impl PubSubNode {
     // Rendezvous role.
     // ------------------------------------------------------------------
 
-    fn handle_store(&mut self, id: SubId, stored: StoredSub, svc: &mut DynSvc<'_>) {
+    fn handle_store(&mut self, id: SubId, stored: Arc<StoredSub>, svc: &mut DynSvc<'_>) {
         svc.stage(stored.trace, Stage::Store, TrafficClass::SUBSCRIPTION);
-        let fresh = self.store.insert(id, stored.clone(), svc.now());
+        let fresh = self.store.insert(id, Arc::clone(&stored), svc.now());
         svc.obs_sample("store.size", self.store.len() as u64);
         if fresh {
             svc.metrics().add("store.insert", 1);
@@ -319,7 +329,7 @@ impl PubSubNode {
                         peer,
                         TrafficClass::STATE_TRANSFER,
                         PubSubMsg::StateBatch {
-                            subs: vec![(id, stored.clone())],
+                            subs: vec![(id, Arc::clone(&stored))],
                             as_replica: true,
                         },
                     );
@@ -516,23 +526,19 @@ impl PubSubNode {
 
     fn flush(&mut self, svc: &mut DynSvc<'_>) {
         self.flush_armed = false;
-        // Plain buffered notifications: one message per subscriber.
-        let buffered: Vec<(Peer, Vec<NotifyItem>)> = self.notify_buffer.drain().collect();
-        for (subscriber, items) in buffered {
-            svc.metrics().add("notifications.messages", 1);
-            svc.metrics()
-                .histogram_mut("notifications.batch-size")
-                .record(items.len() as u64);
-            self.send_notification(subscriber, items, svc);
-        }
-        // Agent aggregates: one message per subscriber.
-        let agent: Vec<(Peer, Vec<NotifyItem>)> = self.agent_buffer.drain().collect();
-        for (subscriber, items) in agent {
-            svc.metrics().add("notifications.messages", 1);
-            svc.metrics()
-                .histogram_mut("notifications.batch-size")
-                .record(items.len() as u64);
-            self.send_notification(subscriber, items, svc);
+        // Plain buffered notifications, then agent aggregates: one message
+        // per subscriber, in ascending subscriber order — the maps drain in
+        // per-instance hash order, which must not reach the wire.
+        for buffer in [&mut self.notify_buffer, &mut self.agent_buffer] {
+            let mut batches: Vec<(Peer, Vec<NotifyItem>)> = buffer.drain().collect();
+            batches.sort_unstable_by_key(|(subscriber, _)| subscriber.idx);
+            for (subscriber, items) in batches {
+                svc.metrics().add("notifications.messages", 1);
+                svc.metrics()
+                    .histogram_mut("notifications.batch-size")
+                    .record(items.len() as u64);
+                Self::send_notification(subscriber, items, svc);
+            }
         }
         // Collect exchanges: one merged message per ring direction.
         let succ_items = std::mem::take(&mut self.collect_succ);
@@ -564,12 +570,7 @@ impl PubSubNode {
     /// the notification route. The envelope carries the item trace when the
     /// batch is a singleton; a mixed batch routes untraced (each item still
     /// carries its own trace for the delivery stage).
-    fn send_notification(
-        &mut self,
-        subscriber: Peer,
-        items: Vec<NotifyItem>,
-        svc: &mut DynSvc<'_>,
-    ) {
+    fn send_notification(subscriber: Peer, items: Vec<NotifyItem>, svc: &mut DynSvc<'_>) {
         for item in &items {
             svc.stage(item.trace, Stage::BufferWait, TrafficClass::NOTIFICATION);
             svc.stage(item.trace, Stage::NotifyRoute, TrafficClass::NOTIFICATION);
@@ -681,7 +682,7 @@ impl PubSubNode {
 
     fn handle_state_batch(
         &mut self,
-        subs: Vec<(SubId, StoredSub)>,
+        subs: Vec<(SubId, Arc<StoredSub>)>,
         as_replica: bool,
         svc: &mut DynSvc<'_>,
     ) {
@@ -726,7 +727,7 @@ impl PubSubNode {
                 // Copy every base-arc resident to its assigned mirror.
                 // Records already tagged (subscriptions issued while the
                 // entry was live) hold their mirror copy already.
-                let mut items: Vec<(SubId, StoredSub)> = self
+                let mut items: Vec<(SubId, Arc<StoredSub>)> = self
                     .store
                     .iter()
                     .filter(|(_, s)| {
@@ -738,7 +739,7 @@ impl PubSubNode {
                                 .extract_arc_oc(space, op.entry.start, op.entry.end)
                                 .is_empty()
                     })
-                    .map(|(id, s)| (id, s.clone()))
+                    .map(|(id, s)| (id, Arc::clone(s)))
                     .collect();
                 items.sort_by_key(|(id, _)| *id);
                 for (id, s) in items {
@@ -752,11 +753,11 @@ impl PubSubNode {
                     let mut sk = s.sk.extract_arc_oc(space, op.entry.end, op.entry.start);
                     sk.union_with(&image);
                     let trace = s.trace;
-                    let copy = StoredSub {
+                    let copy = Arc::new(StoredSub {
                         sk,
                         subgroups: s.subgroups | bit,
-                        ..s
-                    };
+                        ..StoredSub::clone(&s)
+                    });
                     touched += 1;
                     self.propagate(
                         &image,
@@ -798,11 +799,11 @@ impl PubSubNode {
                 svc.obs_sample("store.size", self.store.len() as u64);
             }
             SweepKind::CopyBack => {
-                let mut items: Vec<(SubId, StoredSub)> = self
+                let mut items: Vec<(SubId, Arc<StoredSub>)> = self
                     .store
                     .iter()
                     .filter(|(_, s)| s.subgroups & bit != 0)
-                    .map(|(id, s)| (id, s.clone()))
+                    .map(|(id, s)| (id, Arc::clone(s)))
                     .collect();
                 items.sort_by_key(|(id, _)| *id);
                 for (id, s) in items {
@@ -820,11 +821,11 @@ impl PubSubNode {
                     let mut sk = s.sk.extract_arc_oc(space, ib, ia);
                     sk.union_with(&static_p);
                     let trace = s.trace;
-                    let copy = StoredSub {
+                    let copy = Arc::new(StoredSub {
                         sk,
                         subgroups: s.subgroups & !bit,
-                        ..s
-                    };
+                        ..StoredSub::clone(&s)
+                    });
                     touched += 1;
                     self.propagate(
                         &static_p,
@@ -856,14 +857,17 @@ impl PubSubNode {
                             .rendezvous
                             .resident_targets(&self.cfg.mapping, &s.sub, id);
                     let keep = !resident.extract_arc_oc(space, pred.key, me.key).is_empty();
-                    let Some(mut s) = self.store.remove(id) else {
+                    let Some(s) = self.store.remove(id) else {
                         continue;
                     };
                     touched += 1;
                     if keep {
-                        s.sk = resident;
-                        s.subgroups = bits;
-                        self.store.insert(id, s, now);
+                        let retagged = StoredSub {
+                            sk: resident,
+                            subgroups: bits,
+                            ..StoredSub::clone(&s)
+                        };
+                        self.store.insert(id, retagged, now);
                     }
                 }
                 svc.obs_sample("store.size", self.store.len() as u64);
@@ -936,11 +940,11 @@ impl PubSubNode {
         // covers.
         if let (Some(old_p), Some(new_p)) = (old, new) {
             if space.in_arc_oo(new_p.key, old_p.key, me.key) {
-                let batch: Vec<(SubId, StoredSub)> = self
+                let batch: Vec<(SubId, Arc<StoredSub>)> = self
                     .store
                     .iter()
                     .filter(|(_, s)| !s.sk.extract_arc_oc(space, old_p.key, new_p.key).is_empty())
-                    .map(|(id, s)| (id, s.clone()))
+                    .map(|(id, s)| (id, Arc::clone(s)))
                     .collect();
                 if !batch.is_empty() {
                     svc.direct(
@@ -991,8 +995,11 @@ impl PubSubNode {
     /// to the successor.
     pub fn handle_leaving(&mut self, svc: &mut DynSvc<'_>) {
         let Some(succ) = svc.successor() else { return };
-        let batch: Vec<(SubId, StoredSub)> =
-            self.store.iter().map(|(id, s)| (id, s.clone())).collect();
+        let batch: Vec<(SubId, Arc<StoredSub>)> = self
+            .store
+            .iter()
+            .map(|(id, s)| (id, Arc::clone(s)))
+            .collect();
         if !batch.is_empty() {
             svc.direct(
                 succ,

@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use crate::event::Event;
 use crate::space::EventSpace;
-use crate::subscription::{Constraint, SubId, Subscription};
+use crate::subscription::{Constraint, IdMap, SubId, Subscription};
 
 /// Rows buffered unsorted before being batch-merged into segment runs.
 /// Queries scan the staging tail linearly, so it stays cache-sized.
@@ -78,9 +78,9 @@ pub struct SortedIndex {
     /// Tombstones: dead rows are skipped by queries and reclaimed lazily.
     dead: Vec<bool>,
     free: Vec<u32>,
-    by_id: HashMap<SubId, u32>,
+    by_id: IdMap<u32>,
     /// Ordered by `(dimension, span class)` so scans visit segments in a
-    /// deterministic order — `find_match_where`'s early exit depends on it.
+    /// deterministic order — `find_cover`'s early exit depends on it.
     segments: BTreeMap<(u32, u32), Segment>,
     staging: Vec<u32>,
     dead_rows: usize,
@@ -109,7 +109,7 @@ impl SortedIndex {
             ids: Vec::new(),
             dead: Vec::new(),
             free: Vec::new(),
-            by_id: HashMap::new(),
+            by_id: IdMap::default(),
             segments: BTreeMap::new(),
             staging: Vec::new(),
             dead_rows: 0,
@@ -236,39 +236,33 @@ impl SortedIndex {
         out.sort_unstable();
     }
 
-    /// Returns the first indexed subscription (in deterministic scan
-    /// order: segments by ascending dimension and descending span class,
-    /// then the staging tail) that matches `event` *and* satisfies `pred`,
-    /// without materializing the full match set.
+    /// The first indexed subscription covering `sub` in scan order —
+    /// dimensions ascending, span classes descending, then the staging
+    /// tail — if any (see
+    /// [`MatchEngine::find_cover`](crate::MatchEngine::find_cover)).
     ///
-    /// This is the covering table's group-search primitive: a lower-corner
-    /// query usually finds an acceptable group within the first few
-    /// candidates, so stopping there skips the full-enumeration plus sort
-    /// that [`SortedIndex::matches_into`] pays. Within each dimension the
-    /// broadest span classes are visited first because a covering
-    /// representative has, by construction, at least its covered
-    /// subscription's span; the unsorted staging tail — a linear scan with
-    /// no such pruning — is deferred until the segments come up empty,
-    /// which keeps the usual hit to a handful of probed candidates.
-    pub fn find_match_where(
-        &self,
-        event: &Event,
-        pred: &mut dyn FnMut(SubId) -> bool,
-    ) -> Option<SubId> {
-        for dim in 0..self.dims as u32 {
-            for (&(d, class), seg) in self.segments.range((dim, 0)..=(dim, u32::MAX)).rev() {
-                let v = event.value(d as usize);
+    /// Segments are keyed by their rows' first constrained dimension `d`,
+    /// and a cover encloses `sub`'s range on `d`: it sits in a `(d, class)`
+    /// segment for a dimension `sub` constrains, with a span class at least
+    /// `sub`'s own there and a lower bound inside the class window below
+    /// `sub`'s. Only those windows are scanned. Within a dimension the
+    /// broadest classes come first, where a cover is likeliest; the
+    /// unsorted staging tail has no such pruning and goes last.
+    pub fn find_cover(&self, sub: &Subscription) -> Option<SubId> {
+        for (d, c) in sub.constraints().iter().enumerate() {
+            let Some(c) = c else { continue };
+            let d = d as u32;
+            let min_class = 63 - c.span().leading_zeros();
+            for (&(_, class), seg) in self.segments.range((d, min_class)..=(d, u32::MAX)).rev() {
+                let v = c.lo();
                 let lo_min = if class >= 63 {
                     0
                 } else {
                     v.saturating_sub((1u64 << (class + 1)) - 2)
                 };
-                let skip = 1u64 << d;
                 for run in &seg.runs {
                     // Endpoint guards dodge the binary search (and its
-                    // cache misses) for runs entirely above or below `v` —
-                    // the common case for the lower-corner probes this
-                    // method serves.
+                    // cache misses) for runs entirely above or below `v`.
                     let end = if run.len() == 0 || run.lo[0] > v {
                         continue;
                     } else if run.lo[run.len() - 1] <= v {
@@ -280,27 +274,33 @@ impl SortedIndex {
                         if run.lo[j] < lo_min {
                             break;
                         }
-                        if run.hi[j] < v {
+                        if run.hi[j] < c.hi() {
                             continue;
                         }
                         let row = run.row[j];
-                        if !self.dead[row as usize]
-                            && self.admits(row, event, skip)
-                            && pred(self.ids[row as usize])
-                        {
+                        if !self.dead[row as usize] && self.row_covers(row, sub) {
                             return Some(self.ids[row as usize]);
                         }
                     }
                 }
             }
         }
-        for &row in &self.staging {
-            let r = row as usize;
-            if !self.dead[r] && self.admits(row, event, 0) && pred(self.ids[r]) {
-                return Some(self.ids[r]);
-            }
-        }
-        None
+        self.staging
+            .iter()
+            .find(|&&row| !self.dead[row as usize] && self.row_covers(row, sub))
+            .map(|&row| self.ids[row as usize])
+    }
+
+    /// `true` iff the row is a wildcard or an enclosing range on every
+    /// dimension (wildcard dimensions of a row hold `0..=u64::MAX`).
+    #[inline]
+    fn row_covers(&self, row: u32, sub: &Subscription) -> bool {
+        let base = row as usize * self.dims;
+        let mask = self.mask[row as usize];
+        sub.constraints().iter().enumerate().all(|(d, c)| match c {
+            Some(c) => self.lo[base + d] <= c.lo() && c.hi() <= self.hi[base + d],
+            None => mask & (1 << d) == 0,
+        })
     }
 
     /// `true` iff the row's constraints (minus the dimensions in `skip`,

@@ -6,7 +6,8 @@
 //! subscriptions per node" metric of Figures 6 and 8.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use cbps_overlay::{KeyRangeSet, Peer};
@@ -16,10 +17,14 @@ use crate::covering::CoveringTable;
 use crate::engine::{AnyMatchEngine, MatchEngine};
 use crate::event::Event;
 use crate::space::EventSpace;
-use crate::subscription::{SubId, Subscription};
+use crate::subscription::{IdMap, SubId, Subscription};
 
 /// A subscription as stored at a rendezvous node: the query plus the
 /// routing metadata the rendezvous needs to serve it.
+///
+/// The subscriber builds one record per `sub(σ)` and every rendezvous
+/// node stores a handle to that same record (`Arc<StoredSub>`); nobody
+/// writes to a record once it is shared.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StoredSub {
     /// The subscription itself.
@@ -84,11 +89,11 @@ pub struct SubscriptionStore {
     /// Covering layer, when enabled: the engine then holds one physical
     /// entry per covering *group* instead of one per subscription.
     covering: Option<CoveringTable>,
-    /// Records are `Arc`-wrapped so matching hands out handles instead of
-    /// cloning the (constraint-vector-owning) record per hit. This map is
+    /// Handles to the records the subscribers built: storing and matching
+    /// bump a reference count instead of copying a record. This map is
     /// the *logical* store: `len`/`peak`/expiry always count every
     /// subscription, grouped or not.
-    meta: HashMap<SubId, Arc<StoredSub>>,
+    meta: IdMap<Arc<StoredSub>>,
     /// Min-heap of (expiry, id); entries may be stale (removed ids).
     expiry: BinaryHeap<Reverse<(SimTime, SubId)>>,
     peak: usize,
@@ -110,7 +115,7 @@ impl SubscriptionStore {
         SubscriptionStore {
             engine: AnyMatchEngine::new(engine, space),
             covering: covering.then(CoveringTable::new),
-            meta: HashMap::new(),
+            meta: IdMap::default(),
             expiry: BinaryHeap::new(),
             peak: 0,
             scratch: Vec::new(),
@@ -158,91 +163,75 @@ impl SubscriptionStore {
         self.meta.get(&id).map(|rc| &**rc)
     }
 
-    /// Iterates over stored records.
-    pub fn iter(&self) -> impl Iterator<Item = (SubId, &StoredSub)> {
-        self.meta.iter().map(|(&id, s)| (id, &**s))
+    /// Iterates over stored records (clone a handle to pass one on).
+    pub fn iter(&self) -> impl Iterator<Item = (SubId, &Arc<StoredSub>)> {
+        self.meta.iter().map(|(&id, s)| (id, s))
     }
 
-    /// Inserts (or refreshes) a subscription. Purges expired entries first
-    /// so that the peak metric reflects live subscriptions only. Returns
-    /// `false` if `id` was already stored (the refresh still updates the
-    /// expiry).
-    pub fn insert(&mut self, id: SubId, stored: StoredSub, now: SimTime) -> bool {
+    /// Inserts (or refreshes) a subscription, given as a record or as a
+    /// handle to a shared one. Purges expired entries first so that the
+    /// peak metric reflects live subscriptions only. Returns `false` if
+    /// `id` was already stored (the refresh still updates the expiry, and
+    /// only the expiry).
+    pub fn insert(&mut self, id: SubId, stored: impl Into<Arc<StoredSub>>, now: SimTime) -> bool {
+        let stored: Arc<StoredSub> = stored.into();
         self.purge_expired(now);
-        if stored.expires != SimTime::MAX {
-            self.expiry.push(Reverse((stored.expires, id)));
+        let expires = stored.expires;
+        let fresh = match self.meta.entry(id) {
+            Entry::Occupied(slot) if slot.get().expires == expires => return false,
+            // Refresh: the physical entry is untouched, and so is the
+            // record other stores may share — adopt the incoming one, or
+            // copy before writing.
+            Entry::Occupied(mut slot) => {
+                if differs_only_in_expiry(slot.get(), &stored) {
+                    slot.insert(stored);
+                } else {
+                    Arc::make_mut(slot.get_mut()).expires = expires;
+                }
+                false
+            }
+            Entry::Vacant(slot) => {
+                match &mut self.covering {
+                    Some(table) => table.insert(&mut self.engine, id, &stored.sub),
+                    None => {
+                        self.engine.insert(id, stored.sub.clone());
+                    }
+                }
+                slot.insert(stored);
+                self.peak = self.peak.max(self.meta.len());
+                true
+            }
+        };
+        // After the record is in place: the sweep keeps an entry only if
+        // it agrees with the stored expiry.
+        if expires != SimTime::MAX {
+            self.expiry.push(Reverse((expires, id)));
             self.shrink_expiry_heap();
         }
-        if let Some(existing) = self.meta.get_mut(&id) {
-            // Refresh: the physical entry is untouched. Clones the record
-            // only if a match handle is still holding it.
-            Arc::make_mut(existing).expires = stored.expires;
-            return false;
-        }
-        match &mut self.covering {
-            Some(table) => table.insert(&mut self.engine, id, &stored.sub),
-            None => {
-                self.engine.insert(id, stored.sub.clone());
-            }
-        }
-        self.meta.insert(id, Arc::new(stored));
-        self.peak = self.peak.max(self.meta.len());
-        true
+        fresh
     }
 
     /// Inserts a batch of subscriptions at once, returning the number that
     /// were fresh (not refreshes).
     ///
-    /// Behaviourally identical to calling [`SubscriptionStore::insert`]
-    /// per item, but fresh subscriptions go through the covering table's
-    /// sort-based bulk build, which pays the group-search cost once per
-    /// distinct shape instead of once per subscription. Ids already stored
-    /// — or repeated within the batch — fall back to the sequential
-    /// refresh path.
+    /// Identical to calling [`SubscriptionStore::insert`] per item, in
+    /// order — ids already stored, or repeated within the batch, take the
+    /// refresh path — except that the maps sized by the logical population
+    /// grow once for the whole batch.
     pub fn insert_bulk(&mut self, items: Vec<(SubId, StoredSub)>, now: SimTime) -> usize {
-        self.purge_expired(now);
-        let mut fresh: Vec<(SubId, StoredSub)> = Vec::with_capacity(items.len());
-        let mut seen: HashSet<SubId> = HashSet::with_capacity(items.len());
-        let mut refreshes: Vec<(SubId, StoredSub)> = Vec::new();
+        self.meta.reserve(items.len());
+        if let Some(table) = &mut self.covering {
+            table.reserve(items.len());
+        }
+        let mut fresh = 0;
         for (id, stored) in items {
-            if self.meta.contains_key(&id) || !seen.insert(id) {
-                refreshes.push((id, stored));
-            } else {
-                fresh.push((id, stored));
-            }
+            fresh += usize::from(self.insert(id, stored, now));
         }
-        for (id, stored) in &fresh {
-            if stored.expires != SimTime::MAX {
-                self.expiry.push(Reverse((stored.expires, *id)));
-            }
-        }
-        self.shrink_expiry_heap();
-        match &mut self.covering {
-            Some(table) => {
-                let refs: Vec<(SubId, &Subscription)> =
-                    fresh.iter().map(|(id, s)| (*id, &s.sub)).collect();
-                table.insert_bulk(&mut self.engine, &refs);
-            }
-            None => {
-                for (id, stored) in &fresh {
-                    self.engine.insert(*id, stored.sub.clone());
-                }
-            }
-        }
-        let inserted = fresh.len();
-        self.meta.reserve(fresh.len());
-        for (id, stored) in fresh {
-            self.meta.insert(id, Arc::new(stored));
-        }
-        self.peak = self.peak.max(self.meta.len());
-        for (id, stored) in refreshes {
-            self.insert(id, stored, now);
-        }
-        inserted
+        fresh
     }
 
     /// Removes a subscription (unsubscription), returning its record.
-    pub fn remove(&mut self, id: SubId) -> Option<StoredSub> {
+    pub fn remove(&mut self, id: SubId) -> Option<Arc<StoredSub>> {
         let rc = self.meta.remove(&id)?;
         match &mut self.covering {
             Some(table) => table.remove(&mut self.engine, id, &rc.sub),
@@ -250,7 +239,7 @@ impl SubscriptionStore {
                 self.engine.remove(id);
             }
         }
-        Some(Arc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone()))
+        Some(rc)
     }
 
     /// Drops every subscription whose expiry has passed. Returns the number
@@ -350,6 +339,15 @@ impl SubscriptionStore {
         }
         self.scratch = ids;
     }
+}
+
+/// `true` iff the two records are the same apart from `expires`.
+fn differs_only_in_expiry(a: &StoredSub, b: &StoredSub) -> bool {
+    a.subscriber == b.subscriber
+        && a.trace == b.trace
+        && a.subgroups == b.subgroups
+        && a.sub == b.sub
+        && a.sk == b.sk
 }
 
 #[cfg(test)]
@@ -515,6 +513,45 @@ mod tests {
         assert_eq!(st.len(), 1);
         assert_eq!(st.purge_expired(SimTime::from_secs(2000)), 1);
         assert_eq!(st.len(), 0);
+    }
+
+    /// Two stores hold the same shared record; a lease refresh arriving
+    /// at one of them must not reach through the `Arc` into the other.
+    #[test]
+    fn refresh_leaves_other_holders_of_the_record_untouched() {
+        let shared = Arc::new(stored(0, 10, SimTime::from_secs(5)));
+        let mut a = SubscriptionStore::new(&space());
+        let mut b = SubscriptionStore::new(&space());
+        assert!(a.insert(SubId(1), Arc::clone(&shared), SimTime::ZERO));
+        assert!(b.insert(SubId(1), Arc::clone(&shared), SimTime::ZERO));
+
+        // Same expiry again (a duplicate delivery): nothing to write.
+        assert!(!a.insert(SubId(1), Arc::clone(&shared), SimTime::ZERO));
+        assert!(std::ptr::eq(a.get(SubId(1)).unwrap(), &*shared));
+
+        // A renewed record differing only in `expires` is adopted as is.
+        let renewed = Arc::new(StoredSub {
+            expires: SimTime::from_secs(50),
+            ..StoredSub::clone(&shared)
+        });
+        assert!(!a.insert(SubId(1), Arc::clone(&renewed), SimTime::ZERO));
+        assert!(std::ptr::eq(a.get(SubId(1)).unwrap(), &*renewed));
+
+        // One that differs elsewhere too only hands over its expiry.
+        let mut moved = stored(0, 10, SimTime::from_secs(70));
+        moved.subgroups = 1;
+        assert!(!a.insert(SubId(1), moved, SimTime::ZERO));
+        assert_eq!(a.get(SubId(1)).unwrap().expires, SimTime::from_secs(70));
+        assert_eq!(a.get(SubId(1)).unwrap().subgroups, 0);
+
+        // Neither shared record was written to, and `b` still lapses on
+        // the original lease while `a` lives on.
+        assert_eq!(shared.expires, SimTime::from_secs(5));
+        assert_eq!(renewed.expires, SimTime::from_secs(50));
+        assert!(std::ptr::eq(b.get(SubId(1)).unwrap(), &*shared));
+        assert_eq!(b.purge_expired(SimTime::from_secs(6)), 1);
+        assert_eq!(a.purge_expired(SimTime::from_secs(6)), 0);
+        assert_eq!(a.purge_expired(SimTime::from_secs(71)), 1);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Subscriptions: conjunctions of range constraints over event attributes
 //! (§3.2). Disjunctions are expressed as separate subscriptions.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
 
 use crate::error::PubSubError;
 use crate::event::Event;
@@ -28,6 +31,34 @@ impl SubId {
 impl fmt::Display for SubId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "s{}.{}", self.node(), self.0 & 0xFFFF_FFFF)
+    }
+}
+
+/// Map keyed by [`SubId`] with a multiplicative hasher. Ids are minted by
+/// the system itself (node index and sequence number), never taken from
+/// input, so SipHash's flooding resistance buys nothing here and costs a
+/// large share of every id-keyed probe on the store's insert path.
+pub(crate) type IdMap<V> = HashMap<SubId, V, BuildHasherDefault<IdHasher>>;
+
+/// The hasher behind [`IdMap`]: one multiply per word, with the high half
+/// of the product folded down on `finish` because the table indexes with
+/// the low bits and ids differ mostly in their high (node) half.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
     }
 }
 
@@ -93,6 +124,11 @@ impl fmt::Display for Constraint {
 /// without a constraint are wildcards (the "partially defined
 /// subscriptions" of §4.2).
 ///
+/// A subscription is immutable once built and its constraints sit behind
+/// one shared allocation: cloning bumps a reference count, so the copy a
+/// subscriber keeps, the ≈ 60 rendezvous copies of Mapping 1 and every
+/// index entry made from them all point at the same slots.
+///
 /// # Examples
 ///
 /// ```
@@ -108,10 +144,42 @@ impl fmt::Display for Constraint {
 /// assert!(!sub.matches(&Event::new(&space, vec![500, 7])?));
 /// # Ok::<(), cbps::PubSubError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug)]
 pub struct Subscription {
     /// One slot per dimension; `None` = wildcard.
-    constraints: Vec<Option<Constraint>>,
+    constraints: Arc<[Option<Constraint>]>,
+    /// Digest of the slots, computed once at build: equal shapes digest
+    /// equally, so it serves as the hash and as a fast inequality test.
+    digest: u64,
+}
+
+impl PartialEq for Subscription {
+    fn eq(&self, other: &Self) -> bool {
+        self.digest == other.digest
+            && (Arc::ptr_eq(&self.constraints, &other.constraints)
+                || self.constraints == other.constraints)
+    }
+}
+
+impl Eq for Subscription {}
+
+impl Hash for Subscription {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
+}
+
+/// FNV-1a over `(constrained?, lo, hi)` per slot.
+fn digest_of(constraints: &[Option<Constraint>]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for c in constraints {
+        let (tag, lo, hi) = c.map_or((0, 0, 0), |c| (1, c.lo(), c.hi()));
+        for word in [tag, lo, hi] {
+            h ^= word;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
 }
 
 impl Subscription {
@@ -157,7 +225,10 @@ impl Subscription {
         if constraints.iter().all(Option::is_none) {
             return Err(PubSubError::UnconstrainedSubscription);
         }
-        Ok(Subscription { constraints })
+        Ok(Subscription {
+            digest: digest_of(&constraints),
+            constraints: constraints.into(),
+        })
     }
 
     /// The constraint slots, one per dimension (`None` = wildcard).
@@ -209,7 +280,7 @@ impl Subscription {
         debug_assert_eq!(self.dims(), other.dims());
         self.constraints
             .iter()
-            .zip(&other.constraints)
+            .zip(other.constraints.iter())
             .all(|(c, o)| match (c, o) {
                 (None, _) => true,
                 (Some(_), None) => false,

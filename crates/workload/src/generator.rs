@@ -11,6 +11,8 @@
 //! each 5s, while publications follow a Poisson process with the average of
 //! 5s … matching probability is 0.5."
 
+use std::collections::VecDeque;
+
 use cbps::{Event, EventSpace, Subscription};
 use cbps_rng::{Rng, Zipf};
 use cbps_sim::{SimDuration, SimTime};
@@ -320,9 +322,10 @@ impl WorkloadGen {
 
         // Generate in global time order so "live subscriptions" are exactly
         // those already issued and not yet expired.
-        let mut live: Vec<(SimTime, Subscription)> = Vec::new(); // (expiry, sub)
-                                                                 // Temporal-locality state: the current seed subscription and how
-                                                                 // many more matching events it should still produce.
+        // `(expiry, sub)`, in issue order.
+        let mut live: VecDeque<(SimTime, Subscription)> = VecDeque::new();
+        // Temporal-locality state: the current seed subscription and how
+        // many more matching events it should still produce.
         let mut streak: Option<(Subscription, u64)> = None;
         let (mut si, mut pi) = (0, 0);
         while si < sub_times.len() || pi < pub_times.len() {
@@ -337,7 +340,7 @@ impl WorkloadGen {
                 si += 1;
                 let sub = self.gen_subscription();
                 let expiry = self.cfg.sub_ttl.map(|d| at + d).unwrap_or(SimTime::MAX);
-                live.push((expiry, sub.clone()));
+                live.push_back((expiry, sub.clone()));
                 ops.push(Op {
                     at,
                     node: self.rng.gen_range(0..self.cfg.nodes),
@@ -349,12 +352,12 @@ impl WorkloadGen {
             } else {
                 let at = pub_times[pi];
                 pi += 1;
-                // Without TTLs every expiry is `SimTime::MAX`, so the
-                // retain is an identity scan — O(subs) per publication,
-                // quadratic over a trace. Skipping it leaves `live` and
-                // the RNG sequence untouched.
-                if self.cfg.sub_ttl.is_some() {
-                    live.retain(|(expiry, _)| *expiry > at);
+                // Subscriptions are issued in time order with one TTL, so
+                // `live` is sorted by expiry and the lapsed ones are a
+                // prefix (without TTLs every expiry is `SimTime::MAX` and
+                // nothing ever lapses).
+                while live.front().is_some_and(|(expiry, _)| *expiry <= at) {
+                    live.pop_front();
                 }
                 let event = if !live.is_empty() && self.rng.f64() < self.cfg.matching_probability {
                     let seed = match streak.take() {
