@@ -14,6 +14,13 @@ cargo test --workspace -q
 echo "==> cargo test --doc"
 cargo test --workspace --doc -q
 
+# The allocation gates pin exact counts, which hold for optimized builds
+# only: two of the three are ignored under debug assertions, so the debug
+# run above does not gate them.
+echo "==> cargo test --release (allocation gates)"
+cargo test --release -q -p cbps-bench \
+    --test alloc_steady --test alloc_install --test alloc_route
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings

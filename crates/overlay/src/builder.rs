@@ -194,6 +194,7 @@ pub fn build_stable<A: OverlayApp>(
 
     let states = build_routing_states(&cfg, &ring);
     let mut sim = Simulator::new(net);
+    sim.reserve_nodes(n);
     for (idx, (state, app)) in states.into_iter().zip(apps).enumerate() {
         let added = sim.add_node(ChordNode::new(state, app));
         debug_assert_eq!(added, idx);

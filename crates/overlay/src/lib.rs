@@ -82,6 +82,7 @@ mod route;
 pub mod routed;
 mod scratch;
 mod services;
+mod split;
 mod state;
 mod timer;
 
@@ -98,8 +99,9 @@ pub use node::ChordNode;
 pub use range::{KeyRange, KeyRangeSet, INLINE_SEGS};
 pub use ring::{FingerGrid, Peer, RingView};
 pub use route::RouteTable;
-pub use scratch::{Bundles, PeerBuf};
+pub use scratch::Bundles;
 pub use services::OverlayServices;
+pub use split::Boundaries;
 pub use state::RoutingState;
 pub use timer::OverlayTimer;
 

@@ -309,7 +309,13 @@ impl KeyRangeSet {
         }
     }
 
-    fn insert_linear(&mut self, lo: u64, hi: u64) {
+    /// The sorted, disjoint, non-adjacent linear segments `[lo, hi]`.
+    pub(crate) fn segments(&self) -> &[(u64, u64)] {
+        self.segments.as_slice()
+    }
+
+    /// Inserts the linear (non-wrapping) run `lo..=hi`.
+    pub(crate) fn insert_linear(&mut self, lo: u64, hi: u64) {
         debug_assert!(lo <= hi);
         // Find all segments overlapping or adjacent to [lo, hi] and fuse.
         let mut new_lo = lo;

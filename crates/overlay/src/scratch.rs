@@ -1,15 +1,15 @@
 //! Thread-local scratch pools for the routing hot path.
 //!
 //! The m-cast split runs once per hop of every multicast message — on the
-//! figures workloads that is millions of calls — and naively needs two
-//! temporary vectors per call: the sorted boundary-peer list and the
-//! per-relay bundle list. Both are recycled here through small
-//! thread-local free lists, so a steady-state split performs no heap
-//! allocation at all (the bundle sets themselves are inline-first
+//! figures workloads that is millions of calls — and hands back a list of
+//! per-relay bundles. That list is recycled here through a small
+//! thread-local free list, so a steady-state split performs no heap
+//! allocation at all (the boundary list lives on the stack, see
+//! [`crate::split`]; the bundle sets themselves are inline-first
 //! [`KeyRangeSet`]s whose rare spill buffers are pooled in
 //! [`crate::range`]).
 //!
-//! The types are safe plain wrappers around `Vec`: dropping one clears it
+//! [`Bundles`] is a safe plain wrapper around `Vec`: dropping one clears it
 //! (running the members' own recycling `Drop`s) and pushes the storage
 //! back onto the current thread's free list. Each simulator shard owns its
 //! nodes and runs them on one thread at a time, so thread-local pooling
@@ -21,14 +21,13 @@ use std::ops::{Deref, DerefMut};
 use crate::range::KeyRangeSet;
 use crate::ring::Peer;
 
-/// Buffers kept per pool per thread. Splits are not recursive, so in
+/// Buffers kept per thread. Splits are not recursive, so in
 /// practice one or two buffers circulate; the cap only bounds pathological
 /// callers that leak many at once.
 const POOL_CAP: usize = 16;
 
 thread_local! {
     static BUNDLES: RefCell<Vec<Vec<(Peer, KeyRangeSet)>>> = const { RefCell::new(Vec::new()) };
-    static PEERS: RefCell<Vec<Vec<Peer>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The per-relay bundles produced by a `mcast_split`: recycled `Vec`
@@ -77,46 +76,6 @@ impl Drop for Bundles {
     }
 }
 
-/// A pooled scratch list of peers (the sorted boundary set of a split).
-#[derive(Debug, Default)]
-pub struct PeerBuf(Vec<Peer>);
-
-impl PeerBuf {
-    /// An empty peer list, reusing pooled storage when available.
-    pub fn take() -> Self {
-        PeerBuf(PEERS.with(|p| p.borrow_mut().pop()).unwrap_or_default())
-    }
-}
-
-impl Deref for PeerBuf {
-    type Target = Vec<Peer>;
-    fn deref(&self) -> &Self::Target {
-        &self.0
-    }
-}
-
-impl DerefMut for PeerBuf {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.0
-    }
-}
-
-impl Drop for PeerBuf {
-    fn drop(&mut self) {
-        self.0.clear();
-        if self.0.capacity() == 0 {
-            return;
-        }
-        let v = std::mem::take(&mut self.0);
-        PEERS.with(|p| {
-            let mut p = p.borrow_mut();
-            if p.len() < POOL_CAP {
-                p.push(v);
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,25 +98,6 @@ mod tests {
             cap
         }; // dropped → pooled
         let b = Bundles::take();
-        assert!(b.is_empty());
-        assert_eq!(b.capacity(), cap, "storage was not recycled");
-    }
-
-    #[test]
-    fn peer_buf_recycles_storage() {
-        let space = KeySpace::new(5);
-        let peer = Peer {
-            idx: 0,
-            key: space.key(1),
-        };
-        let cap = {
-            let mut b = PeerBuf::take();
-            for _ in 0..20 {
-                b.push(peer);
-            }
-            b.capacity()
-        };
-        let b = PeerBuf::take();
         assert!(b.is_empty());
         assert_eq!(b.capacity(), cap, "storage was not recycled");
     }

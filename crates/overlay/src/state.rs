@@ -7,7 +7,8 @@ use crate::config::OverlayConfig;
 use crate::key::{Key, KeySpace};
 use crate::range::KeyRangeSet;
 use crate::ring::Peer;
-use crate::scratch::{Bundles, PeerBuf};
+use crate::scratch::Bundles;
+use crate::split::Boundaries;
 
 /// The Chord routing state of one node.
 ///
@@ -301,45 +302,69 @@ impl RoutingState {
     /// The `m-cast` split of Figure 4: partitions `targets` into the subset
     /// this node covers (to deliver) and per-next-hop bundles (to forward).
     ///
-    /// Boundaries are the node's distinct neighbors sorted clockwise:
+    /// Boundaries are the node's distinct neighbors taken clockwise:
     /// successor `f_1`, the fingers, and the predecessor as the final
-    /// `f_l`. The arc `(me, f_1]` goes to the successor (it covers it
-    /// entirely); each arc `(f_i, f_{i+1}]` goes to `f_i`, which recurses;
-    /// the final arc `(pred, me]` is local. Bundles to the same node are
-    /// merged, so no node receives the message twice. All scratch storage
-    /// is pooled ([`crate::scratch`]): the steady-state split allocates
-    /// nothing.
+    /// `f_l` (see [`Boundaries`] for the partition). A node without a
+    /// successor is alone on its ring and keeps everything.
     pub fn mcast_split(&self, targets: &KeyRangeSet) -> (KeyRangeSet, Bundles) {
         let space = self.cfg.space;
-        let mut bundles = Bundles::take();
-        let Some(succ) = self.successor() else {
-            // Single-node ring: everything is local.
+        let mut cuts = Boundaries::new(space, self.me);
+        if let Some(succ) = self.successor() {
+            cuts.push(succ);
+            // Neighboring fingers mostly repeat one node (all but about
+            // log2 n of them): skip the repeats without a push.
+            let mut last = succ.key.value();
+            let mut live = self.finger_live;
+            while live != 0 {
+                let i = live.trailing_zeros() as usize;
+                live &= live - 1;
+                if self.finger_keys[i] != last {
+                    last = self.finger_keys[i];
+                    cuts.push(Peer {
+                        idx: self.finger_idxs[i] as usize,
+                        key: space.key(last),
+                    });
+                }
+            }
+            if let Some(p) = self.pred {
+                cuts.push(p);
+            }
+        }
+        cuts.split(targets)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use cbps_rng::Rng;
+
+    use super::*;
+    use crate::builder::build_routing_states;
+    use crate::range::{KeyRange, INLINE_SEGS};
+    use crate::ring::RingView;
+
+    /// Figure 4 read window by window — one `extract_arc_oc` per boundary
+    /// arc over a sorted, deduplicated boundary list. The split the
+    /// one-sweep [`Boundaries`] replaced, kept as its reference model.
+    fn split_by_windows(
+        st: &RoutingState,
+        targets: &KeyRangeSet,
+    ) -> (KeyRangeSet, Vec<(Peer, KeyRangeSet)>) {
+        let space = st.space();
+        let me = st.me();
+        let mut bundles: Vec<(Peer, KeyRangeSet)> = Vec::new();
+        let Some(succ) = st.successor() else {
             return (targets.clone(), bundles);
         };
-
-        // Distinct boundary peers sorted clockwise from me.
-        let mut boundaries = PeerBuf::take();
-        boundaries.push(succ);
-        let mut live = self.finger_live;
-        while live != 0 {
-            let i = live.trailing_zeros() as usize;
-            live &= live - 1;
-            boundaries.push(Peer {
-                idx: self.finger_idxs[i] as usize,
-                key: space.key(self.finger_keys[i]),
-            });
-        }
-        if let Some(p) = self.pred {
-            boundaries.push(p);
-        }
-        boundaries.retain(|p| p.key != self.me.key);
-        boundaries.sort_by_key(|p| space.distance_cw(self.me.key, p.key));
+        let mut boundaries = vec![succ];
+        boundaries.extend(st.fingers().flatten());
+        boundaries.extend(st.predecessor());
+        boundaries.retain(|p| p.key != me.key);
+        boundaries.sort_by_key(|p| space.distance_cw(me.key, p.key));
         boundaries.dedup_by_key(|p| p.key);
-
         if boundaries.is_empty() {
             return (targets.clone(), bundles);
         }
-
         let mut add = |peer: Peer, part: KeyRangeSet| {
             if part.is_empty() {
                 return;
@@ -350,28 +375,148 @@ impl RoutingState {
                 bundles.push((peer, part));
             }
         };
-
-        // (me, b_0] is covered entirely by the successor.
         add(
             boundaries[0],
-            targets.extract_arc_oc(space, self.me.key, boundaries[0].key),
+            targets.extract_arc_oc(space, me.key, boundaries[0].key),
         );
-        // (b_i, b_{i+1}] is relayed through b_i.
         for w in boundaries.windows(2) {
             add(w[0], targets.extract_arc_oc(space, w[0].key, w[1].key));
         }
-        // (b_last, me] is ours.
         let last = boundaries[boundaries.len() - 1];
-        let local = targets.extract_arc_oc(space, last.key, self.me.key);
-        (local, bundles)
+        (targets.extract_arc_oc(space, last.key, me.key), bundles)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::range::KeyRange;
-    use crate::ring::RingView;
+    /// Target sets aimed at the split's edges: single keys, the full ring,
+    /// wrapping ranges, sets holding our own key and boundary keys (and
+    /// their neighbors), and sets fragmented past the inline segments.
+    fn split_targets(st: &RoutingState, rng: &mut Rng) -> Vec<KeyRangeSet> {
+        let space = st.space();
+        let any = |rng: &mut Rng| space.key(rng.next_u64());
+        let mut edges = vec![st.me().key];
+        edges.extend(st.successors().iter().map(|p| p.key));
+        edges.extend(st.predecessor().map(|p| p.key));
+        edges.extend(st.fingers().flatten().map(|p| p.key));
+        let mut out = vec![
+            KeyRangeSet::full(space),
+            KeyRangeSet::new(),
+            KeyRangeSet::of_key(space, any(rng)),
+            KeyRangeSet::of_key(space, st.me().key),
+        ];
+        for _ in 0..6 {
+            // Two random ends wrap past the top of the key space half the
+            // time; an edge end puts a cut exactly on a boundary.
+            let a = any(rng);
+            let b = any(rng);
+            let e = edges[rng.gen_range(0..edges.len())];
+            out.push(KeyRangeSet::of_range(space, KeyRange::new(a, b)));
+            out.push(KeyRangeSet::of_range(space, KeyRange::new(a, e)));
+            out.push(KeyRangeSet::of_range(
+                space,
+                KeyRange::new(space.add(e, 1), b),
+            ));
+        }
+        let mut on_edges = KeyRangeSet::new();
+        for &e in &edges {
+            on_edges.insert_key(space, e);
+            if rng.gen_bool(0.5) {
+                on_edges.insert_key(space, space.add(e, 1));
+            }
+            if rng.gen_bool(0.3) {
+                on_edges.insert_key(space, space.sub(e, 2));
+            }
+        }
+        out.push(on_edges);
+        let mut fragmented = KeyRangeSet::new();
+        for _ in 0..3 * INLINE_SEGS {
+            let a = any(rng);
+            let len = rng.gen_range(0..(space.size() / 64).max(1));
+            fragmented.insert_range(space, KeyRange::new(a, space.add(a, len)));
+        }
+        fragmented.insert_key(space, st.me().key);
+        out.push(fragmented);
+        out
+    }
+
+    /// The converged state and damaged variants of it: no predecessor,
+    /// fingers cleared, successor only, no successor, one peer at several
+    /// boundaries, and fingers out of clockwise order.
+    fn damaged_variants(st: &RoutingState, rng: &mut Rng) -> Vec<(&'static str, RoutingState)> {
+        let space = st.space();
+        let me = st.me();
+        let bits = space.bits() as usize;
+        let mut out = vec![("converged", st.clone())];
+        let mut v = st.clone();
+        v.set_predecessor(None);
+        out.push(("no predecessor", v));
+        let mut v = st.clone();
+        for i in 0..bits {
+            v.set_finger(i, me);
+        }
+        out.push(("fingers cleared", v.clone()));
+        v.set_predecessor(None);
+        out.push(("successor only", v));
+        let mut v = st.clone();
+        v.set_successors(Vec::new());
+        out.push(("no successor", v));
+        if let Some(succ) = st.successor() {
+            let mut v = st.clone();
+            for i in (0..bits).step_by(2) {
+                let key = space.key(rng.next_u64());
+                v.set_finger(i, Peer { idx: succ.idx, key });
+            }
+            out.push(("one peer at several boundaries", v));
+        }
+        let mut v = st.clone();
+        for i in 0..bits {
+            let p = Peer {
+                idx: rng.gen_range(0usize..8),
+                key: space.key(rng.next_u64()),
+            };
+            v.set_finger(i, p);
+        }
+        out.push(("fingers out of order", v));
+        out
+    }
+
+    /// The one-sweep split against the window-by-window reference: the
+    /// same local set and the same `(peer, set)` bundle *sequence* (relay
+    /// order is send order, and send order feeds event order).
+    #[test]
+    fn mcast_split_matches_window_by_window_reference() {
+        let mut rng = Rng::seed_from_u64(0xf194);
+        for bits in [5u32, 13, 40] {
+            let space = KeySpace::new(bits);
+            let cfg = OverlayConfig::paper_default().with_space(space);
+            for n in [1usize, 2, 3, 50, 500] {
+                let n = n.min(space.size() as usize);
+                let mut keys = std::collections::BTreeSet::new();
+                while keys.len() < n {
+                    keys.insert(space.key(rng.next_u64()));
+                }
+                let peers = keys
+                    .into_iter()
+                    .enumerate()
+                    .map(|(idx, key)| Peer { idx, key })
+                    .collect();
+                let states = build_routing_states(&cfg, &RingView::new(space, peers));
+                for _ in 0..n.min(24) {
+                    let st = &states[rng.gen_range(0..n)];
+                    for (what, st) in damaged_variants(st, &mut rng) {
+                        for targets in split_targets(&st, &mut rng) {
+                            let (local, bundles) = st.mcast_split(&targets);
+                            let (want_local, want_bundles) = split_by_windows(&st, &targets);
+                            let ctx = format!(
+                                "m={bits} n={n} node {} ({what}), targets {targets}",
+                                st.me().key
+                            );
+                            assert_eq!(local, want_local, "{ctx}: local");
+                            assert_eq!(*bundles, want_bundles, "{ctx}: bundles");
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// Builds converged state for the node at `key` on a ring of the given
     /// node keys.

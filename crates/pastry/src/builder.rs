@@ -35,6 +35,7 @@ pub fn build_pastry_stable<A: OverlayApp>(
     // over the overlay builder's worker pool (identical at any job count).
     let states = build_indexed(n, |idx| PastryState::converged(cfg, peers[idx], &ring));
     let mut sim = Simulator::new(net);
+    sim.reserve_nodes(n);
     for (idx, (state, app)) in states.into_iter().zip(apps).enumerate() {
         let added = sim.add_node(PastryNode::new(state, app));
         debug_assert_eq!(added, idx);

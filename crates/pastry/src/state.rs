@@ -1,7 +1,7 @@
 //! Per-node Pastry routing state: leaf set + prefix routing table, and the
 //! routing / multicast-split decisions built on them.
 
-use cbps_overlay::{Bundles, Key, KeyRangeSet, KeySpace, Peer, PeerBuf, RingView};
+use cbps_overlay::{Boundaries, Bundles, Key, KeyRangeSet, KeySpace, Peer, RingView};
 
 /// Configuration of a Pastry overlay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -229,41 +229,13 @@ impl PastryState {
     /// the boundary node preceding it. Exactly-once and termination hold
     /// for the same reasons as on Chord.
     pub fn mcast_split(&self, targets: &KeyRangeSet) -> (KeyRangeSet, Bundles) {
-        let space = self.cfg.space;
-        let mut bundles = Bundles::take();
-        let Some(succ) = self.successor() else {
-            return (targets.clone(), bundles);
-        };
-        let mut boundaries = PeerBuf::take();
-        boundaries.extend(self.known());
-        boundaries.retain(|p| p.key != self.me.key);
-        boundaries.sort_by_key(|p| space.distance_cw(self.me.key, p.key));
-        boundaries.dedup_by_key(|p| p.key);
-        if boundaries.is_empty() {
-            return (targets.clone(), bundles);
-        }
-        debug_assert_eq!(boundaries[0], succ, "successor is the nearest boundary");
-
-        let mut add = |peer: Peer, part: KeyRangeSet| {
-            if part.is_empty() {
-                return;
+        let mut cuts = Boundaries::new(self.cfg.space, self.me);
+        if self.successor().is_some() {
+            for p in self.known() {
+                cuts.push(p);
             }
-            if let Some((_, set)) = bundles.iter_mut().find(|(p, _)| p.idx == peer.idx) {
-                set.union_with(&part);
-            } else {
-                bundles.push((peer, part));
-            }
-        };
-        add(
-            boundaries[0],
-            targets.extract_arc_oc(space, self.me.key, boundaries[0].key),
-        );
-        for w in boundaries.windows(2) {
-            add(w[0], targets.extract_arc_oc(space, w[0].key, w[1].key));
         }
-        let last = boundaries[boundaries.len() - 1];
-        let local = targets.extract_arc_oc(space, last.key, self.me.key);
-        (local, bundles)
+        cuts.split(targets)
     }
 }
 

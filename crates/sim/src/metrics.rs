@@ -215,10 +215,25 @@ impl Histogram {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
-    messages: HashMap<TrafficClass, u64>,
+    messages: ClassCounts,
     counters: HashMap<String, u64>,
-    histograms: HashMap<String, Histogram>,
+    /// Histogram name → position in `histograms`: a lookup hashes the
+    /// name once and hands back an index, which (unlike a borrowed entry)
+    /// can outlive the decision to insert.
+    histogram_slots: HashMap<String, usize>,
+    histograms: Vec<Histogram>,
     obs: Observability,
+}
+
+/// One-hop message counts indexed by the class's `u8` tag: every
+/// [`Context::send`](crate::Context::send) bumps one, so the table is flat.
+#[derive(Clone, Debug)]
+struct ClassCounts([u64; 256]);
+
+impl Default for ClassCounts {
+    fn default() -> Self {
+        ClassCounts([0; 256])
+    }
 }
 
 impl Metrics {
@@ -229,17 +244,17 @@ impl Metrics {
 
     /// Counts one transmitted one-hop message of the given class.
     pub fn count_message(&mut self, class: TrafficClass) {
-        *self.messages.entry(class).or_insert(0) += 1;
+        self.messages.0[usize::from(class.0)] += 1;
     }
 
     /// Total one-hop messages recorded for `class`.
     pub fn messages(&self, class: TrafficClass) -> u64 {
-        self.messages.get(&class).copied().unwrap_or(0)
+        self.messages.0[usize::from(class.0)]
     }
 
     /// Total one-hop messages across all classes.
     pub fn total_messages(&self) -> u64 {
-        self.messages.values().sum()
+        self.messages.0.iter().sum()
     }
 
     /// Adds `delta` to the named counter, creating it at zero if absent.
@@ -258,20 +273,31 @@ impl Metrics {
 
     /// Mutable access to the named histogram, creating it if absent.
     pub fn histogram_mut(&mut self, name: &str) -> &mut Histogram {
-        if !self.histograms.contains_key(name) {
-            self.histograms.insert(name.to_owned(), Histogram::new());
-        }
-        self.histograms.get_mut(name).expect("just inserted")
+        let slot = match self.histogram_slots.get(name) {
+            Some(&slot) => slot,
+            None => {
+                self.histogram_slots
+                    .insert(name.to_owned(), self.histograms.len());
+                self.histograms.push(Histogram::new());
+                self.histograms.len() - 1
+            }
+        };
+        &mut self.histograms[slot]
     }
 
     /// The named histogram, if any samples were recorded under it.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        self.histogram_slots
+            .get(name)
+            .map(|&slot| &self.histograms[slot])
     }
 
-    /// Iterates over all `(class, count)` message entries.
+    /// Iterates over the `(class, count)` entries of every class that
+    /// sent at least one message, in ascending class order.
     pub fn message_classes(&self) -> impl Iterator<Item = (TrafficClass, u64)> + '_ {
-        self.messages.iter().map(|(&c, &n)| (c, n))
+        (0..=u8::MAX)
+            .map(|c| (TrafficClass(c), self.messages.0[usize::from(c)]))
+            .filter(|&(_, n)| n != 0)
     }
 
     /// The causal observability sink (trace log + stage-latency registry).
@@ -291,10 +317,8 @@ impl Metrics {
     /// observability mode and origin table forked from this (global) sink.
     pub(crate) fn fork_for_shard(&self) -> Metrics {
         Metrics {
-            messages: HashMap::new(),
-            counters: HashMap::new(),
-            histograms: HashMap::new(),
             obs: self.obs.fork_for_shard(),
+            ..Metrics::default()
         }
     }
 
@@ -304,14 +328,14 @@ impl Metrics {
     /// totals are independent of shard join order.
     pub(crate) fn absorb_shards(&mut self, parts: &mut [Metrics]) {
         for part in parts.iter() {
-            for (&class, &n) in &part.messages {
-                *self.messages.entry(class).or_insert(0) += n;
+            for (total, n) in self.messages.0.iter_mut().zip(&part.messages.0) {
+                *total += n;
             }
             for (name, &v) in &part.counters {
                 self.add(name, v);
             }
-            for (name, h) in &part.histograms {
-                self.histogram_mut(name).merge(h);
+            for (name, &slot) in &part.histogram_slots {
+                self.histogram_mut(name).merge(&part.histograms[slot]);
             }
         }
         let mut sinks: Vec<Observability> = parts
@@ -324,8 +348,9 @@ impl Metrics {
     /// Resets every counter, message count, histogram and recorded
     /// observability data (the observability *mode* is kept).
     pub fn clear(&mut self) {
-        self.messages.clear();
+        self.messages = ClassCounts::default();
         self.counters.clear();
+        self.histogram_slots.clear();
         self.histograms.clear();
         self.obs.clear();
     }
@@ -403,7 +428,13 @@ mod tests {
         assert_eq!(m.counter("x"), 5);
         assert_eq!(m.counter("missing"), 0);
         let classes: Vec<_> = m.message_classes().collect();
-        assert_eq!(classes.len(), 2);
+        assert_eq!(
+            classes,
+            vec![
+                (TrafficClass::SUBSCRIPTION, 2),
+                (TrafficClass::NOTIFICATION, 1)
+            ]
+        );
         m.clear();
         assert_eq!(m.total_messages(), 0);
     }
