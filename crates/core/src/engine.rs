@@ -37,15 +37,6 @@ pub trait MatchEngine {
     /// Number of indexed subscriptions.
     fn len(&self) -> usize;
 
-    /// Returns the id of some indexed subscription that covers `sub` (see
-    /// [`Subscription::covers`]), or `None` when there is none. Exact: a
-    /// stored cover is never missed.
-    ///
-    /// Which of several covers is returned is engine-specific but
-    /// deterministic for a given operation history. The covering table's
-    /// group search is the intended caller.
-    fn find_cover(&self, sub: &Subscription) -> Option<SubId>;
-
     /// `true` when nothing is stored.
     fn is_empty(&self) -> bool {
         self.len() == 0
@@ -86,10 +77,6 @@ impl MatchEngine for MatchIndex {
         MatchIndex::matches_into(self, event, out)
     }
 
-    fn find_cover(&self, sub: &Subscription) -> Option<SubId> {
-        MatchIndex::find_cover(self, sub)
-    }
-
     fn len(&self) -> usize {
         MatchIndex::len(self)
     }
@@ -106,10 +93,6 @@ impl MatchEngine for SortedIndex {
 
     fn matches_into(&mut self, event: &Event, out: &mut Vec<SubId>) {
         SortedIndex::matches_into(self, event, out)
-    }
-
-    fn find_cover(&self, sub: &Subscription) -> Option<SubId> {
-        SortedIndex::find_cover(self, sub)
     }
 
     fn len(&self) -> usize {
@@ -173,13 +156,6 @@ impl MatchEngine for AnyMatchEngine {
         match self {
             AnyMatchEngine::Counting(e) => MatchIndex::matches_into(e, event, out),
             AnyMatchEngine::Sorted(e) => SortedIndex::matches_into(e, event, out),
-        }
-    }
-
-    fn find_cover(&self, sub: &Subscription) -> Option<SubId> {
-        match self {
-            AnyMatchEngine::Counting(e) => e.find_cover(sub),
-            AnyMatchEngine::Sorted(e) => e.find_cover(sub),
         }
     }
 

@@ -8,20 +8,27 @@
 //! subscription matches when all of its constraints are satisfied.
 //! Wildcard dimensions never enter the count.
 
+use std::collections::hash_map::Entry;
+
 use crate::event::Event;
 use crate::space::EventSpace;
 use crate::subscription::{IdMap, SubId, Subscription};
+use cbps_overlay::InlineVec;
 
 /// Number of buckets per dimension. Chosen so bucket lists stay short for
 /// the evaluation workloads without bloating empty stores.
 const BUCKETS: usize = 64;
 
-/// Set on a bucket entry when the bucket's dimension is the first one the
-/// slot's subscription constrains. [`MatchIndex::find_cover`] skips the
-/// other entries without leaving the bucket list.
-const FIRST_DIM: u32 = 1 << 31;
-/// The slot number of a bucket entry.
-const SLOT: u32 = !FIRST_DIM;
+/// What a bucket list allocates on its first entry. `Vec`'s own first step
+/// is 4, and under Mapping 1 a node's lists pass 4 entries within its
+/// first few dozen subscriptions: starting at 8 saves every list one
+/// reallocation for 16 bytes a list.
+const FIRST_BUCKET_CAP: usize = 8;
+
+/// Bucket positions an index entry records in place. The paper's workload
+/// needs 8 on average and at most 12 (four dimensions, ranges spanning up
+/// to three buckets); broader subscriptions spill to the heap.
+const INLINE_POSITIONS: usize = 12;
 
 /// Counting-based subscription index for one rendezvous node.
 ///
@@ -50,10 +57,9 @@ pub struct MatchIndex {
     /// vectors per node otherwise, which dominates deployment build
     /// memory at large ring sizes where most stores never fill.
     ///
-    /// `per_dim[i][bucket]` = dense slots of subscriptions whose constraint
-    /// on dimension `i` overlaps the bucket, each tagged [`FIRST_DIM`] when
-    /// `i` is the subscription's first constrained dimension.
-    per_dim: Vec<Vec<Vec<u32>>>,
+    /// `buckets[i * BUCKETS + b]` = dense slots of subscriptions whose
+    /// constraint on dimension `i` overlaps bucket `b`.
+    buckets: Vec<Vec<u32>>,
     /// Dense slot table; freed slots are recycled.
     slots: Vec<Option<SlotEntry>>,
     free: Vec<u32>,
@@ -80,7 +86,7 @@ struct SlotEntry {
     /// flattened dimension-major (for each constrained dimension, one
     /// entry per bucket of its span, in ascending bucket order). Kept in
     /// lockstep by `swap_remove` fix-ups so removal never scans a bucket.
-    positions: Vec<u32>,
+    positions: InlineVec<u32, INLINE_POSITIONS>,
 }
 
 impl MatchIndex {
@@ -92,7 +98,7 @@ impl MatchIndex {
                 .iter()
                 .map(|a| a.size().div_ceil(BUCKETS as u64).max(1))
                 .collect(),
-            per_dim: Vec::new(),
+            buckets: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
             by_id: IdMap::default(),
@@ -126,39 +132,28 @@ impl MatchIndex {
     /// Inserts a subscription under `id`. Returns `false` (and leaves the
     /// index unchanged) when `id` is already present.
     pub fn insert(&mut self, id: SubId, sub: Subscription) -> bool {
-        if self.by_id.contains_key(&id) {
+        let Entry::Vacant(by_id) = self.by_id.entry(id) else {
             return false;
-        }
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(None);
-                let slot = (self.slots.len() - 1) as u32;
-                assert!(slot <= SLOT, "slot numbers share a word with a flag bit");
-                slot
-            }
         };
-        if self.per_dim.is_empty() {
-            self.per_dim = (0..self.widths.len())
-                .map(|_| vec![Vec::new(); BUCKETS])
-                .collect();
-        }
-        let spans = sub.constraints().iter().enumerate().map(|(i, c)| {
-            c.map_or(0, |c| {
-                let (blo, bhi) = self.bucket_span(i, c.lo(), c.hi());
-                bhi - blo + 1
-            })
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            (self.slots.len() - 1) as u32
         });
-        let mut positions = Vec::with_capacity(spans.sum());
-        let mut tag = FIRST_DIM;
+        by_id.insert(slot);
+        if self.buckets.is_empty() {
+            self.buckets = vec![Vec::new(); self.widths.len() * BUCKETS];
+        }
+        let mut positions = InlineVec::new();
         for (i, c) in sub.constraints().iter().enumerate() {
             if let Some(c) = c {
-                let (blo, bhi) = self.bucket_span(i, c.lo(), c.hi());
-                for b in blo..=bhi {
-                    positions.push(self.per_dim[i][b].len() as u32);
-                    self.per_dim[i][b].push(slot | tag);
+                let (blo, bhi) = bucket_span(&self.widths, i, c.lo(), c.hi());
+                for list in &mut self.buckets[i * BUCKETS + blo..=i * BUCKETS + bhi] {
+                    if list.capacity() == 0 {
+                        list.reserve_exact(FIRST_BUCKET_CAP);
+                    }
+                    positions.push(list.len() as u32);
+                    list.push(slot);
                 }
-                tag = 0;
             }
         }
         let constrained = sub.constrained_count() as u32;
@@ -168,7 +163,6 @@ impl MatchIndex {
             constrained,
             positions,
         });
-        self.by_id.insert(id, slot);
         true
     }
 
@@ -185,17 +179,17 @@ impl MatchIndex {
             if let Some(c) = c {
                 let (blo, bhi) = bucket_span(&self.widths, i, c.lo(), c.hi());
                 for b in blo..=bhi {
-                    let pos = entry.positions[pi] as usize;
+                    let pos = entry.positions.as_slice()[pi] as usize;
                     pi += 1;
-                    let list = &mut self.per_dim[i][b];
-                    debug_assert_eq!(list[pos] & SLOT, slot, "stale position record");
+                    let list = &mut self.buckets[i * BUCKETS + b];
+                    debug_assert_eq!(list[pos], slot, "stale position record");
                     list.swap_remove(pos);
                     if pos < list.len() {
-                        let moved = self.slots[(list[pos] & SLOT) as usize]
+                        let moved = self.slots[list[pos] as usize]
                             .as_mut()
                             .expect("bucket lists only hold live slots");
                         let off = position_offset(&self.widths, &moved.sub, i, b);
-                        moved.positions[off] = pos as u32;
+                        moved.positions.as_mut_slice()[off] = pos as u32;
                     }
                 }
             }
@@ -232,7 +226,7 @@ impl MatchIndex {
     /// call touches only the candidate slots.
     pub fn matches_into(&mut self, event: &Event, out: &mut Vec<SubId>) {
         out.clear();
-        if self.per_dim.is_empty() {
+        if self.buckets.is_empty() {
             // Nothing was ever inserted; the bucket lists don't exist yet.
             return;
         }
@@ -249,8 +243,7 @@ impl MatchIndex {
         self.touched.clear();
         for (i, &v) in event.values().iter().enumerate() {
             let b = ((v / self.widths[i]) as usize).min(BUCKETS - 1);
-            for &tagged in &self.per_dim[i][b] {
-                let slot = tagged & SLOT;
+            for &slot in &self.buckets[i * BUCKETS + b] {
                 let entry = self.slots[slot as usize]
                     .as_ref()
                     .expect("bucket lists only hold live slots");
@@ -279,39 +272,6 @@ impl MatchIndex {
         out.sort_unstable();
     }
 
-    /// The lowest id among the indexed subscriptions covering `sub`, if
-    /// any (see [`MatchEngine::find_cover`](crate::MatchEngine::find_cover)).
-    ///
-    /// A cover encloses `sub`'s range on every dimension it constrains —
-    /// in particular on its own first constrained dimension `d`, so it is
-    /// listed, tagged [`FIRST_DIM`], in dimension `d`'s bucket for `sub`'s
-    /// lower bound there. Scanning that one bucket per dimension `sub`
-    /// constrains therefore meets every cover exactly once, and entries
-    /// filed under a later dimension of theirs are passed over by their
-    /// tag alone.
-    pub fn find_cover(&self, sub: &Subscription) -> Option<SubId> {
-        if self.per_dim.is_empty() {
-            return None;
-        }
-        let mut best: Option<SubId> = None;
-        for (i, c) in sub.constraints().iter().enumerate() {
-            let Some(c) = c else { continue };
-            let (b, _) = self.bucket_span(i, c.lo(), c.lo());
-            for &tagged in &self.per_dim[i][b] {
-                if tagged & FIRST_DIM == 0 {
-                    continue;
-                }
-                let entry = self.slots[(tagged & SLOT) as usize]
-                    .as_ref()
-                    .expect("bucket lists only hold live slots");
-                if best.is_none_or(|id| entry.id < id) && entry.sub.covers(sub) {
-                    best = Some(entry.id);
-                }
-            }
-        }
-        best
-    }
-
     /// Reference implementation: linear scan with exact matching. Used by
     /// tests and micro-benchmarks to validate and compare the index.
     pub fn matches_brute_force(&self, event: &Event) -> Vec<SubId> {
@@ -324,10 +284,6 @@ impl MatchIndex {
             .collect();
         out.sort_unstable();
         out
-    }
-
-    fn bucket_span(&self, dim: usize, lo: u64, hi: u64) -> (usize, usize) {
-        bucket_span(&self.widths, dim, lo, hi)
     }
 }
 

@@ -3,7 +3,7 @@
 //! rendezvous, dispatching notifications (immediately, buffered, or via the
 //! collecting protocol), and transferring state across membership changes.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use cbps_overlay::{Delivery, KeyRange, KeyRangeSet, OverlayApp, OverlayServices, Peer};
@@ -14,7 +14,7 @@ use crate::event::{Event, EventId};
 use crate::msg::{CollectItem, DeliveredNote, NotifyBatch, NotifyItem, PubSubMsg, PubSubTimer};
 use crate::rendezvous::{assign_group, shift_set, SweepKind, SweepOp};
 use crate::store::{StoredSub, SubscriptionStore};
-use crate::subscription::{SubId, Subscription};
+use crate::subscription::{IdSet, SubId, Subscription};
 
 /// Bound on the rendezvous-side event dedup window (events can arrive once
 /// per target key under per-key unicast).
@@ -39,10 +39,10 @@ pub struct PubSubNode {
     next_sub_seq: u32,
     next_event_seq: u32,
     delivered: Vec<DeliveredNote>,
-    delivered_dedup: HashSet<(SubId, EventId)>,
+    delivered_dedup: IdSet<(SubId, EventId)>,
     /// Rendezvous-side event dedup (per-key unicast can deliver the same
     /// event several times to one node).
-    seen_events: HashSet<EventId>,
+    seen_events: IdSet<EventId>,
     seen_order: VecDeque<EventId>,
     /// Buffered notifications per subscriber (buffering optimization).
     notify_buffer: HashMap<Peer, Vec<NotifyItem>>,
@@ -80,8 +80,8 @@ impl PubSubNode {
             next_sub_seq: 0,
             next_event_seq: 0,
             delivered: Vec::new(),
-            delivered_dedup: HashSet::new(),
-            seen_events: HashSet::new(),
+            delivered_dedup: IdSet::default(),
+            seen_events: IdSet::default(),
             seen_order: VecDeque::new(),
             notify_buffer: HashMap::new(),
             collect_succ: Vec::new(),

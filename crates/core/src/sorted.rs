@@ -1,7 +1,7 @@
 //! A flat, cache-friendly matching engine for very large stores.
 //!
 //! [`MatchIndex`](crate::MatchIndex) (the counting algorithm) walks
-//! per-dimension bucket lists — `Vec<Vec<Vec<u32>>>` — whose pointer
+//! per-dimension bucket lists — a `Vec<Vec<u32>>` matrix — whose pointer
 //! chasing dominates once a rendezvous node holds 10^5–10^6 subscriptions.
 //! [`SortedIndex`] replaces it with struct-of-arrays storage:
 //!
@@ -80,7 +80,7 @@ pub struct SortedIndex {
     free: Vec<u32>,
     by_id: IdMap<u32>,
     /// Ordered by `(dimension, span class)` so scans visit segments in a
-    /// deterministic order — `find_cover`'s early exit depends on it.
+    /// deterministic order.
     segments: BTreeMap<(u32, u32), Segment>,
     staging: Vec<u32>,
     dead_rows: usize,
@@ -234,73 +234,6 @@ impl SortedIndex {
             }
         }
         out.sort_unstable();
-    }
-
-    /// The first indexed subscription covering `sub` in scan order —
-    /// dimensions ascending, span classes descending, then the staging
-    /// tail — if any (see
-    /// [`MatchEngine::find_cover`](crate::MatchEngine::find_cover)).
-    ///
-    /// Segments are keyed by their rows' first constrained dimension `d`,
-    /// and a cover encloses `sub`'s range on `d`: it sits in a `(d, class)`
-    /// segment for a dimension `sub` constrains, with a span class at least
-    /// `sub`'s own there and a lower bound inside the class window below
-    /// `sub`'s. Only those windows are scanned. Within a dimension the
-    /// broadest classes come first, where a cover is likeliest; the
-    /// unsorted staging tail has no such pruning and goes last.
-    pub fn find_cover(&self, sub: &Subscription) -> Option<SubId> {
-        for (d, c) in sub.constraints().iter().enumerate() {
-            let Some(c) = c else { continue };
-            let d = d as u32;
-            let min_class = 63 - c.span().leading_zeros();
-            for (&(_, class), seg) in self.segments.range((d, min_class)..=(d, u32::MAX)).rev() {
-                let v = c.lo();
-                let lo_min = if class >= 63 {
-                    0
-                } else {
-                    v.saturating_sub((1u64 << (class + 1)) - 2)
-                };
-                for run in &seg.runs {
-                    // Endpoint guards dodge the binary search (and its
-                    // cache misses) for runs entirely above or below `v`.
-                    let end = if run.len() == 0 || run.lo[0] > v {
-                        continue;
-                    } else if run.lo[run.len() - 1] <= v {
-                        run.len()
-                    } else {
-                        run.lo.partition_point(|&lo| lo <= v)
-                    };
-                    for j in (0..end).rev() {
-                        if run.lo[j] < lo_min {
-                            break;
-                        }
-                        if run.hi[j] < c.hi() {
-                            continue;
-                        }
-                        let row = run.row[j];
-                        if !self.dead[row as usize] && self.row_covers(row, sub) {
-                            return Some(self.ids[row as usize]);
-                        }
-                    }
-                }
-            }
-        }
-        self.staging
-            .iter()
-            .find(|&&row| !self.dead[row as usize] && self.row_covers(row, sub))
-            .map(|&row| self.ids[row as usize])
-    }
-
-    /// `true` iff the row is a wildcard or an enclosing range on every
-    /// dimension (wildcard dimensions of a row hold `0..=u64::MAX`).
-    #[inline]
-    fn row_covers(&self, row: u32, sub: &Subscription) -> bool {
-        let base = row as usize * self.dims;
-        let mask = self.mask[row as usize];
-        sub.constraints().iter().enumerate().all(|(d, c)| match c {
-            Some(c) => self.lo[base + d] <= c.lo() && c.hi() <= self.hi[base + d],
-            None => mask & (1 << d) == 0,
-        })
     }
 
     /// `true` iff the row's constraints (minus the dimensions in `skip`,

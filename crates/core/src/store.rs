@@ -13,7 +13,7 @@ use std::sync::Arc;
 use cbps_overlay::{KeyRangeSet, Peer};
 use cbps_sim::{MatchEngineKind, SimTime, TraceId};
 
-use crate::covering::CoveringTable;
+use crate::covering::{CoveringStats, CoveringTable};
 use crate::engine::{AnyMatchEngine, MatchEngine};
 use crate::event::Event;
 use crate::space::EventSpace;
@@ -89,16 +89,32 @@ pub struct SubscriptionStore {
     /// Covering layer, when enabled: the engine then holds one physical
     /// entry per covering *group* instead of one per subscription.
     covering: Option<CoveringTable>,
-    /// Handles to the records the subscribers built: storing and matching
-    /// bump a reference count instead of copying a record. This map is
-    /// the *logical* store: `len`/`peak`/expiry always count every
-    /// subscription, grouped or not.
-    meta: IdMap<Arc<StoredSub>>,
+    /// The record table — the *logical* store: `len`/`peak`/expiry always
+    /// count every subscription, grouped or not. One row per stored
+    /// subscription, found through `by_id` and, by the covering groups'
+    /// member lists, directly by number; freed rows are recycled.
+    rows: Vec<Option<Row>>,
+    free: Vec<u32>,
+    /// Id → row: the one id-keyed entry a stored subscription costs.
+    by_id: IdMap<u32>,
     /// Min-heap of (expiry, id); entries may be stale (removed ids).
     expiry: BinaryHeap<Reverse<(SimTime, SubId)>>,
     peak: usize,
-    /// Reused id buffer for [`SubscriptionStore::match_event_into`].
+    /// Reused buffer for the engine's hits in
+    /// [`SubscriptionStore::match_event_into`].
     scratch: Vec<SubId>,
+}
+
+/// One stored subscription.
+#[derive(Clone, Debug)]
+pub(crate) struct Row {
+    pub(crate) id: SubId,
+    /// A handle to the record the subscriber built: storing and matching
+    /// bump a reference count instead of copying a record.
+    pub(crate) rec: Arc<StoredSub>,
+    /// With covering on, the slot of the row's group and the row's
+    /// position in that group's member list.
+    pub(crate) member: (u32, u32),
 }
 
 impl SubscriptionStore {
@@ -114,8 +130,10 @@ impl SubscriptionStore {
     pub fn with_options(space: &EventSpace, engine: MatchEngineKind, covering: bool) -> Self {
         SubscriptionStore {
             engine: AnyMatchEngine::new(engine, space),
-            covering: covering.then(CoveringTable::new),
-            meta: IdMap::default(),
+            covering: covering.then(CoveringTable::default),
+            rows: Vec::new(),
+            free: Vec::new(),
+            by_id: IdMap::default(),
             expiry: BinaryHeap::new(),
             peak: 0,
             scratch: Vec::new(),
@@ -129,7 +147,7 @@ impl SubscriptionStore {
 
     /// Number of live subscriptions (assuming expired ones were purged).
     pub fn len(&self) -> usize {
-        self.meta.len()
+        self.by_id.len()
     }
 
     /// Number of entries in the physical matching engine. Equals
@@ -143,9 +161,18 @@ impl SubscriptionStore {
         }
     }
 
+    /// What the covering layer decided for the subscriptions stored so
+    /// far and how much its probes read to decide (all zero with covering
+    /// off). Counters only ever grow; compare two readings.
+    pub fn covering_stats(&self) -> CoveringStats {
+        self.covering
+            .as_ref()
+            .map_or_else(Default::default, |t| t.stats)
+    }
+
     /// `true` when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.meta.is_empty()
+        self.by_id.is_empty()
     }
 
     /// The highest number of simultaneously stored subscriptions observed.
@@ -155,17 +182,23 @@ impl SubscriptionStore {
 
     /// `true` iff `id` is currently stored.
     pub fn contains(&self, id: SubId) -> bool {
-        self.meta.contains_key(&id)
+        self.by_id.contains_key(&id)
     }
 
     /// The stored record under `id`.
     pub fn get(&self, id: SubId) -> Option<&StoredSub> {
-        self.meta.get(&id).map(|rc| &**rc)
+        self.by_id.get(&id).map(|&row| &*self.row(row).rec)
     }
 
     /// Iterates over stored records (clone a handle to pass one on).
     pub fn iter(&self) -> impl Iterator<Item = (SubId, &Arc<StoredSub>)> {
-        self.meta.iter().map(|(&id, s)| (id, s))
+        self.rows.iter().flatten().map(|row| (row.id, &row.rec))
+    }
+
+    fn row(&self, row: u32) -> &Row {
+        self.rows[row as usize]
+            .as_ref()
+            .expect("`by_id` names live rows")
     }
 
     /// Inserts (or refreshes) a subscription, given as a record or as a
@@ -177,28 +210,41 @@ impl SubscriptionStore {
         let stored: Arc<StoredSub> = stored.into();
         self.purge_expired(now);
         let expires = stored.expires;
-        let fresh = match self.meta.entry(id) {
-            Entry::Occupied(slot) if slot.get().expires == expires => return false,
-            // Refresh: the physical entry is untouched, and so is the
-            // record other stores may share — adopt the incoming one, or
-            // copy before writing.
-            Entry::Occupied(mut slot) => {
-                if differs_only_in_expiry(slot.get(), &stored) {
-                    slot.insert(stored);
+        let fresh = match self.by_id.entry(id) {
+            Entry::Occupied(slot) => {
+                let rec = &mut self.rows[*slot.get() as usize]
+                    .as_mut()
+                    .expect("`by_id` names live rows")
+                    .rec;
+                if rec.expires == expires {
+                    return false;
+                }
+                // Refresh: the physical entry is untouched, and so is the
+                // record other stores may share — adopt the incoming one,
+                // or copy before writing.
+                if differs_only_in_expiry(rec, &stored) {
+                    *rec = stored;
                 } else {
-                    Arc::make_mut(slot.get_mut()).expires = expires;
+                    Arc::make_mut(rec).expires = expires;
                 }
                 false
             }
             Entry::Vacant(slot) => {
-                match &mut self.covering {
-                    Some(table) => table.insert(&mut self.engine, id, &stored.sub),
+                let row = self.free.pop().unwrap_or_else(|| {
+                    self.rows.push(None);
+                    (self.rows.len() - 1) as u32
+                });
+                slot.insert(row);
+                let member = match &mut self.covering {
+                    Some(table) => table.insert(&mut self.engine, row, &stored.sub),
                     None => {
                         self.engine.insert(id, stored.sub.clone());
+                        (0, 0)
                     }
-                }
-                slot.insert(stored);
-                self.peak = self.peak.max(self.meta.len());
+                };
+                let rec = stored;
+                self.rows[row as usize] = Some(Row { id, rec, member });
+                self.peak = self.peak.max(self.by_id.len());
                 true
             }
         };
@@ -216,10 +262,11 @@ impl SubscriptionStore {
     ///
     /// Identical to calling [`SubscriptionStore::insert`] per item, in
     /// order — ids already stored, or repeated within the batch, take the
-    /// refresh path — except that the maps sized by the logical population
-    /// grow once for the whole batch.
+    /// refresh path — except that the tables sized by the logical
+    /// population grow once for the whole batch.
     pub fn insert_bulk(&mut self, items: Vec<(SubId, StoredSub)>, now: SimTime) -> usize {
-        self.meta.reserve(items.len());
+        self.by_id.reserve(items.len());
+        self.rows.reserve(items.len());
         if let Some(table) = &mut self.covering {
             table.reserve(items.len());
         }
@@ -232,14 +279,18 @@ impl SubscriptionStore {
 
     /// Removes a subscription (unsubscription), returning its record.
     pub fn remove(&mut self, id: SubId) -> Option<Arc<StoredSub>> {
-        let rc = self.meta.remove(&id)?;
+        let row = self.by_id.remove(&id)?;
+        let Row { rec, member, .. } = self.rows[row as usize]
+            .take()
+            .expect("`by_id` names live rows");
+        self.free.push(row);
         match &mut self.covering {
-            Some(table) => table.remove(&mut self.engine, id, &rc.sub),
+            Some(table) => table.remove(&mut self.engine, &mut self.rows, member, &rec.sub),
             None => {
                 self.engine.remove(id);
             }
         }
-        Some(rc)
+        Some(rec)
     }
 
     /// Drops every subscription whose expiry has passed. Returns the number
@@ -253,15 +304,8 @@ impl SubscriptionStore {
             self.expiry.pop();
             // The entry is stale if the sub was removed or re-inserted with
             // a later expiry.
-            let live = self.meta.get(&id).is_some_and(|s| s.expires <= now);
-            if live {
-                let rc = self.meta.remove(&id).expect("checked above");
-                match &mut self.covering {
-                    Some(table) => table.remove(&mut self.engine, id, &rc.sub),
-                    None => {
-                        self.engine.remove(id);
-                    }
-                }
+            if self.get(id).is_some_and(|s| s.expires <= now) {
+                self.remove(id);
                 purged += 1;
             }
         }
@@ -274,12 +318,11 @@ impl SubscriptionStore {
     /// subscriptions); without an occasional sweep the heap would grow
     /// without bound relative to the live population.
     fn shrink_expiry_heap(&mut self) {
-        if self.expiry.len() <= 2 * self.meta.len() + 64 {
+        if self.expiry.len() <= 2 * self.len() + 64 {
             return;
         }
-        let meta = &self.meta;
         let mut entries = std::mem::take(&mut self.expiry).into_vec();
-        entries.retain(|&Reverse((t, id))| meta.get(&id).is_some_and(|s| s.expires == t));
+        entries.retain(|&Reverse((t, id))| self.get(id).is_some_and(|s| s.expires == t));
         self.expiry = entries.into();
     }
 
@@ -305,22 +348,20 @@ impl SubscriptionStore {
     /// pre-faults a store that has not matched an event yet.
     pub fn warm(&mut self) {
         self.engine.warm();
-        if let Some(table) = &mut self.covering {
-            table.warm();
-        }
-        let need = self.meta.len();
+        let need = self.len();
         if self.scratch.capacity() < need {
             self.scratch.reserve(need - self.scratch.len());
         }
     }
 
     /// Writes all live subscriptions matched by `event` into `out`
-    /// (cleared first). Purges expired entries first. Allocation-free at
-    /// steady state: the id scratch, the engine scratch, and `out` are
-    /// all reused, and each hit costs one `Arc` bump instead of a record
-    /// clone. This is the store's single matching entry point; the
-    /// engines' [`MatchEngine::matches`](crate::MatchEngine::matches)
-    /// wrapper exists for tests and examples.
+    /// (cleared first), in ascending id order. Purges expired entries
+    /// first. Allocation-free at steady state: the id scratch, the engine
+    /// scratch and `out` are all reused, and each hit costs one `Arc` bump
+    /// instead of a record clone. This is the store's single matching
+    /// entry point; the engines'
+    /// [`MatchEngine::matches`](crate::MatchEngine::matches) wrapper
+    /// exists for tests and examples.
     pub fn match_event_into(
         &mut self,
         event: &Event,
@@ -330,12 +371,14 @@ impl SubscriptionStore {
         out.clear();
         self.purge_expired(now);
         let mut ids = std::mem::take(&mut self.scratch);
-        match &mut self.covering {
-            Some(table) => table.matches_into(&mut self.engine, &self.meta, event, &mut ids),
-            None => self.engine.matches_into(event, &mut ids),
-        }
-        for &id in &ids {
-            out.push((id, Arc::clone(&self.meta[&id])));
+        self.engine.matches_into(event, &mut ids);
+        match &self.covering {
+            Some(table) => table.expand_into(&ids, &self.rows, event, out),
+            None => {
+                for &id in &ids {
+                    out.push((id, Arc::clone(&self.row(self.by_id[&id]).rec)));
+                }
+            }
         }
         self.scratch = ids;
     }

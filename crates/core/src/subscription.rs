@@ -1,7 +1,7 @@
 //! Subscriptions: conjunctions of range constraints over event attributes
 //! (§3.2). Disjunctions are expressed as separate subscriptions.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
@@ -39,6 +39,11 @@ impl fmt::Display for SubId {
 /// input, so SipHash's flooding resistance buys nothing here and costs a
 /// large share of every id-keyed probe on the store's insert path.
 pub(crate) type IdMap<V> = HashMap<SubId, V, BuildHasherDefault<IdHasher>>;
+
+/// Set of system-minted ids ([`SubId`], [`EventId`](crate::EventId) or a
+/// pair of them), hashed like [`IdMap`]. Never iterated where order could
+/// show.
+pub(crate) type IdSet<T> = HashSet<T, BuildHasherDefault<IdHasher>>;
 
 /// The hasher behind [`IdMap`]: one multiply per word, with the high half
 /// of the product folded down on `finish` because the table indexes with

@@ -6,14 +6,14 @@
 //! agree exactly. Covering and the sorted index reorganize *physical*
 //! state only; any observable difference is a correctness bug.
 //!
-//! The same stream drives both raw engines beside the stores, to hold
-//! `find_cover` to a brute-force scan, and the covering stores' physical
-//! sizes after every operation are held to a recorded trail: the covering
-//! decisions are part of what a change to the probes must preserve.
+//! The covering stores' physical sizes after every operation are held to a
+//! recorded trail: the covering decisions are part of what a change to the
+//! probes must preserve. (The probes themselves are held to brute-force
+//! scans beside the directory they read, in `covering.rs`.)
 
 use cbps::{
-    AnyMatchEngine, AttributeDef, Event, EventSpace, MatchEngine, MatchEngineKind, Oracle,
-    StoredSub, SubId, Subscription, SubscriptionStore,
+    AttributeDef, Event, EventSpace, MatchEngineKind, Oracle, StoredSub, SubId, Subscription,
+    SubscriptionStore,
 };
 use cbps_overlay::{KeyRangeSet, KeySpace, Peer};
 use cbps_rng::Rng;
@@ -68,74 +68,22 @@ const CONFIGS: [(MatchEngineKind, bool); 4] = [
     (MatchEngineKind::Sorted, true),
 ];
 
-/// FNV-1a digests of `physical_len` after every operation of every case,
-/// for the counting and the sorted store with covering on, as produced
-/// when the covered-by search was a full lower-corner match query
-/// (`MatchEngine::find_match`) instead of `find_cover`. Which group a
-/// subscription joins decides when groups die, so equal trails mean the
-/// same decisions, not just the same counts at the end.
-const PHYSICAL_TRAILS: [u64; 2] = [0xcad2_2287_8ed1_973a, 0xdedc_3a23_7630_ece8];
+/// FNV-1a digest of `physical_len` after every operation of every case,
+/// for a store with covering on, as produced when the covered-by search
+/// was a full lower-corner match query on the counting engine
+/// (`MatchEngine::find_match`). Which group a subscription joins decides
+/// when groups die, so an equal trail means the same decisions, not just
+/// the same counts at the end.
+///
+/// The sorted store used to leave its own trail
+/// (`0xdedc_3a23_7630_ece8`): each engine searched for covers itself and
+/// the sorted one took the first cover in its scan order, not the oldest.
+/// The search now lives in the covering table's directory and asks no
+/// engine, so both stores must leave this one.
+const PHYSICAL_TRAIL: u64 = 0xcad2_2287_8ed1_973a;
 
 fn mix(trail: &mut u64, v: u64) {
     *trail = (*trail ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-}
-
-/// The raw engines and the plain list of what they hold.
-struct RawEngines {
-    engines: [AnyMatchEngine; 2],
-    held: Vec<(SubId, Subscription)>,
-}
-
-impl RawEngines {
-    fn new(space: &EventSpace) -> Self {
-        RawEngines {
-            engines: [MatchEngineKind::Counting, MatchEngineKind::Sorted]
-                .map(|kind| AnyMatchEngine::new(kind, space)),
-            held: Vec::new(),
-        }
-    }
-
-    /// `find_cover(σ)` answers exactly when a held subscription covers σ,
-    /// and what it returns is such a cover.
-    fn check_find_cover(&self, case: usize, sub: &Subscription) {
-        let covered = self.held.iter().any(|(_, held)| held.covers(sub));
-        for engine in &self.engines {
-            let found = engine.find_cover(sub);
-            assert_eq!(
-                found.is_some(),
-                covered,
-                "case {case}: {:?} engine, find_cover({sub}) = {found:?}",
-                engine.kind()
-            );
-            if let Some(id) = found {
-                let (_, held) = self.held.iter().find(|(h, _)| *h == id).expect("held id");
-                assert!(held.covers(sub), "case {case}: {held} does not cover {sub}");
-            }
-        }
-    }
-
-    fn insert(&mut self, id: SubId, sub: &Subscription) {
-        for engine in &mut self.engines {
-            assert!(engine.insert(id, sub.clone()));
-        }
-        self.held.push((id, sub.clone()));
-    }
-
-    fn remove(&mut self, id: SubId) {
-        if let Some(pos) = self.held.iter().position(|(h, _)| *h == id) {
-            let (_, sub) = self.held.swap_remove(pos);
-            for engine in &mut self.engines {
-                assert_eq!(engine.remove(id), Some(sub.clone()));
-            }
-        }
-    }
-
-    /// What the covering table's `widen` does to an engine: the entry
-    /// under `id` is replaced by a broader one.
-    fn widen(&mut self, id: SubId, cover: &Subscription) {
-        self.remove(id);
-        self.insert(id, cover);
-    }
 }
 
 #[test]
@@ -155,7 +103,6 @@ fn engines_and_covering_match_the_oracle() {
             .iter()
             .map(|&(engine, covering)| SubscriptionStore::with_options(&space, engine, covering))
             .collect();
-        let mut raw = RawEngines::new(&space);
         let mut oracle = Oracle::new();
         let mut shapes: Vec<Subscription> = Vec::new();
         let mut live: Vec<SubId> = Vec::new();
@@ -199,14 +146,6 @@ fn engines_and_covering_match_the_oracle() {
                         );
                         assert!(fresh, "case {case}: id {id:?} is never re-used");
                     }
-                    // The raw engines never expire anything; a held
-                    // subscription the new one covers is widened to it,
-                    // otherwise the new one is added.
-                    raw.check_find_cover(case, &sub);
-                    match raw.held.iter().find(|(_, held)| sub.covers(held)) {
-                        Some(&(absorbed, _)) if id.0.is_multiple_of(4) => raw.widen(absorbed, &sub),
-                        _ => raw.insert(id, &sub),
-                    }
                     oracle.add_sub(id, sub, now, expires);
                     live.push(id);
                 }
@@ -221,7 +160,6 @@ fn engines_and_covering_match_the_oracle() {
                         removed.iter().all(|&r| r == removed[0]),
                         "case {case}: stores disagree on removing {id:?}: {removed:?}"
                     );
-                    raw.remove(id);
                     oracle.remove_sub(id, now);
                 }
                 // Publish a probe event and compare every configuration's
@@ -265,33 +203,13 @@ fn engines_and_covering_match_the_oracle() {
         );
     }
     assert_eq!(
-        trails, PHYSICAL_TRAILS,
-        "covering decisions changed (counting, sorted): {trails:#x?}"
+        trails[0], PHYSICAL_TRAIL,
+        "covering decisions changed: {trails:#x?}"
     );
-}
-
-/// The streams above stay inside the sorted engine's staging tail; this
-/// one is long enough to push rows through staging flushes, run merges
-/// and compactions, so `find_cover` is also held to the brute-force scan
-/// on the segment path.
-#[test]
-fn find_cover_is_exact_past_the_staging_tail() {
-    let space = space();
-    let mut rng = Rng::seed_from_u64(0xc0fe_5ca7);
-    let mut raw = RawEngines::new(&space);
-    for step in 0..6000u64 {
-        let sub = random_sub(&mut rng, &space);
-        raw.check_find_cover(0, &sub);
-        match raw.held.iter().find(|(_, held)| sub.covers(held)) {
-            Some(&(absorbed, _)) if step.is_multiple_of(4) => raw.widen(absorbed, &sub),
-            _ => raw.insert(SubId(step), &sub),
-        }
-        if rng.gen_bool(0.3) {
-            let pick = rng.gen_range(0..raw.held.len() as u64) as usize;
-            raw.remove(raw.held[pick].0);
-        }
-    }
-    assert!(raw.held.len() > 2048, "stream never left the staging tail");
+    assert_eq!(
+        trails[1], trails[0],
+        "covering decisions depend on the engine (counting, sorted): {trails:#x?}"
+    );
 }
 
 /// Covering must actually collapse state on a covering-heavy stream, not

@@ -104,7 +104,6 @@ fn store_matches_naive_model() {
 
 fn check_against_model(case: usize, engine: MatchEngineKind, covering: bool, ops: &[Op]) {
     let space = EventSpace::new(vec![AttributeDef::new("x", 1000)]);
-    let keys = KeySpace::new(8);
     let mut store = SubscriptionStore::with_options(&space, engine, covering);
     let mut model = Model::default();
     let mut match_buf = Vec::new();
@@ -121,22 +120,13 @@ fn check_against_model(case: usize, engine: MatchEngineKind, covering: bool, ops
                 expires,
             } => {
                 let expires_at = expires.map(|d| clock + d);
-                let sub = Subscription::builder(&space)
-                    .range("x", lo, hi)
-                    .unwrap()
-                    .build()
-                    .unwrap();
-                let stored = StoredSub {
-                    sub,
-                    subscriber: Peer {
-                        idx: 0,
-                        key: keys.key(1),
-                    },
-                    expires: expires_at.map(SimTime::from_secs).unwrap_or(SimTime::MAX),
-                    sk: KeyRangeSet::of_key(keys, keys.key(2)),
-                    trace: TraceId::NONE,
-                    subgroups: 0,
+                let held = Held {
+                    lo,
+                    hi,
+                    expires: expires_at.unwrap_or(u64::MAX),
+                    tag: 0,
                 };
+                let stored = record(&space, held);
                 let fresh = store.insert(SubId(id), stored, SimTime::from_secs(clock));
                 model.purge(clock);
                 let model_fresh = !model.live.contains_key(&id);
@@ -195,4 +185,211 @@ fn check_against_model(case: usize, engine: MatchEngineKind, covering: bool, ops
         "case {case}: real peak may only exceed the model's (sweeps are lazier), \
          engine {engine:?} covering {covering}"
     );
+}
+
+/// What the model keeps per live id in [`record_table_churn`]: the range,
+/// the expiry in seconds (`u64::MAX` = never) and a tag carried in
+/// `StoredSub::subgroups`, which tells which record the store holds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Held {
+    lo: u64,
+    hi: u64,
+    expires: u64,
+    tag: u64,
+}
+
+fn record(space: &EventSpace, held: Held) -> StoredSub {
+    let keys = KeySpace::new(8);
+    StoredSub {
+        sub: Subscription::builder(space)
+            .range("x", held.lo, held.hi)
+            .unwrap()
+            .build()
+            .unwrap(),
+        subscriber: Peer {
+            idx: 0,
+            key: keys.key(1),
+        },
+        expires: match held.expires {
+            u64::MAX => SimTime::MAX,
+            secs => SimTime::from_secs(secs),
+        },
+        sk: KeyRangeSet::of_key(keys, keys.key(2)),
+        trace: TraceId::NONE,
+        subgroups: held.tag,
+    }
+}
+
+/// The record table under churn: fresh inserts, lease refreshes through
+/// all three arms (same expiry: dropped; same record with a new expiry:
+/// adopted; a different record: only its expiry taken), removals, purges
+/// and matches, with ids drawn from a pool small enough that rows and ids
+/// are recycled all the time. After every operation the store must agree
+/// with a `BTreeMap` on `len`, `peak`, `get`, `iter` and — when asked —
+/// the match set; `physical_len` may never exceed `len`.
+#[test]
+fn record_table_churn() {
+    let space = EventSpace::new(vec![AttributeDef::new("x", 1000)]);
+    let mut rng = Rng::seed_from_u64(0x7ab1_e0f5);
+    for case in 0..48 {
+        for (engine, covering) in [
+            (MatchEngineKind::Counting, false),
+            (MatchEngineKind::Counting, true),
+            (MatchEngineKind::Sorted, false),
+            (MatchEngineKind::Sorted, true),
+        ] {
+            let mut store = SubscriptionStore::with_options(&space, engine, covering);
+            let mut model: std::collections::BTreeMap<u64, Held> = Default::default();
+            let mut peak = 0;
+            let mut clock = 0u64;
+            let mut next_tag = 1u64;
+            let mut matched = Vec::new();
+            let mut arms = [0usize; 3];
+            for step in 0..400 {
+                let ctx = format!("case {case} {engine:?} covering {covering} step {step}");
+                clock += rng.gen_range(0u64..4);
+                let now = SimTime::from_secs(clock);
+                let id = rng.gen_range(0u64..24);
+                match rng.gen_range(0u32..10) {
+                    // Insert: fresh if the id is free, else a refresh
+                    // through one of the three arms.
+                    0..=4 => {
+                        model.retain(|_, h| h.expires > clock);
+                        let expires = match rng.gen_range(0u32..3) {
+                            0 => u64::MAX,
+                            _ => clock + rng.gen_range(1u64..60),
+                        };
+                        let incoming = match model.get(&id).copied() {
+                            None => {
+                                let lo = rng.gen_range(0u64..900);
+                                next_tag += 1;
+                                Held {
+                                    lo,
+                                    hi: lo + rng.gen_range(0u64..100),
+                                    expires,
+                                    tag: next_tag,
+                                }
+                            }
+                            Some(held) => match rng.gen_range(0usize..3) {
+                                0 => held,
+                                1 => Held { expires, ..held },
+                                _ => Held {
+                                    lo: 0,
+                                    hi: 999,
+                                    expires,
+                                    tag: 0,
+                                },
+                            },
+                        };
+                        let fresh = store.insert(SubId(id), record(&space, incoming), now);
+                        assert_eq!(fresh, !model.contains_key(&id), "{ctx}");
+                        match model.get_mut(&id) {
+                            None => {
+                                model.insert(id, incoming);
+                                peak = peak.max(model.len());
+                            }
+                            Some(held) => {
+                                let arm = if incoming == *held {
+                                    0
+                                } else if incoming.tag == held.tag {
+                                    1
+                                } else {
+                                    2
+                                };
+                                arms[arm] += 1;
+                                held.expires = incoming.expires;
+                            }
+                        }
+                    }
+                    5 | 6 => {
+                        let removed = store.remove(SubId(id)).is_some();
+                        assert_eq!(removed, model.remove(&id).is_some(), "{ctx}");
+                    }
+                    7 => {
+                        let before = model.len();
+                        model.retain(|_, h| h.expires > clock);
+                        assert_eq!(store.purge_expired(now), before - model.len(), "{ctx}");
+                    }
+                    _ => {
+                        model.retain(|_, h| h.expires > clock);
+                        let v = rng.gen_range(0u64..1000);
+                        store.match_event_into(&Event::new_unchecked(vec![v]), now, &mut matched);
+                        let got: Vec<u64> = matched.iter().map(|(id, _)| id.0).collect();
+                        let held = model.iter();
+                        let expect: Vec<u64> = held
+                            .filter(|(_, h)| h.lo <= v && v <= h.hi)
+                            .map(|(&id, _)| id)
+                            .collect();
+                        assert_eq!(got, expect, "{ctx}: match at {v}");
+                        for (id, rec) in &matched {
+                            assert_eq!(rec.subgroups, model[&id.0].tag, "{ctx}: handle of {id}");
+                        }
+                    }
+                }
+                // A removal does not sweep, so lapsed records may linger
+                // in both until the next operation that does.
+                assert_eq!(store.len(), model.len(), "{ctx}");
+                assert_eq!(store.peak(), peak, "{ctx}");
+                assert!(store.physical_len() <= store.len(), "{ctx}");
+                if !covering {
+                    assert_eq!(store.physical_len(), store.len(), "{ctx}");
+                }
+                let mut listed: Vec<(u64, Held)> = store
+                    .iter()
+                    .map(|(id, rec)| {
+                        let c = rec.sub.constraint(0).expect("x is constrained");
+                        let expires = match rec.expires {
+                            SimTime::MAX => u64::MAX,
+                            t => t.as_millis() / 1000,
+                        };
+                        let held = Held {
+                            lo: c.lo(),
+                            hi: c.hi(),
+                            expires,
+                            tag: rec.subgroups,
+                        };
+                        assert_eq!(store.get(id), Some(&**rec), "{ctx}: get {id}");
+                        (id.0, held)
+                    })
+                    .collect();
+                listed.sort_unstable_by_key(|&(id, _)| id);
+                let expect: Vec<(u64, Held)> = model.iter().map(|(&id, &h)| (id, h)).collect();
+                assert_eq!(listed, expect, "{ctx}: iter");
+                for id in 0..24 {
+                    assert_eq!(store.contains(SubId(id)), model.contains_key(&id), "{ctx}");
+                }
+            }
+            assert!(arms.iter().all(|&n| n > 5), "refresh arms taken: {arms:?}");
+        }
+    }
+}
+
+/// A freed row goes to the next newcomer while the expiry heap still
+/// holds the old tenant's deadline: that deadline must purge neither the
+/// newcomer in the old tenant's row nor the old id stored again on a
+/// longer lease.
+#[test]
+fn recycled_row_does_not_answer_for_its_previous_tenant() {
+    let space = EventSpace::new(vec![AttributeDef::new("x", 1000)]);
+    for engine in [MatchEngineKind::Counting, MatchEngineKind::Sorted] {
+        let mut store = SubscriptionStore::with_options(&space, engine, true);
+        let held = |expires, tag| Held {
+            lo: 10,
+            hi: 20,
+            expires,
+            tag,
+        };
+        store.insert(SubId(1), record(&space, held(5, 1)), SimTime::ZERO);
+        assert!(store.remove(SubId(1)).is_some());
+        store.insert(SubId(2), record(&space, held(u64::MAX, 2)), SimTime::ZERO);
+        store.insert(SubId(1), record(&space, held(50, 3)), SimTime::ZERO);
+        assert_eq!(store.purge_expired(SimTime::from_secs(6)), 0);
+        assert_eq!(store.get(SubId(2)).map(|r| r.subgroups), Some(2));
+        assert_eq!(store.get(SubId(1)).map(|r| r.subgroups), Some(3));
+        assert_eq!(store.purge_expired(SimTime::from_secs(50)), 1);
+        assert_eq!(
+            store.iter().map(|(id, _)| id).collect::<Vec<_>>(),
+            [SubId(2)]
+        );
+    }
 }
