@@ -5,6 +5,34 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# `unsafe` allow-list. Library code has one block, the prefetch hint in
+# cbps-sim (`crates/sim/src/prefetch.rs`, behind a scoped `allow` in a crate
+# that otherwise denies it); the six other library crates forbid it
+# outright. The only other file under `crates/*/src` that may say the word
+# is the probe binary's counting `GlobalAlloc`, a measuring instrument that
+# cannot be written without it.
+echo "==> unsafe allow-list"
+unsafe_files=$(grep -rlw unsafe crates/*/src | sort | tr '\n' ' ')
+if [ "$unsafe_files" != "crates/bench/src/bin/probe.rs crates/sim/src/prefetch.rs " ]; then
+    echo "FAIL: \`unsafe\` outside the allow-list: $unsafe_files" >&2
+    exit 1
+fi
+if [ "$(grep -c 'unsafe {' crates/sim/src/prefetch.rs)" != 1 ] ||
+    ! grep -B6 'unsafe {' crates/sim/src/prefetch.rs | grep -q '// SAFETY:'; then
+    echo "FAIL: prefetch.rs must hold exactly one unsafe block, under a SAFETY comment" >&2
+    exit 1
+fi
+grep -q '^#!\[deny(unsafe_code)\]' crates/sim/src/lib.rs || {
+    echo "FAIL: cbps-sim no longer denies unsafe_code" >&2
+    exit 1
+}
+for crate in bench core overlay pastry rng workload; do
+    grep -q '^#!\[forbid(unsafe_code)\]' "crates/$crate/src/lib.rs" || {
+        echo "FAIL: crates/$crate/src/lib.rs lost #![forbid(unsafe_code)]" >&2
+        exit 1
+    }
+done
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -7,7 +7,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use cbps_overlay::{Delivery, KeyRange, KeyRangeSet, OverlayApp, OverlayServices, Peer};
-use cbps_sim::{MatchEngineKind, SimDuration, SimTime, Stage, TraceId, TrafficClass};
+use cbps_sim::prefetch::prefetch;
+use cbps_sim::{
+    MatchEngineKind, PrefetchStage, SimDuration, SimTime, Stage, TraceId, TrafficClass,
+};
 
 use crate::config::{NotifyMode, Primitive, PubSubConfig};
 use crate::event::{Event, EventId};
@@ -1054,5 +1057,29 @@ impl OverlayApp for PubSubNode {
 
     fn on_leaving(&mut self, svc: &mut dyn OverlayServices<PubSubMsg, PubSubTimer>) {
         self.handle_leaving(svc);
+    }
+
+    /// Hints the lines the next delivery reads here (see
+    /// [`cbps_sim::prefetch`]): at the *node* stage the headers a handler
+    /// starts from — the store's, the delivered log's (the event-dedup
+    /// queue sits beside it) and the two dedup sets' — and at the *rows*
+    /// stage the tail of the delivered log, where a notification lands.
+    /// The dedup tables are probed by hash, so there is no row to name
+    /// before the message is read.
+    #[inline]
+    fn prefetch(&self, stage: PrefetchStage) {
+        match stage {
+            PrefetchStage::Node => {
+                prefetch(&self.store);
+                prefetch(&self.delivered);
+                prefetch(&self.delivered_dedup);
+                prefetch(&self.seen_events);
+            }
+            PrefetchStage::Rows => {
+                if let Some(last) = self.delivered.last() {
+                    prefetch(last);
+                }
+            }
+        }
     }
 }

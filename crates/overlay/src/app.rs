@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use cbps_rng::Rng;
-use cbps_sim::{Context, SimDuration, SimTime, TraceId, TrafficClass};
+use cbps_sim::{Context, PrefetchStage, SimDuration, SimTime, TraceId, TrafficClass};
 
 use crate::key::{Key, KeySpace};
 use crate::msg::{Envelope, OverlayMsg};
@@ -99,6 +99,13 @@ pub trait OverlayApp: Sized {
     /// This node is about to leave gracefully; push state to neighbors now.
     fn on_leaving(&mut self, svc: &mut dyn OverlayServices<Self::Payload, Self::Timer>) {
         let _ = svc;
+    }
+
+    /// The overlay node's [`cbps_sim::Node::prefetch`] forwarded to the
+    /// application: hint the lines the next upcall will read, nothing else.
+    #[inline]
+    fn prefetch(&self, stage: PrefetchStage) {
+        let _ = stage;
     }
 }
 

@@ -18,6 +18,8 @@
 //! peers, and a table sized for the bound on every one of them would
 //! dominate the deployment's memory.
 
+use cbps_sim::prefetch::{prefetch_at, prefetch_span};
+
 use crate::key::{Key, KeySpace};
 use crate::ring::Peer;
 
@@ -51,6 +53,10 @@ pub struct LocationCache {
 /// `warm` pre-faults at most this many entries: a larger configured bound
 /// is a "never evict" setting, not a working-set size.
 const WARM_CAP: usize = 1024;
+
+/// [`LocationCache::prefetch`] asks for a cache of up to this many entries
+/// whole: three key lines, two of `idxs`, three of `stamps`.
+const PREFETCH_WHOLE: usize = 24;
 
 /// Drops `v[victim]` and puts `value` where an insertion at `at` (a
 /// position found before the drop) would have put it, shifting only the
@@ -102,6 +108,27 @@ impl LocationCache {
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
+    }
+
+    /// Hints the lines a `learn` or `closest_preceding` will read (see
+    /// [`cbps_sim::prefetch`]). A cache of up to 24 entries (`PREFETCH_WHOLE`)
+    /// — what a node of a large ring holds — is asked for whole: a search
+    /// can end on any key line, a hit then stores to the `idxs` and
+    /// `stamps` lines of that position and an insertion shifts all three
+    /// tails. Of a larger one, the key lines where a binary search can
+    /// look first, second and third: its first misses are among these
+    /// seven wherever it goes from there.
+    pub fn prefetch(&self) {
+        let len = self.keys.len();
+        if len <= PREFETCH_WHOLE {
+            prefetch_span(&self.keys[..]);
+            prefetch_span(&self.idxs[..]);
+            prefetch_span(&self.stamps[..]);
+        } else {
+            for eighths in [4, 2, 6, 1, 3, 5, 7] {
+                prefetch_at(&self.keys, len * eighths / 8);
+            }
+        }
     }
 
     /// Records that `peer` exists, refreshing recency; evicts the least
@@ -403,6 +430,34 @@ mod tests {
             warmed,
             (w.keys.as_ptr(), w.idxs.as_ptr(), w.stamps.as_ptr())
         );
+    }
+
+    /// The hook's index arithmetic on both sides of each of its cases:
+    /// bounds 0, 1 and 256 holding nothing, one entry, the largest cache
+    /// asked for whole, the smallest asked for by search path, and a full
+    /// one — and while a cache shrinks back through every size.
+    #[test]
+    fn prefetch_has_no_size_it_cannot_take() {
+        for bits in [5u32, 13, 40] {
+            let s = KeySpace::new(bits);
+            for capacity in [0usize, 1, 256] {
+                for fill in [0usize, 1, PREFETCH_WHOLE, PREFETCH_WHOLE + 1, 256] {
+                    let mut c = LocationCache::new(capacity);
+                    c.prefetch();
+                    for k in 0..fill.min(s.size() as usize) {
+                        c.learn(peer(k, k as u64, s));
+                    }
+                    assert_eq!(c.len(), fill.min(capacity).min(s.size() as usize));
+                    c.prefetch();
+                    while let Some(&key) = c.keys.last() {
+                        c.forget(key);
+                        c.prefetch();
+                    }
+                    c.warm();
+                    c.prefetch();
+                }
+            }
+        }
     }
 
     #[test]

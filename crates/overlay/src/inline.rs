@@ -4,7 +4,7 @@
 //! produce one or two segments) and for covering-group member lists in
 //! `cbps-core` (where most groups hold a handful of subscriptions).
 //!
-//! The crate forbids `unsafe`, so instead of `MaybeUninit` tricks the
+//! The crate forbids `unsafe_code`, so instead of `MaybeUninit` tricks the
 //! inline buffer requires `T: Copy + Default` and keeps unused slots at
 //! `T::default()`.
 

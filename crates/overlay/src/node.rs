@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use cbps_sim::{Context, Node, NodeIdx};
+use cbps_sim::{Context, Node, NodeIdx, PrefetchStage};
 
 use crate::app::{OverlayApp, OverlaySvc};
 use crate::key::Key;
@@ -613,6 +613,12 @@ impl<A: OverlayApp> Node for ChordNode<A> {
             }
             _ => {}
         }
+    }
+
+    #[inline]
+    fn prefetch(&self, stage: PrefetchStage) {
+        self.state.prefetch(stage);
+        self.app.prefetch(stage);
     }
 
     fn on_timer(&mut self, timer: Self::Timer, ctx: &mut Context<'_, Self::Msg, Self::Timer>) {

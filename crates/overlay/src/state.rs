@@ -2,6 +2,9 @@
 //! cache — and the two routing decisions built on them (greedy next-hop
 //! selection and the `m-cast` split of Figure 4).
 
+use cbps_sim::prefetch::prefetch_span;
+use cbps_sim::PrefetchStage;
+
 use crate::cache::LocationCache;
 use crate::config::OverlayConfig;
 use crate::key::{Key, KeySpace};
@@ -169,6 +172,25 @@ impl RoutingState {
             self.finger_live |= 1u64 << i;
             self.finger_keys[i] = peer.key.value();
             self.finger_idxs[i] = peer.idx as u32;
+        }
+    }
+
+    /// Hints the lines a routed message reads at this node (see
+    /// [`cbps_sim::prefetch`]). The first `learn` and the routing decision
+    /// behind it read every field of this value — identity, predecessor,
+    /// finger bitmap, the cache header, the TTL in `cfg` — so the *node*
+    /// stage asks for all of it; the *rows* stage for the tables the value
+    /// points to, which the handler would otherwise miss on one after the
+    /// other: finger keys and indices, the successor list, the cache.
+    pub fn prefetch(&self, stage: PrefetchStage) {
+        match stage {
+            PrefetchStage::Node => prefetch_span(self),
+            PrefetchStage::Rows => {
+                prefetch_span(&self.finger_keys[..]);
+                prefetch_span(&self.finger_idxs[..]);
+                prefetch_span(&self.succs[..]);
+                self.cache.prefetch();
+            }
         }
     }
 
@@ -512,6 +534,58 @@ mod tests {
                             assert_eq!(local, want_local, "{ctx}: local");
                             assert_eq!(*bundles, want_bundles, "{ctx}: bundles");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A hint's only way to break a run is its index arithmetic: both
+    /// stages on a node that has not joined (no successor, no predecessor,
+    /// no live finger, nothing cached), on converged nodes and on every
+    /// damaged variant of them, at each key width and cache bound, with
+    /// the cache empty and learned full.
+    #[test]
+    fn prefetch_takes_every_state_a_node_can_be_in() {
+        let mut rng = Rng::seed_from_u64(0x9f37c4);
+        for bits in [5u32, 13, 40] {
+            let space = KeySpace::new(bits);
+            for capacity in [0usize, 1, 256] {
+                let cfg = OverlayConfig::paper_default()
+                    .with_space(space)
+                    .with_cache_capacity(capacity);
+                let me = Peer {
+                    idx: 0,
+                    key: space.key(rng.next_u64()),
+                };
+                let fresh = RoutingState::new(cfg, me);
+                assert!(fresh.successor().is_none() && fresh.predecessor().is_none());
+                assert!(fresh.fingers().all(|f| f.is_none()));
+                let n = 40.min(space.size() as usize);
+                let mut keys = std::collections::BTreeSet::new();
+                while keys.len() < n {
+                    keys.insert(space.key(rng.next_u64()));
+                }
+                let peers: Vec<Peer> = keys
+                    .into_iter()
+                    .enumerate()
+                    .map(|(idx, key)| Peer { idx, key })
+                    .collect();
+                let ring = RingView::new(space, peers.clone());
+                let mut states = vec![("fresh", fresh)];
+                for st in build_routing_states(&cfg, &ring).iter().take(3) {
+                    states.extend(damaged_variants(st, &mut rng));
+                }
+                for (what, mut st) in states {
+                    for stage in [PrefetchStage::Node, PrefetchStage::Rows] {
+                        st.prefetch(stage);
+                    }
+                    for &p in &peers {
+                        st.learn(p);
+                    }
+                    assert!(st.cache_len() <= capacity, "m={bits} {what}");
+                    for stage in [PrefetchStage::Node, PrefetchStage::Rows] {
+                        st.prefetch(stage);
                     }
                 }
             }

@@ -13,7 +13,7 @@ use cbps_overlay::routed;
 use cbps_overlay::{
     Envelope, OverlayApp, OverlayMsg, OverlayServices, OverlaySvc, OverlayTimer, Peer,
 };
-use cbps_sim::{Context, Node, NodeIdx};
+use cbps_sim::{Context, Node, NodeIdx, PrefetchStage};
 
 use crate::state::PastryState;
 
@@ -148,6 +148,12 @@ impl<A: OverlayApp> Node for PastryNode<A> {
             // Pastry substrate.
             _ => {}
         }
+    }
+
+    #[inline]
+    fn prefetch(&self, stage: PrefetchStage) {
+        self.state.prefetch(stage);
+        self.app.prefetch(stage);
     }
 
     fn on_timer(&mut self, timer: Self::Timer, ctx: &mut Context<'_, Self::Msg, Self::Timer>) {

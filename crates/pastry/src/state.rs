@@ -2,6 +2,8 @@
 //! routing / multicast-split decisions built on them.
 
 use cbps_overlay::{Boundaries, Bundles, Key, KeyRangeSet, KeySpace, Peer, RingView};
+use cbps_sim::prefetch::prefetch_span;
+use cbps_sim::PrefetchStage;
 
 /// Configuration of a Pastry overlay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -174,6 +176,20 @@ impl PastryState {
         }
     }
 
+    /// Hints the lines a routed message reads here (see
+    /// [`cbps_sim::prefetch`]): this value, then the leaf sets and the
+    /// routing table it points to.
+    pub fn prefetch(&self, stage: PrefetchStage) {
+        match stage {
+            PrefetchStage::Node => prefetch_span(self),
+            PrefetchStage::Rows => {
+                prefetch_span(&self.leaves_cw[..]);
+                prefetch_span(&self.leaves_ccw[..]);
+                prefetch_span(&self.table[..]);
+            }
+        }
+    }
+
     /// Every peer this node knows.
     fn known(&self) -> impl Iterator<Item = Peer> + '_ {
         self.leaves_cw
@@ -285,6 +301,27 @@ mod tests {
             })
             .collect();
         RingView::new(space, peers)
+    }
+
+    /// Both stages on a node alone on its ring (no leaf on either side,
+    /// every table row empty), on a pair and on a populated ring, at each
+    /// key width.
+    #[test]
+    fn prefetch_takes_empty_and_full_tables() {
+        for bits in [5u32, 13, 40] {
+            let s = KeySpace::new(bits);
+            let cfg = PastryConfig::paper_default().with_space(s);
+            for keys in [&[7u64][..], &[3, 20], &[1, 4, 9, 13, 18, 22, 27, 30]] {
+                let ring = ring_of(keys, s);
+                for &k in keys {
+                    let me = ring.successor(s.key(k));
+                    let st = PastryState::converged(cfg, me, &ring);
+                    assert_eq!(st.successor().is_none(), keys.len() == 1);
+                    st.prefetch(PrefetchStage::Node);
+                    st.prefetch(PrefetchStage::Rows);
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::config::{NetConfig, SchedulerKind};
 use crate::metrics::{Metrics, TrafficClass};
 use crate::obs::{Stage, TraceId};
 use crate::pool::{EventPool, Handle};
+use crate::prefetch::PrefetchStage;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEntry, TraceKind, Tracer};
 use crate::wheel::TimingWheel;
@@ -55,6 +56,17 @@ pub trait Node {
         ctx: &mut Context<'_, Self::Msg, Self::Timer>,
     ) {
         let _ = (to, msg, ctx);
+    }
+
+    /// Asks for the cache lines the next upcall on this node will read
+    /// (see [`crate::prefetch`]). The event loop calls it with
+    /// [`PrefetchStage::Node`] when it queues a message to this node and
+    /// with [`PrefetchStage::Rows`] when it has taken an event for this
+    /// node off the queue, crashed or not. Implementations issue hints
+    /// only; nothing simulated may depend on a call. Default: nothing.
+    #[inline]
+    fn prefetch(&self, stage: PrefetchStage) {
+        let _ = stage;
     }
 }
 
@@ -552,6 +564,14 @@ impl<N: Node> Simulator<N> {
             return false;
         };
         let kind = self.pool.remove(handle);
+        let (EventKind::Deliver { to: node, .. }
+        | EventKind::Inject { to: node, .. }
+        | EventKind::Timer { node, .. }) = &kind;
+        // `get`: an index that does not exist fails below, where it
+        // always has.
+        if let Some(node) = self.nodes.get(*node) {
+            node.prefetch(PrefetchStage::Rows);
+        }
         let time = key_time(key);
         debug_assert!(time >= self.time, "event queue went backwards");
         self.time = time;
@@ -678,6 +698,9 @@ impl<N: Node> Simulator<N> {
                         && self.rng.f64() < self.config.loss_probability
                     {
                         continue;
+                    }
+                    if let Some(node) = self.nodes.get(to) {
+                        node.prefetch(PrefetchStage::Node);
                     }
                     let delay = self.config.delay.sample(&mut self.rng);
                     self.push_event(
