@@ -9,7 +9,8 @@ use std::sync::Arc;
 use cbps_overlay::{Delivery, KeyRange, KeyRangeSet, OverlayApp, OverlayServices, Peer};
 use cbps_sim::prefetch::prefetch;
 use cbps_sim::{
-    MatchEngineKind, PrefetchStage, SimDuration, SimTime, Stage, TraceId, TrafficClass,
+    Counter, MatchEngineKind, PrefetchStage, Series, SimDuration, SimTime, Stage, TraceId,
+    TrafficClass,
 };
 
 use crate::config::{NotifyMode, Primitive, PubSubConfig};
@@ -323,7 +324,7 @@ impl PubSubNode {
         let fresh = self.store.insert(id, Arc::clone(&stored), svc.now());
         svc.obs_sample("store.size", self.store.len() as u64);
         if fresh {
-            svc.metrics().add("store.insert", 1);
+            svc.metrics().bump(Counter::STORE_INSERT, 1);
             let replication = self.cfg.replication;
             if replication > 0 {
                 let succs: Vec<Peer> = svc.successors().iter().take(replication).copied().collect();
@@ -436,7 +437,7 @@ impl PubSubNode {
         let mut matches = std::mem::take(&mut self.match_buf);
         self.store.match_event_into(&event, svc.now(), &mut matches);
         self.work = self.work.wrapping_add(1 + matches.len() as u64);
-        svc.metrics().add("matches", matches.len() as u64);
+        svc.metrics().bump(Counter::MATCHES, matches.len() as u64);
         svc.stage(trace, Stage::RendezvousMatch, TrafficClass::PUBLICATION);
         svc.obs_sample("rendezvous.fanout", matches.len() as u64);
         // The publisher minted one shared allocation for the event: each
@@ -450,7 +451,7 @@ impl PubSubNode {
             };
             match self.cfg.notify_mode {
                 NotifyMode::Immediate => {
-                    svc.metrics().add("notifications.messages", 1);
+                    svc.metrics().bump(Counter::NOTIFICATIONS_MESSAGES, 1);
                     svc.stage(trace, Stage::NotifyRoute, TrafficClass::NOTIFICATION);
                     svc.send(
                         stored.subscriber.key,
@@ -536,10 +537,8 @@ impl PubSubNode {
             let mut batches: Vec<(Peer, Vec<NotifyItem>)> = buffer.drain().collect();
             batches.sort_unstable_by_key(|(subscriber, _)| subscriber.idx);
             for (subscriber, items) in batches {
-                svc.metrics().add("notifications.messages", 1);
-                svc.metrics()
-                    .histogram_mut("notifications.batch-size")
-                    .record(items.len() as u64);
+                svc.metrics().bump(Counter::NOTIFICATIONS_MESSAGES, 1);
+                svc.metrics().record(Series::NOTIFICATIONS_BATCH_SIZE, items.len() as u64);
                 Self::send_notification(subscriber, items, svc);
             }
         }
@@ -664,7 +663,7 @@ impl PubSubNode {
                 continue;
             }
             if self.delivered_dedup.insert((item.sub_id, item.event_id)) {
-                svc.metrics().add("notifications.delivered", 1);
+                svc.metrics().bump(Counter::NOTIFICATIONS_DELIVERED, 1);
                 svc.stage(item.trace, Stage::Deliver, TrafficClass::NOTIFICATION);
                 self.delivered.push(DeliveredNote {
                     sub_id: item.sub_id,
@@ -674,7 +673,7 @@ impl PubSubNode {
                     trace: item.trace,
                 });
             } else {
-                svc.metrics().add("notifications.duplicate", 1);
+                svc.metrics().bump(Counter::NOTIFICATIONS_DUPLICATE, 1);
             }
         }
     }

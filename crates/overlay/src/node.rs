@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use cbps_sim::{Context, Node, NodeIdx, PrefetchStage};
+use cbps_sim::{Context, Node, NodeIdx, PrefetchStage, Series};
 
 use crate::app::{OverlayApp, OverlaySvc};
 use crate::key::Key;
@@ -137,7 +137,7 @@ impl<A: OverlayApp> ChordNode<A> {
         ctx: &mut Context<'_, Envelope<A::Payload>, OverlayTimer<A::Timer>>,
     ) {
         if self.state.covers(target) {
-            ctx.metrics().histogram_mut("lookup.hops").record(0);
+            ctx.metrics().record(Series::LOOKUP_HOPS, 0);
             return;
         }
         let token = self.claim_token(Pending::Probe);
@@ -152,7 +152,7 @@ impl<A: OverlayApp> ChordNode<A> {
             None => {
                 // covers() said no but routing found nothing better: alone.
                 self.pending.remove(&token);
-                ctx.metrics().histogram_mut("lookup.hops").record(0);
+                ctx.metrics().record(Series::LOOKUP_HOPS, 0);
             }
             Some(hop) => self.send_body(ctx, hop.idx, msg),
         }
@@ -281,9 +281,7 @@ impl<A: OverlayApp> ChordNode<A> {
                 self.state.set_finger(i, succ);
             }
             Some(Pending::Probe) => {
-                ctx.metrics()
-                    .histogram_mut("lookup.hops")
-                    .record(u64::from(hops));
+                ctx.metrics().record(Series::LOOKUP_HOPS, u64::from(hops));
             }
             Some(Pending::Ping(_)) | None => {}
         }

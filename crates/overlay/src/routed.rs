@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use cbps_sim::{Context, TraceId, TrafficClass};
+use cbps_sim::{Context, Series, TraceId, TrafficClass};
 
 use crate::app::{Delivery, OverlayApp, OverlaySvc};
 use crate::key::Key;
@@ -24,19 +24,6 @@ use crate::timer::OverlayTimer;
 /// The simulator context type every routed handler operates in.
 pub type RoutedCtx<'c, A> =
     Context<'c, Envelope<<A as OverlayApp>::Payload>, OverlayTimer<<A as OverlayApp>::Timer>>;
-
-/// Name of the dilation histogram for a traffic class.
-pub fn dilation_series(class: TrafficClass) -> &'static str {
-    match class {
-        TrafficClass::SUBSCRIPTION => "dilation.subscription",
-        TrafficClass::PUBLICATION => "dilation.publication",
-        TrafficClass::NOTIFICATION => "dilation.notification",
-        TrafficClass::COLLECT => "dilation.collect",
-        TrafficClass::MAINTENANCE => "dilation.maintenance",
-        TrafficClass::STATE_TRANSFER => "dilation.state-transfer",
-        _ => "dilation.other",
-    }
-}
 
 /// `true` (and counts the drop) when a routed message has exceeded the
 /// substrate's hop TTL — the backstop against routing cycles while the
@@ -86,9 +73,7 @@ pub fn handle_unicast<S: RouteTable, A: OverlayApp>(
     }
     match state.next_hop(key) {
         None => {
-            ctx.metrics()
-                .histogram_mut(dilation_series(class))
-                .record(u64::from(hops));
+            ctx.metrics().record(Series::dilation(class), u64::from(hops));
             let delivery = Delivery {
                 targets_here: KeyRangeSet::of_key(state.space(), key),
                 class,
@@ -156,9 +141,7 @@ pub fn handle_mcast<S: RouteTable, A: OverlayApp>(
         );
     }
     if !local.is_empty() {
-        ctx.metrics()
-            .histogram_mut(dilation_series(class))
-            .record(u64::from(hops));
+        ctx.metrics().record(Series::dilation(class), u64::from(hops));
         let delivery = Delivery {
             targets_here: local,
             class,
@@ -225,9 +208,7 @@ pub fn handle_walk<S: RouteTable, A: OverlayApp>(
         None
     };
     let deliver = |state: &mut S, app: &mut A, payload: A::Payload, ctx: &mut RoutedCtx<'_, A>| {
-        ctx.metrics()
-            .histogram_mut(dilation_series(class))
-            .record(u64::from(hops));
+        ctx.metrics().record(Series::dilation(class), u64::from(hops));
         let delivery = Delivery {
             targets_here: local.clone(),
             class,

@@ -68,7 +68,7 @@ mod trace;
 pub mod wheel;
 
 pub use config::{DelayModel, MatchEngineKind, NetConfig, PoolMode, SchedulerKind};
-pub use metrics::{Histogram, Metrics, TrafficClass};
+pub use metrics::{Counter, Histogram, Metrics, Series, TrafficClass};
 pub use obs::{
     LogHistogram, ObsMode, ObsSummary, Observability, Stage, StageRecord, TraceId, TraceLog,
 };

@@ -96,11 +96,29 @@ impl fmt::Display for TrafficClass {
 /// assert_eq!(h.max(), Some(3));
 /// assert_eq!(h.percentile(50.0), Some(2));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
-    counts: BTreeMap<u64, u64>,
+    /// Counts of the values below [`DENSE`], indexed by value: hop counts
+    /// and batch sizes, recorded once per routed delivery, all land here.
+    dense: [u64; DENSE],
+    /// Counts of everything else; no entry is zero.
+    spill: BTreeMap<u64, u64>,
     total: u64,
     sum: u128,
+}
+
+/// Values below this are counted in a flat array instead of the map.
+const DENSE: usize = 64;
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            dense: [0; DENSE],
+            spill: BTreeMap::new(),
+            total: 0,
+            sum: 0,
+        }
+    }
 }
 
 impl Histogram {
@@ -110,18 +128,22 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, value: u64) {
-        *self.counts.entry(value).or_insert(0) += 1;
-        self.total += 1;
-        self.sum += u128::from(value);
+        self.record_n(value, 1);
     }
 
     /// Records `n` samples of the same value.
+    #[inline]
     pub fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
-        *self.counts.entry(value).or_insert(0) += n;
+        if value < DENSE as u64 {
+            self.dense[value as usize] += n;
+        } else {
+            *self.spill.entry(value).or_insert(0) += n;
+        }
         self.total += n;
         self.sum += u128::from(value) * u128::from(n);
     }
@@ -152,12 +174,13 @@ impl Histogram {
 
     /// Smallest recorded sample.
     pub fn min(&self) -> Option<u64> {
-        self.counts.keys().next().copied()
+        self.iter().next().map(|(value, _)| value)
     }
 
     /// Largest recorded sample.
     pub fn max(&self) -> Option<u64> {
-        self.counts.keys().next_back().copied()
+        let spilled = self.spill.keys().next_back().copied();
+        spilled.or_else(|| self.dense.iter().rposition(|&c| c != 0).map(|v| v as u64))
     }
 
     /// Exact percentile (nearest-rank method); `p` in `[0, 100]`.
@@ -174,7 +197,7 @@ impl Histogram {
         }
         let rank = ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
         let mut seen = 0;
-        for (&value, &count) in &self.counts {
+        for (value, count) in self.iter() {
             seen += count;
             if seen >= rank {
                 return Some(value);
@@ -185,7 +208,9 @@ impl Histogram {
 
     /// Iterates over `(value, count)` pairs in increasing value order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts.iter().map(|(&v, &c)| (v, c))
+        let dense = self.dense.iter().enumerate();
+        let dense = dense.filter(|&(_, &c)| c != 0).map(|(v, &c)| (v as u64, c));
+        dense.chain(self.spill.iter().map(|(&v, &c)| (v, c)))
     }
 
     /// Merges another histogram into this one.
@@ -214,24 +239,85 @@ impl Histogram {
 /// assert_eq!(m.messages(TrafficClass::PUBLICATION), 1);
 /// assert_eq!(m.counter("events-published"), 1);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Metrics {
     messages: ClassCounts,
-    counters: NameMap<u64>,
-    /// Histogram name → position in `histograms`: a lookup hashes the
-    /// name once and hands back an index, which (unlike a borrowed entry)
-    /// can outlive the decision to insert.
+    /// Counter or histogram name → position in `counters` / `histograms`:
+    /// a lookup hashes the name once and hands back an index, which
+    /// (unlike a borrowed entry) can outlive the decision to insert. The
+    /// [`Counter`] and [`Series`] handles *are* such indices, registered
+    /// by `default()`, so updating through one looks nothing up.
+    counter_slots: NameMap<usize>,
+    counters: Vec<u64>,
     histogram_slots: NameMap<usize>,
     histograms: Vec<Histogram>,
     obs: Observability,
 }
 
+/// Handle to a counter bumped once per message or per match: a fixed
+/// position in every [`Metrics`], so [`Metrics::bump`] neither hashes nor
+/// compares a name. The counter reads by name like any other.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Counter(usize);
+
+impl Counter {
+    /// `"matches"`.
+    pub const MATCHES: Counter = Counter(0);
+    /// `"notifications.messages"`.
+    pub const NOTIFICATIONS_MESSAGES: Counter = Counter(1);
+    /// `"notifications.delivered"`.
+    pub const NOTIFICATIONS_DELIVERED: Counter = Counter(2);
+    /// `"notifications.duplicate"`.
+    pub const NOTIFICATIONS_DUPLICATE: Counter = Counter(3);
+    /// `"store.insert"`.
+    pub const STORE_INSERT: Counter = Counter(4);
+
+    const NAMES: [&'static str; 5] = [
+        "matches",
+        "notifications.messages",
+        "notifications.delivered",
+        "notifications.duplicate",
+        "store.insert",
+    ];
+}
+
+/// Handle to a histogram that takes a sample per message, as [`Counter`]
+/// is to a counter; see [`Metrics::record`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Series(usize);
+
+impl Series {
+    /// `"notifications.batch-size"`.
+    pub const NOTIFICATIONS_BATCH_SIZE: Series = Series(0);
+    /// `"lookup.hops"`.
+    pub const LOOKUP_HOPS: Series = Series(1);
+
+    /// The delivery-dilation histogram of a traffic class:
+    /// `"dilation.subscription"` … `"dilation.state-transfer"` for the
+    /// well-known classes, `"dilation.other"` for the rest.
+    pub fn dilation(class: TrafficClass) -> Series {
+        // The named classes are tags 0–5, in `NAMES` order.
+        Series(2 + usize::from(class.0).min(6))
+    }
+
+    const NAMES: [&'static str; 9] = [
+        "notifications.batch-size",
+        "lookup.hops",
+        "dilation.subscription",
+        "dilation.publication",
+        "dilation.notification",
+        "dilation.collect",
+        "dilation.maintenance",
+        "dilation.state-transfer",
+        "dilation.other",
+    ];
+}
+
 /// Map keyed by counter or histogram name. The names are literals in the
-/// workspace's code, never input, and the hot path looks one up per
-/// notification sent, per delivery, per stored copy and per routed
-/// delivery — SipHash's flooding resistance buys nothing there and was 4–5 %
-/// of a notification-heavy run. Never iterated where order could show
-/// (shard absorption only sums).
+/// workspace's code, never input, so SipHash's flooding resistance buys
+/// nothing; what is updated per message goes through a [`Counter`] or
+/// [`Series`] handle and never comes here. Never iterated where order
+/// could show (shard absorption only sums).
 type NameMap<V> = HashMap<String, V, BuildHasherDefault<NameHasher>>;
 
 /// The hasher behind [`NameMap`]: one rotate-xor-multiply per eight bytes
@@ -282,6 +368,36 @@ impl Default for ClassCounts {
     }
 }
 
+impl Default for Metrics {
+    fn default() -> Self {
+        let mut m = Metrics {
+            messages: ClassCounts::default(),
+            counter_slots: NameMap::default(),
+            counters: Vec::new(),
+            histogram_slots: NameMap::default(),
+            histograms: Vec::new(),
+            obs: Observability::default(),
+        };
+        for name in Counter::NAMES {
+            slot_of(&mut m.counter_slots, &mut m.counters, name);
+        }
+        for name in Series::NAMES {
+            slot_of(&mut m.histogram_slots, &mut m.histograms, name);
+        }
+        m
+    }
+}
+
+/// The position `name` reads at, registered with an empty value if new.
+fn slot_of<V: Default>(slots: &mut NameMap<usize>, values: &mut Vec<V>, name: &str) -> usize {
+    if let Some(&slot) = slots.get(name) {
+        return slot;
+    }
+    slots.insert(name.to_owned(), values.len());
+    values.push(V::default());
+    values.len() - 1
+}
+
 impl Metrics {
     /// Creates an empty metrics sink.
     pub fn new() -> Self {
@@ -305,37 +421,39 @@ impl Metrics {
 
     /// Adds `delta` to the named counter, creating it at zero if absent.
     pub fn add(&mut self, name: &str, delta: u64) {
-        if let Some(v) = self.counters.get_mut(name) {
-            *v += delta;
-        } else {
-            self.counters.insert(name.to_owned(), delta);
-        }
+        let slot = slot_of(&mut self.counter_slots, &mut self.counters, name);
+        self.counters[slot] += delta;
+    }
+
+    /// Adds `delta` to a counter known by handle.
+    #[inline]
+    pub fn bump(&mut self, counter: Counter, delta: u64) {
+        self.counters[counter.0] += delta;
     }
 
     /// Current value of the named counter (zero if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counter_slots
+            .get(name)
+            .map_or(0, |&slot| self.counters[slot])
     }
 
     /// Mutable access to the named histogram, creating it if absent.
     pub fn histogram_mut(&mut self, name: &str) -> &mut Histogram {
-        let slot = match self.histogram_slots.get(name) {
-            Some(&slot) => slot,
-            None => {
-                self.histogram_slots
-                    .insert(name.to_owned(), self.histograms.len());
-                self.histograms.push(Histogram::new());
-                self.histograms.len() - 1
-            }
-        };
+        let slot = slot_of(&mut self.histogram_slots, &mut self.histograms, name);
         &mut self.histograms[slot]
+    }
+
+    /// Records one sample in a histogram known by handle.
+    #[inline]
+    pub fn record(&mut self, series: Series, value: u64) {
+        self.histograms[series.0].record(value);
     }
 
     /// The named histogram, if any samples were recorded under it.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histogram_slots
-            .get(name)
-            .map(|&slot| &self.histograms[slot])
+        let slot = self.histogram_slots.get(name)?;
+        Some(&self.histograms[*slot]).filter(|h| !h.is_empty())
     }
 
     /// Iterates over the `(class, count)` entries of every class that
@@ -377,8 +495,8 @@ impl Metrics {
             for (total, n) in self.messages.0.iter_mut().zip(&part.messages.0) {
                 *total += n;
             }
-            for (name, &v) in &part.counters {
-                self.add(name, v);
+            for (name, &slot) in &part.counter_slots {
+                self.add(name, part.counters[slot]);
             }
             for (name, &slot) in &part.histogram_slots {
                 self.histogram_mut(name).merge(&part.histograms[slot]);
@@ -395,9 +513,8 @@ impl Metrics {
     /// observability data (the observability *mode* is kept).
     pub fn clear(&mut self) {
         self.messages = ClassCounts::default();
-        self.counters.clear();
-        self.histogram_slots.clear();
-        self.histograms.clear();
+        self.counters.fill(0);
+        self.histograms.fill_with(Histogram::new);
         self.obs.clear();
     }
 }
@@ -452,6 +569,74 @@ mod tests {
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![(2, 3), (4, 1)]);
     }
 
+    /// The dense array changes where a count lives, never what is read:
+    /// seeded samples crowding the 63/64 boundary (plus zero, far values
+    /// and `record_n(_, 0)`) against a model that keeps every count in one
+    /// ordered map, through `merge`, with equality judged on contents.
+    #[test]
+    fn dense_and_spilled_counts_read_as_one_ordered_map() {
+        use cbps_rng::Rng;
+        let mut rng = Rng::seed_from_u64(0x63_64);
+        let mut merged = Histogram::new();
+        let mut merged_model: BTreeMap<u64, u64> = BTreeMap::new();
+        for round in 0..40 {
+            let mut h = Histogram::new();
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            for _ in 0..rng.gen_range(0u64..300) {
+                let value = match rng.gen_range(0u32..10) {
+                    0 => 0,
+                    1 => rng.gen_range(0u64..1 << 40),
+                    2..=4 => rng.gen_range(0u64..200),
+                    _ => rng.gen_range(60u64..68),
+                };
+                let n = rng.gen_range(0u64..4);
+                if n == 1 {
+                    h.record(value);
+                } else {
+                    h.record_n(value, n);
+                }
+                if n > 0 {
+                    *model.entry(value).or_insert(0) += n;
+                }
+            }
+            let check = |h: &Histogram, model: &BTreeMap<u64, u64>| {
+                let pairs: Vec<(u64, u64)> = model.iter().map(|(&v, &c)| (v, c)).collect();
+                assert_eq!(h.iter().collect::<Vec<_>>(), pairs, "round {round}");
+                assert_eq!(h.len(), model.values().sum::<u64>());
+                let sum = pairs.iter().map(|&(v, c)| u128::from(v) * u128::from(c));
+                assert_eq!(h.sum(), sum.sum::<u128>());
+                assert_eq!(h.min(), model.keys().next().copied());
+                assert_eq!(h.max(), model.keys().next_back().copied());
+                for p in [0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
+                    let rank = ((p / 100.0) * h.len() as f64).ceil().max(1.0) as u64;
+                    let mut seen = 0;
+                    let want = pairs.iter().find(|&&(_, c)| {
+                        seen += c;
+                        seen >= rank
+                    });
+                    assert_eq!(h.percentile(p), want.map(|&(v, _)| v), "p{p} round {round}");
+                }
+            };
+            check(&h, &model);
+            // Equal contents compare equal however they were recorded.
+            let mut replay = Histogram::new();
+            for (&v, &c) in model.iter().rev() {
+                replay.record_n(v, c);
+            }
+            assert_eq!(h, replay);
+            if let Some((&v, _)) = model.iter().next_back() {
+                replay.record(v);
+                assert_ne!(h, replay);
+            }
+            merged.merge(&h);
+            for (v, c) in model {
+                *merged_model.entry(v).or_insert(0) += c;
+            }
+            check(&merged, &merged_model);
+        }
+        assert!(merged_model.contains_key(&63) && merged_model.contains_key(&64));
+    }
+
     #[test]
     #[should_panic(expected = "out of [0, 100]")]
     fn percentile_range_checked() {
@@ -483,6 +668,59 @@ mod tests {
         );
         m.clear();
         assert_eq!(m.total_messages(), 0);
+    }
+
+    /// Every handle updates the counter or histogram its name reads, on a
+    /// fresh sink, a forked one and a cleared one; a name nobody recorded
+    /// under reads as absent even though its handle holds a position.
+    #[test]
+    fn handles_update_what_their_names_read() {
+        let fresh = Metrics::new();
+        let mut cleared = Metrics::new();
+        cleared.add("x", 1);
+        cleared.histogram_mut("hops").record(2);
+        cleared.clear();
+        for mut m in [fresh.fork_for_shard(), fresh, cleared] {
+            let counters = [
+                Counter::MATCHES,
+                Counter::NOTIFICATIONS_MESSAGES,
+                Counter::NOTIFICATIONS_DELIVERED,
+                Counter::NOTIFICATIONS_DUPLICATE,
+                Counter::STORE_INSERT,
+            ];
+            for (i, (handle, name)) in counters.into_iter().zip(Counter::NAMES).enumerate() {
+                assert_eq!(m.counter(name), 0);
+                m.bump(handle, i as u64 + 1);
+                m.add(name, 10);
+                assert_eq!(m.counter(name), i as u64 + 11, "{name}");
+            }
+            let classes = [
+                TrafficClass::SUBSCRIPTION,
+                TrafficClass::PUBLICATION,
+                TrafficClass::NOTIFICATION,
+                TrafficClass::COLLECT,
+                TrafficClass::MAINTENANCE,
+                TrafficClass::STATE_TRANSFER,
+                TrafficClass::OTHER,
+            ];
+            let series = [Series::NOTIFICATIONS_BATCH_SIZE, Series::LOOKUP_HOPS]
+                .into_iter()
+                .chain(classes.map(Series::dilation));
+            for (i, (handle, name)) in series.zip(Series::NAMES).enumerate() {
+                assert!(m.histogram(name).is_none(), "{name}");
+                m.record(handle, i as u64);
+                m.histogram_mut(name).record(100);
+                let h = m.histogram(name).expect("recorded");
+                assert_eq!(h.iter().collect::<Vec<_>>(), [(i as u64, 1), (100, 1)]);
+            }
+            assert_eq!(Series::dilation(TrafficClass(6)), Series::dilation(TrafficClass::OTHER));
+            for class in classes {
+                let name = Series::NAMES[Series::dilation(class).0];
+                assert_eq!(name, format!("dilation.{}", class.name()));
+            }
+            assert_eq!(m.counter("x"), 0);
+            assert!(m.histogram("hops").is_none());
+        }
     }
 
     /// Every counter and histogram name the workspace's code uses.
