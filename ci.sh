@@ -51,6 +51,14 @@ echo "==> cargo test --release (allocation and covering-probe gates)"
 cargo test --release -q -p cbps-bench \
     --test alloc_steady --test alloc_install --test alloc_route --test covering_stats
 
+# Hint neutrality: `tests/hint_neutrality.rs` pins what a fanout-shaped run
+# delivers, counts and costs in events; it passed above with the prefetch
+# hints in, and must read the same digest with every hint compiled to
+# nothing (a second debug build of the root package, in its own directory).
+echo "==> hint neutrality (--cfg cbps_no_prefetch)"
+RUSTFLAGS="--cfg cbps_no_prefetch" cargo test -q --target-dir target/no-prefetch \
+    --test hint_neutrality
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings

@@ -370,7 +370,7 @@ fn match_point(n: usize, seed: u64) -> Result<MatchPoint, String> {
     for (i, event) in events.iter().take(8).enumerate() {
         counting.matches_into(event, &mut a);
         store.match_event_into(event, SimTime::ZERO, &mut store_out);
-        let got: Vec<SubId> = store_out.iter().map(|(id, _)| *id).collect();
+        let got: Vec<SubId> = store_out.iter().map(|&(id, ..)| id).collect();
         if got != a {
             return Err(format!(
                 "covering store disagrees with raw engine at {n} subs on probe event {i}: \

@@ -12,7 +12,8 @@
 //! **Delivered sets are unchanged.** The representative is only a
 //! candidate filter: when its cover matches an event, members whose shape
 //! equals the cover are emitted directly, all others are re-verified
-//! against their own constraints. A representative may be *broader* than
+//! against their own bounds — kept in a slab of the table's, so matching
+//! never follows a pointer into a record. A representative may be *broader* than
 //! every live member (its creator unsubscribed first) — that costs a
 //! verification, never a wrong delivery. All per-id bookkeeping
 //! (`len`/`peak`/expiry/refresh) stays in the store's record table,
@@ -36,11 +37,10 @@
 //! follow a pointer to a cover only when the bounds on file allow it.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::engine::{AnyMatchEngine, MatchEngine};
 use crate::event::Event;
-use crate::store::{Row, StoredSub};
+use crate::store::{MatchHit, Row};
 use crate::subscription::{SubId, Subscription};
 use cbps_overlay::InlineVec;
 
@@ -62,9 +62,47 @@ struct Group {
     /// high half — so ids order by age — and the group's slot in the low
     /// half, so an engine hit leads here without a lookup.
     phys: u64,
-    /// Each member's row in the store's record table, and whether its
-    /// shape equals the cover (matching then skips re-verification).
-    members: InlineVec<(u32, bool), 4>,
+    /// Each member's row in the store's record table, and the slot of the
+    /// table's [`BoundsSlab`] holding its bounds — [`EXACT`] when its shape
+    /// equals the cover (matching then skips re-verification).
+    members: InlineVec<(u32, u32), 4>,
+}
+
+/// In place of a slab slot: the member's shape is its group's cover.
+const EXACT: u32 = u32::MAX;
+
+/// The bounds of the members narrower than their cover, `dims` `(lo, hi)`
+/// pairs per slot (see [`range_on`]): re-verifying a member reads one short
+/// run of this array and nothing of the member's record.
+#[derive(Clone, Debug, Default)]
+struct BoundsSlab {
+    ranges: Vec<(u64, u64)>,
+    /// Freed slots, recycled before the array grows.
+    free: Vec<u32>,
+}
+
+impl BoundsSlab {
+    fn store(&mut self, sub: &Subscription) -> u32 {
+        let dims = sub.dims();
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.ranges.resize(self.ranges.len() + dims, (0, 0));
+            (self.ranges.len() / dims - 1) as u32
+        });
+        for (d, range) in self.ranges[slot as usize * dims..][..dims]
+            .iter_mut()
+            .enumerate()
+        {
+            *range = range_on(sub, d);
+        }
+        slot
+    }
+
+    fn admits(&self, slot: u32, event: &Event) -> bool {
+        let values = event.values();
+        let ranges = &self.ranges[slot as usize * values.len()..][..values.len()];
+        let mut dims = ranges.iter().zip(values);
+        dims.all(|(&(lo, hi), &v)| lo <= v && v <= hi)
+    }
 }
 
 fn slot_of(phys: u64) -> usize {
@@ -199,6 +237,17 @@ pub struct CoveringStats {
     /// Covers the probes followed a pointer to, because the bounds on
     /// file could not rule the entry out.
     pub records_dereferenced: u64,
+    /// Members of the groups that events' physical hits named.
+    pub members_tested: u64,
+    /// … of which the event matched (never more than were tested).
+    pub members_emitted: u64,
+    /// Stored records asked for by the row of a match hit
+    /// ([`SubscriptionStore::matched_record`](crate::SubscriptionStore::matched_record));
+    /// the expansion itself reads none.
+    pub records_dereferenced_on_match: u64,
+    /// Slots in the slab of narrower-than-cover members' bounds: freed ones
+    /// are reused first, so the most such members ever held at once.
+    pub bounds_slots: u64,
 }
 
 /// The covering layer: maps logical subscriptions onto shared physical
@@ -214,6 +263,9 @@ pub(crate) struct CoveringTable {
     /// The cover directory, one [`DimDir`] per dimension; empty until the
     /// first insert (most stores of a large deployment never see one).
     dirs: Vec<DimDir>,
+    /// Absent until a member narrower than its cover joins: a store of
+    /// unrelated shapes never pays for it.
+    bounds: Option<Box<BoundsSlab>>,
     next_seq: u32,
     pub(crate) stats: CoveringStats,
 }
@@ -264,7 +316,15 @@ impl CoveringTable {
         };
         let g = self.groups[slot as usize].as_mut();
         let g = g.expect("joining a live group");
-        g.members.push((row, *sub == g.cover));
+        let bounds = if *sub == g.cover {
+            EXACT
+        } else {
+            self.bounds.get_or_insert_default().store(sub)
+        };
+        g.members.push((row, bounds));
+        if let Some(slab) = &self.bounds {
+            self.stats.bounds_slots = (slab.ranges.len() / sub.dims()) as u64;
+        }
         (slot, g.members.len() as u32 - 1)
     }
 
@@ -326,7 +386,11 @@ impl CoveringTable {
     ) {
         let g = self.groups[slot as usize].as_mut();
         let g = g.expect("members imply a live group");
-        g.members.swap_remove(pos as usize);
+        let (_, bounds) = g.members.swap_remove(pos as usize);
+        if bounds != EXACT {
+            let slab = self.bounds.as_mut().expect("a slot implies the slab");
+            slab.free.push(bounds);
+        }
         if let Some(&(moved, _)) = g.members.as_slice().get(pos as usize) {
             let moved = rows[moved as usize].as_mut();
             moved.expect("members are live rows").member.1 = pos;
@@ -347,25 +411,29 @@ impl CoveringTable {
     }
 
     /// Expands the engine's physical `hits` into the exact logical match
-    /// set (ascending id, appended to `out`), re-verifying members
-    /// narrower than their representative.
+    /// set (ascending id, written to the empty `out`), re-verifying members
+    /// narrower than their representative against the slab.
     pub(crate) fn expand_into(
-        &self,
+        &mut self,
         hits: &[SubId],
         rows: &[Option<Row>],
         event: &Event,
-        out: &mut Vec<(SubId, Arc<StoredSub>)>,
+        out: &mut Vec<MatchHit>,
     ) {
+        let slab = self.bounds.as_deref();
         for phys in hits {
             let g = self.groups[slot_of(phys.0)].as_ref();
-            for &(row, exact) in g.expect("engine hits name live groups").members.as_slice() {
-                let row = rows[row as usize].as_ref().expect("members are live rows");
-                if exact || row.rec.sub.matches(event) {
-                    out.push((row.id, Arc::clone(&row.rec)));
+            let members = g.expect("engine hits name live groups").members.as_slice();
+            self.stats.members_tested += members.len() as u64;
+            for &(row, bounds) in members {
+                if bounds == EXACT || slab.is_some_and(|slab| slab.admits(bounds, event)) {
+                    let r = rows[row as usize].as_ref().expect("members are live rows");
+                    out.push((r.id, r.subscriber, row));
                 }
             }
         }
-        out.sort_unstable_by_key(|&(id, _)| id);
+        self.stats.members_emitted += out.len() as u64;
+        out.sort_unstable_by_key(|&(id, ..)| id);
     }
 
     /// Founds a group with `cover` as its own representative.
@@ -397,11 +465,14 @@ impl CoveringTable {
         let (d, old) = filed(&g.cover, phys);
         self.dirs[d].unfile(old);
         // Members exactly matching the old cover are strictly narrower
-        // than the new one: they need re-verification from now on.
+        // than the new one: they need re-verification from now on,
+        // against the bounds that were the cover's.
+        let old = std::mem::replace(&mut g.cover, cover.clone());
         for m in g.members.as_mut_slice() {
-            m.1 = false;
+            if m.1 == EXACT {
+                m.1 = self.bounds.get_or_insert_default().store(&old);
+            }
         }
-        g.cover = cover.clone();
         engine.remove(SubId(phys));
         engine.insert(SubId(phys), cover.clone());
         let (d, new) = filed(cover, phys);
@@ -413,10 +484,12 @@ impl CoveringTable {
 mod tests {
     use super::*;
     use crate::space::{AttributeDef, EventSpace};
+    use crate::store::StoredSub;
     use crate::subscription::Constraint;
     use cbps_overlay::{KeyRangeSet, KeySpace, Peer};
     use cbps_rng::Rng;
     use cbps_sim::{MatchEngineKind, SimTime, TraceId};
+    use std::sync::Arc;
 
     /// A shape's first constrained dimension and its bounds there.
     fn first_range(sub: &Subscription) -> (usize, u64, u64) {
@@ -486,6 +559,8 @@ mod tests {
         table: CoveringTable,
         engine: AnyMatchEngine,
         rows: Vec<Option<Row>>,
+        /// The most members narrower than their cover held at once.
+        peak_narrow: usize,
     }
 
     impl Harness {
@@ -500,6 +575,7 @@ mod tests {
                 table: CoveringTable::default(),
                 engine: AnyMatchEngine::new(MatchEngineKind::Counting, &space),
                 rows: Vec::new(),
+                peak_narrow: 0,
                 space,
             }
         }
@@ -529,19 +605,25 @@ mod tests {
             let row = self.rows.len() as u32;
             let member = self.table.insert(&mut self.engine, row, sub);
             let keys = KeySpace::new(8);
+            let subscriber = Peer {
+                idx: 0,
+                key: keys.key(1),
+            };
             let rec = Arc::new(StoredSub {
                 sub: sub.clone(),
-                subscriber: Peer {
-                    idx: 0,
-                    key: keys.key(1),
-                },
+                subscriber,
                 expires: SimTime::MAX,
                 sk: KeyRangeSet::of_key(keys, keys.key(2)),
                 trace: TraceId::NONE,
                 subgroups: 0,
             });
             let id = SubId(u64::from(row));
-            self.rows.push(Some(Row { id, rec, member }));
+            self.rows.push(Some(Row {
+                id,
+                subscriber,
+                rec,
+                member,
+            }));
             self.check();
             row
         }
@@ -554,18 +636,63 @@ mod tests {
         }
 
         /// Directory invariants, plus: every live row is where its group's
-        /// member list says, and the engine holds one entry per group.
-        fn check(&self) {
+        /// member list says, the engine holds one entry per group, and the
+        /// slab holds the own bounds of exactly the members narrower than
+        /// their cover — each in a slot of its own, every other slot on the
+        /// free list, and never more slots than such members at their peak.
+        fn check(&mut self) {
             self.table.check_directory();
             assert_eq!(self.engine.len(), self.table.physical_len());
+            let dims = self.space.dims();
+            let empty = BoundsSlab::default();
+            let slab = self.table.bounds.as_deref().unwrap_or(&empty);
+            let mut held: Vec<u32> = Vec::new();
             for (r, row) in self.rows.iter().enumerate() {
                 let Some(row) = row else { continue };
                 let g = self.table.groups[row.member.0 as usize].as_ref().unwrap();
-                let (member, exact) = g.members.as_slice()[row.member.1 as usize];
+                let (member, bounds) = g.members.as_slice()[row.member.1 as usize];
                 assert_eq!(member as usize, r);
-                assert_eq!(exact, row.rec.sub == g.cover);
+                assert_eq!(bounds == EXACT, row.rec.sub == g.cover);
                 assert!(g.cover.covers(&row.rec.sub));
+                if bounds != EXACT {
+                    let own: Vec<(u64, u64)> =
+                        (0..dims).map(|d| range_on(&row.rec.sub, d)).collect();
+                    assert_eq!(slab.ranges[bounds as usize * dims..][..dims], own[..]);
+                    held.push(bounds);
+                }
             }
+            self.peak_narrow = self.peak_narrow.max(held.len());
+            held.extend(&slab.free);
+            held.sort_unstable();
+            let slots = slab.ranges.len() / dims;
+            assert_eq!(held, (0..slots as u32).collect::<Vec<_>>());
+            assert!(
+                slots <= self.peak_narrow,
+                "{slots} slots for {}",
+                self.peak_narrow
+            );
+            assert_eq!(self.table.stats.bounds_slots, slots as u64);
+        }
+
+        /// Holds the expansion of every group to brute force: for `event`,
+        /// the rows whose own shape matches it, ascending.
+        fn check_expansion(&mut self, event: &Event) {
+            let mut hits = Vec::new();
+            self.engine.matches_into(event, &mut hits);
+            let mut out = Vec::new();
+            let before = self.table.stats;
+            self.table.expand_into(&hits, &self.rows, event, &mut out);
+            let rows = self.rows.iter().flatten();
+            let mut expect: Vec<SubId> = rows
+                .filter(|row| row.rec.sub.matches(event))
+                .map(|row| row.id)
+                .collect();
+            expect.sort_unstable();
+            assert_eq!(out.iter().map(|&(id, ..)| id).collect::<Vec<_>>(), expect);
+            let after = self.table.stats;
+            let emitted = after.members_emitted - before.members_emitted;
+            assert_eq!(emitted, expect.len() as u64);
+            assert!(emitted <= after.members_tested - before.members_tested);
         }
     }
 
@@ -576,11 +703,15 @@ mod tests {
     /// there after the wide cover is removed), and the point-heavy cases
     /// file enough unrelated covers under one dimension to re-cut its
     /// runs. Both probes are held to the brute-force scans before every
-    /// insert.
+    /// insert; every fourth, the expansion of a random event is held to
+    /// `Subscription::matches` over the live rows, and after every
+    /// operation the slab to the members' own shapes.
     #[test]
     fn directory_probes_equal_brute_force_scans() {
         let mut rng = Rng::seed_from_u64(0xd12e_c702);
+        let mut events = Rng::seed_from_u64(0xe7e2);
         let mut recut = false;
+        let mut narrow = 0;
         let mut outcomes = CoveringStats::default();
         for case in 0..40 {
             let dims = 1 + case % 5;
@@ -612,7 +743,12 @@ mod tests {
                 }
                 let sub = h.sub(&ranges);
                 live.push(h.insert(&sub));
+                if live.len().is_multiple_of(4) {
+                    let values = (0..dims).map(|_| events.gen_range(0..size));
+                    h.check_expansion(&Event::new_unchecked(values.collect()));
+                }
             }
+            narrow += h.peak_narrow;
             recut |= h.table.dirs.iter().any(|dir| dir.runs.len() > 1);
             let s = h.table.stats;
             assert_eq!(s.duplicate + s.covered + s.absorbed + s.founded, s.inserts);
@@ -626,6 +762,7 @@ mod tests {
             assert_eq!(h.table.physical_len(), 0);
         }
         assert!(recut, "no stream grew a directory past its first run");
+        assert!(narrow > 400, "too few members narrower than their cover");
         let CoveringStats {
             duplicate,
             covered,

@@ -49,6 +49,7 @@
 mod backend;
 mod config;
 mod covering;
+mod dedup;
 mod engine;
 mod error;
 mod event;
@@ -82,7 +83,7 @@ pub use rendezvous::{
 };
 pub use sorted::SortedIndex;
 pub use space::{AttributeDef, EventSpace};
-pub use store::{StoredSub, SubscriptionStore};
+pub use store::{MatchHit, StoredSub, SubscriptionStore};
 pub use subscription::{Constraint, SubId, Subscription, SubscriptionBuilder};
 pub use system::{NodeHandle, PubSubNetwork, PubSubNetworkBuilder};
 

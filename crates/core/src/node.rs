@@ -14,10 +14,11 @@ use cbps_sim::{
 };
 
 use crate::config::{NotifyMode, Primitive, PubSubConfig};
+use crate::dedup::PairSet;
 use crate::event::{Event, EventId};
 use crate::msg::{CollectItem, DeliveredNote, NotifyBatch, NotifyItem, PubSubMsg, PubSubTimer};
 use crate::rendezvous::{assign_group, shift_set, SweepKind, SweepOp};
-use crate::store::{StoredSub, SubscriptionStore};
+use crate::store::{MatchHit, StoredSub, SubscriptionStore};
 use crate::subscription::{IdSet, SubId, Subscription};
 
 /// Bound on the rendezvous-side event dedup window (events can arrive once
@@ -43,7 +44,7 @@ pub struct PubSubNode {
     next_sub_seq: u32,
     next_event_seq: u32,
     delivered: Vec<DeliveredNote>,
-    delivered_dedup: IdSet<(SubId, EventId)>,
+    delivered_dedup: PairSet,
     /// Rendezvous-side event dedup (per-key unicast can deliver the same
     /// event several times to one node).
     seen_events: IdSet<EventId>,
@@ -58,7 +59,7 @@ pub struct PubSubNode {
     flush_armed: bool,
     /// Reused match-result buffer for `handle_publish` (hot path; see
     /// [`SubscriptionStore::match_event_into`]).
-    match_buf: Vec<(SubId, Arc<StoredSub>)>,
+    match_buf: Vec<MatchHit>,
     /// Cumulative rendezvous work (publications processed + matches
     /// produced) — the load signal the adaptive rendezvous control loop
     /// reads. A plain counter: maintaining it never changes behavior.
@@ -84,7 +85,7 @@ impl PubSubNode {
             next_sub_seq: 0,
             next_event_seq: 0,
             delivered: Vec::new(),
-            delivered_dedup: IdSet::default(),
+            delivered_dedup: PairSet::default(),
             seen_events: IdSet::default(),
             seen_order: VecDeque::new(),
             notify_buffer: HashMap::new(),
@@ -442,7 +443,7 @@ impl PubSubNode {
         svc.obs_sample("rendezvous.fanout", matches.len() as u64);
         // The publisher minted one shared allocation for the event: each
         // item clone below is a reference-count bump, not a deep copy.
-        for (sub_id, stored) in matches.drain(..) {
+        for (sub_id, subscriber, row) in matches.drain(..) {
             let item = NotifyItem {
                 sub_id,
                 event_id: id,
@@ -454,7 +455,7 @@ impl PubSubNode {
                     svc.metrics().bump(Counter::NOTIFICATIONS_MESSAGES, 1);
                     svc.stage(trace, Stage::NotifyRoute, TrafficClass::NOTIFICATION);
                     svc.send(
-                        stored.subscriber.key,
+                        subscriber.key,
                         TrafficClass::NOTIFICATION,
                         PubSubMsg::Notification {
                             items: NotifyBatch::One(item),
@@ -463,13 +464,13 @@ impl PubSubNode {
                     );
                 }
                 NotifyMode::Buffered { period } => {
-                    self.notify_buffer
-                        .entry(stored.subscriber)
-                        .or_default()
-                        .push(item);
+                    self.notify_buffer.entry(subscriber).or_default().push(item);
                     self.arm_flush(period, svc);
                 }
                 NotifyMode::Collecting { period } => {
+                    // The one mode that needs more of the record than the
+                    // hit carries: the rendezvous key set.
+                    let stored = Arc::clone(self.store.matched_record(row));
                     self.route_to_agent(item, &stored, svc);
                     self.arm_flush(period, svc);
                 }
@@ -538,7 +539,8 @@ impl PubSubNode {
             batches.sort_unstable_by_key(|(subscriber, _)| subscriber.idx);
             for (subscriber, items) in batches {
                 svc.metrics().bump(Counter::NOTIFICATIONS_MESSAGES, 1);
-                svc.metrics().record(Series::NOTIFICATIONS_BATCH_SIZE, items.len() as u64);
+                svc.metrics()
+                    .record(Series::NOTIFICATIONS_BATCH_SIZE, items.len() as u64);
                 Self::send_notification(subscriber, items, svc);
             }
         }
@@ -662,7 +664,7 @@ impl PubSubNode {
                 svc.metrics().add("notifications.misrouted", 1);
                 continue;
             }
-            if self.delivered_dedup.insert((item.sub_id, item.event_id)) {
+            if self.delivered_dedup.insert(item.sub_id, item.event_id) {
                 svc.metrics().bump(Counter::NOTIFICATIONS_DELIVERED, 1);
                 svc.stage(item.trace, Stage::Deliver, TrafficClass::NOTIFICATION);
                 self.delivered.push(DeliveredNote {
@@ -1063,16 +1065,25 @@ impl OverlayApp for PubSubNode {
     /// starts from — the store's, the delivered log's (the event-dedup
     /// queue sits beside it) and the two dedup sets' — and at the *rows*
     /// stage the tail of the delivered log, where a notification lands.
-    /// The dedup tables are probed by hash, so there is no row to name
-    /// before the message is read.
+    /// A single notification queued for its own subscriber names the slot
+    /// of the delivered-pair table it will probe; the event-dedup set is
+    /// probed by hash, so there is no row to name there.
     #[inline]
-    fn prefetch(&self, stage: PrefetchStage) {
+    fn prefetch(&self, stage: PrefetchStage, queued: Option<(usize, &PubSubMsg)>) {
         match stage {
             PrefetchStage::Node => {
                 prefetch(&self.store);
                 prefetch(&self.delivered);
                 prefetch(&self.delivered_dedup);
                 prefetch(&self.seen_events);
+                if let Some((me, PubSubMsg::Notification { items })) = queued {
+                    match items {
+                        NotifyBatch::One(item) if item.sub_id.node() == me => {
+                            self.delivered_dedup.prefetch(item.sub_id, item.event_id);
+                        }
+                        _ => {}
+                    }
+                }
             }
             PrefetchStage::Rows => {
                 if let Some(last) = self.delivered.last() {

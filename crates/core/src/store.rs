@@ -105,12 +105,18 @@ pub struct SubscriptionStore {
     scratch: Vec<SubId>,
 }
 
+/// A subscription an event matched: its id, whom to notify, and the row
+/// [`SubscriptionStore::matched_record`] finds its record by.
+pub type MatchHit = (SubId, Peer, u32);
+
 /// One stored subscription.
 #[derive(Clone, Debug)]
 pub(crate) struct Row {
     pub(crate) id: SubId,
-    /// A handle to the record the subscriber built: storing and matching
-    /// bump a reference count instead of copying a record.
+    /// The record's subscriber, so that a match reads it off the row.
+    pub(crate) subscriber: Peer,
+    /// A handle to the record the subscriber built: storing bumps a
+    /// reference count instead of copying a record.
     pub(crate) rec: Arc<StoredSub>,
     /// With covering on, the slot of the row's group and the row's
     /// position in that group's member list.
@@ -162,8 +168,9 @@ impl SubscriptionStore {
     }
 
     /// What the covering layer decided for the subscriptions stored so
-    /// far and how much its probes read to decide (all zero with covering
-    /// off). Counters only ever grow; compare two readings.
+    /// far, how much its probes read to decide and what matching read
+    /// (all zero with covering off). Counters only ever grow; compare two
+    /// readings.
     pub fn covering_stats(&self) -> CoveringStats {
         self.covering
             .as_ref()
@@ -242,8 +249,12 @@ impl SubscriptionStore {
                         (0, 0)
                     }
                 };
-                let rec = stored;
-                self.rows[row as usize] = Some(Row { id, rec, member });
+                self.rows[row as usize] = Some(Row {
+                    id,
+                    subscriber: stored.subscriber,
+                    rec: stored,
+                    member,
+                });
                 self.peak = self.peak.max(self.by_id.len());
                 true
             }
@@ -357,30 +368,37 @@ impl SubscriptionStore {
     /// Writes all live subscriptions matched by `event` into `out`
     /// (cleared first), in ascending id order. Purges expired entries
     /// first. Allocation-free at steady state: the id scratch, the engine
-    /// scratch and `out` are all reused, and each hit costs one `Arc` bump
-    /// instead of a record clone. This is the store's single matching
-    /// entry point; the engines'
+    /// scratch and `out` are all reused, and a hit is read off the record
+    /// table without touching a stored record or its reference count. This
+    /// is the store's single matching entry point; the engines'
     /// [`MatchEngine::matches`](crate::MatchEngine::matches) wrapper
     /// exists for tests and examples.
-    pub fn match_event_into(
-        &mut self,
-        event: &Event,
-        now: SimTime,
-        out: &mut Vec<(SubId, Arc<StoredSub>)>,
-    ) {
+    pub fn match_event_into(&mut self, event: &Event, now: SimTime, out: &mut Vec<MatchHit>) {
         out.clear();
         self.purge_expired(now);
         let mut ids = std::mem::take(&mut self.scratch);
         self.engine.matches_into(event, &mut ids);
-        match &self.covering {
+        match &mut self.covering {
             Some(table) => table.expand_into(&ids, &self.rows, event, out),
             None => {
                 for &id in &ids {
-                    out.push((id, Arc::clone(&self.row(self.by_id[&id]).rec)));
+                    let row = self.by_id[&id];
+                    out.push((id, self.row(row).subscriber, row));
                 }
             }
         }
         self.scratch = ids;
+    }
+
+    /// The stored record of a hit of the latest
+    /// [`SubscriptionStore::match_event_into`], by the hit's row (an insert
+    /// or a removal since then may have given the row away; panics if it
+    /// is vacant).
+    pub fn matched_record(&mut self, row: u32) -> &Arc<StoredSub> {
+        if let Some(table) = &mut self.covering {
+            table.stats.records_dereferenced_on_match += 1;
+        }
+        &self.row(row).rec
     }
 }
 
@@ -426,7 +444,7 @@ mod tests {
     fn match_ids(st: &mut SubscriptionStore, e: &Event, now: SimTime) -> Vec<SubId> {
         let mut out = Vec::new();
         st.match_event_into(e, now, &mut out);
-        out.iter().map(|(id, _)| *id).collect()
+        out.iter().map(|&(id, ..)| id).collect()
     }
 
     #[test]

@@ -169,7 +169,7 @@ fn engines_and_covering_match_the_oracle() {
                     let expected = oracle.matching_at(&event, now);
                     for (i, store) in stores.iter_mut().enumerate() {
                         store.match_event_into(&event, now, &mut out);
-                        let got: Vec<SubId> = out.iter().map(|(id, _)| *id).collect();
+                        let got: Vec<SubId> = out.iter().map(|&(id, ..)| id).collect();
                         assert_eq!(
                             got, expected,
                             "case {case}: config {:?} diverged from the oracle at {now:?}",
@@ -276,10 +276,11 @@ fn covering_collapses_wide_streams() {
         SimTime::ZERO,
         &mut out,
     );
-    let hit_ids: Vec<u64> = out.iter().map(|(id, _)| id.0).collect();
+    let hit_ids: Vec<u64> = out.iter().map(|(id, ..)| id.0).collect();
     assert!(hit_ids.contains(&0), "umbrella matches 950");
     // Only nested subs whose range reaches 950 may appear.
-    assert!(out.iter().all(|(id, s)| id.0 == 0 || {
+    assert!(out.iter().all(|&(id, ..)| id.0 == 0 || {
+        let s = store.get(id).expect("hits are stored");
         let c = s.sub.constraint(0).expect("x is constrained");
         c.lo() <= 950 && 950 <= c.hi()
     }));

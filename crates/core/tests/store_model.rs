@@ -1,7 +1,9 @@
 //! Model-based property test of the rendezvous store: a random sequence
 //! of insert / remove / purge / match operations is applied both to the
 //! real [`SubscriptionStore`] and to a naive reference model, and every
-//! observable must agree.
+//! observable must agree — down to what a match hit says about its
+//! subscriber and row, and to what the covering layer's counters admit
+//! the match read.
 //!
 //! Originally a `proptest` suite; now a plain seeded loop over
 //! `cbps-rng` so the workspace tests with zero external crates.
@@ -165,7 +167,7 @@ fn check_against_model(case: usize, engine: MatchEngineKind, covering: bool, ops
                     &mut match_buf,
                 );
                 model.purge(clock);
-                let mut got: Vec<u64> = match_buf.iter().map(|(id, _)| id.0).collect();
+                let mut got: Vec<u64> = match_buf.iter().map(|(id, ..)| id.0).collect();
                 got.sort_unstable();
                 let mut expect: Vec<u64> = model
                     .live
@@ -189,7 +191,8 @@ fn check_against_model(case: usize, engine: MatchEngineKind, covering: bool, ops
 
 /// What the model keeps per live id in [`record_table_churn`]: the range,
 /// the expiry in seconds (`u64::MAX` = never) and a tag carried in
-/// `StoredSub::subgroups`, which tells which record the store holds.
+/// `StoredSub::subgroups` and as the subscriber's index, which tells which
+/// record the store holds and whom its row says to notify.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Held {
     lo: u64,
@@ -207,7 +210,7 @@ fn record(space: &EventSpace, held: Held) -> StoredSub {
             .build()
             .unwrap(),
         subscriber: Peer {
-            idx: 0,
+            idx: held.tag as usize,
             key: keys.key(1),
         },
         expires: match held.expires {
@@ -226,7 +229,10 @@ fn record(space: &EventSpace, held: Held) -> StoredSub {
 /// and matches, with ids drawn from a pool small enough that rows and ids
 /// are recycled all the time. After every operation the store must agree
 /// with a `BTreeMap` on `len`, `peak`, `get`, `iter` and — when asked —
-/// the match set; `physical_len` may never exceed `len`.
+/// the match set, each hit naming the subscriber and the row of the record
+/// the model holds; `physical_len` may never exceed `len`. The covering
+/// counters must own up to exactly the records the test asked for by row,
+/// and the slab of re-verification bounds may never outgrow the peak.
 #[test]
 fn record_table_churn() {
     let space = EventSpace::new(vec![AttributeDef::new("x", 1000)]);
@@ -244,6 +250,7 @@ fn record_table_churn() {
             let mut clock = 0u64;
             let mut next_tag = 1u64;
             let mut matched = Vec::new();
+            let mut asked = 0;
             let mut arms = [0usize; 3];
             for step in 0..400 {
                 let ctx = format!("case {case} {engine:?} covering {covering} step {step}");
@@ -314,15 +321,19 @@ fn record_table_churn() {
                         model.retain(|_, h| h.expires > clock);
                         let v = rng.gen_range(0u64..1000);
                         store.match_event_into(&Event::new_unchecked(vec![v]), now, &mut matched);
-                        let got: Vec<u64> = matched.iter().map(|(id, _)| id.0).collect();
+                        let got: Vec<u64> = matched.iter().map(|(id, ..)| id.0).collect();
                         let held = model.iter();
                         let expect: Vec<u64> = held
                             .filter(|(_, h)| h.lo <= v && v <= h.hi)
                             .map(|(&id, _)| id)
                             .collect();
                         assert_eq!(got, expect, "{ctx}: match at {v}");
-                        for (id, rec) in &matched {
-                            assert_eq!(rec.subgroups, model[&id.0].tag, "{ctx}: handle of {id}");
+                        for &(id, subscriber, row) in &matched {
+                            let tag = model[&id.0].tag;
+                            assert_eq!(subscriber.idx as u64, tag, "{ctx}: subscriber of {id}");
+                            let rec = store.matched_record(row);
+                            assert_eq!(rec.subgroups, tag, "{ctx}: handle of {id}");
+                            asked += 1;
                         }
                     }
                 }
@@ -360,7 +371,189 @@ fn record_table_churn() {
                 }
             }
             assert!(arms.iter().all(|&n| n > 5), "refresh arms taken: {arms:?}");
+            let stats = store.covering_stats();
+            assert!(stats.members_emitted <= stats.members_tested);
+            assert!(stats.bounds_slots <= peak as u64, "{stats:?}");
+            if covering {
+                assert_eq!(stats.records_dereferenced_on_match, asked);
+                assert!(stats.members_emitted > 0 && stats.bounds_slots > 0);
+            } else {
+                assert_eq!(stats, Default::default());
+            }
         }
+    }
+}
+
+/// Matching against brute force over several dimensions: two to four
+/// attributes with wildcards, domains small enough that duplicates,
+/// nesting and covers widened over their members are the rule, and leases
+/// that lapse and are renewed. `match_event_into` must name exactly the
+/// live subscriptions whose own shape `Subscription::matches` the event —
+/// a member filed under a wider cover is never vouched for by the cover —
+/// in ascending id order and with each one's subscriber, under both
+/// engines and with covering off.
+#[test]
+fn expansion_equals_brute_force_over_live_subscriptions() {
+    let mut rng = Rng::seed_from_u64(0x51ab_b0d5);
+    let keys = KeySpace::new(8);
+    let mut widened = 0;
+    for case in 0..36 {
+        let dims = 2 + case % 3;
+        let size = [6u64, 12, 40][case % 3];
+        let attrs = (0..dims).map(|d| AttributeDef::new(format!("a{d}"), size));
+        let space = EventSpace::new(attrs.collect());
+        let mut stores: Vec<SubscriptionStore> = [
+            (MatchEngineKind::Counting, true),
+            (MatchEngineKind::Sorted, true),
+            (MatchEngineKind::Counting, false),
+        ]
+        .map(|(engine, covering)| SubscriptionStore::with_options(&space, engine, covering))
+        .into();
+        // id → (shape, expiry in seconds, subscriber index)
+        let mut model: std::collections::BTreeMap<u64, (Subscription, u64, usize)> =
+            Default::default();
+        let mut peak = 0;
+        let mut clock = 0u64;
+        let mut matched = Vec::new();
+        for step in 0..500 {
+            let ctx = format!("case {case} step {step}");
+            clock += rng.gen_range(0u64..3);
+            let now = SimTime::from_secs(clock);
+            let id = rng.gen_range(0u64..40);
+            match rng.gen_range(0u32..10) {
+                0..=4 => {
+                    model.retain(|_, h| h.1 > clock);
+                    let expires = match rng.gen_range(0u32..3) {
+                        0 => u64::MAX,
+                        _ => clock + rng.gen_range(1u64..80),
+                    };
+                    // A stored id keeps its shape: the insert renews it.
+                    let (sub, subscriber) = match model.get(&id) {
+                        Some(held) => (held.0.clone(), held.2),
+                        None => {
+                            let mut b = Subscription::builder(&space);
+                            for d in 0..dims {
+                                if d > 0 && rng.gen_bool(0.4) {
+                                    continue;
+                                }
+                                let lo = rng.gen_range(0..size);
+                                let hi = match rng.gen_range(0u32..3) {
+                                    0 => lo,
+                                    _ => rng.gen_range(lo..size),
+                                };
+                                b = b.range(&format!("a{d}"), lo, hi).unwrap();
+                            }
+                            (b.build().unwrap(), step)
+                        }
+                    };
+                    for store in &mut stores {
+                        let rec = StoredSub {
+                            sub: sub.clone(),
+                            subscriber: Peer {
+                                idx: subscriber,
+                                key: keys.key(1),
+                            },
+                            expires: match expires {
+                                u64::MAX => SimTime::MAX,
+                                secs => SimTime::from_secs(secs),
+                            },
+                            sk: KeyRangeSet::of_key(keys, keys.key(2)),
+                            trace: TraceId::NONE,
+                            subgroups: 0,
+                        };
+                        assert_eq!(store.insert(SubId(id), rec, now), !model.contains_key(&id));
+                    }
+                    model.insert(id, (sub, expires, subscriber));
+                    peak = peak.max(model.len());
+                }
+                5 | 6 => {
+                    let held = model.remove(&id).is_some();
+                    for store in &mut stores {
+                        assert_eq!(store.remove(SubId(id)).is_some(), held, "{ctx}");
+                    }
+                }
+                _ => {
+                    model.retain(|_, h| h.1 > clock);
+                    let values = (0..dims).map(|_| rng.gen_range(0..size));
+                    let event = Event::new_unchecked(values.collect());
+                    let live = model.iter();
+                    let expect: Vec<(u64, usize)> = live
+                        .filter(|(_, held)| held.0.matches(&event))
+                        .map(|(&id, held)| (id, held.2))
+                        .collect();
+                    for store in &mut stores {
+                        store.match_event_into(&event, now, &mut matched);
+                        let hits = matched.iter();
+                        let got: Vec<(u64, usize)> =
+                            hits.map(|(id, to, _)| (id.0, to.idx)).collect();
+                        assert_eq!(got, expect, "{ctx}: {event:?}");
+                        let stats = store.covering_stats();
+                        assert!(stats.members_emitted <= stats.members_tested, "{ctx}");
+                        assert!(stats.bounds_slots <= peak as u64, "{ctx}: {stats:?}");
+                        assert_eq!(stats.records_dereferenced_on_match, 0);
+                    }
+                }
+            }
+        }
+        widened += stores[0].covering_stats().absorbed;
+    }
+    assert!(
+        widened > 100,
+        "only {widened} covers were widened over their members"
+    );
+}
+
+/// A member equal to its cover is emitted on the cover's word — until a
+/// broader subscription takes the group over. From then on it is verified
+/// against the bounds that were the cover's, twice over if the group is
+/// widened again, and its slab slot goes to the next narrow member once
+/// it leaves.
+#[test]
+fn member_of_a_widened_group_answers_for_its_own_bounds() {
+    let space = EventSpace::new(vec![AttributeDef::new("x", 1000)]);
+    let held = |lo, hi| Held {
+        lo,
+        hi,
+        expires: u64::MAX,
+        tag: 0,
+    };
+    for engine in [MatchEngineKind::Counting, MatchEngineKind::Sorted] {
+        let mut store = SubscriptionStore::with_options(&space, engine, true);
+        let mut out = Vec::new();
+        let mut ids = |store: &mut SubscriptionStore, v| {
+            store.match_event_into(&Event::new_unchecked(vec![v]), SimTime::ZERO, &mut out);
+            out.iter().map(|(id, ..)| id.0).collect::<Vec<_>>()
+        };
+        store.insert(SubId(1), record(&space, held(50, 60)), SimTime::ZERO);
+        store.insert(SubId(2), record(&space, held(50, 60)), SimTime::ZERO);
+        assert_eq!(
+            store.covering_stats().bounds_slots,
+            0,
+            "both equal the cover"
+        );
+        store.insert(SubId(3), record(&space, held(40, 80)), SimTime::ZERO);
+        store.insert(SubId(4), record(&space, held(30, 90)), SimTime::ZERO);
+        assert_eq!(store.physical_len(), 1);
+        assert_eq!(store.covering_stats().absorbed, 2);
+        assert_eq!(store.covering_stats().bounds_slots, 3, "1, 2 and then 3");
+        assert_eq!(ids(&mut store, 55), [1, 2, 3, 4]);
+        assert_eq!(ids(&mut store, 70), [3, 4]);
+        assert_eq!(ids(&mut store, 85), [4]);
+        assert_eq!(ids(&mut store, 95), [0u64; 0]);
+        // The cover's own subscription leaves: the group stays as wide.
+        assert!(store.remove(SubId(4)).is_some());
+        assert_eq!(ids(&mut store, 85), [0u64; 0]);
+        assert_eq!(ids(&mut store, 45), [3]);
+        assert!(store.remove(SubId(1)).is_some());
+        store.insert(SubId(5), record(&space, held(52, 58)), SimTime::ZERO);
+        assert_eq!(
+            store.covering_stats().bounds_slots,
+            3,
+            "5 took over 1's slot"
+        );
+        assert_eq!(ids(&mut store, 59), [2, 3]);
+        assert_eq!(ids(&mut store, 55), [2, 3, 5]);
+        assert_eq!(store.covering_stats().records_dereferenced_on_match, 0);
     }
 }
 

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use cbps_rng::Rng;
-use cbps_sim::{Context, PrefetchStage, SimDuration, SimTime, TraceId, TrafficClass};
+use cbps_sim::{Context, NodeIdx, PrefetchStage, SimDuration, SimTime, TraceId, TrafficClass};
 
 use crate::key::{Key, KeySpace};
 use crate::msg::{Envelope, OverlayMsg};
@@ -103,9 +103,11 @@ pub trait OverlayApp: Sized {
 
     /// The overlay node's [`cbps_sim::Node::prefetch`] forwarded to the
     /// application: hint the lines the next upcall will read, nothing else.
+    /// `queued` is this node's index and the payload of a unicast just
+    /// queued for it — which it may deliver or pass on.
     #[inline]
-    fn prefetch(&self, stage: PrefetchStage) {
-        let _ = stage;
+    fn prefetch(&self, stage: PrefetchStage, queued: Option<(NodeIdx, &Self::Payload)>) {
+        let _ = (stage, queued);
     }
 }
 

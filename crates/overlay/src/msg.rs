@@ -170,6 +170,14 @@ impl<P> OverlayMsg<P> {
         }
     }
 
+    /// The application payload, if this is a key-routed unicast.
+    pub fn unicast_payload(&self) -> Option<&P> {
+        match self {
+            OverlayMsg::Unicast { payload, .. } => Some(payload),
+            _ => None,
+        }
+    }
+
     /// The causal trace this message carries ([`TraceId::NONE`] for
     /// maintenance and direct messages, whose items carry their own).
     pub fn trace(&self) -> TraceId {

@@ -614,9 +614,10 @@ impl<A: OverlayApp> Node for ChordNode<A> {
     }
 
     #[inline]
-    fn prefetch(&self, stage: PrefetchStage) {
+    fn prefetch(&self, stage: PrefetchStage, queued: Option<(NodeIdx, &Self::Msg)>) {
         self.state.prefetch(stage);
-        self.app.prefetch(stage);
+        let queued = queued.and_then(|(me, msg)| Some((me, msg.body.unicast_payload()?)));
+        self.app.prefetch(stage, queued);
     }
 
     fn on_timer(&mut self, timer: Self::Timer, ctx: &mut Context<'_, Self::Msg, Self::Timer>) {

@@ -73,7 +73,8 @@ pub fn handle_unicast<S: RouteTable, A: OverlayApp>(
     }
     match state.next_hop(key) {
         None => {
-            ctx.metrics().record(Series::dilation(class), u64::from(hops));
+            ctx.metrics()
+                .record(Series::dilation(class), u64::from(hops));
             let delivery = Delivery {
                 targets_here: KeyRangeSet::of_key(state.space(), key),
                 class,
@@ -141,7 +142,8 @@ pub fn handle_mcast<S: RouteTable, A: OverlayApp>(
         );
     }
     if !local.is_empty() {
-        ctx.metrics().record(Series::dilation(class), u64::from(hops));
+        ctx.metrics()
+            .record(Series::dilation(class), u64::from(hops));
         let delivery = Delivery {
             targets_here: local,
             class,
@@ -208,7 +210,8 @@ pub fn handle_walk<S: RouteTable, A: OverlayApp>(
         None
     };
     let deliver = |state: &mut S, app: &mut A, payload: A::Payload, ctx: &mut RoutedCtx<'_, A>| {
-        ctx.metrics().record(Series::dilation(class), u64::from(hops));
+        ctx.metrics()
+            .record(Series::dilation(class), u64::from(hops));
         let delivery = Delivery {
             targets_here: local.clone(),
             class,

@@ -576,7 +576,7 @@ mod tests {
     #[test]
     fn dense_and_spilled_counts_read_as_one_ordered_map() {
         use cbps_rng::Rng;
-        let mut rng = Rng::seed_from_u64(0x63_64);
+        let mut rng = Rng::seed_from_u64(0x6364);
         let mut merged = Histogram::new();
         let mut merged_model: BTreeMap<u64, u64> = BTreeMap::new();
         for round in 0..40 {
@@ -713,7 +713,10 @@ mod tests {
                 let h = m.histogram(name).expect("recorded");
                 assert_eq!(h.iter().collect::<Vec<_>>(), [(i as u64, 1), (100, 1)]);
             }
-            assert_eq!(Series::dilation(TrafficClass(6)), Series::dilation(TrafficClass::OTHER));
+            assert_eq!(
+                Series::dilation(TrafficClass(6)),
+                Series::dilation(TrafficClass::OTHER)
+            );
             for class in classes {
                 let name = Series::NAMES[Series::dilation(class).0];
                 assert_eq!(name, format!("dilation.{}", class.name()));

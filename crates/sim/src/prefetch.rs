@@ -10,7 +10,9 @@
 //! defaulted [`Node::prefetch`](crate::Node::prefetch) hook:
 //!
 //! * [`PrefetchStage::Node`] when a message to the node is queued — the
-//!   lines of the node value itself, one simulated network delay early;
+//!   lines of the node value itself, one simulated network delay early,
+//!   and, the message being in hand, any line whose address depends on
+//!   what it carries (the subscriber's dedup slot for a notification);
 //! * [`PrefetchStage::Rows`] when an event for the node has just left the
 //!   queue — what those lines point to, all at once instead of one miss
 //!   behind the other.
@@ -35,7 +37,8 @@ pub enum PrefetchStage {
     /// A message to this node has just been queued: ask for the lines of
     /// the node value a handler reads first. Only fields at fixed offsets
     /// — following a pointer here would be the miss the hint is meant to
-    /// hide.
+    /// hide — unless the queued message says which single row its handler
+    /// will probe: that load is issued once and nothing waits on it.
     Node,
     /// An event for this node has just been taken off the queue and its
     /// upcall follows: ask for what the node's lines point to.
@@ -46,11 +49,12 @@ pub enum PrefetchStage {
 const LINE: usize = 64;
 
 /// Issues the hint for the line holding `at` (all cache levels). Empty on
-/// targets other than x86_64.
+/// targets other than x86_64, and under `--cfg cbps_no_prefetch`: the
+/// build `ci.sh` proves hint-neutrality with (`tests/hint_neutrality.rs`).
 #[inline(always)]
 #[allow(unsafe_code)]
 fn hint(at: *const u8) {
-    #[cfg(target_arch = "x86_64")]
+    #[cfg(all(target_arch = "x86_64", not(cbps_no_prefetch)))]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         // SAFETY: `prefetcht0` is a hint. It reads nothing architecturally
@@ -59,7 +63,7 @@ fn hint(at: *const u8) {
         // instruction exists wherever this block is compiled.
         unsafe { _mm_prefetch::<_MM_HINT_T0>(at.cast::<i8>()) }
     }
-    #[cfg(not(target_arch = "x86_64"))]
+    #[cfg(not(all(target_arch = "x86_64", not(cbps_no_prefetch))))]
     let _ = at;
 }
 

@@ -60,13 +60,17 @@ pub trait Node {
 
     /// Asks for the cache lines the next upcall on this node will read
     /// (see [`crate::prefetch`]). The event loop calls it with
-    /// [`PrefetchStage::Node`] when it queues a message to this node and
-    /// with [`PrefetchStage::Rows`] when it has taken an event for this
-    /// node off the queue, crashed or not. Implementations issue hints
-    /// only; nothing simulated may depend on a call. Default: nothing.
+    /// [`PrefetchStage::Node`] when it queues a message to this node —
+    /// `queued` is then that message and this node's index, so that a
+    /// line whose address depends on what the message says can be asked
+    /// for a network delay before the handler reads it — and with
+    /// [`PrefetchStage::Rows`] and no message when it has taken an event
+    /// for this node off the queue, crashed or not. Implementations issue
+    /// hints only; nothing simulated may depend on a call. Default:
+    /// nothing.
     #[inline]
-    fn prefetch(&self, stage: PrefetchStage) {
-        let _ = stage;
+    fn prefetch(&self, stage: PrefetchStage, queued: Option<(NodeIdx, &Self::Msg)>) {
+        let _ = (stage, queued);
     }
 }
 
@@ -570,7 +574,7 @@ impl<N: Node> Simulator<N> {
         // `get`: an index that does not exist fails below, where it
         // always has.
         if let Some(node) = self.nodes.get(*node) {
-            node.prefetch(PrefetchStage::Rows);
+            node.prefetch(PrefetchStage::Rows, None);
         }
         let time = key_time(key);
         debug_assert!(time >= self.time, "event queue went backwards");
@@ -700,7 +704,7 @@ impl<N: Node> Simulator<N> {
                         continue;
                     }
                     if let Some(node) = self.nodes.get(to) {
-                        node.prefetch(PrefetchStage::Node);
+                        node.prefetch(PrefetchStage::Node, Some((to, &msg)));
                     }
                     let delay = self.config.delay.sample(&mut self.rng);
                     self.push_event(

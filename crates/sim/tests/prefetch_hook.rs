@@ -2,10 +2,11 @@
 //! and that calling it changes nothing.
 //!
 //! One [`PrefetchStage::Node`] call on the destination per `Send` that is
-//! queued — none for a message the loss draw dropped, none for a local
-//! hand-back or a timer — and one [`PrefetchStage::Rows`] call per popped
-//! event of any kind on the node the event is for, alive or crashed, under
-//! both schedulers. A hook can only hint, so a run whose nodes count their
+//! queued, carrying that message and the destination's index — none for a
+//! message the loss draw dropped, none for a local hand-back or a timer —
+//! and one [`PrefetchStage::Rows`] call, carrying nothing, per popped event
+//! of any kind on the node the event is for, alive or crashed, under both
+//! schedulers. A hook can only hint, so a run whose nodes count their
 //! calls must record the same history as one whose nodes keep the default.
 
 mod storm;
@@ -37,22 +38,31 @@ struct Probe {
 #[derive(Default)]
 struct Counter {
     n: usize,
+    me: NodeIdx,
     node_calls: Cell<u64>,
     rows_calls: Cell<u64>,
+    /// Sum of the `ttl + 1` of the messages the node-stage calls carried.
+    hinted: Cell<u64>,
     /// `on_message` + `on_timer` upcalls: the events popped for this node
     /// while it was alive.
     upcalls: u64,
-    /// Messages received that were queued by a `Send`.
+    /// Messages received that were queued by a `Send`, and the sum of
+    /// their `ttl + 1`.
     net_received: u64,
-    /// Per destination: sends of ours that were queued and then refused.
+    net_received_sum: u64,
+    /// Per destination: sends of ours that were queued and then refused,
+    /// and the sum of their `ttl + 1`.
     refused_by: Vec<u64>,
+    refused_sum_by: Vec<u64>,
 }
 
 impl Counter {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, me: NodeIdx) -> Self {
         Counter {
             n,
+            me,
             refused_by: vec![0; n],
+            refused_sum_by: vec![0; n],
             ..Counter::default()
         }
     }
@@ -64,7 +74,10 @@ impl Node for Counter {
 
     fn on_message(&mut self, _from: NodeIdx, msg: Probe, ctx: &mut Context<'_, Probe, u8>) {
         self.upcalls += 1;
-        self.net_received += u64::from(msg.via == Via::Net);
+        if msg.via == Via::Net {
+            self.net_received += 1;
+            self.net_received_sum += u64::from(msg.ttl) + 1;
+        }
         let Some(ttl) = msg.ttl.checked_sub(1) else {
             return;
         };
@@ -103,14 +116,24 @@ impl Node for Counter {
         }
     }
 
-    fn on_send_failed(&mut self, to: NodeIdx, _msg: Probe, _ctx: &mut Context<'_, Probe, u8>) {
+    fn on_send_failed(&mut self, to: NodeIdx, msg: Probe, _ctx: &mut Context<'_, Probe, u8>) {
         self.refused_by[to] += 1;
+        self.refused_sum_by[to] += u64::from(msg.ttl) + 1;
     }
 
-    fn prefetch(&self, stage: PrefetchStage) {
+    fn prefetch(&self, stage: PrefetchStage, queued: Option<(NodeIdx, &Probe)>) {
         let calls = match stage {
-            PrefetchStage::Node => &self.node_calls,
-            PrefetchStage::Rows => &self.rows_calls,
+            PrefetchStage::Node => {
+                let (me, msg) = queued.expect("a node-stage call carries the queued message");
+                assert_eq!(me, self.me, "and the index of the node it is queued for");
+                assert_eq!(msg.via, Via::Net, "only a `Send` is announced");
+                self.hinted.set(self.hinted.get() + u64::from(msg.ttl) + 1);
+                &self.node_calls
+            }
+            PrefetchStage::Rows => {
+                assert!(queued.is_none(), "a rows-stage call carries nothing");
+                &self.rows_calls
+            }
         };
         calls.set(calls.get() + 1);
     }
@@ -126,8 +149,8 @@ fn one_node_call_per_queued_send_and_one_rows_call_per_popped_event() {
                 .with_scheduler(kind)
                 .with_loss_probability(loss);
             let mut sim: Simulator<Counter> = Simulator::new(cfg);
-            for _ in 0..N {
-                sim.add_node(Counter::new(N));
+            for me in 0..N {
+                sim.add_node(Counter::new(N, me));
             }
             for i in 0..200 {
                 let via = Via::Inject;
@@ -155,6 +178,14 @@ fn one_node_call_per_queued_send_and_one_rows_call_per_popped_event() {
                     node.node_calls.get(),
                     node.net_received + refused,
                     "{ctx}: node calls on {i}"
+                );
+                // … each carrying the message that then arrived or was
+                // refused, not some other.
+                let refused_sum: u64 = nodes.iter().map(|s| s.refused_sum_by[i]).sum();
+                assert_eq!(
+                    node.hinted.get(),
+                    node.net_received_sum + refused_sum,
+                    "{ctx}: messages carried to {i}"
                 );
                 queued += node.net_received + refused;
                 if i == CRASHED {
@@ -185,7 +216,7 @@ fn one_node_call_per_queued_send_and_one_rows_call_per_popped_event() {
 #[should_panic(expected = "index out of bounds")]
 fn send_to_a_missing_node_still_fails_at_delivery() {
     let mut sim: Simulator<Counter> = Simulator::new(NetConfig::new(0));
-    let a = sim.add_node(Counter::new(1));
+    let a = sim.add_node(Counter::new(1, 0));
     let via = Via::Net;
     sim.with_node(a, |_, ctx| {
         ctx.send(7, TrafficClass::OTHER, Probe { via, ttl: 0 })
@@ -229,7 +260,7 @@ impl Node for CountingStorm {
         self.inner.on_send_failed(to, msg, ctx);
     }
 
-    fn prefetch(&self, _stage: PrefetchStage) {
+    fn prefetch(&self, _stage: PrefetchStage, _queued: Option<(NodeIdx, &Ping)>) {
         self.calls.set(self.calls.get() + 1);
     }
 }
