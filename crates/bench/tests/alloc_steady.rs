@@ -20,6 +20,10 @@ mod counting_alloc;
 use counting_alloc::{alloc_calls, CountingAlloc};
 
 use cbps_bench::runner::{self, paper_workload, run_trace, workload_gen, Deployment};
+use cbps_overlay::{
+    build_routing_states, KeyRange, KeyRangeSet, KeySpace, OverlayConfig, Peer, RingView,
+};
+use cbps_pastry::{PastryConfig, PastryState};
 use cbps_sim::{PoolMode, SimDuration};
 
 #[global_allocator]
@@ -74,5 +78,58 @@ fn steady_state_routed_events_do_not_allocate() {
     assert_eq!(
         allocs, 0,
         "steady-state window performed {allocs} heap allocations over {processed} events"
+    );
+    splits_do_not_allocate();
+}
+
+/// The m-cast split by itself, on both substrates: the cut list is the
+/// thread's pooled buffer however many neighbors a node knows — a Chord
+/// node of this ring about 14, a Pastry node its 16 leaves and a dozen
+/// table rows, more than any in-place list the split ever had — and the
+/// bundles are pooled too, so after one warming round no split allocates.
+fn splits_do_not_allocate() {
+    let space = KeySpace::new(40);
+    let peers: Vec<Peer> = (0..3_000u64)
+        .map(|idx| Peer {
+            idx: idx as usize,
+            key: space.key(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(idx + 1) >> 24),
+        })
+        .collect();
+    let ring = RingView::new(space, peers.clone());
+    let chord = build_routing_states(&OverlayConfig::paper_default().with_space(space), &ring);
+    let pastry_cfg = PastryConfig::paper_default()
+        .with_space(space)
+        .with_leaf_len(8);
+    let pastry: Vec<PastryState> = peers[..64]
+        .iter()
+        .map(|&me| PastryState::converged(pastry_cfg, me, &ring))
+        .collect();
+    let neighbors =
+        |st: &PastryState| 2 * pastry_cfg.leaf_len + st.table().iter().flatten().count();
+    assert!(pastry.iter().all(|st| neighbors(st) > 24));
+    let targets = [
+        KeyRangeSet::full(space),
+        KeyRangeSet::of_range(space, KeyRange::new(peers[7].key, peers[1].key)),
+        KeyRangeSet::of_key(space, peers[2].key),
+    ];
+    let round = || {
+        let mut relays = 0;
+        for targets in &targets {
+            for st in &chord[..64] {
+                relays += st.mcast_split(targets).1.len();
+            }
+            for st in &pastry {
+                relays += st.mcast_split(targets).1.len();
+            }
+        }
+        relays
+    };
+    let warmed = round();
+    let before = alloc_calls();
+    assert_eq!(round(), warmed);
+    assert_eq!(
+        alloc_calls() - before,
+        0,
+        "heap allocations in {warmed} relays' splits"
     );
 }

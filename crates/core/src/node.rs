@@ -35,8 +35,10 @@ pub type DynSvc<'x> = dyn OverlayServices<PubSubMsg, PubSubTimer> + 'x;
 #[derive(Debug)]
 pub struct PubSubNode {
     cfg: Arc<PubSubConfig>,
-    /// Rendezvous role: primary stored subscriptions.
-    store: SubscriptionStore,
+    /// Rendezvous role: primary stored subscriptions. Boxed: more than
+    /// half of this value's bytes and idle at every relay, so it stays out
+    /// of the node array a routed hop strides over.
+    store: Box<SubscriptionStore>,
     /// Passive replicas held for ring predecessors (activated on failure).
     replicas: HashMap<SubId, Arc<StoredSub>>,
     /// Subscriber role: subscriptions this node issued.
@@ -79,7 +81,7 @@ impl PubSubNode {
         let store = SubscriptionStore::with_options(&cfg.space, engine, cfg.covering);
         PubSubNode {
             cfg,
-            store,
+            store: Box::new(store),
             replicas: HashMap::new(),
             my_subs: HashMap::new(),
             next_sub_seq: 0,
@@ -1062,9 +1064,10 @@ impl OverlayApp for PubSubNode {
 
     /// Hints the lines the next delivery reads here (see
     /// [`cbps_sim::prefetch`]): at the *node* stage the headers a handler
-    /// starts from — the store's, the delivered log's (the event-dedup
-    /// queue sits beside it) and the two dedup sets' — and at the *rows*
-    /// stage the tail of the delivered log, where a notification lands.
+    /// starts from — the delivered log's (the event-dedup queue sits
+    /// beside it) and the two dedup sets' — and at the *rows* stage what
+    /// this value points to: the store's header and the tail of the
+    /// delivered log, where a notification lands.
     /// A single notification queued for its own subscriber names the slot
     /// of the delivered-pair table it will probe; the event-dedup set is
     /// probed by hash, so there is no row to name there.
@@ -1072,7 +1075,6 @@ impl OverlayApp for PubSubNode {
     fn prefetch(&self, stage: PrefetchStage, queued: Option<(usize, &PubSubMsg)>) {
         match stage {
             PrefetchStage::Node => {
-                prefetch(&self.store);
                 prefetch(&self.delivered);
                 prefetch(&self.delivered_dedup);
                 prefetch(&self.seen_events);
@@ -1086,6 +1088,7 @@ impl OverlayApp for PubSubNode {
                 }
             }
             PrefetchStage::Rows => {
+                prefetch::<SubscriptionStore>(&self.store);
                 if let Some(last) = self.delivered.last() {
                     prefetch(last);
                 }

@@ -104,9 +104,22 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    let mut out = Vec::with_capacity(n);
+    build_indexed_into(n, build_one, |built| out.push(built));
+    out
+}
+
+/// [`build_indexed`] handing each result to `sink`, in index order, instead
+/// of collecting them: with one job a value goes from its builder straight
+/// to where it will live, and no second array of them is ever resident.
+fn build_indexed_into<T, F>(n: usize, build_one: F, mut sink: impl FnMut(T))
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
     let jobs = build_jobs().min(n).max(1);
     if jobs == 1 {
-        return (0..n).map(build_one).collect();
+        return (0..n).map(build_one).for_each(sink);
     }
     let chunk = n.div_ceil(jobs);
     let mut parts: Vec<Vec<T>> = Vec::with_capacity(jobs);
@@ -123,11 +136,7 @@ where
             parts.push(h.join().expect("builder worker panicked"));
         }
     });
-    let mut out = Vec::with_capacity(n);
-    for part in parts {
-        out.extend(part);
-    }
-    out
+    parts.into_iter().flatten().for_each(&mut sink);
 }
 
 /// Converged routing state for every node of `ring`, in node-index order.
@@ -135,6 +144,15 @@ where
 /// [`RingView::finger_grid`], so the whole pass is O(n·m) with no per-node
 /// ring queries; construction fans out over [`build_jobs`] workers.
 pub fn build_routing_states(cfg: &OverlayConfig, ring: &RingView) -> Vec<RoutingState> {
+    build_indexed(ring.len(), converged_state_of(cfg, ring))
+}
+
+/// The per-node builder behind [`build_routing_states`]: node index in,
+/// converged state out.
+fn converged_state_of<'a>(
+    cfg: &'a OverlayConfig,
+    ring: &'a RingView,
+) -> impl Fn(usize) -> RoutingState + Sync + 'a {
     let sorted = ring.peers();
     let n = sorted.len();
     let bits = cfg.space.bits() as usize;
@@ -150,22 +168,22 @@ pub fn build_routing_states(cfg: &OverlayConfig, ring: &RingView) -> Vec<Routing
         peer_of_idx[p.idx] = *p;
         pos_of_idx[p.idx] = pos as u32;
     }
-    if n == 1 {
-        return vec![RoutingState::new(*cfg, peer_of_idx[0])];
-    }
     let grid = ring.finger_grid();
     let succ_count = cfg.succ_list_len.min(n - 1);
-    build_indexed(n, |idx| {
+    move |idx| {
         let me = peer_of_idx[idx];
         let pos = pos_of_idx[idx] as usize;
         let mut state = RoutingState::new(*cfg, me);
+        if n == 1 {
+            return state;
+        }
         state.set_predecessor(Some(sorted[(pos + n - 1) % n]));
         state.set_successor_slice((1..=succ_count).map(|k| sorted[(pos + k) % n]));
         for i in 0..bits {
             state.set_finger(i, sorted[grid.get(pos, i)]);
         }
         state
-    })
+    }
 }
 
 /// Builds a converged ring of `apps.len()` nodes and returns the simulator
@@ -192,13 +210,13 @@ pub fn build_stable<A: OverlayApp>(
         .collect();
     let ring = RingView::new(cfg.space, peers);
 
-    let states = build_routing_states(&cfg, &ring);
     let mut sim = Simulator::new(net);
     sim.reserve_nodes(n);
-    for (idx, (state, app)) in states.into_iter().zip(apps).enumerate() {
-        let added = sim.add_node(ChordNode::new(state, app));
-        debug_assert_eq!(added, idx);
-    }
+    let mut apps = apps.into_iter();
+    build_indexed_into(n, converged_state_of(&cfg, &ring), |state| {
+        let app = apps.next().expect("one state per app");
+        sim.add_node(ChordNode::new(state, app));
+    });
 
     if cfg.maintenance {
         for idx in 0..n {

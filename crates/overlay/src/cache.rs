@@ -7,21 +7,27 @@
 //! entries alongside the finger table when picking the closest preceding
 //! hop.
 //!
-//! The cache is three parallel arrays sorted by key. Every routed
-//! message probes it two or three times (`learn(sender)`, `learn(src)`,
+//! The cache is two parallel arrays sorted by key: the keys, and one word
+//! per entry holding `stamp << 32 | address`. Every routed message probes
+//! it two or three times (`learn(sender)`, `learn(src)`,
 //! `closest_preceding`), so the probes are binary searches over one
-//! contiguous key array — 2 KB at the default 256 entries — and the
-//! closest preceding node is simply the ring predecessor of the target.
-//! Inserting and evicting shift the tails of the arrays; the LRU victim is
-//! found by scanning the contiguous stamps. Storage grows with the entries
-//! actually learned: most nodes of a large ring hear from a handful of
-//! peers, and a table sized for the bound on every one of them would
-//! dominate the deployment's memory.
+//! contiguous key array and the closest preceding node is simply the ring
+//! predecessor of the target. Inserting and evicting shift the tails of
+//! the arrays; the LRU victim is the minimum of the contiguous words. The
+//! first [`INLINE_ENTRIES`] entries live in the cache value itself — most
+//! nodes of a large ring hear from a handful of peers, and the routing
+//! state that holds the cache is hinted whole one network delay ahead of
+//! the probe — and a cache that learns more spills to the heap, where it
+//! grows with the entries learned and never past the bound.
 
-use cbps_sim::prefetch::{prefetch_at, prefetch_span};
+use cbps_sim::prefetch::prefetch_at;
 
+use crate::inline::InlineVec;
 use crate::key::{Key, KeySpace};
 use crate::ring::Peer;
+
+/// Entries held in place before the arrays spill to the heap.
+pub const INLINE_ENTRIES: usize = 24;
 
 /// A bounded LRU set of known remote nodes, keyed by ring identifier.
 ///
@@ -40,23 +46,23 @@ use crate::ring::Peer;
 #[derive(Clone, Debug)]
 pub struct LocationCache {
     capacity: usize,
-    clock: u64,
+    /// The last stamp drawn. Stamps are 32 bits wide; just before they
+    /// would wrap they are renumbered by rank, which keeps their order.
+    clock: u32,
     /// Cached node keys, ascending by raw value.
-    keys: Vec<Key>,
-    /// Simulator addresses, parallel to `keys`.
-    idxs: Vec<u32>,
-    /// Last-touched stamps, parallel to `keys`; distinct, since every
-    /// touch draws a fresh `clock` value.
-    stamps: Vec<u64>,
+    keys: InlineVec<Key, INLINE_ENTRIES>,
+    /// Parallel to `keys`: last-touched stamp in the upper half (distinct,
+    /// since every touch draws a fresh `clock` value), simulator address
+    /// in the lower.
+    slots: InlineVec<u64, INLINE_ENTRIES>,
 }
 
 /// `warm` pre-faults at most this many entries: a larger configured bound
 /// is a "never evict" setting, not a working-set size.
 const WARM_CAP: usize = 1024;
 
-/// [`LocationCache::prefetch`] asks for a cache of up to this many entries
-/// whole: three key lines, two of `idxs`, three of `stamps`.
-const PREFETCH_WHOLE: usize = 24;
+/// The address half of a slot.
+const IDX_MASK: u64 = u32::MAX as u64;
 
 /// Drops `v[victim]` and puts `value` where an insertion at `at` (a
 /// position found before the drop) would have put it, shifting only the
@@ -73,15 +79,14 @@ fn replace_sorted<T: Copy>(v: &mut [T], victim: usize, at: usize, value: T) {
 
 impl LocationCache {
     /// Creates a cache holding at most `capacity` entries. Zero disables
-    /// caching entirely. Nothing is allocated until the first
-    /// [`Self::learn`] (or [`Self::warm`]).
+    /// caching entirely. Nothing is allocated until a cache has learned
+    /// more than [`INLINE_ENTRIES`] peers (or is [`Self::warm`]ed).
     pub fn new(capacity: usize) -> Self {
         LocationCache {
             capacity,
             clock: 0,
-            keys: Vec::new(),
-            idxs: Vec::new(),
-            stamps: Vec::new(),
+            keys: InlineVec::new(),
+            slots: InlineVec::new(),
         }
     }
 
@@ -91,13 +96,11 @@ impl LocationCache {
         self.reserve_to(self.capacity.min(WARM_CAP));
     }
 
-    /// Grows the three arrays to hold exactly `total` entries (no-op when
+    /// Grows the two arrays to hold exactly `total` entries (no-op when
     /// they already do).
     fn reserve_to(&mut self, total: usize) {
-        let extra = total.saturating_sub(self.keys.len());
-        self.keys.reserve_exact(extra);
-        self.idxs.reserve_exact(extra);
-        self.stamps.reserve_exact(extra);
+        self.keys.reserve_exact_to(total);
+        self.slots.reserve_exact_to(total);
     }
 
     /// Number of cached entries.
@@ -110,23 +113,22 @@ impl LocationCache {
         self.keys.is_empty()
     }
 
-    /// Hints the lines a `learn` or `closest_preceding` will read (see
-    /// [`cbps_sim::prefetch`]). A cache of up to 24 entries (`PREFETCH_WHOLE`)
-    /// — what a node of a large ring holds — is asked for whole: a search
-    /// can end on any key line, a hit then stores to the `idxs` and
-    /// `stamps` lines of that position and an insertion shifts all three
-    /// tails. Of a larger one, the key lines where a binary search can
-    /// look first, second and third: its first misses are among these
-    /// seven wherever it goes from there.
-    pub fn prefetch(&self) {
-        let len = self.keys.len();
-        if len <= PREFETCH_WHOLE {
-            prefetch_span(&self.keys[..]);
-            prefetch_span(&self.idxs[..]);
-            prefetch_span(&self.stamps[..]);
-        } else {
+    /// `true` while every entry lives in the cache value itself.
+    pub fn is_inline(&self) -> bool {
+        self.keys.is_inline()
+    }
+
+    /// Hints the heap lines a `learn` or `closest_preceding` will read
+    /// first (see [`cbps_sim::prefetch`]): nothing while the entries are
+    /// in place — they arrive with the value that holds the cache — and of
+    /// a spilled cache the key lines where a binary search can look first,
+    /// second and third: its first misses are among these seven wherever
+    /// it goes from there.
+    pub fn prefetch_spill(&self) {
+        if !self.keys.is_inline() {
+            let keys = self.keys.as_slice();
             for eighths in [4, 2, 6, 1, 3, 5, 7] {
-                prefetch_at(&self.keys, len * eighths / 8);
+                prefetch_at(keys, keys.len() * eighths / 8);
             }
         }
     }
@@ -134,41 +136,67 @@ impl LocationCache {
     /// Records that `peer` exists, refreshing recency; evicts the least
     /// recently used entry when full.
     pub fn learn(&mut self, peer: Peer) {
+        self.touch(peer, 1);
+    }
+
+    /// Two `learn`s of the same peer, back to back, in one probe: the
+    /// second could only have restamped what the first left behind.
+    pub fn learn_twice(&mut self, peer: Peer) {
+        self.touch(peer, 2);
+    }
+
+    fn touch(&mut self, peer: Peer, touches: u32) {
         if self.capacity == 0 {
             return;
         }
-        self.clock += 1;
-        let idx = peer.idx as u32;
-        let at = match self.keys.binary_search(&peer.key) {
+        let slot = self.draw_stamp(touches) | u64::from(peer.idx as u32);
+        let at = match self.keys.as_slice().binary_search(&peer.key) {
             Ok(at) => {
-                self.idxs[at] = idx;
-                self.stamps[at] = self.clock;
+                self.slots.as_mut_slice()[at] = slot;
                 return;
             }
             Err(at) => at,
         };
         if self.keys.len() >= self.capacity {
             let victim = self.lru_position();
-            replace_sorted(&mut self.keys, victim, at, peer.key);
-            replace_sorted(&mut self.idxs, victim, at, idx);
-            replace_sorted(&mut self.stamps, victim, at, self.clock);
+            replace_sorted(self.keys.as_mut_slice(), victim, at, peer.key);
+            replace_sorted(self.slots.as_mut_slice(), victim, at, slot);
             return;
         }
         if self.keys.len() == self.keys.capacity() {
             // Double, but never past the bound: a full cache owns exactly
             // `capacity` entries' worth of storage.
-            self.reserve_to((self.keys.len() * 2).max(4).min(self.capacity));
+            self.reserve_to((self.keys.len() * 2).min(self.capacity));
         }
         self.keys.insert(at, peer.key);
-        self.idxs.insert(at, idx);
-        self.stamps.insert(at, self.clock);
+        self.slots.insert(at, slot);
     }
 
-    /// Position of the least recently used entry (the cache is non-empty).
+    /// Advances the clock by `touches` and returns the new stamp, placed
+    /// in a slot's upper half.
+    fn draw_stamp(&mut self, touches: u32) -> u64 {
+        if self.clock > u32::MAX - touches {
+            // Renumber by rank: the oldest entry gets stamp 1, the clock
+            // continues from the youngest. Once per 2^32 touches.
+            let slots = self.slots.as_mut_slice();
+            let mut by_age: Vec<usize> = (0..slots.len()).collect();
+            by_age.sort_unstable_by_key(|&at| slots[at]);
+            for (rank, at) in by_age.into_iter().enumerate() {
+                slots[at] = (rank as u64 + 1) << 32 | slots[at] & IDX_MASK;
+            }
+            self.clock = slots.len() as u32;
+        }
+        self.clock += touches;
+        u64::from(self.clock) << 32
+    }
+
+    /// Position of the least recently used entry (the cache is non-empty):
+    /// stamps are distinct and lead the word, so the least word.
     fn lru_position(&self) -> usize {
+        let slots = self.slots.as_slice();
         let mut victim = 0;
-        for (i, &stamp) in self.stamps.iter().enumerate() {
-            if stamp < self.stamps[victim] {
+        for (i, &slot) in slots.iter().enumerate() {
+            if slot < slots[victim] {
                 victim = i;
             }
         }
@@ -177,17 +205,16 @@ impl LocationCache {
 
     fn peer_at(&self, at: usize) -> Peer {
         Peer {
-            idx: self.idxs[at] as usize,
-            key: self.keys[at],
+            idx: (self.slots.as_slice()[at] & IDX_MASK) as usize,
+            key: self.keys.as_slice()[at],
         }
     }
 
     /// Forgets a peer (e.g. after observing its failure).
     pub fn forget(&mut self, key: Key) {
-        if let Ok(at) = self.keys.binary_search(&key) {
+        if let Ok(at) = self.keys.as_slice().binary_search(&key) {
             self.keys.remove(at);
-            self.idxs.remove(at);
-            self.stamps.remove(at);
+            self.slots.remove(at);
         }
     }
 
@@ -195,16 +222,15 @@ impl LocationCache {
     /// ascending key order.
     pub fn peers_at(&self, idx: usize) -> Vec<Peer> {
         (0..self.keys.len())
-            .filter(|&at| self.idxs[at] as usize == idx)
             .map(|at| self.peer_at(at))
+            .filter(|peer| peer.idx == idx)
             .collect()
     }
 
     /// Removes every entry.
     pub fn clear(&mut self) {
         self.keys.clear();
-        self.idxs.clear();
-        self.stamps.clear();
+        self.slots.clear();
     }
 
     /// Among cached nodes, the one whose key lies strictly within the arc
@@ -217,15 +243,17 @@ impl LocationCache {
     /// from `target` as the predecessor is, so the predecessor lies inside
     /// the arc too. One binary search and one arc test decide.
     pub fn closest_preceding(&mut self, space: KeySpace, from: Key, target: Key) -> Option<Peer> {
-        let below = self.keys.partition_point(|&k| k < target);
+        let keys = self.keys.as_slice();
+        let below = keys.partition_point(|&k| k < target);
         // Wraps to the largest key; `None` only when the cache is empty.
-        let at = below.checked_sub(1).or(self.keys.len().checked_sub(1))?;
+        let at = below.checked_sub(1).or(keys.len().checked_sub(1))?;
         let peer = self.peer_at(at);
         if !space.in_arc_oo(peer.key, from, target) {
             return None;
         }
-        self.clock += 1;
-        self.stamps[at] = self.clock;
+        let stamp = self.draw_stamp(1);
+        let slot = &mut self.slots.as_mut_slice()[at];
+        *slot = stamp | *slot & IDX_MASK;
         Some(peer)
     }
 }
@@ -239,8 +267,10 @@ mod tests {
     use super::*;
 
     /// The cache as a `HashMap` scanned end to end — the implementation
-    /// the sorted arrays replaced, kept as the reference model: stamps,
-    /// clock increments, victim and returned peer must be exactly its.
+    /// the sorted arrays replaced, kept as the reference model: clock
+    /// increments, victim and returned peer must be exactly its, and so
+    /// must the stamps (their order, once the cache has renumbered its
+    /// 32-bit ones; the model's are 64 bits wide and never wrap).
     struct MapCache {
         capacity: usize,
         clock: u64,
@@ -248,10 +278,10 @@ mod tests {
     }
 
     impl MapCache {
-        fn new(capacity: usize) -> Self {
+        fn new(capacity: usize, clock: u32) -> Self {
             MapCache {
                 capacity,
-                clock: 0,
+                clock: u64::from(clock),
                 entries: HashMap::new(),
             }
         }
@@ -320,11 +350,28 @@ mod tests {
     }
 
     impl LocationCache {
+        /// A cache whose clock has already drawn `clock` stamps.
+        fn with_clock(capacity: usize, clock: u32) -> Self {
+            LocationCache {
+                clock,
+                ..LocationCache::new(capacity)
+            }
+        }
+
         fn rows(&self) -> Vec<(Key, usize, u64)> {
-            (0..self.keys.len())
-                .map(|at| (self.keys[at], self.idxs[at] as usize, self.stamps[at]))
+            (0..self.len())
+                .map(|at| (self.peer_at(at), self.slots.as_slice()[at] >> 32))
+                .map(|(peer, stamp)| (peer.key, peer.idx, stamp))
                 .collect()
         }
+    }
+
+    /// Rows with each stamp replaced by its rank among the table's stamps:
+    /// what eviction order depends on, and all that survives a renumbering.
+    fn ranked(rows: &[(Key, usize, u64)]) -> Vec<(Key, usize, usize)> {
+        rows.iter()
+            .map(|&(key, idx, stamp)| (key, idx, rows.iter().filter(|r| r.2 < stamp).count()))
+            .collect()
     }
 
     fn peer(idx: usize, key: u64, s: KeySpace) -> Peer {
@@ -334,127 +381,227 @@ mod tests {
         }
     }
 
-    /// Seeded op streams against the map model: every return value and the
-    /// full `(key, idx, stamp)` table — hence `len` and each eviction's
-    /// victim — must agree after every step.
+    /// One seeded op stream against the map model, both clocks starting at
+    /// `clock`: every return value and the full `(key, idx, stamp)` table —
+    /// hence `len` and each eviction's victim — must agree after every
+    /// step; by rank once the cache has renumbered, to the digit before.
+    fn run_against_model(space: KeySpace, capacity: usize, clock: u32, steps: usize) {
+        let bits = space.bits();
+        let mut rng = Rng::seed_from_u64(0xcac4e ^ (u64::from(bits) << 32) ^ capacity as u64);
+        let mut cache = LocationCache::with_clock(capacity, clock);
+        let mut model = MapCache::new(capacity, clock);
+        // Keys recur (hits, re-learns under a new address) and outnumber
+        // the bound (evictions) wherever the space allows; a few sit at
+        // the ends of the linear key range so arcs wrap.
+        let mut pool: Vec<Key> = (0..(3 * capacity + 4).min(space.size() as usize))
+            .map(|_| space.key(rng.next_u64()))
+            .collect();
+        pool.extend([space.key(0), space.key(1), space.key(space.max_value())]);
+        let pick = |rng: &mut Rng| pool[rng.gen_range(0..pool.len())];
+        for step in 0..steps {
+            let ctx = format!("m={bits} capacity={capacity} clock={clock} step={step}");
+            match rng.gen_range(0u32..100) {
+                op @ 0..=54 => {
+                    let p = Peer {
+                        idx: rng.gen_range(0usize..12),
+                        key: pick(&mut rng),
+                    };
+                    // A first hop: sender and source are one peer, learned
+                    // in one probe where the model learns twice.
+                    if op < 8 {
+                        cache.learn_twice(p);
+                        model.learn(p);
+                    } else {
+                        cache.learn(p);
+                    }
+                    model.learn(p);
+                }
+                55..=84 => {
+                    // Cached keys double as `from` and `target`: covers
+                    // `from == target` (the full ring less one key) and a
+                    // target that is itself cached.
+                    let from = pick(&mut rng);
+                    let target = match rng.gen_range(0u32..4) {
+                        0 => from,
+                        1 => space.key(rng.next_u64()),
+                        _ => pick(&mut rng),
+                    };
+                    assert_eq!(
+                        cache.closest_preceding(space, from, target),
+                        model.closest_preceding(space, from, target),
+                        "{ctx}: closest_preceding({from}, {target})"
+                    );
+                }
+                85..=92 => {
+                    let key = pick(&mut rng);
+                    cache.forget(key);
+                    model.forget(key);
+                }
+                93..=98 => {
+                    let idx = rng.gen_range(0usize..12);
+                    assert_eq!(cache.peers_at(idx), model.peers_at(idx), "{ctx}: peers_at");
+                }
+                _ => {
+                    cache.clear();
+                    model.entries.clear();
+                }
+            }
+            let (got, want) = (cache.rows(), model.rows());
+            if model.clock <= u64::from(u32::MAX) {
+                assert_eq!(got, want, "{ctx}");
+                assert_eq!(u64::from(cache.clock), model.clock, "{ctx}: clock");
+            } else {
+                assert_eq!(ranked(&got), ranked(&want), "{ctx}: after renumbering");
+            }
+            assert!(cache.len() <= capacity, "{ctx}: bound");
+        }
+    }
+
+    /// Bounds below, at and above the in-place entries, so the streams
+    /// cross the spill in both directions (learned past it, forgotten and
+    /// cleared back below it, evicting while spilled).
     #[test]
     fn matches_the_map_model_step_by_step() {
+        let n = INLINE_ENTRIES;
         for bits in [5u32, 13, 40] {
-            let space = KeySpace::new(bits);
-            for capacity in [0usize, 1, 2, 8, 256] {
-                let mut rng =
-                    Rng::seed_from_u64(0xcac4e ^ (u64::from(bits) << 32) ^ capacity as u64);
-                let mut cache = LocationCache::new(capacity);
-                let mut model = MapCache::new(capacity);
-                // Keys recur (hits, re-learns under a new address) and
-                // outnumber the bound (evictions) wherever the space
-                // allows; a few sit at the ends of the linear key range so
-                // arcs wrap.
-                let mut pool: Vec<Key> = (0..(3 * capacity + 4).min(space.size() as usize))
-                    .map(|_| space.key(rng.next_u64()))
-                    .collect();
-                pool.extend([space.key(0), space.key(1), space.key(space.max_value())]);
-                let pick = |rng: &mut Rng| pool[rng.gen_range(0..pool.len())];
-                for step in 0..6_000 {
-                    let ctx = format!("m={bits} capacity={capacity} step={step}");
-                    match rng.gen_range(0u32..100) {
-                        0..=54 => {
-                            let p = Peer {
-                                idx: rng.gen_range(0usize..12),
-                                key: pick(&mut rng),
-                            };
-                            cache.learn(p);
-                            model.learn(p);
-                        }
-                        55..=84 => {
-                            // Cached keys double as `from` and `target`:
-                            // covers `from == target` (the full ring less
-                            // one key) and a target that is itself cached.
-                            let from = pick(&mut rng);
-                            let target = match rng.gen_range(0u32..4) {
-                                0 => from,
-                                1 => space.key(rng.next_u64()),
-                                _ => pick(&mut rng),
-                            };
-                            assert_eq!(
-                                cache.closest_preceding(space, from, target),
-                                model.closest_preceding(space, from, target),
-                                "{ctx}: closest_preceding({from}, {target})"
-                            );
-                        }
-                        85..=92 => {
-                            let key = pick(&mut rng);
-                            cache.forget(key);
-                            model.forget(key);
-                        }
-                        93..=98 => {
-                            let idx = rng.gen_range(0usize..12);
-                            assert_eq!(cache.peers_at(idx), model.peers_at(idx), "{ctx}: peers_at");
-                        }
-                        _ => {
-                            cache.clear();
-                            model.entries.clear();
-                        }
-                    }
-                    assert_eq!(cache.rows(), model.rows(), "{ctx}");
-                    assert_eq!(cache.len(), model.entries.len(), "{ctx}: len");
-                    assert!(cache.len() <= capacity, "{ctx}: bound");
-                }
+            for capacity in [0usize, 1, 2, 8, n - 1, n, n + 1, 256] {
+                run_against_model(KeySpace::new(bits), capacity, 0, 6_000);
             }
         }
     }
 
-    /// Storage follows the entries learned, is never larger than the
-    /// bound, and `warm` tops it up so that later learns do not allocate.
+    /// The same streams with the clock a few touches short of the end of
+    /// its 32 bits: learn, evict and `closest_preceding` run across the
+    /// renumbering (the last stamp before it drawn by a single and by a
+    /// double touch) and go on choosing the model's victims.
     #[test]
-    fn storage_grows_on_demand_up_to_the_bound() {
+    fn renumbering_the_stamps_keeps_their_order() {
+        for short_by in [0u32, 1, 2, 3, 40, 700] {
+            for capacity in [1usize, 8, INLINE_ENTRIES + 1, 256] {
+                let clock = u32::MAX - short_by;
+                run_against_model(KeySpace::new(13), capacity, clock, 1_500);
+            }
+        }
+        // Renumbered stamps are ranks: the clock restarts at the entry count.
         let s = KeySpace::new(13);
-        let mut c = LocationCache::new(100);
-        assert_eq!(c.keys.capacity(), 0);
+        let mut c = LocationCache::with_clock(8, u32::MAX - 2);
         for k in 0..3 {
             c.learn(peer(k, 10 * k as u64, s));
         }
-        assert_eq!(c.keys.capacity(), 4);
-        for k in 3..300 {
-            c.learn(peer(k, 10 * k as u64, s));
-            assert!(c.keys.capacity() <= 100 && c.stamps.capacity() <= 100);
+        assert_eq!(c.clock, 3);
+        assert_eq!(
+            c.rows(),
+            [(s.key(0), 0, 1), (s.key(10), 1, 2), (s.key(20), 2, 3)]
+        );
+    }
+
+    /// The spill boundary step by step: `N - 1`, `N` and `N + 1` entries,
+    /// `forget` back below `N` (storage stays spilled, contents stay
+    /// right), `clear`, and a refill.
+    #[test]
+    fn entries_move_to_the_heap_at_the_boundary_and_stay_sorted() {
+        let s = KeySpace::new(13);
+        let n = INLINE_ENTRIES;
+        let mut cache = LocationCache::new(256);
+        let mut model = MapCache::new(256, 0);
+        let teach = |cache: &mut LocationCache, model: &mut MapCache, k: usize| {
+            let p = peer(k, (977 * k as u64) % 8192, s);
+            cache.learn(p);
+            model.learn(p);
+            assert_eq!(cache.rows(), model.rows(), "after teaching {k}");
+        };
+        for k in 0..n - 1 {
+            teach(&mut cache, &mut model, k);
         }
-        assert_eq!((c.len(), c.idxs.capacity()), (100, 100));
+        assert!(cache.is_inline() && cache.len() == n - 1);
+        teach(&mut cache, &mut model, n - 1);
+        assert!(cache.is_inline() && cache.len() == n);
+        teach(&mut cache, &mut model, n);
+        assert!(!cache.is_inline() && cache.len() == n + 1);
+        for k in [3, n, 0] {
+            let key = s.key((977 * k as u64) % 8192);
+            cache.forget(key);
+            model.forget(key);
+            assert_eq!(cache.rows(), model.rows(), "after forgetting {k}");
+        }
+        assert_eq!(cache.len(), n - 2);
+        cache.clear();
+        model.entries.clear();
+        assert!(cache.is_empty());
+        for k in 0..2 * n {
+            teach(&mut cache, &mut model, k);
+        }
+    }
+
+    /// Storage follows the entries learned: in place up to
+    /// `INLINE_ENTRIES`, then heap arrays that double but are never larger
+    /// than the bound; `warm` tops them up so that later learns do not
+    /// allocate.
+    #[test]
+    fn storage_grows_on_demand_up_to_the_bound() {
+        let s = KeySpace::new(13);
+        let n = INLINE_ENTRIES;
+        let mut c = LocationCache::new(100);
+        for k in 0..n {
+            c.learn(peer(k, 10 * k as u64, s));
+            assert!(c.is_inline() && c.slots.is_inline());
+        }
+        c.learn(peer(n, 10 * n as u64, s));
+        assert!(!c.keys.is_inline() && !c.slots.is_inline());
+        assert_eq!((c.keys.capacity(), c.slots.capacity()), (2 * n, 2 * n));
+        for k in n + 1..300 {
+            c.learn(peer(k, 10 * k as u64, s));
+            assert!(c.keys.capacity() <= 100 && c.slots.capacity() <= 100);
+        }
+        assert_eq!(
+            (c.len(), c.keys.capacity(), c.slots.capacity()),
+            (100, 100, 100)
+        );
+        // A bound that fits in place never reaches the heap, warmed or not.
+        let mut small = LocationCache::new(n);
+        small.warm();
+        for k in 0..300 {
+            small.learn(peer(k, 10 * k as u64, s));
+            assert!(small.is_inline() && small.slots.is_inline());
+        }
+        assert_eq!(small.len(), n);
         let mut w = LocationCache::new(100);
         w.warm();
-        let warmed = (w.keys.as_ptr(), w.idxs.as_ptr(), w.stamps.as_ptr());
+        assert!(!w.is_inline());
+        let warmed = (w.keys.as_slice().as_ptr(), w.slots.as_slice().as_ptr());
         for k in 0..300 {
             w.learn(peer(k, 10 * k as u64, s));
         }
         assert_eq!(
             warmed,
-            (w.keys.as_ptr(), w.idxs.as_ptr(), w.stamps.as_ptr())
+            (w.keys.as_slice().as_ptr(), w.slots.as_slice().as_ptr())
         );
     }
 
     /// The hook's index arithmetic on both sides of each of its cases:
     /// bounds 0, 1 and 256 holding nothing, one entry, the largest cache
-    /// asked for whole, the smallest asked for by search path, and a full
-    /// one — and while a cache shrinks back through every size.
+    /// held in place (no hint), the smallest spilled one, and a full one —
+    /// and while a spilled cache shrinks back through every size to none.
     #[test]
     fn prefetch_has_no_size_it_cannot_take() {
         for bits in [5u32, 13, 40] {
             let s = KeySpace::new(bits);
             for capacity in [0usize, 1, 256] {
-                for fill in [0usize, 1, PREFETCH_WHOLE, PREFETCH_WHOLE + 1, 256] {
+                for fill in [0usize, 1, INLINE_ENTRIES, INLINE_ENTRIES + 1, 256] {
                     let mut c = LocationCache::new(capacity);
-                    c.prefetch();
+                    c.prefetch_spill();
                     for k in 0..fill.min(s.size() as usize) {
                         c.learn(peer(k, k as u64, s));
                     }
-                    assert_eq!(c.len(), fill.min(capacity).min(s.size() as usize));
-                    c.prefetch();
-                    while let Some(&key) = c.keys.last() {
+                    let len = fill.min(capacity).min(s.size() as usize);
+                    assert_eq!((c.len(), c.is_inline()), (len, len <= INLINE_ENTRIES));
+                    c.prefetch_spill();
+                    while let Some(&key) = c.keys.as_slice().last() {
                         c.forget(key);
-                        c.prefetch();
+                        c.prefetch_spill();
                     }
                     c.warm();
-                    c.prefetch();
+                    c.prefetch_spill();
                 }
             }
         }

@@ -66,6 +66,26 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         matches!(self, InlineVec::Inline { .. })
     }
 
+    /// Elements the current storage holds without allocating: `N` in
+    /// place, the buffer's capacity once spilled.
+    pub fn capacity(&self) -> usize {
+        match self {
+            InlineVec::Inline { .. } => N,
+            InlineVec::Heap(v) => v.capacity(),
+        }
+    }
+
+    /// Makes room for exactly `total` elements: nothing while they fit in
+    /// place, otherwise one spill or `reserve_exact` — for owners that
+    /// bound their storage instead of riding the doubling ladder.
+    pub fn reserve_exact_to(&mut self, total: usize) {
+        match self {
+            InlineVec::Inline { .. } if total <= N => {}
+            InlineVec::Inline { .. } => self.spill_to(Vec::with_capacity(total)),
+            InlineVec::Heap(v) => v.reserve_exact(total.saturating_sub(v.len())),
+        }
+    }
+
     /// `true` when one more insertion would spill to the heap.
     pub fn inline_is_full(&self) -> bool {
         matches!(self, InlineVec::Inline { len, .. } if *len as usize == N)

@@ -90,7 +90,7 @@ pub use app::{Delivery, OverlayApp, OverlaySvc};
 pub use builder::{
     assign_node_keys, build_indexed, build_jobs, build_routing_states, build_stable, set_build_jobs,
 };
-pub use cache::LocationCache;
+pub use cache::{LocationCache, INLINE_ENTRIES};
 pub use config::OverlayConfig;
 pub use inline::InlineVec;
 pub use key::{Key, KeySpace};

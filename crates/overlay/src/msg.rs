@@ -170,6 +170,16 @@ impl<P> OverlayMsg<P> {
         }
     }
 
+    /// The node that injected this message, if it is key-routed.
+    pub fn routed_src(&self) -> Option<Peer> {
+        match self {
+            OverlayMsg::Unicast { src, .. }
+            | OverlayMsg::MCast { src, .. }
+            | OverlayMsg::Walk { src, .. } => Some(*src),
+            _ => None,
+        }
+    }
+
     /// The application payload, if this is a key-routed unicast.
     pub fn unicast_payload(&self) -> Option<&P> {
         match self {

@@ -386,8 +386,16 @@ impl<A: OverlayApp> Node for ChordNode<A> {
         envelope: Envelope<A::Payload>,
         ctx: &mut Context<'_, Self::Msg, Self::Timer>,
     ) {
+        // Every routed message teaches the node its previous hop and its
+        // source, in that order; on the first hop they are one peer.
         let sender = envelope.sender;
-        self.state.learn(sender);
+        match envelope.body.routed_src() {
+            Some(src) if src == sender => self.state.learn_twice(sender),
+            src => {
+                self.state.learn(sender);
+                src.into_iter().for_each(|src| self.state.learn(src));
+            }
+        }
         match envelope.body {
             OverlayMsg::Unicast {
                 key,
@@ -397,7 +405,6 @@ impl<A: OverlayApp> Node for ChordNode<A> {
                 src,
                 trace,
             } => {
-                self.state.learn(src);
                 routed::handle_unicast(
                     &mut self.state,
                     &mut self.app,
@@ -418,7 +425,6 @@ impl<A: OverlayApp> Node for ChordNode<A> {
                 src,
                 trace,
             } => {
-                self.state.learn(src);
                 routed::handle_mcast(
                     &mut self.state,
                     &mut self.app,
@@ -440,7 +446,6 @@ impl<A: OverlayApp> Node for ChordNode<A> {
                 walking,
                 trace,
             } => {
-                self.state.learn(src);
                 routed::handle_walk(
                     &mut self.state,
                     &mut self.app,

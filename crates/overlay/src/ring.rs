@@ -14,7 +14,7 @@ use crate::range::KeyRangeSet;
 
 /// A node's identity as seen by other nodes: its simulator index (standing
 /// in for a network address) and its ring key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Peer {
     /// Simulator index (the "IP address" of the node).
     pub idx: NodeIdx,

@@ -4,8 +4,8 @@
 //! figures workloads that is millions of calls — and hands back a list of
 //! per-relay bundles. That list is recycled here through a small
 //! thread-local free list, so a steady-state split performs no heap
-//! allocation at all (the boundary list lives on the stack, see
-//! [`crate::split`]; the bundle sets themselves are inline-first
+//! allocation at all (the boundary list is the one buffer of
+//! [`take_cuts`]; the bundle sets themselves are inline-first
 //! [`KeyRangeSet`]s whose rare spill buffers are pooled in
 //! [`crate::range`]).
 //!
@@ -15,7 +15,7 @@
 //! nodes and runs them on one thread at a time, so thread-local pooling
 //! needs no synchronization.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::{Deref, DerefMut};
 
 use crate::range::KeyRangeSet;
@@ -28,6 +28,20 @@ const POOL_CAP: usize = 16;
 
 thread_local! {
     static BUNDLES: RefCell<Vec<Vec<(Peer, KeyRangeSet)>>> = const { RefCell::new(Vec::new()) };
+    static CUTS: Cell<Vec<(u64, u32)>> = const { Cell::new(Vec::new()) };
+}
+
+/// The thread's cut-list buffer for [`crate::split::Boundaries`], empty.
+/// One slot: splits do not nest, and a second list alive at the same time
+/// merely starts from an unallocated `Vec`.
+pub(crate) fn take_cuts() -> Vec<(u64, u32)> {
+    CUTS.take()
+}
+
+/// Hands a cut list's storage back for the next [`take_cuts`].
+pub(crate) fn recycle_cuts(mut cuts: Vec<(u64, u32)>) {
+    cuts.clear();
+    CUTS.set(cuts);
 }
 
 /// The per-relay bundles produced by a `mcast_split`: recycled `Vec`

@@ -13,16 +13,10 @@
 //! with no per-arc set, where the window-by-window reading of Figure 4
 //! intersects the whole set once per boundary.
 
-use crate::inline::InlineVec;
 use crate::key::KeySpace;
 use crate::range::KeyRangeSet;
 use crate::ring::Peer;
-use crate::scratch::Bundles;
-
-/// Boundaries held in place: successor, predecessor and a finger per bit
-/// of the widest key space. A substrate that knows more neighbors spills
-/// to the heap.
-const INLINE_CUTS: usize = 65;
+use crate::scratch::{recycle_cuts, take_cuts, Bundles};
 
 /// A node's distinct neighbors ordered clockwise from the node — the cut
 /// points of its `m-cast` split.
@@ -49,8 +43,17 @@ pub struct Boundaries {
     space: KeySpace,
     me: Peer,
     /// `(clockwise distance from me, simulator index)`, ascending and
-    /// distinct by distance; never distance 0.
-    cuts: InlineVec<(u64, u32), INLINE_CUTS>,
+    /// distinct by distance; never distance 0. The thread's pooled buffer
+    /// ([`crate::scratch`]), handed back on drop: however many neighbors
+    /// a substrate knows, listing them neither allocates nor clears a
+    /// worst-case array on the stack.
+    cuts: Vec<(u64, u32)>,
+}
+
+impl Drop for Boundaries {
+    fn drop(&mut self) {
+        recycle_cuts(std::mem::take(&mut self.cuts));
+    }
 }
 
 impl Boundaries {
@@ -59,7 +62,7 @@ impl Boundaries {
         Boundaries {
             space,
             me,
-            cuts: InlineVec::new(),
+            cuts: take_cuts(),
         }
     }
 
@@ -72,7 +75,7 @@ impl Boundaries {
         if d == 0 {
             return;
         }
-        let cuts = self.cuts.as_slice();
+        let cuts = &self.cuts;
         let mut at = cuts.len();
         while at > 0 && cuts[at - 1].0 > d {
             at -= 1;
@@ -90,7 +93,7 @@ impl Boundaries {
     /// nothing.
     pub fn split(&self, targets: &KeyRangeSet) -> (KeyRangeSet, Bundles) {
         let mut bundles = Bundles::take();
-        let cuts = self.cuts.as_slice();
+        let cuts = &self.cuts[..];
         if cuts.is_empty() {
             return (targets.clone(), bundles);
         }

@@ -7,6 +7,7 @@ use cbps_sim::PrefetchStage;
 
 use crate::cache::LocationCache;
 use crate::config::OverlayConfig;
+use crate::inline::InlineVec;
 use crate::key::{Key, KeySpace};
 use crate::range::KeyRangeSet;
 use crate::ring::Peer;
@@ -22,8 +23,10 @@ use crate::split::Boundaries;
 /// The per-event working set is laid out struct-of-arrays: the finger
 /// table is a liveness bitmap plus parallel key/index arrays, so the
 /// next-hop and m-cast scans touch a few dense cache lines of raw `u64`
-/// keys instead of striding over `Option<Peer>` records. Cold
-/// configuration sits behind the hot fields.
+/// keys instead of striding over `Option<Peer>` records. The tables live
+/// in the value itself — fingers of a key space of up to 24 bits, four
+/// successors, the cache's first entries — so a routed hop follows no
+/// pointer out of it; wider tables spill to the heap.
 #[derive(Clone, Debug)]
 pub struct RoutingState {
     // --- hot: touched on every routed event ---
@@ -33,29 +36,40 @@ pub struct RoutingState {
     finger_live: u64,
     /// Finger target keys (raw key values), valid where the live bit is
     /// set; entry `i` is the node covering `me.key + 2^i`.
-    finger_keys: Box<[u64]>,
+    finger_keys: InlineVec<u64, INLINE_FINGERS>,
     /// Simulator indices parallel to `finger_keys`.
-    finger_idxs: Box<[u32]>,
+    finger_idxs: InlineVec<u32, INLINE_FINGERS>,
     /// Successor list; `succs[0]` is the immediate successor. Empty on a
     /// single-node ring.
-    succs: Vec<Peer>,
+    succs: InlineVec<Peer, INLINE_SUCCS>,
     cache: LocationCache,
     // --- cold: configuration ---
     cfg: OverlayConfig,
 }
+
+/// Finger entries held in place: one per bit of the key space.
+const INLINE_FINGERS: usize = 24;
+
+/// Successors held in place (the paper's list length).
+const INLINE_SUCCS: usize = 4;
 
 impl RoutingState {
     /// Fresh state for a node that has not joined a ring yet.
     pub fn new(cfg: OverlayConfig, me: Peer) -> Self {
         let m = cfg.space.bits() as usize;
         assert!(m <= 64, "finger liveness bitmap holds at most 64 entries");
+        let (mut finger_keys, mut finger_idxs) = (InlineVec::new(), InlineVec::new());
+        for _ in 0..m {
+            finger_keys.push(0);
+            finger_idxs.push(0);
+        }
         RoutingState {
             me,
             pred: None,
             finger_live: 0,
-            finger_keys: vec![0; m].into_boxed_slice(),
-            finger_idxs: vec![0; m].into_boxed_slice(),
-            succs: Vec::new(),
+            finger_keys,
+            finger_idxs,
+            succs: InlineVec::new(),
             cache: LocationCache::new(cfg.cache_capacity),
             cfg,
         }
@@ -83,12 +97,12 @@ impl RoutingState {
 
     /// Immediate successor, if any (a single-node ring has none).
     pub fn successor(&self) -> Option<Peer> {
-        self.succs.first().copied()
+        self.succs.as_slice().first().copied()
     }
 
     /// The whole successor list.
     pub fn successors(&self) -> &[Peer] {
-        &self.succs
+        self.succs.as_slice()
     }
 
     /// Finger entry `i` (targets `me.key + 2^i`); `None` when unknown or
@@ -99,8 +113,8 @@ impl RoutingState {
             return None;
         }
         Some(Peer {
-            idx: self.finger_idxs[i] as usize,
-            key: self.cfg.space.key(self.finger_keys[i]),
+            idx: self.finger_idxs.as_slice()[i] as usize,
+            key: self.cfg.space.key(self.finger_keys.as_slice()[i]),
         })
     }
 
@@ -123,16 +137,15 @@ impl RoutingState {
     /// Entries equal to this node are dropped; the list is truncated to the
     /// configured length.
     pub fn set_successors(&mut self, succs: Vec<Peer>) {
-        let mut out: Vec<Peer> = Vec::with_capacity(self.cfg.succ_list_len);
+        self.succs.clear();
         for p in succs {
-            if p.key != self.me.key && !out.contains(&p) {
-                out.push(p);
+            if p.key != self.me.key && !self.succs.as_slice().contains(&p) {
+                self.succs.push(p);
             }
-            if out.len() == self.cfg.succ_list_len {
+            if self.succs.len() == self.cfg.succ_list_len {
                 break;
             }
         }
-        self.succs = out;
     }
 
     /// Bulk successor install for the stable builder: the sequence must
@@ -143,7 +156,10 @@ impl RoutingState {
         self.succs.clear();
         for p in succs {
             debug_assert!(p.key != self.me.key, "successor slice contains self");
-            debug_assert!(!self.succs.contains(&p), "duplicate in successor slice");
+            debug_assert!(
+                !self.succs.as_slice().contains(&p),
+                "duplicate in successor slice"
+            );
             debug_assert!(
                 self.succs.len() < self.cfg.succ_list_len,
                 "successor slice longer than the configured list"
@@ -170,28 +186,39 @@ impl RoutingState {
             self.finger_live &= !(1u64 << i);
         } else {
             self.finger_live |= 1u64 << i;
-            self.finger_keys[i] = peer.key.value();
-            self.finger_idxs[i] = peer.idx as u32;
+            self.finger_keys.as_mut_slice()[i] = peer.key.value();
+            self.finger_idxs.as_mut_slice()[i] = peer.idx as u32;
         }
     }
 
     /// Hints the lines a routed message reads at this node (see
     /// [`cbps_sim::prefetch`]). The first `learn` and the routing decision
     /// behind it read every field of this value — identity, predecessor,
-    /// finger bitmap, the cache header, the TTL in `cfg` — so the *node*
-    /// stage asks for all of it; the *rows* stage for the tables the value
-    /// points to, which the handler would otherwise miss on one after the
-    /// other: finger keys and indices, the successor list, the cache.
+    /// finger bitmap, the tables and cache entries held in place, the TTL
+    /// in `cfg` — so the *node* stage asks for all of it, one network
+    /// delay ahead; the *rows* stage only for what has spilled to the
+    /// heap, which the handler would otherwise miss on one table after
+    /// the other.
     pub fn prefetch(&self, stage: PrefetchStage) {
         match stage {
             PrefetchStage::Node => prefetch_span(self),
             PrefetchStage::Rows => {
-                prefetch_span(&self.finger_keys[..]);
-                prefetch_span(&self.finger_idxs[..]);
-                prefetch_span(&self.succs[..]);
-                self.cache.prefetch();
+                if !self.finger_keys.is_inline() {
+                    prefetch_span(self.finger_keys.as_slice());
+                    prefetch_span(self.finger_idxs.as_slice());
+                }
+                if !self.succs.is_inline() {
+                    prefetch_span(self.succs.as_slice());
+                }
+                self.cache.prefetch_spill();
             }
         }
+    }
+
+    /// `true` while the *rows* stage of [`Self::prefetch`] has nothing to
+    /// ask for: every table and cache entry lives in this value.
+    pub fn is_in_place(&self) -> bool {
+        self.finger_keys.is_inline() && self.succs.is_inline() && self.cache.is_inline()
     }
 
     /// Records that `peer` exists (location cache learning). Learning
@@ -199,6 +226,14 @@ impl RoutingState {
     pub fn learn(&mut self, peer: Peer) {
         if peer.key != self.me.key {
             self.cache.learn(peer);
+        }
+    }
+
+    /// `learn(peer)` twice in one cache probe: a message's first hop names
+    /// its source as its sender too.
+    pub fn learn_twice(&mut self, peer: Peer) {
+        if peer.key != self.me.key {
+            self.cache.learn_twice(peer);
         }
     }
 
@@ -216,14 +251,14 @@ impl RoutingState {
         while live != 0 {
             let i = live.trailing_zeros() as usize;
             live &= live - 1;
-            if self.finger_idxs[i] as usize == idx {
+            if self.finger_idxs.as_slice()[i] as usize == idx {
                 note(Peer {
                     idx,
-                    key: self.cfg.space.key(self.finger_keys[i]),
+                    key: self.cfg.space.key(self.finger_keys.as_slice()[i]),
                 });
             }
         }
-        for s in &self.succs {
+        for s in self.succs.as_slice() {
             if s.idx == idx {
                 note(*s);
             }
@@ -246,15 +281,18 @@ impl RoutingState {
     /// successor-list entries, predecessor.
     pub fn forget(&mut self, peer: Peer) {
         self.cache.forget(peer.key);
+        let (keys, idxs) = (self.finger_keys.as_slice(), self.finger_idxs.as_slice());
         let mut live = self.finger_live;
         while live != 0 {
             let i = live.trailing_zeros() as usize;
             live &= live - 1;
-            if self.finger_keys[i] == peer.key.value() && self.finger_idxs[i] as usize == peer.idx {
+            if keys[i] == peer.key.value() && idxs[i] as usize == peer.idx {
                 self.finger_live &= !(1u64 << i);
             }
         }
-        self.succs.retain(|p| *p != peer);
+        while let Some(at) = self.succs.as_slice().iter().position(|p| *p == peer) {
+            self.succs.remove(at);
+        }
         if self.pred == Some(peer) {
             self.pred = None;
         }
@@ -287,17 +325,18 @@ impl RoutingState {
         let mut best_dist = 0u64;
         // Finger scan over the dense key array: only the chosen entry's
         // index is materialized into a `Peer`.
+        let (keys, idxs) = (self.finger_keys.as_slice(), self.finger_idxs.as_slice());
         let mut live = self.finger_live;
         while live != 0 {
             let i = live.trailing_zeros() as usize;
             live &= live - 1;
-            let fk = space.key(self.finger_keys[i]);
+            let fk = space.key(keys[i]);
             if space.in_arc_oo(fk, self.me.key, key) {
                 let d = space.distance_cw(self.me.key, fk);
                 if d > best_dist {
                     best_dist = d;
                     best = Some(Peer {
-                        idx: self.finger_idxs[i] as usize,
+                        idx: idxs[i] as usize,
                         key: fk,
                     });
                 }
@@ -312,7 +351,7 @@ impl RoutingState {
                 }
             }
         };
-        for s in &self.succs {
+        for s in self.succs.as_slice() {
             consider(*s);
         }
         if let Some(c) = self.cache.closest_preceding(space, self.me.key, key) {
@@ -335,15 +374,16 @@ impl RoutingState {
             cuts.push(succ);
             // Neighboring fingers mostly repeat one node (all but about
             // log2 n of them): skip the repeats without a push.
+            let (keys, idxs) = (self.finger_keys.as_slice(), self.finger_idxs.as_slice());
             let mut last = succ.key.value();
             let mut live = self.finger_live;
             while live != 0 {
                 let i = live.trailing_zeros() as usize;
                 live &= live - 1;
-                if self.finger_keys[i] != last {
-                    last = self.finger_keys[i];
+                if keys[i] != last {
+                    last = keys[i];
                     cuts.push(Peer {
-                        idx: self.finger_idxs[i] as usize,
+                        idx: idxs[i] as usize,
                         key: space.key(last),
                     });
                 }
@@ -590,6 +630,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// What the *rows* stage is left to ask for. Nothing on a converged
+    /// node of a key space of up to `INLINE_FINGERS` bits until its cache
+    /// has learned more than `INLINE_ENTRIES` peers; a wider key space or
+    /// a longer successor list spills its table from the start.
+    #[test]
+    fn a_converged_node_is_in_place_until_its_cache_spills() {
+        use crate::cache::INLINE_ENTRIES;
+        let ring_of = |cfg: &OverlayConfig| {
+            let space = cfg.space;
+            let peers = (0..60)
+                .map(|idx| Peer {
+                    idx,
+                    key: space.key(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(idx as u64 + 1)),
+                })
+                .collect();
+            build_routing_states(cfg, &RingView::new(space, peers))
+        };
+        for bits in [13, 19, INLINE_FINGERS as u32] {
+            let cfg = OverlayConfig::paper_default().with_space(KeySpace::new(bits));
+            let mut states = ring_of(&cfg);
+            assert!(states.iter().all(RoutingState::is_in_place), "m={bits}");
+            let (st, peers) = states.split_first_mut().unwrap();
+            for (learned, other) in peers.iter().enumerate() {
+                assert_eq!(st.is_in_place(), learned <= INLINE_ENTRIES, "m={bits}");
+                st.learn(other.me());
+                st.prefetch(PrefetchStage::Rows);
+            }
+            assert_eq!(st.cache_len(), peers.len());
+        }
+        let wide = OverlayConfig::paper_default().with_space(KeySpace::new(25));
+        assert!(!ring_of(&wide).iter().any(RoutingState::is_in_place));
+        let long = OverlayConfig::paper_default().with_succ_list_len(INLINE_SUCCS + 1);
+        assert!(!ring_of(&long).iter().any(RoutingState::is_in_place));
     }
 
     /// Builds converged state for the node at `key` on a ring of the given

@@ -22,7 +22,7 @@
 //!
 //! The sharded engine's own loop (`shard.rs`) does not call the hook: it
 //! has one measurement ever (0.08× at two shards on one core) and
-//! ROADMAP item 3 decides whether it stays at all.
+//! ROADMAP item 1 decides whether it stays at all.
 //!
 //! This module holds the workspace's only `unsafe` block in library
 //! code; every other crate keeps `#![forbid(unsafe_code)]`. A hint is used
