@@ -44,12 +44,34 @@ cargo test --workspace --doc -q
 
 # The allocation gates pin exact counts, which hold for optimized builds
 # only: two of the three are ignored under debug assertions, so the debug
-# run above does not gate them. The covering-probe gate counts what the
+# run above does not gate them — nor `alloc_install`'s ceiling on the live
+# heap bytes a stored copy adds. The covering-probe gate counts what the
 # store read, not what the allocator did, so it already ran above; it is
 # repeated here because the optimized build is the one that gets measured.
 echo "==> cargo test --release (allocation and covering-probe gates)"
 cargo test --release -q -p cbps-bench \
     --test alloc_steady --test alloc_install --test alloc_route --test covering_stats
+
+# The sampling profiler of `ci/prof` is C and Python, out of cargo's sight:
+# build it and take one profile of a sub-second run, so that the next perf
+# change finds it working (usage: .claude/skills/verify/SKILL.md).
+if command -v gcc >/dev/null 2>&1 && command -v python3 >/dev/null 2>&1 &&
+    command -v addr2line >/dev/null 2>&1; then
+    echo "==> ci/prof sampler smoke"
+    prof_dir=$(mktemp -d)
+    gcc -O2 -Wall -Wextra -Werror -shared -fPIC -o "$prof_dir/samp.so" ci/prof/samp.c
+    SAMP_HZ=1000 SAMP_OUT="$prof_dir/fig6.samp" LD_PRELOAD="$prof_dir/samp.so" \
+        ./target/release/figures --scale quick --jobs 1 fig6 >/dev/null 2>&1
+    python3 ci/prof/report.py "$prof_dir/fig6.samp" --view incl --top 400 >"$prof_dir/incl.txt"
+    if ! grep -q 'main' "$prof_dir/incl.txt"; then
+        echo "FAIL: the sampler's report names no frame of the run it sampled" >&2
+        head "$prof_dir/incl.txt" >&2
+        exit 1
+    fi
+    rm -rf "$prof_dir"
+else
+    echo "==> gcc, python3 or addr2line missing; skipping the ci/prof smoke"
+fi
 
 # Hint neutrality: `tests/hint_neutrality.rs` pins what a fanout-shaped run
 # delivers, counts and costs in events; it passed above with the prefetch

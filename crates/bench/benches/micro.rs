@@ -9,9 +9,7 @@
 
 use std::time::{Duration, Instant};
 
-use cbps::{
-    AkMapping, Event, EventSpace, MappingKind, MatchIndex, SortedIndex, SubId, Subscription,
-};
+use cbps::{AkMapping, Event, EventSpace, MappingKind, MatchIndex, SortedIndex, Subscription};
 use cbps_overlay::{
     hash::sha1, KeyRangeSet, KeySpace, OverlayConfig, Peer, RingView, RoutingState,
 };
@@ -84,8 +82,8 @@ fn bench_matching() {
     let mut index = MatchIndex::new(&space);
     let mut sorted = SortedIndex::new(&space);
     for (i, s) in subs.iter().enumerate() {
-        index.insert(SubId(i as u64), s.clone());
-        sorted.insert(SubId(i as u64), s.clone());
+        index.insert(i as u32, s.clone());
+        sorted.insert(i as u32, s.clone());
     }
     let mut hits = Vec::new();
     let mut i = 0;

@@ -290,13 +290,13 @@ fn match_point(n: usize, seed: u64) -> Result<MatchPoint, String> {
     let started = Instant::now();
     let mut counting = MatchIndex::new(&space);
     for (i, sub) in stored.iter().enumerate() {
-        counting.insert(SubId(i as u64), sub.clone());
+        counting.insert(i as u32, sub.clone());
     }
     let counting_build_secs = started.elapsed().as_secs_f64();
     let started = Instant::now();
     let mut sorted = SortedIndex::new(&space);
     for (i, sub) in stored.iter().enumerate() {
-        sorted.insert(SubId(i as u64), sub.clone());
+        sorted.insert(i as u32, sub.clone());
     }
     let sorted_build_secs = started.elapsed().as_secs_f64();
 
@@ -370,7 +370,8 @@ fn match_point(n: usize, seed: u64) -> Result<MatchPoint, String> {
     for (i, event) in events.iter().take(8).enumerate() {
         counting.matches_into(event, &mut a);
         store.match_event_into(event, SimTime::ZERO, &mut store_out);
-        let got: Vec<SubId> = store_out.iter().map(|&(id, ..)| id).collect();
+        // The raw engine was filled in id order: its slots are the ids.
+        let got: Vec<u32> = store_out.iter().map(|&(id, ..)| id.0 as u32).collect();
         if got != a {
             return Err(format!(
                 "covering store disagrees with raw engine at {n} subs on probe event {i}: \

@@ -19,20 +19,28 @@ use crate::subscription::{SubId, Subscription};
 
 /// The matching operations every engine provides.
 ///
+/// An engine mints no names of its own: every entry goes by the *slot* its
+/// caller files it under — the covering group's slot, or the store's row
+/// with covering off — and a match names slots. The caller keeps its slots
+/// dense (engines size tables by the largest in use) and may hand a
+/// removed entry's slot to the next insert at once.
+///
 /// `matches_into` is the one true entry point — buffer-reusing and
 /// allocation-free at steady state. [`MatchEngine::matches`] is a
 /// convenience wrapper for tests and examples.
 pub trait MatchEngine {
-    /// Inserts a subscription under `id`. Returns `false` (and leaves the
-    /// engine unchanged) when `id` is already present.
-    fn insert(&mut self, id: SubId, sub: Subscription) -> bool;
+    /// Indexes `sub` under `slot`; panics when the slot is occupied.
+    fn insert(&mut self, slot: impl SlotKey, sub: Subscription);
 
-    /// Removes the subscription under `id`, returning it if present.
-    fn remove(&mut self, id: SubId) -> Option<Subscription>;
+    /// Removes the subscription under `slot`, returning it if present.
+    fn remove(&mut self, slot: u32) -> Option<Subscription>;
 
-    /// Writes all subscriptions matched by `event` into `out` (cleared
-    /// first), in ascending id order.
-    fn matches_into(&mut self, event: &Event, out: &mut Vec<SubId>);
+    /// The subscription indexed under `slot`.
+    fn get(&self, slot: u32) -> Option<&Subscription>;
+
+    /// Writes the slots of all subscriptions matched by `event` into `out`
+    /// (cleared first), in ascending order.
+    fn matches_into(&mut self, event: &Event, out: &mut Vec<u32>);
 
     /// Number of indexed subscriptions.
     fn len(&self) -> usize;
@@ -47,33 +55,58 @@ pub trait MatchEngine {
     /// # Examples
     ///
     /// ```
-    /// use cbps::{AttributeDef, Event, EventSpace, MatchEngine, MatchIndex, SubId, Subscription};
+    /// use cbps::{AttributeDef, Event, EventSpace, MatchEngine, MatchIndex, Subscription};
     ///
     /// let space = EventSpace::new(vec![AttributeDef::new("x", 100)]);
     /// let mut engine = MatchIndex::new(&space);
     /// let sub = Subscription::builder(&space).range("x", 10, 20)?.build()?;
-    /// engine.insert(SubId(1), sub);
-    /// assert_eq!(engine.matches(&Event::new(&space, vec![15])?), vec![SubId(1)]);
+    /// engine.insert(1, sub);
+    /// assert_eq!(engine.matches(&Event::new(&space, vec![15])?), vec![1]);
     /// assert!(engine.matches(&Event::new(&space, vec![25])?).is_empty());
     /// # Ok::<(), cbps::PubSubError>(())
     /// ```
-    fn matches(&mut self, event: &Event) -> Vec<SubId> {
+    fn matches(&mut self, event: &Event) -> Vec<u32> {
         let mut out = Vec::new();
         self.matches_into(event, &mut out);
         out
     }
 }
 
+/// What [`MatchEngine::insert`] takes for a slot: the number itself, or a
+/// [`SubId`] whose value is one — for a caller that numbers its
+/// subscriptions from zero and keeps no table of its own (the benchmark's
+/// engine replay).
+pub trait SlotKey {
+    /// The slot.
+    fn slot(self) -> u32;
+}
+
+impl SlotKey for u32 {
+    fn slot(self) -> u32 {
+        self
+    }
+}
+
+impl SlotKey for SubId {
+    fn slot(self) -> u32 {
+        u32::try_from(self.0).expect("an id used as an engine slot fits 32 bits")
+    }
+}
+
 impl MatchEngine for MatchIndex {
-    fn insert(&mut self, id: SubId, sub: Subscription) -> bool {
-        MatchIndex::insert(self, id, sub)
+    fn insert(&mut self, slot: impl SlotKey, sub: Subscription) {
+        MatchIndex::insert(self, slot.slot(), sub)
     }
 
-    fn remove(&mut self, id: SubId) -> Option<Subscription> {
-        MatchIndex::remove(self, id)
+    fn remove(&mut self, slot: u32) -> Option<Subscription> {
+        MatchIndex::remove(self, slot)
     }
 
-    fn matches_into(&mut self, event: &Event, out: &mut Vec<SubId>) {
+    fn get(&self, slot: u32) -> Option<&Subscription> {
+        MatchIndex::get(self, slot)
+    }
+
+    fn matches_into(&mut self, event: &Event, out: &mut Vec<u32>) {
         MatchIndex::matches_into(self, event, out)
     }
 
@@ -83,15 +116,19 @@ impl MatchEngine for MatchIndex {
 }
 
 impl MatchEngine for SortedIndex {
-    fn insert(&mut self, id: SubId, sub: Subscription) -> bool {
-        SortedIndex::insert(self, id, sub)
+    fn insert(&mut self, slot: impl SlotKey, sub: Subscription) {
+        SortedIndex::insert(self, slot.slot(), sub)
     }
 
-    fn remove(&mut self, id: SubId) -> Option<Subscription> {
-        SortedIndex::remove(self, id)
+    fn remove(&mut self, slot: u32) -> Option<Subscription> {
+        SortedIndex::remove(self, slot)
     }
 
-    fn matches_into(&mut self, event: &Event, out: &mut Vec<SubId>) {
+    fn get(&self, slot: u32) -> Option<&Subscription> {
+        SortedIndex::get(self, slot)
+    }
+
+    fn matches_into(&mut self, event: &Event, out: &mut Vec<u32>) {
         SortedIndex::matches_into(self, event, out)
     }
 
@@ -105,15 +142,17 @@ impl MatchEngine for SortedIndex {
 pub enum AnyMatchEngine {
     /// The counting index (reference implementation).
     Counting(MatchIndex),
-    /// The flat sorted table.
-    Sorted(SortedIndex),
+    /// The flat sorted table, boxed: its dozen array headers would
+    /// otherwise size every store of a deployment that runs the counting
+    /// index.
+    Sorted(Box<SortedIndex>),
 }
 
 impl AnyMatchEngine {
     /// Creates an empty engine of the given kind over `space`.
     pub fn new(kind: MatchEngineKind, space: &EventSpace) -> Self {
         match kind {
-            MatchEngineKind::Sorted => AnyMatchEngine::Sorted(SortedIndex::new(space)),
+            MatchEngineKind::Sorted => AnyMatchEngine::Sorted(Box::new(SortedIndex::new(space))),
             _ => AnyMatchEngine::Counting(MatchIndex::new(space)),
         }
     }
@@ -123,6 +162,22 @@ impl AnyMatchEngine {
         match self {
             AnyMatchEngine::Counting(_) => MatchEngineKind::Counting,
             AnyMatchEngine::Sorted(_) => MatchEngineKind::Sorted,
+        }
+    }
+
+    /// Hints the lines an insert of `sub` writes first. The sorted engine
+    /// appends to a handful of array tails its header names; nothing to
+    /// ask for ahead of that.
+    pub(crate) fn prefetch_insert(&self, sub: &Subscription) {
+        if let AnyMatchEngine::Counting(e) = self {
+            e.prefetch_insert(sub);
+        }
+    }
+
+    /// Second round of [`AnyMatchEngine::prefetch_insert`].
+    pub(crate) fn prefetch_tails(&self, sub: &Subscription) {
+        if let AnyMatchEngine::Counting(e) = self {
+            e.prefetch_tails(sub);
         }
     }
 
@@ -138,31 +193,38 @@ impl AnyMatchEngine {
 }
 
 impl MatchEngine for AnyMatchEngine {
-    fn insert(&mut self, id: SubId, sub: Subscription) -> bool {
+    fn insert(&mut self, slot: impl SlotKey, sub: Subscription) {
         match self {
-            AnyMatchEngine::Counting(e) => e.insert(id, sub),
-            AnyMatchEngine::Sorted(e) => e.insert(id, sub),
+            AnyMatchEngine::Counting(e) => e.insert(slot.slot(), sub),
+            AnyMatchEngine::Sorted(e) => e.insert(slot.slot(), sub),
         }
     }
 
-    fn remove(&mut self, id: SubId) -> Option<Subscription> {
+    fn remove(&mut self, slot: u32) -> Option<Subscription> {
         match self {
-            AnyMatchEngine::Counting(e) => e.remove(id),
-            AnyMatchEngine::Sorted(e) => e.remove(id),
+            AnyMatchEngine::Counting(e) => e.remove(slot),
+            AnyMatchEngine::Sorted(e) => e.remove(slot),
         }
     }
 
-    fn matches_into(&mut self, event: &Event, out: &mut Vec<SubId>) {
+    fn get(&self, slot: u32) -> Option<&Subscription> {
         match self {
-            AnyMatchEngine::Counting(e) => MatchIndex::matches_into(e, event, out),
-            AnyMatchEngine::Sorted(e) => SortedIndex::matches_into(e, event, out),
+            AnyMatchEngine::Counting(e) => e.get(slot),
+            AnyMatchEngine::Sorted(e) => e.get(slot),
+        }
+    }
+
+    fn matches_into(&mut self, event: &Event, out: &mut Vec<u32>) {
+        match self {
+            AnyMatchEngine::Counting(e) => e.matches_into(event, out),
+            AnyMatchEngine::Sorted(e) => e.matches_into(event, out),
         }
     }
 
     fn len(&self) -> usize {
         match self {
-            AnyMatchEngine::Counting(e) => MatchIndex::len(e),
-            AnyMatchEngine::Sorted(e) => SortedIndex::len(e),
+            AnyMatchEngine::Counting(e) => e.len(),
+            AnyMatchEngine::Sorted(e) => e.len(),
         }
     }
 }
@@ -184,13 +246,11 @@ mod tests {
                 .unwrap()
                 .build()
                 .unwrap();
-            assert!(engine.insert(SubId(1), sub.clone()));
+            engine.insert(1, sub.clone());
             assert_eq!(engine.len(), 1);
-            assert_eq!(
-                engine.matches(&Event::new_unchecked(vec![15])),
-                vec![SubId(1)]
-            );
-            assert_eq!(engine.remove(SubId(1)), Some(sub));
+            assert_eq!(engine.get(1), Some(&sub));
+            assert_eq!(engine.matches(&Event::new_unchecked(vec![15])), vec![1]);
+            assert_eq!(engine.remove(1), Some(sub));
             assert!(engine.is_empty());
         }
     }

@@ -8,12 +8,11 @@
 //! subscription matches when all of its constraints are satisfied.
 //! Wildcard dimensions never enter the count.
 
-use std::collections::hash_map::Entry;
-
 use crate::event::Event;
 use crate::space::EventSpace;
-use crate::subscription::{IdMap, SubId, Subscription};
+use crate::subscription::Subscription;
 use cbps_overlay::InlineVec;
+use cbps_sim::prefetch::{prefetch_at, prefetch_tail};
 
 /// Number of buckets per dimension. Chosen so bucket lists stay short for
 /// the evaluation workloads without bloating empty stores.
@@ -35,7 +34,7 @@ const INLINE_POSITIONS: usize = 12;
 /// # Examples
 ///
 /// ```
-/// use cbps::{AttributeDef, Event, EventSpace, MatchIndex, SubId, Subscription};
+/// use cbps::{AttributeDef, Event, EventSpace, MatchIndex, Subscription};
 ///
 /// let space = EventSpace::new(vec![
 ///     AttributeDef::new("x", 100),
@@ -43,10 +42,10 @@ const INLINE_POSITIONS: usize = 12;
 /// ]);
 /// let mut index = MatchIndex::new(&space);
 /// let sub = Subscription::builder(&space).range("x", 10, 20)?.build()?;
-/// index.insert(SubId(1), sub);
+/// index.insert(1, sub);
 /// let mut hits = Vec::new();
 /// index.matches_into(&Event::new(&space, vec![15, 99])?, &mut hits);
-/// assert_eq!(hits, vec![SubId(1)]);
+/// assert_eq!(hits, vec![1]);
 /// # Ok::<(), cbps::PubSubError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -60,11 +59,11 @@ pub struct MatchIndex {
     /// `buckets[i * BUCKETS + b]` = dense slots of subscriptions whose
     /// constraint on dimension `i` overlaps bucket `b`.
     buckets: Vec<Vec<u32>>,
-    /// Dense slot table; freed slots are recycled.
+    /// The entries, by the slot their owner filed them under: the index
+    /// mints no numbers of its own, so a hit leads its owner straight to
+    /// whatever it keeps under the same number.
     slots: Vec<Option<SlotEntry>>,
-    free: Vec<u32>,
-    /// Id → slot.
-    by_id: IdMap<u32>,
+    len: usize,
     /// Scratch for the counting algorithm, reused across `matches` calls:
     /// `counts[slot]` is current only when `epochs[slot] == epoch`, so one
     /// counter bump invalidates every stale count instead of zeroing a
@@ -78,7 +77,6 @@ pub struct MatchIndex {
 /// One indexed subscription.
 #[derive(Clone, Debug)]
 struct SlotEntry {
-    id: SubId,
     sub: Subscription,
     /// Number of constrained (non-wildcard) dimensions.
     constrained: u32,
@@ -100,8 +98,7 @@ impl MatchIndex {
                 .collect(),
             buckets: Vec::new(),
             slots: Vec::new(),
-            free: Vec::new(),
-            by_id: IdMap::default(),
+            len: 0,
             epoch: 0,
             epochs: Vec::new(),
             counts: Vec::new(),
@@ -111,35 +108,36 @@ impl MatchIndex {
 
     /// Number of indexed subscriptions.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.len
     }
 
     /// `true` when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+        self.len == 0
     }
 
-    /// `true` iff `id` is indexed.
-    pub fn contains(&self, id: SubId) -> bool {
-        self.by_id.contains_key(&id)
+    /// Iterates over the indexed `(slot, subscription)` pairs, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &Subscription)> {
+        let slots = (0u32..).zip(&self.slots);
+        slots.filter_map(|(slot, e)| Some((slot, &e.as_ref()?.sub)))
     }
 
-    /// Iterates over the indexed `(id, subscription)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SubId, &Subscription)> {
-        self.slots.iter().flatten().map(|e| (e.id, &e.sub))
-    }
-
-    /// Inserts a subscription under `id`. Returns `false` (and leaves the
-    /// index unchanged) when `id` is already present.
-    pub fn insert(&mut self, id: SubId, sub: Subscription) -> bool {
-        let Entry::Vacant(by_id) = self.by_id.entry(id) else {
-            return false;
-        };
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.slots.push(None);
-            (self.slots.len() - 1) as u32
-        });
-        by_id.insert(slot);
+    /// Indexes a subscription under `slot`, a number its caller owns and
+    /// keeps dense (the table below grows to the largest one in use).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `slot` is occupied: two tenants of one slot would
+    /// answer for each other's events.
+    pub fn insert(&mut self, slot: u32, sub: Subscription) {
+        if slot as usize >= self.slots.len() {
+            self.slots.resize_with(slot as usize + 1, || None);
+        }
+        assert!(
+            self.slots[slot as usize].is_none(),
+            "engine slot {slot} is occupied"
+        );
+        self.len += 1;
         if self.buckets.is_empty() {
             self.buckets = vec![Vec::new(); self.widths.len() * BUCKETS];
         }
@@ -158,22 +156,44 @@ impl MatchIndex {
         }
         let constrained = sub.constrained_count() as u32;
         self.slots[slot as usize] = Some(SlotEntry {
-            id,
             sub,
             constrained,
             positions,
         });
-        true
     }
 
-    /// Removes the subscription under `id`, returning it if present.
+    /// Hints the lines an insert of `sub` under a fresh slot writes first:
+    /// the tail of the slot table and the headers of the bucket lists of
+    /// `sub`'s spans (see [`cbps_sim::prefetch`]).
+    pub(crate) fn prefetch_insert(&self, sub: &Subscription) {
+        prefetch_tail(&self.slots);
+        for lists in spans(&self.widths, sub) {
+            prefetch_at(&self.buckets, lists.start);
+            prefetch_at(&self.buckets, lists.end - 1);
+        }
+    }
+
+    /// The second round of [`MatchIndex::prefetch_insert`], once the
+    /// headers it asked for are in: the tails of those bucket lists.
+    pub(crate) fn prefetch_tails(&self, sub: &Subscription) {
+        for lists in spans(&self.widths, sub) {
+            // No lists at all before the first insert.
+            self.buckets
+                .get(lists)
+                .into_iter()
+                .flatten()
+                .for_each(|list| prefetch_tail(list));
+        }
+    }
+
+    /// Removes the subscription under `slot`, returning it if present.
     ///
     /// O(1) per bucket: each bucket entry is evicted by `swap_remove` at
     /// its recorded position, and the one entry that gets moved has its
     /// own recorded position fixed up in place.
-    pub fn remove(&mut self, id: SubId) -> Option<Subscription> {
-        let slot = self.by_id.remove(&id)?;
-        let entry = self.slots[slot as usize].take()?;
+    pub fn remove(&mut self, slot: u32) -> Option<Subscription> {
+        let entry = self.slots.get_mut(slot as usize)?.take()?;
+        self.len -= 1;
         let mut pi = 0;
         for (i, c) in entry.sub.constraints().iter().enumerate() {
             if let Some(c) = c {
@@ -194,14 +214,12 @@ impl MatchIndex {
                 }
             }
         }
-        self.free.push(slot);
         Some(entry.sub)
     }
 
-    /// The subscription stored under `id`.
-    pub fn get(&self, id: SubId) -> Option<&Subscription> {
-        let slot = *self.by_id.get(&id)?;
-        self.slots[slot as usize].as_ref().map(|e| &e.sub)
+    /// The subscription stored under `slot`.
+    pub fn get(&self, slot: u32) -> Option<&Subscription> {
+        self.slots.get(slot as usize)?.as_ref().map(|e| &e.sub)
     }
 
     /// Grows the counting scratch to its steady-state size (bounded by the
@@ -220,11 +238,11 @@ impl MatchIndex {
         }
     }
 
-    /// Writes all subscriptions matched by `event` into `out` (cleared
-    /// first), in ascending id order. Allocation-free at steady state:
-    /// the counting scratch is epoch-stamped rather than re-zeroed, so a
-    /// call touches only the candidate slots.
-    pub fn matches_into(&mut self, event: &Event, out: &mut Vec<SubId>) {
+    /// Writes the slots of all subscriptions matched by `event` into `out`
+    /// (cleared first), in ascending order. Allocation-free at steady
+    /// state: the counting scratch is epoch-stamped rather than re-zeroed,
+    /// so a call touches only the candidate slots.
+    pub fn matches_into(&mut self, event: &Event, out: &mut Vec<u32>) {
         out.clear();
         if self.buckets.is_empty() {
             // Nothing was ever inserted; the bucket lists don't exist yet.
@@ -266,7 +284,7 @@ impl MatchIndex {
         for &slot in &self.touched {
             let entry = self.slots[slot as usize].as_ref().expect("live slot");
             if self.counts[slot as usize] == entry.constrained {
-                out.push(entry.id);
+                out.push(slot);
             }
         }
         out.sort_unstable();
@@ -274,16 +292,9 @@ impl MatchIndex {
 
     /// Reference implementation: linear scan with exact matching. Used by
     /// tests and micro-benchmarks to validate and compare the index.
-    pub fn matches_brute_force(&self, event: &Event) -> Vec<SubId> {
-        let mut out: Vec<SubId> = self
-            .slots
-            .iter()
-            .flatten()
-            .filter(|e| e.sub.matches(event))
-            .map(|e| e.id)
-            .collect();
-        out.sort_unstable();
-        out
+    pub fn matches_brute_force(&self, event: &Event) -> Vec<u32> {
+        let hits = self.iter().filter(|(_, sub)| sub.matches(event));
+        hits.map(|(slot, _)| slot).collect()
     }
 }
 
@@ -293,6 +304,19 @@ fn bucket_span(widths: &[u64], dim: usize, lo: u64, hi: u64) -> (usize, usize) {
         ((lo / w) as usize).min(BUCKETS - 1),
         ((hi / w) as usize).min(BUCKETS - 1),
     )
+}
+
+/// The bucket lists `sub` is entered in, as ranges of
+/// [`MatchIndex::buckets`], one per constrained dimension.
+fn spans<'a>(
+    widths: &'a [u64],
+    sub: &'a Subscription,
+) -> impl Iterator<Item = std::ops::Range<usize>> + 'a {
+    let constrained = sub.constraints().iter().enumerate();
+    constrained.filter_map(move |(i, c)| {
+        let (blo, bhi) = bucket_span(widths, i, c.as_ref()?.lo(), c.as_ref()?.hi());
+        Some(i * BUCKETS + blo..i * BUCKETS + bhi + 1)
+    })
 }
 
 /// Index into a [`SlotEntry::positions`] vector for dimension `dim`,
@@ -328,6 +352,14 @@ mod tests {
         ])
     }
 
+    /// The index entry is the larger half of what a founding copy writes
+    /// (96 B while it carried the id it was found by).
+    #[test]
+    fn slot_entry_stays_under_its_size_ceiling() {
+        let bytes = std::mem::size_of::<Option<SlotEntry>>();
+        assert!(bytes <= 88, "SlotEntry grew to {bytes} B (ceiling 88)");
+    }
+
     #[test]
     fn insert_match_remove_roundtrip() {
         let s = space();
@@ -338,18 +370,19 @@ mod tests {
             .eq("z", 5)
             .build()
             .unwrap();
-        assert!(idx.insert(SubId(1), sub.clone()));
-        assert!(!idx.insert(SubId(1), sub)); // duplicate rejected
+        idx.insert(1, sub.clone());
         assert_eq!(idx.len(), 1);
-        assert!(idx.contains(SubId(1)));
+        assert_eq!(idx.get(1), Some(&sub));
+        assert_eq!((idx.get(0), idx.get(7)), (None, None));
 
         let hit = Event::new_unchecked(vec![150, 0, 5]);
         let miss = Event::new_unchecked(vec![150, 0, 6]);
-        assert_eq!(idx.matches(&hit), vec![SubId(1)]);
+        assert_eq!(idx.matches(&hit), vec![1]);
         assert!(idx.matches(&miss).is_empty());
 
-        assert!(idx.remove(SubId(1)).is_some());
-        assert!(idx.remove(SubId(1)).is_none());
+        assert!(idx.remove(1).is_some());
+        assert!(idx.remove(1).is_none());
+        assert!(idx.remove(7).is_none());
         assert!(idx.matches(&hit).is_empty());
         assert!(idx.is_empty());
     }
@@ -364,7 +397,7 @@ mod tests {
                 .unwrap()
                 .build()
                 .unwrap();
-            idx.insert(SubId(i), sub);
+            idx.insert(i as u32, sub);
         }
         // x = 120 lies in [50,150], [100,200] → subs 1 and 2... and [0,100]?
         // 120 > 100, no. Check against brute force instead of hand-counting.
@@ -378,12 +411,9 @@ mod tests {
         let s = space();
         let mut idx = MatchIndex::new(&s);
         let sub = Subscription::builder(&s).eq("z", 3).build().unwrap();
-        idx.insert(SubId(7), sub);
+        idx.insert(7, sub);
         // x and y arbitrary.
-        assert_eq!(
-            idx.matches(&Event::new_unchecked(vec![999, 0, 3])),
-            vec![SubId(7)]
-        );
+        assert_eq!(idx.matches(&Event::new_unchecked(vec![999, 0, 3])), vec![7]);
         assert!(idx
             .matches(&Event::new_unchecked(vec![999, 0, 4]))
             .is_empty());
@@ -394,21 +424,23 @@ mod tests {
         let s = space();
         let mut idx = MatchIndex::new(&s);
         let sub = Subscription::builder(&s).eq("z", 1).build().unwrap();
-        idx.insert(SubId(9), sub.clone());
-        assert_eq!(idx.get(SubId(9)), Some(&sub));
-        assert_eq!(idx.iter().count(), 1);
+        idx.insert(9, sub.clone());
+        assert_eq!(idx.get(9), Some(&sub));
+        assert_eq!(idx.iter().collect::<Vec<_>>(), [(9, &sub)]);
     }
 
     /// Interleaved inserts and removes keep the bucket position records
     /// consistent: every removal exercises the `swap_remove` fix-up path,
-    /// and matching stays equal to brute force throughout.
+    /// freed slots go to the next newcomer the way an owner's free list
+    /// hands them out, and matching stays equal to brute force throughout.
     #[test]
     fn removal_keeps_index_consistent() {
         let mut rng = Rng::seed_from_u64(0xdead_5107);
         let s = space();
         let mut idx = MatchIndex::new(&s);
-        let mut live: Vec<u64> = Vec::new();
-        let mut next_id = 0u64;
+        let mut live: Vec<u32> = Vec::new();
+        let mut free: Vec<u32> = Vec::new();
+        let mut next_slot = 0u32;
         for _ in 0..2000 {
             if live.is_empty() || rng.gen_bool(0.6) {
                 let xlo = rng.gen_range(0u64..1000);
@@ -419,13 +451,17 @@ mod tests {
                     .eq("z", rng.gen_range(0u64..10))
                     .build()
                     .unwrap();
-                assert!(idx.insert(SubId(next_id), sub));
-                live.push(next_id);
-                next_id += 1;
+                let slot = free.pop().unwrap_or_else(|| {
+                    next_slot += 1;
+                    next_slot - 1
+                });
+                idx.insert(slot, sub);
+                live.push(slot);
             } else {
                 let k = rng.gen_range(0u64..live.len() as u64) as usize;
-                let id = live.swap_remove(k);
-                assert!(idx.remove(SubId(id)).is_some());
+                let slot = live.swap_remove(k);
+                assert!(idx.remove(slot).is_some());
+                free.push(slot);
             }
             if rng.gen_bool(0.25) {
                 let e = Event::new_unchecked(vec![
@@ -463,7 +499,7 @@ mod tests {
                         Some(crate::subscription::Constraint::eq(rng.gen_range(0u64..10)));
                 }
                 let sub = Subscription::from_constraints(&s, constraints).unwrap();
-                idx.insert(SubId(i as u64), sub);
+                idx.insert(i as u32, sub);
             }
             for _ in 0..rng.gen_range(1usize..30) {
                 let e = Event::new_unchecked(vec![

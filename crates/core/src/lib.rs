@@ -69,7 +69,7 @@ pub use backend::{BackendCtx, ChordBackend, ChordPubSub, OverlayBackend};
 pub use cbps_sim::MatchEngineKind;
 pub use config::{deployment_key_space, NotifyMode, Primitive, PubSubConfig};
 pub use covering::CoveringStats;
-pub use engine::{AnyMatchEngine, MatchEngine};
+pub use engine::{AnyMatchEngine, MatchEngine, SlotKey};
 pub use error::{ConfigError, PubSubError};
 pub use event::{Event, EventId};
 pub use index::MatchIndex;

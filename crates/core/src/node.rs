@@ -21,6 +21,10 @@ use crate::rendezvous::{assign_group, shift_set, SweepKind, SweepOp};
 use crate::store::{MatchHit, StoredSub, SubscriptionStore};
 use crate::subscription::{IdSet, SubId, Subscription};
 
+/// The capacity a `Vec` of word-sized (or larger) elements allocates on
+/// its first push.
+const FIRST_GROWTH: usize = 4;
+
 /// Bound on the rendezvous-side event dedup window (events can arrive once
 /// per target key under per-key unicast).
 const SEEN_EVENTS_CAP: usize = 4096;
@@ -370,8 +374,16 @@ impl PubSubNode {
     /// of roughly `expected_stored` subscriptions (see
     /// [`SubscriptionStore::reserve`]). Deployment builders call this
     /// with a per-node estimate derived from the workload totals before
-    /// replaying a trace; behavior is identical with or without it.
+    /// replaying a trace; behavior is identical with or without it. An
+    /// estimate a vector's first push covers anyway ([`FIRST_GROWTH`]) is
+    /// left to that push: reserving for it would make, on every node of a
+    /// deployment whose nodes mostly never store anything, the
+    /// minimum-capacity allocations the nodes that do store make by
+    /// themselves.
     pub fn reserve_workload(&mut self, expected_stored: usize) {
+        if expected_stored <= FIRST_GROWTH {
+            return;
+        }
         self.store.reserve(expected_stored);
         if self.match_buf.capacity() < expected_stored {
             self.match_buf

@@ -7,7 +7,10 @@
 //!
 //! * **Row store.** Every subscription is one *row* in flat parallel
 //!   arrays (`lo`/`hi` per dimension, a constrained-dimension bitmask, the
-//!   id). Candidate verification is sequential loads, no pointers.
+//!   owner's slot). Candidate verification is sequential loads, no
+//!   pointers. Rows are the engine's own: a removed row lingers in the
+//!   runs until a merge drops it, so the slot its owner recycles at once
+//!   cannot double as the row number.
 //! * **Span-class segments.** Rows are grouped by `(first constrained
 //!   dimension d, ⌊log2 span⌋)` and kept sorted by their lower bound on
 //!   `d`. For an event value `v`, every constraint in a class-`k` segment
@@ -34,7 +37,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use crate::event::Event;
 use crate::space::EventSpace;
-use crate::subscription::{Constraint, IdMap, SubId, Subscription};
+use crate::subscription::Subscription;
 
 /// Rows buffered unsorted before being batch-merged into segment runs.
 /// Queries scan the staging tail linearly, so it stays cache-sized.
@@ -63,10 +66,12 @@ struct Segment {
     runs: Vec<Run>,
 }
 
+/// In [`SortedIndex::by_slot`]: nothing is indexed under the slot.
+const VACANT: u32 = u32::MAX;
+
 /// Flat sorted-table matching engine (see the module docs).
 #[derive(Clone, Debug)]
 pub struct SortedIndex {
-    space: EventSpace,
     dims: usize,
     /// Flat row store: `lo[row * dims + d]` / `hi[...]` are the bounds on
     /// dimension `d` (unconstrained dimensions hold `0..=u64::MAX`).
@@ -74,11 +79,17 @@ pub struct SortedIndex {
     hi: Vec<u64>,
     /// Bit `d` set iff the row constrains dimension `d`.
     mask: Vec<u64>,
-    ids: Vec<SubId>,
+    /// Row → the slot its owner knows it by, and the subscription itself
+    /// (`None` once removed).
+    slots: Vec<u32>,
+    subs: Vec<Option<Subscription>>,
     /// Tombstones: dead rows are skipped by queries and reclaimed lazily.
     dead: Vec<bool>,
     free: Vec<u32>,
-    by_id: IdMap<u32>,
+    /// Slot → row ([`VACANT`] = none), as dense as the owner keeps its
+    /// slots.
+    by_slot: Vec<u32>,
+    len: usize,
     /// Ordered by `(dimension, span class)` so scans visit segments in a
     /// deterministic order.
     segments: BTreeMap<(u32, u32), Segment>,
@@ -101,15 +112,16 @@ impl SortedIndex {
             space.dims()
         );
         SortedIndex {
-            space: space.clone(),
             dims: space.dims(),
             lo: Vec::new(),
             hi: Vec::new(),
             mask: Vec::new(),
-            ids: Vec::new(),
+            slots: Vec::new(),
+            subs: Vec::new(),
             dead: Vec::new(),
             free: Vec::new(),
-            by_id: IdMap::default(),
+            by_slot: Vec::new(),
+            len: 0,
             segments: BTreeMap::new(),
             staging: Vec::new(),
             dead_rows: 0,
@@ -118,34 +130,38 @@ impl SortedIndex {
 
     /// Number of indexed subscriptions.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.len
     }
 
     /// `true` when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+        self.len == 0
     }
 
-    /// `true` iff `id` is indexed.
-    pub fn contains(&self, id: SubId) -> bool {
-        self.by_id.contains_key(&id)
-    }
-
-    /// Inserts a subscription under `id`. Returns `false` (and leaves the
-    /// index unchanged) when `id` is already present.
-    pub fn insert(&mut self, id: SubId, sub: Subscription) -> bool {
-        if self.by_id.contains_key(&id) {
-            return false;
+    /// Indexes a subscription under `slot`, a number its caller owns and
+    /// keeps dense.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `slot` is occupied.
+    pub fn insert(&mut self, slot: u32, sub: Subscription) {
+        if slot as usize >= self.by_slot.len() {
+            self.by_slot.resize(slot as usize + 1, VACANT);
         }
+        assert_eq!(
+            self.by_slot[slot as usize], VACANT,
+            "engine slot {slot} is occupied"
+        );
         debug_assert_eq!(sub.dims(), self.dims);
         let row = match self.free.pop() {
             Some(r) => r,
             None => {
-                let r = self.ids.len() as u32;
+                let r = self.slots.len() as u32;
                 self.lo.resize(self.lo.len() + self.dims, 0);
                 self.hi.resize(self.hi.len() + self.dims, u64::MAX);
                 self.mask.push(0);
-                self.ids.push(SubId(0));
+                self.slots.push(VACANT);
+                self.subs.push(None);
                 self.dead.push(false);
                 r
             }
@@ -166,45 +182,51 @@ impl SortedIndex {
             }
         }
         self.mask[row as usize] = mask;
-        self.ids[row as usize] = id;
+        self.slots[row as usize] = slot;
+        self.subs[row as usize] = Some(sub);
         self.dead[row as usize] = false;
-        self.by_id.insert(id, row);
+        self.by_slot[slot as usize] = row;
+        self.len += 1;
         self.staging.push(row);
         if self.staging.len() >= STAGING_MAX {
             self.flush_staging();
         }
-        true
     }
 
-    /// Removes the subscription under `id`, returning it if present.
+    /// Removes the subscription under `slot`, returning it if present.
     ///
     /// O(1): the row is only tombstoned; dead rows are reclaimed in bulk
     /// by run merges and by a compaction sweep once more than a quarter of
     /// the table is dead.
-    pub fn remove(&mut self, id: SubId) -> Option<Subscription> {
-        let row = self.by_id.remove(&id)?;
-        let sub = self.reconstruct(row);
+    pub fn remove(&mut self, slot: u32) -> Option<Subscription> {
+        let row = std::mem::replace(self.by_slot.get_mut(slot as usize)?, VACANT);
+        if row == VACANT {
+            return None;
+        }
+        let sub = self.subs[row as usize].take();
+        self.len -= 1;
         self.dead[row as usize] = true;
         self.dead_rows += 1;
-        if self.dead_rows * 4 > self.by_id.len() + 64 {
+        if self.dead_rows * 4 > self.len + 64 {
             self.compact();
         }
-        Some(sub)
+        sub
     }
 
-    /// The subscription stored under `id` (rebuilt from the row store).
-    pub fn get(&self, id: SubId) -> Option<Subscription> {
-        self.by_id.get(&id).map(|&row| self.reconstruct(row))
+    /// The subscription stored under `slot`.
+    pub fn get(&self, slot: u32) -> Option<&Subscription> {
+        let &row = self.by_slot.get(slot as usize)?;
+        self.subs.get(row as usize)?.as_ref()
     }
 
-    /// Writes all subscriptions matched by `event` into `out` (cleared
-    /// first), in ascending id order.
-    pub fn matches_into(&self, event: &Event, out: &mut Vec<SubId>) {
+    /// Writes the slots of all subscriptions matched by `event` into `out`
+    /// (cleared first), in ascending order.
+    pub fn matches_into(&self, event: &Event, out: &mut Vec<u32>) {
         out.clear();
         for &row in &self.staging {
             let r = row as usize;
             if !self.dead[r] && self.admits(row, event, 0) {
-                out.push(self.ids[r]);
+                out.push(self.slots[r]);
             }
         }
         for (&(d, class), seg) in &self.segments {
@@ -228,7 +250,7 @@ impl SortedIndex {
                     }
                     let row = run.row[j];
                     if !self.dead[row as usize] && self.admits(row, event, skip) {
-                        out.push(self.ids[row as usize]);
+                        out.push(self.slots[row as usize]);
                     }
                 }
             }
@@ -262,23 +284,6 @@ impl SortedIndex {
         let base = row as usize * self.dims + d as usize;
         let span = self.hi[base] - self.lo[base] + 1;
         (d, 63 - span.leading_zeros())
-    }
-
-    fn reconstruct(&self, row: u32) -> Subscription {
-        let base = row as usize * self.dims;
-        let constraints = (0..self.dims)
-            .map(|d| {
-                if self.mask[row as usize] & (1 << d) != 0 {
-                    Some(
-                        Constraint::range(self.lo[base + d], self.hi[base + d])
-                            .expect("stored bounds are ordered"),
-                    )
-                } else {
-                    None
-                }
-            })
-            .collect();
-        Subscription::from_constraints(&self.space, constraints).expect("stored rows are valid")
     }
 
     fn release_row(&mut self, row: u32) {
@@ -418,11 +423,11 @@ mod tests {
         ])
     }
 
-    fn brute_force(live: &[(u64, Subscription)], e: &Event) -> Vec<SubId> {
-        let mut out: Vec<SubId> = live
+    fn brute_force(live: &[(u32, Subscription)], e: &Event) -> Vec<u32> {
+        let mut out: Vec<u32> = live
             .iter()
             .filter(|(_, s)| s.matches(e))
-            .map(|&(id, _)| SubId(id))
+            .map(|&(slot, _)| slot)
             .collect();
         out.sort_unstable();
         out
@@ -438,20 +443,20 @@ mod tests {
             .eq("z", 5)
             .build()
             .unwrap();
-        assert!(idx.insert(SubId(1), sub.clone()));
-        assert!(!idx.insert(SubId(1), sub.clone()));
+        idx.insert(1, sub.clone());
         assert_eq!(idx.len(), 1);
-        assert!(idx.contains(SubId(1)));
-        assert_eq!(idx.get(SubId(1)), Some(sub.clone()));
+        assert_eq!(idx.get(1), Some(&sub));
+        assert_eq!((idx.get(0), idx.get(7)), (None, None));
 
         let mut out = Vec::new();
         idx.matches_into(&Event::new_unchecked(vec![150, 0, 5]), &mut out);
-        assert_eq!(out, vec![SubId(1)]);
+        assert_eq!(out, vec![1]);
         idx.matches_into(&Event::new_unchecked(vec![150, 0, 6]), &mut out);
         assert!(out.is_empty());
 
-        assert_eq!(idx.remove(SubId(1)), Some(sub));
-        assert!(idx.remove(SubId(1)).is_none());
+        assert_eq!(idx.remove(1), Some(sub));
+        assert!(idx.remove(1).is_none());
+        assert!(idx.remove(7).is_none());
         idx.matches_into(&Event::new_unchecked(vec![150, 0, 5]), &mut out);
         assert!(out.is_empty());
         assert!(idx.is_empty());
@@ -459,14 +464,17 @@ mod tests {
 
     /// Random churn at a size that forces many staging flushes, run
     /// merges, and compactions; matching must equal brute force at every
-    /// probe point.
+    /// probe point. A freed slot goes to the next newcomer at once, as an
+    /// owner's free list hands it out — while the previous tenant's row is
+    /// still a tombstone in some run.
     #[test]
     fn differential_under_churn() {
         let mut rng = Rng::seed_from_u64(0x50e7_ed1d);
         let s = space();
         let mut idx = SortedIndex::new(&s);
-        let mut live: Vec<(u64, Subscription)> = Vec::new();
-        let mut next_id = 0u64;
+        let mut live: Vec<(u32, Subscription)> = Vec::new();
+        let mut free: Vec<u32> = Vec::new();
+        let mut next_slot = 0u32;
         let mut out = Vec::new();
         for step in 0..12_000 {
             if live.is_empty() || rng.gen_bool(0.55) {
@@ -479,13 +487,18 @@ mod tests {
                     b = b.eq("z", rng.gen_range(0u64..10));
                 }
                 let sub = b.build().unwrap();
-                assert!(idx.insert(SubId(next_id), sub.clone()));
-                live.push((next_id, sub));
-                next_id += 1;
+                let slot = free.pop().unwrap_or_else(|| {
+                    next_slot += 1;
+                    next_slot - 1
+                });
+                idx.insert(slot, sub.clone());
+                assert_eq!(idx.get(slot), Some(&sub));
+                live.push((slot, sub));
             } else {
                 let k = rng.gen_range(0u64..live.len() as u64) as usize;
-                let (id, sub) = live.swap_remove(k);
-                assert_eq!(idx.remove(SubId(id)), Some(sub));
+                let (slot, sub) = live.swap_remove(k);
+                assert_eq!(idx.remove(slot), Some(sub));
+                free.push(slot);
             }
             if step % 7 == 0 {
                 let e = Event::new_unchecked(vec![
@@ -507,7 +520,7 @@ mod tests {
         let s = space();
         let mut idx = SortedIndex::new(&s);
         let sub = Subscription::builder(&s).eq("z", 3).build().unwrap();
-        idx.insert(SubId(7), sub);
+        idx.insert(7, sub);
         // Force the row out of staging so the segment path is exercised.
         for i in 0..STAGING_MAX as u64 {
             let filler = Subscription::builder(&s)
@@ -515,13 +528,13 @@ mod tests {
                 .unwrap()
                 .build()
                 .unwrap();
-            idx.insert(SubId(1000 + i), filler);
+            idx.insert(1000 + i as u32, filler);
         }
         let mut out = Vec::new();
         idx.matches_into(&Event::new_unchecked(vec![999, 1, 3]), &mut out);
-        assert!(out.contains(&SubId(7)));
+        assert!(out.contains(&7));
         idx.matches_into(&Event::new_unchecked(vec![999, 1, 4]), &mut out);
-        assert!(!out.contains(&SubId(7)));
+        assert!(!out.contains(&7));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use cbps_overlay::{KeyRangeSet, Peer};
+use cbps_sim::prefetch::prefetch_tail;
 use cbps_sim::{MatchEngineKind, SimTime, TraceId};
 
 use crate::covering::{CoveringStats, CoveringTable};
@@ -84,7 +85,8 @@ pub struct StoredSub {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SubscriptionStore {
-    /// The physical matching engine (counting or sorted).
+    /// The physical matching engine (counting or sorted), addressed by the
+    /// covering group's slot — or, with covering off, by the row.
     engine: AnyMatchEngine,
     /// Covering layer, when enabled: the engine then holds one physical
     /// entry per covering *group* instead of one per subscription.
@@ -102,7 +104,7 @@ pub struct SubscriptionStore {
     peak: usize,
     /// Reused buffer for the engine's hits in
     /// [`SubscriptionStore::match_event_into`].
-    scratch: Vec<SubId>,
+    scratch: Vec<u32>,
 }
 
 /// A subscription an event matched: its id, whom to notify, and the row
@@ -205,7 +207,7 @@ impl SubscriptionStore {
     fn row(&self, row: u32) -> &Row {
         self.rows[row as usize]
             .as_ref()
-            .expect("`by_id` names live rows")
+            .expect("`by_id` and the engine name live rows")
     }
 
     /// Inserts (or refreshes) a subscription, given as a record or as a
@@ -215,6 +217,14 @@ impl SubscriptionStore {
     /// only the expiry).
     pub fn insert(&mut self, id: SubId, stored: impl Into<Arc<StoredSub>>, now: SimTime) -> bool {
         let stored: Arc<StoredSub> = stored.into();
+        // What a fresh insert touches hangs off half a dozen tables, each
+        // a miss of its own by the time the insert gets there. Asked for
+        // now, the first lines of each arrive while `by_id` is probed.
+        self.engine.prefetch_insert(&stored.sub);
+        if let Some(table) = &self.covering {
+            table.prefetch_insert(&stored.sub);
+        }
+        prefetch_tail(&self.rows);
         self.purge_expired(now);
         let expires = stored.expires;
         let fresh = match self.by_id.entry(id) {
@@ -242,10 +252,16 @@ impl SubscriptionStore {
                     (self.rows.len() - 1) as u32
                 });
                 slot.insert(row);
+                // Second round: what those lines point to — the bucket
+                // lists' tails, the directory run's entries.
+                self.engine.prefetch_tails(&stored.sub);
                 let member = match &mut self.covering {
-                    Some(table) => table.insert(&mut self.engine, row, &stored.sub),
+                    Some(table) => {
+                        table.prefetch_run(&stored.sub);
+                        table.insert(&mut self.engine, row, &stored.sub)
+                    }
                     None => {
-                        self.engine.insert(id, stored.sub.clone());
+                        self.engine.insert(row, stored.sub.clone());
                         (0, 0)
                     }
                 };
@@ -298,7 +314,7 @@ impl SubscriptionStore {
         match &mut self.covering {
             Some(table) => table.remove(&mut self.engine, &mut self.rows, member, &rec.sub),
             None => {
-                self.engine.remove(id);
+                self.engine.remove(row);
             }
         }
         Some(rec)
@@ -339,14 +355,11 @@ impl SubscriptionStore {
 
     /// Pre-sizes the store for a bulk installation of roughly `subs`
     /// subscriptions, so installation pays one up-front reservation
-    /// instead of incremental growth reallocations. Only order-inert
-    /// containers are reserved (the expiry heap pops by value and the id
-    /// scratch is a plain vector), so stored state and match results are
-    /// byte-identical with or without the call.
+    /// instead of incremental growth reallocations. Only the id scratch, a
+    /// plain vector, is reserved, so stored state and match results are
+    /// byte-identical with or without the call. The expiry heap is left to
+    /// grow: whether subscriptions expire at all is not known here.
     pub fn reserve(&mut self, subs: usize) {
-        if self.expiry.capacity() < subs {
-            self.expiry.reserve(subs - self.expiry.len());
-        }
         if self.scratch.capacity() < subs {
             self.scratch.reserve(subs - self.scratch.len());
         }
@@ -376,18 +389,19 @@ impl SubscriptionStore {
     pub fn match_event_into(&mut self, event: &Event, now: SimTime, out: &mut Vec<MatchHit>) {
         out.clear();
         self.purge_expired(now);
-        let mut ids = std::mem::take(&mut self.scratch);
-        self.engine.matches_into(event, &mut ids);
+        let mut slots = std::mem::take(&mut self.scratch);
+        self.engine.matches_into(event, &mut slots);
         match &mut self.covering {
-            Some(table) => table.expand_into(&ids, &self.rows, event, out),
+            Some(table) => table.expand_into(&slots, &self.rows, event, out),
             None => {
-                for &id in &ids {
-                    let row = self.by_id[&id];
-                    out.push((id, self.row(row).subscriber, row));
+                for &row in &slots {
+                    let r = self.row(row);
+                    out.push((r.id, r.subscriber, row));
                 }
+                out.sort_unstable_by_key(|&(id, ..)| id);
             }
         }
-        self.scratch = ids;
+        self.scratch = slots;
     }
 
     /// The stored record of a hit of the latest

@@ -6,7 +6,7 @@
 
 use std::mem::size_of;
 
-use cbps::{PubSubMsg, PubSubNode};
+use cbps::{PubSubMsg, PubSubNode, SubscriptionStore};
 use cbps_overlay::{ChordNode, Envelope, LocationCache, RoutingState};
 
 #[test]
@@ -25,6 +25,10 @@ fn hot_values_stay_under_their_size_ceilings() {
             1384,
         ),
         ("Envelope<PubSubMsg>", size_of::<Envelope<PubSubMsg>>(), 128),
+        // One per node, used or not: the sorted engine's array headers sit
+        // behind a box of their own, the shape map beside the bounds slab
+        // it always accompanies.
+        ("SubscriptionStore", size_of::<SubscriptionStore>(), 624),
     ];
     for (what, bytes, ceiling) in sizes {
         assert!(

@@ -18,6 +18,15 @@ use cbps_overlay::{KeyRangeSet, KeySpace, Peer};
 use cbps_rng::Rng;
 use cbps_sim::{SimTime, TraceId};
 
+/// Every engine × covering combination: the physical organization of the
+/// store is unobservable through its public API.
+const CONFIGS: [(MatchEngineKind, bool); 4] = [
+    (MatchEngineKind::Counting, false),
+    (MatchEngineKind::Counting, true),
+    (MatchEngineKind::Sorted, false),
+    (MatchEngineKind::Sorted, true),
+];
+
 #[derive(Clone, Debug)]
 enum Op {
     Insert {
@@ -90,15 +99,7 @@ fn store_matches_naive_model() {
             let n = rng.gen_range(1usize..120);
             (0..n).map(|_| random_op(&mut rng)).collect()
         };
-        // Every engine × covering combination must satisfy the model: the
-        // physical organization of the store is unobservable through its
-        // public API.
-        for (engine, covering) in [
-            (MatchEngineKind::Counting, false),
-            (MatchEngineKind::Counting, true),
-            (MatchEngineKind::Sorted, false),
-            (MatchEngineKind::Sorted, true),
-        ] {
+        for (engine, covering) in CONFIGS {
             check_against_model(case, engine, covering, &ops);
         }
     }
@@ -227,10 +228,11 @@ fn record(space: &EventSpace, held: Held) -> StoredSub {
 /// all three arms (same expiry: dropped; same record with a new expiry:
 /// adopted; a different record: only its expiry taken), removals, purges
 /// and matches, with ids drawn from a pool small enough that rows and ids
-/// are recycled all the time. After every operation the store must agree
-/// with a `BTreeMap` on `len`, `peak`, `get`, `iter` and — when asked —
-/// the match set, each hit naming the subscriber and the row of the record
-/// the model holds; `physical_len` may never exceed `len`. The covering
+/// are recycled all the time — and with them the slots the engine knows
+/// its entries by, each time for another shape. After every operation the
+/// store must agree with a `BTreeMap` on `len`, `peak`, `get`, `iter` and —
+/// when asked — the match set, each hit naming the subscriber and the row
+/// of the record the model holds; `physical_len` may never exceed `len`. The covering
 /// counters must own up to exactly the records the test asked for by row,
 /// and the slab of re-verification bounds may never outgrow the peak.
 #[test]
@@ -238,12 +240,7 @@ fn record_table_churn() {
     let space = EventSpace::new(vec![AttributeDef::new("x", 1000)]);
     let mut rng = Rng::seed_from_u64(0x7ab1_e0f5);
     for case in 0..48 {
-        for (engine, covering) in [
-            (MatchEngineKind::Counting, false),
-            (MatchEngineKind::Counting, true),
-            (MatchEngineKind::Sorted, false),
-            (MatchEngineKind::Sorted, true),
-        ] {
+        for (engine, covering) in CONFIGS {
             let mut store = SubscriptionStore::with_options(&space, engine, covering);
             let mut model: std::collections::BTreeMap<u64, Held> = Default::default();
             let mut peak = 0;
@@ -560,22 +557,39 @@ fn member_of_a_widened_group_answers_for_its_own_bounds() {
 /// A freed row goes to the next newcomer while the expiry heap still
 /// holds the old tenant's deadline: that deadline must purge neither the
 /// newcomer in the old tenant's row nor the old id stored again on a
-/// longer lease.
+/// longer lease. The row — with covering on, the group's slot — is also
+/// all the engine knows the entry by, so the newcomer, of another shape,
+/// must answer for its own events there and for none of the old tenant's.
 #[test]
 fn recycled_row_does_not_answer_for_its_previous_tenant() {
     let space = EventSpace::new(vec![AttributeDef::new("x", 1000)]);
-    for engine in [MatchEngineKind::Counting, MatchEngineKind::Sorted] {
-        let mut store = SubscriptionStore::with_options(&space, engine, true);
-        let held = |expires, tag| Held {
-            lo: 10,
-            hi: 20,
+    for (engine, covering) in CONFIGS {
+        let mut store = SubscriptionStore::with_options(&space, engine, covering);
+        let held = |lo, expires, tag| Held {
+            lo,
+            hi: lo + 10,
             expires,
             tag,
         };
-        store.insert(SubId(1), record(&space, held(5, 1)), SimTime::ZERO);
+        let mut out = Vec::new();
+        let mut ids = |store: &mut SubscriptionStore, v| {
+            store.match_event_into(&Event::new_unchecked(vec![v]), SimTime::ZERO, &mut out);
+            out.iter()
+                .map(|&(id, _, row)| (id.0, row))
+                .collect::<Vec<_>>()
+        };
+        store.insert(SubId(1), record(&space, held(10, 5, 1)), SimTime::ZERO);
+        assert_eq!(ids(&mut store, 15), [(1, 0)]);
         assert!(store.remove(SubId(1)).is_some());
-        store.insert(SubId(2), record(&space, held(u64::MAX, 2)), SimTime::ZERO);
-        store.insert(SubId(1), record(&space, held(50, 3)), SimTime::ZERO);
+        store.insert(
+            SubId(2),
+            record(&space, held(500, u64::MAX, 2)),
+            SimTime::ZERO,
+        );
+        assert_eq!(ids(&mut store, 15), [], "{engine:?} covering {covering}");
+        assert_eq!(ids(&mut store, 505), [(2, 0)], "the old tenant's row");
+        store.insert(SubId(1), record(&space, held(10, 50, 3)), SimTime::ZERO);
+        assert_eq!(ids(&mut store, 15), [(1, 1)]);
         assert_eq!(store.purge_expired(SimTime::from_secs(6)), 0);
         assert_eq!(store.get(SubId(2)).map(|r| r.subgroups), Some(2));
         assert_eq!(store.get(SubId(1)).map(|r| r.subgroups), Some(3));
@@ -584,5 +598,70 @@ fn recycled_row_does_not_answer_for_its_previous_tenant() {
             store.iter().map(|(id, _)| id).collect::<Vec<_>>(),
             [SubId(2)]
         );
+        assert_eq!(ids(&mut store, 15), []);
+        assert_eq!(ids(&mut store, 505), [(2, 0)]);
+    }
+}
+
+/// The same at a size where the sorted engine has flushed its staging
+/// rows into runs, so that a removed entry lingers there as a tombstone
+/// while its slot is handed on: 1 500 unrelated shapes (one group each),
+/// every other one withdrawn, their rows and slots taken over by shapes
+/// elsewhere in the domain. Every old shape's event must find nothing,
+/// every new one's exactly the newcomer — under both engines, covering on
+/// and off, the four stores agreeing on every row they name.
+#[test]
+fn recycled_engine_slots_answer_for_their_new_tenants_only() {
+    let space = EventSpace::new(vec![AttributeDef::new("x", 1_000_000)]);
+    let point = |v: u64, tag: u64| Held {
+        lo: v,
+        hi: v,
+        expires: u64::MAX,
+        tag,
+    };
+    let mut stores: Vec<SubscriptionStore> = CONFIGS
+        .iter()
+        .map(|&(engine, covering)| SubscriptionStore::with_options(&space, engine, covering))
+        .collect();
+    let mut out = Vec::new();
+    let mut rows_of = |store: &mut SubscriptionStore, v: u64| {
+        store.match_event_into(&Event::new_unchecked(vec![v]), SimTime::ZERO, &mut out);
+        out.iter()
+            .map(|&(id, to, row)| (id.0, to.idx, row))
+            .collect::<Vec<_>>()
+    };
+    for store in &mut stores {
+        for i in 0..1500u64 {
+            assert!(store.insert(SubId(i), record(&space, point(10 * i, i)), SimTime::ZERO));
+        }
+        for i in (0..1500u64).step_by(2) {
+            assert!(store.remove(SubId(i)).is_some());
+        }
+        // Rows come off the free list last-freed first.
+        for i in 0..750u64 {
+            let stored = record(&space, point(500_000 + i, 2000 + i));
+            assert!(store.insert(SubId(2000 + i), stored, SimTime::ZERO));
+        }
+        assert_eq!((store.len(), store.physical_len()), (1500, 1500));
+    }
+    for i in 0..1500u64 {
+        let expect = match i % 2 {
+            0 => vec![],
+            _ => vec![(i, i as usize, i as u32)],
+        };
+        for (store, config) in stores.iter_mut().zip(CONFIGS) {
+            assert_eq!(rows_of(store, 10 * i), expect, "{config:?}: old shape {i}");
+        }
+    }
+    for i in 0..750u64 {
+        let row = 2 * (749 - i) as u32;
+        let expect = [(2000 + i, 2000 + i as usize, row)];
+        for (store, config) in stores.iter_mut().zip(CONFIGS) {
+            assert_eq!(
+                rows_of(store, 500_000 + i),
+                expect,
+                "{config:?}: new shape {i}"
+            );
+        }
     }
 }

@@ -97,6 +97,13 @@ pub fn prefetch_at<T>(slice: &[T], at: usize) {
     }
 }
 
+/// Hints the line just past the end of `slice`: where the next element
+/// pushed onto the vector it belongs to is written.
+#[inline]
+pub fn prefetch_tail<T>(slice: &[T]) {
+    hint(slice.as_ptr_range().end.cast());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,5 +127,7 @@ mod tests {
         prefetch_at(&long, 999);
         prefetch_at(&long, 1000);
         prefetch_at::<u64>(&[], 0);
+        prefetch_tail(&long);
+        prefetch_tail::<u64>(&[]);
     }
 }
