@@ -121,8 +121,8 @@ events_of() {
         sed -n 's/.*"name": *"\([a-z0-9_]*\)".*"events": *\([0-9]*\).*/\1 \2/p'
 }
 events_of "$smoke_dir/wheel.json" >"$smoke_dir/wheel.events"
-if [ -f BENCH_baseline.json ]; then
-    events_of BENCH_baseline.json >"$smoke_dir/baseline.events"
+if [ -f results/bench/BENCH_baseline.json ]; then
+    events_of results/bench/BENCH_baseline.json >"$smoke_dir/baseline.events"
     for exp in $smoke_experiments; do
         base=$(awk -v e="$exp" '$1 == e { print $2 }' "$smoke_dir/baseline.events")
         got=$(awk -v e="$exp" '$1 == e { print $2 }' "$smoke_dir/wheel.events")
@@ -165,33 +165,6 @@ if ! diff "$smoke_dir/chord.fp" "$smoke_dir/pastry.fp"; then
     exit 1
 fi
 echo "==> overlay smoke passed (chord baseline byte-identical, fingerprints match)"
-
-# Shard A/B smoke: the conservative-lookahead sharded engine must be an
-# exact drop-in for the single-threaded loop. A quick-scale figures run
-# has to render byte-identical tables at --shards 1 and --shards 4, and a
-# replayed trace must print byte-identical run-trace output (including the
-# delivered-set fingerprint) at both shard counts. Only stdout tables and
-# fingerprints are diffed — NOT the report JSON: per-shard 1-in-64 queue
-# sampling legitimately changes peak_queue_depth across shard counts.
-echo "==> shard A/B smoke (figures/cbps --shards 1|4)"
-shard_experiments="route fig6 mcast"
-for shards in 1 4; do
-    # shellcheck disable=SC2086
-    ./target/release/figures --scale quick --jobs "$(nproc)" \
-        --shards "$shards" \
-        $shard_experiments >"$smoke_dir/shards$shards.tables" 2>/dev/null
-    ./target/release/cbps run-trace "$smoke_dir/smoke.trace" --nodes 80 --seed 5 \
-        --shards "$shards" >"$smoke_dir/shards$shards.rt"
-done
-if ! diff -u "$smoke_dir/shards1.tables" "$smoke_dir/shards4.tables"; then
-    echo "FAIL: --shards 1 and --shards 4 render different tables" >&2
-    exit 1
-fi
-if ! diff -u "$smoke_dir/shards1.rt" "$smoke_dir/shards4.rt"; then
-    echo "FAIL: --shards 1 and --shards 4 replay a trace differently" >&2
-    exit 1
-fi
-echo "==> shard smoke passed (tables and trace replay identical at 1 and 4 shards)"
 
 # Match-engine A/B smoke: the sorted-segment index must be an exact
 # drop-in for the counting index at rendezvous nodes. A quick-scale
@@ -276,41 +249,30 @@ echo "==> build-pipeline smoke passed (near-linear build, parallel parity)"
 # Rendezvous A/B smoke: the adaptive rendezvous policy splits hot keys'
 # subscription populations across mirror arcs, which must be delivery-
 # transparent: on a Zipf flash-crowd trace, static and adaptive runs must
-# print the same delivered-set fingerprint at 1 and 4 shards, and the
-# adaptive run's full output (including its split/merge counters) must be
-# byte-identical across shard counts. `probe rendezvous` then checks the
-# load-flattening claim end-to-end — it exits non-zero unless adaptive
-# strictly lowers the max/mean node-load ratio with identical delivered
-# sets and shard-independent control decisions.
-echo "==> rendezvous A/B smoke (cbps --rendezvous static|adaptive, 1|4 shards)"
+# print the same delivered-set fingerprint, and the adaptive run must have
+# split. `probe rendezvous` then checks the load-flattening claim end to
+# end — it exits non-zero unless adaptive strictly lowers the max/mean
+# node-load ratio with identical delivered sets.
+echo "==> rendezvous A/B smoke (cbps --rendezvous static|adaptive)"
 ./target/release/cbps gen-trace --out "$smoke_dir/zipf.trace" \
     --nodes 100 --subs 300 --pubs 600 --selective 1 --flash-crowd 1200 \
     --seed 9 >/dev/null
 for mode in static adaptive; do
-    for shards in 1 4; do
-        ./target/release/cbps run-trace "$smoke_dir/zipf.trace" --nodes 100 \
-            --seed 9 --mapping m3 --rendezvous "$mode" --shards "$shards" \
-            >"$smoke_dir/rdv-$mode-$shards.rt"
-        sed -n 's/^delivered-set fingerprint: //p' \
-            "$smoke_dir/rdv-$mode-$shards.rt" >"$smoke_dir/rdv-$mode-$shards.fp"
-    done
+    ./target/release/cbps run-trace "$smoke_dir/zipf.trace" --nodes 100 \
+        --seed 9 --mapping m3 --rendezvous "$mode" >"$smoke_dir/rdv-$mode.rt"
+    sed -n 's/^delivered-set fingerprint: //p' \
+        "$smoke_dir/rdv-$mode.rt" >"$smoke_dir/rdv-$mode.fp"
 done
-for f in rdv-static-4 rdv-adaptive-1 rdv-adaptive-4; do
-    if ! diff "$smoke_dir/rdv-static-1.fp" "$smoke_dir/$f.fp"; then
-        echo "FAIL: $f delivered a different notification set than rdv-static-1" >&2
-        exit 1
-    fi
-done
-if ! diff -u "$smoke_dir/rdv-adaptive-1.rt" "$smoke_dir/rdv-adaptive-4.rt"; then
-    echo "FAIL: adaptive rendezvous control decisions differ across shard counts" >&2
+if ! diff "$smoke_dir/rdv-static.fp" "$smoke_dir/rdv-adaptive.fp"; then
+    echo "FAIL: adaptive delivered a different notification set than static" >&2
     exit 1
 fi
-if ! grep -q "^rendezvous splits: [1-9]" "$smoke_dir/rdv-adaptive-1.rt"; then
+if ! grep -q "^rendezvous splits: [1-9]" "$smoke_dir/rdv-adaptive.rt"; then
     echo "FAIL: flash crowd did not trip the adaptive split rule" >&2
     exit 1
 fi
 ./target/release/probe rendezvous --nodes 150 >/dev/null
-echo "==> rendezvous smoke passed (fingerprint parity, shard-deterministic splits, hotspot flattened)"
+echo "==> rendezvous smoke passed (fingerprint parity, hotspot flattened)"
 
 # Benchmark smoke: the detached benchmark crate measures the library
 # crates through their public items, so a signature it uses cannot change

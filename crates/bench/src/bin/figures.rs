@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! figures [--scale quick|paper|large] [--nodes N] [--overlay chord|pastry]
-//!         [--jobs N] [--scheduler wheel|heap] [--shards N]
+//!         [--jobs N] [--scheduler wheel|heap]
 //!         [--match-engine counting|sorted] [--csv DIR] [--json FILE]
 //!         [--report FILE] [EXPERIMENT...]
 //! ```
@@ -20,14 +20,11 @@
 //! are byte-identical at any job count. `--scheduler wheel|heap` selects
 //! the simulator's event queue (default: wheel); the two produce
 //! byte-identical tables — only the wall times differ — which ci.sh
-//! verifies on every run. `--shards N` partitions every simulated network
-//! into `N` event-loop shards run on worker threads with conservative
-//! lookahead (default: 1, the classic single-threaded loop); delivered
-//! sets and tables stay identical at any shard count, which ci.sh also
-//! verifies. `--match-engine counting|sorted` selects the rendezvous
-//! matching engine (default: counting); the engines return identical
-//! match sets — only matching cost and memory layout change — so tables
-//! are byte-identical either way, a third invariant ci.sh checks.
+//! verifies on every run. `--match-engine counting|sorted` selects the
+//! rendezvous matching engine (default: counting); the engines return
+//! identical match sets — only matching cost and memory layout change —
+//! so tables are byte-identical either way, a second invariant ci.sh
+//! checks.
 //! `--rendezvous static|adaptive` selects the rendezvous policy
 //! (default: static, the paper's stateless ak-mapping, which leaves every
 //! recorded baseline byte-identical); `adaptive` turns on online hot-key
@@ -103,13 +100,6 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--shards" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => runner::set_shards(n),
-                _ => {
-                    eprintln!("--shards expects a positive integer");
-                    std::process::exit(2);
-                }
-            },
             "--match-engine" => match args.next().as_deref().and_then(MatchEngineKind::parse) {
                 Some(kind) => runner::set_match_engine(kind),
                 None => {
@@ -169,7 +159,7 @@ fn main() {
                 println!(
                     "usage: figures [--scale quick|paper|large] [--nodes N] \
                      [--overlay chord|pastry] [--jobs N] [--scheduler wheel|heap] \
-                     [--shards N] [--match-engine counting|sorted] [--pool reuse|fresh] \
+                     [--match-engine counting|sorted] [--pool reuse|fresh] \
                      [--rendezvous static|adaptive] \
                      [--csv DIR] [--json FILE] [--report FILE] [EXPERIMENT...]\n\
                      experiments: {} (default: all)",
@@ -184,7 +174,7 @@ fn main() {
         names.push("all".to_owned());
     }
     // Expand "all" so the report carries one record per experiment
-    // (matching the per-name layout of BENCH_baseline.json).
+    // (matching the per-name layout of results/bench/BENCH_baseline.json).
     if names.iter().any(|n| n == "all") {
         names = EXPERIMENT_NAMES.iter().map(|&n| n.to_owned()).collect();
     }
@@ -254,7 +244,6 @@ fn main() {
         jobs: runner::jobs(),
         observability: runner::observability().name().to_owned(),
         scheduler: runner::scheduler().name().to_owned(),
-        shards: runner::shards(),
         match_engine: runner::match_engine().name().to_owned(),
         rendezvous: runner::rendezvous().name().to_owned(),
         overlay: runner::backend().name().to_owned(),

@@ -6,8 +6,6 @@
 //! probe match [--subs N] [--seed S] [--json FILE]
 //!                                       counting vs sorted engine sweep
 //! probe overlay [--nodes N] [--seed S]  chord vs pastry end-to-end profile
-//! probe shard [--nodes N] [--seed S] [--json FILE]
-//!                                       sharded-engine scaling sweep
 //! probe alloc [--nodes N] [--seed S] [--pool reuse|fresh] [--json FILE]
 //!                                       heap-allocation audit
 //! probe scale [--max-nodes N] [--seed S] [--budget-secs T] [--json FILE]
@@ -35,13 +33,7 @@
 //! through the one generic deployment façade and reports each substrate's
 //! simulator throughput, one-hop message total and per-request hop costs;
 //! it exits non-zero if the substrates disagree on delivered notifications.
-//! `probe shard` replays one fixed Chord workload with the event loop split
-//! into 1, 2, 4 and 8 conservative-lookahead shards, reports each run's
-//! events/sec and its speedup over the single-shard baseline, and exits
-//! non-zero if any shard count changes the delivered-set fingerprint; with
-//! `--json FILE` it also writes the sweep (plus the host's core count, so
-//! numbers from different machines are never compared blind) as a small
-//! JSON document. `probe alloc` runs the whole binary under a counting
+//! `probe alloc` runs the whole binary under a counting
 //! global allocator, replays the fixed chord workload, and reports heap
 //! allocations per simulated event — for the full replay and for a
 //! steady-state publication window injected after warmup, which must be
@@ -56,13 +48,12 @@
 //! sweep, if the tables differ, or if `--budget-secs` is exceeded.
 //! `probe rendezvous` replays one Zipf flash-crowd workload (mapping 3,
 //! one selective attribute, a mid-run burst of skewed publications) under
-//! the static and the adaptive rendezvous policy at 1 and 4 event-loop
-//! shards; it exits non-zero unless the delivered-set fingerprint is
-//! identical across all four runs, the adaptive policy's max/mean
-//! node-load ratio is strictly below the static policy's, at least one
-//! split fired, and the split/merge decisions are shard-independent;
-//! `--json FILE` records the A/B sweep (this is how `BENCH_pr10.json`
-//! was produced).
+//! the static and the adaptive rendezvous policy; it exits non-zero unless
+//! the delivered-set fingerprint is identical across the two runs, the
+//! adaptive policy's max/mean node-load ratio is strictly below the static
+//! policy's, and at least one split fired; `--json FILE` records the A/B
+//! (this is how `results/bench/BENCH_pr10.json` was produced, when the
+//! probe also swept a since-deleted shard axis).
 //!
 //! Unlike `figures`, these numbers are wall-clock measurements of isolated
 //! structures: use them for before/after comparisons on one machine, not as
@@ -558,131 +549,9 @@ fn probe_overlay(nodes: usize, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// One shard count's measurement from the fixed shard-sweep workload.
-struct ShardPoint {
-    shards: usize,
-    events: u64,
-    secs: f64,
-    fingerprint: u64,
-    delivered: u64,
-}
-
-/// Replays the fixed workload with the engine split into `shards` shards
-/// and returns throughput plus an order-insensitive FNV-1a fingerprint of
-/// the delivered `(node, sub, event)` set — the same digest `cbps
-/// run-trace` prints, so a mismatch here is a correctness bug, not noise.
-fn shard_point(nodes: usize, seed: u64, shards: usize) -> ShardPoint {
-    use cbps_bench::runner::{self, paper_workload, run_trace, workload_gen, Deployment};
-
-    runner::set_shards(shards);
-    let deployment = Deployment::new(nodes, seed);
-    let cfg = paper_workload(nodes, 0)
-        .with_counts(nodes * 2, nodes * 4)
-        .with_matching_probability(0.5);
-    let mut gen = workload_gen(cfg, seed);
-    let trace = gen.gen_trace();
-    let mut net = deployment.build_on::<cbps::ChordBackend>();
-    let started = Instant::now();
-    let stats = run_trace(&mut net, &trace, 300);
-    let secs = started.elapsed().as_secs_f64();
-    let events = net.sim_mut().events_processed();
-
-    let mut delivered: Vec<(usize, u64, u64)> = Vec::new();
-    for idx in 0..nodes {
-        for note in net.delivered(idx) {
-            delivered.push((idx, note.sub_id.0, note.event_id.0));
-        }
-    }
-    delivered.sort_unstable();
-    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-    for (node, sub, event) in &delivered {
-        for word in [*node as u64, *sub, *event] {
-            for byte in word.to_le_bytes() {
-                fingerprint ^= u64::from(byte);
-                fingerprint = fingerprint.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    ShardPoint {
-        shards,
-        events,
-        secs,
-        fingerprint,
-        delivered: stats.delivered,
-    }
-}
-
-fn probe_shard(nodes: usize, seed: u64, json_out: Option<&str>) -> Result<(), String> {
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "shard probe: {nodes} nodes, seed {seed}, fixed chord workload, \
-         host has {host_cores} core(s)"
-    );
-    let sweep = [1usize, 2, 4, 8];
-    let mut points = Vec::with_capacity(sweep.len());
-    for &shards in &sweep {
-        points.push(shard_point(nodes, seed, shards));
-    }
-    cbps_bench::runner::set_shards(1);
-
-    let base = points[0].events as f64 / points[0].secs.max(1e-9);
-    for p in &points {
-        let evs = p.events as f64 / p.secs.max(1e-9);
-        println!(
-            "  shards {:<2} {:>10.0} events/sec  ({} events, {:.3}s)  \
-             speedup {:.2}x  fingerprint {:#018x}",
-            p.shards,
-            evs,
-            p.events,
-            p.secs,
-            evs / base,
-            p.fingerprint,
-        );
-    }
-    if let Some(path) = json_out {
-        let mut doc = String::from("{\n  \"probe\": \"shard\",\n");
-        doc.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-        doc.push_str(&format!("  \"nodes\": {nodes},\n  \"seed\": {seed},\n"));
-        doc.push_str("  \"results\": [\n");
-        for (i, p) in points.iter().enumerate() {
-            let evs = p.events as f64 / p.secs.max(1e-9);
-            doc.push_str(&format!(
-                "    {{\"shards\": {}, \"events\": {}, \"wall_secs\": {:.3}, \
-                 \"events_per_sec\": {:.0}, \"speedup_vs_1\": {:.2}, \
-                 \"fingerprint\": \"{:#018x}\"}}{}\n",
-                p.shards,
-                p.events,
-                p.secs,
-                evs,
-                evs / base,
-                p.fingerprint,
-                if i + 1 == points.len() { "" } else { "," },
-            ));
-        }
-        doc.push_str("  ]\n}\n");
-        std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("  sweep written to {path}");
-    }
-    for p in &points[1..] {
-        if p.fingerprint != points[0].fingerprint || p.delivered != points[0].delivered {
-            return Err(format!(
-                "shards {} changed the delivered set: fingerprint {:#x} != {:#x} \
-                 (delivered {} vs {})",
-                p.shards, p.fingerprint, points[0].fingerprint, p.delivered, points[0].delivered
-            ));
-        }
-    }
-    println!(
-        "  delivered-set fingerprint: {:#018x} (identical across shard counts)",
-        points[0].fingerprint
-    );
-    Ok(())
-}
-
-/// One (policy, shard-count) measurement of the Zipf flash-crowd workload.
+/// One policy's measurement of the Zipf flash-crowd workload.
 struct RendezvousPoint {
     mode: cbps::RendezvousMode,
-    shards: usize,
     fingerprint: u64,
     delivered: u64,
     max_mean: f64,
@@ -694,19 +563,13 @@ struct RendezvousPoint {
 
 /// Replays the fixed flash-crowd workload (mapping 3, one Zipf-selective
 /// attribute, a mid-run burst of skewed publications) under the given
-/// rendezvous policy and shard count.
-fn rendezvous_point(
-    nodes: usize,
-    seed: u64,
-    mode: cbps::RendezvousMode,
-    shards: usize,
-) -> RendezvousPoint {
+/// rendezvous policy.
+fn rendezvous_point(nodes: usize, seed: u64, mode: cbps::RendezvousMode) -> RendezvousPoint {
     use cbps_bench::report::LoadReport;
     use cbps_bench::runner::{
         self, delivered_fingerprint, paper_workload, run_trace, workload_gen, Deployment,
     };
 
-    runner::set_shards(shards);
     runner::set_rendezvous(mode);
     let mut deployment = Deployment::new(nodes, seed);
     deployment.mapping = cbps::MappingKind::SelectiveAttribute;
@@ -724,7 +587,6 @@ fn rendezvous_point(
     let (fingerprint, _) = delivered_fingerprint(&net);
     RendezvousPoint {
         mode,
-        shards,
         fingerprint,
         delivered: stats.delivered,
         max_mean: load.map(|l| l.max_mean).unwrap_or(0.0),
@@ -736,31 +598,25 @@ fn rendezvous_point(
 }
 
 /// A/B-compares the static and the adaptive rendezvous policy on the
-/// Zipf flash-crowd workload, at 1 and 4 event-loop shards. Exits
-/// non-zero unless (a) every configuration delivers the byte-identical
-/// notification set, (b) the adaptive policy's max/mean node-load ratio
-/// is strictly below the static policy's, (c) the adaptive policy
-/// actually split at least once, and (d) its split/merge control
-/// decisions are identical across shard counts.
+/// Zipf flash-crowd workload. Exits non-zero unless (a) both policies
+/// deliver the byte-identical notification set, (b) the adaptive policy's
+/// max/mean node-load ratio is strictly below the static policy's, and
+/// (c) the adaptive policy actually split at least once.
 fn probe_rendezvous(nodes: usize, seed: u64, json_out: Option<&str>) -> Result<(), String> {
     use cbps::RendezvousMode;
 
     println!("rendezvous probe: {nodes} nodes, seed {seed}, Zipf flash-crowd workload");
-    let mut points = Vec::new();
-    for &mode in &[RendezvousMode::Static, RendezvousMode::Adaptive] {
-        for &shards in &[1usize, 4] {
-            points.push(rendezvous_point(nodes, seed, mode, shards));
-        }
-    }
-    cbps_bench::runner::set_shards(1);
+    let points: Vec<RendezvousPoint> = [RendezvousMode::Static, RendezvousMode::Adaptive]
+        .into_iter()
+        .map(|mode| rendezvous_point(nodes, seed, mode))
+        .collect();
     cbps_bench::runner::set_rendezvous(RendezvousMode::Static);
 
     for p in &points {
         println!(
-            "  {:<8} shards {}  max/mean {:>6.2}  p99/mean {:>5.2}  \
+            "  {:<8}  max/mean {:>6.2}  p99/mean {:>5.2}  \
              splits {:>2}  merges {:>2}  delivered {:>6}  fingerprint {:#018x}  ({:.2}s)",
             p.mode.name(),
-            p.shards,
             p.max_mean,
             p.p99_mean,
             p.splits,
@@ -777,11 +633,10 @@ fn probe_rendezvous(nodes: usize, seed: u64, json_out: Option<&str>) -> Result<(
         doc.push_str("  \"results\": [\n");
         for (i, p) in points.iter().enumerate() {
             doc.push_str(&format!(
-                "    {{\"rendezvous\": \"{}\", \"shards\": {}, \"max_mean\": {:.3}, \
+                "    {{\"rendezvous\": \"{}\", \"max_mean\": {:.3}, \
                  \"p99_mean\": {:.3}, \"splits\": {}, \"merges\": {}, \"delivered\": {}, \
                  \"fingerprint\": \"{:#018x}\", \"wall_secs\": {:.3}}}{}\n",
                 p.mode.name(),
-                p.shards,
                 p.max_mean,
                 p.p99_mean,
                 p.splits,
@@ -797,23 +652,15 @@ fn probe_rendezvous(nodes: usize, seed: u64, json_out: Option<&str>) -> Result<(
         println!("  report written to {path}");
     }
 
-    // (a) Delivery semantics must be policy- and shard-independent.
-    for p in &points[1..] {
-        if p.fingerprint != points[0].fingerprint || p.delivered != points[0].delivered {
-            return Err(format!(
-                "{} at {} shard(s) changed the delivered set: fingerprint {:#x} != {:#x} \
-                 (delivered {} vs {})",
-                p.mode.name(),
-                p.shards,
-                p.fingerprint,
-                points[0].fingerprint,
-                p.delivered,
-                points[0].delivered
-            ));
-        }
+    let (stat, adap) = (&points[0], &points[1]);
+    // (a) Delivery semantics must be policy-independent.
+    if adap.fingerprint != stat.fingerprint || adap.delivered != stat.delivered {
+        return Err(format!(
+            "adaptive changed the delivered set: fingerprint {:#x} != {:#x} \
+             (delivered {} vs {})",
+            adap.fingerprint, stat.fingerprint, adap.delivered, stat.delivered
+        ));
     }
-    let stat = &points[0];
-    let adap = &points[2];
     // (b) The whole point: the hot node's load ratio must drop.
     if adap.max_mean >= stat.max_mean {
         return Err(format!(
@@ -826,17 +673,9 @@ fn probe_rendezvous(nodes: usize, seed: u64, json_out: Option<&str>) -> Result<(
     if adap.splits == 0 {
         return Err("adaptive rendezvous took no split decision on the flash crowd".into());
     }
-    // (d) Control decisions are deterministic across the engine's shard counts.
-    let adap4 = &points[3];
-    if (adap.splits, adap.merges) != (adap4.splits, adap4.merges) {
-        return Err(format!(
-            "split/merge control diverged across shard counts: {}/{} at 1 shard vs {}/{} at 4",
-            adap.splits, adap.merges, adap4.splits, adap4.merges
-        ));
-    }
     println!(
         "  adaptive flattens max/mean {:.2} -> {:.2} with identical delivered sets \
-         ({} splits, {} merges, shard-independent)",
+         ({} splits, {} merges)",
         stat.max_mean, adap.max_mean, adap.splits, adap.merges
     );
     Ok(())
@@ -960,7 +799,6 @@ fn probe_alloc(
             jobs: 1,
             observability: "off".to_owned(),
             scheduler: "wheel".to_owned(),
-            shards: 1,
             match_engine: "counting".to_owned(),
             rendezvous: "static".to_owned(),
             overlay: "chord".to_owned(),
@@ -1197,7 +1035,6 @@ fn main() {
     let usage = "usage: probe sched [--ops N] [--seed S] \
                  | probe match [--subs N] [--seed S] [--json FILE] \
                  | probe overlay [--nodes N] [--seed S] \
-                 | probe shard [--nodes N] [--seed S] [--json FILE] \
                  | probe alloc [--nodes N] [--seed S] [--pool reuse|fresh] [--json FILE] \
                  | probe scale [--max-nodes N] [--seed S] [--budget-secs T] [--json FILE] \
                  | probe rendezvous [--nodes N] [--seed S] [--json FILE]";
@@ -1247,14 +1084,6 @@ fn main() {
             arg_value(&args, "--max-nodes").unwrap_or(100_000) as usize,
             arg_value(&args, "--seed").unwrap_or(7),
             arg_value(&args, "--budget-secs"),
-            args.iter()
-                .position(|a| a == "--json")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str),
-        ),
-        Some("shard") => probe_shard(
-            arg_value(&args, "--nodes").unwrap_or(256) as usize,
-            arg_value(&args, "--seed").unwrap_or(7),
             args.iter()
                 .position(|a| a == "--json")
                 .and_then(|i| args.get(i + 1))

@@ -1,6 +1,6 @@
 //! Structured JSON run reports (`cbps-report/v2`).
 //!
-//! Supersedes the flat perf records of `BENCH_baseline.json` (implicitly
+//! Supersedes the flat perf records of `results/bench/BENCH_baseline.json` (implicitly
 //! `cbps-report/v1`): the v1 per-experiment fields (`wall_secs`, `events`,
 //! `events_per_sec`, `peak_queue_depth`) keep their names and meaning, so
 //! old baselines stay comparable, and each experiment additionally carries
@@ -234,8 +234,6 @@ pub struct RunReport {
     pub observability: String,
     /// Event-queue implementation name (`wheel` or `heap`).
     pub scheduler: String,
-    /// Event-loop shard count the networks ran with (1 = single-threaded).
-    pub shards: usize,
     /// Matching engine rendezvous nodes ran (`counting` or `sorted`).
     pub match_engine: String,
     /// Rendezvous policy the networks ran (`static` or `adaptive`).
@@ -261,7 +259,6 @@ impl RunReport {
             "  \"scheduler\": \"{}\",\n",
             escape(&self.scheduler)
         ));
-        out.push_str(&format!("  \"shards\": {},\n", self.shards));
         out.push_str(&format!(
             "  \"match_engine\": \"{}\",\n",
             escape(&self.match_engine)
@@ -470,7 +467,6 @@ mod tests {
             jobs: 2,
             observability: "full".into(),
             scheduler: "wheel".into(),
-            shards: 1,
             match_engine: "counting".into(),
             rendezvous: "adaptive".into(),
             overlay: "chord".into(),
@@ -504,7 +500,6 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"cbps-report/v2\""));
         assert!(json.contains("\"overlay\": \"chord\""));
-        assert!(json.contains("\"shards\": 1"));
         assert!(json.contains("\"match_engine\": \"counting\""));
         // v1 fields keep their names so old baselines stay comparable.
         assert!(json.contains("\"wall_secs\": 1.500"));

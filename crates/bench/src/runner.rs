@@ -31,9 +31,6 @@ static OBS_MODE: AtomicU8 = AtomicU8::new(0);
 /// Event-queue implementation applied to every built network
 /// (0 = timing wheel, 1 = binary heap).
 static SCHEDULER: AtomicU8 = AtomicU8::new(0);
-/// Event-loop shard count applied to every built network (1 = the classic
-/// single-threaded engine).
-static SHARDS: AtomicUsize = AtomicUsize::new(1);
 /// Matching engine every rendezvous node of a built network runs
 /// (0 = counting index, 1 = sorted index).
 static MATCH_ENGINE: AtomicU8 = AtomicU8::new(0);
@@ -216,19 +213,6 @@ pub fn scheduler() -> SchedulerKind {
     }
 }
 
-/// Sets the event-loop shard count every subsequently built network uses
-/// (see `figures --shards`; `0` is coerced to 1). Tables and delivered
-/// sets are identical at any shard count under the paper's fixed-delay
-/// model.
-pub fn set_shards(n: usize) {
-    SHARDS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The event-loop shard count applied to built networks.
-pub fn shards() -> usize {
-    SHARDS.load(Ordering::Relaxed)
-}
-
 /// Sets the matching engine every subsequently built network's rendezvous
 /// nodes use (see `figures --match-engine`; tables are identical either
 /// way — only matching cost and memory layout change).
@@ -273,13 +257,12 @@ pub fn pool() -> PoolMode {
 }
 
 /// A [`NetConfig`] with the given seed and the globally selected
-/// scheduler, shard count, matching engine, and pool policy. Experiments
-/// must build networks through this so the `--scheduler`, `--shards`,
-/// `--match-engine`, and `--pool` knobs reach every run.
+/// scheduler, matching engine, and pool policy. Experiments must build
+/// networks through this so the `--scheduler`, `--match-engine`, and
+/// `--pool` knobs reach every run.
 pub fn net_config(seed: u64) -> NetConfig {
     NetConfig::new(seed)
         .with_scheduler(scheduler())
-        .with_shards(shards())
         .with_match_engine(match_engine())
         .with_pool(pool())
 }
@@ -647,7 +630,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// delivered set: FNV-1a over the sorted `(node, sub, event)` triples,
 /// plus the triple count. Two runs deliver the same notifications iff the
 /// fingerprints match, so configurations that must not change delivery
-/// semantics — shard counts, schedulers, overlays, rendezvous policies —
+/// semantics — schedulers, overlays, rendezvous policies —
 /// can be diffed on this one value.
 pub fn delivered_fingerprint<B: OverlayBackend>(net: &PubSubNetwork<B>) -> (u64, usize) {
     let mut triples: Vec<(usize, u64, u64)> = Vec::new();

@@ -157,7 +157,6 @@ pub fn run_trace(args: &Args) -> Outcome {
         "discretization",
         "replication",
         "scheduler",
-        "shards",
         "match-engine",
         "pool",
         "rendezvous",
@@ -180,7 +179,6 @@ pub fn run_trace(args: &Args) -> Outcome {
     let discretization: u64 = args.get_or("discretization", 1)?;
     let replication: usize = args.get_or("replication", 0)?;
     let scheduler = parse_scheduler(args.get("scheduler").unwrap_or("wheel"))?;
-    let shards: usize = args.get_or("shards", 1)?;
     let match_engine = parse_match_engine(args.get("match-engine").unwrap_or("counting"))?;
     let pool = parse_pool(args.get("pool").unwrap_or("reuse"))?;
     let rendezvous = parse_rendezvous(args.get("rendezvous").unwrap_or("static"))?;
@@ -195,7 +193,6 @@ pub fn run_trace(args: &Args) -> Outcome {
             .net_config(
                 NetConfig::new(seed)
                     .with_scheduler(scheduler)
-                    .with_shards(shards)
                     .with_match_engine(match_engine)
                     .with_pool(pool),
             )
@@ -276,7 +273,6 @@ pub fn stats(args: &Args) -> Outcome {
         "discretization",
         "replication",
         "scheduler",
-        "shards",
         "match-engine",
         "pool",
         "rendezvous",
@@ -300,7 +296,6 @@ pub fn stats(args: &Args) -> Outcome {
     let discretization: u64 = args.get_or("discretization", 1)?;
     let replication: usize = args.get_or("replication", 0)?;
     let scheduler = parse_scheduler(args.get("scheduler").unwrap_or("wheel"))?;
-    let shards: usize = args.get_or("shards", 1)?;
     let match_engine = parse_match_engine(args.get("match-engine").unwrap_or("counting"))?;
     let pool = parse_pool(args.get("pool").unwrap_or("reuse"))?;
     let rendezvous = parse_rendezvous(args.get("rendezvous").unwrap_or("static"))?;
@@ -315,7 +310,6 @@ pub fn stats(args: &Args) -> Outcome {
             .net_config(
                 NetConfig::new(seed)
                     .with_scheduler(scheduler)
-                    .with_shards(shards)
                     .with_match_engine(match_engine)
                     .with_pool(pool),
             )
@@ -363,7 +357,6 @@ pub fn stats(args: &Args) -> Outcome {
         jobs: 1,
         observability: ObsMode::Full.name().to_owned(),
         scheduler: scheduler.name().to_owned(),
-        shards: shards.max(1),
         match_engine: match_engine.name().to_owned(),
         rendezvous: rendezvous.name().to_owned(),
         overlay: overlay.name().to_owned(),
@@ -442,15 +435,7 @@ pub fn ring(args: &Args) -> Outcome {
 
 /// `cbps experiment`: run a named experiment from the bench harness.
 pub fn experiment(args: &Args) -> Outcome {
-    args.check_flags(&[
-        "scale",
-        "nodes",
-        "jobs",
-        "shards",
-        "match-engine",
-        "pool",
-        "overlay",
-    ])?;
+    args.check_flags(&["scale", "nodes", "jobs", "match-engine", "pool", "overlay"])?;
     let name = args
         .positional()
         .get(1)
@@ -475,7 +460,6 @@ pub fn experiment(args: &Args) -> Outcome {
         return Err(ArgError("--jobs must be at least 1".into()));
     }
     cbps_bench::runner::set_jobs(jobs);
-    cbps_bench::runner::set_shards(args.get_or("shards", 1)?);
     cbps_bench::runner::set_match_engine(parse_match_engine(
         args.get("match-engine").unwrap_or("counting"),
     )?);

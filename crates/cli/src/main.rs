@@ -8,12 +8,12 @@
 //!                [--mapping m1|m2|m3] [--primitive unicast|mcast|walk]
 //!                [--notify immediate|buffered:S|collecting:S]
 //!                [--discretization W] [--replication R] [--scheduler wheel|heap]
-//!                [--shards N] [--match-engine counting|sorted] [--pool reuse|fresh]
+//!                [--match-engine counting|sorted] [--pool reuse|fresh]
 //!                [--rendezvous static|adaptive]
 //! cbps stats FILE [--out FILE] [run-trace deployment flags]
 //! cbps ring [--nodes N] [--seed S] [--node IDX]
 //! cbps experiment NAME [--scale quick|paper|large] [--nodes N] [--overlay chord|pastry] [--jobs N]
-//!                [--shards N] [--match-engine counting|sorted] [--pool reuse|fresh]
+//!                [--match-engine counting|sorted] [--pool reuse|fresh]
 //! ```
 
 mod args;
@@ -32,13 +32,13 @@ usage:
                  [--mapping m1|m2|m3] [--primitive unicast|mcast|walk]
                  [--notify immediate|buffered:SECS|collecting:SECS]
                  [--discretization W] [--replication R] [--scheduler wheel|heap]
-                 [--shards N] [--match-engine counting|sorted] [--pool reuse|fresh]
+                 [--match-engine counting|sorted] [--pool reuse|fresh]
                  [--rendezvous static|adaptive]
   cbps stats FILE [--out FILE] [run-trace deployment flags]
                  (replay with observability on; emit the cbps-report/v2 JSON)
   cbps ring [--nodes N] [--seed S] [--node IDX]
   cbps experiment NAME [--scale quick|paper|large] [--nodes N] [--overlay chord|pastry] [--jobs N]
-                 [--shards N] [--match-engine counting|sorted] [--pool reuse|fresh]
+                 [--match-engine counting|sorted] [--pool reuse|fresh]
                  (NAME: route, keys, fig5 … or all)
 ";
 

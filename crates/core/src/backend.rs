@@ -46,11 +46,8 @@ pub trait OverlayBackend: fmt::Debug + Sized + 'static {
     /// Substrate configuration (key space, routing parameters).
     type Config: Clone + fmt::Debug;
 
-    /// The substrate's simulator node hosting a [`PubSubNode`]. `Send` so
-    /// the sharded engine may hand shards to worker threads.
-    type Node: Node<Msg = Envelope<PubSubMsg>, Timer = OverlayTimer<PubSubTimer>>
-        + fmt::Debug
-        + Send;
+    /// The substrate's simulator node hosting a [`PubSubNode`].
+    type Node: Node<Msg = Envelope<PubSubMsg>, Timer = OverlayTimer<PubSubTimer>> + fmt::Debug;
 
     /// The evaluation-default configuration (the paper's parameters).
     fn paper_default() -> Self::Config;

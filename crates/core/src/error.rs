@@ -117,10 +117,6 @@ pub enum ConfigError {
     /// A buffered or collecting notify mode was configured with a zero
     /// flush period, which would flush in a busy loop at a single instant.
     ZeroFlushPeriod,
-    /// More than one event-loop shard was requested but the delay model
-    /// admits zero-delay hops, leaving the conservative parallel engine no
-    /// lookahead window to run epochs in.
-    ZeroLookahead,
     /// The sorted matching engine was selected for an event space with
     /// more dimensions than its per-row constrained-dimension bitmask can
     /// hold.
@@ -161,10 +157,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroFlushPeriod => {
                 write!(f, "buffered/collecting notification mode needs a non-zero period")
             }
-            ConfigError::ZeroLookahead => write!(
-                f,
-                "sharded simulation needs a delay model with a positive minimum delay"
-            ),
             ConfigError::TooManyDimensions { dims, limit } => write!(
                 f,
                 "sorted matching engine supports at most {limit} dimensions, space has {dims}"

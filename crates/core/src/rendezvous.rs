@@ -274,8 +274,8 @@ struct SplitTable {
 /// Shared by every node through [`crate::PubSubConfig`]; nodes only read
 /// the table (on the subscribe/publish paths and during sweeps), the
 /// network's control loop is the only writer and runs strictly between
-/// engine segments — so reads never block and the table every node sees
-/// within one segment is constant, keeping sharded runs deterministic.
+/// simulator segments — so reads never block and the table every node
+/// sees within one segment is constant.
 #[derive(Debug)]
 pub struct RendezvousPolicy {
     mode: RendezvousMode,
@@ -469,8 +469,8 @@ impl RendezvousPolicy {
     /// the control-step time (reserved for future age-based policies).
     ///
     /// Deterministic: decisions depend only on the samples and the table,
-    /// so identical runs — any scheduler, any shard count — take
-    /// identical decisions.
+    /// so identical runs — under either scheduler — take identical
+    /// decisions.
     pub fn control_step(
         &self,
         space: KeySpace,

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use cbps_overlay::{Peer, RingView};
 use cbps_sim::{
-    Engine, MatchEngineKind, Metrics, NetConfig, NodeIdx, ObsMode, SimDuration, SimTime,
+    MatchEngineKind, Metrics, NetConfig, NodeIdx, ObsMode, SimDuration, SimTime, Simulator,
     StageRecord, TraceId,
 };
 
@@ -57,7 +57,7 @@ use crate::subscription::{SubId, Subscription};
 /// ```
 #[derive(Debug)]
 pub struct PubSubNetwork<B: OverlayBackend = ChordBackend> {
-    sim: Engine<B::Node>,
+    sim: Simulator<B::Node>,
     ring: RingView,
     cfg: Arc<PubSubConfig>,
     overlay_cfg: B::Config,
@@ -207,16 +207,10 @@ impl<B: OverlayBackend> PubSubNetwork<B> {
         self.sim.metrics_mut()
     }
 
-    /// Direct access to the underlying simulation engine (advanced
-    /// scenarios: crash/revive, custom timers).
-    pub fn sim_mut(&mut self) -> &mut Engine<B::Node> {
+    /// Direct access to the underlying simulator (advanced scenarios:
+    /// crash/revive, custom timers).
+    pub fn sim_mut(&mut self) -> &mut Simulator<B::Node> {
         &mut self.sim
-    }
-
-    /// Number of event-loop shards driving this network (1 = the classic
-    /// single-threaded engine).
-    pub fn shards(&self) -> usize {
-        self.sim.shard_count()
     }
 
     /// The pub/sub state of a node.
@@ -425,12 +419,11 @@ impl<B: OverlayBackend> PubSubNetwork<B> {
     /// Advances the simulation to the given absolute time.
     ///
     /// Under the adaptive rendezvous policy the advance is chunked at the
-    /// policy's control interval: the engine runs to each control time,
-    /// pauses (all shards at the barrier, no event in flight below the
-    /// control time), takes one [control step](crate::RendezvousPolicy),
-    /// and resumes. Decisions therefore depend only on node state at
-    /// deterministic absolute times — identical across schedulers and
-    /// shard counts.
+    /// policy's control interval: the simulator runs to each control time,
+    /// pauses (no event below the control time left in the queue), takes
+    /// one [control step](crate::RendezvousPolicy), and resumes. Decisions
+    /// therefore depend only on node state at deterministic absolute
+    /// times — identical across schedulers.
     pub fn run_until(&mut self, t: SimTime) {
         while self.rdv_next_control <= t {
             let at = self.rdv_next_control;
@@ -472,7 +465,7 @@ impl<B: OverlayBackend> PubSubNetwork<B> {
     /// One adaptive-rendezvous control step at time `at`: sample every
     /// live node's work window, let the policy advance entry lifecycles
     /// and detect hotspots, then run the requested store sweeps on the
-    /// covering nodes. Runs strictly between engine segments, so the
+    /// covering nodes. Runs strictly between simulator segments, so the
     /// split table every node reads within a segment is constant.
     fn rendezvous_control_step(&mut self, at: SimTime) {
         let works = self.rendezvous_work_counts();
@@ -658,16 +651,6 @@ impl<B: OverlayBackend> PubSubNetworkBuilder<B> {
         self
     }
 
-    /// Sets the number of event-loop shards (default 1, the classic
-    /// single-threaded engine; `0` is coerced to 1). Values above 1 run
-    /// the conservative parallel engine, which
-    /// [`build`](PubSubNetworkBuilder::build) rejects unless the delay
-    /// model has a strictly positive minimum delay.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.net = self.net.with_shards(n);
-        self
-    }
-
     /// Sets the subscription-matching engine every node runs (default:
     /// the counting index). Both engines deliver identical notification
     /// sets; see [`MatchEngineKind`].
@@ -732,9 +715,6 @@ impl<B: OverlayBackend> PubSubNetworkBuilder<B> {
             }
             _ => {}
         }
-        if self.net.shards > 1 && self.net.lookahead().is_zero() {
-            return Err(ConfigError::ZeroLookahead);
-        }
         if self.net.match_engine == MatchEngineKind::Sorted && self.pubsub.space.dims() > 64 {
             return Err(ConfigError::TooManyDimensions {
                 dims: self.pubsub.space.dims(),
@@ -775,7 +755,7 @@ impl<B: OverlayBackend> PubSubNetworkBuilder<B> {
             SimTime::MAX
         };
         let mut net = PubSubNetwork {
-            sim: Engine::from_simulator(sim, self.net.shards),
+            sim,
             ring,
             cfg,
             overlay_cfg: self.overlay,

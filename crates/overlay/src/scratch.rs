@@ -11,9 +11,9 @@
 //!
 //! [`Bundles`] is a safe plain wrapper around `Vec`: dropping one clears it
 //! (running the members' own recycling `Drop`s) and pushes the storage
-//! back onto the current thread's free list. Each simulator shard owns its
-//! nodes and runs them on one thread at a time, so thread-local pooling
-//! needs no synchronization.
+//! back onto the current thread's free list. A simulator runs its nodes on
+//! the one thread that drives it, so thread-local pooling needs no
+//! synchronization.
 
 use std::cell::{Cell, RefCell};
 use std::ops::{Deref, DerefMut};

@@ -34,17 +34,6 @@ impl DelayModel {
             }
         }
     }
-
-    /// The smallest delay this model can produce — the conservative
-    /// **lookahead** of the sharded engine: no message sent at time `t` can
-    /// arrive before `t + min_delay()`, so shards may run `min_delay()`
-    /// ahead of each other without risking a causality violation.
-    pub fn min_delay(&self) -> SimDuration {
-        match *self {
-            DelayModel::Fixed(d) => d,
-            DelayModel::Uniform { min, .. } => min,
-        }
-    }
 }
 
 impl Default for DelayModel {
@@ -192,12 +181,11 @@ pub struct NetConfig {
     /// index by default). Purely an implementation knob: both engines
     /// deliver identical notification sets.
     pub match_engine: MatchEngineKind,
-    /// Number of event-loop shards the node universe is partitioned into.
-    ///
-    /// `1` (the default) runs the classic single-threaded simulator.
-    /// Larger values run one worker thread per shard in bounded epochs of
-    /// the delay model's [`DelayModel::min_delay`] (conservative parallel
-    /// DES); requires a strictly positive minimum delay.
+    /// Always `1`, and read by nothing in this workspace: the sharded
+    /// event loop it once sized is gone (DESIGN.md, "Sharded parallel
+    /// engine (removed)"). It stays only because the frozen `benchmark/`
+    /// crate copies it into its knob vector; the benchmark-only PR that
+    /// drops it there drops it here.
     pub shards: usize,
     /// Slot-recycling policy of the in-flight event slab pool (reuse by
     /// default). Purely an implementation knob: both modes produce
@@ -251,22 +239,10 @@ impl NetConfig {
         self
     }
 
-    /// Replaces the shard count (`0` is coerced to `1`).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// Replaces the event-pool recycling policy.
     pub fn with_pool(mut self, pool: PoolMode) -> Self {
         self.pool = pool;
         self
-    }
-
-    /// The conservative lookahead window available to the sharded engine
-    /// (the delay model's minimum delay).
-    pub fn lookahead(&self) -> SimDuration {
-        self.delay.min_delay()
     }
 }
 
@@ -348,16 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn shards_default_and_lookahead() {
-        let cfg = NetConfig::default();
-        assert_eq!(cfg.shards, 1);
-        assert_eq!(cfg.lookahead(), SimDuration::from_millis(50));
-        assert_eq!(NetConfig::new(0).with_shards(0).shards, 1);
-        assert_eq!(NetConfig::new(0).with_shards(4).shards, 4);
-        let jitter = DelayModel::Uniform {
-            min: SimDuration::from_millis(10),
-            max: SimDuration::from_millis(20),
-        };
-        assert_eq!(jitter.min_delay(), SimDuration::from_millis(10));
+    fn shards_default_is_one() {
+        assert_eq!(NetConfig::default().shards, 1);
     }
 }

@@ -61,10 +61,8 @@ mod metrics;
 mod obs;
 mod pool;
 pub mod prefetch;
-mod shard;
 mod sim;
 mod time;
-mod trace;
 pub mod wheel;
 
 pub use config::{DelayModel, MatchEngineKind, NetConfig, PoolMode, SchedulerKind};
@@ -73,10 +71,8 @@ pub use obs::{
     LogHistogram, ObsMode, ObsSummary, Observability, Stage, StageRecord, TraceId, TraceLog,
 };
 pub use prefetch::PrefetchStage;
-pub use shard::{Engine, ShardedSimulator};
 pub use sim::{Context, Node, NodeIdx, Simulator};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEntry, TraceKind, Tracer};
 pub use wheel::TimingWheel;
 
 #[cfg(test)]
@@ -348,49 +344,6 @@ mod tests {
         sim.with_node(a, |_, ctx| ctx.send(b, TrafficClass::OTHER, 7));
         sim.run();
         assert!(sim.node(a).failures.is_empty(), "loss must be silent");
-    }
-
-    #[test]
-    fn tracing_records_upcalls_and_notes() {
-        let (mut sim, a, b) = two_node_sim(0);
-        sim.enable_trace(16);
-        sim.with_node(a, |_, ctx| {
-            ctx.note("kickoff");
-            ctx.send(b, TrafficClass::OTHER, 1);
-        });
-        sim.arm_timer_at(SimTime::from_secs(5), a, Tick::Once);
-        sim.run();
-        let trace = sim.trace();
-        assert_eq!(trace.with_tag("kickoff").count(), 1);
-        // b's delivery, a's bounce delivery, a's timer.
-        assert_eq!(
-            trace
-                .entries()
-                .filter(|e| e.kind == TraceKind::Deliver)
-                .count(),
-            2
-        );
-        assert_eq!(
-            trace
-                .entries()
-                .filter(|e| e.kind == TraceKind::Timer)
-                .count(),
-            1
-        );
-        assert_eq!(trace.for_node(b).count(), 1);
-        // Entries are in time order.
-        let times: Vec<_> = trace.entries().map(|e| e.at).collect();
-        let mut sorted = times.clone();
-        sorted.sort();
-        assert_eq!(times, sorted);
-    }
-
-    #[test]
-    fn tracing_disabled_by_default() {
-        let (mut sim, a, b) = two_node_sim(0);
-        sim.with_node(a, |_, ctx| ctx.send(b, TrafficClass::OTHER, 3));
-        sim.run();
-        assert!(sim.trace().is_empty());
     }
 
     #[test]

@@ -316,8 +316,8 @@ impl Series {
 /// Map keyed by counter or histogram name. The names are literals in the
 /// workspace's code, never input, so SipHash's flooding resistance buys
 /// nothing; what is updated per message goes through a [`Counter`] or
-/// [`Series`] handle and never comes here. Never iterated where order
-/// could show (shard absorption only sums).
+/// [`Series`] handle and never comes here. Never iterated, so its order
+/// cannot show.
 type NameMap<V> = HashMap<String, V, BuildHasherDefault<NameHasher>>;
 
 /// The hasher behind [`NameMap`]: one rotate-xor-multiply per eight bytes
@@ -475,38 +475,6 @@ impl Metrics {
     /// Mutable access to the observability sink.
     pub fn obs_mut(&mut self) -> &mut Observability {
         &mut self.obs
-    }
-
-    /// A fresh per-shard sink for one sharded run: empty counters, with the
-    /// observability mode and origin table forked from this (global) sink.
-    pub(crate) fn fork_for_shard(&self) -> Metrics {
-        Metrics {
-            obs: self.obs.fork_for_shard(),
-            ..Metrics::default()
-        }
-    }
-
-    /// Folds per-shard sinks into this one. Counter, message and histogram
-    /// merges are commutative; the observability logs are interleaved in
-    /// global time order (see [`Observability`] internals), so the folded
-    /// totals are independent of shard join order.
-    pub(crate) fn absorb_shards(&mut self, parts: &mut [Metrics]) {
-        for part in parts.iter() {
-            for (total, n) in self.messages.0.iter_mut().zip(&part.messages.0) {
-                *total += n;
-            }
-            for (name, &slot) in &part.counter_slots {
-                self.add(name, part.counters[slot]);
-            }
-            for (name, &slot) in &part.histogram_slots {
-                self.histogram_mut(name).merge(&part.histograms[slot]);
-            }
-        }
-        let mut sinks: Vec<Observability> = parts
-            .iter_mut()
-            .map(|p| std::mem::take(&mut p.obs))
-            .collect();
-        self.obs.merge_ordered(&mut sinks);
     }
 
     /// Resets every counter, message count, histogram and recorded
@@ -671,7 +639,7 @@ mod tests {
     }
 
     /// Every handle updates the counter or histogram its name reads, on a
-    /// fresh sink, a forked one and a cleared one; a name nobody recorded
+    /// fresh sink and a cleared one; a name nobody recorded
     /// under reads as absent even though its handle holds a position.
     #[test]
     fn handles_update_what_their_names_read() {
@@ -680,7 +648,7 @@ mod tests {
         cleared.add("x", 1);
         cleared.histogram_mut("hops").record(2);
         cleared.clear();
-        for mut m in [fresh.fork_for_shard(), fresh, cleared] {
+        for mut m in [fresh, cleared] {
             let counters = [
                 Counter::MATCHES,
                 Counter::NOTIFICATIONS_MESSAGES,
@@ -813,74 +781,5 @@ mod tests {
             m.add("matches", 3);
             assert_eq!(m.counter("matches"), 3);
         }
-    }
-
-    /// Folding per-shard sinks must give the same totals no matter which
-    /// shard's data arrives first: counters, messages and histograms are
-    /// sums/merges, and the observability log is rebuilt in global time
-    /// order rather than appended. Regression test for the sharded engine's
-    /// metric absorption.
-    #[test]
-    fn shard_absorption_is_commutative() {
-        use crate::obs::{ObsMode, Stage, TraceId};
-        use crate::time::SimTime;
-
-        let mut global = Metrics::new();
-        global.obs_mut().set_mode(ObsMode::Full);
-
-        let build_shard = |salt: u64| {
-            let mut part = global.fork_for_shard();
-            part.count_message(TrafficClass::PUBLICATION);
-            part.add("matches", 10 + salt);
-            part.histogram_mut("hops").record(salt + 1);
-            part.histogram_mut("hops").record(salt + 4);
-            let trace = TraceId::for_publication(salt as usize, 0);
-            // Distinct times per shard: records at identical times tie-break
-            // by shard order, which is deterministic but not commutative.
-            let at = SimTime::from_micros(100 + salt * 7);
-            part.obs_mut()
-                .stage(trace, Stage::Publish, TrafficClass::PUBLICATION, 0, at);
-            part.obs_mut().hop(
-                trace,
-                TrafficClass::PUBLICATION,
-                1,
-                SimTime::from_micros(200 + salt * 7),
-            );
-            part.obs_mut().sample("queue.depth", 5 + salt);
-            part
-        };
-
-        let digest = |m: &Metrics| {
-            let hops = m.histogram("hops").expect("hops recorded");
-            let log: Vec<_> = m
-                .obs()
-                .log()
-                .records()
-                .iter()
-                .map(|r| (r.trace, r.stage, r.at))
-                .collect();
-            let depth = m.obs().named_histogram("queue.depth").expect("sampled");
-            (
-                m.messages(TrafficClass::PUBLICATION),
-                m.counter("matches"),
-                hops.iter().collect::<Vec<_>>(),
-                m.obs()
-                    .stage_histogram(TrafficClass::PUBLICATION, Stage::RouteHop)
-                    .map(|h| h.iter().collect::<Vec<_>>()),
-                log,
-                depth.iter().collect::<Vec<_>>(),
-            )
-        };
-
-        let mut forward = global.clone();
-        forward.absorb_shards(&mut [build_shard(0), build_shard(1), build_shard(2)]);
-        let mut backward = global.clone();
-        backward.absorb_shards(&mut [build_shard(2), build_shard(1), build_shard(0)]);
-        assert_eq!(digest(&forward), digest(&backward));
-        assert_eq!(forward.messages(TrafficClass::PUBLICATION), 3);
-        assert_eq!(forward.counter("matches"), 33);
-        // Log is globally time-sorted: shard 0's record (t=100) first.
-        let first = forward.obs().log().records().first().expect("non-empty");
-        assert_eq!(first.at, crate::time::SimTime::from_micros(100));
     }
 }

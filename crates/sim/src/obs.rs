@@ -27,7 +27,6 @@
 //! tracing on, the histograms are allocation-free per sample (fixed bucket
 //! arrays) and the trace log drops — rather than grows — past its capacity.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::metrics::TrafficClass;
@@ -462,10 +461,6 @@ impl TraceLog {
         self.records.push(rec);
     }
 
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// All retained records, in recording order (which is sim-time order).
     pub fn records(&self) -> &[StageRecord] {
         &self.records
@@ -570,11 +565,6 @@ pub struct Observability {
     latency: HashMap<(TrafficClass, Stage), LogHistogram>,
     named: HashMap<String, LogHistogram>,
     origins: HashMap<TraceId, SimTime>,
-    /// When set (sharded-engine sinks only), origins first seen by this sink
-    /// are queued in `fresh_origins` so the epoch driver can broadcast them
-    /// to sibling shards at the next barrier.
-    track_fresh: bool,
-    fresh_origins: Vec<(TraceId, SimTime)>,
 }
 
 impl Observability {
@@ -641,16 +631,7 @@ impl Observability {
         at: SimTime,
         log: bool,
     ) {
-        let origin = match self.origins.entry(trace) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                e.insert(at);
-                if self.track_fresh {
-                    self.fresh_origins.push((trace, at));
-                }
-                at
-            }
-        };
+        let origin = *self.origins.entry(trace).or_insert(at);
         let micros = at.saturating_since(origin).as_micros();
         self.latency
             .entry((class, stage))
@@ -740,75 +721,6 @@ impl Observability {
         self.latency.clear();
         self.named.clear();
         self.origins.clear();
-        self.fresh_origins.clear();
-    }
-
-    /// A fresh sink for one shard of a sharded run: same mode and log
-    /// capacity, origins copied from this (global) sink so since-origin
-    /// latencies stay anchored to the true operation start, and fresh-origin
-    /// tracking enabled so barriers can propagate in-run origins.
-    pub(crate) fn fork_for_shard(&self) -> Observability {
-        Observability {
-            mode: self.mode,
-            log: TraceLog::new(self.log.capacity()),
-            latency: HashMap::new(),
-            named: HashMap::new(),
-            origins: self.origins.clone(),
-            track_fresh: true,
-            fresh_origins: Vec::new(),
-        }
-    }
-
-    /// Drains the origins first seen by this sink since the last call.
-    pub(crate) fn take_fresh_origins(&mut self) -> Vec<(TraceId, SimTime)> {
-        std::mem::take(&mut self.fresh_origins)
-    }
-
-    /// Installs an origin learned from a sibling shard (first writer wins,
-    /// matching the single-threaded first-record-fixes-origin rule).
-    pub(crate) fn add_origin(&mut self, trace: TraceId, at: SimTime) {
-        self.origins.entry(trace).or_insert(at);
-    }
-
-    /// Merges per-shard sinks into this one with the trace log rebuilt in
-    /// global `(time, shard)` order, so the merged log is independent of
-    /// which shard's data arrives first. Histogram and origin merges are
-    /// commutative already; the log append in [`Observability::merge`] is
-    /// not, hence this entry point for the sharded engine.
-    pub(crate) fn merge_ordered(&mut self, parts: &mut [Observability]) {
-        for part in parts.iter() {
-            for (key, h) in &part.latency {
-                self.latency.entry(*key).or_default().merge(h);
-            }
-            for (name, h) in &part.named {
-                if let Some(mine) = self.named.get_mut(name) {
-                    mine.merge(h);
-                } else {
-                    self.named.insert(name.clone(), h.clone());
-                }
-            }
-            for (&t, &at) in &part.origins {
-                self.origins.entry(t).or_insert(at);
-            }
-        }
-        // Per-shard logs are each time-ordered; a stable sort keyed on time
-        // alone interleaves them with shard index breaking ties, which is
-        // deterministic for any shard count.
-        let mut merged: Vec<StageRecord> =
-            Vec::with_capacity(parts.iter().map(|p| p.log.records.len()).sum());
-        for part in parts.iter_mut() {
-            merged.append(&mut part.log.records);
-        }
-        merged.sort_by_key(|r| r.at);
-        let mut dropped: u64 = parts.iter().map(|p| p.log.dropped).sum();
-        for rec in merged {
-            if self.log.records.len() >= self.log.capacity {
-                dropped += 1;
-            } else {
-                self.log.records.push(rec);
-            }
-        }
-        self.log.dropped += dropped;
     }
 }
 
@@ -1041,6 +953,68 @@ mod tests {
         assert_eq!(a.named_histogram("fanout").unwrap().len(), 2);
         assert_eq!(a.named_histogram("depth").unwrap().len(), 1);
         assert_eq!(a.log().len(), 2);
+
+        // `figures --jobs N` folds per-run sinks through `merge` in
+        // completion order (first one taken whole, the rest merged in), so
+        // the fold must not depend on that order — even once the log
+        // overflows and which records it keeps does.
+        let run = |node: usize, stages: u32| {
+            let mut obs = Observability {
+                log: TraceLog::new(4),
+                ..Observability::default()
+            };
+            obs.set_mode(ObsMode::Full);
+            let t = TraceId::for_publication(node, 1);
+            for i in 0..stages {
+                let at = SimTime::from_millis(u64::from(i) * 50 + node as u64);
+                obs.hop(t, TrafficClass::PUBLICATION, node + i as usize, at);
+            }
+            obs.stage(
+                t,
+                Stage::Deliver,
+                TrafficClass::NOTIFICATION,
+                node,
+                SimTime::from_secs(1),
+            );
+            obs.sample("fanout", u64::from(stages));
+            obs
+        };
+        let fold = |order: &[usize]| {
+            let mut runs = order.iter().map(|&n| run(n, 2 + n as u32));
+            let mut acc = runs.next().expect("one run at least");
+            for r in runs {
+                acc.merge(&r);
+            }
+            acc
+        };
+        let digest = |obs: &Observability| {
+            let mut stages: Vec<_> = obs
+                .stage_histograms()
+                .map(|(c, s, h)| {
+                    (
+                        c,
+                        s,
+                        h.iter().collect::<Vec<_>>(),
+                        h.sum(),
+                        h.min(),
+                        h.max(),
+                    )
+                })
+                .collect();
+            stages.sort_by_key(|&(c, s, ..)| (c, s));
+            let mut named: Vec<_> = obs
+                .named_histograms()
+                .map(|(n, h)| (n.to_owned(), h.iter().collect::<Vec<_>>(), h.sum()))
+                .collect();
+            named.sort();
+            (stages, named, obs.log().len(), obs.log().dropped())
+        };
+        let forward = fold(&[0, 1, 2, 3]);
+        let reversed = fold(&[3, 2, 1, 0]);
+        // 2 + 3 + 4 + 5 hops and four deliveries offered to a 4-record log.
+        assert_eq!(forward.log().len(), 4);
+        assert_eq!(forward.log().dropped(), 14 + 4 - 4);
+        assert_eq!(digest(&forward), digest(&reversed));
     }
 
     #[test]

@@ -20,10 +20,6 @@
 //! A hint has no architectural effect, so simulated results cannot depend
 //! on it; a node that ignores the hook pays a bounds check per call.
 //!
-//! The sharded engine's own loop (`shard.rs`) does not call the hook: it
-//! has one measurement ever (0.08× at two shards on one core) and
-//! ROADMAP item 1 decides whether it stays at all.
-//!
 //! This module holds the workspace's only `unsafe` block in library
 //! code; every other crate keeps `#![forbid(unsafe_code)]`. A hint is used
 //! rather than a safe demand load (`black_box(field)`) because a load

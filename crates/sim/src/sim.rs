@@ -17,7 +17,6 @@ use crate::obs::{Stage, TraceId};
 use crate::pool::{EventPool, Handle};
 use crate::prefetch::PrefetchStage;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEntry, TraceKind, Tracer};
 use crate::wheel::TimingWheel;
 
 /// Dense index of a node within a [`Simulator`].
@@ -84,38 +83,17 @@ pub struct Context<'a, M, T> {
     time: SimTime,
     rng: &'a mut Rng,
     metrics: &'a mut Metrics,
-    tracer: &'a mut Tracer,
     actions: &'a mut Vec<Action<M, T>>,
 }
 
 #[derive(Debug)]
-pub(crate) enum Action<M, T> {
+enum Action<M, T> {
     Send { to: NodeIdx, msg: M },
     SendLocal { msg: M },
     ArmTimer { delay: SimDuration, timer: T },
 }
 
 impl<'a, M, T> Context<'a, M, T> {
-    /// Assembles a context for one upcall (shared with the sharded engine,
-    /// which drives upcalls from per-shard state).
-    pub(crate) fn assemble(
-        node: NodeIdx,
-        time: SimTime,
-        rng: &'a mut Rng,
-        metrics: &'a mut Metrics,
-        tracer: &'a mut Tracer,
-        actions: &'a mut Vec<Action<M, T>>,
-    ) -> Self {
-        Context {
-            node,
-            time,
-            rng,
-            metrics,
-            tracer,
-            actions,
-        }
-    }
-
     /// Index of the node this upcall runs on.
     pub fn self_idx(&self) -> NodeIdx {
         self.node
@@ -156,18 +134,6 @@ impl<'a, M, T> Context<'a, M, T> {
         self.actions.push(Action::ArmTimer { delay, timer });
     }
 
-    /// Emits a trace note (no-op unless tracing is enabled via
-    /// [`Simulator::enable_trace`]). Tags are static strings so tracing
-    /// never allocates on the hot path.
-    pub fn note(&mut self, tag: &'static str) {
-        self.tracer.record(TraceEntry {
-            at: self.time,
-            node: self.node,
-            kind: TraceKind::Note,
-            tag,
-        });
-    }
-
     /// Records that `trace` reached `stage` on this node, now. No-op when
     /// observability is disabled (a single branch).
     #[inline]
@@ -186,7 +152,7 @@ impl<'a, M, T> Context<'a, M, T> {
 }
 
 #[derive(Debug)]
-pub(crate) enum EventKind<M, T> {
+enum EventKind<M, T> {
     Deliver {
         from: NodeIdx,
         to: NodeIdx,
@@ -208,16 +174,16 @@ pub(crate) enum EventKind<M, T> {
 /// with a single branch-free integer comparison instead of a
 /// lexicographic pair compare.
 #[inline]
-pub(crate) fn pack(time: SimTime, seq: u64) -> u128 {
+fn pack(time: SimTime, seq: u64) -> u128 {
     ((time.as_micros() as u128) << 64) | seq as u128
 }
 
 #[inline]
-pub(crate) fn key_time(key: u128) -> SimTime {
+fn key_time(key: u128) -> SimTime {
     SimTime::from_micros((key >> 64) as u64)
 }
 
-pub(crate) struct Scheduled {
+struct Scheduled {
     key: u128,
     handle: Handle,
 }
@@ -248,15 +214,15 @@ impl Ord for Scheduled {
 /// [`NetConfig`] selects one for A/B comparison.
 ///
 /// The queue orders 8-byte pool [`Handle`]s, not event payloads: payloads
-/// sit still in the owning engine's [`EventPool`] while their tickets are
+/// sit still in the simulator's [`EventPool`] while their tickets are
 /// sifted and cascaded (see [`crate::pool`]).
-pub(crate) enum EventQueue {
+enum EventQueue {
     Heap(BinaryHeap<Scheduled>),
     Wheel(Box<TimingWheel<Handle>>),
 }
 
 impl EventQueue {
-    pub(crate) fn new(kind: SchedulerKind) -> Self {
+    fn new(kind: SchedulerKind) -> Self {
         match kind {
             // Pre-sized so steady-state simulation almost never regrows
             // the heap's backing buffer mid-run.
@@ -266,7 +232,7 @@ impl EventQueue {
     }
 
     #[inline]
-    pub(crate) fn push(&mut self, key: u128, handle: Handle) {
+    fn push(&mut self, key: u128, handle: Handle) {
         match self {
             EventQueue::Heap(q) => q.push(Scheduled { key, handle }),
             EventQueue::Wheel(w) => w.push(key, handle),
@@ -274,7 +240,7 @@ impl EventQueue {
     }
 
     #[inline]
-    pub(crate) fn pop(&mut self) -> Option<(u128, Handle)> {
+    fn pop(&mut self) -> Option<(u128, Handle)> {
         match self {
             EventQueue::Heap(q) => q.pop().map(|s| (s.key, s.handle)),
             EventQueue::Wheel(w) => w.pop(),
@@ -282,37 +248,19 @@ impl EventQueue {
     }
 
     #[inline]
-    pub(crate) fn peek_key(&mut self) -> Option<u128> {
+    fn peek_key(&mut self) -> Option<u128> {
         match self {
             EventQueue::Heap(q) => q.peek().map(|s| s.key),
             EventQueue::Wheel(w) => w.peek_key(),
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         match self {
             EventQueue::Heap(q) => q.len(),
             EventQueue::Wheel(w) => w.len(),
         }
     }
-}
-
-/// A queued event paired with its packed `(time, seq)` key.
-pub(crate) type KeyedEvent<M, T> = (u128, EventKind<M, T>);
-
-/// Raw decomposition of a [`Simulator`] consumed by the sharded engine.
-pub(crate) struct SimParts<N: Node> {
-    pub(crate) nodes: Vec<N>,
-    pub(crate) alive: Vec<bool>,
-    /// Queued events in `(time, seq)` pop order.
-    pub(crate) events: Vec<KeyedEvent<N::Msg, N::Timer>>,
-    pub(crate) config: NetConfig,
-    pub(crate) time: SimTime,
-    pub(crate) rng: Rng,
-    pub(crate) metrics: Metrics,
-    pub(crate) tracer: Tracer,
-    pub(crate) events_processed: u64,
-    pub(crate) queue_peak: usize,
 }
 
 /// A deterministic discrete-event simulator over a fixed node universe.
@@ -360,7 +308,6 @@ pub struct Simulator<N: Node> {
     config: NetConfig,
     rng: Rng,
     metrics: Metrics,
-    tracer: Tracer,
     actions: Vec<Action<N::Msg, N::Timer>>,
     events_processed: u64,
     queue_peak: usize,
@@ -390,22 +337,10 @@ impl<N: Node> Simulator<N> {
             config,
             rng: Rng::seed_from_u64(config.seed),
             metrics: Metrics::new(),
-            tracer: Tracer::new(0),
             actions: Vec::new(),
             events_processed: 0,
             queue_peak: 0,
         }
-    }
-
-    /// Enables execution tracing, retaining the most recent `capacity`
-    /// entries (one per upcall plus explicit [`Context::note`]s).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.tracer = Tracer::new(capacity);
-    }
-
-    /// The recorded trace (empty unless enabled).
-    pub fn trace(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Reserves room for exactly `additional` more nodes, so a builder
@@ -551,7 +486,6 @@ impl<N: Node> Simulator<N> {
                 time: self.time,
                 rng: &mut self.rng,
                 metrics: &mut self.metrics,
-                tracer: &mut self.tracer,
                 actions: &mut actions,
             };
             f(&mut self.nodes[idx], &mut ctx)
@@ -616,12 +550,6 @@ impl<N: Node> Simulator<N> {
     }
 
     fn upcall_message(&mut self, from: NodeIdx, to: NodeIdx, msg: N::Msg) {
-        self.tracer.record(TraceEntry {
-            at: self.time,
-            node: to,
-            kind: TraceKind::Deliver,
-            tag: "",
-        });
         let mut actions = std::mem::take(&mut self.actions);
         {
             let mut ctx = Context {
@@ -629,7 +557,6 @@ impl<N: Node> Simulator<N> {
                 time: self.time,
                 rng: &mut self.rng,
                 metrics: &mut self.metrics,
-                tracer: &mut self.tracer,
                 actions: &mut actions,
             };
             self.nodes[to].on_message(from, msg, &mut ctx);
@@ -639,12 +566,6 @@ impl<N: Node> Simulator<N> {
     }
 
     fn upcall_send_failed(&mut self, sender: NodeIdx, to: NodeIdx, msg: N::Msg) {
-        self.tracer.record(TraceEntry {
-            at: self.time,
-            node: sender,
-            kind: TraceKind::SendFailed,
-            tag: "",
-        });
         let mut actions = std::mem::take(&mut self.actions);
         {
             let mut ctx = Context {
@@ -652,7 +573,6 @@ impl<N: Node> Simulator<N> {
                 time: self.time,
                 rng: &mut self.rng,
                 metrics: &mut self.metrics,
-                tracer: &mut self.tracer,
                 actions: &mut actions,
             };
             self.nodes[sender].on_send_failed(to, msg, &mut ctx);
@@ -662,12 +582,6 @@ impl<N: Node> Simulator<N> {
     }
 
     fn upcall_timer(&mut self, node: NodeIdx, timer: N::Timer) {
-        self.tracer.record(TraceEntry {
-            at: self.time,
-            node,
-            kind: TraceKind::Timer,
-            tag: "",
-        });
         let mut actions = std::mem::take(&mut self.actions);
         {
             let mut ctx = Context {
@@ -675,7 +589,6 @@ impl<N: Node> Simulator<N> {
                 time: self.time,
                 rng: &mut self.rng,
                 metrics: &mut self.metrics,
-                tracer: &mut self.tracer,
                 actions: &mut actions,
             };
             self.nodes[node].on_timer(timer, &mut ctx);
@@ -736,28 +649,6 @@ impl<N: Node> Simulator<N> {
                     );
                 }
             }
-        }
-    }
-
-    /// Decomposes the simulator into its raw parts so the sharded engine
-    /// can redistribute them (queued events are drained in `(time, seq)`
-    /// order, preserving determinism when they are re-sequenced per shard).
-    pub(crate) fn into_parts(mut self) -> SimParts<N> {
-        let mut events = Vec::with_capacity(self.queue.len());
-        while let Some((key, handle)) = self.queue.pop() {
-            events.push((key, self.pool.remove(handle)));
-        }
-        SimParts {
-            nodes: self.nodes,
-            alive: self.alive,
-            events,
-            config: self.config,
-            time: self.time,
-            rng: self.rng,
-            metrics: self.metrics,
-            tracer: self.tracer,
-            events_processed: self.events_processed,
-            queue_peak: self.queue_peak,
         }
     }
 

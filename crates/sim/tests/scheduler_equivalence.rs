@@ -70,7 +70,7 @@ fn run_until_boundaries_and_crash_revive_are_identical() {
     assert_eq!(fps[0], fps[1]);
     // Crashed node 5 stayed down: sends to it must have failed somewhere.
     assert!(
-        fps[0].trace.iter().any(|e| e.tag == "send-failed"),
+        fps[0].trace.iter().any(|&(.., tag)| tag == "send-failed"),
         "expected at least one failed send after the crash"
     );
 }

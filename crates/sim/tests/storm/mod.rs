@@ -5,9 +5,11 @@
 
 #![allow(dead_code)] // each test binary uses its own part
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use cbps_sim::{
-    Context, NetConfig, Node, NodeIdx, SchedulerKind, SimDuration, SimTime, Simulator, TraceEntry,
-    TrafficClass,
+    Context, NetConfig, Node, NodeIdx, SchedulerKind, SimDuration, SimTime, Simulator, TrafficClass,
 };
 
 /// A message that fans out until its TTL runs dry.
@@ -17,6 +19,23 @@ pub struct Ping {
     pub val: u64,
 }
 
+/// What a [`Log`] entry records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    Deliver,
+    Timer,
+    SendFailed,
+    Note,
+}
+
+/// One upcall or note: `(time, node, kind, tag)`, the tag empty except on
+/// notes.
+pub type Entry = (SimTime, NodeIdx, Kind, &'static str);
+
+/// The upcall log every node of one storm appends to, so it holds the
+/// global upcall order.
+pub type Log = Rc<RefCell<Vec<Entry>>>;
+
 /// Node that turns every upcall into a deterministic-but-messy mix of
 /// sends, local cascades, and timer storms. All decisions come from the
 /// simulator's RNG, so a single out-of-order event desyncs the run.
@@ -24,15 +43,22 @@ pub struct StormNode {
     n: usize,
     checksum: u64,
     upcalls: u64,
+    log: Log,
 }
 
 impl StormNode {
-    pub fn new(n: usize) -> Self {
+    pub fn new(n: usize, log: Log) -> Self {
         StormNode {
             n,
             checksum: 0,
             upcalls: 0,
+            log,
         }
+    }
+
+    fn record(&self, ctx: &Context<'_, Ping, u64>, kind: Kind, tag: &'static str) {
+        let entry = (ctx.now(), ctx.self_idx(), kind, tag);
+        self.log.borrow_mut().push(entry);
     }
 
     fn fold(&mut self, now: SimTime, a: u64, b: u64) {
@@ -51,6 +77,7 @@ impl Node for StormNode {
     type Timer = u64;
 
     fn on_message(&mut self, from: NodeIdx, msg: Ping, ctx: &mut Context<'_, Ping, u64>) {
+        self.record(ctx, Kind::Deliver, "");
         self.fold(ctx.now(), from as u64, msg.val);
         if msg.ttl == 0 {
             return;
@@ -67,7 +94,7 @@ impl Node for StormNode {
             }
             2 => {
                 // Zero-delay local cascade: a same-timestamp burst.
-                ctx.note("local-burst");
+                self.record(ctx, Kind::Note, "local-burst");
                 for i in 0..3u64 {
                     ctx.send_local(Ping {
                         ttl: msg.ttl - 1,
@@ -98,6 +125,7 @@ impl Node for StormNode {
     }
 
     fn on_timer(&mut self, timer: u64, ctx: &mut Context<'_, Ping, u64>) {
+        self.record(ctx, Kind::Timer, "");
         self.fold(ctx.now(), u64::MAX, timer);
         ctx.metrics().add("timers.fired", 1);
         if timer.is_multiple_of(3) {
@@ -107,8 +135,9 @@ impl Node for StormNode {
     }
 
     fn on_send_failed(&mut self, to: NodeIdx, msg: Ping, ctx: &mut Context<'_, Ping, u64>) {
+        self.record(ctx, Kind::SendFailed, "");
         self.fold(ctx.now(), to as u64, msg.val);
-        ctx.note("send-failed");
+        self.record(ctx, Kind::Note, "send-failed");
     }
 }
 
@@ -123,7 +152,7 @@ pub struct Fingerprint {
     pub timers_fired: u64,
     pub checksums: Vec<u64>,
     pub upcalls: Vec<u64>,
-    pub trace: Vec<TraceEntry>,
+    pub trace: Vec<Entry>,
 }
 
 /// A node that runs the storm: [`StormNode`] itself, or a wrapper that
@@ -147,7 +176,7 @@ pub fn fingerprint<N: Storm>(sim: &Simulator<N>) -> Fingerprint {
         timers_fired: sim.metrics().counter("timers.fired"),
         checksums: sim.nodes().map(|(_, n)| n.storm().checksum).collect(),
         upcalls: sim.nodes().map(|(_, n)| n.storm().upcalls).collect(),
-        trace: sim.trace().entries().copied().collect(),
+        trace: sim.node(0).storm().log.borrow().clone(),
     }
 }
 
@@ -155,9 +184,9 @@ pub const NODES: usize = 16;
 
 pub fn build<N: Storm>(kind: SchedulerKind, seed: u64) -> Simulator<N> {
     let mut sim = Simulator::new(NetConfig::new(seed).with_scheduler(kind));
-    sim.enable_trace(1 << 20);
+    let log = Log::default();
     for _ in 0..NODES {
-        sim.add_node(StormNode::new(NODES).into());
+        sim.add_node(StormNode::new(NODES, Rc::clone(&log)).into());
     }
     sim
 }

@@ -4,21 +4,20 @@
 //! control must not change a single observable output. A full pub/sub
 //! deployment (overlay, mappings, notification pipeline, TTL churn,
 //! crash/join) is replayed under both modes and every observable —
-//! deliveries, message counts, event totals — must match exactly, at one
-//! and at four event-loop shards (slot recycling happens per shard, so
-//! both paths are compared). The rendered experiment tables `ci.sh` diffs
-//! are covered by the harness-path test below.
+//! deliveries, message counts, event totals — must match exactly. The
+//! rendered experiment tables `ci.sh` diffs are covered by the
+//! harness-path test below.
 
 use cbps::{MappingKind, NotifyMode, PubSubConfig, PubSubNetwork, SubId};
 use cbps_sim::{NetConfig, PoolMode, SimDuration, TrafficClass};
 use cbps_workload::{WorkloadConfig, WorkloadGen};
 
-/// Replays a seeded workload under `pool` with `shards` event-loop shards
-/// and renders every observable as one string.
-fn run_digest(pool: PoolMode, shards: usize, seed: u64) -> String {
+/// Replays a seeded workload under `pool` and renders every observable as
+/// one string.
+fn run_digest(pool: PoolMode, seed: u64) -> String {
     let mut net = PubSubNetwork::builder()
         .nodes(40)
-        .net_config(NetConfig::new(seed).with_pool(pool).with_shards(shards))
+        .net_config(NetConfig::new(seed).with_pool(pool))
         .pubsub(
             PubSubConfig::paper_default()
                 .with_mapping(MappingKind::SelectiveAttribute)
@@ -72,19 +71,14 @@ fn run_digest(pool: PoolMode, shards: usize, seed: u64) -> String {
 #[test]
 fn pubsub_deployment_is_pool_mode_independent() {
     for seed in [3u64, 17] {
-        for shards in [1usize, 4] {
-            let reuse = run_digest(PoolMode::Reuse, shards, seed);
-            let fresh = run_digest(PoolMode::Fresh, shards, seed);
-            assert_eq!(
-                reuse, fresh,
-                "seed {seed}, {shards} shard(s): pooled run diverged from fresh"
-            );
-            // Guard against a degenerate workload that compared nothing.
-            assert!(
-                reuse.contains("delivered") && !reuse.contains("deliveries []"),
-                "workload delivered nothing: {reuse}"
-            );
-        }
+        let reuse = run_digest(PoolMode::Reuse, seed);
+        let fresh = run_digest(PoolMode::Fresh, seed);
+        assert_eq!(reuse, fresh, "seed {seed}: pooled run diverged from fresh");
+        // Guard against a degenerate workload that compared nothing.
+        assert!(
+            reuse.contains("delivered") && !reuse.contains("deliveries []"),
+            "workload delivered nothing: {reuse}"
+        );
     }
 }
 

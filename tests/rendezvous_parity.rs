@@ -9,10 +9,10 @@
 //!    entry-by-entry against the static baseline replaying the identical
 //!    trace.
 //! 2. **Control determinism** — split/merge decisions are taken between
-//!    engine segments from per-node work windows sampled at absolute
+//!    simulator segments from per-node work windows sampled at absolute
 //!    control times, so the hot-rendezvous top-k report, split/merge
 //!    counters and delivered set must be bit-identical across schedulers
-//!    (heap vs wheel) and shard counts (1 vs 4).
+//!    (heap vs wheel).
 
 use cbps::{MappingKind, PubSubConfig, PubSubNetwork, RendezvousMode, SubId};
 use cbps_bench::report::ObsReport;
@@ -45,11 +45,10 @@ struct RunOutcome {
     merges: u64,
 }
 
-fn run(mode: RendezvousMode, kind: SchedulerKind, shards: usize) -> RunOutcome {
+fn run(mode: RendezvousMode, kind: SchedulerKind) -> RunOutcome {
     let mut net = PubSubNetwork::builder()
         .nodes(NODES)
         .net_config(NetConfig::new(SEED).with_scheduler(kind))
-        .shards(shards)
         .pubsub(
             PubSubConfig::paper_default()
                 .with_mapping(MappingKind::SelectiveAttribute)
@@ -95,8 +94,8 @@ fn run(mode: RendezvousMode, kind: SchedulerKind, shards: usize) -> RunOutcome {
 /// exercises its split *and* merge paths and flattens the hot node.
 #[test]
 fn adaptive_rendezvous_preserves_delivered_sets() {
-    let stat = run(RendezvousMode::Static, SchedulerKind::Heap, 1);
-    let adap = run(RendezvousMode::Adaptive, SchedulerKind::Heap, 1);
+    let stat = run(RendezvousMode::Static, SchedulerKind::Heap);
+    let adap = run(RendezvousMode::Adaptive, SchedulerKind::Heap);
     assert_eq!((stat.splits, stat.merges), (0, 0), "static must not split");
     assert!(adap.splits > 0, "flash crowd must trip the split rule");
     assert!(adap.merges > 0, "burst end must trip the merge rule");
@@ -118,34 +117,18 @@ fn adaptive_rendezvous_preserves_delivered_sets() {
 
 /// Control determinism: the hot-rendezvous top-k set, the obs hot-node
 /// report and the split/merge counters are identical across schedulers
-/// and shard counts under Zipf skew.
+/// under Zipf skew.
 #[test]
-fn hot_rendezvous_report_is_scheduler_and_shard_independent() {
-    let base = run(RendezvousMode::Adaptive, SchedulerKind::Heap, 1);
-    assert!(base.splits > 0, "flash crowd must trip the split rule");
-    for (kind, shards) in [
-        (SchedulerKind::Wheel, 1),
-        (SchedulerKind::Heap, 4),
-        (SchedulerKind::Wheel, 4),
-    ] {
-        let other = run(RendezvousMode::Adaptive, kind, shards);
-        let label = format!("{kind:?}/{shards} shards");
-        assert_eq!(
-            base.work_top, other.work_top,
-            "work top-k diverged: {label}"
-        );
-        assert_eq!(
-            base.hot_nodes, other.hot_nodes,
-            "hot nodes diverged: {label}"
-        );
-        assert_eq!(
-            (base.splits, base.merges),
-            (other.splits, other.merges),
-            "control counters diverged: {label}"
-        );
-        assert_eq!(
-            base.deliveries, other.deliveries,
-            "deliveries diverged: {label}"
-        );
-    }
+fn hot_rendezvous_report_is_scheduler_independent() {
+    let heap = run(RendezvousMode::Adaptive, SchedulerKind::Heap);
+    assert!(heap.splits > 0, "flash crowd must trip the split rule");
+    let wheel = run(RendezvousMode::Adaptive, SchedulerKind::Wheel);
+    assert_eq!(heap.work_top, wheel.work_top, "work top-k diverged");
+    assert_eq!(heap.hot_nodes, wheel.hot_nodes, "hot nodes diverged");
+    assert_eq!(
+        (heap.splits, heap.merges),
+        (wheel.splits, wheel.merges),
+        "control counters diverged"
+    );
+    assert_eq!(heap.deliveries, wheel.deliveries, "deliveries diverged");
 }

@@ -76,7 +76,6 @@ fn run_report(kind: SchedulerKind, seed: u64) -> String {
         // Deliberately NOT kind.name(): the scheduler must be the only
         // difference between the two runs, so it stays out of the diff.
         scheduler: "under-test".to_owned(),
-        shards: 1,
         match_engine: "counting".to_owned(),
         rendezvous: "static".to_owned(),
         overlay: "chord".to_owned(),
