@@ -5,15 +5,14 @@ set -eu
 
 cd "$(dirname "$0")"
 
-# `unsafe` allow-list. Library code has one block, the prefetch hint in
-# cbps-sim (`crates/sim/src/prefetch.rs`, behind a scoped `allow` in a crate
-# that otherwise denies it); the six other library crates forbid it
-# outright. The only other file under `crates/*/src` that may say the word
-# is the probe binary's counting `GlobalAlloc`, a measuring instrument that
-# cannot be written without it.
+# `unsafe` allow-list. Library and binary code has one block, the prefetch
+# hint in cbps-sim (`crates/sim/src/prefetch.rs`, behind a scoped `allow` in
+# a crate that otherwise denies it); the six other library crates forbid it
+# outright, and no other file under `crates/*/src` may say the word. (The
+# allocation gates' counting `GlobalAlloc` lives under `crates/bench/tests`.)
 echo "==> unsafe allow-list"
 unsafe_files=$(grep -rlw unsafe crates/*/src | sort | tr '\n' ' ')
-if [ "$unsafe_files" != "crates/bench/src/bin/probe.rs crates/sim/src/prefetch.rs " ]; then
+if [ "$unsafe_files" != "crates/sim/src/prefetch.rs " ]; then
     echo "FAIL: \`unsafe\` outside the allow-list: $unsafe_files" >&2
     exit 1
 fi
@@ -44,13 +43,13 @@ cargo test --workspace --doc -q
 
 # The allocation gates pin exact counts, which hold for optimized builds
 # only: two of the three are ignored under debug assertions, so the debug
-# run above does not gate them — nor `alloc_install`'s ceiling on the live
-# heap bytes a stored copy adds. The covering-probe gate counts what the
-# store read, not what the allocator did, so it already ran above; it is
-# repeated here because the optimized build is the one that gets measured.
-echo "==> cargo test --release (allocation and covering-probe gates)"
-cargo test --release -q -p cbps-bench \
-    --test alloc_steady --test alloc_install --test alloc_route --test covering_stats
+# run above gates neither them, `alloc_install`'s ceiling on the live heap
+# bytes a stored copy adds, nor `build_scale`'s per-node build cost. The
+# covering-probe gate counts what the store read, so it already ran above;
+# it is repeated because the optimized build is the one that gets measured.
+echo "==> cargo test --release (allocation, build-scale and covering-probe gates)"
+cargo test --release -q -p cbps-bench --test alloc_steady --test alloc_install \
+    --test alloc_route --test build_scale --test covering_stats
 
 # The sampling profiler of `ci/prof` is C and Python, out of cargo's sight:
 # build it and take one profile of a sub-second run, so that the next perf
@@ -95,37 +94,27 @@ else
     echo "==> rustfmt not installed; skipping format check"
 fi
 
-# Scheduler A/B smoke: the timing wheel must reproduce the heap's event
-# order exactly, so a quick-scale figures run has to render byte-identical
-# tables under both schedulers, and the simulated event counts must match
-# the recorded baseline (wall times legitimately drift; event counts may
-# not). Uses a small experiment subset to keep the gate fast.
-echo "==> scheduler A/B smoke (figures --scheduler heap|wheel)"
+# Event-count smoke: a quick-scale figures subset must simulate exactly
+# the event counts the recorded baseline holds (wall times legitimately
+# drift; event counts may not).
+echo "==> event-count smoke (figures --json against the baseline)"
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 smoke_experiments="route fig6 churn"
-for sched in heap wheel; do
-    # shellcheck disable=SC2086
-    ./target/release/figures --scale quick --jobs "$(nproc)" \
-        --scheduler "$sched" --json "$smoke_dir/$sched.json" \
-        $smoke_experiments >"$smoke_dir/$sched.tables" 2>/dev/null
-done
-if ! diff -u "$smoke_dir/heap.tables" "$smoke_dir/wheel.tables"; then
-    echo "FAIL: heap and wheel render different tables" >&2
-    exit 1
-fi
-# Compare per-experiment event counts against the committed baseline.
+# shellcheck disable=SC2086
+./target/release/figures --scale quick --jobs "$(nproc)" \
+    --json "$smoke_dir/run.json" $smoke_experiments >/dev/null 2>&1
 # Reports are one-line JSON; break records apart before extracting fields.
 events_of() {
     tr '{' '\n' <"$1" |
         sed -n 's/.*"name": *"\([a-z0-9_]*\)".*"events": *\([0-9]*\).*/\1 \2/p'
 }
-events_of "$smoke_dir/wheel.json" >"$smoke_dir/wheel.events"
+events_of "$smoke_dir/run.json" >"$smoke_dir/run.events"
 if [ -f results/bench/BENCH_baseline.json ]; then
     events_of results/bench/BENCH_baseline.json >"$smoke_dir/baseline.events"
     for exp in $smoke_experiments; do
         base=$(awk -v e="$exp" '$1 == e { print $2 }' "$smoke_dir/baseline.events")
-        got=$(awk -v e="$exp" '$1 == e { print $2 }' "$smoke_dir/wheel.events")
+        got=$(awk -v e="$exp" '$1 == e { print $2 }' "$smoke_dir/run.events")
         # Skip experiments the baseline didn't measure (recorded as 0).
         if [ -n "$base" ] && [ "$base" != "0" ] && [ "$got" != "$base" ]; then
             echo "FAIL: $exp simulated $got events, baseline recorded $base" >&2
@@ -133,7 +122,7 @@ if [ -f results/bench/BENCH_baseline.json ]; then
         fi
     done
 fi
-echo "==> scheduler smoke passed (tables identical, event counts match baseline)"
+echo "==> event-count smoke passed (event counts match baseline)"
 
 # Overlay portability smoke: the generic deployment core must keep the
 # Chord quick-scale figure tables byte-identical to the committed
@@ -170,9 +159,7 @@ echo "==> overlay smoke passed (chord baseline byte-identical, fingerprints matc
 # drop-in for the counting index at rendezvous nodes. A quick-scale
 # figures run has to render byte-identical tables under both engines, and
 # a replayed trace must print byte-identical run-trace output (including
-# the delivered-set fingerprint). A small `probe match` run then
-# differentially checks both engines plus the covering store on a
-# skewed workload — it exits non-zero on any match-set mismatch.
+# the delivered-set fingerprint).
 echo "==> match-engine A/B smoke (figures/cbps --match-engine counting|sorted)"
 engine_experiments="route fig6 mcast"
 for engine in counting sorted; do
@@ -191,49 +178,14 @@ if ! diff -u "$smoke_dir/counting.rt" "$smoke_dir/sorted.rt"; then
     echo "FAIL: counting and sorted engines replay a trace differently" >&2
     exit 1
 fi
-./target/release/probe match --subs 20000 --seed 7 >/dev/null
-echo "==> match-engine smoke passed (tables and trace replay identical, probe differential clean)"
+echo "==> match-engine smoke passed (tables and trace replay identical)"
 
-# Pool A/B smoke: the slab pool recycling in-flight envelope/timer slots
-# is a pure allocation strategy, so a quick-scale figures run must render
-# byte-identical tables with pooling on (reuse) and off (fresh), and a
-# replayed trace must print byte-identical run-trace output (including
-# the delivered-set fingerprint) under both modes. The allocation audit
-# then re-runs the fixed workload under a counting global allocator —
-# `probe alloc` exits non-zero unless the steady-state window after
-# warmup performs exactly zero heap allocations with the reuse pool.
-echo "==> pool A/B smoke (figures/cbps --pool reuse|fresh) and allocation audit"
-pool_experiments="route fig6 mcast"
-for pool in reuse fresh; do
-    # shellcheck disable=SC2086
-    ./target/release/figures --scale quick --jobs "$(nproc)" \
-        --pool "$pool" \
-        $pool_experiments >"$smoke_dir/pool-$pool.tables" 2>/dev/null
-    ./target/release/cbps run-trace "$smoke_dir/smoke.trace" --nodes 80 --seed 5 \
-        --pool "$pool" >"$smoke_dir/pool-$pool.rt"
-done
-if ! diff -u "$smoke_dir/pool-reuse.tables" "$smoke_dir/pool-fresh.tables"; then
-    echo "FAIL: --pool reuse and --pool fresh render different tables" >&2
-    exit 1
-fi
-if ! diff -u "$smoke_dir/pool-reuse.rt" "$smoke_dir/pool-fresh.rt"; then
-    echo "FAIL: --pool reuse and --pool fresh replay a trace differently" >&2
-    exit 1
-fi
-./target/release/probe alloc --nodes 120 --seed 7 >/dev/null
-echo "==> pool smoke passed (tables and trace replay identical, steady state allocation-free)"
-
-# Build-pipeline smoke: the deployment build path must stay near-linear
-# and parallel construction must be behaviorally invisible. `probe scale`
-# sweeps 10^3 and 10^4 nodes under a counting allocator and a build-time
-# budget, checking per-node cost flatness (<= 2x across the sweep) and
-# serial-vs-4-worker routing-table parity at every point — it exits
-# non-zero on any drift. Then a quick-scale figures subset must render
+# Serial-vs-parallel smoke: a quick-scale figures subset must render
 # byte-identical tables at --jobs 1 and --jobs 4: --jobs drives both the
 # sweep-point worker pool and the parallel node construction, so this is
-# the end-to-end serial-vs-parallel byte-diff.
-echo "==> build-pipeline smoke (probe scale, figures --jobs 1|4)"
-./target/release/probe scale --max-nodes 10000 --budget-secs 60 >/dev/null
+# the end-to-end serial-vs-parallel byte-diff. (The build's near-linear
+# cost is the release-mode `build_scale` test above.)
+echo "==> serial-vs-parallel smoke (figures --jobs 1|4)"
 jobs_experiments="route fig6 mcast"
 for jobs in 1 4; do
     # shellcheck disable=SC2086
@@ -244,15 +196,13 @@ if ! diff -u "$smoke_dir/jobs1.tables" "$smoke_dir/jobs4.tables"; then
     echo "FAIL: --jobs 1 and --jobs 4 render different tables" >&2
     exit 1
 fi
-echo "==> build-pipeline smoke passed (near-linear build, parallel parity)"
+echo "==> serial-vs-parallel smoke passed (tables identical)"
 
 # Rendezvous A/B smoke: the adaptive rendezvous policy splits hot keys'
 # subscription populations across mirror arcs, which must be delivery-
 # transparent: on a Zipf flash-crowd trace, static and adaptive runs must
 # print the same delivered-set fingerprint, and the adaptive run must have
-# split. `probe rendezvous` then checks the load-flattening claim end to
-# end — it exits non-zero unless adaptive strictly lowers the max/mean
-# node-load ratio with identical delivered sets.
+# split. (`tests/rendezvous_parity.rs` holds the load-flattening claim.)
 echo "==> rendezvous A/B smoke (cbps --rendezvous static|adaptive)"
 ./target/release/cbps gen-trace --out "$smoke_dir/zipf.trace" \
     --nodes 100 --subs 300 --pubs 600 --selective 1 --flash-crowd 1200 \
@@ -271,8 +221,7 @@ if ! grep -q "^rendezvous splits: [1-9]" "$smoke_dir/rdv-adaptive.rt"; then
     echo "FAIL: flash crowd did not trip the adaptive split rule" >&2
     exit 1
 fi
-./target/release/probe rendezvous --nodes 150 >/dev/null
-echo "==> rendezvous smoke passed (fingerprint parity, hotspot flattened)"
+echo "==> rendezvous smoke passed (fingerprint parity, adaptive split)"
 
 # Benchmark smoke: the detached benchmark crate measures the library
 # crates through their public items, so a signature it uses cannot change

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! figures [--scale quick|paper|large] [--nodes N] [--overlay chord|pastry]
-//!         [--jobs N] [--scheduler wheel|heap]
-//!         [--match-engine counting|sorted] [--csv DIR] [--json FILE]
+//!         [--jobs N] [--match-engine counting|sorted]
+//!         [--rendezvous static|adaptive] [--csv DIR] [--json FILE]
 //!         [--report FILE] [EXPERIMENT...]
 //! ```
 //!
@@ -17,14 +17,10 @@
 //! every node still owns a distinct key.
 //! `--jobs N` farms independent sweep points out to `N` worker threads;
 //! each simulation stays single-threaded and deterministic, so the tables
-//! are byte-identical at any job count. `--scheduler wheel|heap` selects
-//! the simulator's event queue (default: wheel); the two produce
-//! byte-identical tables — only the wall times differ — which ci.sh
-//! verifies on every run. `--match-engine counting|sorted` selects the
-//! rendezvous matching engine (default: counting); the engines return
-//! identical match sets — only matching cost and memory layout change —
-//! so tables are byte-identical either way, a second invariant ci.sh
-//! checks.
+//! are byte-identical at any job count. `--match-engine counting|sorted`
+//! selects the rendezvous matching engine (default: counting); the engines
+//! return identical match sets — only matching cost and memory layout
+//! change — so tables are byte-identical either way, which ci.sh checks.
 //! `--rendezvous static|adaptive` selects the rendezvous policy
 //! (default: static, the paper's stateless ak-mapping, which leaves every
 //! recorded baseline byte-identical); `adaptive` turns on online hot-key
@@ -50,7 +46,7 @@ use cbps_bench::experiments::{run_named, EXPERIMENT_NAMES};
 use cbps_bench::report::{ExperimentReport, ObsReport, RunReport};
 use cbps_bench::runner;
 use cbps_bench::Scale;
-use cbps_sim::{MatchEngineKind, ObsMode, SchedulerKind};
+use cbps_sim::{MatchEngineKind, ObsMode};
 
 fn main() {
     let mut scale = Scale::Quick;
@@ -93,13 +89,6 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--scheduler" => match args.next().as_deref().and_then(SchedulerKind::parse) {
-                Some(kind) => runner::set_scheduler(kind),
-                None => {
-                    eprintln!("--scheduler expects wheel|heap");
-                    std::process::exit(2);
-                }
-            },
             "--match-engine" => match args.next().as_deref().and_then(MatchEngineKind::parse) {
                 Some(kind) => runner::set_match_engine(kind),
                 None => {
@@ -111,13 +100,6 @@ fn main() {
                 Some(mode) => runner::set_rendezvous(mode),
                 None => {
                     eprintln!("--rendezvous expects static|adaptive");
-                    std::process::exit(2);
-                }
-            },
-            "--pool" => match args.next().as_deref().and_then(cbps_sim::PoolMode::parse) {
-                Some(mode) => runner::set_pool(mode),
-                None => {
-                    eprintln!("--pool expects reuse|fresh");
                     std::process::exit(2);
                 }
             },
@@ -158,9 +140,8 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: figures [--scale quick|paper|large] [--nodes N] \
-                     [--overlay chord|pastry] [--jobs N] [--scheduler wheel|heap] \
-                     [--match-engine counting|sorted] [--pool reuse|fresh] \
-                     [--rendezvous static|adaptive] \
+                     [--overlay chord|pastry] [--jobs N] \
+                     [--match-engine counting|sorted] [--rendezvous static|adaptive] \
                      [--csv DIR] [--json FILE] [--report FILE] [EXPERIMENT...]\n\
                      experiments: {} (default: all)",
                     EXPERIMENT_NAMES.join(", ")
@@ -207,7 +188,6 @@ fn main() {
             events,
             peak_queue_depth,
             obs,
-            alloc: None,
         });
         for table in &tables {
             println!("{}", table.render());
@@ -243,7 +223,6 @@ fn main() {
         scale: scale.name().to_owned(),
         jobs: runner::jobs(),
         observability: runner::observability().name().to_owned(),
-        scheduler: runner::scheduler().name().to_owned(),
         match_engine: runner::match_engine().name().to_owned(),
         rendezvous: runner::rendezvous().name().to_owned(),
         overlay: runner::backend().name().to_owned(),

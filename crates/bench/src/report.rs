@@ -171,40 +171,6 @@ impl ObsReport {
     }
 }
 
-/// The allocation audit of one run (`probe alloc`): counting-allocator
-/// totals for the whole figures-workload replay and for a steady-state
-/// window injected after the replay drained. Counts are exact allocator
-/// calls (alloc + alloc_zeroed + realloc), not sampled.
-#[derive(Clone, Debug)]
-pub struct AllocReport {
-    /// Event-pool recycling policy the run used (`reuse` or `fresh`).
-    pub pool: String,
-    /// Heap allocations during the whole trace replay (buildup included).
-    pub replay_allocs: u64,
-    /// Bytes requested by those allocations.
-    pub replay_bytes: u64,
-    /// Simulated events processed during the replay.
-    pub replay_events: u64,
-    /// Heap allocations while draining the steady-state window.
-    pub steady_allocs: u64,
-    /// Bytes requested during the steady-state window.
-    pub steady_bytes: u64,
-    /// Simulated events processed in the steady-state window.
-    pub steady_events: u64,
-}
-
-impl AllocReport {
-    /// Allocations per simulated event over the whole replay.
-    pub fn replay_allocs_per_event(&self) -> f64 {
-        self.replay_allocs as f64 / self.replay_events.max(1) as f64
-    }
-
-    /// Allocations per simulated event in the steady-state window.
-    pub fn steady_allocs_per_event(&self) -> f64 {
-        self.steady_allocs as f64 / self.steady_events.max(1) as f64
-    }
-}
-
 /// One experiment's record in the report: the v1 perf fields plus the
 /// optional observability distillate.
 #[derive(Clone, Debug)]
@@ -219,8 +185,6 @@ pub struct ExperimentReport {
     pub peak_queue_depth: u64,
     /// Observability distillate; `None` when the run had tracing off.
     pub obs: Option<ObsReport>,
-    /// Allocation audit; `None` outside `probe alloc` runs.
-    pub alloc: Option<AllocReport>,
 }
 
 /// A whole `figures` invocation's report.
@@ -232,8 +196,6 @@ pub struct RunReport {
     pub jobs: usize,
     /// Observability mode name the sweep ran under (`off`, `stages`, `full`).
     pub observability: String,
-    /// Event-queue implementation name (`wheel` or `heap`).
-    pub scheduler: String,
     /// Matching engine rendezvous nodes ran (`counting` or `sorted`).
     pub match_engine: String,
     /// Rendezvous policy the networks ran (`static` or `adaptive`).
@@ -254,10 +216,6 @@ impl RunReport {
         out.push_str(&format!(
             "  \"observability\": \"{}\",\n",
             escape(&self.observability)
-        ));
-        out.push_str(&format!(
-            "  \"scheduler\": \"{}\",\n",
-            escape(&self.scheduler)
         ));
         out.push_str(&format!(
             "  \"match_engine\": \"{}\",\n",
@@ -302,24 +260,6 @@ fn experiment_json(e: &ExperimentReport, indent: &str) -> String {
         events_per_sec,
         e.peak_queue_depth,
     );
-    if let Some(a) = &e.alloc {
-        out.push_str(&format!(
-            ",\n{indent}  \"alloc\": {{\"pool\": \"{}\", \
-             \"replay_allocs\": {}, \"replay_bytes\": {}, \"replay_events\": {}, \
-             \"replay_allocs_per_event\": {:.3}, \
-             \"steady_allocs\": {}, \"steady_bytes\": {}, \"steady_events\": {}, \
-             \"steady_allocs_per_event\": {:.3}}}",
-            escape(&a.pool),
-            a.replay_allocs,
-            a.replay_bytes,
-            a.replay_events,
-            a.replay_allocs_per_event(),
-            a.steady_allocs,
-            a.steady_bytes,
-            a.steady_events,
-            a.steady_allocs_per_event(),
-        ));
-    }
     if let Some(obs) = &e.obs {
         let inner = format!("{indent}  ");
         out.push_str(",\n");
@@ -466,7 +406,6 @@ mod tests {
             scale: "quick".into(),
             jobs: 2,
             observability: "full".into(),
-            scheduler: "wheel".into(),
             match_engine: "counting".into(),
             rendezvous: "adaptive".into(),
             overlay: "chord".into(),
@@ -477,7 +416,6 @@ mod tests {
                     events: 3000,
                     peak_queue_depth: 17,
                     obs: Some(ObsReport::distill(&obs, &[0, 4]).with_load(&[10, 30, 20], 2, 1)),
-                    alloc: None,
                 },
                 ExperimentReport {
                     name: "keys".into(),
@@ -485,15 +423,6 @@ mod tests {
                     events: 0,
                     peak_queue_depth: 0,
                     obs: None,
-                    alloc: Some(AllocReport {
-                        pool: "reuse".into(),
-                        replay_allocs: 120,
-                        replay_bytes: 4096,
-                        replay_events: 60,
-                        steady_allocs: 0,
-                        steady_bytes: 0,
-                        steady_events: 500,
-                    }),
                 },
             ],
         };
@@ -507,9 +436,6 @@ mod tests {
         assert!(json.contains("\"peak_queue_depth\": 17"));
         assert!(json.contains("\"total_events\": 3000"));
         // v2 additions.
-        assert!(json.contains("\"steady_allocs_per_event\": 0.000"));
-        assert!(json.contains("\"replay_allocs_per_event\": 2.000"));
-        assert!(json.contains("\"pool\": \"reuse\""));
         assert!(json.contains("\"stage\": \"deliver\""));
         assert!(json.contains("\"p99\""));
         assert!(json.contains("\"hot_nodes\": [{\"node\": 1, \"peak_stored\": 4}]"));

@@ -13,10 +13,7 @@ use cbps::{
     ChordBackend, MappingKind, NotifyMode, OverlayBackend, Primitive, PubSubConfig, PubSubNetwork,
     PubSubNetworkBuilder, RendezvousMode,
 };
-use cbps_sim::{
-    MatchEngineKind, NetConfig, ObsMode, Observability, PoolMode, SchedulerKind, SimDuration,
-    TrafficClass,
-};
+use cbps_sim::{MatchEngineKind, NetConfig, ObsMode, Observability, SimDuration, TrafficClass};
 use cbps_workload::{Trace, WorkloadConfig, WorkloadGen};
 
 /// Worker count for [`parallel_map`]; 1 = fully serial.
@@ -28,15 +25,9 @@ static QUEUE_PEAK_MAX: AtomicU64 = AtomicU64::new(0);
 /// Observability mode applied to every [`Deployment::build`] network
 /// (discriminant of [`ObsMode`]; 0 = off).
 static OBS_MODE: AtomicU8 = AtomicU8::new(0);
-/// Event-queue implementation applied to every built network
-/// (0 = timing wheel, 1 = binary heap).
-static SCHEDULER: AtomicU8 = AtomicU8::new(0);
 /// Matching engine every rendezvous node of a built network runs
 /// (0 = counting index, 1 = sorted index).
 static MATCH_ENGINE: AtomicU8 = AtomicU8::new(0);
-/// Event-pool recycling policy applied to every built network
-/// (0 = reuse, 1 = fresh).
-static POOL: AtomicU8 = AtomicU8::new(0);
 /// Merged observability registries of every run since the last reset.
 /// Worker threads fold their run's registry in under this lock; the merge
 /// is commutative, so the result is job-count independent.
@@ -193,26 +184,6 @@ pub fn observability() -> ObsMode {
     }
 }
 
-/// Sets the event-queue implementation every subsequently built network
-/// uses (see `figures --scheduler`; tables are identical either way).
-pub fn set_scheduler(kind: SchedulerKind) {
-    SCHEDULER.store(
-        match kind {
-            SchedulerKind::Wheel => 0,
-            SchedulerKind::Heap => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The event-queue implementation applied to built networks.
-pub fn scheduler() -> SchedulerKind {
-    match SCHEDULER.load(Ordering::Relaxed) {
-        0 => SchedulerKind::Wheel,
-        _ => SchedulerKind::Heap,
-    }
-}
-
 /// Sets the matching engine every subsequently built network's rendezvous
 /// nodes use (see `figures --match-engine`; tables are identical either
 /// way — only matching cost and memory layout change).
@@ -234,37 +205,11 @@ pub fn match_engine() -> MatchEngineKind {
     }
 }
 
-/// Sets the event-pool recycling policy every subsequently built network
-/// uses (see `figures --pool`; tables and delivered sets are identical
-/// either way — `fresh` only exists as the always-allocate control for
-/// the allocation audit).
-pub fn set_pool(mode: PoolMode) {
-    POOL.store(
-        match mode {
-            PoolMode::Reuse => 0,
-            PoolMode::Fresh => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The event-pool recycling policy applied to built networks.
-pub fn pool() -> PoolMode {
-    match POOL.load(Ordering::Relaxed) {
-        1 => PoolMode::Fresh,
-        _ => PoolMode::Reuse,
-    }
-}
-
-/// A [`NetConfig`] with the given seed and the globally selected
-/// scheduler, matching engine, and pool policy. Experiments must build
-/// networks through this so the `--scheduler`, `--match-engine`, and
-/// `--pool` knobs reach every run.
+/// A [`NetConfig`] with the given seed and the globally selected matching
+/// engine. Experiments must build networks through this so the
+/// `--match-engine` knob reaches every run.
 pub fn net_config(seed: u64) -> NetConfig {
-    NetConfig::new(seed)
-        .with_scheduler(scheduler())
-        .with_match_engine(match_engine())
-        .with_pool(pool())
+    NetConfig::new(seed).with_match_engine(match_engine())
 }
 
 /// Folds one finished run into the global perf accumulators.
@@ -630,7 +575,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// delivered set: FNV-1a over the sorted `(node, sub, event)` triples,
 /// plus the triple count. Two runs deliver the same notifications iff the
 /// fingerprints match, so configurations that must not change delivery
-/// semantics — schedulers, overlays, rendezvous policies —
+/// semantics — match engines, overlays, rendezvous policies —
 /// can be diffed on this one value.
 pub fn delivered_fingerprint<B: OverlayBackend>(net: &PubSubNetwork<B>) -> (u64, usize) {
     let mut triples: Vec<(usize, u64, u64)> = Vec::new();

@@ -3,9 +3,8 @@
 //! envelope and timer slots, inline range sets keep m-cast splits on the
 //! stack, notifications travel as inline singletons sharing one
 //! `Arc<Event>`, and the warm hooks pre-fault every bounded scratch
-//! buffer. This test is the in-tree twin of `probe alloc` (which audits
-//! the full figures workload in release mode from `ci.sh`); it runs the
-//! same warmup/measure protocol at a smaller scale.
+//! buffer. It replays the figures workload on a 120-node Chord ring, warms
+//! up on two batches of 256 publications and audits a third.
 //!
 //! The counting `#[global_allocator]` is process-wide, which is exactly
 //! why this file holds a single test in its own integration-test binary:
@@ -13,18 +12,18 @@
 //!
 //! Ignored in debug builds: the audit asserts an exact zero, and the
 //! un-optimized standard library is not a build configuration the
-//! zero-allocation claim covers (release `ci.sh` enforces it end to end).
+//! zero-allocation claim covers (`ci.sh` runs it in release).
 
 mod counting_alloc;
 
 use counting_alloc::{alloc_calls, CountingAlloc};
 
-use cbps_bench::runner::{self, paper_workload, run_trace, workload_gen, Deployment};
+use cbps_bench::runner::{paper_workload, run_trace, workload_gen, Deployment};
 use cbps_overlay::{
     build_routing_states, KeyRange, KeyRangeSet, KeySpace, OverlayConfig, Peer, RingView,
 };
 use cbps_pastry::{PastryConfig, PastryState};
-use cbps_sim::{PoolMode, SimDuration};
+use cbps_sim::SimDuration;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -32,9 +31,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 #[cfg_attr(debug_assertions, ignore = "zero-alloc gate holds for release builds")]
 fn steady_state_routed_events_do_not_allocate() {
-    let nodes = 80;
-    let seed = 11;
-    runner::set_pool(PoolMode::Reuse);
+    let nodes = 120;
+    let seed = 7;
     let deployment = Deployment::new(nodes, seed);
     let cfg = paper_workload(nodes, 0)
         .with_counts(nodes * 2, nodes * 4)
@@ -42,13 +40,20 @@ fn steady_state_routed_events_do_not_allocate() {
     let mut gen = workload_gen(cfg, seed);
     let trace = gen.gen_trace();
     let mut net = deployment.build_on::<cbps::ChordBackend>();
+    let before = alloc_calls();
     run_trace(&mut net, &trace, 300);
+    // The replay grows every store and table from cold: a counter that saw
+    // none of it would make the zero below meaningless.
+    assert!(
+        alloc_calls() > before,
+        "the counting allocator counted nothing"
+    );
 
     // Warmup: twice the measured batch, one publication per two simulated
     // seconds, so every recycled capacity — pool slab, wheel slots across
     // a full coarse-ring revolution, delivery logs, metric tables — hits
     // its high-water mark before counting starts.
-    const BATCH: usize = 160;
+    const BATCH: usize = 256;
     let events: Vec<cbps::Event> = (0..3 * BATCH).map(|_| gen.gen_random_event()).collect();
     for (i, ev) in events[..2 * BATCH].iter().enumerate() {
         net.publish(i % nodes, ev.clone()).expect("warmup publish");

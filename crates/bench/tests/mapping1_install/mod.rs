@@ -3,8 +3,8 @@
 //! nodes, fed the paper's workload one subscription at a time.
 
 use cbps::{MappingKind, PubSubNetwork, SubId, Subscription};
-use cbps_bench::runner::{self, paper_workload, workload_gen, Deployment};
-use cbps_sim::{PoolMode, SimDuration};
+use cbps_bench::runner::{paper_workload, workload_gen, Deployment};
+use cbps_sim::SimDuration;
 
 pub struct Mapping1Install {
     pub nodes: usize,
@@ -17,7 +17,6 @@ pub struct Mapping1Install {
 
 impl Mapping1Install {
     pub fn new(nodes: usize, seed: u64, subs: usize) -> Self {
-        runner::set_pool(PoolMode::Reuse);
         let mut deployment = Deployment::new(nodes, seed);
         deployment.mapping = MappingKind::AttributeSplit;
         let mut net = deployment.build_on::<cbps::ChordBackend>();

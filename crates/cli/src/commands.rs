@@ -7,10 +7,8 @@ use cbps::{
 use cbps_bench::report::{ExperimentReport, ObsReport, RunReport};
 use cbps_bench::runner::{delivered_fingerprint, BackendKind};
 use cbps_bench::with_backend;
-use cbps_sim::{
-    MatchEngineKind, NetConfig, ObsMode, PoolMode, SchedulerKind, SimDuration, TrafficClass,
-};
-use cbps_workload::{trace_from_str, trace_to_string, WorkloadConfig, WorkloadGen};
+use cbps_sim::{MatchEngineKind, NetConfig, ObsMode, SimDuration, TrafficClass};
+use cbps_workload::{trace_from_str, trace_to_string, Trace, WorkloadConfig, WorkloadGen};
 
 use crate::args::{ArgError, Args};
 
@@ -102,17 +100,9 @@ fn parse_primitive(s: &str) -> Result<Primitive, ArgError> {
     })
 }
 
-fn parse_scheduler(s: &str) -> Result<SchedulerKind, ArgError> {
-    SchedulerKind::parse(s).ok_or_else(|| ArgError(format!("unknown scheduler {s:?} (wheel|heap)")))
-}
-
 fn parse_match_engine(s: &str) -> Result<MatchEngineKind, ArgError> {
     MatchEngineKind::parse(s)
         .ok_or_else(|| ArgError(format!("unknown match engine {s:?} (counting|sorted)")))
-}
-
-fn parse_pool(s: &str) -> Result<PoolMode, ArgError> {
-    PoolMode::parse(s).ok_or_else(|| ArgError(format!("unknown pool mode {s:?} (reuse|fresh)")))
 }
 
 fn parse_rendezvous(s: &str) -> Result<RendezvousMode, ArgError> {
@@ -145,6 +135,19 @@ fn parse_notify(s: &str) -> Result<NotifyMode, ArgError> {
     )))
 }
 
+/// Rejects a trace that issues an operation from a node the deployment
+/// does not have: the trace file is outside input, and replaying it would
+/// panic on the first such operation.
+fn check_trace_nodes(trace: &Trace, nodes: usize) -> Outcome {
+    match trace.ops().iter().map(|op| op.node).max() {
+        Some(max) if max >= nodes => Err(ArgError(format!(
+            "the trace issues operations from node {max}, but --nodes is {nodes} \
+             (node indices must be below it)"
+        ))),
+        _ => Ok(()),
+    }
+}
+
 /// `cbps run-trace`: replay a trace file against a fresh deployment and
 /// print the run's statistics.
 pub fn run_trace(args: &Args) -> Outcome {
@@ -156,9 +159,7 @@ pub fn run_trace(args: &Args) -> Outcome {
         "notify",
         "discretization",
         "replication",
-        "scheduler",
         "match-engine",
-        "pool",
         "rendezvous",
         "overlay",
     ])?;
@@ -172,15 +173,14 @@ pub fn run_trace(args: &Args) -> Outcome {
     let trace = trace_from_str(&space, &text).map_err(|e| ArgError(format!("bad trace: {e}")))?;
 
     let nodes: usize = args.get_or("nodes", 100)?;
+    check_trace_nodes(&trace, nodes)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let mapping = parse_mapping(args.get("mapping").unwrap_or("m2"))?;
     let primitive = parse_primitive(args.get("primitive").unwrap_or("mcast"))?;
     let notify = parse_notify(args.get("notify").unwrap_or("immediate"))?;
     let discretization: u64 = args.get_or("discretization", 1)?;
     let replication: usize = args.get_or("replication", 0)?;
-    let scheduler = parse_scheduler(args.get("scheduler").unwrap_or("wheel"))?;
     let match_engine = parse_match_engine(args.get("match-engine").unwrap_or("counting"))?;
-    let pool = parse_pool(args.get("pool").unwrap_or("reuse"))?;
     let rendezvous = parse_rendezvous(args.get("rendezvous").unwrap_or("static"))?;
     let overlay = parse_overlay(args)?;
 
@@ -190,12 +190,7 @@ pub fn run_trace(args: &Args) -> Outcome {
         let mut net = PubSubNetworkBuilder::<B>::new()
             .nodes(nodes)
             .overlay(B::with_key_space(B::paper_default(), keys))
-            .net_config(
-                NetConfig::new(seed)
-                    .with_scheduler(scheduler)
-                    .with_match_engine(match_engine)
-                    .with_pool(pool),
-            )
+            .net_config(NetConfig::new(seed).with_match_engine(match_engine))
             .pubsub(
                 PubSubConfig::paper_default()
                     .with_mapping(mapping)
@@ -272,9 +267,7 @@ pub fn stats(args: &Args) -> Outcome {
         "notify",
         "discretization",
         "replication",
-        "scheduler",
         "match-engine",
-        "pool",
         "rendezvous",
         "overlay",
         "out",
@@ -289,15 +282,14 @@ pub fn stats(args: &Args) -> Outcome {
     let trace = trace_from_str(&space, &text).map_err(|e| ArgError(format!("bad trace: {e}")))?;
 
     let nodes: usize = args.get_or("nodes", 100)?;
+    check_trace_nodes(&trace, nodes)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let mapping = parse_mapping(args.get("mapping").unwrap_or("m2"))?;
     let primitive = parse_primitive(args.get("primitive").unwrap_or("mcast"))?;
     let notify = parse_notify(args.get("notify").unwrap_or("immediate"))?;
     let discretization: u64 = args.get_or("discretization", 1)?;
     let replication: usize = args.get_or("replication", 0)?;
-    let scheduler = parse_scheduler(args.get("scheduler").unwrap_or("wheel"))?;
     let match_engine = parse_match_engine(args.get("match-engine").unwrap_or("counting"))?;
-    let pool = parse_pool(args.get("pool").unwrap_or("reuse"))?;
     let rendezvous = parse_rendezvous(args.get("rendezvous").unwrap_or("static"))?;
     let overlay = parse_overlay(args)?;
 
@@ -307,12 +299,7 @@ pub fn stats(args: &Args) -> Outcome {
         let mut net = PubSubNetworkBuilder::<B>::new()
             .nodes(nodes)
             .overlay(B::with_key_space(B::paper_default(), keys))
-            .net_config(
-                NetConfig::new(seed)
-                    .with_scheduler(scheduler)
-                    .with_match_engine(match_engine)
-                    .with_pool(pool),
-            )
+            .net_config(NetConfig::new(seed).with_match_engine(match_engine))
             .pubsub(
                 PubSubConfig::paper_default()
                     .with_mapping(mapping)
@@ -349,14 +336,12 @@ pub fn stats(args: &Args) -> Outcome {
             events,
             peak_queue_depth,
             obs: Some(ObsReport::distill(&obs, &peaks).with_load(&work, splits, merges)),
-            alloc: None,
         }
     });
     let report = RunReport {
         scale: "trace".to_owned(),
         jobs: 1,
         observability: ObsMode::Full.name().to_owned(),
-        scheduler: scheduler.name().to_owned(),
         match_engine: match_engine.name().to_owned(),
         rendezvous: rendezvous.name().to_owned(),
         overlay: overlay.name().to_owned(),
@@ -435,7 +420,7 @@ pub fn ring(args: &Args) -> Outcome {
 
 /// `cbps experiment`: run a named experiment from the bench harness.
 pub fn experiment(args: &Args) -> Outcome {
-    args.check_flags(&["scale", "nodes", "jobs", "match-engine", "pool", "overlay"])?;
+    args.check_flags(&["scale", "nodes", "jobs", "match-engine", "overlay"])?;
     let name = args
         .positional()
         .get(1)
@@ -463,7 +448,6 @@ pub fn experiment(args: &Args) -> Outcome {
     cbps_bench::runner::set_match_engine(parse_match_engine(
         args.get("match-engine").unwrap_or("counting"),
     )?);
-    cbps_bench::runner::set_pool(parse_pool(args.get("pool").unwrap_or("reuse"))?);
     cbps_bench::runner::set_backend(parse_overlay(args)?);
     let tables = cbps_bench::experiments::run_named(name, scale).ok_or_else(|| {
         ArgError(format!(
@@ -475,4 +459,47 @@ pub fn experiment(args: &Args) -> Outcome {
         println!("{}", t.render());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Args {
+        Args::parse(line.split_whitespace().map(String::from)).expect("well-formed test flags")
+    }
+
+    /// A trace generated for 80 nodes names nodes a 10-node deployment
+    /// lacks: `run-trace` and `stats` refuse it with an error naming the
+    /// largest node index and `--nodes`, instead of panicking mid-replay.
+    #[test]
+    fn trace_naming_a_node_past_nodes_is_an_argument_error() {
+        let path =
+            std::env::temp_dir().join(format!("cbps-cli-{}-nodes.trace", std::process::id()));
+        let path = path.to_str().expect("the temp directory path is UTF-8");
+        gen_trace(&args(&format!(
+            "gen-trace --out {path} --nodes 80 --subs 20 --pubs 20 --seed 5"
+        )))
+        .expect("the trace is written");
+        let text = std::fs::read_to_string(path).expect("the trace reads back");
+        let trace = trace_from_str(&EventSpace::paper_default(), &text).expect("a valid trace");
+        let max = trace
+            .ops()
+            .iter()
+            .map(|op| op.node)
+            .max()
+            .expect("a non-empty trace");
+        assert!(max >= 10, "the trace names no node past the deployment");
+        let refuses = |name: &str, command: fn(&Args) -> Outcome| {
+            let err = command(&args(&format!("{name} {path} --nodes 10")))
+                .expect_err("the trace names nodes the deployment lacks");
+            assert!(
+                err.0.contains(&format!("node {max},")) && err.0.contains("--nodes is 10"),
+                "{name}: {err}"
+            );
+        };
+        refuses("run-trace", run_trace);
+        refuses("stats", stats);
+        std::fs::remove_file(path).expect("the trace is removed");
+    }
 }

@@ -7,13 +7,12 @@
 //! cbps run-trace FILE [--nodes N] [--seed S] [--overlay chord|pastry]
 //!                [--mapping m1|m2|m3] [--primitive unicast|mcast|walk]
 //!                [--notify immediate|buffered:S|collecting:S]
-//!                [--discretization W] [--replication R] [--scheduler wheel|heap]
-//!                [--match-engine counting|sorted] [--pool reuse|fresh]
-//!                [--rendezvous static|adaptive]
+//!                [--discretization W] [--replication R]
+//!                [--match-engine counting|sorted] [--rendezvous static|adaptive]
 //! cbps stats FILE [--out FILE] [run-trace deployment flags]
 //! cbps ring [--nodes N] [--seed S] [--node IDX]
 //! cbps experiment NAME [--scale quick|paper|large] [--nodes N] [--overlay chord|pastry] [--jobs N]
-//!                [--match-engine counting|sorted] [--pool reuse|fresh]
+//!                [--match-engine counting|sorted]
 //! ```
 
 mod args;
@@ -31,14 +30,13 @@ usage:
   cbps run-trace FILE [--nodes N] [--seed S] [--overlay chord|pastry]
                  [--mapping m1|m2|m3] [--primitive unicast|mcast|walk]
                  [--notify immediate|buffered:SECS|collecting:SECS]
-                 [--discretization W] [--replication R] [--scheduler wheel|heap]
-                 [--match-engine counting|sorted] [--pool reuse|fresh]
-                 [--rendezvous static|adaptive]
+                 [--discretization W] [--replication R]
+                 [--match-engine counting|sorted] [--rendezvous static|adaptive]
   cbps stats FILE [--out FILE] [run-trace deployment flags]
                  (replay with observability on; emit the cbps-report/v2 JSON)
   cbps ring [--nodes N] [--seed S] [--node IDX]
   cbps experiment NAME [--scale quick|paper|large] [--nodes N] [--overlay chord|pastry] [--jobs N]
-                 [--match-engine counting|sorted] [--pool reuse|fresh]
+                 [--match-engine counting|sorted]
                  (NAME: route, keys, fig5 … or all)
 ";
 

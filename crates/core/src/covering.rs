@@ -572,13 +572,6 @@ impl CoveringTable {
         None
     }
 
-    /// Makes room for `additional` more logical subscriptions, so a bulk
-    /// build never pays an incremental rehash of a million-entry table.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        let narrow = self.narrow.get_or_insert_default();
-        narrow.by_shape.reserve(additional);
-    }
-
     /// Removes the logical subscription `sub` that sat at position `pos`
     /// of group `slot`; drops the group's physical entry when its last
     /// member leaves. `rows` is the store's record table: the member

@@ -5,9 +5,8 @@
 //! counting index ([`MatchIndex`]) is the reference, the flat sorted table
 //! ([`SortedIndex`]) is the large-store specialist, and both are selected
 //! at deployment time through
-//! [`MatchEngineKind`](cbps_sim::MatchEngineKind) — the same knob pattern
-//! as the heap-vs-wheel scheduler. Engines must produce identical match
-//! sets; the differential suites enforce it.
+//! [`MatchEngineKind`](cbps_sim::MatchEngineKind). Engines must produce
+//! identical match sets; the differential suites enforce it.
 
 use cbps_sim::MatchEngineKind;
 

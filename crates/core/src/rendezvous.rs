@@ -469,8 +469,7 @@ impl RendezvousPolicy {
     /// the control-step time (reserved for future age-based policies).
     ///
     /// Deterministic: decisions depend only on the samples and the table,
-    /// so identical runs — under either scheduler — take identical
-    /// decisions.
+    /// so identical runs take identical decisions.
     pub fn control_step(
         &self,
         space: KeySpace,

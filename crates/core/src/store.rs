@@ -284,26 +284,6 @@ impl SubscriptionStore {
         fresh
     }
 
-    /// Inserts a batch of subscriptions at once, returning the number that
-    /// were fresh (not refreshes).
-    ///
-    /// Identical to calling [`SubscriptionStore::insert`] per item, in
-    /// order — ids already stored, or repeated within the batch, take the
-    /// refresh path — except that the tables sized by the logical
-    /// population grow once for the whole batch.
-    pub fn insert_bulk(&mut self, items: Vec<(SubId, StoredSub)>, now: SimTime) -> usize {
-        self.by_id.reserve(items.len());
-        self.rows.reserve(items.len());
-        if let Some(table) = &mut self.covering {
-            table.reserve(items.len());
-        }
-        let mut fresh = 0;
-        for (id, stored) in items {
-            fresh += usize::from(self.insert(id, stored, now));
-        }
-        fresh
-    }
-
     /// Removes a subscription (unsubscription), returning its record.
     pub fn remove(&mut self, id: SubId) -> Option<Arc<StoredSub>> {
         let row = self.by_id.remove(&id)?;
@@ -714,97 +694,5 @@ mod tests {
         );
         assert_eq!(st.len(), 1);
         assert_eq!(st.peak(), 2);
-    }
-
-    /// Bulk insertion is observationally identical to sequential
-    /// insertion: same logical/physical counts and same match sets, on a
-    /// random workload with heavy shape duplication, before and after
-    /// removing a slice of the population.
-    #[test]
-    fn bulk_insert_matches_sequential_build() {
-        use cbps_rng::Rng;
-        let s = EventSpace::new(vec![
-            AttributeDef::new("a", 40),
-            AttributeDef::new("b", 40),
-            AttributeDef::new("c", 40),
-        ]);
-        let random_sub = |rng: &mut Rng| loop {
-            let mut b = Subscription::builder(&s);
-            for name in ["a", "b", "c"] {
-                // Small domains + frequent wildcards force duplicate
-                // shapes, covering chains, and reverse absorptions.
-                if rng.gen_range(0u32..3) > 0 {
-                    let lo = rng.gen_range(0u64..40);
-                    let hi = rng.gen_range(lo..40);
-                    b = b.range(name, lo, hi).unwrap();
-                }
-            }
-            if let Ok(sub) = b.build() {
-                return sub;
-            }
-        };
-        for engine in [MatchEngineKind::Counting, MatchEngineKind::Sorted] {
-            let mut rng = Rng::seed_from_u64(0xb01d);
-            let items: Vec<(SubId, StoredSub)> = (0..600)
-                .map(|i| {
-                    let mut rec = stored(0, 0, SimTime::MAX);
-                    rec.sub = random_sub(&mut rng);
-                    (SubId(i), rec)
-                })
-                .collect();
-            let mut seq = SubscriptionStore::with_options(&s, engine, true);
-            for (id, rec) in items.clone() {
-                seq.insert(id, rec, SimTime::ZERO);
-            }
-            let mut bulk = SubscriptionStore::with_options(&s, engine, true);
-            assert_eq!(bulk.insert_bulk(items, SimTime::ZERO), 600);
-            let probe = |seq: &mut SubscriptionStore, bulk: &mut SubscriptionStore| {
-                assert_eq!(bulk.len(), seq.len());
-                assert_eq!(bulk.physical_len(), seq.physical_len());
-                let mut rng = Rng::seed_from_u64(0xeeee);
-                for case in 0..300 {
-                    let e = Event::new_unchecked((0..3).map(|_| rng.gen_range(0u64..40)).collect());
-                    assert_eq!(
-                        match_ids(bulk, &e, SimTime::ZERO),
-                        match_ids(seq, &e, SimTime::ZERO),
-                        "case {case}"
-                    );
-                }
-            };
-            probe(&mut seq, &mut bulk);
-            // Member bookkeeping must survive churn identically.
-            for i in (0..600).step_by(3) {
-                assert_eq!(
-                    bulk.remove(SubId(i)).is_some(),
-                    seq.remove(SubId(i)).is_some()
-                );
-            }
-            probe(&mut seq, &mut bulk);
-        }
-    }
-
-    /// Bulk insertion routes already-stored ids and within-batch repeats
-    /// through the refresh path instead of double-registering them.
-    #[test]
-    fn bulk_insert_refreshes_duplicates() {
-        let mut st = SubscriptionStore::new(&space());
-        st.insert(SubId(1), stored(0, 100, SimTime::MAX), SimTime::ZERO);
-        let fresh = st.insert_bulk(
-            vec![
-                (SubId(1), stored(0, 100, SimTime::from_secs(5))),
-                (SubId(2), stored(50, 60, SimTime::MAX)),
-                (SubId(2), stored(50, 60, SimTime::from_secs(9))),
-            ],
-            SimTime::ZERO,
-        );
-        assert_eq!(fresh, 1);
-        assert_eq!(st.len(), 2);
-        assert_eq!(st.get(SubId(1)).unwrap().expires, SimTime::from_secs(5));
-        assert_eq!(st.get(SubId(2)).unwrap().expires, SimTime::from_secs(9));
-        // Refreshed ids keep a single physical registration: both lapse
-        // cleanly.
-        st.purge_expired(SimTime::from_secs(10));
-        assert_eq!(st.len(), 0);
-        assert_eq!(st.physical_len(), 0);
     }
 }

@@ -43,37 +43,24 @@ impl Default for DelayModel {
     }
 }
 
-/// Which event-queue implementation drives a
-/// [`Simulator`](crate::Simulator).
+/// The event queue a [`Simulator`](crate::Simulator) runs: always the
+/// hierarchical timing wheel (see [`crate::wheel`]).
 ///
-/// Both produce bit-identical runs — the wheel reproduces the heap's
-/// `(time, seq)` pop order exactly (see [`crate::wheel`]) — so this knob
-/// exists for A/B benchmarking and the scheduler equivalence suite.
+/// Read by nothing in this workspace. It stays, with [`NetConfig::pool`],
+/// only because the frozen `benchmark/` crate copies its name into its knob
+/// vector; the benchmark-only change that drops [`NetConfig::shards`]
+/// drops both.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// Hierarchical timing wheel: O(1) amortized push/pop. The default.
+    /// Hierarchical timing wheel: O(1) amortized push/pop.
     #[default]
     Wheel,
-    /// Binary min-heap: O(log n) push/pop. The reference implementation.
-    Heap,
 }
 
 impl SchedulerKind {
-    /// Parses `"heap"` or `"wheel"` (as accepted by the CLI tools).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "wheel" => Some(SchedulerKind::Wheel),
-            "heap" => Some(SchedulerKind::Heap),
-            _ => None,
-        }
-    }
-
-    /// The name [`SchedulerKind::parse`] accepts for this variant.
+    /// The variant's name, as the benchmark reports it.
     pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Wheel => "wheel",
-            SchedulerKind::Heap => "heap",
-        }
+        "wheel"
     }
 }
 
@@ -82,8 +69,8 @@ impl SchedulerKind {
 /// Both engines produce identical match sets — the counting index is the
 /// reference implementation and the sorted index must reproduce it exactly
 /// (see the differential suites in `cbps-core`) — so this knob exists for
-/// A/B benchmarking, mirroring [`SchedulerKind`]. Defined here because
-/// [`NetConfig`] is the single source of deployment-wide knobs.
+/// A/B benchmarking. Defined here because [`NetConfig`] is the single
+/// source of deployment-wide knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum MatchEngineKind {
@@ -115,41 +102,23 @@ impl MatchEngineKind {
     }
 }
 
-/// Whether the in-flight event slab pool recycles freed slots
+/// The slot policy of the in-flight event slab pool: always recycling
 /// (see [`crate::pool`]).
 ///
-/// Both modes produce bit-identical runs — recycling only changes *where*
-/// in the slab an event payload lives, never the `(time, seq)` pop order —
-/// so this knob exists for the pooled-vs-fresh determinism gate and the
-/// allocation audit, mirroring [`SchedulerKind`].
+/// Read by nothing in this workspace; kept for the frozen `benchmark/`
+/// crate exactly as [`SchedulerKind`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PoolMode {
     /// Freed slots go on a free list and are reused: steady-state event
-    /// scheduling performs zero heap allocations. The default.
+    /// scheduling performs zero heap allocations.
     #[default]
     Reuse,
-    /// Every insert appends a fresh slot (the slab compacts only when it
-    /// goes idle). The verification baseline: any observable difference
-    /// from `Reuse` would indicate a recycling bug.
-    Fresh,
 }
 
 impl PoolMode {
-    /// Parses `"reuse"` or `"fresh"` (as accepted by the CLI tools).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "reuse" => Some(PoolMode::Reuse),
-            "fresh" => Some(PoolMode::Fresh),
-            _ => None,
-        }
-    }
-
-    /// The name [`PoolMode::parse`] accepts for this variant.
+    /// The variant's name, as the benchmark reports it.
     pub fn name(self) -> &'static str {
-        match self {
-            PoolMode::Reuse => "reuse",
-            PoolMode::Fresh => "fresh",
-        }
+        "reuse"
     }
 }
 
@@ -175,7 +144,7 @@ pub struct NetConfig {
     /// messages still count as sent in the metrics (the sender paid for
     /// them).
     pub loss_probability: f64,
-    /// Event-queue implementation (timing wheel by default).
+    /// Always [`SchedulerKind::Wheel`]; see [`SchedulerKind`].
     pub scheduler: SchedulerKind,
     /// Subscription-matching engine run by rendezvous nodes (counting
     /// index by default). Purely an implementation knob: both engines
@@ -187,9 +156,7 @@ pub struct NetConfig {
     /// crate copies it into its knob vector; the benchmark-only PR that
     /// drops it there drops it here.
     pub shards: usize,
-    /// Slot-recycling policy of the in-flight event slab pool (reuse by
-    /// default). Purely an implementation knob: both modes produce
-    /// bit-identical runs.
+    /// Always [`PoolMode::Reuse`]; see [`SchedulerKind`].
     pub pool: PoolMode,
 }
 
@@ -227,21 +194,9 @@ impl NetConfig {
         self
     }
 
-    /// Replaces the event-queue implementation.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Replaces the subscription-matching engine.
     pub fn with_match_engine(mut self, engine: MatchEngineKind) -> Self {
         self.match_engine = engine;
-        self
-    }
-
-    /// Replaces the event-pool recycling policy.
-    pub fn with_pool(mut self, pool: PoolMode) -> Self {
-        self.pool = pool;
         self
     }
 }
@@ -288,11 +243,10 @@ mod tests {
 
     #[test]
     fn scheduler_kind_parse_roundtrip() {
+        // No parser is left: the one variant is the default and reports
+        // the name the benchmark records.
         assert_eq!(NetConfig::default().scheduler, SchedulerKind::Wheel);
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            assert_eq!(SchedulerKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(SchedulerKind::parse("bogus"), None);
+        assert_eq!(SchedulerKind::Wheel.name(), "wheel");
     }
 
     #[test]
@@ -308,13 +262,9 @@ mod tests {
 
     #[test]
     fn pool_mode_parse_roundtrip() {
+        // As for `SchedulerKind`: one variant, the default, with its name.
         assert_eq!(NetConfig::default().pool, PoolMode::Reuse);
-        for mode in [PoolMode::Reuse, PoolMode::Fresh] {
-            assert_eq!(PoolMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(PoolMode::parse("bogus"), None);
-        let cfg = NetConfig::new(0).with_pool(PoolMode::Fresh);
-        assert_eq!(cfg.pool, PoolMode::Fresh);
+        assert_eq!(PoolMode::Reuse.name(), "reuse");
     }
 
     #[test]

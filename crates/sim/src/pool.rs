@@ -1,12 +1,12 @@
 //! Generation-checked slab pool for in-flight events.
 //!
-//! The event queues (binary heap or timing wheel) move their entries many
-//! times between schedule and fire: heap sift-ups, wheel cascades, slot
-//! sorts. Storing fat event payloads inline (a routed envelope easily
-//! exceeds a hundred bytes) makes every one of those moves a large memcpy.
-//! The pool fixes the payload in place instead: events live in a slab, the
-//! queues order 8-byte copyable [`Handle`]s, and the payload moves exactly
-//! twice — into the slab at schedule time, out of it at pop time.
+//! The event queue (the timing wheel) moves its entries many times
+//! between schedule and fire: wheel cascades, slot sorts. Storing fat
+//! event payloads inline (a routed envelope easily exceeds a hundred
+//! bytes) makes every one of those moves a large memcpy. The pool fixes
+//! the payload in place instead: events live in a slab, the queue orders
+//! 8-byte copyable [`Handle`]s, and the payload moves exactly twice — into
+//! the slab at schedule time, out of it at pop time.
 //!
 //! Freed slots are recycled through a free list, so steady-state
 //! scheduling performs **zero heap allocations**: slab and free list reach
@@ -14,18 +14,11 @@
 //! consulted again. A per-slot generation counter turns any stale-handle
 //! use into an immediate panic instead of silently aliasing another
 //! event's payload.
-//!
-//! [`PoolMode::Fresh`] disables slot reuse — every insert appends — which
-//! is semantically identical by construction, so an A/B run pair
-//! (`reuse` vs `fresh`) verifies that recycling never changes simulation
-//! results.
-
-use crate::config::PoolMode;
 
 /// A ticket for one pooled event: slab slot plus the generation the slot
 /// had when the event was inserted. 8 bytes, `Copy` — this is what the
-/// event queues actually order and move.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// event queue actually orders and moves.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct Handle {
     slot: u32,
     gen: u32,
@@ -40,16 +33,14 @@ struct Entry<T> {
 pub(crate) struct EventPool<T> {
     entries: Vec<Entry<T>>,
     free: Vec<u32>,
-    mode: PoolMode,
     live: usize,
 }
 
 impl<T> EventPool<T> {
-    pub(crate) fn new(mode: PoolMode) -> Self {
+    pub(crate) fn new() -> Self {
         EventPool {
             entries: Vec::new(),
             free: Vec::new(),
-            mode,
             live: 0,
         }
     }
@@ -70,13 +61,11 @@ impl<T> EventPool<T> {
     #[inline]
     pub(crate) fn insert(&mut self, val: T) -> Handle {
         self.live += 1;
-        if self.mode == PoolMode::Reuse {
-            if let Some(slot) = self.free.pop() {
-                let e = &mut self.entries[slot as usize];
-                debug_assert!(e.val.is_none(), "free list pointed at a live slot");
-                e.val = Some(val);
-                return Handle { slot, gen: e.gen };
-            }
+        if let Some(slot) = self.free.pop() {
+            let e = &mut self.entries[slot as usize];
+            debug_assert!(e.val.is_none(), "free list pointed at a live slot");
+            e.val = Some(val);
+            return Handle { slot, gen: e.gen };
         }
         let slot = u32::try_from(self.entries.len()).expect("event slab exceeds u32 slots");
         self.entries.push(Entry {
@@ -99,19 +88,7 @@ impl<T> EventPool<T> {
         let val = e.val.take().expect("event slot already vacated");
         e.gen = e.gen.wrapping_add(1);
         self.live -= 1;
-        match self.mode {
-            PoolMode::Reuse => self.free.push(h.slot),
-            // Fresh mode appends forever; release the slab (allocation
-            // included) whenever it goes idle, so verification runs don't
-            // retain every event ever scheduled and the mode stays a true
-            // always-allocate control for the allocation audit. No handles
-            // are outstanding at live == 0.
-            PoolMode::Fresh => {
-                if self.live == 0 {
-                    self.entries = Vec::new();
-                }
-            }
-        }
+        self.free.push(h.slot);
         val
     }
 }
@@ -121,7 +98,6 @@ impl<T> std::fmt::Debug for EventPool<T> {
         f.debug_struct("EventPool")
             .field("live", &self.live)
             .field("slots", &self.entries.len())
-            .field("mode", &self.mode)
             .finish()
     }
 }
@@ -132,7 +108,7 @@ mod tests {
 
     #[test]
     fn reuse_recycles_slots_without_growing() {
-        let mut pool: EventPool<u64> = EventPool::new(PoolMode::Reuse);
+        let mut pool: EventPool<u64> = EventPool::new();
         let h = pool.insert(1);
         assert_eq!(pool.remove(h), 1);
         for i in 0..100 {
@@ -144,27 +120,52 @@ mod tests {
         assert_eq!(pool.len(), 0);
     }
 
+    /// Seeded inserts and removes in waves that fill the pool and drain it
+    /// again, so nearly every insert lands in a recycled slot: each handle
+    /// returns exactly what was inserted under it, no live handle is ever
+    /// issued twice, and the slab never outgrows the peak live count.
     #[test]
-    fn fresh_never_reuses_slots() {
-        let mut pool: EventPool<u64> = EventPool::new(PoolMode::Fresh);
-        let a = pool.insert(1);
-        let b = pool.insert(2);
-        assert_eq!(pool.remove(a), 1);
-        let c = pool.insert(3);
-        assert_ne!(c.slot, a.slot, "fresh mode must not recycle");
-        assert_eq!(pool.remove(b), 2);
-        assert_eq!(pool.remove(c), 3);
-        // Idle compaction: the slab resets once nothing is checked in.
-        assert_eq!(pool.slots(), 0);
-        let d = pool.insert(4);
-        assert_eq!(d.slot, 0);
-        assert_eq!(pool.remove(d), 4);
+    fn recycled_handles_return_what_was_inserted() {
+        use cbps_rng::Rng;
+        use std::collections::HashMap;
+
+        let mut rng = Rng::seed_from_u64(0x9001);
+        let mut pool: EventPool<u64> = EventPool::new();
+        let mut model: HashMap<Handle, u64> = HashMap::new();
+        let mut live: Vec<Handle> = Vec::new();
+        let (mut peak, mut reissued) = (0, 0);
+        for wave in 0..40u32 {
+            // Even waves mostly insert, odd waves mostly remove.
+            let insert_share = if wave % 2 == 0 { 0.7 } else { 0.3 };
+            for _ in 0..500 {
+                if live.is_empty() || rng.gen_bool(insert_share) {
+                    let val = rng.next_u64();
+                    let recycled = pool.len() < pool.slots();
+                    let h = pool.insert(val);
+                    reissued += usize::from(recycled);
+                    assert!(model.insert(h, val).is_none(), "{h:?} issued twice");
+                    live.push(h);
+                    peak = peak.max(live.len());
+                } else {
+                    let h = live.swap_remove(rng.gen_range(0..live.len()));
+                    assert_eq!(Some(pool.remove(h)), model.remove(&h), "{h:?}");
+                }
+                assert_eq!(pool.len(), live.len());
+                assert!(pool.slots() <= peak, "slab outgrew the peak live count");
+            }
+        }
+        assert_eq!(pool.slots(), peak);
+        assert!(reissued > 5_000, "only {reissued} inserts recycled a slot");
+        for h in live {
+            assert_eq!(Some(pool.remove(h)), model.remove(&h));
+        }
+        assert!(model.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "stale event handle")]
     fn stale_handle_detected_after_reissue() {
-        let mut pool: EventPool<u64> = EventPool::new(PoolMode::Reuse);
+        let mut pool: EventPool<u64> = EventPool::new();
         let h = pool.insert(1);
         pool.remove(h);
         let _again = pool.insert(2); // same slot, new generation
@@ -174,7 +175,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale event handle")]
     fn double_remove_detected() {
-        let mut pool: EventPool<u64> = EventPool::new(PoolMode::Reuse);
+        let mut pool: EventPool<u64> = EventPool::new();
         let h = pool.insert(1);
         pool.remove(h);
         pool.remove(h);

@@ -6,12 +6,9 @@
 //! and arm timers. Execution is single-threaded and fully deterministic for
 //! a given seed and call sequence.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use cbps_rng::Rng;
 
-use crate::config::{NetConfig, SchedulerKind};
+use crate::config::NetConfig;
 use crate::metrics::{Metrics, TrafficClass};
 use crate::obs::{Stage, TraceId};
 use crate::pool::{EventPool, Handle};
@@ -183,86 +180,6 @@ fn key_time(key: u128) -> SimTime {
     SimTime::from_micros((key >> 64) as u64)
 }
 
-struct Scheduled {
-    key: u128,
-    handle: Handle,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest (time, seq) pops first.
-        other.key.cmp(&self.key)
-    }
-}
-
-/// The pluggable event queue: a binary heap (the original, O(log n)
-/// reference) or a hierarchical timing wheel (O(1) amortized; see
-/// [`crate::wheel`]). Both pop in exactly the same `(time, seq)` order,
-/// so a run is bit-identical under either — [`SchedulerKind`] in
-/// [`NetConfig`] selects one for A/B comparison.
-///
-/// The queue orders 8-byte pool [`Handle`]s, not event payloads: payloads
-/// sit still in the simulator's [`EventPool`] while their tickets are
-/// sifted and cascaded (see [`crate::pool`]).
-enum EventQueue {
-    Heap(BinaryHeap<Scheduled>),
-    Wheel(Box<TimingWheel<Handle>>),
-}
-
-impl EventQueue {
-    fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            // Pre-sized so steady-state simulation almost never regrows
-            // the heap's backing buffer mid-run.
-            SchedulerKind::Heap => EventQueue::Heap(BinaryHeap::with_capacity(4096)),
-            SchedulerKind::Wheel => EventQueue::Wheel(Box::default()),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, key: u128, handle: Handle) {
-        match self {
-            EventQueue::Heap(q) => q.push(Scheduled { key, handle }),
-            EventQueue::Wheel(w) => w.push(key, handle),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(u128, Handle)> {
-        match self {
-            EventQueue::Heap(q) => q.pop().map(|s| (s.key, s.handle)),
-            EventQueue::Wheel(w) => w.pop(),
-        }
-    }
-
-    #[inline]
-    fn peek_key(&mut self) -> Option<u128> {
-        match self {
-            EventQueue::Heap(q) => q.peek().map(|s| s.key),
-            EventQueue::Wheel(w) => w.peek_key(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(q) => q.len(),
-            EventQueue::Wheel(w) => w.len(),
-        }
-    }
-}
-
 /// A deterministic discrete-event simulator over a fixed node universe.
 ///
 /// # Examples
@@ -301,7 +218,10 @@ impl EventQueue {
 pub struct Simulator<N: Node> {
     nodes: Vec<N>,
     alive: Vec<bool>,
-    queue: EventQueue,
+    /// The event queue (see [`crate::wheel`]) orders 8-byte pool
+    /// [`Handle`]s, not event payloads: payloads sit still in `pool` while
+    /// their tickets are sorted and cascaded (see [`crate::pool`]).
+    queue: Box<TimingWheel<Handle>>,
     pool: EventPool<EventKind<N::Msg, N::Timer>>,
     time: SimTime,
     seq: u64,
@@ -330,8 +250,8 @@ impl<N: Node> Simulator<N> {
         Simulator {
             nodes: Vec::new(),
             alive: Vec::new(),
-            queue: EventQueue::new(config.scheduler),
-            pool: EventPool::new(config.pool),
+            queue: Box::default(),
+            pool: EventPool::new(),
             time: SimTime::ZERO,
             seq: 0,
             config,

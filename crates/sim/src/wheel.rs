@@ -1,16 +1,16 @@
 //! A hierarchical timing wheel: the simulator's O(1) event queue.
 //!
-//! The binary heap that previously drove the simulator costs O(log n) per
-//! push/pop, and every operation walks a pointer-chasing sift path through
-//! a queue whose near-future head is extremely dense (the paper's workloads
-//! deliver almost everything exactly one 50 ms network delay ahead).
+//! A binary heap costs O(log n) per push/pop, and every operation walks a
+//! pointer-chasing sift path through a queue whose near-future head is
+//! extremely dense (the paper's workloads deliver almost everything
+//! exactly one 50 ms network delay ahead).
 //! Calendar queues / timing wheels are the standard fix for discrete-event
 //! cores with that shape: bucket events by their timestamp and pop by
 //! walking the calendar, so both operations are O(1) amortized.
 //!
 //! [`TimingWheel`] orders entries by a packed `u128` key — `(time_micros <<
-//! 64) | seq` — exactly like the heap it replaces, and reproduces the
-//! heap's pop order *bit for bit*. Structure:
+//! 64) | seq` — and reproduces a binary min-heap's pop order over those
+//! keys *bit for bit*. Structure:
 //!
 //! * **Now lane** — a FIFO for entries pushed at the current drain time
 //!   (zero-delay `send_local` deliveries). They are already in key order
@@ -46,8 +46,11 @@
 //! run before any direct push can land in the same window; and stragglers
 //! that land behind the wheel's scan position (possible after a `peek`
 //! advanced the scan) are merge-inserted into the active batch by key. The
-//! simulator's equivalence suite drives heap and wheel on identical seeded
-//! workloads and asserts identical event orders.
+//! heap stays as the test model: `interleaved_push_pop_matches_heap` drives
+//! wheel and `BinaryHeap` through the simulator's delay profile, and the
+//! simulator's `scheduler_equivalence` suite pins the storm fingerprints
+//! the heap and the wheel both produced while the simulator could run
+//! either.
 //!
 //! # Examples
 //!
@@ -555,36 +558,56 @@ mod tests {
         );
     }
 
+    /// The wheel against its model, a `BinaryHeap`, under the simulator's
+    /// delay profile: bursts of pushes sharing one timestamp, zero-delay
+    /// cascades onto the drain time, 50 ms hops, jittered delays,
+    /// multi-second and long-horizon timers and a sliver past the L2
+    /// horizon — drained one pop at a time or the way `run_until` drains,
+    /// peeking up to an arbitrary stop time and moving the clock there, so
+    /// the next pushes can land behind a scan the peek advanced.
     #[test]
     fn interleaved_push_pop_matches_heap() {
         let mut rng = Rng::seed_from_u64(0x57ee1);
         let mut wheel = TimingWheel::new();
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<u128>> =
-            std::collections::BinaryHeap::new();
+        let mut heap: BinaryHeap<std::cmp::Reverse<u128>> = BinaryHeap::new();
         let mut now = 0u64;
         let mut seq = 0u64;
-        for _ in 0..20_000 {
-            if rng.gen_bool(0.55) || heap.is_empty() {
-                // Mixed horizons: mostly near-future, occasionally far.
-                let delay = match rng.gen_range(0u64..100) {
-                    0..=9 => 0,
-                    10..=79 => 50_000,
-                    80..=94 => rng.gen_range(0u64..200_000),
-                    95..=98 => rng.gen_range(0u64..400_000_000),
-                    _ => rng.gen_range(0u64..2_000_000_000_000),
-                };
+        for _ in 0..8_000 {
+            let delay = match rng.gen_range(0u64..100) {
+                0..=24 => 0,
+                25..=69 => 50_000,
+                70..=84 => rng.gen_range(0u64..200_000),
+                85..=94 => rng.gen_range(1u64..30) * 1_000_000,
+                95..=98 => rng.gen_range(300u64..4_000) * 1_000_000,
+                _ => rng.gen_range(0u64..2_000_000_000_000),
+            };
+            for _ in 0..rng.gen_range(1u64..5) {
                 let k = key(now + delay, seq);
                 seq += 1;
                 wheel.push(k, ());
                 heap.push(std::cmp::Reverse(k));
-            } else {
-                let expect = heap.pop().map(|r| r.0);
-                assert_eq!(wheel.peek_key(), expect);
-                let got = wheel.pop().map(|e| e.0);
-                assert_eq!(got, expect);
-                now = (expect.unwrap() >> 64) as u64;
+            }
+            let until = match rng.gen_range(0u32..3) {
+                0 => {
+                    let expect = heap.pop().map(|r| r.0);
+                    assert_eq!(wheel.peek_key(), expect);
+                    assert_eq!(wheel.pop().map(|e| e.0), expect);
+                    now = time_of(expect.expect("a push preceded the pop"));
+                    continue;
+                }
+                1 => now + rng.gen_range(0u64..300_000),
+                _ => continue,
+            };
+            while let Some(k) = wheel.peek_key() {
+                assert_eq!(Some(k), heap.peek().map(|r| r.0));
+                if time_of(k) > until {
+                    break;
+                }
+                assert_eq!(wheel.pop().map(|e| e.0), heap.pop().map(|r| r.0));
+                now = time_of(k);
             }
             assert_eq!(wheel.len(), heap.len());
+            now = now.max(until);
         }
         while let Some(std::cmp::Reverse(k)) = heap.pop() {
             assert_eq!(wheel.pop().map(|e| e.0), Some(k));

@@ -5,17 +5,16 @@
 //! queued, carrying that message and the destination's index — none for a
 //! message the loss draw dropped, none for a local hand-back or a timer —
 //! and one [`PrefetchStage::Rows`] call, carrying nothing, per popped event
-//! of any kind on the node the event is for, alive or crashed, under both
-//! schedulers. A hook can only hint, so a run whose nodes count their
-//! calls must record the same history as one whose nodes keep the default.
+//! of any kind on the node the event is for, alive or crashed. A hook can
+//! only hint, so a run whose nodes count their calls must record the same
+//! history as one whose nodes keep the default.
 
 mod storm;
 
 use std::cell::Cell;
 
 use cbps_sim::{
-    Context, NetConfig, Node, NodeIdx, PrefetchStage, SchedulerKind, SimDuration, SimTime,
-    Simulator, TrafficClass,
+    Context, NetConfig, Node, NodeIdx, PrefetchStage, SimDuration, SimTime, Simulator, TrafficClass,
 };
 use storm::{fingerprint, seed_workload, Ping, Storm, StormNode};
 
@@ -143,69 +142,65 @@ impl Node for Counter {
 fn one_node_call_per_queued_send_and_one_rows_call_per_popped_event() {
     const N: usize = 12;
     const CRASHED: NodeIdx = 5;
-    for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-        for (seed, loss) in [(1u64, 0.0), (2, 0.3), (3, 0.3)] {
-            let cfg = NetConfig::new(seed)
-                .with_scheduler(kind)
-                .with_loss_probability(loss);
-            let mut sim: Simulator<Counter> = Simulator::new(cfg);
-            for me in 0..N {
-                sim.add_node(Counter::new(N, me));
-            }
-            for i in 0..200 {
-                let via = Via::Inject;
-                sim.inject_at(
-                    SimTime::from_millis(i),
-                    i as usize % N,
-                    Probe { via, ttl: 9 },
-                );
-            }
-            // Crash one node with messages, local hand-backs and timers of
-            // its own still queued; the rest keep sending to it.
-            sim.run_until(SimTime::from_millis(120));
-            sim.crash(CRASHED);
-            sim.run();
+    for (seed, loss) in [(1u64, 0.0), (2, 0.3), (3, 0.3)] {
+        let cfg = NetConfig::new(seed).with_loss_probability(loss);
+        let mut sim: Simulator<Counter> = Simulator::new(cfg);
+        for me in 0..N {
+            sim.add_node(Counter::new(N, me));
+        }
+        for i in 0..200 {
+            let via = Via::Inject;
+            sim.inject_at(
+                SimTime::from_millis(i),
+                i as usize % N,
+                Probe { via, ttl: 9 },
+            );
+        }
+        // Crash one node with messages, local hand-backs and timers of
+        // its own still queued; the rest keep sending to it.
+        sim.run_until(SimTime::from_millis(120));
+        sim.crash(CRASHED);
+        sim.run();
 
-            let ctx = format!("{kind:?} seed {seed} loss {loss}");
-            let nodes: Vec<&Counter> = sim.nodes().map(|(_, n)| n).collect();
-            let rows: u64 = nodes.iter().map(|n| n.rows_calls.get()).sum();
-            assert_eq!(rows, sim.events_processed(), "{ctx}: rows calls");
-            assert!(rows > 1_000, "{ctx}: {rows} events mean nothing");
-            let mut queued = 0;
-            for (i, node) in nodes.iter().enumerate() {
-                let refused: u64 = nodes.iter().map(|s| s.refused_by[i]).sum();
-                assert_eq!(
-                    node.node_calls.get(),
-                    node.net_received + refused,
-                    "{ctx}: node calls on {i}"
-                );
-                // … each carrying the message that then arrived or was
-                // refused, not some other.
-                let refused_sum: u64 = nodes.iter().map(|s| s.refused_sum_by[i]).sum();
-                assert_eq!(
-                    node.hinted.get(),
-                    node.net_received_sum + refused_sum,
-                    "{ctx}: messages carried to {i}"
-                );
-                queued += node.net_received + refused;
-                if i == CRASHED {
-                    // Its own queued timers and hand-backs were popped and
-                    // dropped without an upcall; each still got its call.
-                    assert!(refused > 0, "{ctx}: nothing was sent to the crashed node");
-                    assert!(node.rows_calls.get() > node.upcalls + refused, "{ctx}");
-                } else {
-                    assert_eq!(refused, 0, "{ctx}: {i} is alive");
-                    assert_eq!(node.rows_calls.get(), node.upcalls, "{ctx}: rows on {i}");
-                }
-            }
-            // Every send is counted as a message, lost or not; only the
-            // queued ones reached the hook.
-            let sent = sim.metrics().messages(TrafficClass::OTHER);
-            if loss > 0.0 {
-                assert!(queued < sent, "{ctx}: the loss draw dropped nothing");
+        let ctx = format!("seed {seed} loss {loss}");
+        let nodes: Vec<&Counter> = sim.nodes().map(|(_, n)| n).collect();
+        let rows: u64 = nodes.iter().map(|n| n.rows_calls.get()).sum();
+        assert_eq!(rows, sim.events_processed(), "{ctx}: rows calls");
+        assert!(rows > 1_000, "{ctx}: {rows} events mean nothing");
+        let mut queued = 0;
+        for (i, node) in nodes.iter().enumerate() {
+            let refused: u64 = nodes.iter().map(|s| s.refused_by[i]).sum();
+            assert_eq!(
+                node.node_calls.get(),
+                node.net_received + refused,
+                "{ctx}: node calls on {i}"
+            );
+            // … each carrying the message that then arrived or was
+            // refused, not some other.
+            let refused_sum: u64 = nodes.iter().map(|s| s.refused_sum_by[i]).sum();
+            assert_eq!(
+                node.hinted.get(),
+                node.net_received_sum + refused_sum,
+                "{ctx}: messages carried to {i}"
+            );
+            queued += node.net_received + refused;
+            if i == CRASHED {
+                // Its own queued timers and hand-backs were popped and
+                // dropped without an upcall; each still got its call.
+                assert!(refused > 0, "{ctx}: nothing was sent to the crashed node");
+                assert!(node.rows_calls.get() > node.upcalls + refused, "{ctx}");
             } else {
-                assert_eq!(queued, sent, "{ctx}");
+                assert_eq!(refused, 0, "{ctx}: {i} is alive");
+                assert_eq!(node.rows_calls.get(), node.upcalls, "{ctx}: rows on {i}");
             }
+        }
+        // Every send is counted as a message, lost or not; only the
+        // queued ones reached the hook.
+        let sent = sim.metrics().messages(TrafficClass::OTHER);
+        if loss > 0.0 {
+            assert!(queued < sent, "{ctx}: the loss draw dropped nothing");
+        } else {
+            assert_eq!(queued, sent, "{ctx}");
         }
     }
 }
@@ -271,8 +266,8 @@ impl Node for CountingStorm {
 /// times, the same RNG draws, the same sampled queue statistics.
 #[test]
 fn a_counting_hook_and_the_default_hook_record_the_same_history() {
-    fn run<N: Storm>(kind: SchedulerKind, seed: u64) -> (storm::Fingerprint, Simulator<N>) {
-        let mut sim: Simulator<N> = storm::build(kind, seed);
+    fn run<N: Storm>(seed: u64) -> (storm::Fingerprint, Simulator<N>) {
+        let mut sim: Simulator<N> = storm::build(seed);
         seed_workload(&mut sim);
         sim.run_until(SimTime::from_micros(50_001));
         sim.crash(2);
@@ -284,14 +279,12 @@ fn a_counting_hook_and_the_default_hook_record_the_same_history() {
         sim.run();
         (fingerprint(&sim), sim)
     }
-    for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-        for seed in [1u64, 42] {
-            let (plain, _) = run::<StormNode>(kind, seed);
-            let (counted, sim) = run::<CountingStorm>(kind, seed);
-            assert_eq!(plain, counted, "{kind:?} seed {seed}");
-            assert!(plain.events > 1_000, "storm too small to be meaningful");
-            let calls: u64 = sim.nodes().map(|(_, n)| n.calls.get()).sum();
-            assert!(calls > plain.events, "the counting hook was never called");
-        }
+    for seed in [1u64, 42] {
+        let (plain, _) = run::<StormNode>(seed);
+        let (counted, sim) = run::<CountingStorm>(seed);
+        assert_eq!(plain, counted, "seed {seed}");
+        assert!(plain.events > 1_000, "storm too small to be meaningful");
+        let calls: u64 = sim.nodes().map(|(_, n)| n.calls.get()).sum();
+        assert!(calls > plain.events, "the counting hook was never called");
     }
 }

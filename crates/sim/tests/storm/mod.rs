@@ -1,16 +1,14 @@
 //! The seeded storm workload and its execution recorder, shared by the
-//! integration tests that compare two runs of one history (heap against
-//! wheel in `scheduler_equivalence`, a counting prefetch hook against the
-//! default one in `prefetch_hook`).
+//! integration tests that pin a run's history (`scheduler_equivalence`)
+//! and that compare two runs of one history (a counting prefetch hook
+//! against the default one in `prefetch_hook`).
 
 #![allow(dead_code)] // each test binary uses its own part
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cbps_sim::{
-    Context, NetConfig, Node, NodeIdx, SchedulerKind, SimDuration, SimTime, Simulator, TrafficClass,
-};
+use cbps_sim::{Context, NetConfig, Node, NodeIdx, SimDuration, SimTime, Simulator, TrafficClass};
 
 /// A message that fans out until its TTL runs dry.
 #[derive(Clone, Debug)]
@@ -141,7 +139,7 @@ impl Node for StormNode {
     }
 }
 
-/// Everything observable about one run. Equality means the two schedulers
+/// Everything observable about one run. Equality means the two runs
 /// executed the same history.
 #[derive(Debug, PartialEq)]
 pub struct Fingerprint {
@@ -167,6 +165,33 @@ impl Storm for StormNode {
     }
 }
 
+impl Fingerprint {
+    /// What a test pins of a run: events, queue peak, end time in µs and an
+    /// FNV-1a digest of the upcall log (time, node, kind and tag of every
+    /// entry, in order).
+    pub fn pin(&self) -> (u64, usize, u64, u64) {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |v: u64| {
+            for byte in v.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for &(at, node, kind, tag) in &self.trace {
+            mix(at.as_micros());
+            mix(node as u64);
+            mix(kind as u64);
+            tag.bytes().for_each(|b| mix(u64::from(b)));
+        }
+        (
+            self.events,
+            self.queue_peak,
+            self.end_time.as_micros(),
+            hash,
+        )
+    }
+}
+
 pub fn fingerprint<N: Storm>(sim: &Simulator<N>) -> Fingerprint {
     Fingerprint {
         events: sim.events_processed(),
@@ -182,8 +207,8 @@ pub fn fingerprint<N: Storm>(sim: &Simulator<N>) -> Fingerprint {
 
 pub const NODES: usize = 16;
 
-pub fn build<N: Storm>(kind: SchedulerKind, seed: u64) -> Simulator<N> {
-    let mut sim = Simulator::new(NetConfig::new(seed).with_scheduler(kind));
+pub fn build<N: Storm>(seed: u64) -> Simulator<N> {
+    let mut sim = Simulator::new(NetConfig::new(seed));
     let log = Log::default();
     for _ in 0..NODES {
         sim.add_node(StormNode::new(NODES, Rc::clone(&log)).into());

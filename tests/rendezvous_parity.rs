@@ -11,12 +11,12 @@
 //! 2. **Control determinism** — split/merge decisions are taken between
 //!    simulator segments from per-node work windows sampled at absolute
 //!    control times, so the hot-rendezvous top-k report, split/merge
-//!    counters and delivered set must be bit-identical across schedulers
-//!    (heap vs wheel).
+//!    counters and delivered set must be bit-identical when the same seed
+//!    runs again.
 
 use cbps::{MappingKind, PubSubConfig, PubSubNetwork, RendezvousMode, SubId};
 use cbps_bench::report::ObsReport;
-use cbps_sim::{NetConfig, ObsMode, SchedulerKind, SimDuration};
+use cbps_sim::{NetConfig, ObsMode, SimDuration};
 use cbps_workload::{Trace, WorkloadConfig, WorkloadGen};
 
 const NODES: usize = 150;
@@ -45,10 +45,10 @@ struct RunOutcome {
     merges: u64,
 }
 
-fn run(mode: RendezvousMode, kind: SchedulerKind) -> RunOutcome {
+fn run(mode: RendezvousMode) -> RunOutcome {
     let mut net = PubSubNetwork::builder()
         .nodes(NODES)
-        .net_config(NetConfig::new(SEED).with_scheduler(kind))
+        .net_config(NetConfig::new(SEED))
         .pubsub(
             PubSubConfig::paper_default()
                 .with_mapping(MappingKind::SelectiveAttribute)
@@ -94,8 +94,8 @@ fn run(mode: RendezvousMode, kind: SchedulerKind) -> RunOutcome {
 /// exercises its split *and* merge paths and flattens the hot node.
 #[test]
 fn adaptive_rendezvous_preserves_delivered_sets() {
-    let stat = run(RendezvousMode::Static, SchedulerKind::Heap);
-    let adap = run(RendezvousMode::Adaptive, SchedulerKind::Heap);
+    let stat = run(RendezvousMode::Static);
+    let adap = run(RendezvousMode::Adaptive);
     assert_eq!((stat.splits, stat.merges), (0, 0), "static must not split");
     assert!(adap.splits > 0, "flash crowd must trip the split rule");
     assert!(adap.merges > 0, "burst end must trip the merge rule");
@@ -115,20 +115,20 @@ fn adaptive_rendezvous_preserves_delivered_sets() {
     );
 }
 
-/// Control determinism: the hot-rendezvous top-k set, the obs hot-node
-/// report and the split/merge counters are identical across schedulers
-/// under Zipf skew.
+/// Control determinism: a same-seed rerun of the adaptive policy
+/// reproduces the hot-rendezvous top-k set, the obs hot-node report, the
+/// split/merge counters and the delivered set under Zipf skew.
 #[test]
-fn hot_rendezvous_report_is_scheduler_independent() {
-    let heap = run(RendezvousMode::Adaptive, SchedulerKind::Heap);
-    assert!(heap.splits > 0, "flash crowd must trip the split rule");
-    let wheel = run(RendezvousMode::Adaptive, SchedulerKind::Wheel);
-    assert_eq!(heap.work_top, wheel.work_top, "work top-k diverged");
-    assert_eq!(heap.hot_nodes, wheel.hot_nodes, "hot nodes diverged");
+fn adaptive_control_is_identical_across_same_seed_reruns() {
+    let first = run(RendezvousMode::Adaptive);
+    assert!(first.splits > 0, "flash crowd must trip the split rule");
+    let again = run(RendezvousMode::Adaptive);
+    assert_eq!(first.work_top, again.work_top, "work top-k diverged");
+    assert_eq!(first.hot_nodes, again.hot_nodes, "hot nodes diverged");
     assert_eq!(
-        (heap.splits, heap.merges),
-        (wheel.splits, wheel.merges),
+        (first.splits, first.merges),
+        (again.splits, again.merges),
         "control counters diverged"
     );
-    assert_eq!(heap.deliveries, wheel.deliveries, "deliveries diverged");
+    assert_eq!(first.deliveries, again.deliveries, "deliveries diverged");
 }
