@@ -155,73 +155,37 @@ if ! diff "$smoke_dir/chord.fp" "$smoke_dir/pastry.fp"; then
 fi
 echo "==> overlay smoke passed (chord baseline byte-identical, fingerprints match)"
 
-# Match-engine A/B smoke: the sorted-segment index must be an exact
-# drop-in for the counting index at rendezvous nodes. A quick-scale
-# figures run has to render byte-identical tables under both engines, and
-# a replayed trace must print byte-identical run-trace output (including
-# the delivered-set fingerprint).
-echo "==> match-engine A/B smoke (figures/cbps --match-engine counting|sorted)"
-engine_experiments="route fig6 mcast"
-for engine in counting sorted; do
+# Match-engine and serial-vs-parallel smoke: the sorted-segment index must
+# be an exact drop-in for the counting index at rendezvous nodes, and
+# --jobs (which drives both the sweep-point worker pool and the parallel
+# node construction) must not change a table. Three quick-scale renders —
+# counting at --jobs 1 and 4, sorted at --jobs 4 — must be byte-identical,
+# and a replayed trace must print byte-identical run-trace output under
+# both engines (delivered-set fingerprint included). (The build's
+# near-linear cost is the release-mode `build_scale` test above.)
+echo "==> match-engine and serial-vs-parallel smoke (figures --match-engine, --jobs 1|4)"
+ab_experiments="route fig6 mcast"
+for run in counting:1 counting:4 sorted:4; do
     # shellcheck disable=SC2086
-    ./target/release/figures --scale quick --jobs "$(nproc)" \
-        --match-engine "$engine" \
-        $engine_experiments >"$smoke_dir/$engine.tables" 2>/dev/null
+    ./target/release/figures --scale quick --jobs "${run#*:}" \
+        --match-engine "${run%:*}" \
+        $ab_experiments >"$smoke_dir/$run.tables" 2>/dev/null
+done
+for run in counting:4 sorted:4; do
+    if ! diff -u "$smoke_dir/counting:1.tables" "$smoke_dir/$run.tables"; then
+        echo "FAIL: counting at --jobs 1 and ${run%:*} at --jobs 4 render different tables" >&2
+        exit 1
+    fi
+done
+for engine in counting sorted; do
     ./target/release/cbps run-trace "$smoke_dir/smoke.trace" --nodes 80 --seed 5 \
         --match-engine "$engine" >"$smoke_dir/$engine.rt"
 done
-if ! diff -u "$smoke_dir/counting.tables" "$smoke_dir/sorted.tables"; then
-    echo "FAIL: counting and sorted engines render different tables" >&2
-    exit 1
-fi
 if ! diff -u "$smoke_dir/counting.rt" "$smoke_dir/sorted.rt"; then
     echo "FAIL: counting and sorted engines replay a trace differently" >&2
     exit 1
 fi
-echo "==> match-engine smoke passed (tables and trace replay identical)"
-
-# Serial-vs-parallel smoke: a quick-scale figures subset must render
-# byte-identical tables at --jobs 1 and --jobs 4: --jobs drives both the
-# sweep-point worker pool and the parallel node construction, so this is
-# the end-to-end serial-vs-parallel byte-diff. (The build's near-linear
-# cost is the release-mode `build_scale` test above.)
-echo "==> serial-vs-parallel smoke (figures --jobs 1|4)"
-jobs_experiments="route fig6 mcast"
-for jobs in 1 4; do
-    # shellcheck disable=SC2086
-    ./target/release/figures --scale quick --jobs "$jobs" \
-        $jobs_experiments >"$smoke_dir/jobs$jobs.tables" 2>/dev/null
-done
-if ! diff -u "$smoke_dir/jobs1.tables" "$smoke_dir/jobs4.tables"; then
-    echo "FAIL: --jobs 1 and --jobs 4 render different tables" >&2
-    exit 1
-fi
-echo "==> serial-vs-parallel smoke passed (tables identical)"
-
-# Rendezvous A/B smoke: the adaptive rendezvous policy splits hot keys'
-# subscription populations across mirror arcs, which must be delivery-
-# transparent: on a Zipf flash-crowd trace, static and adaptive runs must
-# print the same delivered-set fingerprint, and the adaptive run must have
-# split. (`tests/rendezvous_parity.rs` holds the load-flattening claim.)
-echo "==> rendezvous A/B smoke (cbps --rendezvous static|adaptive)"
-./target/release/cbps gen-trace --out "$smoke_dir/zipf.trace" \
-    --nodes 100 --subs 300 --pubs 600 --selective 1 --flash-crowd 1200 \
-    --seed 9 >/dev/null
-for mode in static adaptive; do
-    ./target/release/cbps run-trace "$smoke_dir/zipf.trace" --nodes 100 \
-        --seed 9 --mapping m3 --rendezvous "$mode" >"$smoke_dir/rdv-$mode.rt"
-    sed -n 's/^delivered-set fingerprint: //p' \
-        "$smoke_dir/rdv-$mode.rt" >"$smoke_dir/rdv-$mode.fp"
-done
-if ! diff "$smoke_dir/rdv-static.fp" "$smoke_dir/rdv-adaptive.fp"; then
-    echo "FAIL: adaptive delivered a different notification set than static" >&2
-    exit 1
-fi
-if ! grep -q "^rendezvous splits: [1-9]" "$smoke_dir/rdv-adaptive.rt"; then
-    echo "FAIL: flash crowd did not trip the adaptive split rule" >&2
-    exit 1
-fi
-echo "==> rendezvous smoke passed (fingerprint parity, adaptive split)"
+echo "==> match-engine and serial-vs-parallel smoke passed (tables and trace replay identical)"
 
 # Benchmark smoke: the detached benchmark crate measures the library
 # crates through their public items, so a signature it uses cannot change

@@ -3,8 +3,7 @@
 //! ```text
 //! figures [--scale quick|paper|large] [--nodes N] [--overlay chord|pastry]
 //!         [--jobs N] [--match-engine counting|sorted]
-//!         [--rendezvous static|adaptive] [--csv DIR] [--json FILE]
-//!         [--report FILE] [EXPERIMENT...]
+//!         [--csv DIR] [--json FILE] [--report FILE] [EXPERIMENT...]
 //! ```
 //!
 //! With no experiment names, runs everything. Names: route, keys, fig5,
@@ -21,13 +20,7 @@
 //! selects the rendezvous matching engine (default: counting); the engines
 //! return identical match sets — only matching cost and memory layout
 //! change — so tables are byte-identical either way, which ci.sh checks.
-//! `--rendezvous static|adaptive` selects the rendezvous policy
-//! (default: static, the paper's stateless ak-mapping, which leaves every
-//! recorded baseline byte-identical); `adaptive` turns on online hot-key
-//! splitting — delivered sets stay identical (ci.sh A/B-checks the
-//! delivered-set fingerprint), but message counts and load balance
-//! change, so adaptive tables are not comparable against static
-//! baselines. `--overlay chord|pastry` selects the routing
+//! `--overlay chord|pastry` selects the routing
 //! substrate the deployment-style experiments run on (default: chord;
 //! `route` and `churn` calibrate Chord-specific machinery and always run
 //! on Chord, and the `overlay` comparison always runs both). `--json FILE` and `--report FILE`
@@ -41,7 +34,6 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use cbps::RendezvousMode;
 use cbps_bench::experiments::{run_named, EXPERIMENT_NAMES};
 use cbps_bench::report::{ExperimentReport, ObsReport, RunReport};
 use cbps_bench::runner;
@@ -96,13 +88,6 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--rendezvous" => match args.next().as_deref().and_then(RendezvousMode::parse) {
-                Some(mode) => runner::set_rendezvous(mode),
-                None => {
-                    eprintln!("--rendezvous expects static|adaptive");
-                    std::process::exit(2);
-                }
-            },
             "--overlay" => match args.next().as_deref().and_then(runner::BackendKind::parse) {
                 Some(kind) => runner::set_backend(kind),
                 None => {
@@ -141,8 +126,7 @@ fn main() {
                 println!(
                     "usage: figures [--scale quick|paper|large] [--nodes N] \
                      [--overlay chord|pastry] [--jobs N] \
-                     [--match-engine counting|sorted] [--rendezvous static|adaptive] \
-                     [--csv DIR] [--json FILE] [--report FILE] [EXPERIMENT...]\n\
+                     [--match-engine counting|sorted] [--csv DIR] [--json FILE] [--report FILE] [EXPERIMENT...]\n\
                      experiments: {} (default: all)",
                     EXPERIMENT_NAMES.join(", ")
                 );
@@ -179,8 +163,7 @@ fn main() {
         let obs = runner::take_obs().map(|obs| {
             let hot = runner::take_hot_nodes();
             let work = runner::take_node_work();
-            let (splits, merges) = runner::rendezvous_totals();
-            ObsReport::distill(&obs, &hot).with_load(&work, splits, merges)
+            ObsReport::distill(&obs, &hot).with_load(&work)
         });
         records.push(ExperimentReport {
             name: name.clone(),
@@ -224,7 +207,6 @@ fn main() {
         jobs: runner::jobs(),
         observability: runner::observability().name().to_owned(),
         match_engine: runner::match_engine().name().to_owned(),
-        rendezvous: runner::rendezvous().name().to_owned(),
         overlay: runner::backend().name().to_owned(),
         experiments: records,
     };

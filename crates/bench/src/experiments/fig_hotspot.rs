@@ -10,24 +10,15 @@
 //! Expected shape: each epoch relocates the hotspot to a different node
 //! (spreading wear across epochs) while the load *distribution* — and
 //! delivery semantics — stay intact.
-//!
-//! The second table measures the *dynamic* alternative: the adaptive
-//! rendezvous policy (`--rendezvous adaptive`) under a Zipf flash crowd.
-//! Both policies replay the identical trace; the table reports each
-//! policy's node-load imbalance (max/mean and p99/mean of per-node
-//! rendezvous work), its split/merge control activity, and the
-//! delivered-set fingerprint — which must be identical, since splitting
-//! relocates stored subscriptions without changing delivery semantics.
 
-use cbps::{MappingKind, OverlayBackend, RendezvousMode};
+use cbps::{MappingKind, OverlayBackend};
 
-use crate::report::LoadReport;
-use crate::runner::{delivered_fingerprint, paper_workload, run_trace, workload_gen, Scale};
+use crate::runner::{paper_workload, run_trace, workload_gen, Scale};
 use crate::table::{fmt_f, Table};
 
 /// Runs the experiment and returns its tables.
 pub fn run(scale: Scale) -> Vec<Table> {
-    vec![rotation_table(scale), flash_crowd_table(scale)]
+    vec![rotation_table(scale)]
 }
 
 /// Epoch-rotation table (the nearly-static mapping extension).
@@ -49,7 +40,6 @@ fn rotation_table(scale: Scale) -> Table {
         let pubsub = cbps::PubSubConfig::paper_default()
             .with_mapping(MappingKind::SelectiveAttribute)
             .with_key_space(keys)
-            .with_rendezvous(crate::runner::rendezvous())
             .with_rotations(vec![rotation, 0, 0, 0]);
         let cfg = paper_workload(nodes, 1).with_counts(subs, 0);
         let mut gen = workload_gen(cfg, 961);
@@ -80,66 +70,6 @@ fn rotation_table(scale: Scale) -> Table {
             fmt_f(stats.avg_stored),
             fmt_f(stats.max_stored as f64 / stats.avg_stored.max(1e-9)),
         ]);
-    }
-    table
-}
-
-/// Static-vs-adaptive rendezvous under a Zipf flash crowd.
-fn flash_crowd_table(scale: Scale) -> Table {
-    let mut table = Table::new(
-        "Extension: adaptive rendezvous under a Zipf flash crowd (mapping 3, 1 selective attr)",
-        &[
-            "rendezvous",
-            "max/mean load",
-            "p99/mean load",
-            "splits",
-            "merges",
-            "delivered",
-            "fingerprint",
-        ],
-    );
-    let nodes = scale.nodes();
-    let (subs, pubs, burst) = match scale {
-        Scale::Quick => (300, 600, 600),
-        Scale::Paper | Scale::Large => (1_000, 2_000, 2_000),
-    };
-    let keys = cbps::deployment_key_space(nodes);
-    let cfg = paper_workload(nodes, 1)
-        .with_counts(subs, pubs)
-        .with_flash_crowd(burst, 1.1);
-    // Both rows replay the identical trace: the generator is rebuilt from
-    // the same seed, so only the rendezvous policy differs.
-    for mode in [RendezvousMode::Static, RendezvousMode::Adaptive] {
-        let mut gen = workload_gen(cfg.clone(), 961);
-        let trace = gen.gen_trace();
-        let pubsub = cbps::PubSubConfig::paper_default()
-            .with_mapping(MappingKind::SelectiveAttribute)
-            .with_key_space(keys)
-            .with_rendezvous(mode);
-        let row = crate::with_backend!(B => {
-            let mut net = cbps::PubSubNetworkBuilder::<B>::new()
-                .nodes(nodes)
-                .net_config(crate::runner::net_config(961))
-                .overlay(B::with_key_space(B::paper_default(), keys))
-                .pubsub(pubsub)
-                .observability(crate::runner::observability())
-                .build()
-                .expect("flash-crowd deployment config is valid");
-            let stats = run_trace(&mut net, &trace, 300);
-            let (splits, merges) = net.rendezvous_counters();
-            let load = LoadReport::from_work(&net.rendezvous_work_counts(), splits, merges);
-            let (fp, _) = delivered_fingerprint(&net);
-            vec![
-                mode.name().to_owned(),
-                fmt_f(load.map(|l| l.max_mean).unwrap_or(0.0)),
-                fmt_f(load.map(|l| l.p99_mean).unwrap_or(0.0)),
-                splits.to_string(),
-                merges.to_string(),
-                stats.delivered.to_string(),
-                format!("{fp:#018x}"),
-            ]
-        });
-        table.push_row(row);
     }
     table
 }

@@ -45,8 +45,7 @@ pub struct HotNode {
 }
 
 /// Node-load balance of one experiment: how far the hottest rendezvous
-/// nodes sit above the mean, plus the adaptive policy's control activity.
-/// Load is the per-node cumulative rendezvous work (publications processed
+/// nodes sit above the mean. Load is the per-node cumulative rendezvous work (publications processed
 /// + matches produced); ratios close to 1 mean a balanced ring.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LoadReport {
@@ -54,16 +53,12 @@ pub struct LoadReport {
     pub max_mean: f64,
     /// 99th-percentile node load over mean node load.
     pub p99_mean: f64,
-    /// Rendezvous split decisions taken (0 under the static policy).
-    pub splits: u64,
-    /// Rendezvous merge decisions taken (0 under the static policy).
-    pub merges: u64,
 }
 
 impl LoadReport {
-    /// Distills per-node work counts and control counters into ratio form.
-    /// Returns `None` when no node recorded any work (ratios undefined).
-    pub fn from_work(work: &[u64], splits: u64, merges: u64) -> Option<LoadReport> {
+    /// Distills per-node work counts into ratio form. Returns `None` when
+    /// no node recorded any work (ratios undefined).
+    pub fn from_work(work: &[u64]) -> Option<LoadReport> {
         let total: u64 = work.iter().sum();
         if work.is_empty() || total == 0 {
             return None;
@@ -78,8 +73,6 @@ impl LoadReport {
         Some(LoadReport {
             max_mean: max / mean,
             p99_mean: p99 / mean,
-            splits,
-            merges,
         })
     }
 }
@@ -163,10 +156,9 @@ impl ObsReport {
         }
     }
 
-    /// Attaches the node-load balance distilled from per-node work counts
-    /// and the rendezvous control counters.
-    pub fn with_load(mut self, work: &[u64], splits: u64, merges: u64) -> ObsReport {
-        self.load = LoadReport::from_work(work, splits, merges);
+    /// Attaches the node-load balance distilled from per-node work counts.
+    pub fn with_load(mut self, work: &[u64]) -> ObsReport {
+        self.load = LoadReport::from_work(work);
         self
     }
 }
@@ -198,8 +190,6 @@ pub struct RunReport {
     pub observability: String,
     /// Matching engine rendezvous nodes ran (`counting` or `sorted`).
     pub match_engine: String,
-    /// Rendezvous policy the networks ran (`static` or `adaptive`).
-    pub rendezvous: String,
     /// Overlay substrate the sweep deployed on (`chord` or `pastry`).
     pub overlay: String,
     /// Per-experiment records, in run order.
@@ -220,10 +210,6 @@ impl RunReport {
         out.push_str(&format!(
             "  \"match_engine\": \"{}\",\n",
             escape(&self.match_engine)
-        ));
-        out.push_str(&format!(
-            "  \"rendezvous\": \"{}\",\n",
-            escape(&self.rendezvous)
         ));
         out.push_str(&format!("  \"overlay\": \"{}\",\n", escape(&self.overlay)));
         out.push_str("  \"experiments\": [\n");
@@ -297,9 +283,8 @@ fn experiment_json(e: &ExperimentReport, indent: &str) -> String {
         out.push_str("],\n");
         if let Some(load) = &obs.load {
             out.push_str(&format!(
-                "{inner}\"load\": {{\"max_mean\": {:.3}, \"p99_mean\": {:.3}, \
-                 \"splits\": {}, \"merges\": {}}},\n",
-                load.max_mean, load.p99_mean, load.splits, load.merges
+                "{inner}\"load\": {{\"max_mean\": {:.3}, \"p99_mean\": {:.3}}},\n",
+                load.max_mean, load.p99_mean
             ));
         }
         out.push_str(&format!(
@@ -407,7 +392,6 @@ mod tests {
             jobs: 2,
             observability: "full".into(),
             match_engine: "counting".into(),
-            rendezvous: "adaptive".into(),
             overlay: "chord".into(),
             experiments: vec![
                 ExperimentReport {
@@ -415,7 +399,7 @@ mod tests {
                     wall_secs: 1.5,
                     events: 3000,
                     peak_queue_depth: 17,
-                    obs: Some(ObsReport::distill(&obs, &[0, 4]).with_load(&[10, 30, 20], 2, 1)),
+                    obs: Some(ObsReport::distill(&obs, &[0, 4]).with_load(&[10, 30, 20])),
                 },
                 ExperimentReport {
                     name: "keys".into(),
@@ -439,11 +423,8 @@ mod tests {
         assert!(json.contains("\"stage\": \"deliver\""));
         assert!(json.contains("\"p99\""));
         assert!(json.contains("\"hot_nodes\": [{\"node\": 1, \"peak_stored\": 4}]"));
-        assert!(json.contains("\"rendezvous\": \"adaptive\""));
         // max/mean = 30/20 = 1.5; p99 over 3 nodes picks the max.
-        assert!(json.contains(
-            "\"load\": {\"max_mean\": 1.500, \"p99_mean\": 1.500, \"splits\": 2, \"merges\": 1}"
-        ));
+        assert!(json.contains("\"load\": {\"max_mean\": 1.500, \"p99_mean\": 1.500}"));
         // Balanced braces (cheap structural sanity without a JSON parser).
         assert_eq!(
             json.matches('{').count(),
@@ -460,19 +441,18 @@ mod tests {
     #[test]
     fn load_report_ratios() {
         // Uniform load: both ratios are exactly 1.
-        let r = LoadReport::from_work(&[5, 5, 5, 5], 0, 0).unwrap();
+        let r = LoadReport::from_work(&[5, 5, 5, 5]).unwrap();
         assert_eq!(r.max_mean, 1.0);
         assert_eq!(r.p99_mean, 1.0);
         // A single hotspot dominates max/mean but with >=100 nodes the
         // p99 excludes it.
         let mut work = vec![10u64; 100];
         work[42] = 1010;
-        let r = LoadReport::from_work(&work, 3, 1).unwrap();
+        let r = LoadReport::from_work(&work).unwrap();
         assert!(r.max_mean > 40.0, "max/mean {}", r.max_mean);
         assert!(r.p99_mean < 2.0, "p99/mean {}", r.p99_mean);
-        assert_eq!((r.splits, r.merges), (3, 1));
         // No work at all: undefined, not NaN.
-        assert_eq!(LoadReport::from_work(&[0, 0], 0, 0), None);
-        assert_eq!(LoadReport::from_work(&[], 0, 0), None);
+        assert_eq!(LoadReport::from_work(&[0, 0]), None);
+        assert_eq!(LoadReport::from_work(&[]), None);
     }
 }

@@ -11,7 +11,7 @@ use std::sync::Mutex;
 
 use cbps::{
     ChordBackend, MappingKind, NotifyMode, OverlayBackend, Primitive, PubSubConfig, PubSubNetwork,
-    PubSubNetworkBuilder, RendezvousMode,
+    PubSubNetworkBuilder,
 };
 use cbps_sim::{MatchEngineKind, NetConfig, ObsMode, Observability, SimDuration, TrafficClass};
 use cbps_workload::{Trace, WorkloadConfig, WorkloadGen};
@@ -39,16 +39,10 @@ static HOT_NODES: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 /// Overlay substrate every deployment-style experiment runs on
 /// (0 = Chord, 1 = Pastry).
 static BACKEND: AtomicU8 = AtomicU8::new(0);
-/// Rendezvous policy every built network runs (0 = static ak-mapping,
-/// 1 = adaptive hot-key splitting).
-static RENDEZVOUS: AtomicU8 = AtomicU8::new(0);
 /// Per-node cumulative rendezvous work (publications processed + matches
 /// produced), folded element-wise-max over every observed run since the
 /// last reset.
 static NODE_WORK: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-/// Rendezvous split/merge control decisions across observed runs.
-static RDV_SPLITS: AtomicU64 = AtomicU64::new(0);
-static RDV_MERGES: AtomicU64 = AtomicU64::new(0);
 
 /// The overlay substrates the experiment harness can deploy on.
 ///
@@ -105,27 +99,6 @@ pub fn backend() -> BackendKind {
     match BACKEND.load(Ordering::Relaxed) {
         0 => BackendKind::Chord,
         _ => BackendKind::Pastry,
-    }
-}
-
-/// Sets the rendezvous policy every subsequently built network uses (see
-/// `figures --rendezvous`; `static` is the paper's stateless ak-mapping
-/// and leaves every recorded baseline byte-identical).
-pub fn set_rendezvous(mode: RendezvousMode) {
-    RENDEZVOUS.store(
-        match mode {
-            RendezvousMode::Static => 0,
-            RendezvousMode::Adaptive => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The rendezvous policy applied to built networks.
-pub fn rendezvous() -> RendezvousMode {
-    match RENDEZVOUS.load(Ordering::Relaxed) {
-        0 => RendezvousMode::Static,
-        _ => RendezvousMode::Adaptive,
     }
 }
 
@@ -244,9 +217,6 @@ pub fn record_obs<B: OverlayBackend>(net: &mut PubSubNetwork<B>) {
             *slot = (*slot).max(w);
         }
     }
-    let (splits, merges) = net.rendezvous_counters();
-    RDV_SPLITS.fetch_add(splits, Ordering::Relaxed);
-    RDV_MERGES.fetch_add(merges, Ordering::Relaxed);
     let run_obs = std::mem::take(net.metrics_mut().obs_mut());
     let mut total = OBS_TOTAL.lock().expect("obs accumulator poisoned");
     match total.as_mut() {
@@ -268,8 +238,6 @@ pub fn reset_perf() {
         .lock()
         .expect("node-work accumulator poisoned")
         .clear();
-    RDV_SPLITS.store(0, Ordering::Relaxed);
-    RDV_MERGES.store(0, Ordering::Relaxed);
 }
 
 /// Takes the merged observability registry accumulated since the last
@@ -288,15 +256,6 @@ pub fn take_hot_nodes() -> Vec<u64> {
 /// since the last [`reset_perf`] (leaving them empty).
 pub fn take_node_work() -> Vec<u64> {
     std::mem::take(&mut *NODE_WORK.lock().expect("node-work accumulator poisoned"))
-}
-
-/// `(splits, merges)` control decisions accumulated by [`record_obs`]
-/// since the last [`reset_perf`]. Always `(0, 0)` under the static policy.
-pub fn rendezvous_totals() -> (u64, u64) {
-    (
-        RDV_SPLITS.load(Ordering::Relaxed),
-        RDV_MERGES.load(Ordering::Relaxed),
-    )
 }
 
 /// `(events processed, max queue depth)` accumulated since the last
@@ -475,7 +434,6 @@ impl Deployment {
             .with_primitive(self.primitive)
             .with_notify_mode(self.notify)
             .with_discretization(self.discretization)
-            .with_rendezvous(rendezvous())
             .with_key_space(keys);
         PubSubNetworkBuilder::<B>::new()
             .nodes(self.nodes)
@@ -575,8 +533,8 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// delivered set: FNV-1a over the sorted `(node, sub, event)` triples,
 /// plus the triple count. Two runs deliver the same notifications iff the
 /// fingerprints match, so configurations that must not change delivery
-/// semantics — match engines, overlays, rendezvous policies —
-/// can be diffed on this one value.
+/// semantics — match engines, overlays — can be diffed on this one
+/// value.
 pub fn delivered_fingerprint<B: OverlayBackend>(net: &PubSubNetwork<B>) -> (u64, usize) {
     let mut triples: Vec<(usize, u64, u64)> = Vec::new();
     for node in 0..net.len() {

@@ -1,14 +1,16 @@
 //! The CLI subcommands.
 
 use cbps::{
-    EventSpace, MappingKind, NotifyMode, OverlayBackend as _, Primitive, PubSubConfig,
-    PubSubNetwork, PubSubNetworkBuilder, RendezvousMode,
+    EventSpace, MappingKind, NotifyMode, OverlayBackend, Primitive, PubSubConfig, PubSubNetwork,
+    PubSubNetworkBuilder,
 };
 use cbps_bench::report::{ExperimentReport, ObsReport, RunReport};
 use cbps_bench::runner::{delivered_fingerprint, BackendKind};
 use cbps_bench::with_backend;
 use cbps_sim::{MatchEngineKind, NetConfig, ObsMode, SimDuration, TrafficClass};
-use cbps_workload::{trace_from_str, trace_to_string, Trace, WorkloadConfig, WorkloadGen};
+use cbps_workload::{
+    trace_from_str, trace_to_string, ReplayOutcome, Trace, WorkloadConfig, WorkloadGen,
+};
 
 use crate::args::{ArgError, Args};
 
@@ -38,13 +40,31 @@ pub fn gen_trace(args: &Args) -> Outcome {
         .get("out")
         .ok_or_else(|| ArgError("gen-trace needs --out FILE".into()))?
         .to_owned();
+    let space = EventSpace::paper_default();
     let nodes: usize = args.get_or("nodes", 100)?;
+    if nodes == 0 {
+        return Err(ArgError("--nodes must be at least 1".into()));
+    }
     let subs: usize = args.get_or("subs", 500)?;
     let pubs: usize = args.get_or("pubs", 500)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let selective: usize = args.get_or("selective", 0)?;
+    if selective > space.dims() {
+        return Err(ArgError(format!(
+            "--selective must be at most {} (the attribute count), got {selective}",
+            space.dims()
+        )));
+    }
     let matching: f64 = args.get_or("match", 0.5)?;
+    if !(0.0..=1.0).contains(&matching) {
+        return Err(ArgError(format!(
+            "--match must be a probability in [0, 1], got {matching}"
+        )));
+    }
     let streak: u64 = args.get_or("streak", 1)?;
+    if streak == 0 {
+        return Err(ArgError("--streak must be at least 1".into()));
+    }
     let ttl: Option<u64> = match args.get("ttl") {
         None => None,
         Some(v) => Some(
@@ -60,7 +80,6 @@ pub fn gen_trace(args: &Args) -> Outcome {
         )));
     }
 
-    let space = EventSpace::paper_default();
     let cfg = WorkloadConfig::paper_default(nodes, space.dims())
         .with_selective_attrs(selective)
         .with_counts(subs, pubs)
@@ -105,11 +124,6 @@ fn parse_match_engine(s: &str) -> Result<MatchEngineKind, ArgError> {
         .ok_or_else(|| ArgError(format!("unknown match engine {s:?} (counting|sorted)")))
 }
 
-fn parse_rendezvous(s: &str) -> Result<RendezvousMode, ArgError> {
-    RendezvousMode::parse(s)
-        .ok_or_else(|| ArgError(format!("unknown rendezvous policy {s:?} (static|adaptive)")))
-}
-
 fn parse_notify(s: &str) -> Result<NotifyMode, ArgError> {
     if s == "immediate" {
         return Ok(NotifyMode::Immediate);
@@ -148,69 +162,121 @@ fn check_trace_nodes(trace: &Trace, nodes: usize) -> Outcome {
     }
 }
 
+/// The flags `run-trace` and `stats` share: the deployment a trace file is
+/// replayed against.
+const DEPLOYMENT_FLAGS: [&str; 9] = [
+    "nodes",
+    "seed",
+    "mapping",
+    "primitive",
+    "notify",
+    "discretization",
+    "replication",
+    "match-engine",
+    "overlay",
+];
+
+/// A trace file and the deployment it is replayed against, read from the
+/// command line of `run-trace` or `stats`.
+struct TraceRun {
+    file: String,
+    trace: Trace,
+    nodes: usize,
+    seed: u64,
+    mapping: MappingKind,
+    primitive: Primitive,
+    notify: NotifyMode,
+    discretization: u64,
+    replication: usize,
+    match_engine: MatchEngineKind,
+    overlay: BackendKind,
+}
+
+impl TraceRun {
+    /// Reads the trace file named after `command` and the deployment
+    /// flags; `extra` names the command's own flags. Selects the overlay
+    /// for [`with_backend!`].
+    fn parse(args: &Args, command: &str, extra: &[&str]) -> Result<Self, ArgError> {
+        let allowed: Vec<&str> = DEPLOYMENT_FLAGS.iter().chain(extra).copied().collect();
+        args.check_flags(&allowed)?;
+        let file = args
+            .positional()
+            .get(1)
+            .ok_or_else(|| ArgError(format!("{command} needs a trace FILE")))?
+            .clone();
+        let text = std::fs::read_to_string(&file)
+            .map_err(|e| ArgError(format!("cannot read {file}: {e}")))?;
+        let trace = trace_from_str(&EventSpace::paper_default(), &text)
+            .map_err(|e| ArgError(format!("bad trace: {e}")))?;
+        let nodes: usize = args.get_or("nodes", 100)?;
+        check_trace_nodes(&trace, nodes)?;
+        let discretization: u64 = args.get_or("discretization", 1)?;
+        if discretization == 0 {
+            return Err(ArgError("--discretization must be at least 1".into()));
+        }
+        let run = TraceRun {
+            file,
+            trace,
+            nodes,
+            seed: args.get_or("seed", 0)?,
+            mapping: parse_mapping(args.get("mapping").unwrap_or("m2"))?,
+            primitive: parse_primitive(args.get("primitive").unwrap_or("mcast"))?,
+            notify: parse_notify(args.get("notify").unwrap_or("immediate"))?,
+            discretization,
+            replication: args.get_or("replication", 0)?,
+            match_engine: parse_match_engine(args.get("match-engine").unwrap_or("counting"))?,
+            overlay: parse_overlay(args)?,
+        };
+        cbps_bench::runner::set_backend(run.overlay);
+        Ok(run)
+    }
+
+    /// Builds the deployment on substrate `B` under observability `obs`.
+    fn build<B: OverlayBackend>(&self, obs: ObsMode) -> Result<PubSubNetwork<B>, ArgError> {
+        let keys = cbps::deployment_key_space(self.nodes);
+        PubSubNetworkBuilder::<B>::new()
+            .nodes(self.nodes)
+            .overlay(B::with_key_space(B::paper_default(), keys))
+            .net_config(NetConfig::new(self.seed).with_match_engine(self.match_engine))
+            .pubsub(
+                PubSubConfig::paper_default()
+                    .with_mapping(self.mapping)
+                    .with_primitive(self.primitive)
+                    .with_notify_mode(self.notify)
+                    .with_discretization(self.discretization)
+                    .with_replication(self.replication)
+                    .with_key_space(keys),
+            )
+            .observability(obs)
+            .build()
+            .map_err(|e| ArgError(format!("invalid configuration: {e}")))
+    }
+
+    /// Replays the trace and lets the network drain for ten simulated
+    /// minutes past its last operation.
+    fn replay<B: OverlayBackend>(&self, net: &mut PubSubNetwork<B>) -> ReplayOutcome {
+        let outcome = self.trace.replay(net);
+        net.run_until(self.trace.end_time() + SimDuration::from_secs(600));
+        outcome
+    }
+}
+
 /// `cbps run-trace`: replay a trace file against a fresh deployment and
 /// print the run's statistics.
 pub fn run_trace(args: &Args) -> Outcome {
-    args.check_flags(&[
-        "nodes",
-        "seed",
-        "mapping",
-        "primitive",
-        "notify",
-        "discretization",
-        "replication",
-        "match-engine",
-        "rendezvous",
-        "overlay",
-    ])?;
-    let file = args
-        .positional()
-        .get(1)
-        .ok_or_else(|| ArgError("run-trace needs a trace FILE".into()))?;
-    let text =
-        std::fs::read_to_string(file).map_err(|e| ArgError(format!("cannot read {file}: {e}")))?;
-    let space = EventSpace::paper_default();
-    let trace = trace_from_str(&space, &text).map_err(|e| ArgError(format!("bad trace: {e}")))?;
-
-    let nodes: usize = args.get_or("nodes", 100)?;
-    check_trace_nodes(&trace, nodes)?;
-    let seed: u64 = args.get_or("seed", 0)?;
-    let mapping = parse_mapping(args.get("mapping").unwrap_or("m2"))?;
-    let primitive = parse_primitive(args.get("primitive").unwrap_or("mcast"))?;
-    let notify = parse_notify(args.get("notify").unwrap_or("immediate"))?;
-    let discretization: u64 = args.get_or("discretization", 1)?;
-    let replication: usize = args.get_or("replication", 0)?;
-    let match_engine = parse_match_engine(args.get("match-engine").unwrap_or("counting"))?;
-    let rendezvous = parse_rendezvous(args.get("rendezvous").unwrap_or("static"))?;
-    let overlay = parse_overlay(args)?;
-
-    cbps_bench::runner::set_backend(overlay);
-    let keys = cbps::deployment_key_space(nodes);
+    let run = TraceRun::parse(args, "run-trace", &[])?;
+    let trace = &run.trace;
     with_backend!(B => {
-        let mut net = PubSubNetworkBuilder::<B>::new()
-            .nodes(nodes)
-            .overlay(B::with_key_space(B::paper_default(), keys))
-            .net_config(NetConfig::new(seed).with_match_engine(match_engine))
-            .pubsub(
-                PubSubConfig::paper_default()
-                    .with_mapping(mapping)
-                    .with_primitive(primitive)
-                    .with_notify_mode(notify)
-                    .with_discretization(discretization)
-                    .with_replication(replication)
-                    .with_rendezvous(rendezvous)
-                    .with_key_space(keys),
-            )
-            .build()
-            .map_err(|e| ArgError(format!("invalid configuration: {e}")))?;
-
-        let outcome = trace.replay(&mut net);
-        net.run_until(trace.end_time() + SimDuration::from_secs(600));
+        let mut net = run.build::<B>(ObsMode::Off)?;
+        let outcome = run.replay(&mut net);
 
         let m = net.metrics();
         let subs = trace.sub_count().max(1) as f64;
         let pubs = trace.pub_count().max(1) as f64;
-        println!("deployment: {nodes} nodes, {overlay} overlay, {mapping}, {primitive:?}, {notify:?}");
+        println!(
+            "deployment: {} nodes, {} overlay, {}, {:?}, {:?}",
+            run.nodes, run.overlay, run.mapping, run.primitive, run.notify
+        );
         println!(
             "trace: {} subscriptions, {} publications",
             trace.sub_count(),
@@ -243,10 +309,6 @@ pub fn run_trace(args: &Args) -> Outcome {
         let max = peaks.iter().max().copied().unwrap_or(0);
         let avg = peaks.iter().sum::<usize>() as f64 / peaks.len().max(1) as f64;
         println!("stored subscriptions/node: max {max}, avg {avg:.1}");
-        if rendezvous == RendezvousMode::Adaptive {
-            let (splits, merges) = net.rendezvous_counters();
-            println!("rendezvous splits: {splits} merges: {merges}");
-        }
         let (fp, count) = delivered_fingerprint(&net);
         println!("delivered-set fingerprint: {fp:#018x} ({count} notifications)");
         let expected = outcome.oracle.expected().len();
@@ -259,64 +321,12 @@ pub fn run_trace(args: &Args) -> Outcome {
 /// structured `cbps-report/v2` JSON document (per-stage latency
 /// percentiles, named histograms, hottest rendezvous nodes).
 pub fn stats(args: &Args) -> Outcome {
-    args.check_flags(&[
-        "nodes",
-        "seed",
-        "mapping",
-        "primitive",
-        "notify",
-        "discretization",
-        "replication",
-        "match-engine",
-        "rendezvous",
-        "overlay",
-        "out",
-    ])?;
-    let file = args
-        .positional()
-        .get(1)
-        .ok_or_else(|| ArgError("stats needs a trace FILE".into()))?;
-    let text =
-        std::fs::read_to_string(file).map_err(|e| ArgError(format!("cannot read {file}: {e}")))?;
-    let space = EventSpace::paper_default();
-    let trace = trace_from_str(&space, &text).map_err(|e| ArgError(format!("bad trace: {e}")))?;
-
-    let nodes: usize = args.get_or("nodes", 100)?;
-    check_trace_nodes(&trace, nodes)?;
-    let seed: u64 = args.get_or("seed", 0)?;
-    let mapping = parse_mapping(args.get("mapping").unwrap_or("m2"))?;
-    let primitive = parse_primitive(args.get("primitive").unwrap_or("mcast"))?;
-    let notify = parse_notify(args.get("notify").unwrap_or("immediate"))?;
-    let discretization: u64 = args.get_or("discretization", 1)?;
-    let replication: usize = args.get_or("replication", 0)?;
-    let match_engine = parse_match_engine(args.get("match-engine").unwrap_or("counting"))?;
-    let rendezvous = parse_rendezvous(args.get("rendezvous").unwrap_or("static"))?;
-    let overlay = parse_overlay(args)?;
-
-    cbps_bench::runner::set_backend(overlay);
-    let keys = cbps::deployment_key_space(nodes);
+    let run = TraceRun::parse(args, "stats", &["out"])?;
     let record = with_backend!(B => {
-        let mut net = PubSubNetworkBuilder::<B>::new()
-            .nodes(nodes)
-            .overlay(B::with_key_space(B::paper_default(), keys))
-            .net_config(NetConfig::new(seed).with_match_engine(match_engine))
-            .pubsub(
-                PubSubConfig::paper_default()
-                    .with_mapping(mapping)
-                    .with_primitive(primitive)
-                    .with_notify_mode(notify)
-                    .with_discretization(discretization)
-                    .with_replication(replication)
-                    .with_rendezvous(rendezvous)
-                    .with_key_space(keys),
-            )
-            .observability(ObsMode::Full)
-            .build()
-            .map_err(|e| ArgError(format!("invalid configuration: {e}")))?;
+        let mut net = run.build::<B>(ObsMode::Full)?;
 
         let started = std::time::Instant::now();
-        trace.replay(&mut net);
-        net.run_until(trace.end_time() + SimDuration::from_secs(600));
+        run.replay(&mut net);
         let wall_secs = started.elapsed().as_secs_f64();
 
         let peaks: Vec<u64> = net
@@ -325,26 +335,24 @@ pub fn stats(args: &Args) -> Outcome {
             .map(|p| p as u64)
             .collect();
         let work = net.rendezvous_work_counts();
-        let (splits, merges) = net.rendezvous_counters();
         let sim = net.sim_mut();
         let events = sim.events_processed();
         let peak_queue_depth = sim.queue_peak() as u64;
         let obs = std::mem::take(net.metrics_mut().obs_mut());
         ExperimentReport {
-            name: file.clone(),
+            name: run.file.clone(),
             wall_secs,
             events,
             peak_queue_depth,
-            obs: Some(ObsReport::distill(&obs, &peaks).with_load(&work, splits, merges)),
+            obs: Some(ObsReport::distill(&obs, &peaks).with_load(&work)),
         }
     });
     let report = RunReport {
         scale: "trace".to_owned(),
         jobs: 1,
         observability: ObsMode::Full.name().to_owned(),
-        match_engine: match_engine.name().to_owned(),
-        rendezvous: rendezvous.name().to_owned(),
-        overlay: overlay.name().to_owned(),
+        match_engine: run.match_engine.name().to_owned(),
+        overlay: run.overlay.name().to_owned(),
         experiments: vec![record],
     };
     let json = report.to_json();
@@ -501,5 +509,47 @@ mod tests {
         refuses("run-trace", run_trace);
         refuses("stats", stats);
         std::fs::remove_file(path).expect("the trace is removed");
+    }
+
+    /// Flag values the workload generator and the mapping would reject
+    /// with an assertion are argument errors naming the flag, checked
+    /// before anything is built.
+    #[test]
+    fn out_of_range_flags_are_argument_errors() {
+        let dir = std::env::temp_dir();
+        let trace = dir.join(format!("cbps-cli-{}-flags.trace", std::process::id()));
+        let trace = trace.to_str().expect("the temp directory path is UTF-8");
+        let unwritten = dir.join(format!("cbps-cli-{}-unwritten.trace", std::process::id()));
+        let unwritten = unwritten
+            .to_str()
+            .expect("the temp directory path is UTF-8");
+        gen_trace(&args(&format!(
+            "gen-trace --out {trace} --nodes 10 --subs 5 --pubs 5 --seed 3"
+        )))
+        .expect("the trace is written");
+        // (command, flag, value): the error must name the flag.
+        let cases = [
+            ("gen-trace", "match", "1.5"),
+            ("gen-trace", "selective", "9"),
+            ("gen-trace", "streak", "0"),
+            ("gen-trace", "nodes", "0"),
+            ("run-trace", "discretization", "0"),
+            ("stats", "discretization", "0"),
+        ];
+        for (name, flag, value) in cases {
+            let (line, command): (_, fn(&Args) -> Outcome) = match name {
+                "gen-trace" => (format!("{name} --out {unwritten}"), gen_trace),
+                "run-trace" => (format!("{name} {trace}"), run_trace),
+                _ => (format!("{name} {trace}"), stats),
+            };
+            let line = format!("{line} --{flag} {value}");
+            let err = command(&args(&line)).expect_err(&line);
+            assert!(err.0.contains(&format!("--{flag}")), "{line}: {err}");
+        }
+        assert!(
+            !std::path::Path::new(unwritten).exists(),
+            "a refused gen-trace wrote its output"
+        );
+        std::fs::remove_file(trace).expect("the trace is removed");
     }
 }

@@ -8,7 +8,7 @@
 //!                [--mapping m1|m2|m3] [--primitive unicast|mcast|walk]
 //!                [--notify immediate|buffered:S|collecting:S]
 //!                [--discretization W] [--replication R]
-//!                [--match-engine counting|sorted] [--rendezvous static|adaptive]
+//!                [--match-engine counting|sorted]
 //! cbps stats FILE [--out FILE] [run-trace deployment flags]
 //! cbps ring [--nodes N] [--seed S] [--node IDX]
 //! cbps experiment NAME [--scale quick|paper|large] [--nodes N] [--overlay chord|pastry] [--jobs N]
@@ -31,7 +31,7 @@ usage:
                  [--mapping m1|m2|m3] [--primitive unicast|mcast|walk]
                  [--notify immediate|buffered:SECS|collecting:SECS]
                  [--discretization W] [--replication R]
-                 [--match-engine counting|sorted] [--rendezvous static|adaptive]
+                 [--match-engine counting|sorted]
   cbps stats FILE [--out FILE] [run-trace deployment flags]
                  (replay with observability on; emit the cbps-report/v2 JSON)
   cbps ring [--nodes N] [--seed S] [--node IDX]

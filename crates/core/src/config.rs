@@ -6,7 +6,6 @@ use cbps_overlay::KeySpace;
 use cbps_sim::SimDuration;
 
 use crate::mapping::{AkMapping, EventKeyChoice, MappingKind};
-use crate::rendezvous::{RendezvousMode, RendezvousParams, RendezvousPolicy};
 use crate::space::EventSpace;
 
 /// Which overlay primitive propagates subscriptions and publications to
@@ -42,6 +41,22 @@ pub enum NotifyMode {
         /// The buffering/exchange period.
         period: SimDuration,
     },
+}
+
+/// The rendezvous placement: always the configured stateless ak-mapping.
+///
+/// Read by nothing in this workspace. It stays only because the frozen
+/// `benchmark/` crate asks [`RendezvousPolicy::is_adaptive`] for its knob
+/// vector; the benchmark-only change that drops `NetConfig::shards` drops
+/// it too.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RendezvousPolicy;
+
+impl RendezvousPolicy {
+    /// Always `false`: no rendezvous is ever relocated at run time.
+    pub fn is_adaptive(&self) -> bool {
+        false
+    }
 }
 
 /// Full configuration of a pub/sub deployment, shared by every node.
@@ -88,12 +103,7 @@ pub struct PubSubConfig {
     ///
     /// [`SubscriptionStore`]: crate::SubscriptionStore
     pub covering: bool,
-    /// The dynamic rendezvous layer wrapping the mapping (the
-    /// `--rendezvous static|adaptive` knob). [`RendezvousMode::Static`]
-    /// — the default — bypasses it entirely, keeping every static-mode
-    /// run byte-identical to earlier releases; `Adaptive` splits hot
-    /// rendezvous arcs online without changing delivered sets (see
-    /// [`RendezvousPolicy`]).
+    /// Always the stateless mapping; see [`RendezvousPolicy`].
     pub rendezvous: RendezvousPolicy,
 }
 
@@ -113,7 +123,7 @@ impl PubSubConfig {
             default_ttl: None,
             lease_refresh: false,
             covering: true,
-            rendezvous: RendezvousPolicy::default(),
+            rendezvous: RendezvousPolicy,
         }
     }
 
@@ -196,23 +206,6 @@ impl PubSubConfig {
     /// Enables or disables subscription covering at rendezvous nodes.
     pub fn with_covering(mut self, on: bool) -> Self {
         self.covering = on;
-        self
-    }
-
-    /// Sets the rendezvous mode (static = the paper's stateless mapping,
-    /// adaptive = online hotspot splitting) with default tuning.
-    pub fn with_rendezvous(mut self, mode: RendezvousMode) -> Self {
-        self.rendezvous = RendezvousPolicy::new(mode);
-        self
-    }
-
-    /// Sets the rendezvous mode with explicit tuning parameters.
-    pub fn with_rendezvous_params(
-        mut self,
-        mode: RendezvousMode,
-        params: RendezvousParams,
-    ) -> Self {
-        self.rendezvous = RendezvousPolicy::new(mode).with_params(params);
         self
     }
 

@@ -126,14 +126,6 @@ pub enum ConfigError {
         /// The engine's limit.
         limit: usize,
     },
-    /// The adaptive rendezvous policy was configured with a degenerate
-    /// tuning: zero mirror groups (nothing to split into), more groups
-    /// than the key space has disjoint mirror positions, or a zero
-    /// control interval (the control loop would never advance time).
-    BadRendezvousTuning {
-        /// The configured mirror-group count.
-        groups: u32,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -160,11 +152,6 @@ impl fmt::Display for ConfigError {
             ConfigError::TooManyDimensions { dims, limit } => write!(
                 f,
                 "sorted matching engine supports at most {limit} dimensions, space has {dims}"
-            ),
-            ConfigError::BadRendezvousTuning { groups } => write!(
-                f,
-                "adaptive rendezvous needs 1..=63 mirror groups that fit the key space \
-                 and a non-zero control interval (got {groups} groups)"
             ),
         }
     }

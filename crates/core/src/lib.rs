@@ -58,7 +58,6 @@ mod mapping;
 mod msg;
 mod node;
 mod oracle;
-mod rendezvous;
 mod sorted;
 mod space;
 mod store;
@@ -67,7 +66,7 @@ mod system;
 
 pub use backend::{BackendCtx, ChordBackend, ChordPubSub, OverlayBackend};
 pub use cbps_sim::MatchEngineKind;
-pub use config::{deployment_key_space, NotifyMode, Primitive, PubSubConfig};
+pub use config::{deployment_key_space, NotifyMode, Primitive, PubSubConfig, RendezvousPolicy};
 pub use covering::CoveringStats;
 pub use engine::{AnyMatchEngine, MatchEngine, SlotKey};
 pub use error::{ConfigError, PubSubError};
@@ -77,10 +76,6 @@ pub use mapping::{AkMapping, EventKeyChoice, MappingKind};
 pub use msg::{CollectItem, DeliveredNote, NotifyBatch, NotifyItem, PubSubMsg, PubSubTimer};
 pub use node::PubSubNode;
 pub use oracle::Oracle;
-pub use rendezvous::{
-    assign_group, ControlOutcome, LoadSample, RendezvousMode, RendezvousParams, RendezvousPolicy,
-    SplitEntry, SplitPhase, SweepKind, SweepOp,
-};
 pub use sorted::SortedIndex;
 pub use space::{AttributeDef, EventSpace};
 pub use store::{MatchHit, StoredSub, SubscriptionStore};

@@ -17,7 +17,6 @@ use crate::config::{NotifyMode, Primitive, PubSubConfig};
 use crate::dedup::PairSet;
 use crate::event::{Event, EventId};
 use crate::msg::{CollectItem, DeliveredNote, NotifyBatch, NotifyItem, PubSubMsg, PubSubTimer};
-use crate::rendezvous::{assign_group, shift_set, SweepKind, SweepOp};
 use crate::store::{MatchHit, StoredSub, SubscriptionStore};
 use crate::subscription::{IdSet, SubId, Subscription};
 
@@ -67,8 +66,8 @@ pub struct PubSubNode {
     /// [`SubscriptionStore::match_event_into`]).
     match_buf: Vec<MatchHit>,
     /// Cumulative rendezvous work (publications processed + matches
-    /// produced) — the load signal the adaptive rendezvous control loop
-    /// reads. A plain counter: maintaining it never changes behavior.
+    /// produced) — the per-node load that load-skew reports read. A plain
+    /// counter: maintaining it never changes behavior.
     work: u64,
 }
 
@@ -120,8 +119,8 @@ impl PubSubNode {
     }
 
     /// Cumulative rendezvous work units (publications processed plus
-    /// matches produced) since the node was created — the per-node load
-    /// signal of the adaptive rendezvous layer.
+    /// matches produced) since the node was created. A publication this
+    /// node's event dedup dropped counts for nothing.
     pub fn rendezvous_work(&self) -> u64 {
         self.work
     }
@@ -164,7 +163,7 @@ impl PubSubNode {
         let trace = TraceId::for_subscription(me.idx, self.next_sub_seq);
         self.next_sub_seq += 1;
         svc.stage(trace, Stage::Subscribe, TrafficClass::SUBSCRIPTION);
-        let (sk, subgroups) = self.cfg.rendezvous.sub_targets(&self.cfg.mapping, &sub, id);
+        let sk = self.cfg.mapping.sk(&sub);
         let expires = match ttl.or(self.cfg.default_ttl) {
             Some(d) => svc.now() + d,
             None => SimTime::MAX,
@@ -177,7 +176,7 @@ impl PubSubNode {
             expires,
             sk: sk.clone(),
             trace,
-            subgroups,
+            subgroups: 0,
         });
         self.my_subs.insert(id, Arc::clone(&stored));
         svc.metrics().add("requests.subscribe", 1);
@@ -215,22 +214,12 @@ impl PubSubNode {
         // Extend by the original lease length, measured from now.
         let half_lease = old_expiry.saturating_since(now);
         let new_expiry = now + half_lease * 2;
-        // Recompute the rendezvous targets: under the adaptive policy the
-        // split table may have changed since the subscription was issued,
-        // and the refresh must land wherever the record now lives.
-        let (sk, subgroups) = {
-            let record = self.my_subs.get(&id).expect("checked above");
-            self.cfg
-                .rendezvous
-                .sub_targets(&self.cfg.mapping, &record.sub, id)
-        };
         // A renewed record replaces the shared one; the old one is never
-        // written to.
+        // written to. The mapping is stateless, so the renewal goes to the
+        // keys the subscription was first stored under.
         let record = self.my_subs.get_mut(&id).expect("checked above");
         let stored = Arc::new(StoredSub {
             expires: new_expiry,
-            sk,
-            subgroups,
             ..StoredSub::clone(record)
         });
         *record = Arc::clone(&stored);
@@ -257,16 +246,8 @@ impl PubSubNode {
             return false;
         };
         svc.metrics().add("requests.unsubscribe", 1);
-        // Target every key the record may currently be stored under (a
-        // superset: under the adaptive policy the record may have been
-        // migrated since it was issued, and a removal routed to a key
-        // holding no copy is a no-op).
-        let (targets, _) = self
-            .cfg
-            .rendezvous
-            .resident_targets(&self.cfg.mapping, &stored.sub, id);
         self.propagate(
-            &targets,
+            &stored.sk,
             TrafficClass::SUBSCRIPTION,
             PubSubMsg::Unsubscribe { id },
             stored.trace,
@@ -283,7 +264,7 @@ impl PubSubNode {
         let trace = TraceId::for_publication(me.idx, self.next_event_seq);
         self.next_event_seq += 1;
         svc.stage(trace, Stage::Publish, TrafficClass::PUBLICATION);
-        let ek = self.cfg.rendezvous.pub_targets(&self.cfg.mapping, &event);
+        let ek = self.cfg.mapping.ek(&event);
         svc.metrics().add("requests.publish", 1);
         svc.metrics()
             .histogram_mut("keys.per-publication")
@@ -714,184 +695,6 @@ impl PubSubNode {
                 self.store.insert(id, stored, now);
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Adaptive-rendezvous store sweeps.
-    // ------------------------------------------------------------------
-
-    /// Executes one adaptive-rendezvous store sweep at this node (see
-    /// [`SweepOp`]). The network's control loop invokes this on the nodes
-    /// covering the swept arcs at entry phase transitions — never from a
-    /// message handler. Record iteration is sorted by id so the emitted
-    /// message order (and thus the whole run) is independent of hash-map
-    /// iteration order. Returns the number of records touched.
-    ///
-    /// Safety argument for the purges: a record is only removed when its
-    /// *resident target set* — the static `SK` plus the assigned mirror
-    /// image of every live split entry — no longer intersects this node's
-    /// coverage outside the vacated arc. Natives and copies serving other
-    /// live entries therefore always survive, and the copy created by the
-    /// preceding migrate/copy-back sweep (one full control interval
-    /// earlier, so guaranteed landed) is the record's new home.
-    pub fn rendezvous_sweep(&mut self, op: &SweepOp, svc: &mut DynSvc<'_>) -> u64 {
-        let space = svc.space();
-        let me = svc.me();
-        let pred = svc.predecessor().unwrap_or(me);
-        let bit = 1u64 << op.entry.slot;
-        let mut touched = 0u64;
-        match op.kind {
-            SweepKind::Migrate => {
-                // Copy every base-arc resident to its assigned mirror.
-                // Records already tagged (subscriptions issued while the
-                // entry was live) hold their mirror copy already.
-                let mut items: Vec<(SubId, Arc<StoredSub>)> = self
-                    .store
-                    .iter()
-                    .filter(|(_, s)| {
-                        s.subgroups & bit == 0
-                            && !self
-                                .cfg
-                                .mapping
-                                .sk(&s.sub)
-                                .extract_arc_oc(space, op.entry.start, op.entry.end)
-                                .is_empty()
-                    })
-                    .map(|(id, s)| (id, Arc::clone(s)))
-                    .collect();
-                items.sort_by_key(|(id, _)| *id);
-                for (id, s) in items {
-                    let portion = self.cfg.mapping.sk(&s.sub).extract_arc_oc(
-                        space,
-                        op.entry.start,
-                        op.entry.end,
-                    );
-                    let j = assign_group(id, op.entry.groups);
-                    let image = shift_set(space, &portion, op.entry.offset * u64::from(j));
-                    let mut sk = s.sk.extract_arc_oc(space, op.entry.end, op.entry.start);
-                    sk.union_with(&image);
-                    let trace = s.trace;
-                    let copy = Arc::new(StoredSub {
-                        sk,
-                        subgroups: s.subgroups | bit,
-                        ..StoredSub::clone(&s)
-                    });
-                    touched += 1;
-                    self.propagate(
-                        &image,
-                        TrafficClass::STATE_TRANSFER,
-                        PubSubMsg::Subscribe { id, stored: copy },
-                        trace,
-                        svc,
-                    );
-                }
-            }
-            SweepKind::PurgeBase => {
-                let mut doomed: Vec<SubId> = self
-                    .store
-                    .iter()
-                    .filter(|(id, s)| {
-                        let static_sk = self.cfg.mapping.sk(&s.sub);
-                        if static_sk
-                            .extract_arc_oc(space, op.entry.start, op.entry.end)
-                            .is_empty()
-                        {
-                            return false;
-                        }
-                        let (resident, _) =
-                            self.cfg
-                                .rendezvous
-                                .resident_targets(&self.cfg.mapping, &s.sub, *id);
-                        resident
-                            .extract_arc_oc(space, op.entry.end, op.entry.start)
-                            .extract_arc_oc(space, pred.key, me.key)
-                            .is_empty()
-                    })
-                    .map(|(id, _)| id)
-                    .collect();
-                doomed.sort_unstable();
-                for id in doomed {
-                    self.store.remove(id);
-                    touched += 1;
-                }
-                svc.obs_sample("store.size", self.store.len() as u64);
-            }
-            SweepKind::CopyBack => {
-                let mut items: Vec<(SubId, Arc<StoredSub>)> = self
-                    .store
-                    .iter()
-                    .filter(|(_, s)| s.subgroups & bit != 0)
-                    .map(|(id, s)| (id, Arc::clone(s)))
-                    .collect();
-                items.sort_by_key(|(id, _)| *id);
-                for (id, s) in items {
-                    let static_p = self.cfg.mapping.sk(&s.sub).extract_arc_oc(
-                        space,
-                        op.entry.start,
-                        op.entry.end,
-                    );
-                    if static_p.is_empty() {
-                        continue; // stale bit from a recycled slot
-                    }
-                    let j = assign_group(id, op.entry.groups);
-                    let d = op.entry.offset * u64::from(j);
-                    let (ia, ib) = (space.add(op.entry.start, d), space.add(op.entry.end, d));
-                    let mut sk = s.sk.extract_arc_oc(space, ib, ia);
-                    sk.union_with(&static_p);
-                    let trace = s.trace;
-                    let copy = Arc::new(StoredSub {
-                        sk,
-                        subgroups: s.subgroups & !bit,
-                        ..StoredSub::clone(&s)
-                    });
-                    touched += 1;
-                    self.propagate(
-                        &static_p,
-                        TrafficClass::STATE_TRANSFER,
-                        PubSubMsg::Subscribe { id, stored: copy },
-                        trace,
-                        svc,
-                    );
-                }
-            }
-            SweepKind::PurgeMirror => {
-                // The entry has already left the table, so the resident
-                // set excludes it: purge tagged copies the current table
-                // no longer homes here, re-tag the ones that stay.
-                let mut tagged: Vec<SubId> = self
-                    .store
-                    .iter()
-                    .filter(|(_, s)| s.subgroups & bit != 0)
-                    .map(|(id, _)| id)
-                    .collect();
-                tagged.sort_unstable();
-                let now = svc.now();
-                for id in tagged {
-                    let Some(s) = self.store.get(id) else {
-                        continue;
-                    };
-                    let (resident, bits) =
-                        self.cfg
-                            .rendezvous
-                            .resident_targets(&self.cfg.mapping, &s.sub, id);
-                    let keep = !resident.extract_arc_oc(space, pred.key, me.key).is_empty();
-                    let Some(s) = self.store.remove(id) else {
-                        continue;
-                    };
-                    touched += 1;
-                    if keep {
-                        let retagged = StoredSub {
-                            sk: resident,
-                            subgroups: bits,
-                            ..StoredSub::clone(&s)
-                        };
-                        self.store.insert(id, retagged, now);
-                    }
-                }
-                svc.obs_sample("store.size", self.store.len() as u64);
-            }
-        }
-        touched
     }
 }
 

@@ -42,13 +42,10 @@ pub struct StoredSub {
     /// (always minted — ids are cheap; recording is what observability
     /// gates).
     pub trace: TraceId,
-    /// Bitmask of adaptive-rendezvous split slots whose mirror images this
-    /// record's `sk` includes (see [`RendezvousPolicy`]): bit `s` set
-    /// means the record participates in the live split entry occupying
-    /// slot `s`, so the merge sweeps can find (and re-home or release)
-    /// exactly the migrated copies. Always `0` under the static policy.
-    ///
-    /// [`RendezvousPolicy`]: crate::RendezvousPolicy
+    /// Always `0`, and read by nothing in this workspace: it stays only
+    /// because the frozen `benchmark/` crate writes it in a struct literal;
+    /// the benchmark-only change that drops `NetConfig::shards` drops it
+    /// too.
     pub subgroups: u64,
 }
 
@@ -398,11 +395,7 @@ impl SubscriptionStore {
 
 /// `true` iff the two records are the same apart from `expires`.
 fn differs_only_in_expiry(a: &StoredSub, b: &StoredSub) -> bool {
-    a.subscriber == b.subscriber
-        && a.trace == b.trace
-        && a.subgroups == b.subgroups
-        && a.sub == b.sub
-        && a.sk == b.sk
+    a.subscriber == b.subscriber && a.trace == b.trace && a.sub == b.sub && a.sk == b.sk
 }
 
 #[cfg(test)]
@@ -594,10 +587,10 @@ mod tests {
 
         // One that differs elsewhere too only hands over its expiry.
         let mut moved = stored(0, 10, SimTime::from_secs(70));
-        moved.subgroups = 1;
+        moved.trace = TraceId::for_subscription(0, 1);
         assert!(!a.insert(SubId(1), moved, SimTime::ZERO));
         assert_eq!(a.get(SubId(1)).unwrap().expires, SimTime::from_secs(70));
-        assert_eq!(a.get(SubId(1)).unwrap().subgroups, 0);
+        assert_eq!(a.get(SubId(1)).unwrap().trace, TraceId::NONE);
 
         // Neither shared record was written to, and `b` still lapses on
         // the original lease while `a` lives on.

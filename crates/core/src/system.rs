@@ -15,7 +15,6 @@ use crate::error::{ConfigError, PubSubError};
 use crate::event::{Event, EventId};
 use crate::msg::DeliveredNote;
 use crate::node::PubSubNode;
-use crate::rendezvous::LoadSample;
 use crate::subscription::{SubId, Subscription};
 
 /// A complete simulated content-based pub/sub deployment.
@@ -64,12 +63,6 @@ pub struct PubSubNetwork<B: OverlayBackend = ChordBackend> {
     /// Matching engine newly joining nodes are created with (the same one
     /// the initial population runs).
     match_engine: MatchEngineKind,
-    /// Next control-step time of the adaptive rendezvous loop
-    /// ([`SimTime::MAX`] under the static policy, so the loop never runs).
-    rdv_next_control: SimTime,
-    /// Per-node cumulative work observed at the previous control step
-    /// (window loads are deltas against this).
-    rdv_prev_work: Vec<u64>,
 }
 
 /// Builder for [`PubSubNetwork`]. Start from
@@ -417,20 +410,7 @@ impl<B: OverlayBackend> PubSubNetwork<B> {
     }
 
     /// Advances the simulation to the given absolute time.
-    ///
-    /// Under the adaptive rendezvous policy the advance is chunked at the
-    /// policy's control interval: the simulator runs to each control time,
-    /// pauses (no event below the control time left in the queue), takes
-    /// one [control step](crate::RendezvousPolicy), and resumes. Decisions
-    /// therefore depend only on node state at deterministic absolute
-    /// times — identical across schedulers.
     pub fn run_until(&mut self, t: SimTime) {
-        while self.rdv_next_control <= t {
-            let at = self.rdv_next_control;
-            self.sim.run_until(at);
-            self.rendezvous_control_step(at);
-            self.rdv_next_control = at + self.cfg.rendezvous.params().interval;
-        }
         self.sim.run_until(t);
     }
 
@@ -447,84 +427,12 @@ impl<B: OverlayBackend> PubSubNetwork<B> {
     }
 
     /// Cumulative rendezvous work units (publications processed + matches
-    /// produced) of every node — the load signal of the adaptive
-    /// rendezvous layer, also useful for load-skew reporting.
+    /// produced) of every node — the load that load-skew reports read.
     pub fn rendezvous_work_counts(&self) -> Vec<u64> {
         self.sim
             .nodes()
             .map(|(_, n)| B::app(n).rendezvous_work())
             .collect()
-    }
-
-    /// Adaptive-rendezvous totals so far: `(splits, merges)`. Always
-    /// `(0, 0)` under the static policy.
-    pub fn rendezvous_counters(&self) -> (u64, u64) {
-        self.cfg.rendezvous.counters()
-    }
-
-    /// One adaptive-rendezvous control step at time `at`: sample every
-    /// live node's work window, let the policy advance entry lifecycles
-    /// and detect hotspots, then run the requested store sweeps on the
-    /// covering nodes. Runs strictly between simulator segments, so the
-    /// split table every node reads within a segment is constant.
-    fn rendezvous_control_step(&mut self, at: SimTime) {
-        let works = self.rendezvous_work_counts();
-        if self.rdv_prev_work.len() < works.len() {
-            self.rdv_prev_work.resize(works.len(), 0);
-        }
-        let space = self.ring.space();
-        // Coverage arcs come from the ring oracle: one sample per live
-        // initial node. Nodes joined after build are excluded from
-        // hotspot detection (the oracle has no arc for them) but still
-        // participate in sweeps below.
-        let peers = self.ring.peers();
-        let mut loads = Vec::with_capacity(peers.len());
-        for (i, p) in peers.iter().enumerate() {
-            if !self.sim.is_alive(p.idx) {
-                continue;
-            }
-            let pred = peers[(i + peers.len() - 1) % peers.len()];
-            loads.push(LoadSample {
-                window: works[p.idx].saturating_sub(self.rdv_prev_work[p.idx]),
-                arc_start: pred.key,
-                arc_end: p.key,
-            });
-        }
-        let outcome = self.cfg.rendezvous.control_step(space, at, &loads);
-        self.rdv_prev_work = works;
-        if outcome.splits > 0 {
-            self.sim
-                .metrics_mut()
-                .add("rendezvous.splits", outcome.splits);
-        }
-        if outcome.merges > 0 {
-            self.sim
-                .metrics_mut()
-                .add("rendezvous.merges", outcome.merges);
-        }
-        for op in &outcome.sweeps {
-            let targets = self.cfg.rendezvous.sweep_targets(space, op);
-            let mut idxs: Vec<NodeIdx> = self
-                .ring
-                .covering_nodes(&targets)
-                .iter()
-                .map(|p| p.idx)
-                .collect();
-            // Late joiners are absent from the oracle: offer them every
-            // sweep (each node re-checks its own coverage and records).
-            idxs.extend(self.ring.len()..self.sim.len());
-            idxs.sort_unstable();
-            idxs.dedup();
-            let op = *op;
-            for idx in idxs {
-                if !self.sim.is_alive(idx) {
-                    continue;
-                }
-                self.sim.with_node(idx, |n, ctx| {
-                    B::app_call(n, ctx, |app, svc| app.rendezvous_sweep(&op, svc))
-                });
-            }
-        }
     }
 
     /// Stored-subscription count of every node (rendezvous primaries).
@@ -721,18 +629,6 @@ impl<B: OverlayBackend> PubSubNetworkBuilder<B> {
                 limit: 64,
             });
         }
-        if self.pubsub.rendezvous.is_adaptive() {
-            let p = self.pubsub.rendezvous.params();
-            let keys = self.pubsub.mapping.key_space();
-            // The mirror spacing 2^m/(G+1) must leave room for at least
-            // one key per mirror position, and the control loop must
-            // advance time.
-            let degenerate =
-                p.groups == 0 || u64::from(p.groups) + 1 > keys.size() || p.interval.is_zero();
-            if degenerate {
-                return Err(ConfigError::BadRendezvousTuning { groups: p.groups });
-            }
-        }
         Ok(())
     }
 
@@ -749,19 +645,12 @@ impl<B: OverlayBackend> PubSubNetworkBuilder<B> {
         let cfg = self.pubsub.into_shared();
         let apps = fresh_apps(&cfg, self.nodes, self.net.match_engine);
         let (sim, ring) = B::build(self.net, &self.overlay, apps);
-        let rdv_next_control = if cfg.rendezvous.is_adaptive() {
-            SimTime::ZERO + cfg.rendezvous.params().interval
-        } else {
-            SimTime::MAX
-        };
         let mut net = PubSubNetwork {
             sim,
             ring,
             cfg,
             overlay_cfg: self.overlay,
             match_engine: self.net.match_engine,
-            rdv_next_control,
-            rdv_prev_work: Vec::new(),
         };
         if self.obs.enabled() {
             net.set_observability(self.obs);

@@ -191,9 +191,9 @@ fn check_against_model(case: usize, engine: MatchEngineKind, covering: bool, ops
 }
 
 /// What the model keeps per live id in [`record_table_churn`]: the range,
-/// the expiry in seconds (`u64::MAX` = never) and a tag carried in
-/// `StoredSub::subgroups` and as the subscriber's index, which tells which
-/// record the store holds and whom its row says to notify.
+/// the expiry in seconds (`u64::MAX` = never) and a tag carried as the
+/// subscriber's index, which tells which record the store holds and whom
+/// its row says to notify.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Held {
     lo: u64,
@@ -220,7 +220,7 @@ fn record(space: &EventSpace, held: Held) -> StoredSub {
         },
         sk: KeyRangeSet::of_key(keys, keys.key(2)),
         trace: TraceId::NONE,
-        subgroups: held.tag,
+        subgroups: 0,
     }
 }
 
@@ -329,7 +329,7 @@ fn record_table_churn() {
                             let tag = model[&id.0].tag;
                             assert_eq!(subscriber.idx as u64, tag, "{ctx}: subscriber of {id}");
                             let rec = store.matched_record(row);
-                            assert_eq!(rec.subgroups, tag, "{ctx}: handle of {id}");
+                            assert_eq!(rec.subscriber.idx as u64, tag, "{ctx}: handle of {id}");
                             asked += 1;
                         }
                     }
@@ -354,7 +354,7 @@ fn record_table_churn() {
                             lo: c.lo(),
                             hi: c.hi(),
                             expires,
-                            tag: rec.subgroups,
+                            tag: rec.subscriber.idx as u64,
                         };
                         assert_eq!(store.get(id), Some(&**rec), "{ctx}: get {id}");
                         (id.0, held)
@@ -591,8 +591,8 @@ fn recycled_row_does_not_answer_for_its_previous_tenant() {
         store.insert(SubId(1), record(&space, held(10, 50, 3)), SimTime::ZERO);
         assert_eq!(ids(&mut store, 15), [(1, 1)]);
         assert_eq!(store.purge_expired(SimTime::from_secs(6)), 0);
-        assert_eq!(store.get(SubId(2)).map(|r| r.subgroups), Some(2));
-        assert_eq!(store.get(SubId(1)).map(|r| r.subgroups), Some(3));
+        assert_eq!(store.get(SubId(2)).map(|r| r.subscriber.idx), Some(2));
+        assert_eq!(store.get(SubId(1)).map(|r| r.subscriber.idx), Some(3));
         assert_eq!(store.purge_expired(SimTime::from_secs(50)), 1);
         assert_eq!(
             store.iter().map(|(id, _)| id).collect::<Vec<_>>(),

@@ -695,7 +695,7 @@ mod tests {
     }
 
     /// Every counter and histogram name the workspace's code uses.
-    const REAL_NAMES: [&str; 34] = [
+    const REAL_NAMES: [&str; 32] = [
         "matches",
         "notifications.delivered",
         "notifications.messages",
@@ -712,8 +712,6 @@ mod tests {
         "replicas.stored",
         "replicas.promoted",
         "state-transfer.adopted",
-        "rendezvous.splits",
-        "rendezvous.merges",
         "routing.ttl-drop",
         "lookup.hops",
         "keys.per-subscription",

@@ -314,3 +314,39 @@ fn disabled_observability_records_nothing() {
     }
     assert!(checked > 0, "workload produced no deliveries");
 }
+
+/// The per-node rendezvous work that the benchmark's load metric and the
+/// report's load block read is one unit per publication a rendezvous node
+/// matched plus one per match it produced: summed over the nodes it equals
+/// the `matches` counter plus the number of `rendezvous.fanout` samples.
+/// Per-key unicast under mapping 3 hands one node the same publication
+/// under several keys; the copies its event dedup drops are nobody's work.
+#[test]
+fn rendezvous_work_is_matched_publications_plus_matches() {
+    let mut net = PubSubNetworkBuilder::<ChordBackend>::new()
+        .nodes(60)
+        .net_config(NetConfig::new(37))
+        .pubsub(
+            PubSubConfig::paper_default()
+                .with_mapping(MappingKind::SelectiveAttribute)
+                .with_primitive(Primitive::Unicast),
+        )
+        .observability(ObsMode::Full)
+        .build()
+        .expect("valid network configuration");
+    run_workload(&mut net, 37);
+    let m = net.metrics();
+    let matches = m.counter("matches");
+    assert!(matches > 0, "workload produced no matches");
+    assert!(
+        m.counter("publish.duplicate-delivery") > 0,
+        "no rendezvous node received a publication twice"
+    );
+    let fanout = m
+        .obs()
+        .named_histogram("rendezvous.fanout")
+        .expect("publications reached rendezvous nodes");
+    assert_eq!(fanout.sum(), u128::from(matches));
+    let work: u64 = net.rendezvous_work_counts().iter().sum();
+    assert_eq!(work, matches + fanout.len());
+}
