@@ -54,13 +54,19 @@ cargo test --release -q -p cbps-bench --test alloc_steady --test alloc_install \
 # The sampling profiler of `ci/prof` is C and Python, out of cargo's sight:
 # build it and take one profile of a sub-second run, so that the next perf
 # change finds it working (usage: .claude/skills/verify/SKILL.md).
+# The run goes through `timeout`, a wrapper that inherits the preload and
+# exits after the binary: the binary's samples must survive it.
 if command -v gcc >/dev/null 2>&1 && command -v python3 >/dev/null 2>&1 &&
-    command -v addr2line >/dev/null 2>&1; then
+    command -v addr2line >/dev/null 2>&1 && command -v timeout >/dev/null 2>&1; then
     echo "==> ci/prof sampler smoke"
     prof_dir=$(mktemp -d)
     gcc -O2 -Wall -Wextra -Werror -shared -fPIC -o "$prof_dir/samp.so" ci/prof/samp.c
     SAMP_HZ=1000 SAMP_OUT="$prof_dir/fig6.samp" LD_PRELOAD="$prof_dir/samp.so" \
-        ./target/release/figures --scale quick --jobs 1 fig6 >/dev/null 2>&1
+        timeout 300 ./target/release/figures --scale quick --jobs 1 fig6 >/dev/null 2>&1
+    if ! grep -q '^S' "$prof_dir/fig6.samp" 2>/dev/null; then
+        echo "FAIL: the sampler left no samples of a run behind a wrapper" >&2
+        exit 1
+    fi
     python3 ci/prof/report.py "$prof_dir/fig6.samp" --view incl --top 400 >"$prof_dir/incl.txt"
     if ! grep -q 'main' "$prof_dir/incl.txt"; then
         echo "FAIL: the sampler's report names no frame of the run it sampled" >&2
@@ -69,7 +75,7 @@ if command -v gcc >/dev/null 2>&1 && command -v python3 >/dev/null 2>&1 &&
     fi
     rm -rf "$prof_dir"
 else
-    echo "==> gcc, python3 or addr2line missing; skipping the ci/prof smoke"
+    echo "==> gcc, python3, addr2line or timeout missing; skipping the ci/prof smoke"
 fi
 
 # Hint neutrality: `tests/hint_neutrality.rs` pins what a fanout-shaped run
@@ -156,7 +162,7 @@ fi
 echo "==> overlay smoke passed (chord baseline byte-identical, fingerprints match)"
 
 # Match-engine and serial-vs-parallel smoke: the sorted-segment index must
-# be an exact drop-in for the counting index at rendezvous nodes, and
+# be an exact drop-in for the default flat table (`counting`), and
 # --jobs (which drives both the sweep-point worker pool and the parallel
 # node construction) must not change a table. Three quick-scale renders —
 # counting at --jobs 1 and 4, sorted at --jobs 4 — must be byte-identical,

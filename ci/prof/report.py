@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Views of a ci/prof/samp.c sample file.
 
-    report.py SAMPLES [--frame SUBSTR] [--view leaf|incl|tree] [--top N] [--depth N]
+    report.py SAMPLES [--frame SUBSTR] [--exclude SUBSTR]... [--view leaf|incl|tree]
+              [--top N] [--depth N]
 
 Addresses are resolved with `addr2line -f -i -C` against the objects named in
 the file's /proc/self/maps copy (build with CARGO_PROFILE_RELEASE_DEBUG=1, or
 every Rust frame reads `??`). `--frame` keeps the samples whose stack has a
 function containing SUBSTR and cuts each stack there, so shares are of that
-frame's inclusive time. leaf: innermost function (inlined frames count as
-functions); incl: every function once per sample it appears in; tree:
-callers-first, children indented, down to --depth.
+frame's inclusive time. `--exclude` (repeatable) first drops every sample
+whose stack has a function containing SUBSTR anywhere, e.g. a benchmark's
+host probe that runs outside its timed wall.
+leaf: innermost function (inlined frames count as functions); incl: every
+function once per sample it appears in; tree: callers-first, children
+indented, down to --depth.
 """
 import argparse
 import collections
@@ -66,6 +70,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("samples")
     ap.add_argument("--frame", default=None)
+    ap.add_argument("--exclude", action="append", default=[])
     ap.add_argument("--view", choices=["leaf", "incl", "tree"], default="leaf")
     ap.add_argument("--top", type=int, default=40)
     ap.add_argument("--depth", type=int, default=6)
@@ -75,6 +80,8 @@ def main():
     stacks = []
     for stack in samples:
         fns = [fn for d, a in enumerate(stack) for fn in name_of(a, d == 0)]  # innermost first
+        if any(x in fn for x in args.exclude for fn in fns):
+            continue
         if args.frame:
             cut = max((i for i, fn in enumerate(fns) if args.frame in fn), default=None)
             if cut is None:
@@ -83,7 +90,8 @@ def main():
         if fns:
             stacks.append(fns)
     total = len(stacks)
-    print(f"{total} of {len(samples)} samples" + (f" under '{args.frame}'" if args.frame else ""))
+    print(f"{total} of {len(samples)} samples" + (f" under '{args.frame}'" if args.frame else "")
+          + "".join(f", without '{x}'" for x in args.exclude))
     if args.view == "tree":
         tree = lambda: collections.defaultdict(tree)  # noqa: E731
         root, counts = tree(), collections.Counter()

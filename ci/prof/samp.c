@@ -6,6 +6,11 @@
  *
  *   gcc -O2 -shared -fPIC -o samp.so ci/prof/samp.c
  *   SAMP_OUT=/tmp/p.samp LD_PRELOAD=$PWD/samp.so ./the-binary args...
+ *
+ * Every process that loads the object samples itself, wrappers included:
+ * `timeout` or a shell in front of the binary inherits LD_PRELOAD, waits
+ * for its child and exits last. A process that took no sample therefore
+ * writes nothing, so a waiting wrapper leaves the child's file alone.
  */
 #define _GNU_SOURCE
 #include <execinfo.h>
@@ -33,6 +38,7 @@ static void on_tick(int sig) {
 static void dump(void) {
     struct itimerval off = {{0, 0}, {0, 0}};
     setitimer(ITIMER_PROF, &off, NULL);
+    if (taken == 0) return;
     const char *path = getenv("SAMP_OUT");
     FILE *out = fopen(path ? path : "samp.out", "w");
     FILE *maps = fopen("/proc/self/maps", "r");

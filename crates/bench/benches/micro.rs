@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the system's hot components: the three
-//! ak-mappings, the matching index vs brute force, the m-cast split,
+//! ak-mappings, the matching engines (against brute force, and swept over
+//! 10^2 … 10^5 rows), the m-cast split,
 //! greedy routing, and SHA-1 hashing.
 //!
 //! A self-contained `Instant`-based harness (`harness = false`, no
@@ -9,7 +10,9 @@
 
 use std::time::{Duration, Instant};
 
-use cbps::{AkMapping, Event, EventSpace, MappingKind, MatchIndex, SortedIndex, Subscription};
+use cbps::{
+    AkMapping, Event, EventSpace, MappingKind, MatchEngine, MatchIndex, SortedIndex, Subscription,
+};
 use cbps_overlay::{
     hash::sha1, KeyRangeSet, KeySpace, OverlayConfig, Peer, RingView, RoutingState,
 };
@@ -87,7 +90,7 @@ fn bench_matching() {
     }
     let mut hits = Vec::new();
     let mut i = 0;
-    bench("matching-2000-subs/counting-index", || {
+    bench("matching-2000-subs/flat-index", || {
         let e = &events[i % events.len()];
         i += 1;
         index.matches_into(e, &mut hits);
@@ -106,6 +109,67 @@ fn bench_matching() {
         i += 1;
         std::hint::black_box(index.matches_brute_force(e));
     });
+}
+
+/// The two engines at 10^2 … 10^5 rows of the paper's workload: ns per
+/// insert (into a fresh engine, filled in slot order), per match (the
+/// flat table's also per row it scans) and per remove (in a scattered
+/// order). DESIGN.md "Matching engines" records the crossover.
+fn bench_engine_sweep() {
+    for rows in [100, 1_000, 10_000, 100_000] {
+        let (space, subs, events) = workload(rows);
+        sweep_point("flat", &subs, &events, || MatchIndex::new(&space));
+        sweep_point("sorted", &subs, &events, || SortedIndex::new(&space));
+    }
+}
+
+fn sweep_point<E: MatchEngine + Clone>(
+    name: &str,
+    subs: &[Subscription],
+    events: &[Event],
+    new: impl Fn() -> E,
+) {
+    let rows = subs.len();
+    let ns_per = |start: Instant, ops: usize| start.elapsed().as_nanos() as f64 / ops as f64;
+    let rounds = (400_000 / rows).max(2);
+    let mut engine = new();
+    let start = Instant::now();
+    for _ in 0..rounds {
+        engine = new();
+        for (slot, sub) in (0u32..).zip(subs) {
+            engine.insert(slot, sub.clone());
+        }
+    }
+    let insert = ns_per(start, rounds * rows);
+
+    let (mut hits, mut matched, mut calls) = (Vec::new(), 0, 0);
+    let start = Instant::now();
+    while calls < 100 || start.elapsed() < Duration::from_millis(100) {
+        engine.matches_into(&events[calls % events.len()], &mut hits);
+        matched += hits.len();
+        calls += 1;
+    }
+    let per_match = ns_per(start, calls);
+
+    let mut removed = 0;
+    let mut elapsed = Duration::ZERO;
+    for _ in 0..rounds {
+        let mut full = engine.clone();
+        let start = Instant::now();
+        for i in 0..rows {
+            // 7 919 is prime and a factor of no row count here: a permutation.
+            std::hint::black_box(full.remove((i * 7_919 % rows) as u32));
+        }
+        elapsed += start.elapsed();
+        removed += rows;
+    }
+    let remove = elapsed.as_nanos() as f64 / removed as f64;
+    println!(
+        "engine-sweep/{name:<6} {rows:>7} rows: insert {insert:>7.1} ns, match {per_match:>10.1} ns \
+         ({:.2} ns/row, {:.1} hits), remove {remove:>6.1} ns",
+        per_match / rows as f64,
+        matched as f64 / calls as f64,
+    );
 }
 
 fn converged_state(n: usize) -> RoutingState {
@@ -184,6 +248,7 @@ fn main() {
     }
     bench_mappings();
     bench_matching();
+    bench_engine_sweep();
     bench_overlay();
     bench_pastry();
     bench_sha1();

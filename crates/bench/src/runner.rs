@@ -26,7 +26,7 @@ static QUEUE_PEAK_MAX: AtomicU64 = AtomicU64::new(0);
 /// (discriminant of [`ObsMode`]; 0 = off).
 static OBS_MODE: AtomicU8 = AtomicU8::new(0);
 /// Matching engine every rendezvous node of a built network runs
-/// (0 = counting index, 1 = sorted index).
+/// (0 = flat table, `counting`; 1 = sorted index).
 static MATCH_ENGINE: AtomicU8 = AtomicU8::new(0);
 /// Merged observability registries of every run since the last reset.
 /// Worker threads fold their run's registry in under this lock; the merge

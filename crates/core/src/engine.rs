@@ -1,8 +1,8 @@
 //! The pluggable matching-engine API.
 //!
 //! Rendezvous matching is the hot path of the whole system (§3.2), so the
-//! store is generic over *how* matching is implemented: the classic
-//! counting index ([`MatchIndex`]) is the reference, the flat sorted table
+//! store is generic over *how* matching is implemented: the flat bounds
+//! table ([`MatchIndex`]) is the default, the sorted-segment index
 //! ([`SortedIndex`]) is the large-store specialist, and both are selected
 //! at deployment time through
 //! [`MatchEngineKind`](cbps_sim::MatchEngineKind). Engines must produce
@@ -139,11 +139,12 @@ impl MatchEngine for SortedIndex {
 /// Runtime-selected engine, one variant per [`MatchEngineKind`].
 #[derive(Clone, Debug)]
 pub enum AnyMatchEngine {
-    /// The counting index (reference implementation).
+    /// The flat bounds table (the default; the variant keeps the name of
+    /// the counting index it replaced).
     Counting(MatchIndex),
-    /// The flat sorted table, boxed: its dozen array headers would
-    /// otherwise size every store of a deployment that runs the counting
-    /// index.
+    /// The sorted-segment index, boxed: its dozen array headers would
+    /// otherwise size every store of a deployment that runs the flat
+    /// table.
     Sorted(Box<SortedIndex>),
 }
 
@@ -161,32 +162,6 @@ impl AnyMatchEngine {
         match self {
             AnyMatchEngine::Counting(_) => MatchEngineKind::Counting,
             AnyMatchEngine::Sorted(_) => MatchEngineKind::Sorted,
-        }
-    }
-
-    /// Hints the lines an insert of `sub` writes first. The sorted engine
-    /// appends to a handful of array tails its header names; nothing to
-    /// ask for ahead of that.
-    pub(crate) fn prefetch_insert(&self, sub: &Subscription) {
-        if let AnyMatchEngine::Counting(e) = self {
-            e.prefetch_insert(sub);
-        }
-    }
-
-    /// Second round of [`AnyMatchEngine::prefetch_insert`].
-    pub(crate) fn prefetch_tails(&self, sub: &Subscription) {
-        if let AnyMatchEngine::Counting(e) = self {
-            e.prefetch_tails(sub);
-        }
-    }
-
-    /// Grows engine-internal scratch to its steady-state size so matching
-    /// never reallocates afterwards. The sorted engine keeps no per-match
-    /// scratch; the counting engine's is bounded by its slot count.
-    pub fn warm(&mut self) {
-        match self {
-            AnyMatchEngine::Counting(e) => e.warm(),
-            AnyMatchEngine::Sorted(_) => {}
         }
     }
 }

@@ -11,7 +11,7 @@
 //! * the three **stateless ak-mappings** of §4.2 ([`AkMapping`]):
 //!   Attribute-Split, Key Space-Split and Selective-Attribute — all
 //!   satisfying the *mapping intersection rule*;
-//! * rendezvous-node machinery: a counting [`MatchIndex`], an expiring
+//! * rendezvous-node machinery: a flat-table [`MatchIndex`], an expiring
 //!   [`SubscriptionStore`], notification dispatch with the **buffering**
 //!   and **collecting** optimizations of §4.3.2, and **mapping
 //!   discretization** (§4.3.3);

@@ -82,7 +82,7 @@ pub struct StoredSub {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SubscriptionStore {
-    /// The physical matching engine (counting or sorted), addressed by the
+    /// The physical matching engine (flat table or sorted), addressed by the
     /// covering group's slot — or, with covering off, by the row.
     engine: AnyMatchEngine,
     /// Covering layer, when enabled: the engine then holds one physical
@@ -124,7 +124,7 @@ pub(crate) struct Row {
 
 impl SubscriptionStore {
     /// Creates an empty store for subscriptions over `space` with the
-    /// default engine (counting index) and covering enabled.
+    /// default engine (the flat table) and covering enabled.
     pub fn new(space: &EventSpace) -> Self {
         SubscriptionStore::with_options(space, MatchEngineKind::default(), true)
     }
@@ -217,7 +217,6 @@ impl SubscriptionStore {
         // What a fresh insert touches hangs off half a dozen tables, each
         // a miss of its own by the time the insert gets there. Asked for
         // now, the first lines of each arrive while `by_id` is probed.
-        self.engine.prefetch_insert(&stored.sub);
         if let Some(table) = &self.covering {
             table.prefetch_insert(&stored.sub);
         }
@@ -249,9 +248,6 @@ impl SubscriptionStore {
                     (self.rows.len() - 1) as u32
                 });
                 slot.insert(row);
-                // Second round: what those lines point to — the bucket
-                // lists' tails, the directory run's entries.
-                self.engine.prefetch_tails(&stored.sub);
                 let member = match &mut self.covering {
                     Some(table) => {
                         table.prefetch_run(&stored.sub);
@@ -342,13 +338,12 @@ impl SubscriptionStore {
         }
     }
 
-    /// Grows every matching-path scratch buffer to its steady-state bound
-    /// (all of them are capped by the stored-subscription count) so
-    /// subsequent [`SubscriptionStore::match_event_into`] calls never
-    /// reallocate. Matching warms the same buffers incrementally; this
-    /// pre-faults a store that has not matched an event yet.
+    /// Grows the matching path's slot scratch to its steady-state bound
+    /// (the stored-subscription count) so subsequent
+    /// [`SubscriptionStore::match_event_into`] calls never reallocate.
+    /// Matching grows it incrementally; this pre-faults a store that has
+    /// not matched an event yet.
     pub fn warm(&mut self) {
-        self.engine.warm();
         let need = self.len();
         if self.scratch.capacity() < need {
             self.scratch.reserve(need - self.scratch.len());

@@ -13,7 +13,7 @@ use cbps_overlay::{ChordNode, Envelope, LocationCache, RoutingState};
 fn hot_values_stay_under_their_size_ceilings() {
     // Fingers, successors and the first 24 cache entries live in the
     // routing state itself (240 / 88 B while they were heap tables); the
-    // rendezvous store, 624 B, sits behind a box (1 040 B of `PubSubNode`
+    // rendezvous store, 480 B, sits behind a box (1 040 B of `PubSubNode`
     // and 1 352 B of node before).
     let sizes = [
         ("LocationCache", size_of::<LocationCache>(), 416),
@@ -27,8 +27,9 @@ fn hot_values_stay_under_their_size_ceilings() {
         ("Envelope<PubSubMsg>", size_of::<Envelope<PubSubMsg>>(), 128),
         // One per node, used or not: the sorted engine's array headers sit
         // behind a box of their own, the shape map beside the bounds slab
-        // it always accompanies.
-        ("SubscriptionStore", size_of::<SubscriptionStore>(), 624),
+        // it always accompanies. The default engine is two array headers
+        // (624 B while it carried a bucket matrix and counting scratch).
+        ("SubscriptionStore", size_of::<SubscriptionStore>(), 480),
     ];
     for (what, bytes, ceiling) in sizes {
         assert!(

@@ -66,16 +66,18 @@ impl SchedulerKind {
 
 /// Which subscription-matching engine rendezvous nodes run.
 ///
-/// Both engines produce identical match sets — the counting index is the
-/// reference implementation and the sorted index must reproduce it exactly
-/// (see the differential suites in `cbps-core`) — so this knob exists for
-/// A/B benchmarking. Defined here because [`NetConfig`] is the single
-/// source of deployment-wide knobs.
+/// Both engines produce identical match sets — each is held to a
+/// brute-force oracle by the differential suites in `cbps-core` — so this
+/// knob exists for A/B benchmarking. Defined here because [`NetConfig`] is
+/// the single source of deployment-wide knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum MatchEngineKind {
-    /// Counting algorithm over per-dimension bucket lists (Fabret et al.).
-    /// The default and the byte-identical oracle.
+    /// One flat table of per-dimension bounds, a row per stored entry,
+    /// scanned in full for every event: the default, and the faster engine
+    /// up to a few thousand entries per node. It keeps the name `counting`
+    /// of the counting algorithm (Fabret et al.) it replaced, because the
+    /// benchmark crate names it so.
     #[default]
     Counting,
     /// Flat struct-of-arrays table, span-class sorted segments, linear
@@ -146,8 +148,8 @@ pub struct NetConfig {
     pub loss_probability: f64,
     /// Always [`SchedulerKind::Wheel`]; see [`SchedulerKind`].
     pub scheduler: SchedulerKind,
-    /// Subscription-matching engine run by rendezvous nodes (counting
-    /// index by default). Purely an implementation knob: both engines
+    /// Subscription-matching engine run by rendezvous nodes (the flat
+    /// table by default). Purely an implementation knob: both engines
     /// deliver identical notification sets.
     pub match_engine: MatchEngineKind,
     /// Always `1`, and read by nothing in this workspace: the sharded

@@ -2,7 +2,7 @@
 //! overlay, mappings, notification pipeline, churn — must deliver exactly
 //! the same notifications, count exactly the same messages and process
 //! exactly the same events whether rendezvous nodes match with the
-//! counting index or the sorted index, and whether subscription covering
+//! flat table (`counting`) or the sorted index, and whether subscription covering
 //! is on or off. The core-crate differential suite checks the engines on
 //! raw sub/unsub/event streams; this one checks everything layered on
 //! top, including the rendered experiment tables `ci.sh` diffs between
