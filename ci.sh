@@ -42,20 +42,16 @@ echo "==> cargo test --doc"
 cargo test --workspace --doc -q
 
 # The allocation gates pin exact counts, which hold for optimized builds
-# only: two of the three are ignored under debug assertions, so the debug
-# run above gates neither them, `alloc_install`'s ceiling on the live heap
-# bytes a stored copy adds, nor `build_scale`'s per-node build cost. The
-# covering-probe gate counts what the store read, so it already ran above;
-# it is repeated because the optimized build is the one that gets measured.
+# only (two are ignored under debug assertions), as does `build_scale`'s
+# per-node build cost. The covering-probe gate already ran above; it is
+# repeated because the optimized build is the one that gets measured.
 echo "==> cargo test --release (allocation, build-scale and covering-probe gates)"
 cargo test --release -q -p cbps-bench --test alloc_steady --test alloc_install \
     --test alloc_route --test build_scale --test covering_stats
 
 # The sampling profiler of `ci/prof` is C and Python, out of cargo's sight:
-# build it and take one profile of a sub-second run, so that the next perf
-# change finds it working (usage: .claude/skills/verify/SKILL.md).
-# The run goes through `timeout`, a wrapper that inherits the preload and
-# exits after the binary: the binary's samples must survive it.
+# build it and profile a sub-second run through `timeout`, a wrapper that
+# inherits the preload: the binary's samples must survive it.
 if command -v gcc >/dev/null 2>&1 && command -v python3 >/dev/null 2>&1 &&
     command -v addr2line >/dev/null 2>&1 && command -v timeout >/dev/null 2>&1; then
     echo "==> ci/prof sampler smoke"
@@ -100,16 +96,25 @@ else
     echo "==> rustfmt not installed; skipping format check"
 fi
 
-# Event-count smoke: a quick-scale figures subset must simulate exactly
-# the event counts the recorded baseline holds (wall times legitimately
-# drift; event counts may not).
-echo "==> event-count smoke (figures --json against the baseline)"
+# Event-count and serial-vs-parallel smoke: a quick-scale figures subset
+# must simulate exactly the event counts the recorded baseline holds (wall
+# times legitimately drift; event counts may not), and --jobs (the sweep
+# worker pool and the parallel node construction) must not change a table:
+# the render at --jobs 4 and one at --jobs 1 must be byte-identical.
+echo "==> event-count and serial-vs-parallel smoke (figures --json, --jobs 4|1)"
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 smoke_experiments="route fig6 churn"
 # shellcheck disable=SC2086
-./target/release/figures --scale quick --jobs "$(nproc)" \
-    --json "$smoke_dir/run.json" $smoke_experiments >/dev/null 2>&1
+./target/release/figures --scale quick --jobs 4 \
+    --json "$smoke_dir/run.json" $smoke_experiments >"$smoke_dir/jobs4.tables" 2>/dev/null
+# shellcheck disable=SC2086
+./target/release/figures --scale quick --jobs 1 \
+    $smoke_experiments >"$smoke_dir/jobs1.tables" 2>/dev/null
+if ! diff -u "$smoke_dir/jobs1.tables" "$smoke_dir/jobs4.tables"; then
+    echo "FAIL: --jobs 1 and --jobs 4 render different tables" >&2
+    exit 1
+fi
 # Reports are one-line JSON; break records apart before extracting fields.
 events_of() {
     tr '{' '\n' <"$1" |
@@ -128,14 +133,12 @@ if [ -f results/bench/BENCH_baseline.json ]; then
         fi
     done
 fi
-echo "==> event-count smoke passed (event counts match baseline)"
+echo "==> event-count and serial-vs-parallel smoke passed (baseline counts, identical tables)"
 
-# Overlay portability smoke: the generic deployment core must keep the
-# Chord quick-scale figure tables byte-identical to the committed
-# pre-refactor baseline, the same suite must run cleanly over the Pastry
-# substrate (its experiments assert cross-overlay delivery parity
-# internally), and a trace replayed over both substrates must produce the
-# same delivered-set fingerprint.
+# Overlay portability smoke: the Chord quick-scale tables must stay
+# byte-identical to the committed baseline, the same suite must run over
+# Pastry (its experiments assert cross-overlay delivery parity), and a
+# trace replayed over both must leave the same delivered-set fingerprint.
 echo "==> overlay smoke (figures/cbps --overlay chord|pastry)"
 overlay_experiments="fig5 fig6 fig7 fig8 fig9a latency fig9b mcast partial hotspot vnodes"
 # shellcheck disable=SC2086
@@ -161,41 +164,8 @@ if ! diff "$smoke_dir/chord.fp" "$smoke_dir/pastry.fp"; then
 fi
 echo "==> overlay smoke passed (chord baseline byte-identical, fingerprints match)"
 
-# Match-engine and serial-vs-parallel smoke: the sorted-segment index must
-# be an exact drop-in for the default flat table (`counting`), and
-# --jobs (which drives both the sweep-point worker pool and the parallel
-# node construction) must not change a table. Three quick-scale renders —
-# counting at --jobs 1 and 4, sorted at --jobs 4 — must be byte-identical,
-# and a replayed trace must print byte-identical run-trace output under
-# both engines (delivered-set fingerprint included). (The build's
-# near-linear cost is the release-mode `build_scale` test above.)
-echo "==> match-engine and serial-vs-parallel smoke (figures --match-engine, --jobs 1|4)"
-ab_experiments="route fig6 mcast"
-for run in counting:1 counting:4 sorted:4; do
-    # shellcheck disable=SC2086
-    ./target/release/figures --scale quick --jobs "${run#*:}" \
-        --match-engine "${run%:*}" \
-        $ab_experiments >"$smoke_dir/$run.tables" 2>/dev/null
-done
-for run in counting:4 sorted:4; do
-    if ! diff -u "$smoke_dir/counting:1.tables" "$smoke_dir/$run.tables"; then
-        echo "FAIL: counting at --jobs 1 and ${run%:*} at --jobs 4 render different tables" >&2
-        exit 1
-    fi
-done
-for engine in counting sorted; do
-    ./target/release/cbps run-trace "$smoke_dir/smoke.trace" --nodes 80 --seed 5 \
-        --match-engine "$engine" >"$smoke_dir/$engine.rt"
-done
-if ! diff -u "$smoke_dir/counting.rt" "$smoke_dir/sorted.rt"; then
-    echo "FAIL: counting and sorted engines replay a trace differently" >&2
-    exit 1
-fi
-echo "==> match-engine and serial-vs-parallel smoke passed (tables and trace replay identical)"
-
-# Benchmark smoke: the detached benchmark crate measures the library
-# crates through their public items, so a signature it uses cannot change
-# unnoticed. Builds it, runs its unit tests and a 1/50-size pass of all
+# Benchmark smoke: the detached benchmark crate calls the library crates'
+# public items; build it, run its unit tests and a 1/50-size pass of all
 # four workloads through the oracle gate.
 echo "==> benchmark smoke (benchmark/check.sh)"
 benchmark/check.sh

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! figures [--scale quick|paper|large] [--nodes N] [--overlay chord|pastry]
-//!         [--jobs N] [--match-engine counting|sorted]
-//!         [--csv DIR] [--json FILE] [--report FILE] [EXPERIMENT...]
+//!         [--jobs N] [--csv DIR] [--json FILE] [--report FILE] [EXPERIMENT...]
 //! ```
 //!
 //! With no experiment names, runs everything. Names: route, keys, fig5,
@@ -16,15 +15,14 @@
 //! every node still owns a distinct key.
 //! `--jobs N` farms independent sweep points out to `N` worker threads;
 //! each simulation stays single-threaded and deterministic, so the tables
-//! are byte-identical at any job count. `--match-engine counting|sorted`
-//! selects the rendezvous matching engine (default: counting); the engines
-//! return identical match sets — only matching cost and memory layout
-//! change — so tables are byte-identical either way, which ci.sh checks.
-//! `--overlay chord|pastry` selects the routing
-//! substrate the deployment-style experiments run on (default: chord;
-//! `route` and `churn` calibrate Chord-specific machinery and always run
-//! on Chord, and the `overlay` comparison always runs both). `--json FILE` and `--report FILE`
-//! both write the self-describing `cbps-report/v2` document (wall time,
+//! are byte-identical at any job count. `--overlay chord|pastry` selects
+//! the routing substrate the deployment-style experiments run on (default:
+//! chord; `route` and `churn` calibrate Chord-specific machinery and always
+//! run on Chord, and the `overlay` comparison always runs both). `--csv DIR`
+//! writes each table to `DIR/<title>.csv`; the directory must exist and be
+//! writable before anything runs, and a table that cannot be written makes
+//! the run exit 1. `--json FILE` and `--report FILE` both write the
+//! self-describing `cbps-report/v2` document (wall time,
 //! events/sec, peak queue depth per experiment — the v1 baseline fields —
 //! plus, when observability is on, per-stage latency percentiles, named
 //! histograms, and the hottest rendezvous nodes). `--report` additionally
@@ -38,7 +36,7 @@ use cbps_bench::experiments::{run_named, EXPERIMENT_NAMES};
 use cbps_bench::report::{ExperimentReport, ObsReport, RunReport};
 use cbps_bench::runner;
 use cbps_bench::Scale;
-use cbps_sim::{MatchEngineKind, ObsMode};
+use cbps_sim::ObsMode;
 
 fn main() {
     let mut scale = Scale::Quick;
@@ -81,13 +79,6 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--match-engine" => match args.next().as_deref().and_then(MatchEngineKind::parse) {
-                Some(kind) => runner::set_match_engine(kind),
-                None => {
-                    eprintln!("--match-engine expects counting|sorted");
-                    std::process::exit(2);
-                }
-            },
             "--overlay" => match args.next().as_deref().and_then(runner::BackendKind::parse) {
                 Some(kind) => runner::set_backend(kind),
                 None => {
@@ -96,7 +87,12 @@ fn main() {
                 }
             },
             "--csv" => match args.next() {
-                Some(dir) => csv_dir = Some(dir),
+                Some(dir) => {
+                    let probe = format!("{dir}/.figures-probe");
+                    probe_writable(&probe);
+                    let _ = std::fs::remove_file(&probe);
+                    csv_dir = Some(dir);
+                }
                 None => {
                     eprintln!("--csv expects a directory");
                     std::process::exit(2);
@@ -126,7 +122,7 @@ fn main() {
                 println!(
                     "usage: figures [--scale quick|paper|large] [--nodes N] \
                      [--overlay chord|pastry] [--jobs N] \
-                     [--match-engine counting|sorted] [--csv DIR] [--json FILE] [--report FILE] [EXPERIMENT...]\n\
+                     [--csv DIR] [--json FILE] [--report FILE] [EXPERIMENT...]\n\
                      experiments: {} (default: all)",
                     EXPERIMENT_NAMES.join(", ")
                 );
@@ -148,6 +144,7 @@ fn main() {
     }
 
     let mut records: Vec<ExperimentReport> = Vec::new();
+    let mut csv_failed = false;
     for name in &names {
         let started = Instant::now();
         runner::reset_perf();
@@ -191,11 +188,11 @@ fn main() {
                     .collect::<Vec<_>>()
                     .join("_");
                 let path = format!("{dir}/{slug}.csv");
-                match std::fs::File::create(&path) {
-                    Ok(mut f) => {
-                        let _ = f.write_all(table.to_csv().as_bytes());
-                    }
-                    Err(e) => eprintln!("cannot write {path}: {e}"),
+                let write = std::fs::File::create(&path)
+                    .and_then(|mut f| f.write_all(table.to_csv().as_bytes()));
+                if let Err(e) = write {
+                    eprintln!("cannot write {path}: {e}");
+                    csv_failed = true;
                 }
             }
         }
@@ -206,7 +203,6 @@ fn main() {
         scale: scale.name().to_owned(),
         jobs: runner::jobs(),
         observability: runner::observability().name().to_owned(),
-        match_engine: runner::match_engine().name().to_owned(),
         overlay: runner::backend().name().to_owned(),
         experiments: records,
     };
@@ -220,5 +216,8 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+    if csv_failed {
+        std::process::exit(1);
     }
 }

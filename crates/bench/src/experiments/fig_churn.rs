@@ -15,7 +15,7 @@
 
 use cbps::{MappingKind, PubSubConfig, PubSubNetwork};
 use cbps_overlay::OverlayConfig;
-use cbps_sim::{SimDuration, TrafficClass};
+use cbps_sim::{NetConfig, SimDuration, TrafficClass};
 use cbps_workload::{OpKind, Trace, WorkloadConfig, WorkloadGen};
 
 use crate::runner::Scale;
@@ -33,7 +33,7 @@ fn run_one(replication: usize, crashes: usize, scale: Scale, seed: u64) -> (f64,
     let pubs = subs;
     let mut net = PubSubNetwork::builder()
         .nodes(n)
-        .net_config(crate::runner::net_config(seed))
+        .net_config(NetConfig::new(seed))
         .overlay(OverlayConfig::paper_default().with_maintenance(true))
         .pubsub(
             PubSubConfig::paper_default()

@@ -12,6 +12,7 @@
 //! delivery semantics — stay intact.
 
 use cbps::{MappingKind, OverlayBackend};
+use cbps_sim::NetConfig;
 
 use crate::runner::{paper_workload, run_trace, workload_gen, Scale};
 use crate::table::{fmt_f, Table};
@@ -47,7 +48,7 @@ fn rotation_table(scale: Scale) -> Table {
         let (stats, hottest) = crate::with_backend!(B => {
             let mut net = cbps::PubSubNetworkBuilder::<B>::new()
                 .nodes(nodes)
-                .net_config(crate::runner::net_config(961))
+                .net_config(NetConfig::new(961))
                 .overlay(B::with_key_space(B::paper_default(), keys))
                 .pubsub(pubsub)
                 .observability(crate::runner::observability())

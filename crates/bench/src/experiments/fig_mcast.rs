@@ -17,7 +17,7 @@
 
 use cbps_overlay::{build_stable, KeyRange, KeyRangeSet, OverlayConfig, OverlayServices};
 use cbps_pastry::{build_pastry_stable, PastryConfig};
-use cbps_sim::{TraceId, TrafficClass};
+use cbps_sim::{NetConfig, TraceId, TrafficClass};
 
 use crate::probe::ProbeApp;
 use crate::runner::{BackendKind, Scale};
@@ -47,7 +47,7 @@ fn send(
         BackendKind::Chord => {
             // Cache disabled: the table measures the raw protocols.
             let cfg = OverlayConfig::paper_default().with_cache_capacity(0);
-            let (mut sim, _ring) = build_stable(crate::runner::net_config(seed), cfg, apps);
+            let (mut sim, _ring) = build_stable(NetConfig::new(seed), cfg, apps);
             let space = cfg.space;
             let range = KeyRange::new(space.key(1000), space.key(1000 + width - 1));
             let targets = KeyRangeSet::of_range(space, range);
@@ -66,7 +66,7 @@ fn send(
         }
         BackendKind::Pastry => {
             let cfg = PastryConfig::paper_default();
-            let (mut sim, _ring) = build_pastry_stable(crate::runner::net_config(seed), cfg, apps);
+            let (mut sim, _ring) = build_pastry_stable(NetConfig::new(seed), cfg, apps);
             let space = cfg.space;
             let range = KeyRange::new(space.key(1000), space.key(1000 + width - 1));
             let targets = KeyRangeSet::of_range(space, range);

@@ -12,7 +12,7 @@ use cbps::{
     ChordBackend, MappingKind, OverlayBackend, Primitive, PubSubConfig, PubSubNetworkBuilder,
 };
 use cbps_pastry::PastryBackend;
-use cbps_sim::{SimDuration, TrafficClass};
+use cbps_sim::{NetConfig, SimDuration, TrafficClass};
 use cbps_workload::{OpKind, WorkloadConfig, WorkloadGen};
 
 use crate::runner::Scale;
@@ -41,7 +41,7 @@ fn run_on<B: OverlayBackend>(kind: MappingKind, scale: Scale, seed: u64) -> Outc
 
     let mut net = PubSubNetworkBuilder::<B>::new()
         .nodes(nodes)
-        .net_config(crate::runner::net_config(seed))
+        .net_config(NetConfig::new(seed))
         .pubsub(pubsub)
         .observability(crate::runner::observability())
         .build()

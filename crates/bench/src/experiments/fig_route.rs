@@ -13,6 +13,7 @@
 //! is covered by its own portability tests).
 
 use cbps_overlay::{build_stable, OverlayConfig};
+use cbps_sim::NetConfig;
 
 use crate::probe::ProbeApp;
 use crate::runner::{parallel_map, record_perf, Scale};
@@ -33,7 +34,7 @@ fn mean_hops(n: usize, cache: usize, lookups_per_node: usize, seed: u64) -> f64 
         .with_space(cbps::deployment_key_space(n))
         .with_cache_capacity(cache);
     let apps: Vec<ProbeApp> = (0..n).map(|_| ProbeApp::default()).collect();
-    let (mut sim, _ring) = build_stable(crate::runner::net_config(seed), cfg, apps);
+    let (mut sim, _ring) = build_stable(NetConfig::new(seed), cfg, apps);
     let space = cfg.space;
     let issue = |sim: &mut cbps_sim::Simulator<_>, i: usize| {
         let src = i % n;

@@ -188,8 +188,6 @@ pub struct RunReport {
     pub jobs: usize,
     /// Observability mode name the sweep ran under (`off`, `stages`, `full`).
     pub observability: String,
-    /// Matching engine rendezvous nodes ran (`counting` or `sorted`).
-    pub match_engine: String,
     /// Overlay substrate the sweep deployed on (`chord` or `pastry`).
     pub overlay: String,
     /// Per-experiment records, in run order.
@@ -206,10 +204,6 @@ impl RunReport {
         out.push_str(&format!(
             "  \"observability\": \"{}\",\n",
             escape(&self.observability)
-        ));
-        out.push_str(&format!(
-            "  \"match_engine\": \"{}\",\n",
-            escape(&self.match_engine)
         ));
         out.push_str(&format!("  \"overlay\": \"{}\",\n", escape(&self.overlay)));
         out.push_str("  \"experiments\": [\n");
@@ -391,7 +385,6 @@ mod tests {
             scale: "quick".into(),
             jobs: 2,
             observability: "full".into(),
-            match_engine: "counting".into(),
             overlay: "chord".into(),
             experiments: vec![
                 ExperimentReport {
@@ -413,7 +406,6 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"cbps-report/v2\""));
         assert!(json.contains("\"overlay\": \"chord\""));
-        assert!(json.contains("\"match_engine\": \"counting\""));
         // v1 fields keep their names so old baselines stay comparable.
         assert!(json.contains("\"wall_secs\": 1.500"));
         assert!(json.contains("\"events_per_sec\": 2000"));

@@ -13,7 +13,7 @@ use cbps::{
     ChordBackend, MappingKind, NotifyMode, OverlayBackend, Primitive, PubSubConfig, PubSubNetwork,
     PubSubNetworkBuilder,
 };
-use cbps_sim::{MatchEngineKind, NetConfig, ObsMode, Observability, SimDuration, TrafficClass};
+use cbps_sim::{NetConfig, ObsMode, Observability, SimDuration, TrafficClass};
 use cbps_workload::{Trace, WorkloadConfig, WorkloadGen};
 
 /// Worker count for [`parallel_map`]; 1 = fully serial.
@@ -25,9 +25,6 @@ static QUEUE_PEAK_MAX: AtomicU64 = AtomicU64::new(0);
 /// Observability mode applied to every [`Deployment::build`] network
 /// (discriminant of [`ObsMode`]; 0 = off).
 static OBS_MODE: AtomicU8 = AtomicU8::new(0);
-/// Matching engine every rendezvous node of a built network runs
-/// (0 = flat table, `counting`; 1 = sorted index).
-static MATCH_ENGINE: AtomicU8 = AtomicU8::new(0);
 /// Merged observability registries of every run since the last reset.
 /// Worker threads fold their run's registry in under this lock; the merge
 /// is commutative, so the result is job-count independent.
@@ -155,34 +152,6 @@ pub fn observability() -> ObsMode {
         1 => ObsMode::Stages,
         _ => ObsMode::Full,
     }
-}
-
-/// Sets the matching engine every subsequently built network's rendezvous
-/// nodes use (see `figures --match-engine`; tables are identical either
-/// way — only matching cost and memory layout change).
-pub fn set_match_engine(kind: MatchEngineKind) {
-    MATCH_ENGINE.store(
-        match kind {
-            MatchEngineKind::Sorted => 1,
-            _ => 0,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The matching engine applied to built networks.
-pub fn match_engine() -> MatchEngineKind {
-    match MATCH_ENGINE.load(Ordering::Relaxed) {
-        1 => MatchEngineKind::Sorted,
-        _ => MatchEngineKind::Counting,
-    }
-}
-
-/// A [`NetConfig`] with the given seed and the globally selected matching
-/// engine. Experiments must build networks through this so the
-/// `--match-engine` knob reaches every run.
-pub fn net_config(seed: u64) -> NetConfig {
-    NetConfig::new(seed).with_match_engine(match_engine())
 }
 
 /// Folds one finished run into the global perf accumulators.
@@ -437,7 +406,7 @@ impl Deployment {
             .with_key_space(keys);
         PubSubNetworkBuilder::<B>::new()
             .nodes(self.nodes)
-            .net_config(net_config(self.seed))
+            .net_config(NetConfig::new(self.seed))
             .overlay(B::with_key_space(B::paper_default(), keys))
             .pubsub(pubsub)
             .observability(observability())

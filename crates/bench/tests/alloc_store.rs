@@ -14,11 +14,9 @@ mod counting_alloc;
 
 use counting_alloc::{live_bytes, CountingAlloc};
 
-use cbps::{
-    AnyMatchEngine, EventSpace, MatchEngine, StoredSub, SubId, Subscription, SubscriptionStore,
-};
+use cbps::{EventSpace, MatchIndex, StoredSub, SubId, Subscription, SubscriptionStore};
 use cbps_overlay::{KeyRangeSet, KeySpace, Peer};
-use cbps_sim::{MatchEngineKind, SimTime, TraceId};
+use cbps_sim::{SimTime, TraceId};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -39,9 +37,9 @@ fn a_store_holding_one_subscription_owns_little_engine_heap() {
         .build()
         .unwrap();
 
-    // The engine a store runs by default, with the store's first entry.
+    // The engine a store runs, with the store's first entry.
     let before = live_bytes();
-    let mut engine = AnyMatchEngine::new(MatchEngineKind::default(), &space);
+    let mut engine = MatchIndex::new(&space);
     engine.insert(0, sub.clone());
     let engine_bytes = live_bytes() - before;
     assert_eq!(engine.len(), 1);

@@ -23,7 +23,8 @@ impl std::error::Error for ArgError {}
 
 impl Args {
     /// Parses raw arguments. Every `--name` consumes the following token as
-    /// its value.
+    /// its value, except a bare `--help`, which is kept as a positional
+    /// token (as `-h` is) for the caller to answer with usage.
     ///
     /// # Errors
     ///
@@ -32,7 +33,7 @@ impl Args {
         let mut out = Args::default();
         let mut iter = raw.into_iter();
         while let Some(tok) = iter.next() {
-            if let Some(name) = tok.strip_prefix("--") {
+            if let Some(name) = tok.strip_prefix("--").filter(|&name| name != "help") {
                 let value = iter
                     .next()
                     .ok_or_else(|| ArgError(format!("flag --{name} needs a value")))?;
@@ -114,6 +115,15 @@ mod tests {
         let a = parse("x --nodes 5 --typo 1").unwrap();
         assert!(a.check_flags(&["nodes"]).is_err());
         assert!(a.check_flags(&["nodes", "typo"]).is_ok());
+    }
+
+    #[test]
+    fn help_is_positional() {
+        let a = parse("--help").unwrap();
+        assert_eq!(a.positional(), ["--help"]);
+        let a = parse("ring --help --nodes 5 -h").unwrap();
+        assert_eq!(a.positional(), ["ring", "--help", "-h"]);
+        assert_eq!(a.get("nodes"), Some("5"));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use cbps::{
 use cbps_bench::report::{ExperimentReport, ObsReport, RunReport};
 use cbps_bench::runner::{delivered_fingerprint, BackendKind};
 use cbps_bench::with_backend;
-use cbps_sim::{MatchEngineKind, NetConfig, ObsMode, SimDuration, TrafficClass};
+use cbps_sim::{NetConfig, ObsMode, SimDuration, TrafficClass};
 use cbps_workload::{
     trace_from_str, trace_to_string, ReplayOutcome, Trace, WorkloadConfig, WorkloadGen,
 };
@@ -119,11 +119,6 @@ fn parse_primitive(s: &str) -> Result<Primitive, ArgError> {
     })
 }
 
-fn parse_match_engine(s: &str) -> Result<MatchEngineKind, ArgError> {
-    MatchEngineKind::parse(s)
-        .ok_or_else(|| ArgError(format!("unknown match engine {s:?} (counting|sorted)")))
-}
-
 fn parse_notify(s: &str) -> Result<NotifyMode, ArgError> {
     if s == "immediate" {
         return Ok(NotifyMode::Immediate);
@@ -164,7 +159,7 @@ fn check_trace_nodes(trace: &Trace, nodes: usize) -> Outcome {
 
 /// The flags `run-trace` and `stats` share: the deployment a trace file is
 /// replayed against.
-const DEPLOYMENT_FLAGS: [&str; 9] = [
+const DEPLOYMENT_FLAGS: [&str; 8] = [
     "nodes",
     "seed",
     "mapping",
@@ -172,7 +167,6 @@ const DEPLOYMENT_FLAGS: [&str; 9] = [
     "notify",
     "discretization",
     "replication",
-    "match-engine",
     "overlay",
 ];
 
@@ -188,7 +182,6 @@ struct TraceRun {
     notify: NotifyMode,
     discretization: u64,
     replication: usize,
-    match_engine: MatchEngineKind,
     overlay: BackendKind,
 }
 
@@ -224,7 +217,6 @@ impl TraceRun {
             notify: parse_notify(args.get("notify").unwrap_or("immediate"))?,
             discretization,
             replication: args.get_or("replication", 0)?,
-            match_engine: parse_match_engine(args.get("match-engine").unwrap_or("counting"))?,
             overlay: parse_overlay(args)?,
         };
         cbps_bench::runner::set_backend(run.overlay);
@@ -237,7 +229,7 @@ impl TraceRun {
         PubSubNetworkBuilder::<B>::new()
             .nodes(self.nodes)
             .overlay(B::with_key_space(B::paper_default(), keys))
-            .net_config(NetConfig::new(self.seed).with_match_engine(self.match_engine))
+            .net_config(NetConfig::new(self.seed))
             .pubsub(
                 PubSubConfig::paper_default()
                     .with_mapping(self.mapping)
@@ -351,7 +343,6 @@ pub fn stats(args: &Args) -> Outcome {
         scale: "trace".to_owned(),
         jobs: 1,
         observability: ObsMode::Full.name().to_owned(),
-        match_engine: run.match_engine.name().to_owned(),
         overlay: run.overlay.name().to_owned(),
         experiments: vec![record],
     };
@@ -372,6 +363,11 @@ pub fn ring(args: &Args) -> Outcome {
     let nodes: usize = args.get_or("nodes", 20)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let inspect: usize = args.get_or("node", 0)?;
+    if inspect >= nodes {
+        return Err(ArgError(format!(
+            "--node must be below --nodes ({nodes}), got {inspect}"
+        )));
+    }
     let keys = cbps::deployment_key_space(nodes);
     let net = PubSubNetwork::builder()
         .nodes(nodes)
@@ -402,33 +398,31 @@ pub fn ring(args: &Args) -> Outcome {
             marker
         );
     }
-    if inspect < nodes {
-        let me = ring
-            .peers()
-            .iter()
-            .find(|p| p.idx == inspect)
-            .expect("exists");
+    let me = ring
+        .peers()
+        .iter()
+        .find(|p| p.idx == inspect)
+        .expect("--node is below --nodes");
+    println!(
+        "\nfinger table of node {} (key {}):",
+        me.idx,
+        me.key.value()
+    );
+    for (i, f) in ring.fingers_of(me.key).iter().enumerate() {
         println!(
-            "\nfinger table of node {} (key {}):",
-            me.idx,
-            me.key.value()
+            "  finger {:>2}  target {:>6}  ->  node {:>4} (key {})",
+            i,
+            ring.space().finger_target(me.key, i as u32).value(),
+            f.idx,
+            f.key.value()
         );
-        for (i, f) in ring.fingers_of(me.key).iter().enumerate() {
-            println!(
-                "  finger {:>2}  target {:>6}  ->  node {:>4} (key {})",
-                i,
-                ring.space().finger_target(me.key, i as u32).value(),
-                f.idx,
-                f.key.value()
-            );
-        }
     }
     Ok(())
 }
 
 /// `cbps experiment`: run a named experiment from the bench harness.
 pub fn experiment(args: &Args) -> Outcome {
-    args.check_flags(&["scale", "nodes", "jobs", "match-engine", "overlay"])?;
+    args.check_flags(&["scale", "nodes", "jobs", "overlay"])?;
     let name = args
         .positional()
         .get(1)
@@ -453,9 +447,6 @@ pub fn experiment(args: &Args) -> Outcome {
         return Err(ArgError("--jobs must be at least 1".into()));
     }
     cbps_bench::runner::set_jobs(jobs);
-    cbps_bench::runner::set_match_engine(parse_match_engine(
-        args.get("match-engine").unwrap_or("counting"),
-    )?);
     cbps_bench::runner::set_backend(parse_overlay(args)?);
     let tables = cbps_bench::experiments::run_named(name, scale).ok_or_else(|| {
         ArgError(format!(
@@ -512,8 +503,8 @@ mod tests {
     }
 
     /// Flag values the workload generator and the mapping would reject
-    /// with an assertion are argument errors naming the flag, checked
-    /// before anything is built.
+    /// with an assertion, and a `ring --node` past the ring, are argument
+    /// errors naming the flag, checked before anything is built.
     #[test]
     fn out_of_range_flags_are_argument_errors() {
         let dir = std::env::temp_dir();
@@ -535,11 +526,13 @@ mod tests {
             ("gen-trace", "nodes", "0"),
             ("run-trace", "discretization", "0"),
             ("stats", "discretization", "0"),
+            ("ring", "node", "20"),
         ];
         for (name, flag, value) in cases {
             let (line, command): (_, fn(&Args) -> Outcome) = match name {
                 "gen-trace" => (format!("{name} --out {unwritten}"), gen_trace),
                 "run-trace" => (format!("{name} {trace}"), run_trace),
+                "ring" => (name.to_owned(), ring),
                 _ => (format!("{name} {trace}"), stats),
             };
             let line = format!("{line} --{flag} {value}");

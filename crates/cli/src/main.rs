@@ -8,12 +8,12 @@
 //!                [--mapping m1|m2|m3] [--primitive unicast|mcast|walk]
 //!                [--notify immediate|buffered:S|collecting:S]
 //!                [--discretization W] [--replication R]
-//!                [--match-engine counting|sorted]
 //! cbps stats FILE [--out FILE] [run-trace deployment flags]
 //! cbps ring [--nodes N] [--seed S] [--node IDX]
 //! cbps experiment NAME [--scale quick|paper|large] [--nodes N] [--overlay chord|pastry] [--jobs N]
-//!                [--match-engine counting|sorted]
 //! ```
+//!
+//! `--help` or `-h` anywhere on the line prints the usage and exits 0.
 
 mod args;
 mod commands;
@@ -31,12 +31,10 @@ usage:
                  [--mapping m1|m2|m3] [--primitive unicast|mcast|walk]
                  [--notify immediate|buffered:SECS|collecting:SECS]
                  [--discretization W] [--replication R]
-                 [--match-engine counting|sorted]
   cbps stats FILE [--out FILE] [run-trace deployment flags]
                  (replay with observability on; emit the cbps-report/v2 JSON)
   cbps ring [--nodes N] [--seed S] [--node IDX]
   cbps experiment NAME [--scale quick|paper|large] [--nodes N] [--overlay chord|pastry] [--jobs N]
-                 [--match-engine counting|sorted]
                  (NAME: route, keys, fig5 … or all)
 ";
 
@@ -48,17 +46,18 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let Some(command) = args.positional().first().map(String::as_str) else {
+    let help = args.positional().iter().any(|p| p == "--help" || p == "-h");
+    let Some(command) = args.positional().first().filter(|_| !help) else {
         println!("{USAGE}");
         return;
     };
-    let outcome = match command {
+    let outcome = match command.as_str() {
         "gen-trace" => commands::gen_trace(&args),
         "run-trace" => commands::run_trace(&args),
         "stats" => commands::stats(&args),
         "ring" => commands::ring(&args),
         "experiment" => commands::experiment(&args),
-        "help" | "--help" | "-h" => {
+        "help" => {
             println!("{USAGE}");
             Ok(())
         }

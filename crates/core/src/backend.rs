@@ -185,14 +185,7 @@ impl OverlayBackend for ChordBackend {
 /// `PubSubNetwork` resolves to).
 pub type ChordPubSub = crate::PubSubNetwork<ChordBackend>;
 
-/// Fresh per-node application state for a network of `n` nodes running
-/// the given matching engine.
-pub(crate) fn fresh_apps(
-    cfg: &Arc<PubSubConfig>,
-    n: usize,
-    engine: cbps_sim::MatchEngineKind,
-) -> Vec<PubSubNode> {
-    (0..n)
-        .map(|_| PubSubNode::with_engine(Arc::clone(cfg), engine))
-        .collect()
+/// Fresh per-node application state for a network of `n` nodes.
+pub(crate) fn fresh_apps(cfg: &Arc<PubSubConfig>, n: usize) -> Vec<PubSubNode> {
+    (0..n).map(|_| PubSubNode::new(Arc::clone(cfg))).collect()
 }

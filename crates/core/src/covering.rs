@@ -54,8 +54,8 @@
 
 use std::collections::HashMap;
 
-use crate::engine::{AnyMatchEngine, MatchEngine};
 use crate::event::Event;
+use crate::index::MatchIndex;
 use crate::store::{MatchHit, Row};
 use crate::subscription::Subscription;
 use cbps_overlay::InlineVec;
@@ -139,7 +139,7 @@ fn slot_of(phys: u64) -> u32 {
 }
 
 /// The cover of the live group in `slot`: the engine's entry there.
-fn cover(engine: &AnyMatchEngine, slot: u32) -> &Subscription {
+fn cover(engine: &MatchIndex, slot: u32) -> &Subscription {
     engine.get(slot).expect("a live group has a cover")
 }
 
@@ -426,7 +426,7 @@ impl CoveringTable {
     /// member's position in it, for the row to remember.
     pub(crate) fn insert(
         &mut self,
-        engine: &mut AnyMatchEngine,
+        engine: &mut MatchIndex,
         row: u32,
         sub: &Subscription,
     ) -> (u32, u32) {
@@ -490,7 +490,7 @@ impl CoveringTable {
     /// `sub`'s place in the directory of its `first` constrained dimension.
     fn covered_by(
         &mut self,
-        engine: &AnyMatchEngine,
+        engine: &MatchIndex,
         sub: &Subscription,
         first: usize,
         at: Cursor,
@@ -552,7 +552,7 @@ impl CoveringTable {
     /// `s` — would go.
     fn absorbable(
         &mut self,
-        engine: &AnyMatchEngine,
+        engine: &MatchIndex,
         sub: &Subscription,
         first: usize,
         at: Cursor,
@@ -578,7 +578,7 @@ impl CoveringTable {
     /// moved into the vacated position has its row told so.
     pub(crate) fn remove(
         &mut self,
-        engine: &mut AnyMatchEngine,
+        engine: &mut MatchIndex,
         rows: &mut [Option<Row>],
         (slot, pos): (u32, u32),
         sub: &Subscription,
@@ -641,7 +641,7 @@ impl CoveringTable {
     /// cover's `first` constrained dimension.
     fn found(
         &mut self,
-        engine: &mut AnyMatchEngine,
+        engine: &mut MatchIndex,
         cover: &Subscription,
         first: usize,
         at: Cursor,
@@ -663,7 +663,7 @@ impl CoveringTable {
     }
 
     /// Replaces a group's representative with the broader `cover`.
-    fn widen(&mut self, engine: &mut AnyMatchEngine, phys: u64, cover: &Subscription) {
+    fn widen(&mut self, engine: &mut MatchIndex, phys: u64, cover: &Subscription) {
         let slot = slot_of(phys);
         let old = engine.remove(slot).expect("a live group has a cover");
         let (d, entry) = filed(&old, phys);
@@ -698,7 +698,7 @@ mod tests {
     use crate::subscription::{Constraint, SubId};
     use cbps_overlay::{KeyRangeSet, KeySpace, Peer};
     use cbps_rng::Rng;
-    use cbps_sim::{MatchEngineKind, SimTime, TraceId};
+    use cbps_sim::{SimTime, TraceId};
     use std::sync::Arc;
 
     /// A shape's first constrained dimension and its bounds there.
@@ -714,13 +714,13 @@ mod tests {
         /// The live groups: `(phys, cover)`.
         fn live<'a>(
             &'a self,
-            engine: &'a AnyMatchEngine,
+            engine: &'a MatchIndex,
         ) -> impl Iterator<Item = (u64, &'a Subscription)> {
             let slots = 0..self.groups.len() as u32;
             slots.filter_map(|slot| Some((self.phys(slot), engine.get(slot)?)))
         }
 
-        fn covered_by_scan(&self, engine: &AnyMatchEngine, sub: &Subscription) -> Cover {
+        fn covered_by_scan(&self, engine: &MatchIndex, sub: &Subscription) -> Cover {
             let twin = self.live(engine).find(|&(_, c)| c == sub).map(|(p, _)| p);
             if let Some(p) = twin.filter(|&p| self.groups[slot_of(p) as usize].exact > 0) {
                 return Cover::Duplicate(slot_of(p));
@@ -730,7 +730,7 @@ mod tests {
             oldest.map_or(Cover::Miss, |p| Cover::Oldest(p, twin == oldest))
         }
 
-        fn absorbable_scan(&self, engine: &AnyMatchEngine, sub: &Subscription) -> Option<u64> {
+        fn absorbable_scan(&self, engine: &MatchIndex, sub: &Subscription) -> Option<u64> {
             let (d, lo, hi) = first_range(sub);
             let mut in_range: Vec<(u64, u64)> = self
                 .live(engine)
@@ -751,7 +751,7 @@ mod tests {
         /// says; a dimension's runs are sorted and hold the lower bounds
         /// they are cut for; `max_width` bounds every filed width; and the
         /// cursor steps visit a dimension's entries in order, both ways.
-        fn check_directory(&self, engine: &AnyMatchEngine) {
+        fn check_directory(&self, engine: &MatchIndex) {
             let dir = &self.dir;
             let mut on_file = 0;
             let mut runs_seen = 0;
@@ -795,7 +795,7 @@ mod tests {
     struct Harness {
         space: EventSpace,
         table: CoveringTable,
-        engine: AnyMatchEngine,
+        engine: MatchIndex,
         rows: Vec<Option<Row>>,
         /// The most members narrower than their cover held at once.
         peak_narrow: usize,
@@ -816,7 +816,7 @@ mod tests {
             );
             Harness {
                 table: CoveringTable::default(),
-                engine: AnyMatchEngine::new(MatchEngineKind::Counting, &space),
+                engine: MatchIndex::new(&space),
                 rows: Vec::new(),
                 peak_narrow: 0,
                 revived: 0,

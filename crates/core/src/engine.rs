@@ -1,12 +1,11 @@
-//! The pluggable matching-engine API.
+//! The matching-engine API.
 //!
-//! Rendezvous matching is the hot path of the whole system (§3.2), so the
-//! store is generic over *how* matching is implemented: the flat bounds
-//! table ([`MatchIndex`]) is the default, the sorted-segment index
-//! ([`SortedIndex`]) is the large-store specialist, and both are selected
-//! at deployment time through
-//! [`MatchEngineKind`](cbps_sim::MatchEngineKind). Engines must produce
-//! identical match sets; the differential suites enforce it.
+//! Rendezvous matching is the hot path of the whole system (§3.2). Every
+//! store runs the flat bounds table ([`MatchIndex`]); the sorted-segment
+//! index ([`SortedIndex`]) is a library engine for stores far larger than
+//! any deployment here holds, measured by the benchmark (DESIGN.md,
+//! "Matching engines"). Both must produce identical match sets; the
+//! differential suite holds each to the brute-force oracle.
 
 use cbps_sim::MatchEngineKind;
 
@@ -137,14 +136,17 @@ impl MatchEngine for SortedIndex {
 }
 
 /// Runtime-selected engine, one variant per [`MatchEngineKind`].
+///
+/// No store holds one: it stays only because the frozen `benchmark/` crate
+/// replays its engine layer through it; ROADMAP item 2's benchmark-only
+/// change removes it.
 #[derive(Clone, Debug)]
 pub enum AnyMatchEngine {
-    /// The flat bounds table (the default; the variant keeps the name of
-    /// the counting index it replaced).
+    /// The flat bounds table (the variant keeps the name of the counting
+    /// index it replaced).
     Counting(MatchIndex),
     /// The sorted-segment index, boxed: its dozen array headers would
-    /// otherwise size every store of a deployment that runs the flat
-    /// table.
+    /// otherwise size the flat table's variant too.
     Sorted(Box<SortedIndex>),
 }
 
@@ -154,14 +156,6 @@ impl AnyMatchEngine {
         match kind {
             MatchEngineKind::Sorted => AnyMatchEngine::Sorted(Box::new(SortedIndex::new(space))),
             _ => AnyMatchEngine::Counting(MatchIndex::new(space)),
-        }
-    }
-
-    /// The kind this engine was created as.
-    pub fn kind(&self) -> MatchEngineKind {
-        match self {
-            AnyMatchEngine::Counting(_) => MatchEngineKind::Counting,
-            AnyMatchEngine::Sorted(_) => MatchEngineKind::Sorted,
         }
     }
 }
@@ -213,7 +207,6 @@ mod tests {
         let space = EventSpace::new(vec![AttributeDef::new("x", 100)]);
         for kind in [MatchEngineKind::Counting, MatchEngineKind::Sorted] {
             let mut engine = AnyMatchEngine::new(kind, &space);
-            assert_eq!(engine.kind(), kind);
             assert!(engine.is_empty());
             let sub = Subscription::builder(&space)
                 .range("x", 10, 20)

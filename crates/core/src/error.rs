@@ -117,15 +117,6 @@ pub enum ConfigError {
     /// A buffered or collecting notify mode was configured with a zero
     /// flush period, which would flush in a busy loop at a single instant.
     ZeroFlushPeriod,
-    /// The sorted matching engine was selected for an event space with
-    /// more dimensions than its per-row constrained-dimension bitmask can
-    /// hold.
-    TooManyDimensions {
-        /// Dimensions of the configured event space.
-        dims: usize,
-        /// The engine's limit.
-        limit: usize,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -149,10 +140,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroFlushPeriod => {
                 write!(f, "buffered/collecting notification mode needs a non-zero period")
             }
-            ConfigError::TooManyDimensions { dims, limit } => write!(
-                f,
-                "sorted matching engine supports at most {limit} dimensions, space has {dims}"
-            ),
         }
     }
 }

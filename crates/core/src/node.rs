@@ -72,16 +72,10 @@ pub struct PubSubNode {
 }
 
 impl PubSubNode {
-    /// Creates the pub/sub state for one node under a shared configuration,
-    /// using the default matching engine.
+    /// Creates the pub/sub state for one node under a shared configuration.
     pub fn new(cfg: Arc<PubSubConfig>) -> Self {
-        PubSubNode::with_engine(cfg, MatchEngineKind::default())
-    }
-
-    /// Creates the pub/sub state for one node with an explicit matching
-    /// engine (the configuration's covering flag applies either way).
-    pub fn with_engine(cfg: Arc<PubSubConfig>, engine: MatchEngineKind) -> Self {
-        let store = SubscriptionStore::with_options(&cfg.space, engine, cfg.covering);
+        let store =
+            SubscriptionStore::with_options(&cfg.space, MatchEngineKind::Counting, cfg.covering);
         PubSubNode {
             cfg,
             store: Box::new(store),

@@ -26,11 +26,13 @@
 //!   occasional compaction sweep reclaim dead rows in bulk, keeping
 //!   unsubscription O(1).
 //!
-//! The engine is limited to event spaces of at most 64 dimensions (the
-//! constrained-dimension bitmask); deployments select it through
-//! [`MatchEngineKind`](cbps_sim::MatchEngineKind), which validates that
-//! bound. Match sets are identical to the flat table's by construction
-//! and checked by the differential suites.
+//! No store runs it: it is a library engine the benchmark measures against
+//! the flat table (DESIGN.md, "Matching engines"), and ROADMAP item 2's
+//! benchmark-only change, which drops `engine.sorted.*`, removes it. It is
+//! limited to event spaces of at most 64 dimensions (the
+//! constrained-dimension bitmask). Match sets are identical to the flat
+//! table's by construction and held to the brute-force oracle by the
+//! differential suite.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -102,8 +104,7 @@ impl SortedIndex {
     /// # Panics
     ///
     /// Panics when the space has more than 64 dimensions (the row bitmask
-    /// width); [`PubSubNetworkBuilder`](crate::PubSubNetworkBuilder)
-    /// surfaces this as a [`ConfigError`](crate::ConfigError) instead.
+    /// width).
     pub fn new(space: &EventSpace) -> Self {
         assert!(
             space.dims() <= 64,

@@ -15,8 +15,8 @@ use cbps_sim::prefetch::prefetch_tail;
 use cbps_sim::{MatchEngineKind, SimTime, TraceId};
 
 use crate::covering::{CoveringStats, CoveringTable};
-use crate::engine::{AnyMatchEngine, MatchEngine};
 use crate::event::Event;
+use crate::index::MatchIndex;
 use crate::space::EventSpace;
 use crate::subscription::{IdMap, SubId, Subscription};
 
@@ -82,9 +82,9 @@ pub struct StoredSub {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SubscriptionStore {
-    /// The physical matching engine (flat table or sorted), addressed by the
-    /// covering group's slot — or, with covering off, by the row.
-    engine: AnyMatchEngine,
+    /// The physical matching engine, addressed by the covering group's
+    /// slot — or, with covering off, by the row.
+    engine: MatchIndex,
     /// Covering layer, when enabled: the engine then holds one physical
     /// entry per covering *group* instead of one per subscription.
     covering: Option<CoveringTable>,
@@ -123,18 +123,29 @@ pub(crate) struct Row {
 }
 
 impl SubscriptionStore {
-    /// Creates an empty store for subscriptions over `space` with the
-    /// default engine (the flat table) and covering enabled.
+    /// Creates an empty store for subscriptions over `space` with covering
+    /// enabled.
     pub fn new(space: &EventSpace) -> Self {
-        SubscriptionStore::with_options(space, MatchEngineKind::default(), true)
+        SubscriptionStore::with_options(space, MatchEngineKind::Counting, true)
     }
 
-    /// Creates an empty store with an explicit engine kind and covering
-    /// toggle. Both knobs change memory and speed only — never the match
-    /// sets.
+    /// Creates an empty store with an explicit covering toggle, which
+    /// changes memory and speed only — never the match sets.
+    ///
+    /// # Panics
+    ///
+    /// When `engine` is not [`MatchEngineKind::Counting`]: a store runs
+    /// the flat table only. The parameter stays for the frozen `benchmark/`
+    /// crate, which passes `Counting`; ROADMAP item 2's benchmark-only
+    /// change removes it.
     pub fn with_options(space: &EventSpace, engine: MatchEngineKind, covering: bool) -> Self {
+        assert_eq!(
+            engine,
+            MatchEngineKind::Counting,
+            "a store runs the flat table"
+        );
         SubscriptionStore {
-            engine: AnyMatchEngine::new(engine, space),
+            engine: MatchIndex::new(space),
             covering: covering.then(CoveringTable::default),
             rows: Vec::new(),
             free: Vec::new(),
@@ -143,11 +154,6 @@ impl SubscriptionStore {
             peak: 0,
             scratch: Vec::new(),
         }
-    }
-
-    /// The engine kind this store runs.
-    pub fn match_engine(&self) -> MatchEngineKind {
-        self.engine.kind()
     }
 
     /// Number of live subscriptions (assuming expired ones were purged).
@@ -355,9 +361,7 @@ impl SubscriptionStore {
     /// first. Allocation-free at steady state: the id scratch, the engine
     /// scratch and `out` are all reused, and a hit is read off the record
     /// table without touching a stored record or its reference count. This
-    /// is the store's single matching entry point; the engines'
-    /// [`MatchEngine::matches`](crate::MatchEngine::matches) wrapper
-    /// exists for tests and examples.
+    /// is the store's single matching entry point.
     pub fn match_event_into(&mut self, event: &Event, now: SimTime, out: &mut Vec<MatchHit>) {
         out.clear();
         self.purge_expired(now);
@@ -445,22 +449,13 @@ mod tests {
     /// sets are identical either way.
     #[test]
     fn covering_shares_physical_entries_without_changing_matches() {
-        for (engine, covering, phys) in [
-            (MatchEngineKind::Counting, true, 1),
-            (MatchEngineKind::Counting, false, 2),
-            (MatchEngineKind::Sorted, true, 1),
-            (MatchEngineKind::Sorted, false, 2),
-        ] {
-            let mut st = SubscriptionStore::with_options(&space(), engine, covering);
-            assert_eq!(st.match_engine(), engine);
+        for (covering, phys) in [(true, 1), (false, 2)] {
+            let mut st =
+                SubscriptionStore::with_options(&space(), MatchEngineKind::Counting, covering);
             st.insert(SubId(1), stored(0, 100, SimTime::MAX), SimTime::ZERO);
             st.insert(SubId(2), stored(50, 60, SimTime::MAX), SimTime::ZERO);
             assert_eq!(st.len(), 2);
-            assert_eq!(
-                st.physical_len(),
-                phys,
-                "engine {engine:?} covering {covering}"
-            );
+            assert_eq!(st.physical_len(), phys, "covering {covering}");
             assert_eq!(
                 match_ids(&mut st, &Event::new_unchecked(vec![55]), SimTime::ZERO),
                 vec![SubId(1), SubId(2)]

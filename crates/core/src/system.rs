@@ -5,8 +5,7 @@ use std::sync::Arc;
 
 use cbps_overlay::{Peer, RingView};
 use cbps_sim::{
-    MatchEngineKind, Metrics, NetConfig, NodeIdx, ObsMode, SimDuration, SimTime, Simulator,
-    StageRecord, TraceId,
+    Metrics, NetConfig, NodeIdx, ObsMode, SimDuration, SimTime, Simulator, StageRecord, TraceId,
 };
 
 use crate::backend::{fresh_apps, ChordBackend, OverlayBackend};
@@ -60,9 +59,6 @@ pub struct PubSubNetwork<B: OverlayBackend = ChordBackend> {
     ring: RingView,
     cfg: Arc<PubSubConfig>,
     overlay_cfg: B::Config,
-    /// Matching engine newly joining nodes are created with (the same one
-    /// the initial population runs).
-    match_engine: MatchEngineKind,
 }
 
 /// Builder for [`PubSubNetwork`]. Start from
@@ -503,7 +499,7 @@ impl<B: OverlayBackend> PubSubNetwork<B> {
         let node = B::new_node(
             &self.overlay_cfg,
             me,
-            PubSubNode::with_engine(Arc::clone(&self.cfg), self.match_engine),
+            PubSubNode::new(Arc::clone(&self.cfg)),
         );
         let added = self.sim.add_node(node);
         debug_assert_eq!(added, idx);
@@ -559,14 +555,6 @@ impl<B: OverlayBackend> PubSubNetworkBuilder<B> {
         self
     }
 
-    /// Sets the subscription-matching engine every node runs (default:
-    /// the flat table). Both engines deliver identical notification
-    /// sets; see [`MatchEngineKind`].
-    pub fn match_engine(mut self, engine: MatchEngineKind) -> Self {
-        self.net = self.net.with_match_engine(engine);
-        self
-    }
-
     /// Replaces the substrate's overlay configuration.
     pub fn overlay(mut self, overlay: B::Config) -> Self {
         self.overlay = overlay;
@@ -590,9 +578,7 @@ impl<B: OverlayBackend> PubSubNetworkBuilder<B> {
     /// [`ConfigError::ReplicationTooLarge`] when the replication factor
     /// exceeds the successor-list length;
     /// [`ConfigError::ZeroFlushPeriod`] when a buffered or collecting
-    /// notify mode has a zero period;
-    /// [`ConfigError::TooManyDimensions`] when the sorted matching engine
-    /// is selected for an event space of more than 64 dimensions.
+    /// notify mode has a zero period.
     pub fn build(self) -> Result<PubSubNetwork<B>, ConfigError> {
         self.validate()?;
         Ok(self.build_unchecked())
@@ -623,12 +609,6 @@ impl<B: OverlayBackend> PubSubNetworkBuilder<B> {
             }
             _ => {}
         }
-        if self.net.match_engine == MatchEngineKind::Sorted && self.pubsub.space.dims() > 64 {
-            return Err(ConfigError::TooManyDimensions {
-                dims: self.pubsub.space.dims(),
-                limit: 64,
-            });
-        }
         Ok(())
     }
 
@@ -643,14 +623,13 @@ impl<B: OverlayBackend> PubSubNetworkBuilder<B> {
     pub fn build_unchecked(self) -> PubSubNetwork<B> {
         assert!(self.nodes > 0, "a network needs at least one node");
         let cfg = self.pubsub.into_shared();
-        let apps = fresh_apps(&cfg, self.nodes, self.net.match_engine);
+        let apps = fresh_apps(&cfg, self.nodes);
         let (sim, ring) = B::build(self.net, &self.overlay, apps);
         let mut net = PubSubNetwork {
             sim,
             ring,
             cfg,
             overlay_cfg: self.overlay,
-            match_engine: self.net.match_engine,
         };
         if self.obs.enabled() {
             net.set_observability(self.obs);

@@ -1,19 +1,20 @@
-//! Differential test of the two matching engines and the covering layer:
-//! a seeded random stream of subscribe / unsubscribe / publish operations
-//! is applied to every engine × covering configuration of the
-//! [`SubscriptionStore`] and to the brute-force [`Oracle`], and every
-//! probe's match set — plus the stores' logical sizes and peaks — must
-//! agree exactly. Covering and the sorted index reorganize *physical*
-//! state only; any observable difference is a correctness bug.
+//! Differential tests against the brute-force [`Oracle`]: a seeded random
+//! stream of subscribe / unsubscribe / publish operations is applied to the
+//! [`SubscriptionStore`] with covering on and off, and another to the two
+//! matching engines ([`MatchIndex`], the one a store runs, and
+//! [`SortedIndex`]) directly; every probe's match set — plus the stores'
+//! logical sizes and peaks — must agree exactly. Covering and the engines'
+//! layouts reorganize *physical* state only; any observable difference is
+//! a correctness bug.
 //!
-//! The covering stores' physical sizes after every operation are held to a
+//! The covering store's physical size after every operation is held to a
 //! recorded trail: the covering decisions are part of what a change to the
 //! probes must preserve. (The probes themselves are held to brute-force
 //! scans beside the directory they read, in `covering.rs`.)
 
 use cbps::{
-    AttributeDef, Event, EventSpace, MatchEngineKind, Oracle, StoredSub, SubId, Subscription,
-    SubscriptionStore,
+    AttributeDef, Event, EventSpace, MatchEngine, MatchEngineKind, MatchIndex, Oracle, SortedIndex,
+    StoredSub, SubId, Subscription, SubscriptionStore,
 };
 use cbps_overlay::{KeyRangeSet, KeySpace, Peer};
 use cbps_rng::Rng;
@@ -61,12 +62,8 @@ fn random_event(rng: &mut Rng, space: &EventSpace) -> Event {
     Event::new_unchecked(values)
 }
 
-const CONFIGS: [(MatchEngineKind, bool); 4] = [
-    (MatchEngineKind::Counting, false),
-    (MatchEngineKind::Counting, true),
-    (MatchEngineKind::Sorted, false),
-    (MatchEngineKind::Sorted, true),
-];
+/// The store's covering switch, off and on.
+const CONFIGS: [bool; 2] = [false, true];
 
 /// FNV-1a digest of `physical_len` after every operation of every case,
 /// for a store with covering on, as produced when the covered-by search
@@ -74,12 +71,6 @@ const CONFIGS: [(MatchEngineKind, bool); 4] = [
 /// (`MatchEngine::find_match`). Which group a subscription joins decides
 /// when groups die, so an equal trail means the same decisions, not just
 /// the same counts at the end.
-///
-/// The sorted store used to leave its own trail
-/// (`0xdedc_3a23_7630_ece8`): each engine searched for covers itself and
-/// the sorted one took the first cover in its scan order, not the oldest.
-/// The search now lives in the covering table's directory and asks no
-/// engine, so both stores must leave this one.
 const PHYSICAL_TRAIL: u64 = 0xcad2_2287_8ed1_973a;
 
 fn mix(trail: &mut u64, v: u64) {
@@ -96,12 +87,14 @@ fn engines_and_covering_match_the_oracle() {
     };
     let sk = KeyRangeSet::of_key(keys, keys.key(2));
     let mut rng = Rng::seed_from_u64(0xd1ff_e4e2 ^ 0x0bad_cafe);
-    let mut trails = [0xcbf2_9ce4_8422_2325u64; 2];
+    let mut trail = 0xcbf2_9ce4_8422_2325u64;
 
     for case in 0..16 {
         let mut stores: Vec<SubscriptionStore> = CONFIGS
             .iter()
-            .map(|&(engine, covering)| SubscriptionStore::with_options(&space, engine, covering))
+            .map(|&covering| {
+                SubscriptionStore::with_options(&space, MatchEngineKind::Counting, covering)
+            })
             .collect();
         let mut oracle = Oracle::new();
         let mut shapes: Vec<Subscription> = Vec::new();
@@ -172,7 +165,7 @@ fn engines_and_covering_match_the_oracle() {
                         let got: Vec<SubId> = out.iter().map(|&(id, ..)| id).collect();
                         assert_eq!(
                             got, expected,
-                            "case {case}: config {:?} diverged from the oracle at {now:?}",
+                            "case {case}: covering {} diverged from the oracle at {now:?}",
                             CONFIGS[i]
                         );
                     }
@@ -186,9 +179,7 @@ fn engines_and_covering_match_the_oracle() {
                 assert_eq!(store.len(), len0, "case {case}: len of config {i}");
                 assert_eq!(store.peak(), peak0, "case {case}: peak of config {i}");
             }
-            for (trail, store) in trails.iter_mut().zip([&stores[1], &stores[3]]) {
-                mix(trail, store.physical_len() as u64);
-            }
+            mix(&mut trail, stores[1].physical_len() as u64);
             // Covering may only shrink the physical population.
             for store in &stores {
                 assert!(
@@ -203,12 +194,8 @@ fn engines_and_covering_match_the_oracle() {
         );
     }
     assert_eq!(
-        trails[0], PHYSICAL_TRAIL,
-        "covering decisions changed: {trails:#x?}"
-    );
-    assert_eq!(
-        trails[1], trails[0],
-        "covering decisions depend on the engine (counting, sorted): {trails:#x?}"
+        trail, PHYSICAL_TRAIL,
+        "covering decisions changed: {trail:#x}"
     );
 }
 
@@ -224,7 +211,7 @@ fn covering_collapses_wide_streams() {
     };
     let sk = KeyRangeSet::of_key(keys, keys.key(2));
     let mut rng = Rng::seed_from_u64(0xc0de_516e);
-    let mut store = SubscriptionStore::with_options(&space, MatchEngineKind::Sorted, true);
+    let mut store = SubscriptionStore::new(&space);
     // One broad umbrella plus many subscriptions nested inside it.
     let umbrella = Subscription::builder(&space)
         .range("x", 0, 999)
@@ -284,4 +271,103 @@ fn covering_collapses_wide_streams() {
         let c = s.sub.constraint(0).expect("x is constrained");
         c.lo() <= 950 && 950 <= c.hi()
     }));
+}
+
+/// An event inside `sub`: its lower corner on the dimensions it constrains,
+/// anything on the others.
+fn event_in(rng: &mut Rng, space: &EventSpace, sub: &Subscription) -> Event {
+    let values = (0..space.dims()).map(|d| match sub.constraint(d) {
+        Some(c) => c.lo(),
+        None => rng.gen_range(0..space.attr(d).size()),
+    });
+    Event::new_unchecked(values.collect())
+}
+
+/// Drives `engine` with a seeded insert / remove / match stream and holds
+/// every probe to the oracle. Slots are handed out as a store hands them
+/// out: a removed entry's slot goes to the very next insert, for another
+/// shape.
+fn check_engine(mut engine: impl MatchEngine, seed: u64) {
+    let space = space();
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut oracle = Oracle::new();
+    // Slot → (the id the oracle knows its tenant by, the tenant's shape).
+    let mut tenants: Vec<Option<(SubId, Subscription)>> = Vec::new();
+    let mut free: Vec<u32> = Vec::new();
+    let mut live: Vec<u32> = Vec::new();
+    let mut gone: Vec<Subscription> = Vec::new();
+    let (mut reused, mut probes) = (0, 0);
+    let mut out = Vec::new();
+    for step in 0..5000u64 {
+        let now = SimTime::from_secs(step);
+        // A bulk start, so that the sorted index has flushed its staging
+        // rows into runs — where a removed entry lingers as a tombstone
+        // while its slot is handed on — before anything is withdrawn.
+        let op = if step < 1500 {
+            0
+        } else {
+            rng.gen_range(0u32..10)
+        };
+        match op {
+            0..=3 => {
+                let sub = random_sub(&mut rng, &space);
+                let slot = free.pop().unwrap_or_else(|| {
+                    tenants.push(None);
+                    tenants.len() as u32 - 1
+                });
+                reused += usize::from(tenants[slot as usize].is_some());
+                let id = SubId(step);
+                engine.insert(slot, sub.clone());
+                oracle.add_sub(id, sub.clone(), now, SimTime::MAX);
+                tenants[slot as usize] = Some((id, sub));
+                live.push(slot);
+            }
+            4..=5 if !live.is_empty() => {
+                let slot = live.swap_remove(rng.gen_range(0..live.len() as u64) as usize);
+                let (id, sub) = tenants[slot as usize].clone().expect("a live slot");
+                assert_eq!(engine.remove(slot), Some(sub.clone()), "step {step}");
+                assert_eq!(engine.get(slot), None, "step {step}");
+                oracle.remove_sub(id, now);
+                gone.push(sub);
+                free.push(slot);
+            }
+            _ => {
+                // Half the probes land in a withdrawn shape: its tombstone
+                // must not answer for the slot's new tenant.
+                let event = match gone.len() {
+                    n if n > 0 && rng.gen_bool(0.5) => {
+                        let sub = &gone[rng.gen_range(0..n as u64) as usize];
+                        event_in(&mut rng, &space, sub)
+                    }
+                    _ => random_event(&mut rng, &space),
+                };
+                engine.matches_into(&event, &mut out);
+                assert!(out.windows(2).all(|w| w[0] < w[1]), "step {step}: {out:?}");
+                let mut got: Vec<SubId> = out
+                    .iter()
+                    .map(|&slot| tenants[slot as usize].as_ref().expect("a live slot").0)
+                    .collect();
+                got.sort_unstable();
+                assert_eq!(
+                    got,
+                    oracle.matching_at(&event, now),
+                    "step {step}: {event:?}"
+                );
+                probes += 1;
+            }
+        }
+        assert_eq!(engine.len(), live.len(), "step {step}");
+    }
+    assert!(
+        reused > 300 && probes > 1000,
+        "{reused} slots reused, {probes} probes"
+    );
+}
+
+#[test]
+fn engines_match_the_oracle() {
+    for seed in [0x5107_e4e2, 0xf1a7_7ab1] {
+        check_engine(MatchIndex::new(&space()), seed);
+        check_engine(SortedIndex::new(&space()), seed);
+    }
 }

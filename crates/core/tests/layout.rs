@@ -25,9 +25,8 @@ fn hot_values_stay_under_their_size_ceilings() {
             1384,
         ),
         ("Envelope<PubSubMsg>", size_of::<Envelope<PubSubMsg>>(), 128),
-        // One per node, used or not: the sorted engine's array headers sit
-        // behind a box of their own, the shape map beside the bounds slab
-        // it always accompanies. The default engine is two array headers
+        // One per node, used or not: the shape map sits beside the bounds
+        // slab it always accompanies, and the engine is two array headers
         // (624 B while it carried a bucket matrix and counting scratch).
         ("SubscriptionStore", size_of::<SubscriptionStore>(), 480),
     ];

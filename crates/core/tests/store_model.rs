@@ -18,14 +18,13 @@ use cbps_overlay::{KeyRangeSet, KeySpace, Peer};
 use cbps_rng::Rng;
 use cbps_sim::{SimTime, TraceId};
 
-/// Every engine × covering combination: the physical organization of the
-/// store is unobservable through its public API.
-const CONFIGS: [(MatchEngineKind, bool); 4] = [
-    (MatchEngineKind::Counting, false),
-    (MatchEngineKind::Counting, true),
-    (MatchEngineKind::Sorted, false),
-    (MatchEngineKind::Sorted, true),
-];
+/// Covering off and on: the physical organization of the store is
+/// unobservable through its public API.
+const CONFIGS: [bool; 2] = [false, true];
+
+fn store(space: &EventSpace, covering: bool) -> SubscriptionStore {
+    SubscriptionStore::with_options(space, MatchEngineKind::Counting, covering)
+}
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -99,15 +98,15 @@ fn store_matches_naive_model() {
             let n = rng.gen_range(1usize..120);
             (0..n).map(|_| random_op(&mut rng)).collect()
         };
-        for (engine, covering) in CONFIGS {
-            check_against_model(case, engine, covering, &ops);
+        for covering in CONFIGS {
+            check_against_model(case, covering, &ops);
         }
     }
 }
 
-fn check_against_model(case: usize, engine: MatchEngineKind, covering: bool, ops: &[Op]) {
+fn check_against_model(case: usize, covering: bool, ops: &[Op]) {
     let space = EventSpace::new(vec![AttributeDef::new("x", 1000)]);
-    let mut store = SubscriptionStore::with_options(&space, engine, covering);
+    let mut store = store(&space, covering);
     let mut model = Model::default();
     let mut match_buf = Vec::new();
     // Operations are applied at non-decreasing times; track a clock so
@@ -186,7 +185,7 @@ fn check_against_model(case: usize, engine: MatchEngineKind, covering: bool, ops
     assert!(
         store.peak() >= model.peak,
         "case {case}: real peak may only exceed the model's (sweeps are lazier), \
-         engine {engine:?} covering {covering}"
+         covering {covering}"
     );
 }
 
@@ -240,8 +239,8 @@ fn record_table_churn() {
     let space = EventSpace::new(vec![AttributeDef::new("x", 1000)]);
     let mut rng = Rng::seed_from_u64(0x7ab1_e0f5);
     for case in 0..48 {
-        for (engine, covering) in CONFIGS {
-            let mut store = SubscriptionStore::with_options(&space, engine, covering);
+        for covering in CONFIGS {
+            let mut store = store(&space, covering);
             let mut model: std::collections::BTreeMap<u64, Held> = Default::default();
             let mut peak = 0;
             let mut clock = 0u64;
@@ -250,7 +249,7 @@ fn record_table_churn() {
             let mut asked = 0;
             let mut arms = [0usize; 3];
             for step in 0..400 {
-                let ctx = format!("case {case} {engine:?} covering {covering} step {step}");
+                let ctx = format!("case {case} covering {covering} step {step}");
                 clock += rng.gen_range(0u64..4);
                 let now = SimTime::from_secs(clock);
                 let id = rng.gen_range(0u64..24);
@@ -387,8 +386,8 @@ fn record_table_churn() {
 /// that lapse and are renewed. `match_event_into` must name exactly the
 /// live subscriptions whose own shape `Subscription::matches` the event —
 /// a member filed under a wider cover is never vouched for by the cover —
-/// in ascending id order and with each one's subscriber, under both
-/// engines and with covering off.
+/// in ascending id order and with each one's subscriber, with covering on
+/// and off.
 #[test]
 fn expansion_equals_brute_force_over_live_subscriptions() {
     let mut rng = Rng::seed_from_u64(0x51ab_b0d5);
@@ -399,13 +398,8 @@ fn expansion_equals_brute_force_over_live_subscriptions() {
         let size = [6u64, 12, 40][case % 3];
         let attrs = (0..dims).map(|d| AttributeDef::new(format!("a{d}"), size));
         let space = EventSpace::new(attrs.collect());
-        let mut stores: Vec<SubscriptionStore> = [
-            (MatchEngineKind::Counting, true),
-            (MatchEngineKind::Sorted, true),
-            (MatchEngineKind::Counting, false),
-        ]
-        .map(|(engine, covering)| SubscriptionStore::with_options(&space, engine, covering))
-        .into();
+        let mut stores: Vec<SubscriptionStore> =
+            [true, false].map(|covering| store(&space, covering)).into();
         // id → (shape, expiry in seconds, subscriber index)
         let mut model: std::collections::BTreeMap<u64, (Subscription, u64, usize)> =
             Default::default();
@@ -514,44 +508,42 @@ fn member_of_a_widened_group_answers_for_its_own_bounds() {
         expires: u64::MAX,
         tag: 0,
     };
-    for engine in [MatchEngineKind::Counting, MatchEngineKind::Sorted] {
-        let mut store = SubscriptionStore::with_options(&space, engine, true);
-        let mut out = Vec::new();
-        let mut ids = |store: &mut SubscriptionStore, v| {
-            store.match_event_into(&Event::new_unchecked(vec![v]), SimTime::ZERO, &mut out);
-            out.iter().map(|(id, ..)| id.0).collect::<Vec<_>>()
-        };
-        store.insert(SubId(1), record(&space, held(50, 60)), SimTime::ZERO);
-        store.insert(SubId(2), record(&space, held(50, 60)), SimTime::ZERO);
-        assert_eq!(
-            store.covering_stats().bounds_slots,
-            0,
-            "both equal the cover"
-        );
-        store.insert(SubId(3), record(&space, held(40, 80)), SimTime::ZERO);
-        store.insert(SubId(4), record(&space, held(30, 90)), SimTime::ZERO);
-        assert_eq!(store.physical_len(), 1);
-        assert_eq!(store.covering_stats().absorbed, 2);
-        assert_eq!(store.covering_stats().bounds_slots, 3, "1, 2 and then 3");
-        assert_eq!(ids(&mut store, 55), [1, 2, 3, 4]);
-        assert_eq!(ids(&mut store, 70), [3, 4]);
-        assert_eq!(ids(&mut store, 85), [4]);
-        assert_eq!(ids(&mut store, 95), [0u64; 0]);
-        // The cover's own subscription leaves: the group stays as wide.
-        assert!(store.remove(SubId(4)).is_some());
-        assert_eq!(ids(&mut store, 85), [0u64; 0]);
-        assert_eq!(ids(&mut store, 45), [3]);
-        assert!(store.remove(SubId(1)).is_some());
-        store.insert(SubId(5), record(&space, held(52, 58)), SimTime::ZERO);
-        assert_eq!(
-            store.covering_stats().bounds_slots,
-            3,
-            "5 took over 1's slot"
-        );
-        assert_eq!(ids(&mut store, 59), [2, 3]);
-        assert_eq!(ids(&mut store, 55), [2, 3, 5]);
-        assert_eq!(store.covering_stats().records_dereferenced_on_match, 0);
-    }
+    let mut store = store(&space, true);
+    let mut out = Vec::new();
+    let mut ids = |store: &mut SubscriptionStore, v| {
+        store.match_event_into(&Event::new_unchecked(vec![v]), SimTime::ZERO, &mut out);
+        out.iter().map(|(id, ..)| id.0).collect::<Vec<_>>()
+    };
+    store.insert(SubId(1), record(&space, held(50, 60)), SimTime::ZERO);
+    store.insert(SubId(2), record(&space, held(50, 60)), SimTime::ZERO);
+    assert_eq!(
+        store.covering_stats().bounds_slots,
+        0,
+        "both equal the cover"
+    );
+    store.insert(SubId(3), record(&space, held(40, 80)), SimTime::ZERO);
+    store.insert(SubId(4), record(&space, held(30, 90)), SimTime::ZERO);
+    assert_eq!(store.physical_len(), 1);
+    assert_eq!(store.covering_stats().absorbed, 2);
+    assert_eq!(store.covering_stats().bounds_slots, 3, "1, 2 and then 3");
+    assert_eq!(ids(&mut store, 55), [1, 2, 3, 4]);
+    assert_eq!(ids(&mut store, 70), [3, 4]);
+    assert_eq!(ids(&mut store, 85), [4]);
+    assert_eq!(ids(&mut store, 95), [0u64; 0]);
+    // The cover's own subscription leaves: the group stays as wide.
+    assert!(store.remove(SubId(4)).is_some());
+    assert_eq!(ids(&mut store, 85), [0u64; 0]);
+    assert_eq!(ids(&mut store, 45), [3]);
+    assert!(store.remove(SubId(1)).is_some());
+    store.insert(SubId(5), record(&space, held(52, 58)), SimTime::ZERO);
+    assert_eq!(
+        store.covering_stats().bounds_slots,
+        3,
+        "5 took over 1's slot"
+    );
+    assert_eq!(ids(&mut store, 59), [2, 3]);
+    assert_eq!(ids(&mut store, 55), [2, 3, 5]);
+    assert_eq!(store.covering_stats().records_dereferenced_on_match, 0);
 }
 
 /// A freed row goes to the next newcomer while the expiry heap still
@@ -563,8 +555,8 @@ fn member_of_a_widened_group_answers_for_its_own_bounds() {
 #[test]
 fn recycled_row_does_not_answer_for_its_previous_tenant() {
     let space = EventSpace::new(vec![AttributeDef::new("x", 1000)]);
-    for (engine, covering) in CONFIGS {
-        let mut store = SubscriptionStore::with_options(&space, engine, covering);
+    for covering in CONFIGS {
+        let mut store = store(&space, covering);
         let held = |lo, expires, tag| Held {
             lo,
             hi: lo + 10,
@@ -586,7 +578,7 @@ fn recycled_row_does_not_answer_for_its_previous_tenant() {
             record(&space, held(500, u64::MAX, 2)),
             SimTime::ZERO,
         );
-        assert_eq!(ids(&mut store, 15), [], "{engine:?} covering {covering}");
+        assert_eq!(ids(&mut store, 15), [], "covering {covering}");
         assert_eq!(ids(&mut store, 505), [(2, 0)], "the old tenant's row");
         store.insert(SubId(1), record(&space, held(10, 50, 3)), SimTime::ZERO);
         assert_eq!(ids(&mut store, 15), [(1, 1)]);
@@ -603,13 +595,13 @@ fn recycled_row_does_not_answer_for_its_previous_tenant() {
     }
 }
 
-/// The same at a size where the sorted engine has flushed its staging
-/// rows into runs, so that a removed entry lingers there as a tombstone
-/// while its slot is handed on: 1 500 unrelated shapes (one group each),
-/// every other one withdrawn, their rows and slots taken over by shapes
-/// elsewhere in the domain. Every old shape's event must find nothing,
-/// every new one's exactly the newcomer — under both engines, covering on
-/// and off, the four stores agreeing on every row they name.
+/// The same at scale: 1 500 unrelated shapes (one group each), every other
+/// one withdrawn, their rows and slots taken over by shapes elsewhere in
+/// the domain. Every old shape's event must find nothing, every new one's
+/// exactly the newcomer — covering on and off, the two stores agreeing on
+/// every row they name. (`engine_differential.rs` holds the engines
+/// themselves to the same slot reuse, the sorted index's post-flush
+/// tombstones included.)
 #[test]
 fn recycled_engine_slots_answer_for_their_new_tenants_only() {
     let space = EventSpace::new(vec![AttributeDef::new("x", 1_000_000)]);
@@ -619,10 +611,7 @@ fn recycled_engine_slots_answer_for_their_new_tenants_only() {
         expires: u64::MAX,
         tag,
     };
-    let mut stores: Vec<SubscriptionStore> = CONFIGS
-        .iter()
-        .map(|&(engine, covering)| SubscriptionStore::with_options(&space, engine, covering))
-        .collect();
+    let mut stores: Vec<SubscriptionStore> = CONFIGS.map(|c| store(&space, c)).into();
     let mut out = Vec::new();
     let mut rows_of = |store: &mut SubscriptionStore, v: u64| {
         store.match_event_into(&Event::new_unchecked(vec![v]), SimTime::ZERO, &mut out);
@@ -650,7 +639,11 @@ fn recycled_engine_slots_answer_for_their_new_tenants_only() {
             _ => vec![(i, i as usize, i as u32)],
         };
         for (store, config) in stores.iter_mut().zip(CONFIGS) {
-            assert_eq!(rows_of(store, 10 * i), expect, "{config:?}: old shape {i}");
+            assert_eq!(
+                rows_of(store, 10 * i),
+                expect,
+                "covering {config}: old shape {i}"
+            );
         }
     }
     for i in 0..750u64 {
@@ -660,7 +653,7 @@ fn recycled_engine_slots_answer_for_their_new_tenants_only() {
             assert_eq!(
                 rows_of(store, 500_000 + i),
                 expect,
-                "{config:?}: new shape {i}"
+                "covering {config}: new shape {i}"
             );
         }
     }

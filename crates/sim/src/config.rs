@@ -64,38 +64,29 @@ impl SchedulerKind {
     }
 }
 
-/// Which subscription-matching engine rendezvous nodes run.
+/// A subscription-matching engine, by name.
 ///
-/// Both engines produce identical match sets — each is held to a
-/// brute-force oracle by the differential suites in `cbps-core` — so this
-/// knob exists for A/B benchmarking. Defined here because [`NetConfig`] is
-/// the single source of deployment-wide knobs.
+/// Rendezvous nodes always run the flat table ([`MatchEngineKind::Counting`]);
+/// no deployment selects an engine. The enum stays only because the frozen
+/// `benchmark/` crate names both engines for its engine replay and copies
+/// [`NetConfig::match_engine`] into its knob vector; ROADMAP item 2's
+/// benchmark-only change removes it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum MatchEngineKind {
     /// One flat table of per-dimension bounds, a row per stored entry,
-    /// scanned in full for every event: the default, and the faster engine
-    /// up to a few thousand entries per node. It keeps the name `counting`
-    /// of the counting algorithm (Fabret et al.) it replaced, because the
-    /// benchmark crate names it so.
+    /// scanned in full for every event: the engine every store runs. It
+    /// keeps the name `counting` of the counting algorithm (Fabret et al.)
+    /// it replaced, because the benchmark crate names it so.
     #[default]
     Counting,
     /// Flat struct-of-arrays table, span-class sorted segments, linear
-    /// early-exit scans. Built for 10^5–10^6 subscriptions per node.
+    /// early-exit scans: a library engine the benchmark measures.
     Sorted,
 }
 
 impl MatchEngineKind {
-    /// Parses `"counting"` or `"sorted"` (as accepted by the CLI tools).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "counting" => Some(MatchEngineKind::Counting),
-            "sorted" => Some(MatchEngineKind::Sorted),
-            _ => None,
-        }
-    }
-
-    /// The name [`MatchEngineKind::parse`] accepts for this variant.
+    /// The variant's name, as the benchmark reports it.
     pub fn name(self) -> &'static str {
         match self {
             MatchEngineKind::Counting => "counting",
@@ -148,9 +139,10 @@ pub struct NetConfig {
     pub loss_probability: f64,
     /// Always [`SchedulerKind::Wheel`]; see [`SchedulerKind`].
     pub scheduler: SchedulerKind,
-    /// Subscription-matching engine run by rendezvous nodes (the flat
-    /// table by default). Purely an implementation knob: both engines
-    /// deliver identical notification sets.
+    /// Always [`MatchEngineKind::Counting`], and read by nothing in this
+    /// workspace: it stays only because the frozen `benchmark/` crate
+    /// copies it into its knob vector; ROADMAP item 2's benchmark-only
+    /// change removes it.
     pub match_engine: MatchEngineKind,
     /// Always `1`, and read by nothing in this workspace: the sharded
     /// event loop it once sized is gone (DESIGN.md, "Sharded parallel
@@ -193,12 +185,6 @@ impl NetConfig {
             "loss probability {p} out of [0, 1]"
         );
         self.loss_probability = p;
-        self
-    }
-
-    /// Replaces the subscription-matching engine.
-    pub fn with_match_engine(mut self, engine: MatchEngineKind) -> Self {
-        self.match_engine = engine;
         self
     }
 }
@@ -253,13 +239,11 @@ mod tests {
 
     #[test]
     fn match_engine_kind_parse_roundtrip() {
+        // As for `SchedulerKind`: no parser is left; every configuration
+        // names the flat table, and both names are the benchmark's.
         assert_eq!(NetConfig::default().match_engine, MatchEngineKind::Counting);
-        for kind in [MatchEngineKind::Counting, MatchEngineKind::Sorted] {
-            assert_eq!(MatchEngineKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(MatchEngineKind::parse("bogus"), None);
-        let cfg = NetConfig::new(0).with_match_engine(MatchEngineKind::Sorted);
-        assert_eq!(cfg.match_engine, MatchEngineKind::Sorted);
+        assert_eq!(MatchEngineKind::Counting.name(), "counting");
+        assert_eq!(MatchEngineKind::Sorted.name(), "sorted");
     }
 
     #[test]
