@@ -43,11 +43,10 @@ cargo test --workspace --doc -q
 
 # The allocation gates pin exact counts, which hold for optimized builds
 # only (two are ignored under debug assertions), as does `build_scale`'s
-# per-node build cost. The covering-probe gate already ran above; it is
-# repeated because the optimized build is the one that gets measured.
-echo "==> cargo test --release (allocation, build-scale and covering-probe gates)"
+# per-node build cost.
+echo "==> cargo test --release (allocation and build-scale gates)"
 cargo test --release -q -p cbps-bench --test alloc_steady --test alloc_install \
-    --test alloc_route --test build_scale --test covering_stats
+    --test alloc_route --test build_scale
 
 # The sampling profiler of `ci/prof` is C and Python, out of cargo's sight:
 # build it and profile a sub-second run through `timeout`, a wrapper that

@@ -96,12 +96,10 @@ pub struct PubSubConfig {
     /// paper uses expiration to "simulate possible requests for
     /// unsubscriptions"; refresh turns that into a lease protocol).
     pub lease_refresh: bool,
-    /// Subscription covering at rendezvous nodes: subscriptions covered by
-    /// (or covering) already-stored ones share one physical matching-engine
-    /// entry. On by default — it changes memory and matching cost only,
-    /// never the delivered sets (see [`SubscriptionStore`]).
-    ///
-    /// [`SubscriptionStore`]: crate::SubscriptionStore
+    /// Always `false`, and read by nothing in this workspace: every store
+    /// files each subscription under its own engine entry. It stays only
+    /// because the frozen `benchmark/` crate writes it into its knob vector;
+    /// ROADMAP item 2's benchmark-only change drops it.
     pub covering: bool,
     /// Always the stateless mapping; see [`RendezvousPolicy`].
     pub rendezvous: RendezvousPolicy,
@@ -122,7 +120,7 @@ impl PubSubConfig {
             replication: 0,
             default_ttl: None,
             lease_refresh: false,
-            covering: true,
+            covering: false,
             rendezvous: RendezvousPolicy,
         }
     }
@@ -200,12 +198,6 @@ impl PubSubConfig {
     /// Enables or disables lease refresh of TTL-bearing subscriptions.
     pub fn with_lease_refresh(mut self, on: bool) -> Self {
         self.lease_refresh = on;
-        self
-    }
-
-    /// Enables or disables subscription covering at rendezvous nodes.
-    pub fn with_covering(mut self, on: bool) -> Self {
-        self.covering = on;
         self
     }
 

@@ -18,10 +18,10 @@ use crate::subscription::{SubId, Subscription};
 /// The matching operations every engine provides.
 ///
 /// An engine mints no names of its own: every entry goes by the *slot* its
-/// caller files it under — the covering group's slot, or the store's row
-/// with covering off — and a match names slots. The caller keeps its slots
-/// dense (engines size tables by the largest in use) and may hand a
-/// removed entry's slot to the next insert at once.
+/// caller files it under — for a store, the subscription's row — and a
+/// match names slots. The caller keeps its slots dense (engines size
+/// tables by the largest in use) and may hand a removed entry's slot to
+/// the next insert at once.
 ///
 /// `matches_into` is the one true entry point — buffer-reusing and
 /// allocation-free at steady state. [`MatchEngine::matches`] is a

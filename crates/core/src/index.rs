@@ -7,10 +7,10 @@
 //! table in slot order, testing every dimension of a row without a branch
 //! (`v − lo ≤ hi − lo` in wrapping arithmetic is `lo ≤ v ≤ hi`), so the
 //! hits come out ascending. At the sizes a rendezvous node holds — at
-//! most a few thousand entries, a fifth of them once covering has grouped
-//! them — the pass costs a few nanoseconds a row, and an insert writes one
-//! row where the per-dimension bucket lists of the counting algorithm
-//! (Fabret et al. [6]) took a push onto a dozen list tails, each a miss.
+//! most a few thousand entries — the pass costs a few nanoseconds a row,
+//! and an insert writes one row where the per-dimension bucket lists of
+//! the counting algorithm (Fabret et al. [6]) took a push onto a dozen
+//! list tails, each a miss.
 
 use crate::event::Event;
 use crate::space::EventSpace;

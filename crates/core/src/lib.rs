@@ -48,7 +48,6 @@
 
 mod backend;
 mod config;
-mod covering;
 mod dedup;
 mod engine;
 mod error;
@@ -67,7 +66,6 @@ mod system;
 pub use backend::{BackendCtx, ChordBackend, ChordPubSub, OverlayBackend};
 pub use cbps_sim::MatchEngineKind;
 pub use config::{deployment_key_space, NotifyMode, Primitive, PubSubConfig, RendezvousPolicy};
-pub use covering::CoveringStats;
 pub use engine::{AnyMatchEngine, MatchEngine, SlotKey};
 pub use error::{ConfigError, PubSubError};
 pub use event::{Event, EventId};

@@ -9,8 +9,7 @@ use std::sync::Arc;
 use cbps_overlay::{Delivery, KeyRange, KeyRangeSet, OverlayApp, OverlayServices, Peer};
 use cbps_sim::prefetch::prefetch;
 use cbps_sim::{
-    Counter, MatchEngineKind, PrefetchStage, Series, SimDuration, SimTime, Stage, TraceId,
-    TrafficClass,
+    Counter, PrefetchStage, Series, SimDuration, SimTime, Stage, TraceId, TrafficClass,
 };
 
 use crate::config::{NotifyMode, Primitive, PubSubConfig};
@@ -74,11 +73,9 @@ pub struct PubSubNode {
 impl PubSubNode {
     /// Creates the pub/sub state for one node under a shared configuration.
     pub fn new(cfg: Arc<PubSubConfig>) -> Self {
-        let store =
-            SubscriptionStore::with_options(&cfg.space, MatchEngineKind::Counting, cfg.covering);
         PubSubNode {
+            store: Box::new(SubscriptionStore::new(&cfg.space)),
             cfg,
-            store: Box::new(store),
             replicas: HashMap::new(),
             my_subs: HashMap::new(),
             next_sub_seq: 0,

@@ -14,7 +14,6 @@ use cbps_overlay::{KeyRangeSet, Peer};
 use cbps_sim::prefetch::prefetch_tail;
 use cbps_sim::{MatchEngineKind, SimTime, TraceId};
 
-use crate::covering::{CoveringStats, CoveringTable};
 use crate::event::Event;
 use crate::index::MatchIndex;
 use crate::space::EventSpace;
@@ -82,16 +81,11 @@ pub struct StoredSub {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SubscriptionStore {
-    /// The physical matching engine, addressed by the covering group's
-    /// slot — or, with covering off, by the row.
+    /// The matching engine, one entry per stored subscription, filed under
+    /// the subscription's row.
     engine: MatchIndex,
-    /// Covering layer, when enabled: the engine then holds one physical
-    /// entry per covering *group* instead of one per subscription.
-    covering: Option<CoveringTable>,
-    /// The record table — the *logical* store: `len`/`peak`/expiry always
-    /// count every subscription, grouped or not. One row per stored
-    /// subscription, found through `by_id` and, by the covering groups'
-    /// member lists, directly by number; freed rows are recycled.
+    /// The record table: one row per stored subscription, found through
+    /// `by_id`, or by number from an engine hit; freed rows are recycled.
     rows: Vec<Option<Row>>,
     free: Vec<u32>,
     /// Id → row: the one id-keyed entry a stored subscription costs.
@@ -110,43 +104,20 @@ pub type MatchHit = (SubId, Peer, u32);
 
 /// One stored subscription.
 #[derive(Clone, Debug)]
-pub(crate) struct Row {
-    pub(crate) id: SubId,
+struct Row {
+    id: SubId,
     /// The record's subscriber, so that a match reads it off the row.
-    pub(crate) subscriber: Peer,
+    subscriber: Peer,
     /// A handle to the record the subscriber built: storing bumps a
     /// reference count instead of copying a record.
-    pub(crate) rec: Arc<StoredSub>,
-    /// With covering on, the slot of the row's group and the row's
-    /// position in that group's member list.
-    pub(crate) member: (u32, u32),
+    rec: Arc<StoredSub>,
 }
 
 impl SubscriptionStore {
-    /// Creates an empty store for subscriptions over `space` with covering
-    /// enabled.
+    /// Creates an empty store for subscriptions over `space`.
     pub fn new(space: &EventSpace) -> Self {
-        SubscriptionStore::with_options(space, MatchEngineKind::Counting, true)
-    }
-
-    /// Creates an empty store with an explicit covering toggle, which
-    /// changes memory and speed only — never the match sets.
-    ///
-    /// # Panics
-    ///
-    /// When `engine` is not [`MatchEngineKind::Counting`]: a store runs
-    /// the flat table only. The parameter stays for the frozen `benchmark/`
-    /// crate, which passes `Counting`; ROADMAP item 2's benchmark-only
-    /// change removes it.
-    pub fn with_options(space: &EventSpace, engine: MatchEngineKind, covering: bool) -> Self {
-        assert_eq!(
-            engine,
-            MatchEngineKind::Counting,
-            "a store runs the flat table"
-        );
         SubscriptionStore {
             engine: MatchIndex::new(space),
-            covering: covering.then(CoveringTable::default),
             rows: Vec::new(),
             free: Vec::new(),
             by_id: IdMap::default(),
@@ -156,30 +127,34 @@ impl SubscriptionStore {
         }
     }
 
+    /// [`SubscriptionStore::new`] under the signature the frozen
+    /// `benchmark/` crate calls; ROADMAP item 2's benchmark-only change
+    /// removes it. `covering` is ignored: no store shares engine entries
+    /// between subscriptions any more.
+    ///
+    /// # Panics
+    ///
+    /// When `engine` is not [`MatchEngineKind::Counting`]: a store runs
+    /// the flat table only.
+    pub fn with_options(space: &EventSpace, engine: MatchEngineKind, _covering: bool) -> Self {
+        assert_eq!(
+            engine,
+            MatchEngineKind::Counting,
+            "a store runs the flat table"
+        );
+        SubscriptionStore::new(space)
+    }
+
     /// Number of live subscriptions (assuming expired ones were purged).
     pub fn len(&self) -> usize {
         self.by_id.len()
     }
 
-    /// Number of entries in the physical matching engine. Equals
-    /// [`SubscriptionStore::len`] without covering; with covering it is
-    /// the number of groups — at most `len()`, far fewer on workloads
-    /// with duplicate or nested subscriptions.
+    /// [`SubscriptionStore::len`], under the name the frozen `benchmark/`
+    /// crate reads (`store.physical_ratio`, now always 1); ROADMAP item 2's
+    /// benchmark-only change removes it.
     pub fn physical_len(&self) -> usize {
-        match &self.covering {
-            Some(table) => table.physical_len(),
-            None => self.engine.len(),
-        }
-    }
-
-    /// What the covering layer decided for the subscriptions stored so
-    /// far, how much its probes read to decide and what matching read
-    /// (all zero with covering off). Counters only ever grow; compare two
-    /// readings.
-    pub fn covering_stats(&self) -> CoveringStats {
-        self.covering
-            .as_ref()
-            .map_or_else(Default::default, |t| t.stats)
+        self.len()
     }
 
     /// `true` when nothing is stored.
@@ -220,12 +195,9 @@ impl SubscriptionStore {
     /// only the expiry).
     pub fn insert(&mut self, id: SubId, stored: impl Into<Arc<StoredSub>>, now: SimTime) -> bool {
         let stored: Arc<StoredSub> = stored.into();
-        // What a fresh insert touches hangs off half a dozen tables, each
-        // a miss of its own by the time the insert gets there. Asked for
-        // now, the first lines of each arrive while `by_id` is probed.
-        if let Some(table) = &self.covering {
-            table.prefetch_insert(&stored.sub);
-        }
+        // The row a fresh insert writes is a miss of its own by the time
+        // the insert gets there; asked for now, it arrives while `by_id` is
+        // probed.
         prefetch_tail(&self.rows);
         self.purge_expired(now);
         let expires = stored.expires;
@@ -238,7 +210,7 @@ impl SubscriptionStore {
                 if rec.expires == expires {
                     return false;
                 }
-                // Refresh: the physical entry is untouched, and so is the
+                // Refresh: the engine entry is untouched, and so is the
                 // record other stores may share — adopt the incoming one,
                 // or copy before writing.
                 if differs_only_in_expiry(rec, &stored) {
@@ -254,21 +226,11 @@ impl SubscriptionStore {
                     (self.rows.len() - 1) as u32
                 });
                 slot.insert(row);
-                let member = match &mut self.covering {
-                    Some(table) => {
-                        table.prefetch_run(&stored.sub);
-                        table.insert(&mut self.engine, row, &stored.sub)
-                    }
-                    None => {
-                        self.engine.insert(row, stored.sub.clone());
-                        (0, 0)
-                    }
-                };
+                self.engine.insert(row, stored.sub.clone());
                 self.rows[row as usize] = Some(Row {
                     id,
                     subscriber: stored.subscriber,
                     rec: stored,
-                    member,
                 });
                 self.peak = self.peak.max(self.by_id.len());
                 true
@@ -286,16 +248,11 @@ impl SubscriptionStore {
     /// Removes a subscription (unsubscription), returning its record.
     pub fn remove(&mut self, id: SubId) -> Option<Arc<StoredSub>> {
         let row = self.by_id.remove(&id)?;
-        let Row { rec, member, .. } = self.rows[row as usize]
+        let Row { rec, .. } = self.rows[row as usize]
             .take()
             .expect("`by_id` names live rows");
         self.free.push(row);
-        match &mut self.covering {
-            Some(table) => table.remove(&mut self.engine, &mut self.rows, member, &rec.sub),
-            None => {
-                self.engine.remove(row);
-            }
-        }
+        self.engine.remove(row);
         Some(rec)
     }
 
@@ -320,9 +277,9 @@ impl SubscriptionStore {
 
     /// Rebuilds the expiry heap when stale entries dominate. Refreshes and
     /// removals leave `(expiry, id)` entries behind for ids whose record
-    /// changed or vanished (e.g. lease-refresh loops over covered
-    /// subscriptions); without an occasional sweep the heap would grow
-    /// without bound relative to the live population.
+    /// changed or vanished (e.g. lease-refresh loops); without an
+    /// occasional sweep the heap would grow without bound relative to the
+    /// live population.
     fn shrink_expiry_heap(&mut self) {
         if self.expiry.len() <= 2 * self.len() + 64 {
             return;
@@ -367,16 +324,11 @@ impl SubscriptionStore {
         self.purge_expired(now);
         let mut slots = std::mem::take(&mut self.scratch);
         self.engine.matches_into(event, &mut slots);
-        match &mut self.covering {
-            Some(table) => table.expand_into(&slots, &self.rows, event, out),
-            None => {
-                for &row in &slots {
-                    let r = self.row(row);
-                    out.push((r.id, r.subscriber, row));
-                }
-                out.sort_unstable_by_key(|&(id, ..)| id);
-            }
+        for &row in &slots {
+            let r = self.row(row);
+            out.push((r.id, r.subscriber, row));
         }
+        out.sort_unstable_by_key(|&(id, ..)| id);
         self.scratch = slots;
     }
 
@@ -384,10 +336,7 @@ impl SubscriptionStore {
     /// [`SubscriptionStore::match_event_into`], by the hit's row (an insert
     /// or a removal since then may have given the row away; panics if it
     /// is vacant).
-    pub fn matched_record(&mut self, row: u32) -> &Arc<StoredSub> {
-        if let Some(table) = &mut self.covering {
-            table.stats.records_dereferenced_on_match += 1;
-        }
+    pub fn matched_record(&self, row: u32) -> &Arc<StoredSub> {
         &self.row(row).rec
     }
 }
@@ -444,47 +393,38 @@ mod tests {
         assert_eq!(ids, vec![SubId(1)]);
     }
 
-    /// `[50, 60] ⊆ [0, 100]`: with covering the two subscriptions share
-    /// one physical entry, without it they do not — and the logical match
-    /// sets are identical either way.
+    /// `[50, 60] ⊆ [0, 100]`: an event in the outer range only matches the
+    /// outer subscription, and removing the outer one leaves the inner one
+    /// matching on its own bounds.
     #[test]
-    fn covering_shares_physical_entries_without_changing_matches() {
-        for (covering, phys) in [(true, 1), (false, 2)] {
-            let mut st =
-                SubscriptionStore::with_options(&space(), MatchEngineKind::Counting, covering);
-            st.insert(SubId(1), stored(0, 100, SimTime::MAX), SimTime::ZERO);
-            st.insert(SubId(2), stored(50, 60, SimTime::MAX), SimTime::ZERO);
-            assert_eq!(st.len(), 2);
-            assert_eq!(st.physical_len(), phys, "covering {covering}");
-            assert_eq!(
-                match_ids(&mut st, &Event::new_unchecked(vec![55]), SimTime::ZERO),
-                vec![SubId(1), SubId(2)]
-            );
-            // 99 matches only the representative's own shape: the covered
-            // member must be re-verified and filtered out.
-            assert_eq!(
-                match_ids(&mut st, &Event::new_unchecked(vec![99]), SimTime::ZERO),
-                vec![SubId(1)]
-            );
-            // Un-cover: removing the representative's subscription keeps
-            // the covered one matching.
-            assert!(st.remove(SubId(1)).is_some());
-            assert_eq!(
-                match_ids(&mut st, &Event::new_unchecked(vec![55]), SimTime::ZERO),
-                vec![SubId(2)]
-            );
-            assert!(match_ids(&mut st, &Event::new_unchecked(vec![99]), SimTime::ZERO).is_empty());
-        }
+    fn nested_shapes_match_on_their_own_bounds() {
+        let mut st = SubscriptionStore::new(&space());
+        st.insert(SubId(1), stored(0, 100, SimTime::MAX), SimTime::ZERO);
+        st.insert(SubId(2), stored(50, 60, SimTime::MAX), SimTime::ZERO);
+        assert_eq!(st.len(), 2);
+        assert_eq!(
+            match_ids(&mut st, &Event::new_unchecked(vec![55]), SimTime::ZERO),
+            vec![SubId(1), SubId(2)]
+        );
+        assert_eq!(
+            match_ids(&mut st, &Event::new_unchecked(vec![99]), SimTime::ZERO),
+            vec![SubId(1)]
+        );
+        assert!(st.remove(SubId(1)).is_some());
+        assert_eq!(
+            match_ids(&mut st, &Event::new_unchecked(vec![55]), SimTime::ZERO),
+            vec![SubId(2)]
+        );
+        assert!(match_ids(&mut st, &Event::new_unchecked(vec![99]), SimTime::ZERO).is_empty());
     }
 
-    /// A broader subscription arriving second absorbs the existing group
-    /// (reverse covering) instead of creating a new physical entry.
+    /// A wider subscription arriving after a narrower one: each matches on
+    /// its own bounds, whatever the order of arrival.
     #[test]
-    fn reverse_absorption_widens_existing_group() {
+    fn wider_shape_after_narrower_matches_on_its_own_bounds() {
         let mut st = SubscriptionStore::new(&space());
         st.insert(SubId(1), stored(50, 60, SimTime::MAX), SimTime::ZERO);
         st.insert(SubId(2), stored(40, 80, SimTime::MAX), SimTime::ZERO);
-        assert_eq!(st.physical_len(), 1);
         assert_eq!(
             match_ids(&mut st, &Event::new_unchecked(vec![70]), SimTime::ZERO),
             vec![SubId(2)]
@@ -495,7 +435,8 @@ mod tests {
         );
     }
 
-    /// Covered subscriptions expire independently of their representative.
+    /// A subscription nested inside another expires on its own lease, not
+    /// on the outer one's.
     #[test]
     fn covered_subscription_expiry_is_independent() {
         let mut st = SubscriptionStore::new(&space());
@@ -509,7 +450,6 @@ mod tests {
             stored(50, 60, SimTime::from_secs(100)),
             SimTime::ZERO,
         );
-        assert_eq!(st.physical_len(), 1);
         assert_eq!(st.purge_expired(SimTime::from_secs(11)), 1);
         assert_eq!(st.len(), 1);
         assert_eq!(
@@ -522,7 +462,6 @@ mod tests {
         );
         assert_eq!(st.purge_expired(SimTime::from_secs(101)), 1);
         assert_eq!(st.len(), 0);
-        assert_eq!(st.physical_len(), 0);
         assert_eq!(st.peak(), 2);
     }
 

@@ -269,30 +269,6 @@ impl Subscription {
             .all(|(c, &v)| c.is_none_or(|c| c.admits(v)))
     }
 
-    /// The lowest constrained dimension index. `None` only for the
-    /// fully-wildcard shape, which [`Subscription::from_constraints`]
-    /// rejects — so always `Some` for constructed subscriptions.
-    pub fn first_constrained(&self) -> Option<usize> {
-        self.constraints.iter().position(Option::is_some)
-    }
-
-    /// `true` iff every event matched by `other` is also matched by
-    /// `self` (`other ⊆ self`): on each dimension, `self` is either a
-    /// wildcard or a range enclosing `other`'s. This is the covering
-    /// relation the store's subscription-aggregation layer uses to share
-    /// one physical index entry among several logical subscriptions.
-    pub fn covers(&self, other: &Subscription) -> bool {
-        debug_assert_eq!(self.dims(), other.dims());
-        self.constraints
-            .iter()
-            .zip(other.constraints.iter())
-            .all(|(c, o)| match (c, o) {
-                (None, _) => true,
-                (Some(_), None) => false,
-                (Some(c), Some(o)) => c.lo() <= o.lo() && o.hi() <= c.hi(),
-            })
-    }
-
     /// The dimension of the most selective constraint: the constrained `i`
     /// minimizing `r_i / |Ω_i|` (§4.2, Mapping 3). Ties break to the lowest
     /// index. Returns `None` for a fully-wildcard subscription.
@@ -505,36 +481,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(sub3.most_selective(&s), Some(2));
-    }
-
-    #[test]
-    fn covering_relation() {
-        let s = space();
-        let wide = Subscription::builder(&s)
-            .range("a", 10, 50)
-            .unwrap()
-            .build()
-            .unwrap();
-        let narrow = Subscription::builder(&s)
-            .range("a", 20, 30)
-            .unwrap()
-            .eq("c", 5)
-            .build()
-            .unwrap();
-        // A wildcard dimension covers any constraint; a constrained one
-        // never covers a wildcard.
-        assert!(wide.covers(&narrow));
-        assert!(!narrow.covers(&wide));
-        assert!(wide.covers(&wide));
-        let shifted = Subscription::builder(&s)
-            .range("a", 5, 30)
-            .unwrap()
-            .build()
-            .unwrap();
-        assert!(!wide.covers(&shifted));
-        assert_eq!(wide.first_constrained(), Some(0));
-        let late = Subscription::builder(&s).eq("c", 1).build().unwrap();
-        assert_eq!(late.first_constrained(), Some(2));
     }
 
     #[test]

@@ -1,16 +1,10 @@
 //! Differential tests against the brute-force [`Oracle`]: a seeded random
-//! stream of subscribe / unsubscribe / publish operations is applied to the
-//! [`SubscriptionStore`] with covering on and off, and another to the two
-//! matching engines ([`MatchIndex`], the one a store runs, and
-//! [`SortedIndex`]) directly; every probe's match set — plus the stores'
-//! logical sizes and peaks — must agree exactly. Covering and the engines'
-//! layouts reorganize *physical* state only; any observable difference is
-//! a correctness bug.
-//!
-//! The covering store's physical size after every operation is held to a
-//! recorded trail: the covering decisions are part of what a change to the
-//! probes must preserve. (The probes themselves are held to brute-force
-//! scans beside the directory they read, in `covering.rs`.)
+//! stream of subscribe / unsubscribe / publish operations is applied to a
+//! [`SubscriptionStore`], and another to the two matching engines
+//! ([`MatchIndex`], the one a store runs, and [`SortedIndex`]) directly;
+//! every probe's match set must agree with the oracle's exactly. The
+//! engines' layouts reorganize internal state only; any observable
+//! difference is a correctness bug.
 
 use cbps::{
     AttributeDef, Event, EventSpace, MatchEngine, MatchEngineKind, MatchIndex, Oracle, SortedIndex,
@@ -29,8 +23,8 @@ fn space() -> EventSpace {
 }
 
 /// A random subscription mixing narrow and wide ranges with wildcards.
-/// Wide ranges make covered-by relations common; re-used shapes (drawn by
-/// the caller from earlier subscriptions) exercise the duplicate path.
+/// Wide ranges make nested shapes common; re-used shapes (drawn by the
+/// caller from earlier subscriptions) make identical ones common.
 fn random_sub(rng: &mut Rng, space: &EventSpace) -> Subscription {
     loop {
         let mut b = Subscription::builder(space);
@@ -62,38 +56,40 @@ fn random_event(rng: &mut Rng, space: &EventSpace) -> Event {
     Event::new_unchecked(values)
 }
 
-/// The store's covering switch, off and on.
-const CONFIGS: [bool; 2] = [false, true];
-
-/// FNV-1a digest of `physical_len` after every operation of every case,
-/// for a store with covering on, as produced when the covered-by search
-/// was a full lower-corner match query on the counting engine
-/// (`MatchEngine::find_match`). Which group a subscription joins decides
-/// when groups die, so an equal trail means the same decisions, not just
-/// the same counts at the end.
-const PHYSICAL_TRAIL: u64 = 0xcad2_2287_8ed1_973a;
-
-fn mix(trail: &mut u64, v: u64) {
-    *trail = (*trail ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+/// A stored record of `sub` for one subscriber, never expiring unless
+/// `expires` says otherwise.
+fn record(sub: Subscription, expires: SimTime) -> StoredSub {
+    let keys = KeySpace::new(8);
+    StoredSub {
+        sub,
+        subscriber: Peer {
+            idx: 0,
+            key: keys.key(1),
+        },
+        expires,
+        sk: KeyRangeSet::of_key(keys, keys.key(2)),
+        trace: TraceId::NONE,
+        subgroups: 0,
+    }
 }
+
+/// The benchmark's ways of building a store: `new`, and `with_options`
+/// with the counting engine and the covering flag off and on. The flag is
+/// ignored, so all three must hold the same subscriptions, agree with the
+/// oracle on every probe and keep one physical entry per subscription.
+const CONFIGS: [Option<bool>; 3] = [None, Some(false), Some(true)];
 
 #[test]
 fn engines_and_covering_match_the_oracle() {
     let space = space();
-    let keys = KeySpace::new(8);
-    let subscriber = Peer {
-        idx: 0,
-        key: keys.key(1),
-    };
-    let sk = KeyRangeSet::of_key(keys, keys.key(2));
     let mut rng = Rng::seed_from_u64(0xd1ff_e4e2 ^ 0x0bad_cafe);
-    let mut trail = 0xcbf2_9ce4_8422_2325u64;
 
     for case in 0..16 {
         let mut stores: Vec<SubscriptionStore> = CONFIGS
             .iter()
-            .map(|&covering| {
-                SubscriptionStore::with_options(&space, MatchEngineKind::Counting, covering)
+            .map(|&covering| match covering {
+                None => SubscriptionStore::new(&space),
+                Some(c) => SubscriptionStore::with_options(&space, MatchEngineKind::Counting, c),
             })
             .collect();
         let mut oracle = Oracle::new();
@@ -108,8 +104,7 @@ fn engines_and_covering_match_the_oracle() {
             clock += rng.gen_range(0u64..3);
             let now = SimTime::from_secs(clock);
             match rng.gen_range(0u32..100) {
-                // Subscribe (sometimes an exact repeat of an earlier shape,
-                // hitting the covering table's duplicate fast path).
+                // Subscribe (sometimes an exact repeat of an earlier shape).
                 0..=54 => {
                     let sub = if !shapes.is_empty() && rng.gen_bool(0.25) {
                         shapes[rng.gen_range(0..shapes.len() as u64) as usize].clone()
@@ -125,25 +120,14 @@ fn engines_and_covering_match_the_oracle() {
                     let id = SubId(next_id);
                     next_id += 1;
                     for store in &mut stores {
-                        let fresh = store.insert(
-                            id,
-                            StoredSub {
-                                sub: sub.clone(),
-                                subscriber,
-                                expires,
-                                sk: sk.clone(),
-                                trace: TraceId::NONE,
-                                subgroups: 0,
-                            },
-                            now,
-                        );
+                        let fresh = store.insert(id, record(sub.clone(), expires), now);
                         assert!(fresh, "case {case}: id {id:?} is never re-used");
                     }
                     oracle.add_sub(id, sub, now, expires);
                     live.push(id);
                 }
-                // Unsubscribe a random live id (possibly already expired —
-                // the stores and the oracle must agree on that too).
+                // Unsubscribe a random live id (possibly already expired:
+                // the store purges it on its own, the oracle ignores it).
                 55..=69 if !live.is_empty() => {
                     let pick = rng.gen_range(0..live.len() as u64) as usize;
                     let id = live.swap_remove(pick);
@@ -154,9 +138,12 @@ fn engines_and_covering_match_the_oracle() {
                         "case {case}: stores disagree on removing {id:?}: {removed:?}"
                     );
                     oracle.remove_sub(id, now);
+                    for store in &stores {
+                        assert!(!store.contains(id), "case {case}: {id:?} outlived removal");
+                    }
                 }
-                // Publish a probe event and compare every configuration's
-                // match set against the brute-force oracle.
+                // Publish a probe event and compare every store's match set
+                // against the brute-force oracle.
                 _ => {
                     let event = random_event(&mut rng, &space);
                     let expected = oracle.matching_at(&event, now);
@@ -165,27 +152,19 @@ fn engines_and_covering_match_the_oracle() {
                         let got: Vec<SubId> = out.iter().map(|&(id, ..)| id).collect();
                         assert_eq!(
                             got, expected,
-                            "case {case}: covering {} diverged from the oracle at {now:?}",
+                            "case {case}: store {:?} diverged from the oracle at {now:?}",
                             CONFIGS[i]
                         );
                     }
                     probes += 1;
                 }
             }
-            // Logical observables never depend on the physical layout.
-            let len0 = stores[0].len();
-            let peak0 = stores[0].peak();
+            let (len0, peak0) = (stores[0].len(), stores[0].peak());
             for (i, store) in stores.iter().enumerate() {
-                assert_eq!(store.len(), len0, "case {case}: len of config {i}");
-                assert_eq!(store.peak(), peak0, "case {case}: peak of config {i}");
-            }
-            mix(&mut trail, stores[1].physical_len() as u64);
-            // Covering may only shrink the physical population.
-            for store in &stores {
-                assert!(
-                    store.physical_len() <= store.len(),
-                    "case {case}: physical entries exceed logical"
-                );
+                assert_eq!(store.len(), len0, "case {case}: len of store {i}");
+                assert_eq!(store.peak(), peak0, "case {case}: peak of store {i}");
+                assert_eq!(store.physical_len(), store.len(), "case {case}: store {i}");
+                assert!(store.len() <= store.peak(), "case {case}");
             }
         }
         assert!(
@@ -193,84 +172,58 @@ fn engines_and_covering_match_the_oracle() {
             "case {case}: degenerate op mix ({probes} probes)"
         );
     }
-    assert_eq!(
-        trail, PHYSICAL_TRAIL,
-        "covering decisions changed: {trail:#x}"
-    );
 }
 
-/// Covering must actually collapse state on a covering-heavy stream, not
-/// just stay correct — otherwise the physical-sharing path is dead code.
+/// One broad subscription with many nested inside it, then the reverse: a
+/// run of narrow subscriptions followed by wider ones enclosing them. Every
+/// event, inside and outside the nested shapes, must find exactly what the
+/// oracle finds, before and after the broad ones are withdrawn.
 #[test]
-fn covering_collapses_wide_streams() {
+fn nested_stream_matches_the_oracle() {
     let space = space();
-    let keys = KeySpace::new(8);
-    let subscriber = Peer {
-        idx: 0,
-        key: keys.key(1),
-    };
-    let sk = KeyRangeSet::of_key(keys, keys.key(2));
     let mut rng = Rng::seed_from_u64(0xc0de_516e);
     let mut store = SubscriptionStore::new(&space);
-    // One broad umbrella plus many subscriptions nested inside it.
-    let umbrella = Subscription::builder(&space)
-        .range("x", 0, 999)
-        .unwrap()
-        .build()
-        .unwrap();
-    store.insert(
-        SubId(0),
-        StoredSub {
-            sub: umbrella,
-            subscriber,
-            expires: SimTime::MAX,
-            sk: sk.clone(),
-            trace: TraceId::NONE,
-            subgroups: 0,
-        },
-        SimTime::ZERO,
-    );
-    for i in 1..400u64 {
-        let lo = rng.gen_range(0u64..900);
-        let sub = Subscription::builder(&space)
-            .range("x", lo, lo + rng.gen_range(0u64..100))
+    let mut oracle = Oracle::new();
+    let x = |lo: u64, hi: u64| {
+        Subscription::builder(&space)
+            .range("x", lo, hi)
             .unwrap()
             .build()
-            .unwrap();
-        store.insert(
-            SubId(i),
-            StoredSub {
-                sub,
-                subscriber,
-                expires: SimTime::MAX,
-                sk: sk.clone(),
-                trace: TraceId::NONE,
-                subgroups: 0,
-            },
-            SimTime::ZERO,
-        );
+            .unwrap()
+    };
+    let mut add = |store: &mut SubscriptionStore, id: u64, sub: Subscription| {
+        assert!(store.insert(SubId(id), record(sub.clone(), SimTime::MAX), SimTime::ZERO));
+        oracle.add_sub(SubId(id), sub, SimTime::ZERO, SimTime::MAX);
+    };
+    // The umbrella first, then 399 ranges inside it.
+    add(&mut store, 0, x(0, 999));
+    for i in 1..400u64 {
+        let lo = rng.gen_range(0u64..900);
+        add(&mut store, i, x(lo, lo + rng.gen_range(0u64..100)));
     }
-    assert_eq!(store.len(), 400);
-    assert_eq!(
-        store.physical_len(),
-        1,
-        "every x-only subscription is covered by the umbrella"
-    );
-    // And the delivered sets are still exact.
+    // Narrow ranges first, then wider ones around each.
+    for i in 400..500u64 {
+        let lo = rng.gen_range(100u64..800);
+        add(&mut store, i, x(lo, lo + 10));
+        add(&mut store, i + 100, x(lo - 50, lo + 60));
+    }
+    assert_eq!(store.len(), 600);
     let mut out = Vec::new();
-    store.match_event_into(
-        &Event::new_unchecked(vec![950, 0, 0]),
-        SimTime::ZERO,
-        &mut out,
-    );
-    let hit_ids: Vec<u64> = out.iter().map(|(id, ..)| id.0).collect();
-    assert!(hit_ids.contains(&0), "umbrella matches 950");
-    // Only nested subs whose range reaches 950 may appear.
-    assert!(out.iter().all(|&(id, ..)| id.0 == 0 || {
-        let s = store.get(id).expect("hits are stored");
-        let c = s.sub.constraint(0).expect("x is constrained");
-        c.lo() <= 950 && 950 <= c.hi()
-    }));
+    let mut probe = |store: &mut SubscriptionStore, oracle: &Oracle, phase: &str| {
+        for v in (0..1000u64).step_by(7) {
+            let event = Event::new_unchecked(vec![v, 0, 0]);
+            store.match_event_into(&event, SimTime::ZERO, &mut out);
+            let got: Vec<SubId> = out.iter().map(|&(id, ..)| id).collect();
+            let expected = oracle.matching_at(&event, SimTime::ZERO);
+            assert_eq!(got, expected, "{phase}: x = {v}");
+        }
+    };
+    probe(&mut store, &oracle, "all stored");
+    for id in [0].into_iter().chain(500..600u64) {
+        assert!(store.remove(SubId(id)).is_some());
+        oracle.remove_sub(SubId(id), SimTime::ZERO);
+    }
+    probe(&mut store, &oracle, "broad ones withdrawn");
 }
 
 /// An event inside `sub`: its lower corner on the dimensions it constrains,

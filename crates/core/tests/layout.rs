@@ -13,7 +13,7 @@ use cbps_overlay::{ChordNode, Envelope, LocationCache, RoutingState};
 fn hot_values_stay_under_their_size_ceilings() {
     // Fingers, successors and the first 24 cache entries live in the
     // routing state itself (240 / 88 B while they were heap tables); the
-    // rendezvous store, 480 B, sits behind a box (1 040 B of `PubSubNode`
+    // rendezvous store, 200 B, sits behind a box (1 040 B of `PubSubNode`
     // and 1 352 B of node before).
     let sizes = [
         ("LocationCache", size_of::<LocationCache>(), 416),
@@ -25,10 +25,10 @@ fn hot_values_stay_under_their_size_ceilings() {
             1384,
         ),
         ("Envelope<PubSubMsg>", size_of::<Envelope<PubSubMsg>>(), 128),
-        // One per node, used or not: the shape map sits beside the bounds
-        // slab it always accompanies, and the engine is two array headers
-        // (624 B while it carried a bucket matrix and counting scratch).
-        ("SubscriptionStore", size_of::<SubscriptionStore>(), 480),
+        // One per node, used or not: the engine is two array headers (624 B
+        // while it carried a bucket matrix and counting scratch, 480 B
+        // while a covering table sat beside it).
+        ("SubscriptionStore", size_of::<SubscriptionStore>(), 208),
     ];
     for (what, bytes, ceiling) in sizes {
         assert!(

@@ -1,8 +1,8 @@
 //! A tiny small-vector: the first `N` elements live inline, longer lists
 //! spill to the heap. Used for [`KeyRangeSet`](crate::KeyRangeSet)
 //! segment storage (where the overwhelming majority of m-cast splits
-//! produce one or two segments) and for covering-group member lists in
-//! `cbps-core` (where most groups hold a handful of subscriptions).
+//! produce one or two segments) and for the routing tables and location
+//! cache entries a node keeps in place.
 //!
 //! The crate forbids `unsafe_code`, so instead of `MaybeUninit` tricks the
 //! inline buffer requires `T: Copy + Default` and keeps unused slots at

@@ -143,9 +143,8 @@ impl WorkloadConfig {
 
     /// Sets the per-dimension wildcard probability. The paper's
     /// subscriptions constrain every attribute (0.0); non-zero values
-    /// model partially-specified subscriptions, which is also what makes
-    /// subscription covering bite — a broadly-constrained subscription
-    /// can then subsume narrower ones.
+    /// model partially-specified subscriptions: a broadly-constrained
+    /// subscription then encloses narrower ones.
     ///
     /// # Panics
     ///

@@ -1,17 +1,26 @@
-//! End-to-end covering parity: a full pub/sub deployment — overlay,
-//! mappings, notification pipeline, churn — must deliver exactly the same
-//! notifications, count exactly the same messages and process exactly the
-//! same events whether subscription covering is on or off. The core-crate
-//! differential suite checks the store on raw sub/unsub/event streams; this
-//! one checks everything layered on top.
+//! End-to-end covering parity, pinned: a full pub/sub deployment —
+//! overlay, mapping 3, collecting notifications, one replica, a crash and
+//! a join — must deliver the same notifications, count the same messages
+//! and process the same events as the digest recorded below. The
+//! core-crate differential suite checks the store on raw sub/unsub/event
+//! streams; this one checks everything layered on top.
+//!
+//! The digest is the one this deployment read with subscription covering
+//! (stores grouping nested subscriptions under one engine entry) on and
+//! off alike, recorded at the last commit that had the switch: the store
+//! without covering must keep reading it. A change meant to move message
+//! counts or deliveries re-pins it from the failure message.
 
 use cbps::{MappingKind, NotifyMode, PubSubConfig, PubSubNetwork, SubId};
 use cbps_sim::{SimDuration, TrafficClass};
 use cbps_workload::{WorkloadConfig, WorkloadGen};
 
-/// Replays a seeded workload with the given covering switch and renders
-/// every covering-invariant observable as one string.
-fn run_digest(covering: bool, seed: u64) -> String {
+/// FNV-1a digests of [`observables`] at seeds 3 and 17.
+const PINNED: [(u64, u64); 2] = [(3, 0x70f6_afb9_e2a6_e32d), (17, 0x9249_2c89_ffa8_4b1f)];
+
+/// Replays a seeded workload and renders every observable the store must
+/// not change as one string.
+fn observables(seed: u64) -> String {
     let mut net = PubSubNetwork::builder()
         .nodes(40)
         .seed(seed)
@@ -21,8 +30,7 @@ fn run_digest(covering: bool, seed: u64) -> String {
                 .with_notify_mode(NotifyMode::Collecting {
                     period: SimDuration::from_secs(10),
                 })
-                .with_replication(1)
-                .with_covering(covering),
+                .with_replication(1),
         )
         .build()
         .expect("valid network configuration");
@@ -33,10 +41,10 @@ fn run_digest(covering: bool, seed: u64) -> String {
     let trace = gen.gen_trace();
     trace.replay(&mut net);
     // Crash a node and join a fresh one mid-run so replication hand-off
-    // and the joiner's store construction are compared too.
+    // and the joiner's store construction are covered too.
     net.crash(35);
     net.run_for_secs(60);
-    net.join_new_node("parity-joiner", 0);
+    net.join_new_node("digest-joiner", 0);
     net.run_until(trace.end_time() + SimDuration::from_secs(300));
 
     let mut deliveries: Vec<(usize, SubId, cbps::EventId)> = Vec::new();
@@ -65,19 +73,40 @@ fn run_digest(covering: bool, seed: u64) -> String {
     )
 }
 
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Holds `text` to `pinned`, naming the digest it read on a mismatch.
+fn check(seed: u64, text: &str, pinned: u64) {
+    let digest = fnv1a(text);
+    assert_eq!(
+        digest, pinned,
+        "seed {seed}: the deployment's observables changed (digest {digest:#x}): {text}"
+    );
+}
+
 #[test]
 fn pubsub_deployment_is_covering_independent() {
-    for seed in [3u64, 17] {
-        let covering = run_digest(true, seed);
-        let plain = run_digest(false, seed);
-        assert_eq!(
-            covering, plain,
-            "seed {seed}: the deployment without covering diverged from the one with it"
-        );
-        // Guard against a degenerate workload that compared nothing.
+    for (seed, pinned) in PINNED {
+        let text = observables(seed);
+        // Guard against a degenerate workload that pinned nothing.
         assert!(
-            covering.contains("delivered") && !covering.contains("deliveries []"),
-            "workload delivered nothing: {covering}"
+            !text.contains("deliveries []"),
+            "seed {seed}: workload delivered nothing: {text}"
         );
+        check(seed, &text, pinned);
     }
+}
+
+/// The pin is a real check: one changed delivery changes the digest, and
+/// `check` refuses it.
+#[test]
+#[should_panic(expected = "observables changed")]
+fn a_changed_observable_fails_the_pin() {
+    let (seed, pinned) = PINNED[0];
+    let text = observables(seed).replacen("deliveries [(", "deliveries [(1", 1);
+    check(seed, &text, pinned);
 }
