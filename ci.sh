@@ -32,6 +32,16 @@ for crate in bench core overlay pastry rng workload; do
     }
 done
 
+# No process-global state in the harness or the CLI: a run's settings
+# travel in a `RunProfile` value and each experiment returns its own
+# `RunTotals`, so no `static` item may appear there.
+echo "==> no statics in crates/bench/src and crates/cli/src"
+if grep -rnE '^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?static[[:space:]]+(mut[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*[[:space:]]*:' \
+    crates/bench/src crates/cli/src; then
+    echo "FAIL: a static item in crates/bench/src or crates/cli/src (above)" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -5,14 +5,18 @@
 //!         [--jobs N] [--csv DIR] [--json FILE] [--report FILE] [EXPERIMENT...]
 //! ```
 //!
-//! With no experiment names, runs everything. Names: route, keys, fig5,
-//! fig6, fig7, fig8, fig9a, fig9b, mcast, churn, all.
+//! With no experiment names, runs everything (`all`); `--help` lists the
+//! names.
 //!
 //! `--scale large` runs the deployment-scale presets (10^5-node networks
 //! on the node-sweep experiments, paper op counts elsewhere); `--nodes N`
-//! overrides the per-experiment network size outright (up to 10^6). Both
-//! widen the key space automatically via `cbps::deployment_key_space` so
-//! every node still owns a distinct key.
+//! overrides the network size outright (up to 10^6) of the experiments
+//! that deploy one network size — fig5, fig6, fig9a, latency, fig9b and
+//! hotspot. The others fix or sweep their own sizes: naming one of them
+//! with `--nodes` exits 2 before anything runs, and `all` says on stderr
+//! which ones kept their sizes. Both widen the key space automatically
+//! via `cbps::deployment_key_space` so every node still owns a distinct
+//! key.
 //! `--jobs N` farms independent sweep points out to `N` worker threads;
 //! each simulation stays single-threaded and deterministic, so the tables
 //! are byte-identical at any job count. `--overlay chord|pastry` selects
@@ -22,8 +26,9 @@
 //! writes each table to `DIR/<title>.csv`; the directory must exist and be
 //! writable before anything runs, and a table that cannot be written makes
 //! the run exit 1. `--json FILE` and `--report FILE` both write the
-//! self-describing `cbps-report/v2` document (wall time,
-//! events/sec, peak queue depth per experiment — the v1 baseline fields —
+//! self-describing `cbps-report/v2` document (the run's configuration,
+//! `--nodes` included; wall time, events/sec, peak queue depth per
+//! experiment — the v1 baseline fields —
 //! plus, when observability is on, per-stage latency percentiles, named
 //! histograms, and the hottest rendezvous nodes). `--report` additionally
 //! switches observability on (`stages` mode) for every run; `--json`
@@ -32,14 +37,14 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use cbps_bench::experiments::{run_named, EXPERIMENT_NAMES};
-use cbps_bench::report::{ExperimentReport, ObsReport, RunReport};
-use cbps_bench::runner;
+use cbps_bench::experiments::{self, EXPERIMENTS};
+use cbps_bench::report::{ExperimentReport, RunReport};
+use cbps_bench::runner::{self, BackendKind, RunProfile};
 use cbps_bench::Scale;
 use cbps_sim::ObsMode;
 
 fn main() {
-    let mut scale = Scale::Quick;
+    let mut profile = RunProfile::new(Scale::Quick);
     let mut csv_dir: Option<String> = None;
     let mut json_path: Option<String> = None;
     let mut report_path: Option<String> = None;
@@ -50,8 +55,7 @@ fn main() {
     // wastes all of it.
     let probe_writable = |path: &str| {
         if let Err(e) = std::fs::File::create(path) {
-            eprintln!("cannot create {path}: {e}");
-            std::process::exit(2);
+            refuse(format_args!("cannot create {path}: {e}"));
         }
     };
 
@@ -59,32 +63,23 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => match args.next().as_deref().and_then(Scale::parse) {
-                Some(s) => scale = s,
-                None => {
-                    eprintln!("--scale expects quick|paper|large");
-                    std::process::exit(2);
-                }
+                Some(s) => profile.scale = s,
+                None => refuse("--scale expects quick|paper|large"),
             },
             "--nodes" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if (1..=runner::MAX_NODES).contains(&n) => runner::set_nodes_override(n),
-                _ => {
-                    eprintln!("--nodes expects an integer in 1..={}", runner::MAX_NODES);
-                    std::process::exit(2);
-                }
+                Some(n) if (1..=runner::MAX_NODES).contains(&n) => profile.nodes = Some(n),
+                _ => refuse(format_args!(
+                    "--nodes expects an integer in 1..={}",
+                    runner::MAX_NODES
+                )),
             },
             "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => runner::set_jobs(n),
-                _ => {
-                    eprintln!("--jobs expects a positive integer");
-                    std::process::exit(2);
-                }
+                Some(n) if n >= 1 => profile.jobs = n,
+                _ => refuse("--jobs expects a positive integer"),
             },
-            "--overlay" => match args.next().as_deref().and_then(runner::BackendKind::parse) {
-                Some(kind) => runner::set_backend(kind),
-                None => {
-                    eprintln!("--overlay expects chord|pastry");
-                    std::process::exit(2);
-                }
+            "--overlay" => match args.next().as_deref().and_then(BackendKind::parse) {
+                Some(kind) => profile.overlay = kind,
+                None => refuse("--overlay expects chord|pastry"),
             },
             "--csv" => match args.next() {
                 Some(dir) => {
@@ -93,82 +88,78 @@ fn main() {
                     let _ = std::fs::remove_file(&probe);
                     csv_dir = Some(dir);
                 }
-                None => {
-                    eprintln!("--csv expects a directory");
-                    std::process::exit(2);
-                }
+                None => refuse("--csv expects a directory"),
             },
             "--json" => match args.next() {
                 Some(path) => {
                     probe_writable(&path);
                     json_path = Some(path);
                 }
-                None => {
-                    eprintln!("--json expects a file path");
-                    std::process::exit(2);
-                }
+                None => refuse("--json expects a file path"),
             },
             "--report" => match args.next() {
                 Some(path) => {
                     probe_writable(&path);
                     report_path = Some(path);
                 }
-                None => {
-                    eprintln!("--report expects a file path");
-                    std::process::exit(2);
-                }
+                None => refuse("--report expects a file path"),
             },
             "--help" | "-h" => {
                 println!(
                     "usage: figures [--scale quick|paper|large] [--nodes N] \
                      [--overlay chord|pastry] [--jobs N] \
                      [--csv DIR] [--json FILE] [--report FILE] [EXPERIMENT...]\n\
-                     experiments: {} (default: all)",
-                    EXPERIMENT_NAMES.join(", ")
+                     experiments: {} (default: all)\n\
+                     --nodes applies to: {}",
+                    experiments::names(None),
+                    experiments::names(Some(true))
                 );
                 return;
             }
             name => names.push(name.to_owned()),
         }
     }
-    if names.is_empty() {
-        names.push("all".to_owned());
+    // Resolve every name before anything runs: a typo or a `--nodes` the
+    // experiment would ignore must not surface after hours of sweeps.
+    let mut runs = Vec::new();
+    for name in names.iter().filter(|&n| n != "all") {
+        match experiments::find(name) {
+            None => refuse(format_args!(
+                "unknown experiment {name:?}; known: {}",
+                experiments::names(None)
+            )),
+            Some(e) if profile.nodes.is_some() && !e.honours_nodes => refuse(format_args!(
+                "--nodes does not apply to {name}: it fixes or sweeps its own network sizes \
+                 (--nodes applies to: {})",
+                experiments::names(Some(true))
+            )),
+            Some(e) => runs.push((name.clone(), e)),
+        }
     }
-    // Expand "all" so the report carries one record per experiment
-    // (matching the per-name layout of results/bench/BENCH_baseline.json).
-    if names.iter().any(|n| n == "all") {
-        names = EXPERIMENT_NAMES.iter().map(|&n| n.to_owned()).collect();
+    // "all" (the default) runs everything, one report record per
+    // experiment (the per-name layout of results/bench/BENCH_baseline.json).
+    if names.is_empty() || names.iter().any(|n| n == "all") {
+        runs = Vec::from(EXPERIMENTS.map(|e| (e.name.to_owned(), e)));
+        if profile.nodes.is_some() {
+            let (honour, keep) = (
+                experiments::names(Some(true)),
+                experiments::names(Some(false)),
+            );
+            eprintln!("--nodes applies to {honour}; {keep} keep their own sizes");
+        }
     }
     if report_path.is_some() {
-        runner::set_observability(ObsMode::Stages);
+        profile.obs = ObsMode::Stages;
     }
+    cbps_overlay::set_build_jobs(profile.jobs);
 
     let mut records: Vec<ExperimentReport> = Vec::new();
     let mut csv_failed = false;
-    for name in &names {
+    for (name, experiment) in runs {
         let started = Instant::now();
-        runner::reset_perf();
-        let Some(tables) = run_named(name, scale) else {
-            eprintln!(
-                "unknown experiment {name:?}; known: {}",
-                EXPERIMENT_NAMES.join(", ")
-            );
-            std::process::exit(2);
-        };
+        let (tables, totals) = experiment.run(&profile);
         let wall_secs = started.elapsed().as_secs_f64();
-        let (events, peak_queue_depth) = runner::perf_totals();
-        let obs = runner::take_obs().map(|obs| {
-            let hot = runner::take_hot_nodes();
-            let work = runner::take_node_work();
-            ObsReport::distill(&obs, &hot).with_load(&work)
-        });
-        records.push(ExperimentReport {
-            name: name.clone(),
-            wall_secs,
-            events,
-            peak_queue_depth,
-            obs,
-        });
+        records.push(ExperimentReport::new(name.clone(), wall_secs, &totals));
         for table in &tables {
             println!("{}", table.render());
             if let Some(dir) = &csv_dir {
@@ -199,13 +190,7 @@ fn main() {
         eprintln!("[{name} done in {wall_secs:.1}s]\n");
     }
 
-    let report = RunReport {
-        scale: scale.name().to_owned(),
-        jobs: runner::jobs(),
-        observability: runner::observability().name().to_owned(),
-        overlay: runner::backend().name().to_owned(),
-        experiments: records,
-    };
+    let report = RunReport::new(&profile, records);
     for path in json_path.iter().chain(report_path.iter()) {
         let write =
             std::fs::File::create(path).and_then(|mut f| f.write_all(report.to_json().as_bytes()));
@@ -220,4 +205,10 @@ fn main() {
     if csv_failed {
         std::process::exit(1);
     }
+}
+
+/// Reports an argument error and exits 2, before anything has run.
+fn refuse(error: impl std::fmt::Display) -> ! {
+    eprintln!("{error}");
+    std::process::exit(2);
 }

@@ -11,11 +11,12 @@
 
 use cbps::{MappingKind, Primitive};
 
-use crate::runner::{paper_workload, parallel_map, run_trace, workload_gen, Deployment, Scale};
+use crate::runner::{paper_workload, parallel_map, workload_gen, Deployment, Sweep};
 use crate::table::{fmt_f, Table};
 
 /// Runs the experiment and returns its table.
-pub fn run(scale: Scale) -> Table {
+pub fn run(sweep: &Sweep) -> Table {
+    let scale = sweep.profile.scale;
     let mut table = Table::new(
         "Figure 5: hops per request (0 selective attrs, no expiry)",
         &[
@@ -28,7 +29,7 @@ pub fn run(scale: Scale) -> Table {
             "keys/pub",
         ],
     );
-    let nodes = scale.nodes();
+    let nodes = sweep.profile.nodes();
     let subs = scale.ops(1000);
     let pubs = scale.ops(1000);
     let mut points = Vec::new();
@@ -41,16 +42,16 @@ pub fn run(scale: Scale) -> Table {
             points.push((mapping, primitive));
         }
     }
-    let rows = parallel_map(points, |(mapping, primitive)| {
+    let rows = parallel_map(sweep.profile.jobs, points, |(mapping, primitive)| {
         let mut deployment = Deployment::new(nodes, 501);
         deployment.mapping = mapping;
         deployment.primitive = primitive;
         let cfg = paper_workload(nodes, 0).with_counts(subs, pubs);
         let mut gen = workload_gen(cfg, 501);
         let trace = gen.gen_trace();
-        let stats = crate::with_backend!(B => {
-            let mut net = deployment.build_on::<B>();
-            run_trace(&mut net, &trace, 120)
+        let stats = crate::with_backend!(sweep.profile.overlay, B => {
+            let mut net = deployment.build_on::<B>(sweep.profile.obs);
+            sweep.run_trace(&mut net, &trace, 120)
         });
         vec![
             short_name(mapping).to_owned(),

@@ -15,7 +15,7 @@
 use cbps::MappingKind;
 use cbps_sim::SimDuration;
 
-use crate::runner::{paper_workload, parallel_map, run_trace, workload_gen, Deployment, Scale};
+use crate::runner::{paper_workload, parallel_map, workload_gen, Deployment, Scale, Sweep};
 use crate::table::{fmt_f, Table};
 
 /// TTL sweep (seconds); `None` = never expires.
@@ -29,7 +29,8 @@ fn ttls(scale: Scale) -> Vec<Option<u64>> {
 }
 
 /// Runs the experiment: one table per selective-attribute count.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &Sweep) -> Vec<Table> {
+    let scale = sweep.profile.scale;
     [0usize, 1]
         .into_iter()
         .map(|selective| {
@@ -39,7 +40,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 ),
                 &["expiry [s]", "M1 attr-split", "M2 keyspace-split", "M3 selective"],
             );
-            let nodes = scale.nodes();
+            let nodes = sweep.profile.nodes();
             let subs = match scale {
                 Scale::Quick => 4_000,
                 Scale::Paper | Scale::Large => 25_000,
@@ -54,7 +55,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
                     points.push((ttl, mapping));
                 }
             }
-            let cells = parallel_map(points, |(ttl, mapping)| {
+            let cells = parallel_map(sweep.profile.jobs, points, |(ttl, mapping)| {
                 let mut deployment = Deployment::new(nodes, 601);
                 deployment.mapping = mapping;
                 let cfg = paper_workload(nodes, selective)
@@ -62,9 +63,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
                     .with_sub_ttl(ttl.map(SimDuration::from_secs));
                 let mut gen = workload_gen(cfg, 601);
                 let trace = gen.gen_trace();
-                let stats = crate::with_backend!(B => {
-                    let mut net = deployment.build_on::<B>();
-                    run_trace(&mut net, &trace, 60)
+                let stats = crate::with_backend!(sweep.profile.overlay, B => {
+                    let mut net = deployment.build_on::<B>(sweep.profile.obs);
+                    sweep.run_trace(&mut net, &trace, 60)
                 });
                 format!("{} ({})", stats.max_stored, fmt_f(stats.avg_stored))
             });

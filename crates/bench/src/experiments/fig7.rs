@@ -9,7 +9,7 @@
 
 use cbps::{MappingKind, Primitive};
 
-use crate::runner::{paper_workload, parallel_map, run_trace, workload_gen, Deployment, Scale};
+use crate::runner::{paper_workload, parallel_map, workload_gen, Deployment, Scale, Sweep};
 use crate::table::{fmt_f, Table};
 
 fn node_counts(scale: Scale) -> Vec<usize> {
@@ -23,13 +23,14 @@ fn node_counts(scale: Scale) -> Vec<usize> {
 }
 
 /// Runs the experiment and returns its table.
-pub fn run(scale: Scale) -> Table {
+pub fn run(sweep: &Sweep) -> Table {
+    let scale = sweep.profile.scale;
     let mut table = Table::new(
         "Figure 7: hops per publication vs n (mapping 3, unicast)",
         &["n", "hops/pub", "hops/pub/key", "log2(n)"],
     );
     let pubs = scale.ops(1000);
-    let rows = parallel_map(node_counts(scale), |n| {
+    let rows = parallel_map(sweep.profile.jobs, node_counts(scale), |n| {
         let mut deployment = Deployment::new(n, 701);
         deployment.mapping = MappingKind::SelectiveAttribute;
         deployment.primitive = Primitive::Unicast;
@@ -38,9 +39,9 @@ pub fn run(scale: Scale) -> Table {
             .with_matching_probability(0.0);
         let mut gen = workload_gen(cfg, 701);
         let trace = gen.gen_trace();
-        let stats = crate::with_backend!(B => {
-            let mut net = deployment.build_on::<B>();
-            run_trace(&mut net, &trace, 60)
+        let stats = crate::with_backend!(sweep.profile.overlay, B => {
+            let mut net = deployment.build_on::<B>(sweep.profile.obs);
+            sweep.run_trace(&mut net, &trace, 60)
         });
         vec![
             n.to_string(),

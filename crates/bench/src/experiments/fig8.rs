@@ -12,7 +12,7 @@
 
 use cbps::MappingKind;
 
-use crate::runner::{paper_workload, parallel_map, run_trace, workload_gen, Deployment, Scale};
+use crate::runner::{paper_workload, parallel_map, workload_gen, Deployment, Scale, Sweep};
 use crate::table::{fmt_f, Table};
 
 fn node_counts(scale: Scale) -> Vec<usize> {
@@ -25,7 +25,8 @@ fn node_counts(scale: Scale) -> Vec<usize> {
 }
 
 /// Runs the experiment: one table per selective-attribute count.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &Sweep) -> Vec<Table> {
+    let scale = sweep.profile.scale;
     [0usize, 1]
         .into_iter()
         .map(|selective| {
@@ -49,15 +50,15 @@ pub fn run(scale: Scale) -> Vec<Table> {
                     points.push((n, mapping));
                 }
             }
-            let cells = parallel_map(points, |(n, mapping)| {
+            let cells = parallel_map(sweep.profile.jobs, points, |(n, mapping)| {
                 let mut deployment = Deployment::new(n, 801);
                 deployment.mapping = mapping;
                 let cfg = paper_workload(n, selective).with_counts(subs, 0);
                 let mut gen = workload_gen(cfg, 801);
                 let trace = gen.gen_trace();
-                let stats = crate::with_backend!(B => {
-                    let mut net = deployment.build_on::<B>();
-                    run_trace(&mut net, &trace, 60)
+                let stats = crate::with_backend!(sweep.profile.overlay, B => {
+                    let mut net = deployment.build_on::<B>(sweep.profile.obs);
+                    sweep.run_trace(&mut net, &trace, 60)
                 });
                 format!("{} ({})", stats.max_stored, fmt_f(stats.avg_stored))
             });

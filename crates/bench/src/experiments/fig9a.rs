@@ -16,7 +16,7 @@
 use cbps::{MappingKind, NotifyMode, Primitive};
 use cbps_sim::SimDuration;
 
-use crate::runner::{paper_workload, parallel_map, run_trace, workload_gen, Deployment, Scale};
+use crate::runner::{paper_workload, parallel_map, workload_gen, Deployment, Sweep};
 use crate::table::{fmt_f, Table};
 
 /// The notification configurations compared (label, mode).
@@ -32,12 +32,13 @@ fn modes() -> Vec<(&'static str, NotifyMode)> {
 }
 
 /// Runs the experiment and returns its table.
-pub fn run(scale: Scale) -> Table {
+pub fn run(sweep: &Sweep) -> Table {
+    let scale = sweep.profile.scale;
     let mut table = Table::new(
         "Figure 9(a): notification hops per publication vs matching probability (mapping 3, unicast)",
         &["matching p", "immediate", "buf+collect 1x", "buf+collect 2x", "buf+collect 5x", "buffer-only 1x"],
     );
-    let nodes = scale.nodes();
+    let nodes = sweep.profile.nodes();
     let subs = scale.ops(500);
     let pubs = scale.ops(2000);
     let probabilities = [0.1f64, 0.5, 0.9];
@@ -47,7 +48,7 @@ pub fn run(scale: Scale) -> Table {
             points.push((p, mode));
         }
     }
-    let results = parallel_map(points, |(p, mode)| {
+    let results = parallel_map(sweep.profile.jobs, points, |(p, mode)| {
         let mut deployment = Deployment::new(nodes, 901);
         deployment.mapping = MappingKind::SelectiveAttribute;
         deployment.primitive = Primitive::Unicast;
@@ -59,9 +60,9 @@ pub fn run(scale: Scale) -> Table {
         let mut gen = workload_gen(cfg, 901);
         let trace = gen.gen_trace();
         // Long drain: collect chains take several flush periods.
-        let stats = crate::with_backend!(B => {
-            let mut net = deployment.build_on::<B>();
-            run_trace(&mut net, &trace, 2_000)
+        let stats = crate::with_backend!(sweep.profile.overlay, B => {
+            let mut net = deployment.build_on::<B>(sweep.profile.obs);
+            sweep.run_trace(&mut net, &trace, 2_000)
         });
         (stats.delivered, stats.notify_hops_per_pub)
     });

@@ -9,13 +9,14 @@
 
 use cbps::{MappingKind, Primitive};
 
-use crate::runner::{paper_workload, parallel_map, run_trace, workload_gen, Deployment, Scale};
+use crate::runner::{paper_workload, parallel_map, workload_gen, Deployment, Sweep};
 use crate::table::{fmt_f, Table};
 
 /// Runs the experiment and returns its table. The paper adds that "the
 /// same results apply to other mappings with multicast" — the extra rows
 /// verify that claim (mapping 1 under m-cast).
-pub fn run(scale: Scale) -> Table {
+pub fn run(sweep: &Sweep) -> Table {
+    let scale = sweep.profile.scale;
     let mut table = Table::new(
         "Figure 9(b): subscription hops vs discretization interval",
         &[
@@ -26,7 +27,7 @@ pub fn run(scale: Scale) -> Table {
             "max stored/node",
         ],
     );
-    let nodes = scale.nodes();
+    let nodes = sweep.profile.nodes();
     let subs = scale.ops(1000);
     let configs = [
         (
@@ -47,26 +48,30 @@ pub fn run(scale: Scale) -> Table {
             points.push((config, mapping, primitive, label, width));
         }
     }
-    let rows = parallel_map(points, |(config, mapping, primitive, label, width)| {
-        let mut deployment = Deployment::new(nodes, 911);
-        deployment.mapping = mapping;
-        deployment.primitive = primitive;
-        deployment.discretization = width;
-        let cfg = paper_workload(nodes, 0).with_counts(subs, 0);
-        let mut gen = workload_gen(cfg, 911);
-        let trace = gen.gen_trace();
-        let stats = crate::with_backend!(B => {
-            let mut net = deployment.build_on::<B>();
-            run_trace(&mut net, &trace, 60)
-        });
-        vec![
-            config.to_owned(),
-            label.to_owned(),
-            fmt_f(stats.hops_per_sub),
-            fmt_f(stats.keys_per_sub),
-            stats.max_stored.to_string(),
-        ]
-    });
+    let rows = parallel_map(
+        sweep.profile.jobs,
+        points,
+        |(config, mapping, primitive, label, width)| {
+            let mut deployment = Deployment::new(nodes, 911);
+            deployment.mapping = mapping;
+            deployment.primitive = primitive;
+            deployment.discretization = width;
+            let cfg = paper_workload(nodes, 0).with_counts(subs, 0);
+            let mut gen = workload_gen(cfg, 911);
+            let trace = gen.gen_trace();
+            let stats = crate::with_backend!(sweep.profile.overlay, B => {
+                let mut net = deployment.build_on::<B>(sweep.profile.obs);
+                sweep.run_trace(&mut net, &trace, 60)
+            });
+            vec![
+                config.to_owned(),
+                label.to_owned(),
+                fmt_f(stats.hops_per_sub),
+                fmt_f(stats.keys_per_sub),
+                stats.max_stored.to_string(),
+            ]
+        },
+    );
     for row in rows {
         table.push_row(row);
     }

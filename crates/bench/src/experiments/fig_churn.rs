@@ -18,15 +18,15 @@ use cbps_overlay::OverlayConfig;
 use cbps_sim::{NetConfig, SimDuration, TrafficClass};
 use cbps_workload::{OpKind, Trace, WorkloadConfig, WorkloadGen};
 
-use crate::runner::Scale;
+use crate::runner::{Scale, Sweep};
 use crate::table::{fmt_f, Table};
 
-fn run_one(replication: usize, crashes: usize, scale: Scale, seed: u64) -> (f64, u64, u64) {
-    let n = match scale {
+fn run_one(sweep: &Sweep, replication: usize, crashes: usize, seed: u64) -> (f64, u64, u64) {
+    let n = match sweep.profile.scale {
         Scale::Quick => 80,
         Scale::Paper | Scale::Large => 200,
     };
-    let subs = match scale {
+    let subs = match sweep.profile.scale {
         Scale::Quick => 150,
         Scale::Paper | Scale::Large => 500,
     };
@@ -40,7 +40,7 @@ fn run_one(replication: usize, crashes: usize, scale: Scale, seed: u64) -> (f64,
                 .with_mapping(MappingKind::SelectiveAttribute)
                 .with_replication(replication),
         )
-        .observability(crate::runner::observability())
+        .observability(sweep.profile.obs)
         .build()
         .expect("churn deployment config is valid");
 
@@ -109,13 +109,15 @@ fn run_one(replication: usize, crashes: usize, scale: Scale, seed: u64) -> (f64,
     let transfer_msgs = net.metrics().messages(TrafficClass::STATE_TRANSFER);
     let promoted = net.metrics().counter("replicas.promoted");
     let sim = net.sim_mut();
-    crate::runner::record_perf(sim.events_processed(), sim.queue_peak());
-    crate::runner::record_obs(&mut net);
+    sweep
+        .totals()
+        .record_events(sim.events_processed(), sim.queue_peak());
+    sweep.totals().record_obs(&mut net);
     (rate, transfer_msgs, promoted)
 }
 
 /// Runs the churn experiment and returns its table.
-pub fn run(scale: Scale) -> Table {
+pub fn run(sweep: &Sweep) -> Table {
     let mut table = Table::new(
         "Extension: delivery after simultaneous crashes (mapping 3, maintenance on)",
         &[
@@ -126,12 +128,12 @@ pub fn run(scale: Scale) -> Table {
             "replicas promoted",
         ],
     );
-    let crashes = match scale {
+    let crashes = match sweep.profile.scale {
         Scale::Quick => 8,
         Scale::Paper | Scale::Large => 20,
     };
     for replication in [0usize, 1, 2] {
-        let (rate, transfer, promoted) = run_one(replication, crashes, scale, 951);
+        let (rate, transfer, promoted) = run_one(sweep, replication, crashes, 951);
         table.push_row(vec![
             replication.to_string(),
             crashes.to_string(),

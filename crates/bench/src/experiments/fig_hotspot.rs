@@ -14,22 +14,17 @@
 use cbps::{MappingKind, OverlayBackend};
 use cbps_sim::NetConfig;
 
-use crate::runner::{paper_workload, run_trace, workload_gen, Scale};
+use crate::runner::{paper_workload, workload_gen, Scale, Sweep};
 use crate::table::{fmt_f, Table};
 
-/// Runs the experiment and returns its tables.
-pub fn run(scale: Scale) -> Vec<Table> {
-    vec![rotation_table(scale)]
-}
-
-/// Epoch-rotation table (the nearly-static mapping extension).
-fn rotation_table(scale: Scale) -> Table {
+/// Runs the experiment and returns its epoch-rotation table.
+pub fn run(sweep: &Sweep) -> Table {
     let mut table = Table::new(
         "Extension: hotspot relocation by nearly-static mapping rotation (mapping 3, 1 selective attr)",
         &["rotation epoch", "hottest node", "max stored", "avg stored", "p99-ish skew (max/avg)"],
     );
-    let nodes = scale.nodes();
-    let subs = match scale {
+    let nodes = sweep.profile.nodes();
+    let subs = match sweep.profile.scale {
         Scale::Quick => 3_000,
         Scale::Paper | Scale::Large => 10_000,
     };
@@ -45,16 +40,16 @@ fn rotation_table(scale: Scale) -> Table {
         let cfg = paper_workload(nodes, 1).with_counts(subs, 0);
         let mut gen = workload_gen(cfg, 961);
         let trace = gen.gen_trace();
-        let (stats, hottest) = crate::with_backend!(B => {
+        let (stats, hottest) = crate::with_backend!(sweep.profile.overlay, B => {
             let mut net = cbps::PubSubNetworkBuilder::<B>::new()
                 .nodes(nodes)
                 .net_config(NetConfig::new(961))
                 .overlay(B::with_key_space(B::paper_default(), keys))
                 .pubsub(pubsub)
-                .observability(crate::runner::observability())
+                .observability(sweep.profile.obs)
                 .build()
                 .expect("hotspot deployment config is valid");
-            let stats = run_trace(&mut net, &trace, 60);
+            let stats = sweep.run_trace(&mut net, &trace, 60);
             let peaks = net.peak_stored_counts();
             let hottest = peaks
                 .iter()

@@ -11,11 +11,12 @@ use cbps::{AkMapping, EventSpace, MappingKind};
 use cbps_overlay::KeySpace;
 
 use crate::experiments::fig5::short_name;
-use crate::runner::{paper_workload, workload_gen, Scale};
+use crate::runner::{paper_workload, workload_gen, Scale, Sweep};
 use crate::table::{fmt_f, Table};
 
 /// Runs the computation: one table per selective-attribute count.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &Sweep) -> Vec<Table> {
+    let scale = sweep.profile.scale;
     let samples = match scale {
         Scale::Quick => 500,
         Scale::Paper | Scale::Large => 5_000,

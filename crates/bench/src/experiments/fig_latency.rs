@@ -12,7 +12,7 @@ use cbps::{EventId, MappingKind, NotifyMode, Primitive};
 use cbps_sim::{SimDuration, SimTime, TrafficClass};
 use cbps_workload::OpKind;
 
-use crate::runner::{paper_workload, workload_gen, Deployment, Scale};
+use crate::runner::{paper_workload, workload_gen, Deployment, Sweep};
 use crate::table::{fmt_f, Table};
 
 fn modes() -> Vec<(&'static str, NotifyMode)> {
@@ -26,7 +26,8 @@ fn modes() -> Vec<(&'static str, NotifyMode)> {
 }
 
 /// Runs the experiment and returns its table.
-pub fn run(scale: Scale) -> Table {
+pub fn run(sweep: &Sweep) -> Table {
+    let scale = sweep.profile.scale;
     let mut table = Table::new(
         "Extension: notification latency vs traffic per dispatch mode (mapping 3, unicast)",
         &[
@@ -37,7 +38,7 @@ pub fn run(scale: Scale) -> Table {
             "delivered",
         ],
     );
-    let nodes = scale.nodes();
+    let nodes = sweep.profile.nodes();
     let subs = scale.ops(300);
     let pubs = scale.ops(1000);
     for (label, mode) in modes() {
@@ -52,26 +53,14 @@ pub fn run(scale: Scale) -> Table {
         let mut gen = workload_gen(cfg, 941);
         let trace = gen.gen_trace();
 
-        let (mut latencies, msgs) = crate::with_backend!(B => {
-            let mut net = deployment.build_on::<B>();
-            // Replay manually so publish times are captured per event id.
-            let mut publish_time: HashMap<EventId, SimTime> = HashMap::new();
-            for op in trace.ops() {
-                net.run_until(op.at);
-                match &op.kind {
-                    OpKind::Subscribe { sub, ttl } => {
-                        net.subscribe(op.node, sub.clone(), *ttl)
-                            .expect("experiment nodes and payloads are valid");
-                    }
-                    OpKind::Publish { event } => {
-                        let id = net
-                            .publish(op.node, event.clone())
-                            .expect("experiment nodes and payloads are valid");
-                        publish_time.insert(id, op.at);
-                    }
-                }
-            }
+        let (mut latencies, msgs) = crate::with_backend!(sweep.profile.overlay, B => {
+            let mut net = deployment.build_on::<B>(sweep.profile.obs);
+            let event_ids = trace.replay(&mut net).event_ids;
             net.run_until(trace.end_time() + SimDuration::from_secs(2_000));
+            // The replay assigns event ids in trace order.
+            let publishes = trace.ops().iter().filter(|op| matches!(op.kind, OpKind::Publish { .. }));
+            let publish_time: HashMap<EventId, SimTime> =
+                event_ids.into_iter().zip(publishes.map(|op| op.at)).collect();
 
             let mut latencies: Vec<f64> = Vec::new();
             for i in 0..net.len() {
@@ -80,7 +69,7 @@ pub fn run(scale: Scale) -> Table {
                     latencies.push(note.at.saturating_since(published).as_secs_f64());
                 }
             }
-            crate::runner::record_obs(&mut net);
+            sweep.totals().record_obs(&mut net);
             let m = net.metrics();
             let msgs = (m.messages(TrafficClass::NOTIFICATION)
                 + m.messages(TrafficClass::COLLECT)) as f64

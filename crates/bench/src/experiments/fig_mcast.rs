@@ -15,79 +15,70 @@
 //! handlers), so the ablation honors `--overlay`: the same range sends
 //! measured over the Chord substrate or the Pastry substrate.
 
-use cbps_overlay::{build_stable, KeyRange, KeyRangeSet, OverlayConfig, OverlayServices};
-use cbps_pastry::{build_pastry_stable, PastryConfig};
-use cbps_sim::{NetConfig, TraceId, TrafficClass};
+use cbps_overlay::{
+    build_stable, ChordNode, KeyRange, KeyRangeSet, KeySpace, OverlayConfig, OverlayServices,
+};
+use cbps_pastry::{build_pastry_stable, PastryConfig, PastryNode};
+use cbps_sim::{NetConfig, Node, Simulator, TraceId, TrafficClass};
 
 use crate::probe::ProbeApp;
-use crate::runner::{BackendKind, Scale};
+use crate::runner::{BackendKind, Scale, Sweep};
 use crate::table::Table;
 
-fn fire(svc: &mut dyn OverlayServices<u64, ()>, how: &str, targets: &KeyRangeSet, range: KeyRange) {
+/// Sends one message through `svc` to the `width` keys from key 1000 on,
+/// by protocol `how`.
+fn fire(svc: &mut dyn OverlayServices<u64, ()>, how: &str, space: KeySpace, width: u64) {
+    let range = KeyRange::new(space.key(1000), space.key(1000 + width - 1));
+    let targets = KeyRangeSet::of_range(space, range);
     match how {
-        "m-cast" => svc.mcast(targets, TrafficClass::OTHER, 1, TraceId::NONE),
-        "per-key unicast" => svc.ucast_keys(targets, TrafficClass::OTHER, 1, TraceId::NONE),
+        "m-cast" => svc.mcast(&targets, TrafficClass::OTHER, 1, TraceId::NONE),
+        "per-key unicast" => svc.ucast_keys(&targets, TrafficClass::OTHER, 1, TraceId::NONE),
         "successor walk" => svc.walk(range, TrafficClass::OTHER, 1, TraceId::NONE),
         other => unreachable!("unknown protocol {other}"),
     }
 }
 
-fn send(
-    n: usize,
-    width: u64,
-    seed: u64,
-    how: &str,
-) -> (
-    u64, /* msgs */
-    u32, /* max dilation */
-    u64, /* deliveries */
-) {
+/// `(messages, max dilation, deliveries)` of one range send from node 0.
+fn send(overlay: BackendKind, n: usize, width: u64, seed: u64, how: &str) -> (u64, u32, u64) {
     let apps: Vec<ProbeApp> = (0..n).map(|_| ProbeApp::default()).collect();
-    match crate::runner::backend() {
+    match overlay {
         BackendKind::Chord => {
             // Cache disabled: the table measures the raw protocols.
             let cfg = OverlayConfig::paper_default().with_cache_capacity(0);
             let (mut sim, _ring) = build_stable(NetConfig::new(seed), cfg, apps);
-            let space = cfg.space;
-            let range = KeyRange::new(space.key(1000), space.key(1000 + width - 1));
-            let targets = KeyRangeSet::of_range(space, range);
             sim.with_node(0, |node, ctx| {
-                node.app_call(ctx, |_, svc| fire(svc, how, &targets, range))
+                node.app_call(ctx, |_, svc| fire(svc, how, cfg.space, width))
             });
-            sim.run();
-            let msgs = sim.metrics().messages(TrafficClass::OTHER);
-            let mut max_hops = 0;
-            let mut deliveries = 0;
-            for (_, node) in sim.nodes() {
-                max_hops = max_hops.max(node.app().max_hops);
-                deliveries += node.app().deliveries;
-            }
-            (msgs, max_hops, deliveries)
+            count(sim, ChordNode::app)
         }
         BackendKind::Pastry => {
             let cfg = PastryConfig::paper_default();
             let (mut sim, _ring) = build_pastry_stable(NetConfig::new(seed), cfg, apps);
-            let space = cfg.space;
-            let range = KeyRange::new(space.key(1000), space.key(1000 + width - 1));
-            let targets = KeyRangeSet::of_range(space, range);
             sim.with_node(0, |node, ctx| {
-                node.app_call(ctx, |_, svc| fire(svc, how, &targets, range))
+                node.app_call(ctx, |_, svc| fire(svc, how, cfg.space, width))
             });
-            sim.run();
-            let msgs = sim.metrics().messages(TrafficClass::OTHER);
-            let mut max_hops = 0;
-            let mut deliveries = 0;
-            for (_, node) in sim.nodes() {
-                max_hops = max_hops.max(node.app().max_hops);
-                deliveries += node.app().deliveries;
-            }
-            (msgs, max_hops, deliveries)
+            count(sim, PastryNode::app)
         }
     }
 }
 
+/// Runs a fired send to quiescence and counts it on either substrate;
+/// `app` reaches a node's probe application.
+fn count<N: Node>(mut sim: Simulator<N>, app: fn(&N) -> &ProbeApp) -> (u64, u32, u64) {
+    sim.run();
+    let msgs = sim.metrics().messages(TrafficClass::OTHER);
+    let mut max_hops = 0;
+    let mut deliveries = 0;
+    for (_, node) in sim.nodes() {
+        max_hops = max_hops.max(app(node).max_hops);
+        deliveries += app(node).deliveries;
+    }
+    (msgs, max_hops, deliveries)
+}
+
 /// Runs the ablation and returns its table.
-pub fn run(scale: Scale) -> Table {
+pub fn run(sweep: &Sweep) -> Table {
+    let scale = sweep.profile.scale;
     let mut table = Table::new(
         "Ablation §4.3.1: one-to-many range send — messages / dilation / covering nodes",
         &[
@@ -104,7 +95,7 @@ pub fn run(scale: Scale) -> Table {
     };
     for width in [64u64, 256, 1024, 4096] {
         for how in ["m-cast", "per-key unicast", "successor walk"] {
-            let (msgs, dilation, deliveries) = send(n, width, 941, how);
+            let (msgs, dilation, deliveries) = send(sweep.profile.overlay, n, width, 941, how);
             table.push_row(vec![
                 width.to_string(),
                 how.to_owned(),

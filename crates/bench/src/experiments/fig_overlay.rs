@@ -8,14 +8,12 @@
 //!
 //! [`PubSubNetwork`]: cbps::PubSubNetwork
 
-use cbps::{
-    ChordBackend, MappingKind, OverlayBackend, Primitive, PubSubConfig, PubSubNetworkBuilder,
-};
+use cbps::{ChordBackend, MappingKind, OverlayBackend};
 use cbps_pastry::PastryBackend;
-use cbps_sim::{NetConfig, SimDuration, TrafficClass};
-use cbps_workload::{OpKind, WorkloadConfig, WorkloadGen};
+use cbps_sim::{SimDuration, TrafficClass};
+use cbps_workload::{WorkloadConfig, WorkloadGen};
 
-use crate::runner::Scale;
+use crate::runner::{Deployment, Scale, Sweep};
 use crate::table::{fmt_f, Table};
 
 struct Outcome {
@@ -25,45 +23,30 @@ struct Outcome {
     delivered: u64,
 }
 
-fn run_on<B: OverlayBackend>(kind: MappingKind, scale: Scale, seed: u64) -> Outcome {
+fn run_on<B: OverlayBackend>(sweep: &Sweep, kind: MappingKind, seed: u64) -> Outcome {
+    let scale = sweep.profile.scale;
     let nodes = match scale {
         Scale::Quick => 100,
         Scale::Paper | Scale::Large => 500,
     };
     let subs = scale.ops(400);
     let pubs = scale.ops(800);
-    let pubsub = PubSubConfig::paper_default()
-        .with_mapping(kind)
-        .with_primitive(Primitive::MCast);
     let wl = WorkloadConfig::paper_default(nodes, 4)
         .with_counts(subs, pubs)
         .with_matching_probability(0.7);
 
-    let mut net = PubSubNetworkBuilder::<B>::new()
-        .nodes(nodes)
-        .net_config(NetConfig::new(seed))
-        .pubsub(pubsub)
-        .observability(crate::runner::observability())
-        .build()
-        .expect("overlay comparison config is valid");
+    // The paper defaults: m-cast, immediate notification.
+    let deployment = Deployment {
+        mapping: kind,
+        ..Deployment::new(nodes, seed)
+    };
+    let mut net = deployment.build_on::<B>(sweep.profile.obs);
     let space = cbps::EventSpace::paper_default();
     let mut gen = WorkloadGen::new(space, wl, seed);
     let trace = gen.gen_trace();
-    for op in trace.ops() {
-        net.run_until(op.at);
-        match &op.kind {
-            OpKind::Subscribe { sub, ttl } => {
-                net.subscribe(op.node, sub.clone(), *ttl)
-                    .expect("experiment nodes and payloads are valid");
-            }
-            OpKind::Publish { event } => {
-                net.publish(op.node, event.clone())
-                    .expect("experiment nodes and payloads are valid");
-            }
-        }
-    }
+    trace.replay(&mut net);
     net.run_until(trace.end_time() + SimDuration::from_secs(300));
-    crate::runner::record_obs(&mut net);
+    sweep.totals().record_obs(&mut net);
     let metrics = net.metrics();
     Outcome {
         hops_per_sub: metrics.messages(TrafficClass::SUBSCRIPTION) as f64 / subs as f64,
@@ -75,7 +58,7 @@ fn run_on<B: OverlayBackend>(kind: MappingKind, scale: Scale, seed: u64) -> Outc
 }
 
 /// Runs the comparison and returns its table.
-pub fn run(scale: Scale) -> Table {
+pub fn run(sweep: &Sweep) -> Table {
     let mut table = Table::new(
         "Extension: the same pub/sub layer over Chord vs Pastry (m-cast)",
         &[
@@ -90,10 +73,10 @@ pub fn run(scale: Scale) -> Table {
     for kind in [MappingKind::KeySpaceSplit, MappingKind::SelectiveAttribute] {
         let mut delivered = Vec::new();
         for (overlay, outcome) in [
-            (ChordBackend::NAME, run_on::<ChordBackend>(kind, scale, 991)),
+            (ChordBackend::NAME, run_on::<ChordBackend>(sweep, kind, 991)),
             (
                 PastryBackend::NAME,
-                run_on::<PastryBackend>(kind, scale, 991),
+                run_on::<PastryBackend>(sweep, kind, 991),
             ),
         ] {
             delivered.push(outcome.delivered);

@@ -14,11 +14,12 @@ use cbps::{AkMapping, EventSpace, MappingKind};
 use cbps_overlay::KeySpace;
 
 use crate::experiments::fig5::short_name;
-use crate::runner::{paper_workload, workload_gen, Scale};
+use crate::runner::{paper_workload, workload_gen, Scale, Sweep};
 use crate::table::{fmt_f, Table};
 
 /// Runs the computation and returns its table.
-pub fn run(scale: Scale) -> Table {
+pub fn run(sweep: &Sweep) -> Table {
+    let scale = sweep.profile.scale;
     let mut table = Table::new(
         "Extension: mean mapped keys per subscription vs wildcard probability (§4.2)",
         &[

@@ -16,7 +16,7 @@ use cbps_overlay::{build_stable, OverlayConfig};
 use cbps_sim::NetConfig;
 
 use crate::probe::ProbeApp;
-use crate::runner::{parallel_map, record_perf, Scale};
+use crate::runner::{parallel_map, Scale, Sweep};
 use crate::table::{fmt_f, Table};
 
 fn node_counts(scale: Scale) -> Vec<usize> {
@@ -29,7 +29,7 @@ fn node_counts(scale: Scale) -> Vec<usize> {
     }
 }
 
-fn mean_hops(n: usize, cache: usize, lookups_per_node: usize, seed: u64) -> f64 {
+fn mean_hops(sweep: &Sweep, n: usize, cache: usize, lookups_per_node: usize, seed: u64) -> f64 {
     let cfg = OverlayConfig::paper_default()
         .with_space(cbps::deployment_key_space(n))
         .with_cache_capacity(cache);
@@ -61,7 +61,9 @@ fn mean_hops(n: usize, cache: usize, lookups_per_node: usize, seed: u64) -> f64 
         issue(&mut sim, i);
     }
     sim.run();
-    record_perf(sim.events_processed(), sim.queue_peak());
+    sweep
+        .totals()
+        .record_events(sim.events_processed(), sim.queue_peak());
     sim.metrics()
         .histogram("lookup.hops")
         .map(|h| h.mean())
@@ -69,7 +71,8 @@ fn mean_hops(n: usize, cache: usize, lookups_per_node: usize, seed: u64) -> f64 
 }
 
 /// Runs the calibration and returns its table.
-pub fn run(scale: Scale) -> Table {
+pub fn run(sweep: &Sweep) -> Table {
+    let scale = sweep.profile.scale;
     let mut table = Table::new(
         "§5.1 in-text: mean lookup hops vs n (finger caching calibration)",
         &[
@@ -92,7 +95,9 @@ pub fn run(scale: Scale) -> Table {
             points.push((n, cache));
         }
     }
-    let means = parallel_map(points, |(n, cache)| mean_hops(n, cache, lookups, 931));
+    let means = parallel_map(sweep.profile.jobs, points, |(n, cache)| {
+        mean_hops(sweep, n, cache, lookups, 931)
+    });
     for (i, n) in node_counts(scale).into_iter().enumerate() {
         let group = &means[i * CACHES.len()..(i + 1) * CACHES.len()];
         let mut row = vec![n.to_string()];

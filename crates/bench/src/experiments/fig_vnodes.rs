@@ -12,11 +12,12 @@
 
 use cbps::MappingKind;
 
-use crate::runner::{paper_workload, run_trace, workload_gen, Deployment, Scale};
+use crate::runner::{paper_workload, workload_gen, Deployment, Scale, Sweep};
 use crate::table::{fmt_f, Table};
 
 /// Runs the experiment and returns its table.
-pub fn run(scale: Scale) -> Table {
+pub fn run(sweep: &Sweep) -> Table {
+    let scale = sweep.profile.scale;
     let mut table = Table::new(
         "Extension: virtual nodes vs storage skew (mapping 3, 1 selective attr)",
         &[
@@ -42,9 +43,9 @@ pub fn run(scale: Scale) -> Table {
         let cfg = paper_workload(sim_nodes, 1).with_counts(subs, 0);
         let mut gen = workload_gen(cfg, 981);
         let trace = gen.gen_trace();
-        let peaks = crate::with_backend!(B => {
-            let mut net = deployment.build_on::<B>();
-            let _ = run_trace(&mut net, &trace, 60);
+        let peaks = crate::with_backend!(sweep.profile.overlay, B => {
+            let mut net = deployment.build_on::<B>(sweep.profile.obs);
+            let _ = sweep.run_trace(&mut net, &trace, 60);
             net.peak_stored_counts()
         });
         // Aggregate virtual identities onto machines: virtual id `i`

@@ -16,56 +16,84 @@ pub mod fig_partial;
 pub mod fig_route;
 pub mod fig_vnodes;
 
-use crate::runner::Scale;
+use crate::runner::{RunProfile, RunTotals, Sweep};
 use crate::table::Table;
 
-/// Runs every experiment at the given scale, returning all tables in
-/// figure order.
-pub fn run_all(scale: Scale) -> Vec<Table> {
-    let mut tables = Vec::new();
-    tables.push(fig_route::run(scale));
-    tables.extend(fig_keys::run(scale));
-    tables.push(fig5::run(scale));
-    tables.extend(fig6::run(scale));
-    tables.push(fig7::run(scale));
-    tables.extend(fig8::run(scale));
-    tables.push(fig9a::run(scale));
-    tables.push(fig_latency::run(scale));
-    tables.push(fig9b::run(scale));
-    tables.push(fig_mcast::run(scale));
-    tables.push(fig_partial::run(scale));
-    tables.extend(fig_hotspot::run(scale));
-    tables.push(fig_vnodes::run(scale));
-    tables.push(fig_overlay::run(scale));
-    tables.push(fig_churn::run(scale));
-    tables
+/// One experiment `figures` can run.
+#[derive(Clone, Copy, Debug)]
+pub struct Experiment {
+    /// The name it runs under (`fig_` + the name is accepted too, for the
+    /// names that do not start with `fig`).
+    pub name: &'static str,
+    /// Whether its network size follows `--nodes`; the others fix or
+    /// sweep their own sizes, or deploy no network at all.
+    pub honours_nodes: bool,
+    body: fn(&Sweep) -> Vec<Table>,
 }
 
-/// Runs one experiment by name (`fig5`, `fig6`, … `all`).
-pub fn run_named(name: &str, scale: Scale) -> Option<Vec<Table>> {
-    Some(match name {
-        "fig5" => vec![fig5::run(scale)],
-        "fig6" => fig6::run(scale),
-        "fig7" => vec![fig7::run(scale)],
-        "fig8" => fig8::run(scale),
-        "fig9a" => vec![fig9a::run(scale)],
-        "latency" | "fig_latency" => vec![fig_latency::run(scale)],
-        "fig9b" => vec![fig9b::run(scale)],
-        "keys" | "fig_keys" => fig_keys::run(scale),
-        "route" | "fig_route" => vec![fig_route::run(scale)],
-        "mcast" | "fig_mcast" => vec![fig_mcast::run(scale)],
-        "churn" | "fig_churn" => vec![fig_churn::run(scale)],
-        "hotspot" | "fig_hotspot" => fig_hotspot::run(scale),
-        "overlay" | "fig_overlay" => vec![fig_overlay::run(scale)],
-        "partial" | "fig_partial" => vec![fig_partial::run(scale)],
-        "vnodes" | "fig_vnodes" => vec![fig_vnodes::run(scale)],
-        "all" => run_all(scale),
-        _ => return None,
+impl Experiment {
+    /// Runs the experiment under `profile`: its tables and what its runs
+    /// add up to.
+    pub fn run(&self, profile: &RunProfile) -> (Vec<Table>, RunTotals) {
+        let sweep = Sweep {
+            profile,
+            totals: Default::default(),
+        };
+        let tables = (self.body)(&sweep);
+        (tables, sweep.totals.into_inner().expect("totals poisoned"))
+    }
+}
+
+const fn exp(
+    name: &'static str,
+    honours_nodes: bool,
+    body: fn(&Sweep) -> Vec<Table>,
+) -> Experiment {
+    Experiment {
+        name,
+        honours_nodes,
+        body,
+    }
+}
+
+/// Every experiment, in figure order (the order `figures all` runs them).
+pub const EXPERIMENTS: [Experiment; 15] = [
+    exp("route", false, |s| vec![fig_route::run(s)]),
+    exp("keys", false, fig_keys::run),
+    exp("fig5", true, |s| vec![fig5::run(s)]),
+    exp("fig6", true, fig6::run),
+    exp("fig7", false, |s| vec![fig7::run(s)]),
+    exp("fig8", false, fig8::run),
+    exp("fig9a", true, |s| vec![fig9a::run(s)]),
+    exp("latency", true, |s| vec![fig_latency::run(s)]),
+    exp("fig9b", true, |s| vec![fig9b::run(s)]),
+    exp("mcast", false, |s| vec![fig_mcast::run(s)]),
+    exp("partial", false, |s| vec![fig_partial::run(s)]),
+    exp("hotspot", true, |s| vec![fig_hotspot::run(s)]),
+    exp("vnodes", false, |s| vec![fig_vnodes::run(s)]),
+    exp("overlay", false, |s| vec![fig_overlay::run(s)]),
+    exp("churn", false, |s| vec![fig_churn::run(s)]),
+];
+
+/// The experiment named `name` (`fig5`, `latency` or `fig_latency`, …).
+pub fn find(name: &str) -> Option<Experiment> {
+    EXPERIMENTS.into_iter().find(|e| {
+        e.name == name || (!e.name.starts_with("fig") && name.strip_prefix("fig_") == Some(e.name))
     })
 }
 
-/// Names accepted by [`run_named`].
-pub const EXPERIMENT_NAMES: &[&str] = &[
-    "route", "keys", "fig5", "fig6", "fig7", "fig8", "fig9a", "latency", "fig9b", "mcast",
-    "partial", "hotspot", "vnodes", "overlay", "churn",
-];
+/// Runs one experiment by name under `profile`; `None` for an unknown name.
+pub fn run_named(name: &str, profile: &RunProfile) -> Option<(Vec<Table>, RunTotals)> {
+    find(name).map(|e| e.run(profile))
+}
+
+/// The names of the experiments, filtered by [`Experiment::honours_nodes`]
+/// when `honouring` is `Some`, joined by `", "`.
+pub fn names(honouring: Option<bool>) -> String {
+    EXPERIMENTS
+        .iter()
+        .filter(|e| honouring.is_none_or(|h| e.honours_nodes == h))
+        .map(|e| e.name)
+        .collect::<Vec<_>>()
+        .join(", ")
+}

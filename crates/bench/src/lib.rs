@@ -3,12 +3,12 @@
 //! Regenerates every table and figure of the ICDCS 2005 evaluation (§5)
 //! plus the in-text measurements and two extensions. Run via:
 //!
-//! * `cargo bench -p cbps-bench --bench figures` — all figures at quick
-//!   scale;
-//! * `cargo run -p cbps-bench --release --bin figures -- --scale paper` —
-//!   full paper-scale runs (see `--help`; `--jobs N` fans independent
-//!   sweep points out to a worker pool, `--json FILE` writes a perf
-//!   report);
+//! * `cargo run -p cbps-bench --release --bin figures` — all figures at
+//!   quick scale; `-- --scale paper` for the full paper-scale runs (see
+//!   `--help`; `--jobs N` fans independent sweep points out to a worker
+//!   pool, `--json FILE` writes a perf report). The flags make one
+//!   [`RunProfile`]; each experiment returns its tables and a
+//!   [`RunTotals`];
 //! * `cargo bench -p cbps-bench --bench micro` — dependency-free
 //!   wall-clock component benchmarks (mappings, matching, m-cast
 //!   splitting, SHA-1).
@@ -23,5 +23,5 @@ pub mod runner;
 pub mod table;
 
 pub use report::{ExperimentReport, ObsReport, RunReport};
-pub use runner::{Deployment, RunStats, Scale};
+pub use runner::{Deployment, RunProfile, RunStats, RunTotals, Scale};
 pub use table::Table;

@@ -13,6 +13,8 @@
 
 use cbps_sim::{ObsSummary, Observability, Stage};
 
+use crate::runner::{RunProfile, RunTotals};
+
 /// Summary of one `(traffic class, stage)` latency histogram. Latencies
 /// are microseconds of simulated time since the operation's origin stage.
 #[derive(Clone, Debug)]
@@ -179,11 +181,29 @@ pub struct ExperimentReport {
     pub obs: Option<ObsReport>,
 }
 
-/// A whole `figures` invocation's report.
+impl ExperimentReport {
+    /// The record of experiment `name`, which ran `wall_secs` and added
+    /// up to `totals`.
+    pub fn new(name: String, wall_secs: f64, totals: &RunTotals) -> Self {
+        ExperimentReport {
+            name,
+            wall_secs,
+            events: totals.events,
+            peak_queue_depth: totals.queue_peak,
+            obs: totals.obs_report(),
+        }
+    }
+}
+
+/// A whole `figures` invocation's report: the run's configuration, then
+/// one record per experiment.
 #[derive(Clone, Debug)]
 pub struct RunReport {
-    /// `quick` or `paper`.
+    /// `quick`, `paper` or `large` (`trace` for a `cbps stats` replay).
     pub scale: String,
+    /// Network-size override (`--nodes`); `None` when every experiment ran
+    /// at its own sizes.
+    pub nodes: Option<usize>,
     /// Worker-pool size the sweep ran with.
     pub jobs: usize,
     /// Observability mode name the sweep ran under (`off`, `stages`, `full`).
@@ -195,11 +215,26 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The report of a run under `profile`: every profile field, then
+    /// `experiments`.
+    pub fn new(profile: &RunProfile, experiments: Vec<ExperimentReport>) -> Self {
+        RunReport {
+            scale: profile.scale.name().to_owned(),
+            nodes: profile.nodes,
+            jobs: profile.jobs,
+            observability: profile.obs.name().to_owned(),
+            overlay: profile.overlay.name().to_owned(),
+            experiments,
+        }
+    }
+
     /// Renders the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"schema\": \"cbps-report/v2\",\n");
         out.push_str(&format!("  \"scale\": \"{}\",\n", escape(&self.scale)));
+        let nodes = self.nodes.map_or("null".to_owned(), |n| n.to_string());
+        out.push_str(&format!("  \"nodes\": {nodes},\n"));
         out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
         out.push_str(&format!(
             "  \"observability\": \"{}\",\n",
@@ -319,6 +354,7 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Scale;
     use cbps_sim::{ObsMode, SimTime, TraceId, TrafficClass};
 
     fn sample_obs() -> Observability {
@@ -381,12 +417,15 @@ mod tests {
     #[test]
     fn json_is_self_describing_and_backward_compatible() {
         let obs = sample_obs();
-        let report = RunReport {
-            scale: "quick".into(),
+        let profile = RunProfile {
+            nodes: Some(1234),
             jobs: 2,
-            observability: "full".into(),
-            overlay: "chord".into(),
-            experiments: vec![
+            obs: ObsMode::Full,
+            ..RunProfile::new(Scale::Large)
+        };
+        let report = RunReport::new(
+            &profile,
+            vec![
                 ExperimentReport {
                     name: "fig5".into(),
                     wall_secs: 1.5,
@@ -402,10 +441,15 @@ mod tests {
                     obs: None,
                 },
             ],
-        };
+        );
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"cbps-report/v2\""));
-        assert!(json.contains("\"overlay\": \"chord\""));
+        // The whole profile, `--nodes` included: `null` without one.
+        let header = "\"scale\": \"large\",\n  \"nodes\": 1234,\n  \"jobs\": 2,\n  \
+                      \"observability\": \"full\",\n  \"overlay\": \"chord\",\n";
+        assert!(json.contains(header), "{json}");
+        let plain = RunReport::new(&RunProfile::new(Scale::Quick), Vec::new()).to_json();
+        assert!(plain.contains("\"nodes\": null,"), "{plain}");
         // v1 fields keep their names so old baselines stay comparable.
         assert!(json.contains("\"wall_secs\": 1.500"));
         assert!(json.contains("\"events_per_sec\": 2000"));

@@ -1,45 +1,25 @@
-//! Shared experiment plumbing: scales, network construction, trace replay,
-//! metric extraction, and the multi-core sweep runner.
+//! Shared experiment plumbing: the run profile, per-experiment totals,
+//! network construction, trace replay, metric extraction, and the
+//! multi-core sweep runner.
 //!
-//! Each simulation is single-threaded and deterministic; independent
-//! (seed, sweep-point) runs are farmed out to a scoped worker pool sized
-//! by [`set_jobs`]. Results come back in input order, so a sweep produces
+//! A [`RunProfile`] carries everything a `figures` invocation fixes before
+//! its first experiment; a [`Sweep`] is one experiment in progress under
+//! it, folding what its runs report into a [`RunTotals`]. Each simulation
+//! is single-threaded and deterministic; independent (seed, sweep-point)
+//! runs are farmed out to a scoped worker pool of [`RunProfile::jobs`]
+//! workers. Results come back in input order, so a sweep produces
 //! byte-identical tables at any job count.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use cbps::{
-    ChordBackend, MappingKind, NotifyMode, OverlayBackend, Primitive, PubSubConfig, PubSubNetwork,
-    PubSubNetworkBuilder,
+    ChordBackend, ConfigError, MappingKind, NotifyMode, OverlayBackend, Primitive, PubSubConfig,
+    PubSubNetwork, PubSubNetworkBuilder,
 };
 use cbps_sim::{NetConfig, ObsMode, Observability, SimDuration, TrafficClass};
 use cbps_workload::{Trace, WorkloadConfig, WorkloadGen};
 
-/// Worker count for [`parallel_map`]; 1 = fully serial.
-static JOBS: AtomicUsize = AtomicUsize::new(1);
-/// Simulator events processed across all runs since the last reset.
-static EVENTS_TOTAL: AtomicU64 = AtomicU64::new(0);
-/// Maximum event-queue depth seen by any run since the last reset.
-static QUEUE_PEAK_MAX: AtomicU64 = AtomicU64::new(0);
-/// Observability mode applied to every [`Deployment::build`] network
-/// (discriminant of [`ObsMode`]; 0 = off).
-static OBS_MODE: AtomicU8 = AtomicU8::new(0);
-/// Merged observability registries of every run since the last reset.
-/// Worker threads fold their run's registry in under this lock; the merge
-/// is commutative, so the result is job-count independent.
-static OBS_TOTAL: Mutex<Option<Observability>> = Mutex::new(None);
-/// Per-node peak stored-subscription counts, folded element-wise-max over
-/// every observed run since the last reset (max is commutative, so the
-/// result is job-count independent).
-static HOT_NODES: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-/// Overlay substrate every deployment-style experiment runs on
-/// (0 = Chord, 1 = Pastry).
-static BACKEND: AtomicU8 = AtomicU8::new(0);
-/// Per-node cumulative rendezvous work (publications processed + matches
-/// produced), folded element-wise-max over every observed run since the
-/// last reset.
-static NODE_WORK: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+use crate::report::ObsReport;
 
 /// The overlay substrates the experiment harness can deploy on.
 ///
@@ -80,33 +60,14 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// Sets the overlay substrate every subsequent experiment deploys on.
-pub fn set_backend(kind: BackendKind) {
-    BACKEND.store(
-        match kind {
-            BackendKind::Chord => 0,
-            BackendKind::Pastry => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The overlay substrate experiments deploy on.
-pub fn backend() -> BackendKind {
-    match BACKEND.load(Ordering::Relaxed) {
-        0 => BackendKind::Chord,
-        _ => BackendKind::Pastry,
-    }
-}
-
-/// Dispatches a generic experiment body over the globally selected
-/// overlay backend: `with_backend!(B => run_on::<B>(scale))` expands to a
-/// match on [`runner::backend`](backend) binding the type alias `B` to
+/// Dispatches a generic experiment body over an overlay backend:
+/// `with_backend!(kind, B => run_on::<B>(scale))` expands to a match on
+/// the [`BackendKind`] `kind` binding the type alias `B` to
 /// [`cbps::ChordBackend`] or [`cbps_pastry::PastryBackend`].
 #[macro_export]
 macro_rules! with_backend {
-    ($B:ident => $body:expr) => {
-        match $crate::runner::backend() {
+    ($kind:expr, $B:ident => $body:expr) => {
+        match $kind {
             $crate::runner::BackendKind::Chord => {
                 type $B = ::cbps::ChordBackend;
                 $body
@@ -119,137 +80,153 @@ macro_rules! with_backend {
     };
 }
 
-/// Sets the worker-pool size used by [`parallel_map`] (clamped to >= 1).
-/// The same count drives the overlay builders' construction workers, so
-/// `--jobs N` parallelizes both sweep points and network build.
-pub fn set_jobs(n: usize) {
-    JOBS.store(n.max(1), Ordering::Relaxed);
-    cbps_overlay::set_build_jobs(n.max(1));
+/// The hard ceiling for `--nodes` (the ROADMAP's million-node target).
+pub const MAX_NODES: usize = 1_000_000;
+
+/// Everything a `figures` invocation fixes before its first experiment.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunProfile {
+    /// Experiment scale (`--scale`).
+    pub scale: Scale,
+    /// Network-size override (`--nodes`, at most [`MAX_NODES`]); `None`
+    /// runs every experiment at its scale's sizes.
+    pub nodes: Option<usize>,
+    /// Worker count for sweep points and overlay construction (`--jobs`);
+    /// 1 = fully serial.
+    pub jobs: usize,
+    /// Overlay substrate of the deployment-style experiments (`--overlay`).
+    pub overlay: BackendKind,
+    /// Observability mode every deployment runs under (`stages` with
+    /// `--report`).
+    pub obs: ObsMode,
 }
 
-/// The current worker-pool size.
-pub fn jobs() -> usize {
-    JOBS.load(Ordering::Relaxed)
-}
-
-/// Sets the observability mode every subsequently built deployment runs
-/// under (and every [`run_trace`] accumulates from).
-pub fn set_observability(mode: ObsMode) {
-    OBS_MODE.store(
-        match mode {
-            ObsMode::Off => 0,
-            ObsMode::Stages => 1,
-            _ => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The observability mode applied to built deployments.
-pub fn observability() -> ObsMode {
-    match OBS_MODE.load(Ordering::Relaxed) {
-        0 => ObsMode::Off,
-        1 => ObsMode::Stages,
-        _ => ObsMode::Full,
-    }
-}
-
-/// Folds one finished run into the global perf accumulators.
-pub fn record_perf(events: u64, queue_peak: usize) {
-    EVENTS_TOTAL.fetch_add(events, Ordering::Relaxed);
-    QUEUE_PEAK_MAX.fetch_max(queue_peak as u64, Ordering::Relaxed);
-}
-
-/// Folds one finished run's observability registry into the global
-/// accumulator (a no-op when the run recorded nothing).
-pub fn record_obs<B: OverlayBackend>(net: &mut PubSubNetwork<B>) {
-    if !net.observability().enabled() {
-        return;
-    }
-    let peaks = net.peak_stored_counts();
-    {
-        let mut hot = HOT_NODES.lock().expect("hot-node accumulator poisoned");
-        if hot.len() < peaks.len() {
-            hot.resize(peaks.len(), 0);
-        }
-        for (slot, &peak) in hot.iter_mut().zip(&peaks) {
-            *slot = (*slot).max(peak as u64);
+impl RunProfile {
+    /// `scale` with every other setting at its default: no node override,
+    /// one worker, Chord, observability off.
+    pub fn new(scale: Scale) -> Self {
+        RunProfile {
+            scale,
+            nodes: None,
+            jobs: 1,
+            overlay: BackendKind::Chord,
+            obs: ObsMode::Off,
         }
     }
-    let works = net.rendezvous_work_counts();
-    {
-        let mut acc = NODE_WORK.lock().expect("node-work accumulator poisoned");
-        if acc.len() < works.len() {
-            acc.resize(works.len(), 0);
-        }
-        for (slot, &w) in acc.iter_mut().zip(&works) {
-            *slot = (*slot).max(w);
-        }
-    }
-    let run_obs = std::mem::take(net.metrics_mut().obs_mut());
-    let mut total = OBS_TOTAL.lock().expect("obs accumulator poisoned");
-    match total.as_mut() {
-        Some(acc) => acc.merge(&run_obs),
-        None => *total = Some(run_obs),
+
+    /// The network size of an experiment that takes one: the `--nodes`
+    /// override, else the scale's default ([`Scale::nodes`]).
+    pub fn nodes(&self) -> usize {
+        self.nodes.unwrap_or(self.scale.nodes())
     }
 }
 
-/// Clears the perf accumulators (call before a measured batch).
-pub fn reset_perf() {
-    EVENTS_TOTAL.store(0, Ordering::Relaxed);
-    QUEUE_PEAK_MAX.store(0, Ordering::Relaxed);
-    *OBS_TOTAL.lock().expect("obs accumulator poisoned") = None;
-    HOT_NODES
-        .lock()
-        .expect("hot-node accumulator poisoned")
-        .clear();
-    NODE_WORK
-        .lock()
-        .expect("node-work accumulator poisoned")
-        .clear();
-}
-
-/// Takes the merged observability registry accumulated since the last
-/// [`reset_perf`] (leaving it empty).
-pub fn take_obs() -> Option<Observability> {
-    OBS_TOTAL.lock().expect("obs accumulator poisoned").take()
-}
-
-/// Takes the per-node peak stored-subscription counts accumulated by
-/// [`record_obs`] since the last [`reset_perf`] (leaving them empty).
-pub fn take_hot_nodes() -> Vec<u64> {
-    std::mem::take(&mut *HOT_NODES.lock().expect("hot-node accumulator poisoned"))
-}
-
-/// Takes the per-node rendezvous-work counts accumulated by [`record_obs`]
-/// since the last [`reset_perf`] (leaving them empty).
-pub fn take_node_work() -> Vec<u64> {
-    std::mem::take(&mut *NODE_WORK.lock().expect("node-work accumulator poisoned"))
-}
-
-/// `(events processed, max queue depth)` accumulated since the last
-/// [`reset_perf`].
-pub fn perf_totals() -> (u64, u64) {
-    (
-        EVENTS_TOTAL.load(Ordering::Relaxed),
-        QUEUE_PEAK_MAX.load(Ordering::Relaxed),
-    )
-}
-
-/// Maps `f` over `items` on the worker pool, preserving input order.
+/// What one experiment's runs add up to, for its report record.
 ///
-/// With `jobs() == 1` (the default) this is a plain serial map — no
-/// threads are spawned and no ordering question arises. With more
-/// workers, items are pulled from a shared queue, so long and short
-/// sweep points load-balance; the result vector is still indexed by the
-/// input position. `f` must not depend on cross-item state.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+/// Every fold is commutative — sums, maxima, element-wise maxima and the
+/// registry merge — so totals do not depend on the order in which sweep
+/// workers finish: they are the same at any job count.
+#[derive(Debug, Default)]
+pub struct RunTotals {
+    /// Simulator events processed.
+    pub events: u64,
+    /// Maximum event-queue depth seen by any run.
+    pub queue_peak: u64,
+    /// Merged observability registries; `None` when no run recorded any.
+    pub obs: Option<Observability>,
+    /// Per-node peak stored-subscription counts, element-wise max over
+    /// the observed runs.
+    pub hot_nodes: Vec<u64>,
+    /// Per-node cumulative rendezvous work (publications processed +
+    /// matches produced), element-wise max over the observed runs.
+    pub node_work: Vec<u64>,
+}
+
+impl RunTotals {
+    /// Folds one finished simulation's event count and queue peak in.
+    pub fn record_events(&mut self, events: u64, queue_peak: usize) {
+        self.events += events;
+        self.queue_peak = self.queue_peak.max(queue_peak as u64);
+    }
+
+    /// Moves one finished run's observability registry, per-node peaks
+    /// and rendezvous work into the totals (a no-op when the run recorded
+    /// nothing).
+    pub fn record_obs<B: OverlayBackend>(&mut self, net: &mut PubSubNetwork<B>) {
+        if !net.observability().enabled() {
+            return;
+        }
+        let (peaks, works) = (net.peak_stored_counts(), net.rendezvous_work_counts());
+        fold_max(&mut self.hot_nodes, peaks.into_iter().map(|p| p as u64));
+        fold_max(&mut self.node_work, works.into_iter());
+        let run_obs = std::mem::take(net.metrics_mut().obs_mut());
+        match self.obs.as_mut() {
+            Some(acc) => acc.merge(&run_obs),
+            None => self.obs = Some(run_obs),
+        }
+    }
+
+    /// The report distillate of the merged registry, hot nodes and node
+    /// load; `None` when no run was observed.
+    pub fn obs_report(&self) -> Option<ObsReport> {
+        self.obs
+            .as_ref()
+            .map(|obs| ObsReport::distill(obs, &self.hot_nodes).with_load(&self.node_work))
+    }
+}
+
+fn fold_max(acc: &mut Vec<u64>, values: impl ExactSizeIterator<Item = u64>) {
+    acc.resize(acc.len().max(values.len()), 0);
+    acc.iter_mut()
+        .zip(values)
+        .for_each(|(slot, v)| *slot = (*slot).max(v));
+}
+
+/// One experiment in progress: the profile it runs under and the totals
+/// its runs fold into. Sweep workers share it by reference.
+#[derive(Debug)]
+pub struct Sweep<'a> {
+    /// The invocation's settings.
+    pub profile: &'a RunProfile,
+    pub(crate) totals: Mutex<RunTotals>,
+}
+
+impl Sweep<'_> {
+    /// The totals recorded so far, locked for a worker to fold its run in.
+    pub fn totals(&self) -> MutexGuard<'_, RunTotals> {
+        self.totals.lock().expect("totals poisoned")
+    }
+
+    /// [`run_trace`], then folds the run into the totals.
+    pub fn run_trace<B: OverlayBackend>(
+        &self,
+        net: &mut PubSubNetwork<B>,
+        trace: &Trace,
+        drain_secs: u64,
+    ) -> RunStats {
+        let stats = run_trace(net, trace, drain_secs);
+        let mut totals = self.totals();
+        let sim = net.sim_mut();
+        totals.record_events(sim.events_processed(), sim.queue_peak());
+        totals.record_obs(net);
+        stats
+    }
+}
+
+/// Maps `f` over `items` on `jobs` workers, preserving input order.
+///
+/// With one worker this is a plain serial map — no threads are spawned
+/// and no ordering question arises. With more workers, items are pulled
+/// from a shared queue, so long and short sweep points load-balance; the
+/// result vector is still indexed by the input position. `f` must not
+/// depend on cross-item state.
+pub fn parallel_map<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let workers = jobs().min(items.len());
+    let workers = jobs.min(items.len());
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
@@ -276,24 +253,6 @@ where
         .collect()
 }
 
-/// Node-count override applied on top of the scale default (0 = none).
-/// Set from `--nodes N`; capped at 10^6.
-static NODES_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// The hard ceiling for `--nodes` (the ROADMAP's million-node target).
-pub const MAX_NODES: usize = 1_000_000;
-
-/// Overrides the node count every scale resolves to (0 clears the
-/// override; values are capped at [`MAX_NODES`]).
-pub fn set_nodes_override(n: usize) {
-    NODES_OVERRIDE.store(n.min(MAX_NODES), Ordering::Relaxed);
-}
-
-/// The current node-count override (0 = none).
-pub fn nodes_override() -> usize {
-    NODES_OVERRIDE.load(Ordering::Relaxed)
-}
-
 /// Experiment scale: full paper parameters, a fast CI-friendly shrink, or
 /// the large-deployment stress setting.
 ///
@@ -308,17 +267,14 @@ pub enum Scale {
     Quick,
     /// The paper's §5.1 parameters.
     Paper,
-    /// 10^5 nodes (plus `--nodes` override), paper operation counts.
+    /// 10^5 nodes, paper operation counts.
     Large,
 }
 
 impl Scale {
-    /// Default node count (paper: 500), after the `--nodes` override.
+    /// Default node count (paper: 500); see [`RunProfile::nodes`] for the
+    /// `--nodes` override.
     pub fn nodes(self) -> usize {
-        let n = nodes_override();
-        if n > 0 {
-            return n;
-        }
         match self {
             Scale::Quick => 150,
             Scale::Paper => 500,
@@ -369,6 +325,8 @@ pub struct Deployment {
     pub notify: NotifyMode,
     /// Discretization interval width (1 = off).
     pub discretization: u64,
+    /// Replicas kept of every stored subscription (0 = none).
+    pub replication: usize,
 }
 
 impl Deployment {
@@ -381,37 +339,53 @@ impl Deployment {
             primitive: Primitive::MCast,
             notify: NotifyMode::Immediate,
             discretization: 1,
+            replication: 0,
         }
     }
 
-    /// Builds the network on the Chord substrate (under the sweep-wide
-    /// observability mode, see [`set_observability`]).
+    /// Builds the network on the Chord substrate with observability off.
     pub fn build(&self) -> PubSubNetwork {
-        self.build_on::<ChordBackend>()
+        self.build_on::<ChordBackend>(ObsMode::Off)
+    }
+
+    /// Builds the network on substrate `B` under observability `obs`; see
+    /// [`Deployment::try_build_on`].
+    pub fn build_on<B: OverlayBackend>(&self, obs: ObsMode) -> PubSubNetwork<B> {
+        self.try_build_on(obs)
+            .expect("experiment deployments use validated paper parameters")
     }
 
     /// Builds the network on substrate `B` with its paper-default overlay
-    /// parameters. Workload, seeds and pub/sub configuration are
-    /// substrate-independent, so the same deployment descriptor drives
-    /// every backend. Node counts beyond the paper's 2^13 ring get a wider
-    /// key space via [`cbps::deployment_key_space`] (a no-op for every
-    /// paper/quick deployment, so recorded baselines are unchanged).
-    pub fn build_on<B: OverlayBackend>(&self) -> PubSubNetwork<B> {
+    /// parameters, under observability `obs`. Workload, seeds and pub/sub
+    /// configuration are substrate-independent, so the same deployment
+    /// descriptor drives every backend. Node counts beyond the paper's
+    /// 2^13 ring get a wider key space via [`cbps::deployment_key_space`]
+    /// (a no-op for every paper/quick deployment, so recorded baselines
+    /// are unchanged).
+    ///
+    /// # Errors
+    ///
+    /// The builder's [`ConfigError`] for a descriptor it rejects (no
+    /// nodes, a replication factor past the overlay's capacity).
+    pub fn try_build_on<B: OverlayBackend>(
+        &self,
+        obs: ObsMode,
+    ) -> Result<PubSubNetwork<B>, ConfigError> {
         let keys = cbps::deployment_key_space(self.nodes);
         let pubsub = PubSubConfig::paper_default()
             .with_mapping(self.mapping)
             .with_primitive(self.primitive)
             .with_notify_mode(self.notify)
             .with_discretization(self.discretization)
+            .with_replication(self.replication)
             .with_key_space(keys);
         PubSubNetworkBuilder::<B>::new()
             .nodes(self.nodes)
             .net_config(NetConfig::new(self.seed))
             .overlay(B::with_key_space(B::paper_default(), keys))
             .pubsub(pubsub)
-            .observability(observability())
+            .observability(obs)
             .build()
-            .expect("experiment deployments use validated paper parameters")
     }
 }
 
@@ -442,19 +416,16 @@ pub struct RunStats {
 
 /// Replays a trace and distills the run's statistics. The network runs
 /// `drain_secs` past the last operation so in-flight messages and buffers
-/// settle.
+/// settle. [`Sweep::run_trace`] also folds the run into an experiment's
+/// totals.
 pub fn run_trace<B: OverlayBackend>(
     net: &mut PubSubNetwork<B>,
     trace: &Trace,
     drain_secs: u64,
 ) -> RunStats {
     net.reserve_workload(trace.sub_count());
-    let outcome = trace.replay(net);
-    let _ = outcome;
+    trace.replay(net);
     net.run_until(trace.end_time() + SimDuration::from_secs(drain_secs));
-    let sim = net.sim_mut();
-    record_perf(sim.events_processed(), sim.queue_peak());
-    record_obs(net);
     distill(net, trace.sub_count() as u64, trace.pub_count() as u64)
 }
 
@@ -548,9 +519,6 @@ mod tests {
 
     #[test]
     fn scales() {
-        // One test body: `--nodes` is process-global state, so the
-        // override assertions must not run concurrently with the
-        // default-value assertions.
         assert_eq!(Scale::Paper.nodes(), 500);
         assert_eq!(Scale::Quick.ops(1000), 200);
         assert_eq!(Scale::Quick.ops(100), 50);
@@ -558,24 +526,22 @@ mod tests {
         assert_eq!(Scale::Large.ops(1000), 1000);
         for scale in [Scale::Quick, Scale::Paper, Scale::Large] {
             assert_eq!(Scale::parse(scale.name()), Some(scale));
+            let profile = RunProfile::new(scale);
+            assert_eq!(profile.nodes(), scale.nodes());
+            let profile = RunProfile {
+                nodes: Some(1234),
+                ..profile
+            };
+            assert_eq!(profile.nodes(), 1234);
         }
         assert_eq!(Scale::parse("huge"), None);
-        set_nodes_override(1234);
-        assert_eq!(Scale::Quick.nodes(), 1234);
-        assert_eq!(Scale::Large.nodes(), 1234);
-        set_nodes_override(10 * MAX_NODES);
-        assert_eq!(nodes_override(), MAX_NODES);
-        set_nodes_override(0);
-        assert_eq!(Scale::Paper.nodes(), 500);
     }
 
     #[test]
     fn parallel_map_preserves_order_at_any_job_count() {
         let items: Vec<u64> = (0..100).collect();
-        set_jobs(4);
-        let parallel = parallel_map(items.clone(), |x| x * x + 1);
-        set_jobs(1);
-        let serial = parallel_map(items, |x| x * x + 1);
+        let parallel = parallel_map(4, items.clone(), |x| x * x + 1);
+        let serial = parallel_map(1, items, |x| x * x + 1);
         assert_eq!(parallel, serial);
         assert_eq!(serial[99], 99 * 99 + 1);
     }

@@ -39,7 +39,7 @@ fn steady_state_routed_events_do_not_allocate() {
         .with_matching_probability(0.5);
     let mut gen = workload_gen(cfg, seed);
     let trace = gen.gen_trace();
-    let mut net = deployment.build_on::<cbps::ChordBackend>();
+    let mut net = deployment.build();
     let before = alloc_calls();
     run_trace(&mut net, &trace, 300);
     // The replay grows every store and table from cold: a counter that saw

@@ -19,7 +19,7 @@ impl Mapping1Install {
     pub fn new(nodes: usize, seed: u64, subs: usize) -> Self {
         let mut deployment = Deployment::new(nodes, seed);
         deployment.mapping = MappingKind::AttributeSplit;
-        let mut net = deployment.build_on::<cbps::ChordBackend>();
+        let mut net = deployment.build();
         let mut gen = workload_gen(paper_workload(nodes, 0), seed);
         let subs: Vec<Subscription> = (0..subs).map(|_| gen.gen_subscription()).collect();
         net.reserve_workload(subs.len());

@@ -2,10 +2,9 @@
 
 use cbps::{
     EventSpace, MappingKind, NotifyMode, OverlayBackend, Primitive, PubSubConfig, PubSubNetwork,
-    PubSubNetworkBuilder,
 };
-use cbps_bench::report::{ExperimentReport, ObsReport, RunReport};
-use cbps_bench::runner::{delivered_fingerprint, BackendKind};
+use cbps_bench::report::{ExperimentReport, RunReport};
+use cbps_bench::runner::{delivered_fingerprint, BackendKind, Deployment, RunTotals};
 use cbps_bench::with_backend;
 use cbps_sim::{NetConfig, ObsMode, SimDuration, TrafficClass};
 use cbps_workload::{
@@ -175,20 +174,13 @@ const DEPLOYMENT_FLAGS: [&str; 8] = [
 struct TraceRun {
     file: String,
     trace: Trace,
-    nodes: usize,
-    seed: u64,
-    mapping: MappingKind,
-    primitive: Primitive,
-    notify: NotifyMode,
-    discretization: u64,
-    replication: usize,
+    deployment: Deployment,
     overlay: BackendKind,
 }
 
 impl TraceRun {
     /// Reads the trace file named after `command` and the deployment
-    /// flags; `extra` names the command's own flags. Selects the overlay
-    /// for [`with_backend!`].
+    /// flags; `extra` names the command's own flags.
     fn parse(args: &Args, command: &str, extra: &[&str]) -> Result<Self, ArgError> {
         let allowed: Vec<&str> = DEPLOYMENT_FLAGS.iter().chain(extra).copied().collect();
         args.check_flags(&allowed)?;
@@ -207,40 +199,26 @@ impl TraceRun {
         if discretization == 0 {
             return Err(ArgError("--discretization must be at least 1".into()));
         }
-        let run = TraceRun {
+        Ok(TraceRun {
             file,
             trace,
-            nodes,
-            seed: args.get_or("seed", 0)?,
-            mapping: parse_mapping(args.get("mapping").unwrap_or("m2"))?,
-            primitive: parse_primitive(args.get("primitive").unwrap_or("mcast"))?,
-            notify: parse_notify(args.get("notify").unwrap_or("immediate"))?,
-            discretization,
-            replication: args.get_or("replication", 0)?,
+            deployment: Deployment {
+                nodes,
+                seed: args.get_or("seed", 0)?,
+                mapping: parse_mapping(args.get("mapping").unwrap_or("m2"))?,
+                primitive: parse_primitive(args.get("primitive").unwrap_or("mcast"))?,
+                notify: parse_notify(args.get("notify").unwrap_or("immediate"))?,
+                discretization,
+                replication: args.get_or("replication", 0)?,
+            },
             overlay: parse_overlay(args)?,
-        };
-        cbps_bench::runner::set_backend(run.overlay);
-        Ok(run)
+        })
     }
 
     /// Builds the deployment on substrate `B` under observability `obs`.
     fn build<B: OverlayBackend>(&self, obs: ObsMode) -> Result<PubSubNetwork<B>, ArgError> {
-        let keys = cbps::deployment_key_space(self.nodes);
-        PubSubNetworkBuilder::<B>::new()
-            .nodes(self.nodes)
-            .overlay(B::with_key_space(B::paper_default(), keys))
-            .net_config(NetConfig::new(self.seed))
-            .pubsub(
-                PubSubConfig::paper_default()
-                    .with_mapping(self.mapping)
-                    .with_primitive(self.primitive)
-                    .with_notify_mode(self.notify)
-                    .with_discretization(self.discretization)
-                    .with_replication(self.replication)
-                    .with_key_space(keys),
-            )
-            .observability(obs)
-            .build()
+        self.deployment
+            .try_build_on(obs)
             .map_err(|e| ArgError(format!("invalid configuration: {e}")))
     }
 
@@ -258,16 +236,17 @@ impl TraceRun {
 pub fn run_trace(args: &Args) -> Outcome {
     let run = TraceRun::parse(args, "run-trace", &[])?;
     let trace = &run.trace;
-    with_backend!(B => {
+    with_backend!(run.overlay, B => {
         let mut net = run.build::<B>(ObsMode::Off)?;
         let outcome = run.replay(&mut net);
 
         let m = net.metrics();
         let subs = trace.sub_count().max(1) as f64;
         let pubs = trace.pub_count().max(1) as f64;
+        let d = &run.deployment;
         println!(
             "deployment: {} nodes, {} overlay, {}, {:?}, {:?}",
-            run.nodes, run.overlay, run.mapping, run.primitive, run.notify
+            d.nodes, run.overlay, d.mapping, d.primitive, d.notify
         );
         println!(
             "trace: {} subscriptions, {} publications",
@@ -314,33 +293,22 @@ pub fn run_trace(args: &Args) -> Outcome {
 /// percentiles, named histograms, hottest rendezvous nodes).
 pub fn stats(args: &Args) -> Outcome {
     let run = TraceRun::parse(args, "stats", &["out"])?;
-    let record = with_backend!(B => {
+    let record = with_backend!(run.overlay, B => {
         let mut net = run.build::<B>(ObsMode::Full)?;
 
         let started = std::time::Instant::now();
         run.replay(&mut net);
         let wall_secs = started.elapsed().as_secs_f64();
 
-        let peaks: Vec<u64> = net
-            .peak_stored_counts()
-            .into_iter()
-            .map(|p| p as u64)
-            .collect();
-        let work = net.rendezvous_work_counts();
+        let mut totals = RunTotals::default();
         let sim = net.sim_mut();
-        let events = sim.events_processed();
-        let peak_queue_depth = sim.queue_peak() as u64;
-        let obs = std::mem::take(net.metrics_mut().obs_mut());
-        ExperimentReport {
-            name: run.file.clone(),
-            wall_secs,
-            events,
-            peak_queue_depth,
-            obs: Some(ObsReport::distill(&obs, &peaks).with_load(&work)),
-        }
+        totals.record_events(sim.events_processed(), sim.queue_peak());
+        totals.record_obs(&mut net);
+        ExperimentReport::new(run.file.clone(), wall_secs, &totals)
     });
     let report = RunReport {
         scale: "trace".to_owned(),
+        nodes: Some(run.deployment.nodes),
         jobs: 1,
         observability: ObsMode::Full.name().to_owned(),
         overlay: run.overlay.name().to_owned(),
@@ -416,46 +384,6 @@ pub fn ring(args: &Args) -> Outcome {
             f.idx,
             f.key.value()
         );
-    }
-    Ok(())
-}
-
-/// `cbps experiment`: run a named experiment from the bench harness.
-pub fn experiment(args: &Args) -> Outcome {
-    args.check_flags(&["scale", "nodes", "jobs", "overlay"])?;
-    let name = args
-        .positional()
-        .get(1)
-        .ok_or_else(|| ArgError("experiment needs a NAME".into()))?;
-    let raw_scale = args.get("scale").unwrap_or("quick");
-    let scale = cbps_bench::Scale::parse(raw_scale)
-        .ok_or_else(|| ArgError(format!("unknown scale {raw_scale:?}")))?;
-    if let Some(nodes) = args.get("nodes") {
-        let n: usize = nodes
-            .parse()
-            .map_err(|_| ArgError(format!("--nodes expects an integer, got {nodes:?}")))?;
-        if n == 0 || n > cbps_bench::runner::MAX_NODES {
-            return Err(ArgError(format!(
-                "--nodes must be in 1..={}",
-                cbps_bench::runner::MAX_NODES
-            )));
-        }
-        cbps_bench::runner::set_nodes_override(n);
-    }
-    let jobs: usize = args.get_or("jobs", 1)?;
-    if jobs == 0 {
-        return Err(ArgError("--jobs must be at least 1".into()));
-    }
-    cbps_bench::runner::set_jobs(jobs);
-    cbps_bench::runner::set_backend(parse_overlay(args)?);
-    let tables = cbps_bench::experiments::run_named(name, scale).ok_or_else(|| {
-        ArgError(format!(
-            "unknown experiment {name:?}; known: {}",
-            cbps_bench::experiments::EXPERIMENT_NAMES.join(", ")
-        ))
-    })?;
-    for t in tables {
-        println!("{}", t.render());
     }
     Ok(())
 }

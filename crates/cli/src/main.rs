@@ -10,7 +10,6 @@
 //!                [--discretization W] [--replication R]
 //! cbps stats FILE [--out FILE] [run-trace deployment flags]
 //! cbps ring [--nodes N] [--seed S] [--node IDX]
-//! cbps experiment NAME [--scale quick|paper|large] [--nodes N] [--overlay chord|pastry] [--jobs N]
 //! ```
 //!
 //! `--help` or `-h` anywhere on the line prints the usage and exits 0.
@@ -34,8 +33,6 @@ usage:
   cbps stats FILE [--out FILE] [run-trace deployment flags]
                  (replay with observability on; emit the cbps-report/v2 JSON)
   cbps ring [--nodes N] [--seed S] [--node IDX]
-  cbps experiment NAME [--scale quick|paper|large] [--nodes N] [--overlay chord|pastry] [--jobs N]
-                 (NAME: route, keys, fig5 … or all)
 ";
 
 fn main() {
@@ -56,7 +53,6 @@ fn main() {
         "run-trace" => commands::run_trace(&args),
         "stats" => commands::stats(&args),
         "ring" => commands::ring(&args),
-        "experiment" => commands::experiment(&args),
         "help" => {
             println!("{USAGE}");
             Ok(())

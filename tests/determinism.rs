@@ -63,11 +63,8 @@ fn different_seeds_diverge() {
 #[test]
 fn parallel_runner_matches_serial() {
     let seeds: Vec<u64> = vec![11, 22, 33, 44, 55, 66];
-    cbps_bench::runner::set_jobs(1);
-    let serial = cbps_bench::runner::parallel_map(seeds.clone(), fingerprint);
-    cbps_bench::runner::set_jobs(4);
-    let parallel = cbps_bench::runner::parallel_map(seeds, fingerprint);
-    cbps_bench::runner::set_jobs(1);
+    let serial = cbps_bench::runner::parallel_map(1, seeds.clone(), fingerprint);
+    let parallel = cbps_bench::runner::parallel_map(4, seeds, fingerprint);
     assert_eq!(
         serial, parallel,
         "worker pool changed simulation results — runs are not independent"

@@ -11,6 +11,8 @@ use cbps::{
     ChordBackend, MappingKind, NotifyMode, OverlayBackend, Primitive, PubSubConfig, PubSubNetwork,
     PubSubNetworkBuilder, Subscription,
 };
+use cbps_bench::experiments::run_named;
+use cbps_bench::{RunProfile, Scale};
 use cbps_pastry::PastryBackend;
 use cbps_sim::{NetConfig, ObsMode, SimDuration, Stage, TrafficClass};
 use cbps_workload::{WorkloadConfig, WorkloadGen};
@@ -205,19 +207,45 @@ fn tracing_is_behavior_neutral() {
 /// byte-identical tables whether observability is off or fully on.
 #[test]
 fn figure_tables_identical_under_observation() {
-    use cbps_bench::{experiments::run_named, runner, Scale};
     let render = |obs: ObsMode| -> Vec<String> {
-        runner::set_observability(obs);
-        runner::reset_perf();
-        let tables = run_named("fig5", Scale::Quick).expect("known experiment");
-        runner::set_observability(ObsMode::Off);
-        let _ = runner::take_obs();
-        let _ = runner::take_hot_nodes();
+        let profile = RunProfile {
+            obs,
+            ..RunProfile::new(Scale::Quick)
+        };
+        let (tables, _) = run_named("fig5", &profile).expect("known experiment");
         tables.iter().map(|t| t.render()).collect()
     };
     let off = render(ObsMode::Off);
     let on = render(ObsMode::Full);
     assert_eq!(off, on, "observability changed figure output");
+}
+
+/// Two profiles run the same experiment on two threads at once without
+/// seeing each other: one serial and unobserved, one on two workers under
+/// full observation. Tables and event totals agree; only the observed run
+/// carries observability totals.
+#[test]
+fn concurrent_profiles_stay_apart() {
+    let quiet = RunProfile::new(Scale::Quick);
+    let observed = RunProfile {
+        jobs: 2,
+        obs: ObsMode::Full,
+        ..quiet
+    };
+    let run = |profile| run_named("fig5", profile).expect("known experiment");
+    let ((quiet_tables, quiet), (observed_tables, observed)) = std::thread::scope(|s| {
+        let quiet = s.spawn(|| run(&quiet));
+        let observed = run(&observed);
+        (quiet.join().expect("the quiet run finishes"), observed)
+    });
+    let render =
+        |tables: &[cbps_bench::Table]| tables.iter().map(|t| t.render()).collect::<Vec<_>>();
+    assert_eq!(render(&quiet_tables), render(&observed_tables));
+    assert!(quiet.events > 0, "no events were counted");
+    assert_eq!(quiet.events, observed.events);
+    assert!(quiet.obs_report().is_none() && quiet.hot_nodes.is_empty());
+    let report = observed.obs_report().expect("the observed run has totals");
+    assert!(!report.stages.is_empty() && !report.hot_nodes.is_empty() && report.load.is_some());
 }
 
 /// Observability parity across substrates: the exact same workload under
