@@ -1,0 +1,123 @@
+#!/bin/sh
+# Alternating benchmark pairs between two built trees, for a perf claim.
+#
+#   ci/perf/pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD N [SEED]
+#
+# Each directory is a checkout whose benchmark is built
+# (`cargo build --release --manifest-path benchmark/Cargo.toml`). The
+# script runs `cbps-benchmark --workload WORKLOAD --seed SEED --seconds 16
+# --trace 0` (SEED defaults to 1) N times on each side, from each tree's
+# root, alternating the two and flipping which side goes first every
+# pair, so that the host's drift lands on both. It prints the markdown
+# table kept in `results/perf/`: both `ops_per_s` readings and their
+# ratio, `setup_s` and `peak_rss_mb` of each side, whether the seven
+# simulated metrics are equal, and `failed` / `correct` of both runs;
+# then the medians, and whether the delivered fingerprints of the last
+# runs (`benchmark/out/run-WORKLOAD.json`) agree. A run takes 20–60 s.
+# Not part of `ci.sh`.
+set -eu
+
+if [ $# -lt 4 ] || [ $# -gt 5 ]; then
+    echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD N [SEED]" >&2
+    exit 2
+fi
+parent=$(cd "$1" && pwd)
+change=$(cd "$2" && pwd)
+workload=$3
+pairs=$4
+seed=${5:-1}
+bin=benchmark/target/release/cbps-benchmark
+for dir in "$parent" "$change"; do
+    if [ ! -x "$dir/$bin" ]; then
+        echo "$0: $dir/$bin is not built" >&2
+        exit 2
+    fi
+done
+
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+# One run of SIDE (parent | change) for pair I: the last stdout line.
+run() {
+    if [ "$1" = parent ]; then dir=$parent; else dir=$change; fi
+    (cd "$dir" && "./$bin" --workload "$workload" --seed "$seed" --seconds 16 \
+        --trace 0 2>/dev/null | tail -1) >"$out/$1.$2"
+}
+
+i=1
+while [ "$i" -le "$pairs" ]; do
+    if [ $((i % 2)) = 1 ]; then
+        run parent "$i"
+        run change "$i"
+    else
+        run change "$i"
+        run parent "$i"
+    fi
+    echo "pair $i of $pairs done" >&2
+    i=$((i + 1))
+done
+
+python3 - "$out" "$pairs" "$workload" "$seed" "$parent" "$change" <<'EOF'
+import json
+import statistics
+import sys
+
+out, pairs, workload, seed, parent, change = sys.argv[1:]
+pairs = int(pairs)
+SIM = ["hops_per_sub", "hops_per_pub", "notify_hops_per_pub", "stored_top1pct",
+       "load_top1pct_over_mean", "notify_latency_sim_ms_p50", "notify_latency_sim_ms_p99"]
+
+
+def load(side, i):
+    with open(f"{out}/{side}.{i}") as f:
+        return json.loads(f.read())
+
+
+def value(doc, name):
+    return doc["metrics"][name]["value"]
+
+
+def ops(v):
+    return f"{v:,.0f}".replace(",", " ")
+
+
+print(f"## `{workload}` (seed {seed})\n")
+print("| pair | first | parent `ops_per_s` | change `ops_per_s` | ratio | `setup_s` "
+      "| `peak_rss_mb` | sim equal | `failed` | `correct` |")
+print("|---|---|---|---|---|---|---|---|---|---|")
+cols = {"p_ops": [], "c_ops": [], "ratio": [], "p_setup": [], "c_setup": [],
+        "p_rss": [], "c_rss": []}
+all_equal = True
+for i in range(1, pairs + 1):
+    p, c = load("parent", i), load("change", i)
+    row = {
+        "p_ops": value(p, "ops_per_s"), "c_ops": value(c, "ops_per_s"),
+        "p_setup": value(p, "setup_s"), "c_setup": value(c, "setup_s"),
+        "p_rss": value(p, "peak_rss_mb"), "c_rss": value(c, "peak_rss_mb"),
+    }
+    row["ratio"] = row["c_ops"] / row["p_ops"]
+    for k, v in row.items():
+        cols[k].append(v)
+    equal = all(value(p, m) == value(c, m) for m in SIM)
+    all_equal &= equal
+    first = "parent" if i % 2 == 1 else "change"
+    print(f"| {i} | {first} | {ops(row['p_ops'])} | {ops(row['c_ops'])} | {row['ratio']:.3f} "
+          f"| {row['p_setup']:.4f} → {row['c_setup']:.4f} "
+          f"| {row['p_rss']:.1f} → {row['c_rss']:.1f} | {equal} "
+          f"| {p['failed']} / {c['failed']} | {p['correct']} / {c['correct']} |")
+
+med = {k: statistics.median(v) for k, v in cols.items()}
+ahead = sum(r > 1 for r in cols["ratio"])
+print(f"\n`ops_per_s` median {ops(med['p_ops'])} → {ops(med['c_ops'])} "
+      f"(median pair {med['ratio']:.3f}, range {min(cols['ratio']):.3f}–{max(cols['ratio']):.3f}, "
+      f"change ahead in {ahead}/{pairs}); `setup_s` median {med['p_setup']:.4f} → "
+      f"{med['c_setup']:.4f}; `peak_rss_mb` median {med['p_rss']:.1f} → {med['c_rss']:.1f} "
+      f"({med['c_rss'] / med['p_rss'] - 1:+.1%}). Simulated metrics equal on all pairs: {all_equal}.")
+
+fingerprints = []
+for tree in (parent, change):
+    with open(f"{tree}/benchmark/out/run-{workload}.json") as f:
+        fingerprints.append(json.load(f)["delivered_fingerprint"])
+print(f"Delivered fingerprint of the last runs: {fingerprints[0]} / {fingerprints[1]} "
+      f"(equal: {fingerprints[0] == fingerprints[1]}).")
+EOF

@@ -19,14 +19,15 @@ use mapping1_install::Mapping1Install;
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Heap allocations a stored copy may cost after warm-up. This batch
-/// measures 0.31 (1 965 for 6 246 copies): growth of the engine's bounds
+/// measures 0.30 (1 895 for 6 246 copies): growth of the engine's bounds
 /// table and the store's tables spread over the copies, plus the
 /// per-subscription record and its key set spread over ≈ 15 copies. With
-/// covering's groups and directory runs growing too the same batch cost
-/// 0.78, with the engine's bucket lists 1.27, with a position list
-/// allocated per index entry as well 2.94, with a record and a constraint
-/// vector cloned per copy 11.35.
-const MAX_ALLOCS_PER_COPY: f64 = 0.35;
+/// the engine's own table of subscription handles growing too the same
+/// batch cost 0.31, with covering's groups and directory runs 0.78, with
+/// the engine's bucket lists 1.27, with a position list allocated per
+/// index entry as well 2.94, with a record and a constraint vector cloned
+/// per copy 11.35.
+const MAX_ALLOCS_PER_COPY: f64 = 0.32;
 
 /// Live heap bytes a stored copy may add after warm-up (requested sizes,
 /// so table capacity counts and allocator overhead does not): what the
@@ -34,10 +35,11 @@ const MAX_ALLOCS_PER_COPY: f64 = 0.35;
 /// copy wrote two records, two id-map entries and a shape-map entry
 /// beside its row, 427 with one slot space, 402 with the engine entry one
 /// row of bounds instead of a record with its bucket positions and list
-/// entries, and reads 244 without covering's group and directory entry.
-/// What is left is the row, the `by_id` entry, the bounds row with its
-/// shape handle and the doubling slack of the arrays they sit in.
-const MAX_BYTES_PER_COPY: f64 = 256.0;
+/// entries, 244 without covering's group and directory entry, and reads
+/// 203 without the engine's handle to the shape beside each bounds row.
+/// What is left is the row, the `by_id` entry, the bounds row and the
+/// doubling slack of the arrays they sit in.
+const MAX_BYTES_PER_COPY: f64 = 215.0;
 
 #[test]
 #[cfg_attr(

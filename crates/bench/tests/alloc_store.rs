@@ -4,7 +4,7 @@
 //! paid once per node. The counting index's bucket matrix came into being
 //! on the first insert — 256 list headers and the first lists, 6 624 B of
 //! engine heap for one subscription — which was a fifth of `route`'s peak
-//! RSS; the flat table owns a row of bounds and a handle.
+//! RSS; the flat table owns a row of bounds.
 //!
 //! Own integration-test binary for the same reason as `alloc_steady.rs`:
 //! the counting `#[global_allocator]` is process-wide, hence also a single
@@ -22,7 +22,8 @@ use cbps_sim::{SimTime, TraceId};
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Engine heap bytes a store holding one subscription may own. Measured:
-/// 160 — the bounds table's first four rows and the handles beside them.
+/// 64 — the bounds table's first row (160 while the engine kept the
+/// first four handles to subscriptions beside it).
 const MAX_ENGINE_BYTES: i64 = 512;
 
 #[test]
@@ -40,11 +41,11 @@ fn a_store_holding_one_subscription_owns_little_engine_heap() {
     // The engine a store runs, with the store's first entry.
     let before = live_bytes();
     let mut engine = MatchIndex::new(&space);
-    engine.insert(0, sub.clone());
+    engine.insert(0, &sub);
     let engine_bytes = live_bytes() - before;
     assert_eq!(engine.len(), 1);
 
-    // The whole store, for the record: rows, id map, group, directory.
+    // The whole store, for the record: rows, id map and the engine's row.
     let keys = KeySpace::new(13);
     let stored = StoredSub {
         sub,

@@ -30,11 +30,8 @@ pub trait MatchEngine {
     /// Indexes `sub` under `slot`; panics when the slot is occupied.
     fn insert(&mut self, slot: impl SlotKey, sub: Subscription);
 
-    /// Removes the subscription under `slot`, returning it if present.
-    fn remove(&mut self, slot: u32) -> Option<Subscription>;
-
-    /// The subscription indexed under `slot`.
-    fn get(&self, slot: u32) -> Option<&Subscription>;
+    /// Removes the entry under `slot`; `false` if there was none.
+    fn remove(&mut self, slot: u32) -> bool;
 
     /// Writes the slots of all subscriptions matched by `event` into `out`
     /// (cleared first), in ascending order.
@@ -58,7 +55,7 @@ pub trait MatchEngine {
     /// let space = EventSpace::new(vec![AttributeDef::new("x", 100)]);
     /// let mut engine = MatchIndex::new(&space);
     /// let sub = Subscription::builder(&space).range("x", 10, 20)?.build()?;
-    /// engine.insert(1, sub);
+    /// engine.insert(1, &sub);
     /// assert_eq!(engine.matches(&Event::new(&space, vec![15])?), vec![1]);
     /// assert!(engine.matches(&Event::new(&space, vec![25])?).is_empty());
     /// # Ok::<(), cbps::PubSubError>(())
@@ -93,15 +90,11 @@ impl SlotKey for SubId {
 
 impl MatchEngine for MatchIndex {
     fn insert(&mut self, slot: impl SlotKey, sub: Subscription) {
-        MatchIndex::insert(self, slot.slot(), sub)
+        MatchIndex::insert(self, slot.slot(), &sub)
     }
 
-    fn remove(&mut self, slot: u32) -> Option<Subscription> {
+    fn remove(&mut self, slot: u32) -> bool {
         MatchIndex::remove(self, slot)
-    }
-
-    fn get(&self, slot: u32) -> Option<&Subscription> {
-        MatchIndex::get(self, slot)
     }
 
     fn matches_into(&mut self, event: &Event, out: &mut Vec<u32>) {
@@ -118,12 +111,8 @@ impl MatchEngine for SortedIndex {
         SortedIndex::insert(self, slot.slot(), sub)
     }
 
-    fn remove(&mut self, slot: u32) -> Option<Subscription> {
-        SortedIndex::remove(self, slot)
-    }
-
-    fn get(&self, slot: u32) -> Option<&Subscription> {
-        SortedIndex::get(self, slot)
+    fn remove(&mut self, slot: u32) -> bool {
+        SortedIndex::remove(self, slot).is_some()
     }
 
     fn matches_into(&mut self, event: &Event, out: &mut Vec<u32>) {
@@ -163,22 +152,15 @@ impl AnyMatchEngine {
 impl MatchEngine for AnyMatchEngine {
     fn insert(&mut self, slot: impl SlotKey, sub: Subscription) {
         match self {
-            AnyMatchEngine::Counting(e) => e.insert(slot.slot(), sub),
+            AnyMatchEngine::Counting(e) => e.insert(slot.slot(), &sub),
             AnyMatchEngine::Sorted(e) => e.insert(slot.slot(), sub),
         }
     }
 
-    fn remove(&mut self, slot: u32) -> Option<Subscription> {
+    fn remove(&mut self, slot: u32) -> bool {
         match self {
             AnyMatchEngine::Counting(e) => e.remove(slot),
-            AnyMatchEngine::Sorted(e) => e.remove(slot),
-        }
-    }
-
-    fn get(&self, slot: u32) -> Option<&Subscription> {
-        match self {
-            AnyMatchEngine::Counting(e) => e.get(slot),
-            AnyMatchEngine::Sorted(e) => e.get(slot),
+            AnyMatchEngine::Sorted(e) => e.remove(slot).is_some(),
         }
     }
 
@@ -213,11 +195,11 @@ mod tests {
                 .unwrap()
                 .build()
                 .unwrap();
-            engine.insert(1, sub.clone());
+            engine.insert(1, sub);
             assert_eq!(engine.len(), 1);
-            assert_eq!(engine.get(1), Some(&sub));
             assert_eq!(engine.matches(&Event::new_unchecked(vec![15])), vec![1]);
-            assert_eq!(engine.remove(1), Some(sub));
+            assert!(engine.remove(1));
+            assert!(!engine.remove(1));
             assert!(engine.is_empty());
         }
     }

@@ -21,7 +21,8 @@ const WILDCARD: (u64, u64) = (0, u64::MAX);
 
 /// The bounds of every dimension of a vacant row. They admit `u64::MAX`
 /// alone, which no attribute domain holds (a domain of size `s` is
-/// `0..s`), so a vacant row never matches.
+/// `0..s`), so a vacant row never matches; and no constraint's lower bound
+/// reaches `u64::MAX`, so a row is vacant iff its first dimension is.
 const VACANT: (u64, u64) = (u64::MAX, 0);
 
 /// Flat-table subscription index for one rendezvous node.
@@ -37,7 +38,7 @@ const VACANT: (u64, u64) = (u64::MAX, 0);
 /// ]);
 /// let mut index = MatchIndex::new(&space);
 /// let sub = Subscription::builder(&space).range("x", 10, 20)?.build()?;
-/// index.insert(1, sub);
+/// index.insert(1, &sub);
 /// let mut hits = Vec::new();
 /// index.matches_into(&Event::new(&space, vec![15, 99])?, &mut hits);
 /// assert_eq!(hits, vec![1]);
@@ -48,12 +49,10 @@ pub struct MatchIndex {
     dims: usize,
     /// `bounds[slot * dims + i]` = `(lo, hi − lo)` of the constraint under
     /// `slot` on dimension `i`; [`WILDCARD`] where it has none, [`VACANT`]
-    /// on every dimension of an empty slot.
+    /// on every dimension of an empty slot. The index mints no numbers and
+    /// keeps no subscriptions of its own: a hit names the slot its owner
+    /// filed the subscription under, and the owner keeps the rest.
     bounds: Vec<(u64, u64)>,
-    /// The subscriptions, by the slot their owner filed them under: the
-    /// index mints no numbers of its own, so a hit leads its owner straight
-    /// to whatever it keeps under the same number.
-    subs: Vec<Option<Subscription>>,
     len: usize,
 }
 
@@ -63,7 +62,6 @@ impl MatchIndex {
         MatchIndex {
             dims: space.dims(),
             bounds: Vec::new(),
-            subs: Vec::new(),
             len: 0,
         }
     }
@@ -78,49 +76,38 @@ impl MatchIndex {
         self.len == 0
     }
 
-    /// Iterates over the indexed `(slot, subscription)` pairs, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &Subscription)> {
-        let slots = (0u32..).zip(&self.subs);
-        slots.filter_map(|(slot, sub)| Some((slot, sub.as_ref()?)))
-    }
-
-    /// Indexes a subscription under `slot`, a number its caller owns and
-    /// keeps dense (the table grows to the largest one in use).
+    /// Indexes the bounds of `sub` under `slot`, a number its caller owns
+    /// and keeps dense (the table grows to the largest one in use).
     ///
     /// # Panics
     ///
     /// Panics when `slot` is occupied: two tenants of one slot would
     /// answer for each other's events.
-    pub fn insert(&mut self, slot: u32, sub: Subscription) {
-        let at = slot as usize;
-        if at >= self.subs.len() {
-            self.subs.resize_with(at + 1, || None);
-            self.bounds.resize(self.subs.len() * self.dims, VACANT);
-        }
-        assert!(self.subs[at].is_none(), "engine slot {slot} is occupied");
+    pub fn insert(&mut self, slot: u32, sub: &Subscription) {
         debug_assert_eq!(sub.dims(), self.dims);
-        for (b, c) in self.row_mut(slot).iter_mut().zip(sub.constraints()) {
+        let end = (slot as usize + 1) * self.dims;
+        if end > self.bounds.len() {
+            self.bounds.resize(end, VACANT);
+        }
+        let row = &mut self.bounds[end - self.dims..end];
+        assert!(row[0] == VACANT, "engine slot {slot} is occupied");
+        for (b, c) in row.iter_mut().zip(sub.constraints()) {
             *b = c.map_or(WILDCARD, |c| (c.lo(), c.hi() - c.lo()));
         }
-        self.subs[at] = Some(sub);
         self.len += 1;
     }
 
-    /// Removes the subscription under `slot`, returning it if present.
-    pub fn remove(&mut self, slot: u32) -> Option<Subscription> {
-        let sub = self.subs.get_mut(slot as usize)?.take()?;
-        self.row_mut(slot).fill(VACANT);
-        self.len -= 1;
-        Some(sub)
-    }
-
-    /// The subscription stored under `slot`.
-    pub fn get(&self, slot: u32) -> Option<&Subscription> {
-        self.subs.get(slot as usize)?.as_ref()
-    }
-
-    fn row_mut(&mut self, slot: u32) -> &mut [(u64, u64)] {
-        &mut self.bounds[slot as usize * self.dims..][..self.dims]
+    /// Vacates the row under `slot`; `false` if it was vacant already.
+    pub fn remove(&mut self, slot: u32) -> bool {
+        let start = slot as usize * self.dims;
+        match self.bounds.get_mut(start..start + self.dims) {
+            Some(row) if row[0] != VACANT => {
+                row.fill(VACANT);
+                self.len -= 1;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Writes the slots of all subscriptions matched by `event` into `out`
@@ -139,13 +126,6 @@ impl MatchIndex {
             }
         }
     }
-
-    /// Reference implementation: linear scan with exact matching. Used by
-    /// tests and micro-benchmarks to validate and compare the index.
-    pub fn matches_brute_force(&self, event: &Event) -> Vec<u32> {
-        let hits = self.iter().filter(|(_, sub)| sub.matches(event));
-        hits.map(|(slot, _)| slot).collect()
-    }
 }
 
 #[cfg(test)]
@@ -153,6 +133,7 @@ mod tests {
     use super::*;
     use crate::engine::MatchEngine;
     use crate::space::AttributeDef;
+    use crate::subscription::Constraint;
     use cbps_rng::Rng;
 
     fn space() -> EventSpace {
@@ -163,16 +144,27 @@ mod tests {
         ])
     }
 
-    /// What a slot costs the index — its row of bounds and the handle to
-    /// its subscription — in the paper's four-dimensional space is the
-    /// larger half of what a founding copy writes (88 B while the entry was
-    /// a record with its bucket positions in place).
+    /// The reference the index is held to: the slots of the live shapes
+    /// that admit `e`, by a plain scan.
+    fn brute_force(live: &[(u32, Subscription)], e: &Event) -> Vec<u32> {
+        let mut out: Vec<u32> = live
+            .iter()
+            .filter(|(_, s)| s.matches(e))
+            .map(|&(slot, _)| slot)
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// What a slot costs the index — its row of bounds and nothing else —
+    /// in the paper's four-dimensional space (88 B while the entry was a
+    /// record with its bucket positions in place, 88 B too while a handle
+    /// to the subscription sat beside the row).
     #[test]
     fn slot_entry_stays_under_its_size_ceiling() {
         let dims = EventSpace::paper_default().dims();
-        let bytes =
-            dims * std::mem::size_of::<(u64, u64)>() + std::mem::size_of::<Option<Subscription>>();
-        assert!(bytes <= 88, "a slot grew to {bytes} B (ceiling 88)");
+        let bytes = dims * std::mem::size_of::<(u64, u64)>();
+        assert!(bytes <= 64, "a slot grew to {bytes} B (ceiling 64)");
     }
 
     #[test]
@@ -185,19 +177,18 @@ mod tests {
             .eq("z", 5)
             .build()
             .unwrap();
-        idx.insert(1, sub.clone());
+        idx.insert(1, &sub);
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.get(1), Some(&sub));
-        assert_eq!((idx.get(0), idx.get(7)), (None, None));
 
         let hit = Event::new_unchecked(vec![150, 0, 5]);
         let miss = Event::new_unchecked(vec![150, 0, 6]);
         assert_eq!(idx.matches(&hit), vec![1]);
         assert!(idx.matches(&miss).is_empty());
 
-        assert!(idx.remove(1).is_some());
-        assert!(idx.remove(1).is_none());
-        assert!(idx.remove(7).is_none());
+        assert!(!idx.remove(0), "slot 0 below the tenant is vacant");
+        assert!(idx.remove(1));
+        assert!(!idx.remove(1));
+        assert!(!idx.remove(7));
         assert!(idx.matches(&hit).is_empty());
         assert!(idx.is_empty());
     }
@@ -206,18 +197,20 @@ mod tests {
     fn multiple_overlapping_subscriptions() {
         let s = space();
         let mut idx = MatchIndex::new(&s);
+        let mut live = Vec::new();
         for i in 0..10u64 {
             let sub = Subscription::builder(&s)
                 .range("x", i * 50, i * 50 + 100)
                 .unwrap()
                 .build()
                 .unwrap();
-            idx.insert(i as u32, sub);
+            idx.insert(i as u32, &sub);
+            live.push((i as u32, sub));
         }
         // x = 120 lies in [50,150], [100,200] → subs 1 and 2... and [0,100]?
         // 120 > 100, no. Check against brute force instead of hand-counting.
         let e = Event::new_unchecked(vec![120, 0, 0]);
-        assert_eq!(idx.matches(&e), idx.matches_brute_force(&e));
+        assert_eq!(idx.matches(&e), brute_force(&live, &e));
         assert!(!idx.matches(&e).is_empty());
     }
 
@@ -226,7 +219,7 @@ mod tests {
         let s = space();
         let mut idx = MatchIndex::new(&s);
         let sub = Subscription::builder(&s).eq("z", 3).build().unwrap();
-        idx.insert(7, sub);
+        idx.insert(7, &sub);
         // x and y arbitrary; the vacant slots below 7 match nothing.
         assert_eq!(idx.matches(&Event::new_unchecked(vec![999, 0, 3])), vec![7]);
         assert!(idx
@@ -243,6 +236,7 @@ mod tests {
             AttributeDef::new("y", 2),
         ]);
         let mut idx = MatchIndex::new(&s);
+        let mut live = Vec::new();
         let edges = [
             (0, 0),
             (0, u64::MAX - 1),
@@ -251,26 +245,38 @@ mod tests {
         ];
         for (slot, (lo, hi)) in (0u32..).zip(edges) {
             let sub = Subscription::builder(&s).range("x", lo, hi).unwrap();
-            idx.insert(slot, sub.build().unwrap());
+            live.push((slot, sub.build().unwrap()));
         }
-        idx.insert(6, Subscription::builder(&s).eq("x", 7).build().unwrap());
-        idx.insert(7, Subscription::builder(&s).eq("y", 1).build().unwrap());
+        live.push((6, Subscription::builder(&s).eq("x", 7).build().unwrap()));
+        live.push((7, Subscription::builder(&s).eq("y", 1).build().unwrap()));
+        for (slot, sub) in &live {
+            idx.insert(*slot, sub);
+        }
         for x in [0, 1, 4, 5, 7, 9, 10, 1 << 32, u64::MAX - 2, u64::MAX - 1] {
             for y in [0, 1] {
                 let e = Event::new_unchecked(vec![x, y]);
-                assert_eq!(idx.matches(&e), idx.matches_brute_force(&e), "{x}, {y}");
+                assert_eq!(idx.matches(&e), brute_force(&live, &e), "{x}, {y}");
             }
         }
+        // The highest lower bound there is still reads as an occupied row.
+        assert!(idx.remove(2));
+        assert!(!idx.remove(2));
     }
 
+    /// A slot is occupied from its insert until its row is vacated,
+    /// whatever its first dimension holds — here a wildcard — and a second
+    /// tenant for an occupied slot is refused.
     #[test]
-    fn iter_and_get() {
+    #[should_panic(expected = "engine slot 9 is occupied")]
+    fn an_occupied_slot_refuses_a_second_tenant() {
         let s = space();
         let mut idx = MatchIndex::new(&s);
         let sub = Subscription::builder(&s).eq("z", 1).build().unwrap();
-        idx.insert(9, sub.clone());
-        assert_eq!(idx.get(9), Some(&sub));
-        assert_eq!(idx.iter().collect::<Vec<_>>(), [(9, &sub)]);
+        idx.insert(9, &sub);
+        assert!(idx.remove(9));
+        idx.insert(9, &sub);
+        assert_eq!(idx.len(), 1);
+        idx.insert(9, &sub);
     }
 
     /// Interleaved inserts and removes keep the table consistent: every
@@ -282,7 +288,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(0xdead_5107);
         let s = space();
         let mut idx = MatchIndex::new(&s);
-        let mut live: Vec<u32> = Vec::new();
+        let mut live: Vec<(u32, Subscription)> = Vec::new();
         let mut free: Vec<u32> = Vec::new();
         let mut next_slot = 0u32;
         for _ in 0..2000 {
@@ -299,12 +305,12 @@ mod tests {
                     next_slot += 1;
                     next_slot - 1
                 });
-                idx.insert(slot, sub);
-                live.push(slot);
+                idx.insert(slot, &sub);
+                live.push((slot, sub));
             } else {
                 let k = rng.gen_range(0u64..live.len() as u64) as usize;
-                let slot = live.swap_remove(k);
-                assert!(idx.remove(slot).is_some());
+                let (slot, _) = live.swap_remove(k);
+                assert!(idx.remove(slot));
                 free.push(slot);
             }
             if rng.gen_bool(0.25) {
@@ -313,7 +319,7 @@ mod tests {
                     rng.gen_range(0u64..1000),
                     rng.gen_range(0u64..10),
                 ]);
-                assert_eq!(idx.matches(&e), idx.matches_brute_force(&e));
+                assert_eq!(idx.matches(&e), brute_force(&live, &e));
             }
         }
         assert_eq!(idx.len(), live.len());
@@ -327,23 +333,24 @@ mod tests {
         let s = space();
         for case in 0..256 {
             let mut idx = MatchIndex::new(&s);
+            let mut live = Vec::new();
             let sub_count = rng.gen_range(1usize..60);
-            for i in 0..sub_count {
+            for slot in 0..sub_count as u32 {
                 let xlo = rng.gen_range(0u64..1000);
                 let xw = rng.gen_range(0u64..400);
                 let ylo = rng.gen_range(0u64..1000);
                 let yw = rng.gen_range(0u64..400);
                 let mut constraints = vec![
-                    Some(crate::subscription::Constraint::range(xlo, (xlo + xw).min(999)).unwrap()),
-                    Some(crate::subscription::Constraint::range(ylo, (ylo + yw).min(999)).unwrap()),
+                    Some(Constraint::range(xlo, (xlo + xw).min(999)).unwrap()),
+                    Some(Constraint::range(ylo, (ylo + yw).min(999)).unwrap()),
                     None,
                 ];
                 if rng.gen_bool(0.5) {
-                    constraints[2] =
-                        Some(crate::subscription::Constraint::eq(rng.gen_range(0u64..10)));
+                    constraints[2] = Some(Constraint::eq(rng.gen_range(0u64..10)));
                 }
                 let sub = Subscription::from_constraints(&s, constraints).unwrap();
-                idx.insert(i as u32, sub);
+                idx.insert(slot, &sub);
+                live.push((slot, sub));
             }
             for _ in 0..rng.gen_range(1usize..30) {
                 let e = Event::new_unchecked(vec![
@@ -353,7 +360,7 @@ mod tests {
                 ]);
                 assert_eq!(
                     idx.matches(&e),
-                    idx.matches_brute_force(&e),
+                    brute_force(&live, &e),
                     "case {case}: index disagrees with brute force"
                 );
             }

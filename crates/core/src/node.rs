@@ -300,12 +300,14 @@ impl PubSubNode {
 
     fn handle_store(&mut self, id: SubId, stored: Arc<StoredSub>, svc: &mut DynSvc<'_>) {
         svc.stage(stored.trace, Stage::Store, TrafficClass::SUBSCRIPTION);
-        let fresh = self.store.insert(id, Arc::clone(&stored), svc.now());
+        let fresh = self.store.insert(id, stored, svc.now());
         svc.obs_sample("store.size", self.store.len() as u64);
         if fresh {
             svc.metrics().bump(Counter::STORE_INSERT, 1);
             let replication = self.cfg.replication;
             if replication > 0 {
+                // A fresh insert keeps the delivered record itself.
+                let stored = Arc::clone(self.store.get(id).expect("a fresh insert is stored"));
                 let succs: Vec<Peer> = svc.successors().iter().take(replication).copied().collect();
                 for peer in succs {
                     svc.direct(

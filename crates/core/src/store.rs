@@ -172,9 +172,9 @@ impl SubscriptionStore {
         self.by_id.contains_key(&id)
     }
 
-    /// The stored record under `id`.
-    pub fn get(&self, id: SubId) -> Option<&StoredSub> {
-        self.by_id.get(&id).map(|&row| &*self.row(row).rec)
+    /// The stored record under `id` (clone the handle to pass it on).
+    pub fn get(&self, id: SubId) -> Option<&Arc<StoredSub>> {
+        self.by_id.get(&id).map(|&row| &self.row(row).rec)
     }
 
     /// Iterates over stored records (clone a handle to pass one on).
@@ -226,7 +226,7 @@ impl SubscriptionStore {
                     (self.rows.len() - 1) as u32
                 });
                 slot.insert(row);
-                self.engine.insert(row, stored.sub.clone());
+                self.engine.insert(row, &stored.sub);
                 self.rows[row as usize] = Some(Row {
                     id,
                     subscriber: stored.subscriber,
@@ -504,7 +504,7 @@ mod tests {
 
         // Same expiry again (a duplicate delivery): nothing to write.
         assert!(!a.insert(SubId(1), Arc::clone(&shared), SimTime::ZERO));
-        assert!(std::ptr::eq(a.get(SubId(1)).unwrap(), &*shared));
+        assert!(Arc::ptr_eq(a.get(SubId(1)).unwrap(), &shared));
 
         // A renewed record differing only in `expires` is adopted as is.
         let renewed = Arc::new(StoredSub {
@@ -512,7 +512,7 @@ mod tests {
             ..StoredSub::clone(&shared)
         });
         assert!(!a.insert(SubId(1), Arc::clone(&renewed), SimTime::ZERO));
-        assert!(std::ptr::eq(a.get(SubId(1)).unwrap(), &*renewed));
+        assert!(Arc::ptr_eq(a.get(SubId(1)).unwrap(), &renewed));
 
         // One that differs elsewhere too only hands over its expiry.
         let mut moved = stored(0, 10, SimTime::from_secs(70));
@@ -525,7 +525,7 @@ mod tests {
         // the original lease while `a` lives on.
         assert_eq!(shared.expires, SimTime::from_secs(5));
         assert_eq!(renewed.expires, SimTime::from_secs(50));
-        assert!(std::ptr::eq(b.get(SubId(1)).unwrap(), &*shared));
+        assert!(Arc::ptr_eq(b.get(SubId(1)).unwrap(), &shared));
         assert_eq!(b.purge_expired(SimTime::from_secs(6)), 1);
         assert_eq!(a.purge_expired(SimTime::from_secs(6)), 0);
         assert_eq!(a.purge_expired(SimTime::from_secs(71)), 1);

@@ -3,7 +3,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::error::PubSubError;
@@ -131,8 +131,8 @@ impl fmt::Display for Constraint {
 ///
 /// A subscription is immutable once built and its constraints sit behind
 /// one shared allocation: cloning bumps a reference count, so the copy a
-/// subscriber keeps, the ≈ 60 rendezvous copies of Mapping 1 and every
-/// index entry made from them all point at the same slots.
+/// subscriber keeps and the ≈ 60 rendezvous copies of Mapping 1 all point
+/// at the same slots.
 ///
 /// # Examples
 ///
@@ -153,39 +153,15 @@ impl fmt::Display for Constraint {
 pub struct Subscription {
     /// One slot per dimension; `None` = wildcard.
     constraints: Arc<[Option<Constraint>]>,
-    /// Digest of the slots, computed once at build: equal shapes digest
-    /// equally, so it serves as the hash and as a fast inequality test.
-    digest: u64,
 }
 
 impl PartialEq for Subscription {
     fn eq(&self, other: &Self) -> bool {
-        self.digest == other.digest
-            && (Arc::ptr_eq(&self.constraints, &other.constraints)
-                || self.constraints == other.constraints)
+        Arc::ptr_eq(&self.constraints, &other.constraints) || self.constraints == other.constraints
     }
 }
 
 impl Eq for Subscription {}
-
-impl Hash for Subscription {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.digest);
-    }
-}
-
-/// FNV-1a over `(constrained?, lo, hi)` per slot.
-fn digest_of(constraints: &[Option<Constraint>]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for c in constraints {
-        let (tag, lo, hi) = c.map_or((0, 0, 0), |c| (1, c.lo(), c.hi()));
-        for word in [tag, lo, hi] {
-            h ^= word;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 impl Subscription {
     /// Starts building a subscription over `space`.
@@ -231,7 +207,6 @@ impl Subscription {
             return Err(PubSubError::UnconstrainedSubscription);
         }
         Ok(Subscription {
-            digest: digest_of(&constraints),
             constraints: constraints.into(),
         })
     }

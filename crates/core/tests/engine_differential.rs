@@ -6,6 +6,8 @@
 //! engines' layouts reorganize internal state only; any observable
 //! difference is a correctness bug.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use cbps::{
     AttributeDef, Event, EventSpace, MatchEngine, MatchEngineKind, MatchIndex, Oracle, SortedIndex,
     StoredSub, SubId, Subscription, SubscriptionStore,
@@ -239,7 +241,8 @@ fn event_in(rng: &mut Rng, space: &EventSpace, sub: &Subscription) -> Event {
 /// Drives `engine` with a seeded insert / remove / match stream and holds
 /// every probe to the oracle. Slots are handed out as a store hands them
 /// out: a removed entry's slot goes to the very next insert, for another
-/// shape.
+/// shape. A removal succeeds once and then reports the slot vacant, and an
+/// insert into a live slot panics.
 fn check_engine(mut engine: impl MatchEngine, seed: u64) {
     let space = space();
     let mut rng = Rng::seed_from_u64(seed);
@@ -249,7 +252,7 @@ fn check_engine(mut engine: impl MatchEngine, seed: u64) {
     let mut free: Vec<u32> = Vec::new();
     let mut live: Vec<u32> = Vec::new();
     let mut gone: Vec<Subscription> = Vec::new();
-    let (mut reused, mut probes) = (0, 0);
+    let (mut reused, mut probes, mut refusals) = (0, 0, 0);
     let mut out = Vec::new();
     for step in 0..5000u64 {
         let now = SimTime::from_secs(step);
@@ -278,8 +281,16 @@ fn check_engine(mut engine: impl MatchEngine, seed: u64) {
             4..=5 if !live.is_empty() => {
                 let slot = live.swap_remove(rng.gen_range(0..live.len() as u64) as usize);
                 let (id, sub) = tenants[slot as usize].clone().expect("a live slot");
-                assert_eq!(engine.remove(slot), Some(sub.clone()), "step {step}");
-                assert_eq!(engine.get(slot), None, "step {step}");
+                let len = engine.len();
+                assert!(
+                    engine.remove(slot),
+                    "step {step}: slot {slot} was not removed"
+                );
+                assert!(
+                    !engine.remove(slot),
+                    "step {step}: slot {slot} removed twice"
+                );
+                assert_eq!(engine.len(), len - 1, "step {step}");
                 oracle.remove_sub(id, now);
                 gone.push(sub);
                 free.push(slot);
@@ -309,11 +320,23 @@ fn check_engine(mut engine: impl MatchEngine, seed: u64) {
                 probes += 1;
             }
         }
+        if step % 625 == 624 {
+            // A second tenant for a live slot is refused before it changes
+            // anything.
+            let slot = live[step as usize % live.len()];
+            let intruder = tenants[live[0] as usize].clone().expect("a live slot").1;
+            let refused = catch_unwind(AssertUnwindSafe(|| engine.insert(slot, intruder)));
+            assert!(
+                refused.is_err(),
+                "step {step}: slot {slot} took a second tenant"
+            );
+            refusals += 1;
+        }
         assert_eq!(engine.len(), live.len(), "step {step}");
     }
     assert!(
-        reused > 300 && probes > 1000,
-        "{reused} slots reused, {probes} probes"
+        reused > 300 && probes > 1000 && refusals == 8,
+        "{reused} slots reused, {probes} probes, {refusals} refusals"
     );
 }
 

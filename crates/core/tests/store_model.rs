@@ -332,7 +332,7 @@ fn record_table_churn() {
                         expires,
                         tag: rec.subscriber.idx as u64,
                     };
-                    assert_eq!(store.get(id), Some(&**rec), "{ctx}: get {id}");
+                    assert_eq!(store.get(id), Some(rec), "{ctx}: get {id}");
                     (id.0, held)
                 })
                 .collect();
