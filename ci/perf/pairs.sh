@@ -11,10 +11,18 @@
 # pair, so that the host's drift lands on both. It prints the markdown
 # table kept in `results/perf/`: both `ops_per_s` readings and their
 # ratio, `setup_s` and `peak_rss_mb` of each side, whether the seven
-# simulated metrics are equal, and `failed` / `correct` of both runs;
-# then the medians, and whether the delivered fingerprints of the last
-# runs (`benchmark/out/run-WORKLOAD.json`) agree. A run takes 20–60 s.
-# Not part of `ci.sh`.
+# simulated metrics are equal, and `failed` / `correct` of both runs.
+# Below the table, what a perf claim is judged by:
+#   - each side's `ops_per_s` median and quartiles;
+#   - the pairs the change won, against the rule that it win at least
+#     nine in ten, and whether the gap between the medians exceeds the
+#     parent's interquartile range;
+#   - every simulated metric that differs, parent → change (medians), with
+#     its relative move against the bound `BENCHMARK.json` (read from
+#     CHANGE_DIR) gives it;
+#   - whether the delivered fingerprints of the last runs
+#     (`benchmark/out/run-WORKLOAD.json`) agree.
+# A run takes 20–60 s. Not part of `ci.sh`.
 set -eu
 
 if [ $# -lt 4 ] || [ $# -gt 5 ]; then
@@ -113,6 +121,47 @@ print(f"\n`ops_per_s` median {ops(med['p_ops'])} → {ops(med['c_ops'])} "
       f"change ahead in {ahead}/{pairs}); `setup_s` median {med['p_setup']:.4f} → "
       f"{med['c_setup']:.4f}; `peak_rss_mb` median {med['p_rss']:.1f} → {med['c_rss']:.1f} "
       f"({med['c_rss'] / med['p_rss'] - 1:+.1%}). Simulated metrics equal on all pairs: {all_equal}.")
+
+
+def quartiles(v):
+    if len(v) < 2:
+        return v[0], v[0]
+    q = statistics.quantiles(v, n=4, method="inclusive")
+    return q[0], q[2]
+
+
+p_q, c_q = quartiles(cols["p_ops"]), quartiles(cols["c_ops"])
+iqr = p_q[1] - p_q[0]
+gap = med["c_ops"] - med["p_ops"]
+print(f"\n`ops_per_s` parent median {ops(med['p_ops'])} (quartiles {ops(p_q[0])}–{ops(p_q[1])}), "
+      f"change median {ops(med['c_ops'])} (quartiles {ops(c_q[0])}–{ops(c_q[1])}). "
+      f"Change ahead in {ahead}/{pairs} pairs: the ≥ 9/10 rule is "
+      f"{'met' if ahead >= 0.9 * pairs else 'not met'}. Median gap {'+' if gap >= 0 else '-'}"
+      f"{ops(abs(gap))} against the parent's interquartile range {ops(iqr)}: "
+      f"{'exceeds it' if abs(gap) > iqr else 'within it'}.")
+
+with open(f"{change}/BENCHMARK.json") as f:
+    bounds = {m["name"]: m for m in json.load(f)["end_to_end"]}
+moved = []
+for m in SIM:
+    p_v = [value(load("parent", i), m) for i in range(1, pairs + 1)]
+    c_v = [value(load("change", i), m) for i in range(1, pairs + 1)]
+    if p_v == c_v:
+        continue
+    p_m, c_m = statistics.median(p_v), statistics.median(c_v)
+    move = c_m / p_m - 1 if p_m else float("inf")
+    worse = move if bounds[m]["better"] == "lower" else -move
+    bound = bounds[m]["bound"]
+    if worse <= 0:
+        verdict = "not worse"
+    else:
+        verdict = f"worse, {'within' if worse <= bound else 'BEYOND'} its {bound:.0%} bound"
+    moved.append(f"`{m}` {p_m:g} → {c_m:g} ({move:+.2%}, {bounds[m]['better']} is better: "
+                 f"{verdict})")
+if moved:
+    print("\nSimulated metrics that differ (medians):")
+    for line in moved:
+        print(f"- {line}")
 
 fingerprints = []
 for tree in (parent, change):

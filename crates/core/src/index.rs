@@ -11,6 +11,14 @@
 //! and an insert writes one row where the per-dimension bucket lists of
 //! the counting algorithm (Fabret et al. [6]) took a push onto a dozen
 //! list tails, each a miss.
+//!
+//! A row may also record the attribute that *placed* its subscription on
+//! this node (Mapping 3, §4.2: `SK(σ) = H_s(σ.c_s)`), one byte per slot. A
+//! scan given the set of attributes whose event key this node owns skips
+//! a row placed by any other attribute without reading its bounds: some
+//! other node owns that attribute's key, and it matches the pair. A row
+//! filed without an attribute is taken only by the plain scan, so a store
+//! that skips rows must have every row placed.
 
 use crate::event::Event;
 use crate::space::EventSpace;
@@ -24,6 +32,14 @@ const WILDCARD: (u64, u64) = (0, u64::MAX);
 /// `0..s`), so a vacant row never matches; and no constraint's lower bound
 /// reaches `u64::MAX`, so a row is vacant iff its first dimension is.
 const VACANT: (u64, u64) = (u64::MAX, 0);
+
+/// The placing attribute of a row filed without one: only a scan that
+/// owns every attribute takes it.
+const UNPLACED: u8 = u8::MAX;
+
+/// An owned-attribute mask with every attribute in it: the plain scan,
+/// which takes every row.
+pub(crate) const ALL_ATTRIBUTES: u64 = u64::MAX;
 
 /// Flat-table subscription index for one rendezvous node.
 ///
@@ -53,6 +69,11 @@ pub struct MatchIndex {
     /// keeps no subscriptions of its own: a hit names the slot its owner
     /// filed the subscription under, and the owner keeps the rest.
     bounds: Vec<(u64, u64)>,
+    /// `placed[slot]` = the attribute that placed the subscription under
+    /// `slot`, or [`UNPLACED`]. Empty until the first placed insert, and
+    /// from then on covering at least every placed slot: a slot past its
+    /// end is unplaced.
+    placed: Vec<u8>,
     len: usize,
 }
 
@@ -62,6 +83,7 @@ impl MatchIndex {
         MatchIndex {
             dims: space.dims(),
             bounds: Vec::new(),
+            placed: Vec::new(),
             len: 0,
         }
     }
@@ -84,6 +106,19 @@ impl MatchIndex {
     /// Panics when `slot` is occupied: two tenants of one slot would
     /// answer for each other's events.
     pub fn insert(&mut self, slot: u32, sub: &Subscription) {
+        self.insert_placed(slot, sub, None);
+    }
+
+    /// [`MatchIndex::insert`], recording `placed_by`, the attribute that
+    /// placed `sub` on this node: a scan whose owned-attribute mask leaves
+    /// that attribute out skips the row. `None`, or an attribute past the
+    /// mask's 64 bits, files the row unplaced: only the plain scan takes
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// As [`MatchIndex::insert`].
+    pub fn insert_placed(&mut self, slot: u32, sub: &Subscription, placed_by: Option<usize>) {
         debug_assert_eq!(sub.dims(), self.dims);
         let end = (slot as usize + 1) * self.dims;
         if end > self.bounds.len() {
@@ -95,6 +130,16 @@ impl MatchIndex {
             *b = c.map_or(WILDCARD, |c| (c.lo(), c.hi() - c.lo()));
         }
         self.len += 1;
+        let tag = placed_by
+            .filter(|&dim| dim < u64::BITS as usize)
+            .map_or(UNPLACED, |dim| dim as u8);
+        let at = slot as usize;
+        if at < self.placed.len() {
+            self.placed[at] = tag;
+        } else if tag != UNPLACED {
+            self.placed.resize(at, UNPLACED);
+            self.placed.push(tag);
+        }
     }
 
     /// Vacates the row under `slot`; `false` if it was vacant already.
@@ -115,14 +160,55 @@ impl MatchIndex {
     /// grown to the largest match.
     pub fn matches_into(&self, event: &Event, out: &mut Vec<u32>) {
         out.clear();
+        self.scan(event, ALL_ATTRIBUTES, |slot| out.push(slot));
+    }
+
+    /// Hands `hit` the slot of every subscription matched by `event` whose
+    /// row `owned` takes (bit `i` for attribute `i`), in ascending order: a
+    /// row placed by attribute `i` when bit `i` is set, an unplaced row
+    /// only when every attribute of the space is. That full mask is the
+    /// plain scan, with no per-row test; any other skips a row it does not
+    /// take without reading its bounds.
+    pub fn scan(&self, event: &Event, owned: u64, mut hit: impl FnMut(u32)) {
         let values = event.values();
         debug_assert_eq!(values.len(), self.dims);
-        for (slot, row) in (0u32..).zip(self.bounds.chunks_exact(self.dims)) {
+        let admits = |row: &[(u64, u64)]| {
             let dims = row.iter().zip(values);
-            if dims.fold(true, |all, (&(lo, width), &v)| {
+            dims.fold(true, |all, (&(lo, width), &v)| {
                 all & (v.wrapping_sub(lo) <= width)
-            }) {
-                out.push(slot);
+            })
+        };
+        let every = u64::MAX
+            .checked_shr(u64::BITS.saturating_sub(self.dims as u32))
+            .unwrap_or(0);
+        if owned & every == every {
+            for (slot, row) in (0u32..).zip(self.bounds.chunks_exact(self.dims)) {
+                if admits(row) {
+                    hit(slot);
+                }
+            }
+            return;
+        }
+        // Rows of different attributes interleave, so a branch on each
+        // row's tag would mispredict about as often as it skips: look 64
+        // tags up at a time into one word, without a branch, and visit only
+        // its set bits. `UNPLACED` looks up 0, and a row past the end of
+        // `placed` is unplaced: this scan skips both.
+        let mut takes_tag = [0u8; 256];
+        for (dim, takes) in takes_tag.iter_mut().take(self.dims.min(64)).enumerate() {
+            *takes = (owned >> dim & 1) as u8;
+        }
+        for (base, tags) in (0u32..).step_by(64).zip(self.placed.chunks(64)) {
+            let mut takes = tags.iter().enumerate().fold(0u64, |word, (i, &tag)| {
+                word | u64::from(takes_tag[usize::from(tag)]) << i
+            });
+            while takes != 0 {
+                let slot = base + takes.trailing_zeros();
+                takes &= takes - 1;
+                let start = slot as usize * self.dims;
+                if admits(&self.bounds[start..start + self.dims]) {
+                    hit(slot);
+                }
             }
         }
     }
@@ -323,6 +409,82 @@ mod tests {
             }
         }
         assert_eq!(idx.len(), live.len());
+    }
+
+    /// A masked scan is the plain scan less the rows placed by an attribute
+    /// outside the mask and, unless the mask is full, the unplaced rows; a
+    /// slot refilled without an attribute drops the old tenant's.
+    #[test]
+    fn masked_scan_skips_rows_of_unowned_attributes() {
+        let mut rng = Rng::seed_from_u64(0x0b5e_55ed);
+        let s = space();
+        for case in 0..128 {
+            let mut idx = MatchIndex::new(&s);
+            let mut live: Vec<(u32, Subscription, Option<usize>)> = Vec::new();
+            for slot in 0..rng.gen_range(1u32..40) {
+                let lo = rng.gen_range(0u64..1000);
+                let sub = Subscription::builder(&s)
+                    .range("x", lo, (lo + rng.gen_range(0u64..600)).min(999))
+                    .unwrap()
+                    .build()
+                    .unwrap();
+                let placed = match rng.gen_range(0u64..4) {
+                    3 => None,
+                    dim => Some(dim as usize),
+                };
+                idx.insert_placed(slot, &sub, placed);
+                live.push((slot, sub, placed));
+            }
+            // Refill a slot unplaced: it must not inherit the old tag.
+            let (slot, sub, _) = live.remove(0);
+            assert!(idx.remove(slot));
+            idx.insert(slot, &sub);
+            live.push((slot, sub, None));
+            for _ in 0..16 {
+                let e = Event::new_unchecked(vec![rng.gen_range(0u64..1000), 0, 0]);
+                let owned = rng.next_u64() & 0b111;
+                let mut want: Vec<u32> = live
+                    .iter()
+                    .filter(|(_, sub, placed)| {
+                        let full = owned == 0b111;
+                        sub.matches(&e) && placed.map_or(full, |dim| owned >> dim & 1 == 1)
+                    })
+                    .map(|&(slot, ..)| slot)
+                    .collect();
+                want.sort_unstable();
+                let mut got = Vec::new();
+                idx.scan(&e, owned, |slot| got.push(slot));
+                assert_eq!(got, want, "case {case}, mask {owned:#b}");
+                let mut all = Vec::new();
+                idx.scan(&e, 0b111, |slot| all.push(slot));
+                assert_eq!(
+                    all,
+                    idx.matches(&e),
+                    "case {case}: a full mask skipped a row"
+                );
+            }
+        }
+    }
+
+    /// An index that only ever sees unplaced inserts keeps no tag bytes;
+    /// the plain scan takes its rows and no other does.
+    #[test]
+    fn unplaced_inserts_write_no_tags() {
+        let s = space();
+        let mut idx = MatchIndex::new(&s);
+        let sub = Subscription::builder(&s).eq("z", 3).build().unwrap();
+        idx.insert(4, &sub);
+        idx.insert_placed(5, &sub, None);
+        assert!(idx.placed.is_empty());
+        let e = Event::new_unchecked(vec![0, 0, 3]);
+        let scan = |owned| {
+            let mut hits = Vec::new();
+            idx.scan(&e, owned, |slot| hits.push(slot));
+            hits
+        };
+        assert_eq!(scan(ALL_ATTRIBUTES), vec![4, 5]);
+        assert_eq!(scan(0b111), vec![4, 5]);
+        assert!(scan(0b011).is_empty());
     }
 
     /// The index agrees with brute force on random workloads (seeded-loop

@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use cbps_overlay::{KeyRange, KeyRangeSet, KeySpace};
+use cbps_overlay::{Key, KeyRange, KeyRangeSet, KeySpace};
 
 use crate::event::Event;
 use crate::space::EventSpace;
@@ -258,12 +258,7 @@ impl AkMapping {
     pub fn ek(&self, event: &Event) -> KeyRangeSet {
         match self.kind {
             MappingKind::AttributeSplit => {
-                let i = self.event_dim(event);
-                let m = self.key_space.bits();
-                let k = self
-                    .scale(i, event.value(i), m)
-                    .wrapping_add(self.rotation(i, m));
-                KeyRangeSet::of_key(self.key_space, self.key_space.key(k))
+                KeyRangeSet::of_key(self.key_space, self.event_key(event, self.event_dim(event)))
             }
             MappingKind::KeySpaceSplit => {
                 let mask = (1u64 << self.split_bits) - 1;
@@ -281,17 +276,46 @@ impl AkMapping {
                 KeyRangeSet::of_key(self.key_space, key)
             }
             MappingKind::SelectiveAttribute => {
-                let m = self.key_space.bits();
                 let mut set = KeyRangeSet::new();
                 for i in 0..event.dims() {
-                    let k = self
-                        .scale(i, event.value(i), m)
-                        .wrapping_add(self.rotation(i, m));
-                    set.insert_key(self.key_space, self.key_space.key(k));
+                    set.insert_key(self.key_space, self.event_key(event, i));
                 }
                 set
             }
         }
+    }
+
+    /// The attribute that placed `sub`: `Some(s)` under Selective-Attribute,
+    /// where `SK(σ) = H_s(σ.c_s)` for the most selective constrained
+    /// attribute `s`; `None` under the other two mappings, whose keys are
+    /// not one attribute's image.
+    ///
+    /// Together with [`AkMapping::event_key`] this is the rule a rendezvous
+    /// matches by: `e ∈ σ` implies `e.a_s ∈ σ.c_s`, hence
+    /// `event_key(e, s) ∈ SK(σ)`, so the one node covering
+    /// `event_key(e, s)` both stores σ and receives e, and it is the only
+    /// node that needs to match them.
+    pub fn placed_by(&self, sub: &Subscription) -> Option<usize> {
+        match self.kind {
+            // Fully-wildcard subscriptions are rejected at construction, so
+            // a most selective dimension always exists.
+            MappingKind::SelectiveAttribute => Some(
+                most_selective_by_sizes(sub, &self.domain_sizes)
+                    .expect("subscription has a constraint"),
+            ),
+            MappingKind::AttributeSplit | MappingKind::KeySpaceSplit => None,
+        }
+    }
+
+    /// `h_dim(e.a_dim)` on the full `m`-bit key space, with the dimension's
+    /// rotation: the key Selective-Attribute sends `event` to for attribute
+    /// `dim`.
+    pub fn event_key(&self, event: &Event, dim: usize) -> Key {
+        let m = self.key_space.bits();
+        let k = self
+            .scale(dim, event.value(dim), m)
+            .wrapping_add(self.rotation(dim, m));
+        self.key_space.key(k)
     }
 
     /// The dimension Attribute-Split maps an event by.
@@ -403,10 +427,7 @@ impl AkMapping {
     }
 
     fn sk_selective(&self, sub: &Subscription) -> KeyRangeSet {
-        // Fully-wildcard subscriptions are rejected at construction, so a
-        // most selective dimension always exists.
-        let s = most_selective_by_sizes(sub, &self.domain_sizes)
-            .expect("subscription has a constraint");
+        let s = self.placed_by(sub).expect("selective-attribute places");
         let c = sub
             .constraint(s)
             .expect("selected dimension is constrained");
@@ -498,7 +519,10 @@ mod tests {
         let sk = m.sk(&sub);
         let got: Vec<u64> = sk.iter_keys(keys).map(|k| k.value()).collect();
         assert_eq!(got, vec![0, 2]);
+        assert_eq!(m.placed_by(&sub), Some(0));
         // EK maps by every attribute: {h(1), h(6)} = {2, 12}.
+        assert_eq!(m.event_key(&event, 0), keys.key(2));
+        assert_eq!(m.event_key(&event, 1), keys.key(12));
         let ek = m.ek(&event);
         let got: Vec<u64> = ek.iter_keys(keys).map(|k| k.value()).collect();
         assert_eq!(got, vec![2, 12]);
@@ -748,6 +772,18 @@ mod tests {
                     "case {case}: intersection rule violated for {kind}: \
                      EK={ek} SK={sk} sub={sub} event={event}"
                 );
+                // The source rule: under Selective-Attribute the event's
+                // key on the attribute that placed the subscription lies
+                // in SK itself, so its one owner stores σ and receives e.
+                match m.placed_by(&sub) {
+                    Some(s) => {
+                        assert_eq!(kind, MappingKind::SelectiveAttribute);
+                        let key = m.event_key(&event, s);
+                        assert!(ek.contains(key), "case {case}: {key:?} not in EK={ek}");
+                        assert!(sk.contains(key), "case {case}: {key:?} not in SK={sk}");
+                    }
+                    None => assert_ne!(kind, MappingKind::SelectiveAttribute),
+                }
             }
         }
     }

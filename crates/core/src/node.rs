@@ -15,6 +15,8 @@ use cbps_sim::{
 use crate::config::{NotifyMode, Primitive, PubSubConfig};
 use crate::dedup::PairSet;
 use crate::event::{Event, EventId};
+use crate::index::ALL_ATTRIBUTES;
+use crate::mapping::MappingKind;
 use crate::msg::{CollectItem, DeliveredNote, NotifyBatch, NotifyItem, PubSubMsg, PubSubTimer};
 use crate::store::{MatchHit, StoredSub, SubscriptionStore};
 use crate::subscription::{IdSet, SubId, Subscription};
@@ -300,7 +302,7 @@ impl PubSubNode {
 
     fn handle_store(&mut self, id: SubId, stored: Arc<StoredSub>, svc: &mut DynSvc<'_>) {
         svc.stage(stored.trace, Stage::Store, TrafficClass::SUBSCRIPTION);
-        let fresh = self.store.insert(id, stored, svc.now());
+        let fresh = self.file(id, stored, svc.now());
         svc.obs_sample("store.size", self.store.len() as u64);
         if fresh {
             svc.metrics().bump(Counter::STORE_INSERT, 1);
@@ -325,6 +327,37 @@ impl PubSubNode {
         }
     }
 
+    /// Puts a record into the rendezvous store, filed under the attribute
+    /// that placed it here. Every path that stores a record — a fresh
+    /// subscription or its refresh, a hand-over or departure batch, a
+    /// promoted replica — goes through this, so every row of a Mapping 3
+    /// store is placed, and [`PubSubNode::owned_attributes`] may skip it.
+    fn file(&mut self, id: SubId, stored: Arc<StoredSub>, now: SimTime) -> bool {
+        let placed_by = self.cfg.mapping.placed_by(&stored.sub);
+        self.store.insert_placed(id, stored, placed_by, now)
+    }
+
+    /// The attributes whose event key for `event` this node covers, one bit
+    /// each: the rows this rendezvous matches the event against. Under
+    /// Mapping 3 a pair `e ∈ σ` is matched by the one node covering the key
+    /// of the attribute that placed σ ([`AkMapping::placed_by`]); a node
+    /// that also stores σ because σ's range spans its arc skips it. The
+    /// test reads the routing state that just delivered the event here.
+    /// Mappings 1 and 2 send an event to one key: every row is scanned.
+    ///
+    /// [`AkMapping::placed_by`]: crate::AkMapping::placed_by
+    fn owned_attributes(&self, event: &Event, svc: &DynSvc<'_>) -> u64 {
+        let mapping = &self.cfg.mapping;
+        // Past 64 attributes a mask cannot name them all, and the index
+        // files their rows unplaced.
+        if mapping.kind() != MappingKind::SelectiveAttribute || event.dims() > 64 {
+            return ALL_ATTRIBUTES;
+        }
+        (0..event.dims())
+            .filter(|&dim| svc.covers(mapping.event_key(event, dim)))
+            .fold(0, |owned, dim| owned | 1 << dim)
+    }
+
     fn handle_unsubscribe(&mut self, id: SubId, svc: &mut DynSvc<'_>) {
         if self.store.remove(id).is_some() && self.cfg.replication > 0 {
             let succs: Vec<Peer> = svc
@@ -344,11 +377,10 @@ impl PubSubNode {
         self.replicas.remove(&id);
     }
 
-    /// Pre-sizes the rendezvous-side containers for a bulk installation
-    /// of roughly `expected_stored` subscriptions (see
-    /// [`SubscriptionStore::reserve`]). Deployment builders call this
-    /// with a per-node estimate derived from the workload totals before
-    /// replaying a trace; behavior is identical with or without it. An
+    /// Pre-sizes the rendezvous-side match buffer for a bulk installation
+    /// of roughly `expected_stored` subscriptions. Deployment builders call
+    /// this with a per-node estimate derived from the workload totals
+    /// before replaying a trace; behavior is identical with or without it. An
     /// estimate a vector's first push covers anyway ([`FIRST_GROWTH`]) is
     /// left to that push: reserving for it would make, on every node of a
     /// deployment whose nodes mostly never store anything, the
@@ -358,7 +390,6 @@ impl PubSubNode {
         if expected_stored <= FIRST_GROWTH {
             return;
         }
-        self.store.reserve(expected_stored);
         if self.match_buf.capacity() < expected_stored {
             self.match_buf
                 .reserve(expected_stored - self.match_buf.len());
@@ -366,14 +397,13 @@ impl PubSubNode {
     }
 
     /// Grows the rendezvous-side hot-path buffers — the event-dedup window
-    /// and every matching scratch — to their steady-state bounds, so a
+    /// and the match buffer — to their steady-state bounds, so a
     /// node that processes its first publication inside a measurement
     /// window does not charge the window its cold-start allocations. The
     /// same warming happens lazily on first use; the allocation-audit
     /// harness calls this on every node after its warmup pass.
     pub fn warm(&mut self) {
         self.warm_event_dedup();
-        self.store.warm();
         let need = self.store.len();
         if self.match_buf.capacity() < need {
             self.match_buf.reserve(need - self.match_buf.len());
@@ -423,8 +453,10 @@ impl PubSubNode {
             svc.metrics().add("publish.duplicate-delivery", 1);
             return;
         }
+        let owned = self.owned_attributes(&event, svc);
         let mut matches = std::mem::take(&mut self.match_buf);
-        self.store.match_event_into(&event, svc.now(), &mut matches);
+        self.store
+            .match_owned_into(&event, svc.now(), owned, &mut matches);
         self.work = self.work.wrapping_add(1 + matches.len() as u64);
         svc.metrics().bump(Counter::MATCHES, matches.len() as u64);
         svc.stage(trace, Stage::RendezvousMatch, TrafficClass::PUBLICATION);
@@ -685,7 +717,7 @@ impl PubSubNode {
                 self.replicas.insert(id, stored);
             } else {
                 svc.metrics().add("state-transfer.adopted", 1);
-                self.store.insert(id, stored, now);
+                self.file(id, stored, now);
             }
         }
     }
@@ -800,7 +832,7 @@ impl PubSubNode {
         for id in promote {
             if let Some(s) = self.replicas.remove(&id) {
                 svc.metrics().add("replicas.promoted", 1);
-                self.store.insert(id, s, now);
+                self.file(id, s, now);
             }
         }
     }

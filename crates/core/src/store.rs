@@ -15,7 +15,7 @@ use cbps_sim::prefetch::prefetch_tail;
 use cbps_sim::{MatchEngineKind, SimTime, TraceId};
 
 use crate::event::Event;
-use crate::index::MatchIndex;
+use crate::index::{MatchIndex, ALL_ATTRIBUTES};
 use crate::space::EventSpace;
 use crate::subscription::{IdMap, SubId, Subscription};
 
@@ -93,9 +93,6 @@ pub struct SubscriptionStore {
     /// Min-heap of (expiry, id); entries may be stale (removed ids).
     expiry: BinaryHeap<Reverse<(SimTime, SubId)>>,
     peak: usize,
-    /// Reused buffer for the engine's hits in
-    /// [`SubscriptionStore::match_event_into`].
-    scratch: Vec<u32>,
 }
 
 /// A subscription an event matched: its id, whom to notify, and the row
@@ -123,7 +120,6 @@ impl SubscriptionStore {
             by_id: IdMap::default(),
             expiry: BinaryHeap::new(),
             peak: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -194,6 +190,21 @@ impl SubscriptionStore {
     /// `id` was already stored (the refresh still updates the expiry, and
     /// only the expiry).
     pub fn insert(&mut self, id: SubId, stored: impl Into<Arc<StoredSub>>, now: SimTime) -> bool {
+        self.insert_placed(id, stored, None, now)
+    }
+
+    /// [`SubscriptionStore::insert`], filing a fresh row under `placed_by`,
+    /// the attribute that placed the subscription on this node
+    /// ([`AkMapping::placed_by`](crate::AkMapping::placed_by)): a
+    /// [`SubscriptionStore::match_owned_into`] whose mask leaves that
+    /// attribute out skips the row. A refresh keeps the row's attribute.
+    pub fn insert_placed(
+        &mut self,
+        id: SubId,
+        stored: impl Into<Arc<StoredSub>>,
+        placed_by: Option<usize>,
+        now: SimTime,
+    ) -> bool {
         let stored: Arc<StoredSub> = stored.into();
         // The row a fresh insert writes is a miss of its own by the time
         // the insert gets there; asked for now, it arrives while `by_id` is
@@ -226,7 +237,7 @@ impl SubscriptionStore {
                     (self.rows.len() - 1) as u32
                 });
                 slot.insert(row);
-                self.engine.insert(row, &stored.sub);
+                self.engine.insert_placed(row, &stored.sub, placed_by);
                 self.rows[row as usize] = Some(Row {
                     id,
                     subscriber: stored.subscriber,
@@ -289,47 +300,37 @@ impl SubscriptionStore {
         self.expiry = entries.into();
     }
 
-    /// Pre-sizes the store for a bulk installation of roughly `subs`
-    /// subscriptions, so installation pays one up-front reservation
-    /// instead of incremental growth reallocations. Only the id scratch, a
-    /// plain vector, is reserved, so stored state and match results are
-    /// byte-identical with or without the call. The expiry heap is left to
-    /// grow: whether subscriptions expire at all is not known here.
-    pub fn reserve(&mut self, subs: usize) {
-        if self.scratch.capacity() < subs {
-            self.scratch.reserve(subs - self.scratch.len());
-        }
-    }
-
-    /// Grows the matching path's slot scratch to its steady-state bound
-    /// (the stored-subscription count) so subsequent
-    /// [`SubscriptionStore::match_event_into`] calls never reallocate.
-    /// Matching grows it incrementally; this pre-faults a store that has
-    /// not matched an event yet.
-    pub fn warm(&mut self) {
-        let need = self.len();
-        if self.scratch.capacity() < need {
-            self.scratch.reserve(need - self.scratch.len());
-        }
-    }
-
     /// Writes all live subscriptions matched by `event` into `out`
     /// (cleared first), in ascending id order. Purges expired entries
-    /// first. Allocation-free at steady state: the id scratch, the engine
-    /// scratch and `out` are all reused, and a hit is read off the record
-    /// table without touching a stored record or its reference count. This
-    /// is the store's single matching entry point.
+    /// first. Allocation-free once `out` has grown to the largest match: a
+    /// hit is read off the record table without touching a stored record
+    /// or its reference count.
     pub fn match_event_into(&mut self, event: &Event, now: SimTime, out: &mut Vec<MatchHit>) {
+        self.match_owned_into(event, now, ALL_ATTRIBUTES, out);
+    }
+
+    /// [`SubscriptionStore::match_event_into`], skipping every row placed
+    /// by an attribute whose bit `owned` leaves clear (bit `i` for
+    /// attribute `i`; see [`SubscriptionStore::insert_placed`]) and, unless
+    /// `owned` holds every attribute, every row filed without one: the
+    /// rendezvous passes the attributes whose event key it owns.
+    pub fn match_owned_into(
+        &mut self,
+        event: &Event,
+        now: SimTime,
+        owned: u64,
+        out: &mut Vec<MatchHit>,
+    ) {
         out.clear();
         self.purge_expired(now);
-        let mut slots = std::mem::take(&mut self.scratch);
-        self.engine.matches_into(event, &mut slots);
-        for &row in &slots {
-            let r = self.row(row);
+        let rows = &self.rows;
+        self.engine.scan(event, owned, |row| {
+            let r = rows[row as usize]
+                .as_ref()
+                .expect("the engine names live rows");
             out.push((r.id, r.subscriber, row));
-        }
+        });
         out.sort_unstable_by_key(|&(id, ..)| id);
-        self.scratch = slots;
     }
 
     /// The stored record of a hit of the latest
@@ -529,6 +530,50 @@ mod tests {
         assert_eq!(b.purge_expired(SimTime::from_secs(6)), 1);
         assert_eq!(a.purge_expired(SimTime::from_secs(6)), 0);
         assert_eq!(a.purge_expired(SimTime::from_secs(71)), 1);
+    }
+
+    /// A row placed by attribute 0 is matched only while the mask owns
+    /// attribute 0, through a refresh too; an unplaced row only by a mask
+    /// that owns both attributes.
+    #[test]
+    fn owned_match_skips_rows_placed_by_other_attributes() {
+        let space = EventSpace::new(vec![
+            AttributeDef::new("x", 1000),
+            AttributeDef::new("y", 9),
+        ]);
+        let keys = KeySpace::new(8);
+        let sub = Subscription::builder(&space).range("x", 0, 100).unwrap();
+        let sub = sub.build().unwrap();
+        let stored = |expires| StoredSub {
+            sub: sub.clone(),
+            subscriber: Peer {
+                idx: 0,
+                key: keys.key(1),
+            },
+            expires,
+            sk: KeyRangeSet::of_key(keys, keys.key(2)),
+            trace: TraceId::NONE,
+            subgroups: 0,
+        };
+        let mut st = SubscriptionStore::new(&space);
+        let expires = SimTime::from_secs(50);
+        assert!(st.insert_placed(SubId(1), stored(expires), Some(0), SimTime::ZERO));
+        assert!(st.insert(SubId(2), stored(SimTime::MAX), SimTime::ZERO));
+        let event = Event::new_unchecked(vec![5, 5]);
+        let owned_ids = |st: &mut SubscriptionStore, owned| {
+            let mut out = Vec::new();
+            st.match_owned_into(&event, SimTime::ZERO, owned, &mut out);
+            out.iter().map(|&(id, ..)| id).collect::<Vec<_>>()
+        };
+        assert_eq!(owned_ids(&mut st, 0b11), vec![SubId(1), SubId(2)]);
+        assert_eq!(owned_ids(&mut st, 0b01), vec![SubId(1)]);
+        assert!(owned_ids(&mut st, 0b10).is_empty());
+        // A refresh arriving unplaced keeps the row's attribute.
+        let refresh = stored(SimTime::from_secs(90));
+        assert!(!st.insert(SubId(1), refresh, SimTime::ZERO));
+        assert_eq!(owned_ids(&mut st, 0b01), vec![SubId(1)]);
+        let all = match_ids(&mut st, &event, SimTime::ZERO);
+        assert_eq!(all, vec![SubId(1), SubId(2)]);
     }
 
     #[test]
