@@ -5,7 +5,7 @@ use std::sync::Arc;
 use cbps_overlay::KeySpace;
 use cbps_sim::SimDuration;
 
-use crate::mapping::{AkMapping, EventKeyChoice, MappingKind};
+use crate::mapping::{AkMapping, MappingKind};
 use crate::space::EventSpace;
 
 /// Which overlay primitive propagates subscriptions and publications to
@@ -126,41 +126,39 @@ impl PubSubConfig {
     }
 
     /// Rebuilds the configuration around a different event space (keeps the
-    /// mapping kind, key space, discretization and event-key choice).
+    /// mapping kind, key space and discretization; resets the rotations,
+    /// which are per dimension of the old space, to zero).
     pub fn with_space(mut self, space: EventSpace) -> Self {
-        let kind = self.mapping.kind();
-        let keys = self.mapping.key_space();
-        let w = self.mapping.discretization();
-        self.mapping = AkMapping::new(kind, &space, keys).with_discretization(w);
+        let (kind, keys) = (self.mapping.kind(), self.mapping.key_space());
+        let rotations = vec![0; space.dims()];
         self.space = space;
-        self
+        self.remap(kind, keys, rotations)
     }
 
-    /// Replaces the mapping kind (preserving key space and discretization).
-    pub fn with_mapping(mut self, kind: MappingKind) -> Self {
-        let keys = self.mapping.key_space();
-        let w = self.mapping.discretization();
-        self.mapping = AkMapping::new(kind, &self.space, keys).with_discretization(w);
-        self
+    /// Replaces the mapping kind (preserving everything else).
+    pub fn with_mapping(self, kind: MappingKind) -> Self {
+        let (keys, rotations) = (self.mapping.key_space(), self.mapping.rotations().to_vec());
+        self.remap(kind, keys, rotations)
     }
 
     /// Replaces the key space (preserving everything else).
-    pub fn with_key_space(mut self, keys: KeySpace) -> Self {
-        let kind = self.mapping.kind();
-        let w = self.mapping.discretization();
-        self.mapping = AkMapping::new(kind, &self.space, keys).with_discretization(w);
+    pub fn with_key_space(self, keys: KeySpace) -> Self {
+        let (kind, rotations) = (self.mapping.kind(), self.mapping.rotations().to_vec());
+        self.remap(kind, keys, rotations)
+    }
+
+    /// Rebuilds the mapping over `self.space` as `kind` onto `keys` with
+    /// `rotations`, keeping its discretization.
+    fn remap(mut self, kind: MappingKind, keys: KeySpace, rotations: Vec<u64>) -> Self {
+        self.mapping = AkMapping::new(kind, &self.space, keys)
+            .with_discretization(self.mapping.discretization())
+            .with_rotations(rotations);
         self
     }
 
     /// Sets the discretization interval width (§4.3.3).
     pub fn with_discretization(mut self, width: u64) -> Self {
         self.mapping = self.mapping.with_discretization(width);
-        self
-    }
-
-    /// Sets how Attribute-Split maps events to a dimension.
-    pub fn with_ek_choice(mut self, choice: EventKeyChoice) -> Self {
-        self.mapping = self.mapping.with_ek_choice(choice);
         self
     }
 
@@ -262,6 +260,21 @@ mod tests {
         assert_eq!(cfg.mapping.discretization(), 100);
         assert_eq!(cfg.mapping.kind(), MappingKind::AttributeSplit);
         assert_eq!(cfg.mapping.key_space().bits(), 10);
+    }
+
+    #[test]
+    fn rebuilders_keep_rotations_and_a_new_space_resets_them() {
+        let rotations = vec![3, 1, 4, 1];
+        let keys = KeySpace::new(10);
+        let cfg = PubSubConfig::paper_default()
+            .with_rotations(rotations.clone())
+            .with_key_space(keys)
+            .with_mapping(MappingKind::SelectiveAttribute);
+        let want = AkMapping::new(MappingKind::SelectiveAttribute, &cfg.space, keys)
+            .with_rotations(rotations);
+        assert_eq!(cfg.mapping, want);
+        let cfg = cfg.with_space(EventSpace::paper_default());
+        assert_eq!(cfg.mapping.rotations(), [0; 4]);
     }
 
     #[test]

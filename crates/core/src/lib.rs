@@ -70,7 +70,7 @@ pub use engine::{AnyMatchEngine, MatchEngine, SlotKey};
 pub use error::{ConfigError, PubSubError};
 pub use event::{Event, EventId};
 pub use index::MatchIndex;
-pub use mapping::{AkMapping, EventKeyChoice, MappingKind};
+pub use mapping::{AkMapping, MappingKind};
 pub use msg::{CollectItem, DeliveredNote, NotifyBatch, NotifyItem, PubSubMsg, PubSubTimer};
 pub use node::PubSubNode;
 pub use oracle::Oracle;

@@ -44,21 +44,6 @@ impl fmt::Display for MappingKind {
     }
 }
 
-/// How Attribute-Split picks the single attribute an event maps by
-/// (`EK(e) = {h_i(e.a_i)} for some i`, §4.2).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum EventKeyChoice {
-    /// Always use dimension 0 (the paper's experiments: "each publication
-    /// was mapped to one key"). Subscriptions leaving dimension 0
-    /// unconstrained are pinned by a full-range image on it.
-    #[default]
-    FirstAttribute,
-    /// Choose the dimension by hashing the event's content — spreads
-    /// publication load across dimensions, at the cost of subscriptions
-    /// having to cover *every* wildcard dimension with a full-range image.
-    ContentHash,
-}
-
 /// A configured ak-mapping: the pure functions `SK` and `EK`.
 ///
 /// # Examples
@@ -99,7 +84,6 @@ pub struct AkMapping {
     domain_sizes: Vec<u64>,
     /// Discretization interval width (1 = exact values, §4.3.3).
     discretization: u64,
-    ek_choice: EventKeyChoice,
     /// Bits per attribute for Key Space-Split, `⌊m/d⌋`.
     split_bits: u32,
     /// Per-dimension circular offsets added after hashing — the "nearly
@@ -131,7 +115,6 @@ impl AkMapping {
             key_space,
             domain_sizes: space.attrs().iter().map(|a| a.size()).collect(),
             discretization: 1,
-            ek_choice: EventKeyChoice::default(),
             split_bits,
             rotations: vec![0; space.dims()],
         }
@@ -146,12 +129,6 @@ impl AkMapping {
     pub fn with_discretization(mut self, width: u64) -> Self {
         assert!(width > 0, "discretization width must be positive");
         self.discretization = width;
-        self
-    }
-
-    /// Sets how Attribute-Split chooses the event's mapping attribute.
-    pub fn with_ek_choice(mut self, choice: EventKeyChoice) -> Self {
-        self.ek_choice = choice;
         self
     }
 
@@ -187,6 +164,11 @@ impl AkMapping {
     /// The discretization interval width.
     pub fn discretization(&self) -> u64 {
         self.discretization
+    }
+
+    /// The per-dimension circular key offsets (all zeros by default).
+    pub fn rotations(&self) -> &[u64] {
+        &self.rotations
     }
 
     /// The scaling hash `h_i` with output width `bits`:
@@ -257,8 +239,10 @@ impl AkMapping {
     /// `EK(e)`: the rendezvous keys an event is sent to and matched at.
     pub fn ek(&self, event: &Event) -> KeyRangeSet {
         match self.kind {
+            // Attribute-Split maps an event by its first attribute (the
+            // paper's experiments: "each publication was mapped to one key").
             MappingKind::AttributeSplit => {
-                KeyRangeSet::of_key(self.key_space, self.event_key(event, self.event_dim(event)))
+                KeyRangeSet::of_key(self.key_space, self.event_key(event, 0))
             }
             MappingKind::KeySpaceSplit => {
                 let mask = (1u64 << self.split_bits) - 1;
@@ -318,23 +302,7 @@ impl AkMapping {
         self.key_space.key(k)
     }
 
-    /// The dimension Attribute-Split maps an event by.
-    fn event_dim(&self, event: &Event) -> usize {
-        match self.ek_choice {
-            EventKeyChoice::FirstAttribute => 0,
-            EventKeyChoice::ContentHash => {
-                let mut h: u64 = 0xcbf29ce484222325;
-                for &v in event.values() {
-                    h ^= v;
-                    h = h.wrapping_mul(0x100000001b3);
-                }
-                (h % event.dims() as u64) as usize
-            }
-        }
-    }
-
     fn sk_attribute_split(&self, sub: &Subscription) -> KeyRangeSet {
-        let m = self.key_space.bits();
         let mut set = KeyRangeSet::new();
         // Every constrained dimension contributes its image (the paper's
         // ⋃_i H_i(σ.c_i)).
@@ -343,20 +311,13 @@ impl AkMapping {
                 self.insert_image(i, c.lo(), c.hi(), &mut set);
             }
         }
-        // Dimensions EK may pick must be covered even when unconstrained
-        // (full-range image), or matching events could miss the
-        // subscription — the cost of partially defined subscriptions under
-        // this mapping (§4.2).
-        let must_cover: Vec<usize> = match self.ek_choice {
-            EventKeyChoice::FirstAttribute => vec![0],
-            EventKeyChoice::ContentHash => (0..sub.dims()).collect(),
-        };
-        for i in must_cover {
-            if sub.constraint(i).is_none() {
-                self.insert_image(i, 0, self.domain_sizes[i] - 1, &mut set);
-            }
+        // EK maps by dimension 0, so it must be covered even when
+        // unconstrained (full-range image), or matching events could miss
+        // the subscription — the cost of partially defined subscriptions
+        // under this mapping (§4.2).
+        if sub.constraint(0).is_none() {
+            self.insert_image(0, 0, self.domain_sizes[0] - 1, &mut set);
         }
-        let _ = m;
         set
     }
 
@@ -721,8 +682,8 @@ mod tests {
     }
 
     /// The intersection rule EK(e) ∩ SK(s) ≠ ∅ for every matching pair
-    /// holds across all three mappings, discretization widths, event-key
-    /// choices, and rotations (§4, Theorem 1 of DESIGN.md).
+    /// holds across all three mappings, discretization widths and
+    /// rotations (§4, Theorem 1 of DESIGN.md).
     #[test]
     fn intersection_rule_holds_for_all_mappings() {
         let mut rng = Rng::seed_from_u64(0x1573_5ec7);
@@ -731,7 +692,6 @@ mod tests {
             assert!(sub.matches(&event), "case {case}: generator broke matching");
             let bits = rng.gen_range(4u32..14);
             let width = rng.gen_range(1u64..50);
-            let ek_hash = rng.gen_bool(0.5);
             let rot_seed = if rng.gen_bool(0.5) {
                 Some(rng.next_u64())
             } else {
@@ -746,11 +706,6 @@ mod tests {
                 if kind == MappingKind::KeySpaceSplit && bits / space.dims() as u32 == 0 {
                     continue;
                 }
-                let choice = if ek_hash {
-                    EventKeyChoice::ContentHash
-                } else {
-                    EventKeyChoice::FirstAttribute
-                };
                 // Optional per-dimension rotations ("nearly static"
                 // mapping variation) must never break the rule.
                 let rotations: Vec<u64> = match rot_seed {
@@ -761,7 +716,6 @@ mod tests {
                 };
                 let m = AkMapping::new(kind, &space, keys)
                     .with_discretization(width)
-                    .with_ek_choice(choice)
                     .with_rotations(rotations);
                 let sk = m.sk(&sub);
                 let ek = m.ek(&event);

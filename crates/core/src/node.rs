@@ -3,7 +3,7 @@
 //! rendezvous, dispatching notifications (immediately, buffered, or via the
 //! collecting protocol), and transferring state across membership changes.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use cbps_overlay::{Delivery, KeyRange, KeyRangeSet, OverlayApp, OverlayServices, Peer};
@@ -19,15 +19,11 @@ use crate::index::ALL_ATTRIBUTES;
 use crate::mapping::MappingKind;
 use crate::msg::{CollectItem, DeliveredNote, NotifyBatch, NotifyItem, PubSubMsg, PubSubTimer};
 use crate::store::{MatchHit, StoredSub, SubscriptionStore};
-use crate::subscription::{IdSet, SubId, Subscription};
+use crate::subscription::{SubId, Subscription};
 
 /// The capacity a `Vec` of word-sized (or larger) elements allocates on
 /// its first push.
 const FIRST_GROWTH: usize = 4;
-
-/// Bound on the rendezvous-side event dedup window (events can arrive once
-/// per target key under per-key unicast).
-const SEEN_EVENTS_CAP: usize = 4096;
 
 /// The overlay-neutral service surface the pub/sub logic is written
 /// against — any overlay implementing [`OverlayServices`] can host it
@@ -51,10 +47,6 @@ pub struct PubSubNode {
     next_event_seq: u32,
     delivered: Vec<DeliveredNote>,
     delivered_dedup: PairSet,
-    /// Rendezvous-side event dedup (per-key unicast can deliver the same
-    /// event several times to one node).
-    seen_events: IdSet<EventId>,
-    seen_order: VecDeque<EventId>,
     /// Buffered notifications per subscriber (buffering optimization).
     notify_buffer: HashMap<Peer, Vec<NotifyItem>>,
     /// Collect items heading clockwise / counter-clockwise.
@@ -84,8 +76,6 @@ impl PubSubNode {
             next_event_seq: 0,
             delivered: Vec::new(),
             delivered_dedup: PairSet::default(),
-            seen_events: IdSet::default(),
-            seen_order: VecDeque::new(),
             notify_buffer: HashMap::new(),
             collect_succ: Vec::new(),
             collect_pred: Vec::new(),
@@ -111,9 +101,10 @@ impl PubSubNode {
         self.replicas.len()
     }
 
-    /// Cumulative rendezvous work units (publications processed plus
-    /// matches produced) since the node was created. A publication this
-    /// node's event dedup dropped counts for nothing.
+    /// Cumulative rendezvous work units (publication deliveries processed
+    /// plus matches produced) since the node was created. Under per-key
+    /// unicast or walk each key that brought a publication here is one
+    /// delivery.
     pub fn rendezvous_work(&self) -> u64 {
         self.work
     }
@@ -337,16 +328,18 @@ impl PubSubNode {
         self.store.insert_placed(id, stored, placed_by, now)
     }
 
-    /// The attributes whose event key for `event` this node covers, one bit
-    /// each: the rows this rendezvous matches the event against. Under
-    /// Mapping 3 a pair `e ∈ σ` is matched by the one node covering the key
-    /// of the attribute that placed σ ([`AkMapping::placed_by`]); a node
-    /// that also stores σ because σ's range spans its arc skips it. The
-    /// test reads the routing state that just delivered the event here.
-    /// Mappings 1 and 2 send an event to one key: every row is scanned.
+    /// The attributes whose event key for `event` is among `keys`, the keys
+    /// that brought this delivery here, one bit each: the rows this
+    /// delivery matches the event against. Under Mapping 3 a pair `e ∈ σ`
+    /// is matched by the one delivery carrying the key of the attribute
+    /// that placed σ ([`AkMapping::placed_by`]); a node that also stores σ
+    /// because σ's range spans its arc skips it. M-cast hands a node all
+    /// of its keys in one delivery; per-key unicast and walk hand it one
+    /// copy per key, and the copies match disjoint rows. Mappings 1 and 2
+    /// send an event to one key: every row is scanned.
     ///
     /// [`AkMapping::placed_by`]: crate::AkMapping::placed_by
-    fn owned_attributes(&self, event: &Event, svc: &DynSvc<'_>) -> u64 {
+    fn owned_attributes(&self, event: &Event, keys: &KeyRangeSet) -> u64 {
         let mapping = &self.cfg.mapping;
         // Past 64 attributes a mask cannot name them all, and the index
         // files their rows unplaced.
@@ -354,7 +347,7 @@ impl PubSubNode {
             return ALL_ATTRIBUTES;
         }
         (0..event.dims())
-            .filter(|&dim| svc.covers(mapping.event_key(event, dim)))
+            .filter(|&dim| keys.contains(mapping.event_key(event, dim)))
             .fold(0, |owned, dim| owned | 1 << dim)
     }
 
@@ -396,50 +389,16 @@ impl PubSubNode {
         }
     }
 
-    /// Grows the rendezvous-side hot-path buffers — the event-dedup window
-    /// and the match buffer — to their steady-state bounds, so a
+    /// Grows the rendezvous-side match buffer to the store's size, so a
     /// node that processes its first publication inside a measurement
     /// window does not charge the window its cold-start allocations. The
     /// same warming happens lazily on first use; the allocation-audit
     /// harness calls this on every node after its warmup pass.
     pub fn warm(&mut self) {
-        self.warm_event_dedup();
         let need = self.store.len();
         if self.match_buf.capacity() < need {
             self.match_buf.reserve(need - self.match_buf.len());
         }
-    }
-
-    /// Sizes the event-dedup window for its steady-state bound, so
-    /// insert/evict churn at the bound never reallocates. The set needs
-    /// twice the window bound — hashbrown resizes (and thus allocates)
-    /// instead of rehashing tombstones in place when the live count
-    /// exceeds half the growth threshold. Only [`PubSubNode::warm`] calls
-    /// this: ordinary runs grow the window incrementally and most nodes
-    /// never reach the bound, so front-loading the worst case on every
-    /// node would cost more than it saves.
-    fn warm_event_dedup(&mut self) {
-        if self.seen_events.capacity() < 2 * SEEN_EVENTS_CAP {
-            let extra = 2 * SEEN_EVENTS_CAP - self.seen_events.len();
-            self.seen_events.reserve(extra);
-        }
-        if self.seen_order.capacity() < SEEN_EVENTS_CAP + 1 {
-            let extra = SEEN_EVENTS_CAP + 1 - self.seen_order.len();
-            self.seen_order.reserve(extra);
-        }
-    }
-
-    fn note_event_seen(&mut self, id: EventId) -> bool {
-        if !self.seen_events.insert(id) {
-            return false;
-        }
-        self.seen_order.push_back(id);
-        if self.seen_order.len() > SEEN_EVENTS_CAP {
-            if let Some(old) = self.seen_order.pop_front() {
-                self.seen_events.remove(&old);
-            }
-        }
-        true
     }
 
     fn handle_publish(
@@ -447,13 +406,10 @@ impl PubSubNode {
         id: EventId,
         event: Arc<Event>,
         trace: TraceId,
+        keys: &KeyRangeSet,
         svc: &mut DynSvc<'_>,
     ) {
-        if !self.note_event_seen(id) {
-            svc.metrics().add("publish.duplicate-delivery", 1);
-            return;
-        }
-        let owned = self.owned_attributes(&event, svc);
+        let owned = self.owned_attributes(&event, keys);
         let mut matches = std::mem::take(&mut self.match_buf);
         self.store
             .match_owned_into(&event, svc.now(), owned, &mut matches);
@@ -723,15 +679,19 @@ impl PubSubNode {
     }
 }
 
-impl PubSubNode {
-    /// Overlay-neutral entry point for routed payload deliveries. Every
-    /// overlay adapter (Chord's [`OverlayApp`] impl below, Pastry's in
-    /// `cbps-pastry`) funnels into this.
-    pub fn handle_deliver(&mut self, payload: PubSubMsg, svc: &mut DynSvc<'_>) {
+/// The one entry surface on every overlay: Chord and Pastry
+/// (`cbps-pastry`) both host the pub/sub layer through this trait.
+impl OverlayApp for PubSubNode {
+    type Payload = PubSubMsg;
+    type Timer = PubSubTimer;
+
+    fn on_deliver(&mut self, payload: PubSubMsg, delivery: Delivery, svc: &mut DynSvc<'_>) {
         match payload {
             PubSubMsg::Subscribe { id, stored } => self.handle_store(id, stored, svc),
             PubSubMsg::Unsubscribe { id } => self.handle_unsubscribe(id, svc),
-            PubSubMsg::Publish { id, event, trace } => self.handle_publish(id, event, trace, svc),
+            PubSubMsg::Publish { id, event, trace } => {
+                self.handle_publish(id, event, trace, &delivery.targets_here, svc)
+            }
             PubSubMsg::Notification { items } => self.handle_notification(items, svc),
             // These travel as direct one-hop messages; a routed copy would
             // indicate a bug.
@@ -743,8 +703,7 @@ impl PubSubNode {
         }
     }
 
-    /// Overlay-neutral entry point for one-hop direct messages.
-    pub fn handle_direct_msg(&mut self, _from: Peer, payload: PubSubMsg, svc: &mut DynSvc<'_>) {
+    fn on_direct(&mut self, _from: Peer, payload: PubSubMsg, svc: &mut DynSvc<'_>) {
         match payload {
             PubSubMsg::CollectExchange { items } => self.handle_collect_exchange(items, svc),
             PubSubMsg::StateBatch { subs, as_replica } => {
@@ -756,25 +715,20 @@ impl PubSubNode {
                 }
             }
             // Notifications are routed, not direct.
-            other => {
-                let _ = other;
-                debug_assert!(false, "routed-only payload arrived directly");
-            }
+            _ => debug_assert!(false, "routed-only payload arrived directly"),
         }
     }
 
-    /// Overlay-neutral entry point for application timers.
-    pub fn handle_timer_fired(&mut self, timer: PubSubTimer, svc: &mut DynSvc<'_>) {
+    fn on_timer(&mut self, timer: PubSubTimer, svc: &mut DynSvc<'_>) {
         match timer {
             PubSubTimer::Flush => self.flush(svc),
             PubSubTimer::Refresh { id } => self.refresh_lease(id, svc),
         }
     }
 
-    /// Overlay-neutral entry point for coverage changes (a neighbor
-    /// joined, left or failed): state handover, demotion and replica
-    /// promotion.
-    pub fn handle_predecessor_changed(
+    /// Coverage changes (a neighbor joined, left or failed): state
+    /// handover, demotion and replica promotion.
+    fn on_predecessor_changed(
         &mut self,
         old: Option<Peer>,
         new: Option<Peer>,
@@ -837,9 +791,8 @@ impl PubSubNode {
         }
     }
 
-    /// Overlay-neutral entry point for graceful departure: push primaries
-    /// to the successor.
-    pub fn handle_leaving(&mut self, svc: &mut DynSvc<'_>) {
+    /// Graceful departure: push primaries to the successor.
+    fn on_leaving(&mut self, svc: &mut DynSvc<'_>) {
         let Some(succ) = svc.successor() else { return };
         let batch: Vec<(SubId, Arc<StoredSub>)> = self
             .store
@@ -857,67 +810,20 @@ impl PubSubNode {
             );
         }
     }
-}
-
-impl OverlayApp for PubSubNode {
-    type Payload = PubSubMsg;
-    type Timer = PubSubTimer;
-
-    fn on_deliver(
-        &mut self,
-        payload: PubSubMsg,
-        _delivery: Delivery,
-        svc: &mut dyn OverlayServices<PubSubMsg, PubSubTimer>,
-    ) {
-        self.handle_deliver(payload, svc);
-    }
-
-    fn on_direct(
-        &mut self,
-        from: Peer,
-        payload: PubSubMsg,
-        svc: &mut dyn OverlayServices<PubSubMsg, PubSubTimer>,
-    ) {
-        self.handle_direct_msg(from, payload, svc);
-    }
-
-    fn on_timer(
-        &mut self,
-        timer: PubSubTimer,
-        svc: &mut dyn OverlayServices<PubSubMsg, PubSubTimer>,
-    ) {
-        self.handle_timer_fired(timer, svc);
-    }
-
-    fn on_predecessor_changed(
-        &mut self,
-        old: Option<Peer>,
-        new: Option<Peer>,
-        svc: &mut dyn OverlayServices<PubSubMsg, PubSubTimer>,
-    ) {
-        self.handle_predecessor_changed(old, new, svc);
-    }
-
-    fn on_leaving(&mut self, svc: &mut dyn OverlayServices<PubSubMsg, PubSubTimer>) {
-        self.handle_leaving(svc);
-    }
 
     /// Hints the lines the next delivery reads here (see
     /// [`cbps_sim::prefetch`]): at the *node* stage the headers a handler
-    /// starts from — the delivered log's (the event-dedup queue sits
-    /// beside it) and the two dedup sets' — and at the *rows* stage what
-    /// this value points to: the store's header and the tail of the
-    /// delivered log, where a notification lands.
-    /// A single notification queued for its own subscriber names the slot
-    /// of the delivered-pair table it will probe; the event-dedup set is
-    /// probed by hash, so there is no row to name there.
+    /// starts from — the delivered log's and the delivered-pair set's —
+    /// and at the *rows* stage what this value points to: the store's
+    /// header and the tail of the delivered log, where a notification
+    /// lands. A single notification queued for its own subscriber names
+    /// the slot of the delivered-pair table it will probe.
     #[inline]
     fn prefetch(&self, stage: PrefetchStage, queued: Option<(usize, &PubSubMsg)>) {
         match stage {
             PrefetchStage::Node => {
                 prefetch(&self.delivered);
                 prefetch(&self.delivered_dedup);
-                prefetch(&self.seen_events);
                 if let Some((me, PubSubMsg::Notification { items })) = queued {
                     match items {
                         NotifyBatch::One(item) if item.sub_id.node() == me => {

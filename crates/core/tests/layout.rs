@@ -18,11 +18,11 @@ fn hot_values_stay_under_their_size_ceilings() {
     let sizes = [
         ("LocationCache", size_of::<LocationCache>(), 416),
         ("RoutingState", size_of::<RoutingState>(), 888),
-        ("PubSubNode", size_of::<PubSubNode>(), 424),
+        ("PubSubNode", size_of::<PubSubNode>(), 360),
         (
             "ChordNode<PubSubNode>",
             size_of::<ChordNode<PubSubNode>>(),
-            1384,
+            1320,
         ),
         ("Envelope<PubSubMsg>", size_of::<Envelope<PubSubMsg>>(), 128),
         // One per node, used or not: the engine is one array header (624 B
