@@ -48,9 +48,6 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test --workspace -q
 
-echo "==> cargo test --doc"
-cargo test --workspace --doc -q
-
 # The allocation gates pin exact counts, which hold for optimized builds
 # only (two are ignored under debug assertions), as does `build_scale`'s
 # per-node build cost.

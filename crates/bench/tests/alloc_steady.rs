@@ -50,9 +50,9 @@ fn steady_state_routed_events_do_not_allocate() {
     );
 
     // Warmup: twice the measured batch, one publication per two simulated
-    // seconds, so every recycled capacity — pool slab, wheel slots across
-    // a full coarse-ring revolution, delivery logs, metric tables — hits
-    // its high-water mark before counting starts.
+    // seconds, so every recycled capacity — pool slab, event-queue heap,
+    // delivery logs, metric tables — hits its high-water mark before
+    // counting starts.
     const BATCH: usize = 256;
     let events: Vec<cbps::Event> = (0..3 * BATCH).map(|_| gen.gen_random_event()).collect();
     for (i, ev) in events[..2 * BATCH].iter().enumerate() {

@@ -43,16 +43,17 @@ impl Default for DelayModel {
     }
 }
 
-/// The event queue a [`Simulator`](crate::Simulator) runs: always the
-/// hierarchical timing wheel (see [`crate::wheel`]).
+/// The event queue a [`Simulator`](crate::Simulator) runs: always the one
+/// binary heap (see [`crate::queue`]).
 ///
 /// Read by nothing in this workspace. It stays, with [`NetConfig::pool`],
 /// only because the frozen `benchmark/` crate copies its name into its knob
 /// vector; the benchmark-only change that drops [`NetConfig::shards`]
-/// drops both.
+/// (ROADMAP item 5) drops both.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// Hierarchical timing wheel: O(1) amortized push/pop.
+    /// The binary heap, under the name of the timing wheel it replaced:
+    /// the benchmark records `"scheduler": "wheel"`.
     #[default]
     Wheel,
 }
@@ -137,7 +138,8 @@ pub struct NetConfig {
     /// messages still count as sent in the metrics (the sender paid for
     /// them).
     pub loss_probability: f64,
-    /// Always [`SchedulerKind::Wheel`]; see [`SchedulerKind`].
+    /// Always [`SchedulerKind::Wheel`] (the binary heap, by its benchmark
+    /// name); see [`SchedulerKind`].
     pub scheduler: SchedulerKind,
     /// Always [`MatchEngineKind::Counting`], and read by nothing in this
     /// workspace: it stays only because the frozen `benchmark/` crate

@@ -7,6 +7,8 @@
 //!
 //! * [`Simulator`] — a single-threaded, seed-deterministic event loop over a
 //!   fixed universe of [`Node`]s;
+//! * [`queue`] — its [`EventQueue`], a binary min-heap that pops pending
+//!   events in `(time, seq)` order;
 //! * [`Context`] — the handle through which nodes send one-hop messages
 //!   (with a configurable [`DelayModel`], default 50 ms as in the paper) and
 //!   arm timers;
@@ -61,9 +63,9 @@ mod metrics;
 mod obs;
 mod pool;
 pub mod prefetch;
+pub mod queue;
 mod sim;
 mod time;
-pub mod wheel;
 
 pub use config::{DelayModel, MatchEngineKind, NetConfig, PoolMode, SchedulerKind};
 pub use metrics::{Counter, Histogram, Metrics, Series, TrafficClass};
@@ -71,9 +73,9 @@ pub use obs::{
     LogHistogram, ObsMode, ObsSummary, Observability, Stage, StageRecord, TraceId, TraceLog,
 };
 pub use prefetch::PrefetchStage;
+pub use queue::{EventQueue, TimingWheel};
 pub use sim::{Context, Node, NodeIdx, Simulator};
 pub use time::{SimDuration, SimTime};
-pub use wheel::TimingWheel;
 
 #[cfg(test)]
 mod tests {

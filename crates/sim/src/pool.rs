@@ -1,12 +1,12 @@
 //! Generation-checked slab pool for in-flight events.
 //!
-//! The event queue (the timing wheel) moves its entries many times
-//! between schedule and fire: wheel cascades, slot sorts. Storing fat
-//! event payloads inline (a routed envelope easily exceeds a hundred
-//! bytes) makes every one of those moves a large memcpy. The pool fixes
-//! the payload in place instead: events live in a slab, the queue orders
-//! 8-byte copyable [`Handle`]s, and the payload moves exactly twice — into
-//! the slab at schedule time, out of it at pop time.
+//! The event queue (a binary heap) moves entries on every push and pop,
+//! sifting them along a path of the heap. Storing fat event payloads
+//! inline (a routed envelope easily exceeds a hundred bytes) makes every
+//! one of those moves a large memcpy. The pool fixes the payload in place
+//! instead: events live in a slab, the queue orders 8-byte copyable
+//! [`Handle`]s, and the payload moves exactly twice — into the slab at
+//! schedule time, out of it at pop time.
 //!
 //! Freed slots are recycled through a free list, so steady-state
 //! scheduling performs **zero heap allocations**: slab and free list reach

@@ -13,8 +13,8 @@ use crate::metrics::{Metrics, TrafficClass};
 use crate::obs::{Stage, TraceId};
 use crate::pool::{EventPool, Handle};
 use crate::prefetch::PrefetchStage;
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimingWheel;
 
 /// Dense index of a node within a [`Simulator`].
 pub type NodeIdx = usize;
@@ -218,10 +218,10 @@ fn key_time(key: u128) -> SimTime {
 pub struct Simulator<N: Node> {
     nodes: Vec<N>,
     alive: Vec<bool>,
-    /// The event queue (see [`crate::wheel`]) orders 8-byte pool
-    /// [`Handle`]s, not event payloads: payloads sit still in `pool` while
-    /// their tickets are sorted and cascaded (see [`crate::pool`]).
-    queue: Box<TimingWheel<Handle>>,
+    /// The event queue (see [`crate::queue`]), a binary heap over 8-byte
+    /// pool [`Handle`]s, not event payloads: payloads sit still in `pool`
+    /// while the heap's sifts move their tickets (see [`crate::pool`]).
+    queue: EventQueue<Handle>,
     pool: EventPool<EventKind<N::Msg, N::Timer>>,
     time: SimTime,
     seq: u64,
@@ -250,7 +250,7 @@ impl<N: Node> Simulator<N> {
         Simulator {
             nodes: Vec::new(),
             alive: Vec::new(),
-            queue: Box::default(),
+            queue: EventQueue::new(),
             pool: EventPool::new(),
             time: SimTime::ZERO,
             seq: 0,

@@ -1,17 +1,16 @@
-//! The timing wheel's event order, pinned end to end.
+//! The event queue's order, pinned end to end.
 //!
-//! The wheel reproduces a binary heap's `(time, seq)` pop order *exactly*,
-//! so a workload executes one history: the same upcalls in the same order
-//! at the same times, the same RNG draw sequence (event order drives RNG
-//! consumption, so one transposed pop desyncs everything downstream), the
-//! same metrics, and the same sampled queue statistics. These tests run
-//! seeded storm workloads — zero-delay local cascades, same-timestamp
-//! bursts, timer storms, crash/revive mid-run, `run_until` boundaries that
-//! stop between events, and long-horizon timers that land in every wheel
-//! level — and pin each run's events, queue peak, end time and upcall-log
-//! digest to the values the heap and the wheel both produced while the
-//! simulator could run either. The heap itself stays as the wheel's model
-//! in `wheel.rs`'s `interleaved_push_pop_matches_heap`.
+//! The queue pops in exact `(time, seq)` order, so a workload executes one
+//! history: the same upcalls in the same order at the same times, the same
+//! RNG draw sequence (event order drives RNG consumption, so one
+//! transposed pop desyncs everything downstream), the same metrics, and
+//! the same sampled queue statistics. These tests run seeded storm
+//! workloads — zero-delay local cascades, same-timestamp bursts, timer
+//! storms, crash/revive mid-run, `run_until` boundaries that stop between
+//! events, and long-horizon timers out to weeks ahead — and pin each run's
+//! events, queue peak, end time and upcall-log digest. A binary heap and a
+//! timing wheel both produced these pins; the heap is the queue now
+//! (`queue.rs`), and names here and in `storm` keep the wheel's tiers.
 
 mod storm;
 

@@ -1,7 +1,7 @@
 //! The seeded storm workload and its execution recorder, shared by the
-//! integration tests that pin a run's history (`scheduler_equivalence`)
-//! and that compare two runs of one history (a counting prefetch hook
-//! against the default one in `prefetch_hook`).
+//! integration tests that pin a run's history in exact event-queue order
+//! (`scheduler_equivalence`) and that compare two runs of one history (a
+//! counting prefetch hook against the default one in `prefetch_hook`).
 
 #![allow(dead_code)] // each test binary uses its own part
 
