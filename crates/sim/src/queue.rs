@@ -257,10 +257,7 @@ mod tests {
         checked.drain();
     }
 
-    /// Pushes across all horizons, then a full drain; then the simulator's
-    /// delay profile (same-time bursts, zero-delay cascades, 50 ms hops,
-    /// jitter, multi-second and long-horizon timers) with pops interleaved
-    /// one at a time or the way `run_until` drains to an arbitrary stop.
+    /// Pushes across all horizons, then a full drain.
     #[test]
     fn randomized_against_model() {
         let mut rng = Rng::seed_from_u64(0xCA1E);
@@ -270,7 +267,14 @@ mod tests {
             8 => rng.gen_range(0u64..L1_SPAN * 3),
             _ => rng.gen_range(0u64..L2_SPAN * 2),
         }));
+    }
 
+    /// The simulator's delay profile (same-time bursts, zero-delay
+    /// cascades, 50 ms hops, jitter, multi-second and long-horizon timers)
+    /// with pops interleaved one at a time or the way `run_until` drains to
+    /// an arbitrary stop.
+    #[test]
+    fn interleaved_push_pop_matches_model() {
         let mut rng = Rng::seed_from_u64(0x57ee1);
         let mut checked = Checked::default();
         let mut now = 0u64;
