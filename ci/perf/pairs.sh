@@ -15,8 +15,9 @@
 # Below the table, what a perf claim is judged by:
 #   - each side's `ops_per_s` median and quartiles;
 #   - the pairs the change won, against the rule that it win at least
-#     nine in ten, and whether the gap between the medians exceeds the
-#     parent's interquartile range;
+#     nine in ten of ten pairs or more (fewer pairs never meet it), and
+#     whether the gap between the medians exceeds the parent's
+#     interquartile range;
 #   - every simulated metric that differs, parent → change (medians), with
 #     its relative move against the bound `BENCHMARK.json` (read from
 #     CHANGE_DIR) gives it;
@@ -133,10 +134,15 @@ def quartiles(v):
 p_q, c_q = quartiles(cols["p_ops"]), quartiles(cols["c_ops"])
 iqr = p_q[1] - p_q[0]
 gap = med["c_ops"] - med["p_ops"]
+# A gain is judged on ten pairs at least: fewer cannot meet the rule.
+if pairs < 10:
+    rule = "not met (fewer than 10 pairs)"
+else:
+    rule = "met" if ahead >= 0.9 * pairs else "not met"
 print(f"\n`ops_per_s` parent median {ops(med['p_ops'])} (quartiles {ops(p_q[0])}–{ops(p_q[1])}), "
       f"change median {ops(med['c_ops'])} (quartiles {ops(c_q[0])}–{ops(c_q[1])}). "
-      f"Change ahead in {ahead}/{pairs} pairs: the ≥ 9/10 rule is "
-      f"{'met' if ahead >= 0.9 * pairs else 'not met'}. Median gap {'+' if gap >= 0 else '-'}"
+      f"Change ahead in {ahead}/{pairs} pairs: the ≥ 9/10 rule is {rule}. "
+      f"Median gap {'+' if gap >= 0 else '-'}"
       f"{ops(abs(gap))} against the parent's interquartile range {ops(iqr)}: "
       f"{'exceeds it' if abs(gap) > iqr else 'within it'}.")
 

@@ -15,7 +15,7 @@
 
 use cbps::{MappingKind, PubSubConfig, PubSubNetwork};
 use cbps_overlay::OverlayConfig;
-use cbps_sim::{NetConfig, SimDuration, TrafficClass};
+use cbps_sim::{Counter, NetConfig, SimDuration, TrafficClass};
 use cbps_workload::{OpKind, Trace, WorkloadConfig, WorkloadGen};
 
 use crate::runner::{Scale, Sweep};
@@ -107,7 +107,7 @@ fn run_one(sweep: &Sweep, replication: usize, crashes: usize, seed: u64) -> (f64
         got as f64 / expected.len() as f64
     };
     let transfer_msgs = net.metrics().messages(TrafficClass::STATE_TRANSFER);
-    let promoted = net.metrics().counter("replicas.promoted");
+    let promoted = net.metrics().count(Counter::ReplicasPromoted);
     let sim = net.sim_mut();
     sweep
         .totals()

@@ -10,7 +10,7 @@
 
 use cbps::{ChordBackend, MappingKind, OverlayBackend};
 use cbps_pastry::PastryBackend;
-use cbps_sim::{SimDuration, TrafficClass};
+use cbps_sim::{Counter, SimDuration, TrafficClass};
 use cbps_workload::{WorkloadConfig, WorkloadGen};
 
 use crate::runner::{Deployment, Scale, Sweep};
@@ -52,8 +52,8 @@ fn run_on<B: OverlayBackend>(sweep: &Sweep, kind: MappingKind, seed: u64) -> Out
         hops_per_sub: metrics.messages(TrafficClass::SUBSCRIPTION) as f64 / subs as f64,
         hops_per_pub: metrics.messages(TrafficClass::PUBLICATION) as f64 / pubs as f64,
         hops_per_notify: metrics.messages(TrafficClass::NOTIFICATION) as f64
-            / metrics.counter("matches").max(1) as f64,
-        delivered: metrics.counter("notifications.delivered"),
+            / metrics.count(Counter::Matches).max(1) as f64,
+        delivered: metrics.count(Counter::NotificationsDelivered),
     }
 }
 

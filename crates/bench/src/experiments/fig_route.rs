@@ -13,7 +13,7 @@
 //! is covered by its own portability tests).
 
 use cbps_overlay::{build_stable, OverlayConfig};
-use cbps_sim::NetConfig;
+use cbps_sim::{NetConfig, Series};
 
 use crate::probe::ProbeApp;
 use crate::runner::{parallel_map, Scale, Sweep};
@@ -65,7 +65,7 @@ fn mean_hops(sweep: &Sweep, n: usize, cache: usize, lookups_per_node: usize, see
         .totals()
         .record_events(sim.events_processed(), sim.queue_peak());
     sim.metrics()
-        .histogram("lookup.hops")
+        .series(Series::LookupHops)
         .map(|h| h.mean())
         .unwrap_or(0.0)
 }

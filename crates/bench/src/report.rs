@@ -355,7 +355,7 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::runner::Scale;
-    use cbps_sim::{ObsMode, SimTime, TraceId, TrafficClass};
+    use cbps_sim::{ObsMode, ObsSeries, SimTime, TraceId, TrafficClass};
 
     fn sample_obs() -> Observability {
         let mut obs = Observability::new();
@@ -375,8 +375,8 @@ mod tests {
             9,
             SimTime::from_millis(40),
         );
-        obs.sample("store.size", 7);
-        obs.sample("store.size", 9);
+        obs.sample(ObsSeries::StoreSize, 7);
+        obs.sample(ObsSeries::StoreSize, 9);
         obs
     }
 

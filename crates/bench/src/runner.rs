@@ -16,7 +16,7 @@ use cbps::{
     ChordBackend, ConfigError, MappingKind, NotifyMode, OverlayBackend, Primitive, PubSubConfig,
     PubSubNetwork, PubSubNetworkBuilder,
 };
-use cbps_sim::{NetConfig, ObsMode, Observability, SimDuration, TrafficClass};
+use cbps_sim::{Counter, NetConfig, ObsMode, Observability, Series, SimDuration, TrafficClass};
 use cbps_workload::{Trace, WorkloadConfig, WorkloadGen};
 
 use crate::report::ObsReport;
@@ -432,7 +432,7 @@ pub fn run_trace<B: OverlayBackend>(
 /// Extracts normalized statistics from a finished network.
 pub fn distill<B: OverlayBackend>(net: &PubSubNetwork<B>, subs: u64, pubs: u64) -> RunStats {
     let m = net.metrics();
-    let matches = m.counter("matches");
+    let matches = m.count(Counter::Matches);
     let notify_msgs = m.messages(TrafficClass::NOTIFICATION) + m.messages(TrafficClass::COLLECT);
     let peaks = net.peak_stored_counts();
     let max_stored = peaks.iter().copied().max().unwrap_or(0) as u64;
@@ -447,17 +447,17 @@ pub fn distill<B: OverlayBackend>(net: &PubSubNetwork<B>, subs: u64, pubs: u64) 
         hops_per_notification: ratio(notify_msgs, matches),
         notify_hops_per_pub: ratio(notify_msgs, pubs),
         keys_per_sub: m
-            .histogram("keys.per-subscription")
+            .series(Series::KeysPerSubscription)
             .map(|h| h.mean())
             .unwrap_or(0.0),
         keys_per_pub: m
-            .histogram("keys.per-publication")
+            .series(Series::KeysPerPublication)
             .map(|h| h.mean())
             .unwrap_or(0.0),
         max_stored,
         avg_stored,
         matches,
-        delivered: m.counter("notifications.delivered"),
+        delivered: m.count(Counter::NotificationsDelivered),
     }
 }
 

@@ -12,6 +12,7 @@
 mod counting_alloc;
 mod mapping1_install;
 
+use cbps_sim::Counter;
 use counting_alloc::{alloc_calls, live_bytes, CountingAlloc};
 use mapping1_install::Mapping1Install;
 
@@ -52,7 +53,7 @@ fn installing_subscriptions_shares_one_record_per_subscription() {
     let mut deployment = Mapping1Install::new(200, 11, WARMUP + BATCH);
     deployment.install(WARMUP);
 
-    let copies0 = deployment.net.metrics().counter("store.insert");
+    let copies0 = deployment.net.metrics().count(Counter::StoreInsert);
     let (a0, b0) = (alloc_calls(), live_bytes());
     deployment.install(BATCH);
     let (allocs, bytes) = (alloc_calls() - a0, live_bytes() - b0);
@@ -62,7 +63,7 @@ fn installing_subscriptions_shares_one_record_per_subscription() {
         subs,
         ids,
     } = &deployment;
-    let copies = net.metrics().counter("store.insert") - copies0;
+    let copies = net.metrics().count(Counter::StoreInsert) - copies0;
     assert!(
         copies > 10 * BATCH as u64,
         "mapping 1 stores a subscription at dozens of nodes, got {copies} copies for {BATCH}"

@@ -6,7 +6,7 @@ use cbps::{
 use cbps_bench::report::{ExperimentReport, RunReport};
 use cbps_bench::runner::{delivered_fingerprint, BackendKind, Deployment, RunTotals};
 use cbps_bench::with_backend;
-use cbps_sim::{NetConfig, ObsMode, SimDuration, TrafficClass};
+use cbps_sim::{Counter, NetConfig, ObsMode, SimDuration, TrafficClass};
 use cbps_workload::{
     trace_from_str, trace_to_string, ReplayOutcome, Trace, WorkloadConfig, WorkloadGen,
 };
@@ -271,10 +271,10 @@ pub fn run_trace(args: &Args) -> Outcome {
             "hops/publication:  {:.2}",
             m.messages(TrafficClass::PUBLICATION) as f64 / pubs
         );
-        println!("matches: {}", m.counter("matches"));
+        println!("matches: {}", m.count(Counter::Matches));
         println!(
             "notifications delivered: {}",
-            m.counter("notifications.delivered")
+            m.count(Counter::NotificationsDelivered)
         );
         let peaks = net.peak_stored_counts();
         let max = peaks.iter().max().copied().unwrap_or(0);

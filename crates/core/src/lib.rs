@@ -83,7 +83,7 @@ pub use system::{NodeHandle, PubSubNetwork, PubSubNetworkBuilder};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbps_sim::{SimDuration, TrafficClass};
+    use cbps_sim::{Counter, Series, SimDuration, TrafficClass};
 
     fn small_net(kind: MappingKind, primitive: Primitive, seed: u64) -> PubSubNetwork {
         PubSubNetwork::builder()
@@ -234,7 +234,7 @@ mod tests {
         let m = net.metrics();
         assert!(m.messages(TrafficClass::PUBLICATION) > 0);
         assert!(m.messages(TrafficClass::NOTIFICATION) > 0);
-        assert_eq!(m.counter("notifications.delivered"), 1);
+        assert_eq!(m.count(Counter::NotificationsDelivered), 1);
     }
 
     #[test]
@@ -262,9 +262,12 @@ mod tests {
         }
         net.run_for_secs(30);
         assert_eq!(net.delivered(2).len(), 3);
-        let batched = net.metrics().histogram("notifications.batch-size").unwrap();
+        let batched = net
+            .metrics()
+            .series(Series::NotificationsBatchSize)
+            .unwrap();
         assert!(batched.max().unwrap() >= 2, "no batching observed");
-        assert_eq!(net.metrics().counter("notifications.messages"), 1);
+        assert_eq!(net.metrics().count(Counter::NotificationsMessages), 1);
     }
 
     #[test]

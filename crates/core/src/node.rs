@@ -9,7 +9,7 @@ use std::sync::Arc;
 use cbps_overlay::{Delivery, KeyRange, KeyRangeSet, OverlayApp, OverlayServices, Peer};
 use cbps_sim::prefetch::prefetch;
 use cbps_sim::{
-    Counter, PrefetchStage, Series, SimDuration, SimTime, Stage, TraceId, TrafficClass,
+    Counter, ObsSeries, PrefetchStage, Series, SimDuration, SimTime, Stage, TraceId, TrafficClass,
 };
 
 use crate::config::{NotifyMode, Primitive, PubSubConfig};
@@ -163,10 +163,9 @@ impl PubSubNode {
             subgroups: 0,
         });
         self.my_subs.insert(id, Arc::clone(&stored));
-        svc.metrics().add("requests.subscribe", 1);
+        svc.metrics().bump(Counter::RequestsSubscribe, 1);
         svc.metrics()
-            .histogram_mut("keys.per-subscription")
-            .record(sk.count());
+            .record(Series::KeysPerSubscription, sk.count());
         if self.cfg.lease_refresh && expires != SimTime::MAX {
             svc.arm_timer(
                 expires.saturating_since(svc.now()) / 2,
@@ -207,7 +206,7 @@ impl PubSubNode {
             ..StoredSub::clone(record)
         });
         *record = Arc::clone(&stored);
-        svc.metrics().add("requests.refresh", 1);
+        svc.metrics().bump(Counter::RequestsRefresh, 1);
         svc.arm_timer(half_lease, PubSubTimer::Refresh { id });
         let trace = stored.trace;
         self.propagate(
@@ -229,7 +228,7 @@ impl PubSubNode {
         let Some(stored) = self.my_subs.remove(&id) else {
             return false;
         };
-        svc.metrics().add("requests.unsubscribe", 1);
+        svc.metrics().bump(Counter::RequestsUnsubscribe, 1);
         self.propagate(
             &stored.sk,
             TrafficClass::SUBSCRIPTION,
@@ -249,10 +248,8 @@ impl PubSubNode {
         self.next_event_seq += 1;
         svc.stage(trace, Stage::Publish, TrafficClass::PUBLICATION);
         let ek = self.cfg.mapping.ek(&event);
-        svc.metrics().add("requests.publish", 1);
-        svc.metrics()
-            .histogram_mut("keys.per-publication")
-            .record(ek.count());
+        svc.metrics().bump(Counter::RequestsPublish, 1);
+        svc.metrics().record(Series::KeysPerPublication, ek.count());
         // One shared allocation per publication, minted at the publisher:
         // m-cast splits and per-match notify items all bump the refcount
         // instead of deep-copying the event.
@@ -294,9 +291,9 @@ impl PubSubNode {
     fn handle_store(&mut self, id: SubId, stored: Arc<StoredSub>, svc: &mut DynSvc<'_>) {
         svc.stage(stored.trace, Stage::Store, TrafficClass::SUBSCRIPTION);
         let fresh = self.file(id, stored, svc.now());
-        svc.obs_sample("store.size", self.store.len() as u64);
+        svc.obs_sample(ObsSeries::StoreSize, self.store.len() as u64);
         if fresh {
-            svc.metrics().bump(Counter::STORE_INSERT, 1);
+            svc.metrics().bump(Counter::StoreInsert, 1);
             let replication = self.cfg.replication;
             if replication > 0 {
                 // A fresh insert keeps the delivered record itself.
@@ -314,7 +311,7 @@ impl PubSubNode {
                 }
             }
         } else {
-            svc.metrics().add("store.duplicate-delivery", 1);
+            svc.metrics().bump(Counter::StoreDuplicateDelivery, 1);
         }
     }
 
@@ -414,9 +411,9 @@ impl PubSubNode {
         self.store
             .match_owned_into(&event, svc.now(), owned, &mut matches);
         self.work = self.work.wrapping_add(1 + matches.len() as u64);
-        svc.metrics().bump(Counter::MATCHES, matches.len() as u64);
+        svc.metrics().bump(Counter::Matches, matches.len() as u64);
         svc.stage(trace, Stage::RendezvousMatch, TrafficClass::PUBLICATION);
-        svc.obs_sample("rendezvous.fanout", matches.len() as u64);
+        svc.obs_sample(ObsSeries::RendezvousFanout, matches.len() as u64);
         // The publisher minted one shared allocation for the event: each
         // item clone below is a reference-count bump, not a deep copy.
         for (sub_id, subscriber, row) in matches.drain(..) {
@@ -428,7 +425,7 @@ impl PubSubNode {
             };
             match self.cfg.notify_mode {
                 NotifyMode::Immediate => {
-                    svc.metrics().bump(Counter::NOTIFICATIONS_MESSAGES, 1);
+                    svc.metrics().bump(Counter::NotificationsMessages, 1);
                     svc.stage(trace, Stage::NotifyRoute, TrafficClass::NOTIFICATION);
                     svc.send(
                         subscriber.key,
@@ -514,9 +511,9 @@ impl PubSubNode {
             let mut batches: Vec<(Peer, Vec<NotifyItem>)> = buffer.drain().collect();
             batches.sort_unstable_by_key(|(subscriber, _)| subscriber.idx);
             for (subscriber, items) in batches {
-                svc.metrics().bump(Counter::NOTIFICATIONS_MESSAGES, 1);
+                svc.metrics().bump(Counter::NotificationsMessages, 1);
                 svc.metrics()
-                    .record(Series::NOTIFICATIONS_BATCH_SIZE, items.len() as u64);
+                    .record(Series::NotificationsBatchSize, items.len() as u64);
                 Self::send_notification(subscriber, items, svc);
             }
         }
@@ -637,11 +634,11 @@ impl PubSubNode {
             // During churn a notification routed to a crashed subscriber's
             // key lands on the key's new coverer; it is not ours to consume.
             if item.sub_id.node() != me {
-                svc.metrics().add("notifications.misrouted", 1);
+                svc.metrics().bump(Counter::NotificationsMisrouted, 1);
                 continue;
             }
             if self.delivered_dedup.insert(item.sub_id, item.event_id) {
-                svc.metrics().bump(Counter::NOTIFICATIONS_DELIVERED, 1);
+                svc.metrics().bump(Counter::NotificationsDelivered, 1);
                 svc.stage(item.trace, Stage::Deliver, TrafficClass::NOTIFICATION);
                 self.delivered.push(DeliveredNote {
                     sub_id: item.sub_id,
@@ -651,7 +648,7 @@ impl PubSubNode {
                     trace: item.trace,
                 });
             } else {
-                svc.metrics().bump(Counter::NOTIFICATIONS_DUPLICATE, 1);
+                svc.metrics().bump(Counter::NotificationsDuplicate, 1);
             }
         }
     }
@@ -669,10 +666,10 @@ impl PubSubNode {
         let now = svc.now();
         for (id, stored) in subs {
             if as_replica {
-                svc.metrics().add("replicas.stored", 1);
+                svc.metrics().bump(Counter::ReplicasStored, 1);
                 self.replicas.insert(id, stored);
             } else {
-                svc.metrics().add("state-transfer.adopted", 1);
+                svc.metrics().bump(Counter::StateTransferAdopted, 1);
                 self.file(id, stored, now);
             }
         }
@@ -785,7 +782,7 @@ impl OverlayApp for PubSubNode {
         let now = svc.now();
         for id in promote {
             if let Some(s) = self.replicas.remove(&id) {
-                svc.metrics().add("replicas.promoted", 1);
+                svc.metrics().bump(Counter::ReplicasPromoted, 1);
                 self.file(id, s, now);
             }
         }

@@ -3,7 +3,7 @@
 //! interplay of optimizations with each mapping.
 
 use cbps::{Event, MappingKind, NotifyMode, Primitive, PubSubConfig, PubSubNetwork, Subscription};
-use cbps_sim::{DelayModel, NetConfig, SimDuration, TrafficClass};
+use cbps_sim::{Counter, DelayModel, NetConfig, SimDuration, TrafficClass};
 
 #[test]
 fn collect_items_traverse_multiple_ring_hops() {
@@ -109,13 +109,13 @@ fn buffered_flushes_are_periodic_not_single_shot() {
             .unwrap();
     }
     net.run_for_secs(120);
-    let after_first = net.metrics().counter("notifications.messages");
+    let after_first = net.metrics().count(Counter::NotificationsMessages);
     for i in 10..13u64 {
         net.publish(5, Event::new(&space, vec![i, i, i, 500]).unwrap())
             .unwrap();
     }
     net.run_for_secs(120);
-    let after_second = net.metrics().counter("notifications.messages");
+    let after_second = net.metrics().count(Counter::NotificationsMessages);
 
     assert_eq!(net.delivered(1).len(), 6);
     assert!(after_first >= 1);
@@ -270,7 +270,7 @@ fn lease_refresh_keeps_subscriptions_alive_past_their_ttl() {
         net.run_for_secs(60);
         (
             net.delivered(2).len(),
-            net.metrics().counter("requests.refresh"),
+            net.metrics().count(Counter::RequestsRefresh),
         )
     };
     let (without, refreshes_off) = run(false);
@@ -306,12 +306,15 @@ fn lease_refresh_stops_after_unsubscribe() {
         .subscribe(3, sub, Some(SimDuration::from_secs(100)))
         .unwrap();
     net.run_for_secs(120); // at least one refresh happened
-    let refreshes_before = net.metrics().counter("requests.refresh");
+    let refreshes_before = net.metrics().count(Counter::RequestsRefresh);
     assert!(refreshes_before >= 1);
     net.unsubscribe(3, id).unwrap();
     net.run_for_secs(400);
     // The refresh cycle died with the local record.
-    assert_eq!(net.metrics().counter("requests.refresh"), refreshes_before);
+    assert_eq!(
+        net.metrics().count(Counter::RequestsRefresh),
+        refreshes_before
+    );
     net.publish(9, Event::new(&space, vec![1, 120_000, 2, 3]).unwrap())
         .unwrap();
     net.run_for_secs(60);

@@ -108,7 +108,7 @@ pub use timer::OverlayTimer;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbps_sim::{NetConfig, NodeIdx, Simulator, TraceId, TrafficClass};
+    use cbps_sim::{NetConfig, NodeIdx, Series, Simulator, TraceId, TrafficClass};
 
     /// Records every delivery with its metadata.
     #[derive(Default)]
@@ -368,7 +368,7 @@ mod tests {
             sim.with_node(src, |node, ctx| node.start_lookup(target, ctx));
         }
         sim.run();
-        let h = sim.metrics().histogram("lookup.hops").unwrap().clone();
+        let h = sim.metrics().series(Series::LookupHops).unwrap().clone();
         assert_eq!(h.len(), 400);
         // ~0.5 * log2(128) = 3.5 expected; allow generous slack.
         assert!(h.mean() > 1.5 && h.mean() < 5.5, "mean hops {}", h.mean());
@@ -389,7 +389,7 @@ mod tests {
                 sim.with_node(src, |node, ctx| node.start_lookup(target, ctx));
                 sim.run();
             }
-            sim.metrics().histogram("lookup.hops").unwrap().mean()
+            sim.metrics().series(Series::LookupHops).unwrap().mean()
         };
         let cold = run(0);
         let warm = run(96);

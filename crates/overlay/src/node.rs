@@ -137,7 +137,7 @@ impl<A: OverlayApp> ChordNode<A> {
         ctx: &mut Context<'_, Envelope<A::Payload>, OverlayTimer<A::Timer>>,
     ) {
         if self.state.covers(target) {
-            ctx.metrics().record(Series::LOOKUP_HOPS, 0);
+            ctx.metrics().record(Series::LookupHops, 0);
             return;
         }
         let token = self.claim_token(Pending::Probe);
@@ -152,7 +152,7 @@ impl<A: OverlayApp> ChordNode<A> {
             None => {
                 // covers() said no but routing found nothing better: alone.
                 self.pending.remove(&token);
-                ctx.metrics().record(Series::LOOKUP_HOPS, 0);
+                ctx.metrics().record(Series::LookupHops, 0);
             }
             Some(hop) => self.send_body(ctx, hop.idx, msg),
         }
@@ -281,7 +281,7 @@ impl<A: OverlayApp> ChordNode<A> {
                 self.state.set_finger(i, succ);
             }
             Some(Pending::Probe) => {
-                ctx.metrics().record(Series::LOOKUP_HOPS, u64::from(hops));
+                ctx.metrics().record(Series::LookupHops, u64::from(hops));
             }
             Some(Pending::Ping(_)) | None => {}
         }

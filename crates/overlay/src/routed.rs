@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use cbps_sim::{Context, Series, TraceId, TrafficClass};
+use cbps_sim::{Context, Counter, Series, TraceId, TrafficClass};
 
 use crate::app::{Delivery, OverlayApp, OverlaySvc};
 use crate::key::Key;
@@ -34,7 +34,7 @@ pub fn ttl_exceeded<S: RouteTable, A: OverlayApp>(
     ctx: &mut RoutedCtx<'_, A>,
 ) -> bool {
     if hops >= state.max_route_hops() {
-        ctx.metrics().add("routing.ttl-drop", 1);
+        ctx.metrics().bump(Counter::RoutingTtlDrop, 1);
         true
     } else {
         false

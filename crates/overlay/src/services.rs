@@ -9,7 +9,7 @@
 //! overlay in `cbps-pastry`.
 
 use cbps_rng::Rng;
-use cbps_sim::{Metrics, SimDuration, SimTime, Stage, TraceId, TrafficClass};
+use cbps_sim::{Metrics, ObsSeries, SimDuration, SimTime, Stage, TraceId, TrafficClass};
 
 use crate::key::{Key, KeySpace};
 use crate::range::{KeyRange, KeyRangeSet};
@@ -72,11 +72,11 @@ pub trait OverlayServices<P: Clone, T> {
             .stage(trace, stage, class, node, at);
     }
 
-    /// Records a sample under a named observability series (fan-out sizes,
-    /// store sizes, …). A single branch when observability is disabled.
+    /// Records a sample in an observability series (fan-out sizes, store
+    /// sizes, …). A single branch when observability is disabled.
     #[inline]
-    fn obs_sample(&mut self, name: &str, value: u64) {
-        self.metrics().obs_mut().sample(name, value);
+    fn obs_sample(&mut self, series: ObsSeries, value: u64) {
+        self.metrics().obs_mut().sample(series, value);
     }
 }
 

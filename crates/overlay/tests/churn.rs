@@ -9,7 +9,7 @@ use cbps_overlay::{
     build_stable, ChordNode, Delivery, OverlayApp, OverlayConfig, OverlayServices, Peer, RingView,
     RoutingState,
 };
-use cbps_sim::{NetConfig, SimTime, Simulator, TraceId, TrafficClass};
+use cbps_sim::{Counter, NetConfig, Series, SimTime, Simulator, TraceId, TrafficClass};
 
 /// An app that records payload deliveries and predecessor changes.
 #[derive(Default)]
@@ -217,7 +217,7 @@ fn lookups_succeed_during_churn() {
     // majority must still complete.
     let done = sim
         .metrics()
-        .histogram("lookup.hops")
+        .series(Series::LookupHops)
         .map(|h| h.len())
         .unwrap_or(0);
     assert!(
@@ -250,7 +250,7 @@ fn mcast_routes_around_unannounced_crashes() {
     sim.run();
 
     // The orphaned arc's branch dies by hop TTL instead of livelocking.
-    assert!(sim.metrics().counter("routing.ttl-drop") >= 1);
+    assert!(sim.metrics().count(Counter::RoutingTtlDrop) >= 1);
     // Every alive node must still deliver exactly once; the dead node's
     // arc is absorbed by whoever re-splits after the failed send.
     for (idx, node) in sim.nodes() {

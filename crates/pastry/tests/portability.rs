@@ -15,7 +15,7 @@ use cbps::{
 };
 use cbps_overlay::{KeyRange, KeyRangeSet, OverlayServices, RingView};
 use cbps_pastry::{build_pastry_stable, common_prefix_len, PastryBackend, PastryConfig};
-use cbps_sim::{NetConfig, SimDuration, TraceId, TrafficClass};
+use cbps_sim::{Counter, NetConfig, Series, SimDuration, TraceId, TrafficClass};
 use cbps_workload::{OpKind, Trace, WorkloadConfig, WorkloadGen};
 
 /// What one run of the shared workload produced, in overlay-independent
@@ -64,7 +64,7 @@ fn run_on<B: OverlayBackend>(
     }
     Outcome {
         delivered,
-        duplicates: net.metrics().counter("notifications.duplicate"),
+        duplicates: net.metrics().count(Counter::NotificationsDuplicate),
         stored_total: net.stored_counts().iter().sum(),
     }
 }
@@ -236,7 +236,7 @@ fn pastry_prefix_routing_is_logarithmic() {
     sim.run();
     // Routed through the shared handlers, dilation lands in the same
     // per-class histograms as on Chord (observability parity).
-    let h = sim.metrics().histogram("dilation.other").unwrap();
+    let h = sim.metrics().series(Series::DilationOther).unwrap();
     assert_eq!(h.len(), 500);
     // Prefix routing gains ≥ 1 bit per hop: ≤ m hops hard, ~log2(n) typical.
     assert!(h.mean() < 7.0, "mean dilation {}", h.mean());

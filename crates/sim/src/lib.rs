@@ -70,7 +70,8 @@ mod time;
 pub use config::{DelayModel, MatchEngineKind, NetConfig, PoolMode, SchedulerKind};
 pub use metrics::{Counter, Histogram, Metrics, Series, TrafficClass};
 pub use obs::{
-    LogHistogram, ObsMode, ObsSummary, Observability, Stage, StageRecord, TraceId, TraceLog,
+    LogHistogram, ObsMode, ObsSeries, ObsSummary, Observability, Stage, StageRecord, TraceId,
+    TraceLog,
 };
 pub use prefetch::PrefetchStage;
 pub use queue::{EventQueue, TimingWheel};

@@ -1,4 +1,4 @@
-//! Run-wide measurement: traffic-class message counters, named counters,
+//! Run-wide measurement: traffic-class message counters, typed counters,
 //! and compact histograms.
 //!
 //! The paper's evaluation reports two kinds of quantities: the **number of
@@ -7,9 +7,8 @@
 //! …), and per-node state sizes. [`Metrics`] accumulates the former during a
 //! run; the latter is sampled from node state by the harness.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::obs::Observability;
 
@@ -61,11 +60,8 @@ impl TrafficClass {
             TrafficClass::MAINTENANCE => "maintenance",
             TrafficClass::STATE_TRANSFER => "state-transfer",
             TrafficClass::OTHER => "other",
-            TrafficClass(n) => {
-                // Classes defined by higher layers have no static name.
-                let _ = n;
-                "custom"
-            }
+            // Classes defined by higher layers have no static name.
+            TrafficClass(_) => "custom",
         }
     }
 }
@@ -221,140 +217,158 @@ impl Histogram {
     }
 }
 
+/// Declares a closed set of measurement positions: an enum whose variant
+/// `i` is array position `i` of the sink that holds it, listed in position
+/// order by `ALL`, each with one name. Reports read by that name; a name
+/// is a code literal, never input, so one that names no variant is a bug
+/// and `by_name` panics on it rather than read 0.
+macro_rules! positions {
+    (
+        $(#[$doc:meta])* $ty:ident, $what:literal {
+            $($(#[$vdoc:meta])* $variant:ident => $name:literal,)*
+        }
+    ) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $ty {
+            $($(#[$vdoc])* $variant,)*
+        }
+
+        impl $ty {
+            /// Every variant, in position order.
+            pub const ALL: [$ty; [$($name),*].len()] = [$($ty::$variant),*];
+
+            /// The name this position reads under.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+
+            /// The position named `name`.
+            ///
+            /// # Panics
+            ///
+            /// Panics if no position has that name.
+            pub(crate) fn by_name(name: &str) -> $ty {
+                match name {
+                    $($name => $ty::$variant,)*
+                    _ => panic!(concat!("no ", $what, " is named {:?}"), name),
+                }
+            }
+        }
+    };
+}
+pub(crate) use positions;
+
+positions! {
+    /// A run-wide counter: a fixed position in every [`Metrics`], bumped
+    /// by [`Metrics::bump`] and read by [`Metrics::count`], or by name
+    /// through [`Metrics::counter`].
+    Counter, "counter" {
+        /// (subscription, event) matches found at rendezvous nodes.
+        Matches => "matches",
+        /// Notification messages sent: one per immediate item or per batch.
+        NotificationsMessages => "notifications.messages",
+        /// Notification items delivered to their subscriber for the first time.
+        NotificationsDelivered => "notifications.delivered",
+        /// Notification items dropped because their pair was already delivered.
+        NotificationsDuplicate => "notifications.duplicate",
+        /// Notification items that reached a node other than their subscriber.
+        NotificationsMisrouted => "notifications.misrouted",
+        /// Subscription copies a rendezvous node stored and did not hold yet.
+        StoreInsert => "store.insert",
+        /// Subscription copies a rendezvous node already held (refreshes too).
+        StoreDuplicateDelivery => "store.duplicate-delivery",
+        /// `subscribe` calls.
+        RequestsSubscribe => "requests.subscribe",
+        /// `unsubscribe` calls.
+        RequestsUnsubscribe => "requests.unsubscribe",
+        /// `publish` calls.
+        RequestsPublish => "requests.publish",
+        /// Lease refreshes sent by subscribers.
+        RequestsRefresh => "requests.refresh",
+        /// Subscription copies kept as replicas.
+        ReplicasStored => "replicas.stored",
+        /// Replicas filed into the store once their arc became this node's.
+        ReplicasPromoted => "replicas.promoted",
+        /// Subscription copies filed into the store from a state transfer.
+        StateTransferAdopted => "state-transfer.adopted",
+        /// Routed messages dropped for exceeding the hop TTL.
+        RoutingTtlDrop => "routing.ttl-drop",
+    }
+}
+
+positions! {
+    /// A run-wide exact histogram, as [`Counter`] is a counter: recorded
+    /// by [`Metrics::record`], read by [`Metrics::series`] or by name
+    /// through [`Metrics::histogram`].
+    Series, "histogram" {
+        /// Items per notification batch.
+        NotificationsBatchSize => "notifications.batch-size",
+        /// Hops per completed overlay lookup.
+        LookupHops => "lookup.hops",
+        /// Hops per routed delivery of subscription traffic.
+        DilationSubscription => "dilation.subscription",
+        /// Hops per routed delivery of publication traffic.
+        DilationPublication => "dilation.publication",
+        /// Hops per routed delivery of notification traffic.
+        DilationNotification => "dilation.notification",
+        /// Hops per routed delivery of collect traffic.
+        DilationCollect => "dilation.collect",
+        /// Hops per routed delivery of maintenance traffic.
+        DilationMaintenance => "dilation.maintenance",
+        /// Hops per routed delivery of state-transfer traffic.
+        DilationStateTransfer => "dilation.state-transfer",
+        /// Hops per routed delivery of any other class.
+        DilationOther => "dilation.other",
+        /// Keys a subscription maps to.
+        KeysPerSubscription => "keys.per-subscription",
+        /// Keys a publication maps to.
+        KeysPerPublication => "keys.per-publication",
+    }
+}
+
+impl Series {
+    /// The delivery-dilation histogram of a traffic class:
+    /// [`DilationSubscription`](Series::DilationSubscription) …
+    /// [`DilationStateTransfer`](Series::DilationStateTransfer) for the
+    /// well-known classes, [`DilationOther`](Series::DilationOther) for the
+    /// rest.
+    pub fn dilation(class: TrafficClass) -> Series {
+        // The named classes are tags 0–5, in `ALL` order after the first two.
+        Series::ALL[2 + usize::from(class.0).min(6)]
+    }
+}
+
 /// Accumulated measurements for one simulation run.
 ///
-/// Tracks one-hop message counts per [`TrafficClass`], free-form named
-/// counters, and named histograms. All figure series in the experiment
+/// Tracks one-hop message counts per [`TrafficClass`], the [`Counter`]s
+/// and the [`Series`] histograms. All figure series in the experiment
 /// harness are derived from a `Metrics` value plus per-node state sampling.
 ///
 /// # Examples
 ///
 /// ```
-/// use cbps_sim::{Metrics, TrafficClass};
+/// use cbps_sim::{Counter, Metrics, Series, TrafficClass};
 ///
 /// let mut m = Metrics::new();
 /// m.count_message(TrafficClass::PUBLICATION);
-/// m.add("events-published", 1);
-/// m.histogram_mut("hops-per-lookup").record(3);
+/// m.bump(Counter::RequestsPublish, 1);
+/// m.record(Series::LookupHops, 3);
 /// assert_eq!(m.messages(TrafficClass::PUBLICATION), 1);
-/// assert_eq!(m.counter("events-published"), 1);
+/// assert_eq!(m.count(Counter::RequestsPublish), 1);
+/// assert_eq!(m.counter("requests.publish"), 1);
+/// assert_eq!(m.series(Series::LookupHops).unwrap().max(), Some(3));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Metrics {
     messages: ClassCounts,
-    /// Counter or histogram name → position in `counters` / `histograms`:
-    /// a lookup hashes the name once and hands back an index, which
-    /// (unlike a borrowed entry) can outlive the decision to insert. The
-    /// [`Counter`] and [`Series`] handles *are* such indices, registered
-    /// by `default()`, so updating through one looks nothing up.
-    counter_slots: NameMap<usize>,
-    counters: Vec<u64>,
-    histogram_slots: NameMap<usize>,
-    histograms: Vec<Histogram>,
+    counters: [u64; Counter::ALL.len()],
+    /// Boxed: eleven half-kilobyte histograms would otherwise sit inline in
+    /// the simulator.
+    histograms: Box<[Histogram; Series::ALL.len()]>,
     obs: Observability,
-}
-
-/// Handle to a counter bumped once per message or per match: a fixed
-/// position in every [`Metrics`], so [`Metrics::bump`] neither hashes nor
-/// compares a name. The counter reads by name like any other.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Counter(usize);
-
-impl Counter {
-    /// `"matches"`.
-    pub const MATCHES: Counter = Counter(0);
-    /// `"notifications.messages"`.
-    pub const NOTIFICATIONS_MESSAGES: Counter = Counter(1);
-    /// `"notifications.delivered"`.
-    pub const NOTIFICATIONS_DELIVERED: Counter = Counter(2);
-    /// `"notifications.duplicate"`.
-    pub const NOTIFICATIONS_DUPLICATE: Counter = Counter(3);
-    /// `"store.insert"`.
-    pub const STORE_INSERT: Counter = Counter(4);
-
-    const NAMES: [&'static str; 5] = [
-        "matches",
-        "notifications.messages",
-        "notifications.delivered",
-        "notifications.duplicate",
-        "store.insert",
-    ];
-}
-
-/// Handle to a histogram that takes a sample per message, as [`Counter`]
-/// is to a counter; see [`Metrics::record`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Series(usize);
-
-impl Series {
-    /// `"notifications.batch-size"`.
-    pub const NOTIFICATIONS_BATCH_SIZE: Series = Series(0);
-    /// `"lookup.hops"`.
-    pub const LOOKUP_HOPS: Series = Series(1);
-
-    /// The delivery-dilation histogram of a traffic class:
-    /// `"dilation.subscription"` … `"dilation.state-transfer"` for the
-    /// well-known classes, `"dilation.other"` for the rest.
-    pub fn dilation(class: TrafficClass) -> Series {
-        // The named classes are tags 0–5, in `NAMES` order.
-        Series(2 + usize::from(class.0).min(6))
-    }
-
-    const NAMES: [&'static str; 9] = [
-        "notifications.batch-size",
-        "lookup.hops",
-        "dilation.subscription",
-        "dilation.publication",
-        "dilation.notification",
-        "dilation.collect",
-        "dilation.maintenance",
-        "dilation.state-transfer",
-        "dilation.other",
-    ];
-}
-
-/// Map keyed by counter or histogram name. The names are literals in the
-/// workspace's code, never input, so SipHash's flooding resistance buys
-/// nothing; what is updated per message goes through a [`Counter`] or
-/// [`Series`] handle and never comes here. Never iterated, so its order
-/// cannot show.
-type NameMap<V> = HashMap<String, V, BuildHasherDefault<NameHasher>>;
-
-/// The hasher behind [`NameMap`]: one rotate-xor-multiply per eight bytes
-/// of the name (the last word zero-padded: names that differ only in
-/// trailing NULs share a hash and are told apart by the key comparison),
-/// the high half of the product folded down on `finish` because the table
-/// indexes with the low bits.
-#[derive(Clone, Copy, Debug, Default)]
-struct NameHasher(u64);
-
-impl NameHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
-impl Hasher for NameHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(word));
-        }
-    }
-
-    /// `str` ends its bytes with one `0xff`.
-    #[inline]
-    fn write_u8(&mut self, byte: u8) {
-        self.mix(u64::from(byte));
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
 }
 
 /// One-hop message counts indexed by the class's `u8` tag: every
@@ -366,36 +380,6 @@ impl Default for ClassCounts {
     fn default() -> Self {
         ClassCounts([0; 256])
     }
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        let mut m = Metrics {
-            messages: ClassCounts::default(),
-            counter_slots: NameMap::default(),
-            counters: Vec::new(),
-            histogram_slots: NameMap::default(),
-            histograms: Vec::new(),
-            obs: Observability::default(),
-        };
-        for name in Counter::NAMES {
-            slot_of(&mut m.counter_slots, &mut m.counters, name);
-        }
-        for name in Series::NAMES {
-            slot_of(&mut m.histogram_slots, &mut m.histograms, name);
-        }
-        m
-    }
-}
-
-/// The position `name` reads at, registered with an empty value if new.
-fn slot_of<V: Default>(slots: &mut NameMap<usize>, values: &mut Vec<V>, name: &str) -> usize {
-    if let Some(&slot) = slots.get(name) {
-        return slot;
-    }
-    slots.insert(name.to_owned(), values.len());
-    values.push(V::default());
-    values.len() - 1
 }
 
 impl Metrics {
@@ -419,41 +403,44 @@ impl Metrics {
         self.messages.0.iter().sum()
     }
 
-    /// Adds `delta` to the named counter, creating it at zero if absent.
-    pub fn add(&mut self, name: &str, delta: u64) {
-        let slot = slot_of(&mut self.counter_slots, &mut self.counters, name);
-        self.counters[slot] += delta;
-    }
-
-    /// Adds `delta` to a counter known by handle.
+    /// Adds `delta` to a counter.
     #[inline]
     pub fn bump(&mut self, counter: Counter, delta: u64) {
-        self.counters[counter.0] += delta;
+        self.counters[counter as usize] += delta;
     }
 
-    /// Current value of the named counter (zero if never touched).
+    /// Current value of a counter.
+    pub fn count(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize]
+    }
+
+    /// Current value of the counter named `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no [`Counter`] has that name.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counter_slots
-            .get(name)
-            .map_or(0, |&slot| self.counters[slot])
+        self.count(Counter::by_name(name))
     }
 
-    /// Mutable access to the named histogram, creating it if absent.
-    pub fn histogram_mut(&mut self, name: &str) -> &mut Histogram {
-        let slot = slot_of(&mut self.histogram_slots, &mut self.histograms, name);
-        &mut self.histograms[slot]
-    }
-
-    /// Records one sample in a histogram known by handle.
+    /// Records one sample in a histogram.
     #[inline]
     pub fn record(&mut self, series: Series, value: u64) {
-        self.histograms[series.0].record(value);
+        self.histograms[series as usize].record(value);
     }
 
-    /// The named histogram, if any samples were recorded under it.
+    /// A histogram, if any samples were recorded in it.
+    pub fn series(&self, series: Series) -> Option<&Histogram> {
+        Some(&self.histograms[series as usize]).filter(|h| !h.is_empty())
+    }
+
+    /// The histogram named `name`, if any samples were recorded in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no [`Series`] has that name.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        let slot = self.histogram_slots.get(name)?;
-        Some(&self.histograms[*slot]).filter(|h| !h.is_empty())
+        self.series(Series::by_name(name))
     }
 
     /// Iterates over the `(class, count)` entries of every class that
@@ -619,13 +606,13 @@ mod tests {
         m.count_message(TrafficClass::SUBSCRIPTION);
         m.count_message(TrafficClass::SUBSCRIPTION);
         m.count_message(TrafficClass::NOTIFICATION);
-        m.add("x", 2);
-        m.add("x", 3);
+        m.bump(Counter::Matches, 2);
+        m.bump(Counter::Matches, 3);
         assert_eq!(m.messages(TrafficClass::SUBSCRIPTION), 2);
         assert_eq!(m.messages(TrafficClass::PUBLICATION), 0);
         assert_eq!(m.total_messages(), 3);
-        assert_eq!(m.counter("x"), 5);
-        assert_eq!(m.counter("missing"), 0);
+        assert_eq!(m.count(Counter::Matches), 5);
+        assert_eq!(m.count(Counter::StoreInsert), 0);
         let classes: Vec<_> = m.message_classes().collect();
         assert_eq!(
             classes,
@@ -638,145 +625,115 @@ mod tests {
         assert_eq!(m.total_messages(), 0);
     }
 
-    /// Every handle updates the counter or histogram its name reads, on a
-    /// fresh sink and a cleared one; a name nobody recorded
-    /// under reads as absent even though its handle holds a position.
+    /// Every name a report, a test or the benchmark reads, spelled out: a
+    /// rename fails here before it silently reads 0 (or panics) there.
+    /// Each position reads back by its name what its handle wrote, on a
+    /// fresh sink and a cleared one; a histogram nobody recorded into
+    /// reads as absent.
     #[test]
-    fn handles_update_what_their_names_read() {
+    fn every_position_reads_back_under_its_one_name() {
+        use crate::obs::{ObsMode, ObsSeries};
+        use std::collections::BTreeSet;
+
+        let counters = [
+            "matches",
+            "notifications.messages",
+            "notifications.delivered",
+            "notifications.duplicate",
+            "notifications.misrouted",
+            "store.insert",
+            "store.duplicate-delivery",
+            "requests.subscribe",
+            "requests.unsubscribe",
+            "requests.publish",
+            "requests.refresh",
+            "replicas.stored",
+            "replicas.promoted",
+            "state-transfer.adopted",
+            "routing.ttl-drop",
+        ];
+        let series = [
+            "notifications.batch-size",
+            "lookup.hops",
+            "dilation.subscription",
+            "dilation.publication",
+            "dilation.notification",
+            "dilation.collect",
+            "dilation.maintenance",
+            "dilation.state-transfer",
+            "dilation.other",
+            "keys.per-subscription",
+            "keys.per-publication",
+        ];
+        let sampled = ["queue.depth", "store.size", "rendezvous.fanout"];
+        let names = |all: &[&'static str]| all.iter().copied().collect::<BTreeSet<_>>();
+        assert_eq!(names(&Counter::ALL.map(Counter::name)), names(&counters));
+        assert_eq!(names(&Series::ALL.map(Series::name)), names(&series));
+        assert_eq!(names(&ObsSeries::ALL.map(ObsSeries::name)), names(&sampled));
+        let lens = (Counter::ALL.len(), Series::ALL.len(), ObsSeries::ALL.len());
+        assert_eq!(lens, (counters.len(), series.len(), sampled.len()));
+        let every = names(&[&counters[..], &series, &sampled].concat());
+        assert_eq!(every.len(), counters.len() + series.len() + sampled.len());
+
+        let classes = [
+            TrafficClass::SUBSCRIPTION,
+            TrafficClass::PUBLICATION,
+            TrafficClass::NOTIFICATION,
+            TrafficClass::COLLECT,
+            TrafficClass::MAINTENANCE,
+            TrafficClass::STATE_TRANSFER,
+            TrafficClass::OTHER,
+            TrafficClass(6),
+        ];
+        for class in classes {
+            let want = match class.0 {
+                0..=5 => format!("dilation.{}", class.name()),
+                _ => "dilation.other".to_owned(),
+            };
+            assert_eq!(Series::dilation(class).name(), want);
+        }
+
         let fresh = Metrics::new();
         let mut cleared = Metrics::new();
-        cleared.add("x", 1);
-        cleared.histogram_mut("hops").record(2);
+        cleared.obs_mut().set_mode(ObsMode::Stages);
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            cleared.bump(c, i as u64 + 7);
+        }
+        for (i, s) in Series::ALL.into_iter().enumerate() {
+            cleared.record(s, i as u64 + 7);
+        }
+        for s in ObsSeries::ALL {
+            cleared.obs_mut().sample(s, 7);
+        }
         cleared.clear();
         for mut m in [fresh, cleared] {
-            let counters = [
-                Counter::MATCHES,
-                Counter::NOTIFICATIONS_MESSAGES,
-                Counter::NOTIFICATIONS_DELIVERED,
-                Counter::NOTIFICATIONS_DUPLICATE,
-                Counter::STORE_INSERT,
-            ];
-            for (i, (handle, name)) in counters.into_iter().zip(Counter::NAMES).enumerate() {
-                assert_eq!(m.counter(name), 0);
-                m.bump(handle, i as u64 + 1);
-                m.add(name, 10);
-                assert_eq!(m.counter(name), i as u64 + 11, "{name}");
+            m.obs_mut().set_mode(ObsMode::Stages);
+            for (i, name) in counters.into_iter().enumerate() {
+                assert_eq!(m.counter(name), 0, "{name}");
+                m.bump(Counter::by_name(name), i as u64 + 1);
+                assert_eq!(m.counter(name), i as u64 + 1, "{name}");
             }
-            let classes = [
-                TrafficClass::SUBSCRIPTION,
-                TrafficClass::PUBLICATION,
-                TrafficClass::NOTIFICATION,
-                TrafficClass::COLLECT,
-                TrafficClass::MAINTENANCE,
-                TrafficClass::STATE_TRANSFER,
-                TrafficClass::OTHER,
-            ];
-            let series = [Series::NOTIFICATIONS_BATCH_SIZE, Series::LOOKUP_HOPS]
-                .into_iter()
-                .chain(classes.map(Series::dilation));
-            for (i, (handle, name)) in series.zip(Series::NAMES).enumerate() {
+            for (i, name) in series.into_iter().enumerate() {
                 assert!(m.histogram(name).is_none(), "{name}");
-                m.record(handle, i as u64);
-                m.histogram_mut(name).record(100);
+                m.record(Series::by_name(name), i as u64);
+                m.record(Series::by_name(name), 100);
                 let h = m.histogram(name).expect("recorded");
                 assert_eq!(h.iter().collect::<Vec<_>>(), [(i as u64, 1), (100, 1)]);
             }
-            assert_eq!(
-                Series::dilation(TrafficClass(6)),
-                Series::dilation(TrafficClass::OTHER)
-            );
-            for class in classes {
-                let name = Series::NAMES[Series::dilation(class).0];
-                assert_eq!(name, format!("dilation.{}", class.name()));
+            for (i, name) in sampled.into_iter().enumerate() {
+                assert!(m.obs().named_histogram(name).is_none(), "{name}");
+                m.obs_mut().sample(ObsSeries::by_name(name), i as u64);
+                let h = m.obs().named_histogram(name).expect("sampled");
+                assert_eq!((h.len(), h.max()), (1, Some(i as u64)), "{name}");
             }
-            assert_eq!(m.counter("x"), 0);
-            assert!(m.histogram("hops").is_none());
+            let read: Vec<_> = m.obs().named_histograms().map(|(name, _)| name).collect();
+            assert_eq!(read, sampled);
         }
     }
 
-    /// Every counter and histogram name the workspace's code uses.
-    const REAL_NAMES: [&str; 31] = [
-        "matches",
-        "notifications.delivered",
-        "notifications.messages",
-        "notifications.duplicate",
-        "notifications.misrouted",
-        "notifications.batch-size",
-        "store.insert",
-        "store.duplicate-delivery",
-        "requests.subscribe",
-        "requests.unsubscribe",
-        "requests.publish",
-        "requests.refresh",
-        "replicas.stored",
-        "replicas.promoted",
-        "state-transfer.adopted",
-        "routing.ttl-drop",
-        "lookup.hops",
-        "keys.per-subscription",
-        "keys.per-publication",
-        "dilation.subscription",
-        "dilation.publication",
-        "dilation.notification",
-        "dilation.collect",
-        "dilation.maintenance",
-        "dilation.state-transfer",
-        "dilation.other",
-        "timers.fired",
-        "events-published",
-        "hops-per-lookup",
-        "hops",
-        "x",
-    ];
-
-    /// The name hasher changes where a name lives, never what is read
-    /// back under it: a seeded stream of `add`/`histogram_mut` calls over
-    /// the real names against ordered-map models, read back by name —
-    /// untouched names included — and again after `clear`.
     #[test]
-    fn seeded_streams_over_the_real_names_read_back_by_name() {
-        use cbps_rng::Rng;
-        use std::hash::BuildHasher;
-
-        let hashes: std::collections::BTreeSet<u64> = REAL_NAMES
-            .iter()
-            .map(|name| BuildHasherDefault::<NameHasher>::default().hash_one(name))
-            .collect();
-        assert_eq!(hashes.len(), REAL_NAMES.len(), "two real names collide");
-
-        for seed in [1u64, 2, 0xc0ffee] {
-            let mut rng = Rng::seed_from_u64(seed);
-            let mut m = Metrics::new();
-            let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
-            let mut histograms: BTreeMap<&str, Histogram> = BTreeMap::new();
-            for step in 0..20_000 {
-                let name = REAL_NAMES[rng.gen_range(0..REAL_NAMES.len())];
-                if rng.gen_bool(0.6) {
-                    let delta = rng.gen_range(0u64..5);
-                    m.add(name, delta);
-                    *counters.entry(name).or_insert(0) += delta;
-                } else {
-                    let value = rng.gen_range(0u64..40);
-                    m.histogram_mut(name).record(value);
-                    histograms.entry(name).or_default().record(value);
-                }
-                if step % 997 == 0 {
-                    for name in REAL_NAMES {
-                        let want = counters.get(name).copied().unwrap_or(0);
-                        assert_eq!(m.counter(name), want, "seed {seed} step {step}: {name:?}");
-                        assert_eq!(m.histogram(name), histograms.get(name), "{name:?}");
-                    }
-                }
-            }
-            assert_eq!(m.counter("never.touched"), 0);
-            assert!(m.histogram("never.touched").is_none());
-            m.clear();
-            for name in REAL_NAMES {
-                assert_eq!(m.counter(name), 0);
-                assert!(m.histogram(name).is_none());
-            }
-            m.add("matches", 3);
-            assert_eq!(m.counter("matches"), 3);
-        }
+    #[should_panic(expected = "no counter is named \"notifications.misroute\"")]
+    fn an_unknown_name_panics() {
+        let _ = Metrics::new().counter("notifications.misroute");
     }
 }

@@ -15,8 +15,8 @@
 //! * [`Observability`] — the per-run container embedded in
 //!   [`Metrics`](crate::Metrics): the trace log plus a registry of
 //!   [`LogHistogram`]s keyed by `(TrafficClass, Stage)` recording
-//!   **since-origin** latency in microseconds, and free-form named
-//!   histograms (rendezvous fan-out, store sizes, queue depths).
+//!   **since-origin** latency in microseconds, and one histogram per
+//!   [`ObsSeries`] (rendezvous fan-out, store sizes, queue depths).
 //!
 //! # Overhead policy
 //!
@@ -29,7 +29,7 @@
 
 use std::collections::HashMap;
 
-use crate::metrics::TrafficClass;
+use crate::metrics::{positions, TrafficClass};
 use crate::sim::NodeIdx;
 use crate::time::SimTime;
 
@@ -537,9 +537,22 @@ impl ObsSummary {
     }
 }
 
+positions! {
+    /// A per-run sampled series, recorded by [`Observability::sample`] only
+    /// while observability is on.
+    ObsSeries, "observability series" {
+        /// Event-queue depth, sampled once every 64 events.
+        QueueDepth => "queue.depth",
+        /// Subscriptions held by a store after an insert.
+        StoreSize => "store.size",
+        /// Stored subscriptions an event matched at one rendezvous visit.
+        RendezvousFanout => "rendezvous.fanout",
+    }
+}
+
 /// Per-run observability state: mode, trace log, stage-latency registry and
-/// named histograms. Embedded in [`Metrics`](crate::Metrics) so every layer
-/// that can count a message can also record a stage.
+/// one histogram per [`ObsSeries`]. Embedded in [`Metrics`](crate::Metrics)
+/// so every layer that can count a message can also record a stage.
 ///
 /// # Examples
 ///
@@ -563,7 +576,8 @@ pub struct Observability {
     mode: ObsMode,
     log: TraceLog,
     latency: HashMap<(TrafficClass, Stage), LogHistogram>,
-    named: HashMap<String, LogHistogram>,
+    /// Allocated on a series' first sample, so a disabled run holds none.
+    sampled: [Option<LogHistogram>; ObsSeries::ALL.len()],
     origins: HashMap<TraceId, SimTime>,
 }
 
@@ -648,20 +662,16 @@ impl Observability {
         }
     }
 
-    /// Records a sample under a free-form series name (fan-out sizes, queue
-    /// depths, store sizes). No-op when disabled.
+    /// Records a sample in a series (fan-out sizes, queue depths, store
+    /// sizes). No-op when disabled.
     #[inline]
-    pub fn sample(&mut self, name: &str, value: u64) {
+    pub fn sample(&mut self, series: ObsSeries, value: u64) {
         if !self.mode.enabled() {
             return;
         }
-        if let Some(h) = self.named.get_mut(name) {
-            h.record(value);
-        } else {
-            let mut h = LogHistogram::new();
-            h.record(value);
-            self.named.insert(name.to_owned(), h);
-        }
+        self.sampled[series as usize]
+            .get_or_insert_with(LogHistogram::new)
+            .record(value);
     }
 
     /// The stage log.
@@ -681,14 +691,26 @@ impl Observability {
         self.latency.iter().map(|(&(c, s), h)| (c, s, h))
     }
 
-    /// The named histogram, if any samples were recorded under it.
-    pub fn named_histogram(&self, name: &str) -> Option<&LogHistogram> {
-        self.named.get(name)
+    /// A series' histogram, if any samples were recorded in it.
+    pub fn series(&self, series: ObsSeries) -> Option<&LogHistogram> {
+        self.sampled[series as usize].as_ref()
     }
 
-    /// Iterates over every named histogram.
-    pub fn named_histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> + '_ {
-        self.named.iter().map(|(n, h)| (n.as_str(), h))
+    /// The histogram of the series named `name`, if any samples were
+    /// recorded in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no [`ObsSeries`] has that name.
+    pub fn named_histogram(&self, name: &str) -> Option<&LogHistogram> {
+        self.series(ObsSeries::by_name(name))
+    }
+
+    /// Iterates over `(name, histogram)` of every series that has samples,
+    /// in [`ObsSeries::ALL`] order.
+    pub fn named_histograms(&self) -> impl Iterator<Item = (&'static str, &LogHistogram)> + '_ {
+        let sampled = ObsSeries::ALL.into_iter().zip(&self.sampled);
+        sampled.filter_map(|(series, h)| Some((series.name(), h.as_ref()?)))
     }
 
     /// When the given trace was first observed, if ever.
@@ -702,11 +724,9 @@ impl Observability {
         for (key, h) in &other.latency {
             self.latency.entry(*key).or_default().merge(h);
         }
-        for (name, h) in &other.named {
-            if let Some(mine) = self.named.get_mut(name) {
-                mine.merge(h);
-            } else {
-                self.named.insert(name.clone(), h.clone());
+        for (mine, theirs) in self.sampled.iter_mut().zip(&other.sampled) {
+            if let Some(theirs) = theirs {
+                mine.get_or_insert_with(LogHistogram::new).merge(theirs);
             }
         }
         self.log.merge(&other.log);
@@ -719,7 +739,7 @@ impl Observability {
     pub fn clear(&mut self) {
         self.log.clear();
         self.latency.clear();
-        self.named.clear();
+        self.sampled = Default::default();
         self.origins.clear();
     }
 }
@@ -836,7 +856,9 @@ mod tests {
             SimTime::ZERO,
         );
         obs.hop(t, TrafficClass::PUBLICATION, 1, SimTime::from_millis(50));
-        obs.sample("x", 3);
+        for series in ObsSeries::ALL {
+            obs.sample(series, 3);
+        }
         assert!(obs.log().is_empty());
         assert_eq!(obs.stage_histograms().count(), 0);
         assert_eq!(obs.named_histograms().count(), 0);
@@ -930,7 +952,7 @@ mod tests {
             0,
             SimTime::ZERO,
         );
-        a.sample("fanout", 3);
+        a.sample(ObsSeries::RendezvousFanout, 3);
 
         let mut b = Observability::new();
         b.set_mode(ObsMode::Stages);
@@ -942,16 +964,17 @@ mod tests {
             1,
             SimTime::ZERO,
         );
-        b.sample("fanout", 5);
-        b.sample("depth", 7);
+        b.sample(ObsSeries::RendezvousFanout, 5);
+        b.sample(ObsSeries::QueueDepth, 7);
 
         a.merge(&b);
         let h = a
             .stage_histogram(TrafficClass::PUBLICATION, Stage::Publish)
             .unwrap();
         assert_eq!(h.len(), 2);
-        assert_eq!(a.named_histogram("fanout").unwrap().len(), 2);
-        assert_eq!(a.named_histogram("depth").unwrap().len(), 1);
+        assert_eq!(a.series(ObsSeries::RendezvousFanout).unwrap().len(), 2);
+        assert_eq!(a.series(ObsSeries::QueueDepth).unwrap().len(), 1);
+        assert!(a.series(ObsSeries::StoreSize).is_none());
         assert_eq!(a.log().len(), 2);
 
         // `figures --jobs N` folds per-run sinks through `merge` in
@@ -976,7 +999,7 @@ mod tests {
                 node,
                 SimTime::from_secs(1),
             );
-            obs.sample("fanout", u64::from(stages));
+            obs.sample(ObsSeries::RendezvousFanout, u64::from(stages));
             obs
         };
         let fold = |order: &[usize]| {
@@ -1029,9 +1052,11 @@ mod tests {
             0,
             SimTime::ZERO,
         );
+        obs.sample(ObsSeries::StoreSize, 1);
         obs.clear();
         assert!(obs.log().is_empty());
         assert_eq!(obs.stage_histograms().count(), 0);
+        assert_eq!(obs.named_histograms().count(), 0);
         assert_eq!(obs.mode(), ObsMode::Full);
     }
 

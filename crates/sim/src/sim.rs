@@ -10,7 +10,7 @@ use cbps_rng::Rng;
 
 use crate::config::NetConfig;
 use crate::metrics::{Metrics, TrafficClass};
-use crate::obs::{Stage, TraceId};
+use crate::obs::{ObsSeries, Stage, TraceId};
 use crate::pool::{EventPool, Handle};
 use crate::prefetch::PrefetchStage;
 use crate::queue::EventQueue;
@@ -444,7 +444,9 @@ impl<N: Node> Simulator<N> {
                 self.queue_peak = depth;
             }
             if self.metrics.obs().enabled() {
-                self.metrics.obs_mut().sample("queue.depth", depth as u64);
+                self.metrics
+                    .obs_mut()
+                    .sample(ObsSeries::QueueDepth, depth as u64);
             }
         }
         match kind {

@@ -8,7 +8,7 @@
 
 use cbps::{Event, MappingKind, PubSubConfig, PubSubNetwork, Subscription};
 use cbps_overlay::OverlayConfig;
-use cbps_sim::TrafficClass;
+use cbps_sim::{Counter, TrafficClass};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut net = PubSubNetwork::builder()
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "state transfer: {} one-hop messages; replicas promoted: {}",
         m.messages(TrafficClass::STATE_TRANSFER),
-        m.counter("replicas.promoted"),
+        m.count(Counter::ReplicasPromoted),
     );
     println!(
         "joined node {newcomer} now stores {} subscriptions",

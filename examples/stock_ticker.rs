@@ -16,7 +16,7 @@ use cbps::{
     AttributeDef, Event, EventSpace, MappingKind, NotifyMode, Primitive, PubSubConfig,
     PubSubNetwork, Subscription,
 };
-use cbps_sim::{SimDuration, TrafficClass};
+use cbps_sim::{Counter, SimDuration, TrafficClass};
 
 /// Builds the market: attributes are (symbol, price in cents, size).
 fn market_space() -> EventSpace {
@@ -71,7 +71,11 @@ fn run(mode: NotifyMode) -> (u64, u64, usize) {
     let delivered: usize = (0..20).map(|t| net.delivered(t).len()).sum();
     let m = net.metrics();
     let notify_msgs = m.messages(TrafficClass::NOTIFICATION) + m.messages(TrafficClass::COLLECT);
-    (notify_msgs, m.counter("notifications.delivered"), delivered)
+    (
+        notify_msgs,
+        m.count(Counter::NotificationsDelivered),
+        delivered,
+    )
 }
 
 fn main() {

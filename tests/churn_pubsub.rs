@@ -4,7 +4,7 @@
 
 use cbps::{Event, MappingKind, PubSubConfig, PubSubNetwork, Subscription};
 use cbps_overlay::OverlayConfig;
-use cbps_sim::NetConfig;
+use cbps_sim::{Counter, NetConfig};
 
 fn maintained(nodes: usize, replication: usize, seed: u64) -> PubSubNetwork {
     PubSubNetwork::builder()
@@ -104,7 +104,7 @@ fn crash_with_replication_preserves_delivery() {
     }
     // Stabilization detects the failures; heirs promote their replicas.
     net.run_for_secs(240);
-    assert!(net.metrics().counter("replicas.promoted") >= 1);
+    assert!(net.metrics().count(Counter::ReplicasPromoted) >= 1);
 
     net.publish(3, Event::new(&space, vec![1, 2, 530_000, 4]).unwrap())
         .unwrap();

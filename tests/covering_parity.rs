@@ -16,7 +16,7 @@
 //! counts or deliveries re-pins it from the failure message.
 
 use cbps::{MappingKind, NotifyMode, PubSubConfig, PubSubNetwork, SubId};
-use cbps_sim::{SimDuration, TrafficClass};
+use cbps_sim::{Counter, SimDuration, TrafficClass};
 use cbps_workload::{WorkloadConfig, WorkloadGen};
 
 /// FNV-1a digests of [`observables`] at seeds 3 and 17.
@@ -67,8 +67,8 @@ fn observables(seed: u64) -> String {
     .iter()
     .map(|&c| net.metrics().messages(c))
     .collect();
-    let matches = net.metrics().counter("matches");
-    let delivered = net.metrics().counter("notifications.delivered");
+    let matches = net.metrics().count(Counter::Matches);
+    let delivered = net.metrics().count(Counter::NotificationsDelivered);
     let peaks = net.peak_stored_counts();
     let events = net.sim_mut().events_processed();
     format!(

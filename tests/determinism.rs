@@ -5,7 +5,7 @@
 //! worker pool only reorders wall-clock execution, never outcomes.
 
 use cbps::{MappingKind, Primitive, PubSubConfig, PubSubNetwork, SubId};
-use cbps_sim::{NetConfig, SimDuration, TrafficClass};
+use cbps_sim::{Counter, NetConfig, SimDuration, TrafficClass};
 use cbps_workload::{WorkloadConfig, WorkloadGen};
 
 type Fingerprint = (u64, u64, u64, u64, Vec<usize>, Vec<(SubId, cbps::EventId)>);
@@ -36,8 +36,8 @@ fn fingerprint(seed: u64) -> Fingerprint {
     (
         m.total_messages(),
         m.messages(TrafficClass::NOTIFICATION),
-        m.counter("matches"),
-        m.counter("notifications.delivered"),
+        m.count(Counter::Matches),
+        m.count(Counter::NotificationsDelivered),
         net.peak_stored_counts(),
         delivered,
     )

@@ -25,7 +25,7 @@ use cbps::{
 use cbps_overlay::hash::key_of_bytes;
 use cbps_overlay::OverlayConfig;
 use cbps_pastry::PastryBackend;
-use cbps_sim::{NetConfig, SimDuration, SimTime};
+use cbps_sim::{Counter, NetConfig, SimDuration, SimTime};
 use cbps_workload::{WorkloadConfig, WorkloadGen};
 
 const NODES: usize = 48;
@@ -152,10 +152,13 @@ fn check<B: OverlayBackend>(net: &PubSubNetwork<B>, wl: &Workload, what: &str, f
         expected.len()
     );
     let m = net.metrics();
-    let duplicate = m.counter("notifications.duplicate");
+    let duplicate = m.count(Counter::NotificationsDuplicate);
     assert_eq!(duplicate, 0, "{what}: {duplicate} duplicate notifications");
     if failure_free {
-        let (matches, delivered) = (m.counter("matches"), m.counter("notifications.delivered"));
+        let (matches, delivered) = (
+            m.count(Counter::Matches),
+            m.count(Counter::NotificationsDelivered),
+        );
         assert_eq!(
             matches, delivered,
             "{what}: {matches} matches, {delivered} delivered"
@@ -262,7 +265,7 @@ fn churn(replication: usize, seed: u64) {
             wl.publish(&mut net, 20, &lost);
 
             assert!(
-                replication == 0 || net.metrics().counter("replicas.promoted") > 0,
+                replication == 0 || net.metrics().count(Counter::ReplicasPromoted) > 0,
                 "the crash promoted no replica"
             );
             let what = format!("chord r={replication}/{primitive:?}/{notify:?}");

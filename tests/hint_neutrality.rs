@@ -22,7 +22,7 @@ use cbps::{
     Subscription,
 };
 use cbps_bench::runner::delivered_fingerprint;
-use cbps_sim::{NetConfig, SimDuration, TrafficClass};
+use cbps_sim::{Counter, NetConfig, Series, SimDuration, TrafficClass};
 use cbps_workload::{WorkloadConfig, WorkloadGen};
 
 /// Everything the run is judged by, rendered as one line.
@@ -64,20 +64,20 @@ fn digest() -> String {
     let last = last.max().expect("something was delivered");
     let m = net.metrics();
     let counters = [
-        "matches",
-        "notifications.messages",
-        "notifications.delivered",
-        "notifications.duplicate",
-        "store.insert",
+        Counter::Matches,
+        Counter::NotificationsMessages,
+        Counter::NotificationsDelivered,
+        Counter::NotificationsDuplicate,
+        Counter::StoreInsert,
     ]
-    .map(|name| m.counter(name));
+    .map(|counter| m.count(counter));
     let classes = [
         TrafficClass::SUBSCRIPTION,
         TrafficClass::PUBLICATION,
         TrafficClass::NOTIFICATION,
     ]
     .map(|class| m.messages(class));
-    let dilation = m.histogram("dilation.notification").expect("routed");
+    let dilation = m.series(Series::DilationNotification).expect("routed");
     format!(
         "delivered {delivered} fingerprint {fingerprint:#018x} last at {last:?} counters \
          {counters:?} messages {classes:?} notification hops {} events {events}",

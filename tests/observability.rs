@@ -14,7 +14,7 @@ use cbps::{
 use cbps_bench::experiments::run_named;
 use cbps_bench::{RunProfile, Scale};
 use cbps_pastry::PastryBackend;
-use cbps_sim::{NetConfig, ObsMode, SimDuration, Stage, TrafficClass};
+use cbps_sim::{Counter, NetConfig, ObsMode, ObsSeries, Series, SimDuration, Stage, TrafficClass};
 use cbps_workload::{WorkloadConfig, WorkloadGen};
 
 fn network_on<B: OverlayBackend>(notify: NotifyMode, seed: u64, obs: ObsMode) -> PubSubNetwork<B> {
@@ -365,14 +365,14 @@ fn rendezvous_work_is_matched_publications_plus_matches() {
         .expect("valid network configuration");
     run_workload(&mut net, 37);
     let m = net.metrics();
-    let matches = m.counter("matches");
+    let matches = m.count(Counter::Matches);
     assert!(matches > 0, "workload produced no matches");
     let fanout = m
         .obs()
-        .named_histogram("rendezvous.fanout")
+        .series(ObsSeries::RendezvousFanout)
         .expect("publications reached rendezvous nodes");
     let keys = m
-        .histogram("keys.per-publication")
+        .series(Series::KeysPerPublication)
         .expect("publications were mapped");
     assert_eq!(u128::from(fanout.len()), keys.sum());
     assert_eq!(fanout.sum(), u128::from(matches));

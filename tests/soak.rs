@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 use cbps::{EventId, MappingKind, Primitive, PubSubConfig, PubSubNetwork, SubId, Subscription};
 use cbps_rng::Rng;
-use cbps_sim::{NetConfig, SimDuration, SimTime};
+use cbps_sim::{Counter, NetConfig, SimDuration, SimTime};
 use cbps_workload::{WorkloadConfig, WorkloadGen};
 
 /// Upper bound on end-to-end propagation (hops × delay with slack).
@@ -151,7 +151,7 @@ fn soak(kind: MappingKind, primitive: Primitive, seed: u64) {
         !strict.is_empty(),
         "soak produced no guaranteed matches — workload misconfigured"
     );
-    assert_eq!(net.metrics().counter("notifications.misrouted"), 0);
+    assert_eq!(net.metrics().count(Counter::NotificationsMisrouted), 0);
 }
 
 #[test]
