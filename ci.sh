@@ -95,6 +95,10 @@ else
     echo "==> clippy not installed; skipping lint"
 fi
 
+# Public docs must build without a broken or private intra-doc link.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
 if command -v rustfmt >/dev/null 2>&1; then
     echo "==> cargo fmt --check"
     cargo fmt --all --check

@@ -24,6 +24,15 @@
 #   - whether the delivered fingerprints of the last runs
 #     (`benchmark/out/run-WORKLOAD.json`) agree.
 # A run takes 20–60 s. Not part of `ci.sh`.
+#
+# With ALIGNED=1 the script runs each tree's alignment-pinned binary
+# instead, so that where the linker happens to place hot functions and
+# loops cannot move `ops_per_s` between the two trees (about 5 % on
+# `fanout`). Build it in each tree with
+#
+#   RUSTFLAGS="-C llvm-args=-align-all-functions=6 -C llvm-args=-align-loops=64" cargo build --release --manifest-path benchmark/Cargo.toml --target-dir target/bench-aligned
+#
+# (a target dir outside `benchmark/`, so the default build stays as it is).
 set -eu
 
 if [ $# -lt 4 ] || [ $# -gt 5 ]; then
@@ -35,7 +44,11 @@ change=$(cd "$2" && pwd)
 workload=$3
 pairs=$4
 seed=${5:-1}
-bin=benchmark/target/release/cbps-benchmark
+if [ "${ALIGNED:-0}" = 1 ]; then
+    bin=target/bench-aligned/release/cbps-benchmark
+else
+    bin=benchmark/target/release/cbps-benchmark
+fi
 for dir in "$parent" "$change"; do
     if [ ! -x "$dir/$bin" ]; then
         echo "$0: $dir/$bin is not built" >&2
@@ -66,12 +79,12 @@ while [ "$i" -le "$pairs" ]; do
     i=$((i + 1))
 done
 
-python3 - "$out" "$pairs" "$workload" "$seed" "$parent" "$change" <<'EOF'
+python3 - "$out" "$pairs" "$workload" "$seed" "$parent" "$change" "${ALIGNED:-0}" <<'EOF'
 import json
 import statistics
 import sys
 
-out, pairs, workload, seed, parent, change = sys.argv[1:]
+out, pairs, workload, seed, parent, change, aligned = sys.argv[1:]
 pairs = int(pairs)
 SIM = ["hops_per_sub", "hops_per_pub", "notify_hops_per_pub", "stored_top1pct",
        "load_top1pct_over_mean", "notify_latency_sim_ms_p50", "notify_latency_sim_ms_p99"]
@@ -90,7 +103,8 @@ def ops(v):
     return f"{v:,.0f}".replace(",", " ")
 
 
-print(f"## `{workload}` (seed {seed})\n")
+build = ", alignment-pinned build" if aligned == "1" else ""
+print(f"## `{workload}` (seed {seed}{build})\n")
 print("| pair | first | parent `ops_per_s` | change `ops_per_s` | ratio | `setup_s` "
       "| `peak_rss_mb` | sim equal | `failed` | `correct` |")
 print("|---|---|---|---|---|---|---|---|---|---|")

@@ -1,10 +1,10 @@
 //! Steady-state allocation gate: after warmup, a routed publication must
 //! be processed without a single heap allocation — the slab pool recycles
 //! envelope and timer slots, inline range sets keep m-cast splits on the
-//! stack, notifications travel as inline singletons sharing one
-//! `Arc<Event>`, and the warm hooks pre-fault every bounded scratch
-//! buffer. It replays the figures workload on a 120-node Chord ring, warms
-//! up on two batches of 256 publications and audits a third.
+//! stack, notifications travel as inline singletons of two ids, and the
+//! warm hooks pre-fault every bounded scratch buffer. It replays the
+//! figures workload on a 120-node Chord ring, warms up on two batches of
+//! 256 publications and audits a third.
 //!
 //! The counting `#[global_allocator]` is process-wide, which is exactly
 //! why this file holds a single test in its own integration-test binary:

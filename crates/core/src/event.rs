@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use cbps_sim::TraceId;
+
 use crate::error::PubSubError;
 use crate::space::EventSpace;
 
@@ -20,6 +22,12 @@ impl EventId {
     /// The publisher node index encoded in this id.
     pub fn node(self) -> usize {
         (self.0 >> 32) as usize
+    }
+
+    /// The causal trace of the `pub(e)` that minted this id: a function of
+    /// the id, so nothing that carries the id needs to carry the trace.
+    pub fn trace(self) -> TraceId {
+        TraceId::for_publication(self.node(), self.0 as u32)
     }
 }
 
@@ -167,5 +175,22 @@ mod tests {
         assert_eq!(id.node(), 7);
         assert_eq!(id.to_string(), "e7.42");
         assert_ne!(EventId::compose(7, 42), EventId::compose(8, 42));
+    }
+
+    /// An id's trace is the one `publish` mints from the same node and
+    /// sequence number, at both ends of each field a trace can name.
+    #[test]
+    fn an_event_id_names_its_publication_trace() {
+        for (node, seq) in [
+            (0, 0),
+            (0, u32::MAX),
+            (5, u32::MAX),
+            ((1 << 30) - 1, 0),
+            ((1 << 30) - 1, 9),
+        ] {
+            let trace = EventId::compose(node, seq).trace();
+            assert_eq!(trace, TraceId::for_publication(node, seq));
+            assert_eq!((trace.node(), trace.seq()), (Some(node), seq));
+        }
     }
 }

@@ -9,19 +9,21 @@ use crate::event::{Event, EventId};
 use crate::store::StoredSub;
 use crate::subscription::SubId;
 
-/// One notification: an event that matched a subscription.
-#[derive(Clone, Debug, PartialEq)]
+/// One notification: an event that matched a subscription, both by id
+/// (the event's content stays with its publication).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NotifyItem {
     /// The matched subscription.
     pub sub_id: SubId,
     /// The matching event's id.
     pub event_id: EventId,
-    /// The matching event, shared across every match it produced.
-    pub event: Arc<Event>,
-    /// Causal trace of the `pub(e)` operation that produced the match
-    /// (always minted — ids are cheap; recording is what observability
-    /// gates).
-    pub trace: TraceId,
+}
+
+impl NotifyItem {
+    /// Causal trace of the `pub(e)` operation that produced the match.
+    pub fn trace(&self) -> TraceId {
+        self.event_id.trace()
+    }
 }
 
 /// Notification payload: a singleton item travels inline, a buffered
@@ -115,12 +117,13 @@ pub struct CollectItem {
     pub agent_key: Key,
     /// The matching event's id.
     pub event_id: EventId,
-    /// The matching event, shared across every match it produced.
-    pub event: Arc<Event>,
-    /// Causal trace of the `pub(e)` operation that produced the match
-    /// (always minted — ids are cheap; recording is what observability
-    /// gates).
-    pub trace: TraceId,
+}
+
+impl CollectItem {
+    /// Causal trace of the `pub(e)` operation that produced the match.
+    pub fn trace(&self) -> TraceId {
+        self.event_id.trace()
+    }
 }
 
 /// Application payloads carried by the overlay for the pub/sub layer.
@@ -142,15 +145,12 @@ pub enum PubSubMsg {
     },
     /// `pub(e)`: match this event at the rendezvous keys.
     Publish {
-        /// Event id.
+        /// Event id; its trace is [`EventId::trace`].
         id: EventId,
-        /// The event, shared across m-cast splits and downstream notify
-        /// items (cloning a split envelope bumps a refcount instead of
-        /// deep-copying the attribute vector).
+        /// The event, shared across m-cast splits (cloning a split
+        /// envelope bumps a refcount instead of deep-copying the attribute
+        /// vector).
         event: Arc<Event>,
-        /// Causal trace of the publishing operation ([`TraceId::NONE`]
-        /// when observability is off).
-        trace: TraceId,
     },
     /// Matches delivered to a subscriber (routed to the subscriber's key).
     Notification {
@@ -192,18 +192,21 @@ pub enum PubSubTimer {
 
 /// A notification as observed by the subscribing application: which
 /// subscription fired, for which event, and when it arrived.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeliveredNote {
     /// The subscription that matched.
     pub sub_id: SubId,
     /// The event's id.
     pub event_id: EventId,
-    /// The event content (shared with the rendezvous-side match items).
-    pub event: Arc<Event>,
     /// Arrival (simulated) time at the subscriber.
     pub at: SimTime,
+}
+
+impl DeliveredNote {
     /// Causal trace of the publication that produced this notification,
     /// usable with [`cbps_sim::TraceLog::chain`] to explain the delivery
     /// hop-by-hop when observability was enabled during the run.
-    pub trace: TraceId,
+    pub fn trace(&self) -> TraceId {
+        self.event_id.trace()
+    }
 }

@@ -13,7 +13,7 @@ use cbps_sim::{
 };
 
 use crate::config::{NotifyMode, Primitive, PubSubConfig};
-use crate::dedup::PairSet;
+use crate::dedup::DeliveredLog;
 use crate::event::{Event, EventId};
 use crate::index::ALL_ATTRIBUTES;
 use crate::mapping::MappingKind;
@@ -45,8 +45,9 @@ pub struct PubSubNode {
     my_subs: HashMap<SubId, Arc<StoredSub>>,
     next_sub_seq: u32,
     next_event_seq: u32,
-    delivered: Vec<DeliveredNote>,
-    delivered_dedup: PairSet,
+    /// Subscriber role: the notifications delivered here, and the set of
+    /// their pairs a repeat is dropped by.
+    delivered: DeliveredLog,
     /// Buffered notifications per subscriber (buffering optimization).
     notify_buffer: HashMap<Peer, Vec<NotifyItem>>,
     /// Collect items heading clockwise / counter-clockwise.
@@ -74,8 +75,7 @@ impl PubSubNode {
             my_subs: HashMap::new(),
             next_sub_seq: 0,
             next_event_seq: 0,
-            delivered: Vec::new(),
-            delivered_dedup: PairSet::default(),
+            delivered: DeliveredLog::default(),
             notify_buffer: HashMap::new(),
             collect_succ: Vec::new(),
             collect_pred: Vec::new(),
@@ -112,17 +112,16 @@ impl PubSubNode {
     /// Notifications received by this node as a subscriber, in arrival
     /// order (logically deduplicated).
     pub fn delivered(&self) -> &[DeliveredNote] {
-        &self.delivered
+        self.delivered.notes()
     }
 
-    /// Empties the delivered-notification log (and its dedup set) in
+    /// Empties the delivered-notification log (and its pair table) in
     /// place, retaining allocated capacity. Long-running drivers drain the
     /// log between measurement windows so it never grows unboundedly; the
     /// allocation audit relies on the retained capacity to keep
     /// steady-state deliveries heap-quiet.
     pub fn clear_delivered(&mut self) {
         self.delivered.clear();
-        self.delivered_dedup.clear();
     }
 
     /// Subscriptions issued by this node that have not been unsubscribed.
@@ -244,20 +243,19 @@ impl PubSubNode {
     pub fn publish(&mut self, event: Event, svc: &mut DynSvc<'_>) -> EventId {
         let me = svc.me();
         let id = EventId::compose(me.idx, self.next_event_seq);
-        let trace = TraceId::for_publication(me.idx, self.next_event_seq);
+        let trace = id.trace();
         self.next_event_seq += 1;
         svc.stage(trace, Stage::Publish, TrafficClass::PUBLICATION);
         let ek = self.cfg.mapping.ek(&event);
         svc.metrics().bump(Counter::RequestsPublish, 1);
         svc.metrics().record(Series::KeysPerPublication, ek.count());
         // One shared allocation per publication, minted at the publisher:
-        // m-cast splits and per-match notify items all bump the refcount
-        // instead of deep-copying the event.
+        // m-cast splits bump the refcount instead of deep-copying the event.
         let event = Arc::new(event);
         self.propagate(
             &ek,
             TrafficClass::PUBLICATION,
-            PubSubMsg::Publish { id, event, trace },
+            PubSubMsg::Publish { id, event },
             trace,
             svc,
         );
@@ -371,7 +369,7 @@ impl PubSubNode {
     /// of roughly `expected_stored` subscriptions. Deployment builders call
     /// this with a per-node estimate derived from the workload totals
     /// before replaying a trace; behavior is identical with or without it. An
-    /// estimate a vector's first push covers anyway ([`FIRST_GROWTH`]) is
+    /// estimate a vector's first push covers anyway (four elements) is
     /// left to that push: reserving for it would make, on every node of a
     /// deployment whose nodes mostly never store anything, the
     /// minimum-capacity allocations the nodes that do store make by
@@ -401,27 +399,23 @@ impl PubSubNode {
     fn handle_publish(
         &mut self,
         id: EventId,
-        event: Arc<Event>,
-        trace: TraceId,
+        event: &Event,
         keys: &KeyRangeSet,
         svc: &mut DynSvc<'_>,
     ) {
-        let owned = self.owned_attributes(&event, keys);
+        let trace = id.trace();
+        let owned = self.owned_attributes(event, keys);
         let mut matches = std::mem::take(&mut self.match_buf);
         self.store
-            .match_owned_into(&event, svc.now(), owned, &mut matches);
+            .match_owned_into(event, svc.now(), owned, &mut matches);
         self.work = self.work.wrapping_add(1 + matches.len() as u64);
         svc.metrics().bump(Counter::Matches, matches.len() as u64);
         svc.stage(trace, Stage::RendezvousMatch, TrafficClass::PUBLICATION);
         svc.obs_sample(ObsSeries::RendezvousFanout, matches.len() as u64);
-        // The publisher minted one shared allocation for the event: each
-        // item clone below is a reference-count bump, not a deep copy.
         for (sub_id, subscriber, row) in matches.drain(..) {
             let item = NotifyItem {
                 sub_id,
                 event_id: id,
-                event: Arc::clone(&event),
-                trace,
             };
             match self.cfg.notify_mode {
                 NotifyMode::Immediate => {
@@ -483,8 +477,6 @@ impl PubSubNode {
             subscriber: stored.subscriber,
             agent_key,
             event_id: item.event_id,
-            event: item.event,
-            trace: item.trace,
         };
         // Nodes covering the part of the range before the midpoint push
         // clockwise; the rest push counter-clockwise.
@@ -545,15 +537,15 @@ impl PubSubNode {
     /// Routes one batched notification message to a subscriber, stamping
     /// each item's trace with the end of its buffer wait and the start of
     /// the notification route. The envelope carries the item trace when the
-    /// batch is a singleton; a mixed batch routes untraced (each item still
-    /// carries its own trace for the delivery stage).
+    /// batch is a singleton; a mixed batch routes untraced (each item's
+    /// event id still names its trace for the delivery stage).
     fn send_notification(subscriber: Peer, items: Vec<NotifyItem>, svc: &mut DynSvc<'_>) {
         for item in &items {
-            svc.stage(item.trace, Stage::BufferWait, TrafficClass::NOTIFICATION);
-            svc.stage(item.trace, Stage::NotifyRoute, TrafficClass::NOTIFICATION);
+            svc.stage(item.trace(), Stage::BufferWait, TrafficClass::NOTIFICATION);
+            svc.stage(item.trace(), Stage::NotifyRoute, TrafficClass::NOTIFICATION);
         }
         let envelope_trace = match items.as_slice() {
-            [only] => only.trace,
+            [only] => only.trace(),
             _ => TraceId::NONE,
         };
         svc.send(
@@ -577,8 +569,6 @@ impl PubSubNode {
                 .push(NotifyItem {
                     sub_id: item.sub_id,
                     event_id: item.event_id,
-                    event: item.event,
-                    trace: item.trace,
                 });
             touched = true;
         }
@@ -595,7 +585,7 @@ impl PubSubNode {
         let mut touched = false;
         for item in items {
             touched = true;
-            svc.stage(item.trace, Stage::CollectHop, TrafficClass::COLLECT);
+            svc.stage(item.trace(), Stage::CollectHop, TrafficClass::COLLECT);
             if svc.covers(item.agent_key) {
                 self.agent_buffer
                     .entry(item.subscriber)
@@ -603,8 +593,6 @@ impl PubSubNode {
                     .push(NotifyItem {
                         sub_id: item.sub_id,
                         event_id: item.event_id,
-                        event: item.event.clone(),
-                        trace: item.trace,
                     });
                 continue;
             }
@@ -637,16 +625,9 @@ impl PubSubNode {
                 svc.metrics().bump(Counter::NotificationsMisrouted, 1);
                 continue;
             }
-            if self.delivered_dedup.insert(item.sub_id, item.event_id) {
+            if self.delivered.insert(item.sub_id, item.event_id, now) {
                 svc.metrics().bump(Counter::NotificationsDelivered, 1);
-                svc.stage(item.trace, Stage::Deliver, TrafficClass::NOTIFICATION);
-                self.delivered.push(DeliveredNote {
-                    sub_id: item.sub_id,
-                    event_id: item.event_id,
-                    event: item.event,
-                    at: now,
-                    trace: item.trace,
-                });
+                svc.stage(item.trace(), Stage::Deliver, TrafficClass::NOTIFICATION);
             } else {
                 svc.metrics().bump(Counter::NotificationsDuplicate, 1);
             }
@@ -686,8 +667,8 @@ impl OverlayApp for PubSubNode {
         match payload {
             PubSubMsg::Subscribe { id, stored } => self.handle_store(id, stored, svc),
             PubSubMsg::Unsubscribe { id } => self.handle_unsubscribe(id, svc),
-            PubSubMsg::Publish { id, event, trace } => {
-                self.handle_publish(id, event, trace, &delivery.targets_here, svc)
+            PubSubMsg::Publish { id, event } => {
+                self.handle_publish(id, &event, &delivery.targets_here, svc)
             }
             PubSubMsg::Notification { items } => self.handle_notification(items, svc),
             // These travel as direct one-hop messages; a routed copy would
@@ -810,21 +791,20 @@ impl OverlayApp for PubSubNode {
 
     /// Hints the lines the next delivery reads here (see
     /// [`cbps_sim::prefetch`]): at the *node* stage the headers a handler
-    /// starts from — the delivered log's and the delivered-pair set's —
-    /// and at the *rows* stage what this value points to: the store's
-    /// header and the tail of the delivered log, where a notification
-    /// lands. A single notification queued for its own subscriber names
-    /// the slot of the delivered-pair table it will probe.
+    /// starts from — the delivered log's — and at the *rows* stage what
+    /// this value points to: the store's header and the tail of the
+    /// delivered log, where a notification lands. A single notification
+    /// queued for its own subscriber names the slot of the log's pair
+    /// table it will probe.
     #[inline]
     fn prefetch(&self, stage: PrefetchStage, queued: Option<(usize, &PubSubMsg)>) {
         match stage {
             PrefetchStage::Node => {
                 prefetch(&self.delivered);
-                prefetch(&self.delivered_dedup);
                 if let Some((me, PubSubMsg::Notification { items })) = queued {
                     match items {
                         NotifyBatch::One(item) if item.sub_id.node() == me => {
-                            self.delivered_dedup.prefetch(item.sub_id, item.event_id);
+                            self.delivered.prefetch(item.sub_id, item.event_id);
                         }
                         _ => {}
                     }
@@ -832,7 +812,7 @@ impl OverlayApp for PubSubNode {
             }
             PrefetchStage::Rows => {
                 prefetch::<SubscriptionStore>(&self.store);
-                if let Some(last) = self.delivered.last() {
+                if let Some(last) = self.delivered.notes().last() {
                     prefetch(last);
                 }
             }

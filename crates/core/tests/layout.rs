@@ -6,7 +6,9 @@
 
 use std::mem::size_of;
 
-use cbps::{PubSubMsg, PubSubNode, Subscription, SubscriptionStore};
+use cbps::{
+    CollectItem, DeliveredNote, NotifyItem, PubSubMsg, PubSubNode, Subscription, SubscriptionStore,
+};
 use cbps_overlay::{ChordNode, Envelope, LocationCache, RoutingState};
 
 #[test]
@@ -14,15 +16,16 @@ fn hot_values_stay_under_their_size_ceilings() {
     // Fingers, successors and the first 24 cache entries live in the
     // routing state itself (240 / 88 B while they were heap tables); the
     // rendezvous store, 176 B, sits behind a box (1 040 B of `PubSubNode`
-    // and 1 352 B of node before).
+    // and 1 352 B of node before); the delivered log is its own dedup set
+    // (360 / 1 320 B with a separate pair table).
     let sizes = [
         ("LocationCache", size_of::<LocationCache>(), 416),
         ("RoutingState", size_of::<RoutingState>(), 888),
-        ("PubSubNode", size_of::<PubSubNode>(), 360),
+        ("PubSubNode", size_of::<PubSubNode>(), 344),
         (
             "ChordNode<PubSubNode>",
             size_of::<ChordNode<PubSubNode>>(),
-            1320,
+            1304,
         ),
         ("Envelope<PubSubMsg>", size_of::<Envelope<PubSubMsg>>(), 128),
         // One per node, used or not: the engine is one array header (624 B
@@ -33,6 +36,15 @@ fn hot_values_stay_under_their_size_ceilings() {
         // In every stored record and every message that carries one: the
         // handle to the shared constraints (24 B with a digest beside it).
         ("Subscription", size_of::<Subscription>(), 16),
+        // One per delivered notification, kept for the run: the ids and the
+        // arrival time (40 B with the event handle and the trace, which the
+        // event id names).
+        ("DeliveredNote", size_of::<DeliveredNote>(), 24),
+        // One per match on the wire: ids only (32 B with the event handle
+        // and the trace), and the agent's key and the subscriber beside
+        // them on the collecting path (56 B).
+        ("NotifyItem", size_of::<NotifyItem>(), 16),
+        ("CollectItem", size_of::<CollectItem>(), 40),
     ];
     for (what, bytes, ceiling) in sizes {
         assert!(

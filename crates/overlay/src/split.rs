@@ -89,8 +89,8 @@ impl Boundaries {
     /// Partitions `targets` into the subset on the node's own arc (to
     /// deliver) and per-next-hop bundles (to forward), bundles in the
     /// clockwise order of their first arc. All scratch storage is pooled
-    /// ([`crate::scratch`]) or inline: the steady-state split allocates
-    /// nothing.
+    /// (this crate's `scratch` module) or inline: the steady-state split
+    /// allocates nothing.
     pub fn split(&self, targets: &KeyRangeSet) -> (KeyRangeSet, Bundles) {
         let mut bundles = Bundles::take();
         let cuts = &self.cuts[..];

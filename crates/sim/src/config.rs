@@ -97,7 +97,7 @@ impl MatchEngineKind {
 }
 
 /// The slot policy of the in-flight event slab pool: always recycling
-/// (see [`crate::pool`]).
+/// (see this crate's `pool` module).
 ///
 /// Read by nothing in this workspace; kept for the frozen `benchmark/`
 /// crate exactly as [`SchedulerKind`] is.

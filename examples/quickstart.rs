@@ -36,17 +36,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hit = Event::new(&space, vec![200_000, 5, 20_000, 999])?;
     let miss = Event::new(&space, vec![999_000, 5, 20_000, 999])?;
     println!("node 60 publishes {hit} (matches) and {miss} (does not)");
-    net.node(60)?.publish(hit)?;
+    let hit_id = net.node(60)?.publish(hit.clone())?;
     net.node(60)?.publish(miss)?;
     net.run_for_secs(10);
 
-    // Inspect what the subscriber saw.
+    // Inspect what the subscriber saw: a note names the event by id.
     for note in net.delivered(7) {
         println!(
-            "node 7 notified at t={}: subscription {} matched event {} = {}",
-            note.at, note.sub_id, note.event_id, note.event
+            "node 7 notified at t={}: subscription {} matched event {} = {hit}",
+            note.at, note.sub_id, note.event_id
         );
-        assert_eq!(note.sub_id, sub_id);
+        assert_eq!((note.sub_id, note.event_id), (sub_id, hit_id));
     }
     assert_eq!(net.delivered(7).len(), 1);
 

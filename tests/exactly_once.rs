@@ -14,18 +14,21 @@
 //! `notifications.delivered` and the subscriber drops no duplicate. A
 //! churn run drops no duplicate either: a record some path stored without
 //! its placing attribute is matched for every event its node receives,
-//! and shows up here as a duplicate.
+//! and shows up here as a duplicate. Since no run here repeats a pair, the
+//! subscriber's own drop of a repeat is driven by hand-made notifications.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use cbps::{
-    ChordBackend, EventId, MappingKind, NotifyMode, Oracle, OverlayBackend, Primitive,
-    PubSubConfig, PubSubNetwork, PubSubNetworkBuilder, SubId, Subscription,
+    ChordBackend, EventId, MappingKind, NotifyBatch, NotifyItem, NotifyMode, Oracle,
+    OverlayBackend, Primitive, PubSubConfig, PubSubMsg, PubSubNetwork, PubSubNetworkBuilder, SubId,
+    Subscription,
 };
 use cbps_overlay::hash::key_of_bytes;
-use cbps_overlay::OverlayConfig;
+use cbps_overlay::{Envelope, OverlayConfig, OverlayMsg};
 use cbps_pastry::PastryBackend;
-use cbps_sim::{Counter, NetConfig, SimDuration, SimTime};
+use cbps_sim::{Counter, NetConfig, SimDuration, SimTime, TrafficClass};
 use cbps_workload::{WorkloadConfig, WorkloadGen};
 
 const NODES: usize = 48;
@@ -282,4 +285,52 @@ fn chord_with_join_and_crash_matches_each_pair_once() {
 #[test]
 fn chord_with_replica_promotion_matches_each_pair_once() {
     churn(1, 13);
+}
+
+/// A subscriber told of a pair twice in one batch and once more in a later
+/// message keeps one note of it and counts the other two as duplicates.
+#[test]
+fn a_repeated_pair_is_delivered_once() {
+    let mut net = PubSubNetwork::builder()
+        .nodes(NODES)
+        .net_config(NetConfig::new(5))
+        .pubsub(pubsub(Primitive::MCast, NotifyMode::Immediate, 1))
+        .build()
+        .expect("valid network configuration");
+    let mut wl = Workload::new(&net, 5);
+    wl.subscribe(&mut net);
+    net.run_for_secs(60);
+    let item = NotifyItem {
+        sub_id: wl.ids[0],
+        event_id: EventId::compose(NODES - 1, 0),
+    };
+    let peer = |idx| net.ring().peers().iter().copied().find(|p| p.idx == idx);
+    let (subscriber, publisher) = (peer(item.sub_id.node()), peer(NODES - 1));
+    let (subscriber, publisher) = (subscriber.expect("a member"), publisher.expect("a member"));
+    let notification = |items| Envelope {
+        sender: publisher,
+        body: OverlayMsg::Unicast {
+            key: subscriber.key,
+            class: TrafficClass::NOTIFICATION,
+            payload: Arc::new(PubSubMsg::Notification { items }),
+            hops: 0,
+            src: publisher,
+            trace: item.trace(),
+        },
+    };
+    let now = net.now();
+    let twice = notification(NotifyBatch::Many(vec![item, item]));
+    let again = notification(NotifyBatch::One(item));
+    net.sim_mut().inject_at(now, subscriber.idx, twice);
+    net.sim_mut()
+        .inject_at(now + SimDuration::from_secs(1), subscriber.idx, again);
+    net.run_for_secs(10);
+
+    let notes = net.delivered(subscriber.idx);
+    let pairs: Vec<_> = notes.iter().map(|n| (n.sub_id, n.event_id)).collect();
+    assert_eq!(pairs, [(item.sub_id, item.event_id)]);
+    assert_eq!(notes[0].at, now);
+    let m = net.metrics();
+    assert_eq!(m.count(Counter::NotificationsDelivered), 1);
+    assert_eq!(m.count(Counter::NotificationsDuplicate), 2);
 }

@@ -49,14 +49,14 @@ fn check_chains<B: OverlayBackend>(net: &PubSubNetwork<B>, notify: NotifyMode) {
     for node in 0..net.len() {
         for note in net.delivered(node) {
             assert!(
-                !note.trace.is_none(),
+                !note.trace().is_none(),
                 "delivered note carries no trace under enabled observability"
             );
-            let chain = net.explain(note.trace);
+            let chain = net.explain(note.trace());
             assert!(
                 !chain.is_empty(),
                 "no stage records for delivered trace {:?}",
-                note.trace
+                note.trace()
             );
             // The chain starts at the application operation...
             assert_eq!(
@@ -334,7 +334,7 @@ fn disabled_observability_records_nothing() {
     assert_eq!(obs.named_histograms().count(), 0);
     let mut checked = 0;
     for node in 0..net.len() {
-        let traces: Vec<_> = net.delivered(node).iter().map(|n| n.trace).collect();
+        let traces: Vec<_> = net.delivered(node).iter().map(|n| n.trace()).collect();
         for trace in traces {
             assert!(net.explain(trace).is_empty());
             checked += 1;
