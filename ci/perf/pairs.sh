@@ -33,6 +33,11 @@
 #   RUSTFLAGS="-C llvm-args=-align-all-functions=6 -C llvm-args=-align-loops=64" cargo build --release --manifest-path benchmark/Cargo.toml --target-dir target/bench-aligned
 #
 # (a target dir outside `benchmark/`, so the default build stays as it is).
+#
+# With REPEATS=N each run is `--repeats N` instead of `--seconds 16`: both
+# sides then read `peak_rss_mb` after the same number of repeats, where a
+# timed run fits as many as its speed allows, and the peak creeps up with
+# the repeat count. Use it for a `peak_rss_mb` claim.
 set -eu
 
 if [ $# -lt 4 ] || [ $# -gt 5 ]; then
@@ -56,13 +61,21 @@ for dir in "$parent" "$change"; do
     fi
 done
 
+if [ -n "${REPEATS:-}" ]; then
+    length="--repeats $REPEATS"
+else
+    length="--seconds 16"
+fi
+
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 # One run of SIDE (parent | change) for pair I: the last stdout line.
 run() {
     if [ "$1" = parent ]; then dir=$parent; else dir=$change; fi
-    (cd "$dir" && "./$bin" --workload "$workload" --seed "$seed" --seconds 16 \
+    # $length is two words, split on purpose.
+    # shellcheck disable=SC2086
+    (cd "$dir" && "./$bin" --workload "$workload" --seed "$seed" $length \
         --trace 0 2>/dev/null | tail -1) >"$out/$1.$2"
 }
 
@@ -79,12 +92,13 @@ while [ "$i" -le "$pairs" ]; do
     i=$((i + 1))
 done
 
-python3 - "$out" "$pairs" "$workload" "$seed" "$parent" "$change" "${ALIGNED:-0}" <<'EOF'
+python3 - "$out" "$pairs" "$workload" "$seed" "$parent" "$change" "${ALIGNED:-0}" \
+    "${REPEATS:-}" <<'EOF'
 import json
 import statistics
 import sys
 
-out, pairs, workload, seed, parent, change, aligned = sys.argv[1:]
+out, pairs, workload, seed, parent, change, aligned, repeats = sys.argv[1:]
 pairs = int(pairs)
 SIM = ["hops_per_sub", "hops_per_pub", "notify_hops_per_pub", "stored_top1pct",
        "load_top1pct_over_mean", "notify_latency_sim_ms_p50", "notify_latency_sim_ms_p99"]
@@ -104,7 +118,8 @@ def ops(v):
 
 
 build = ", alignment-pinned build" if aligned == "1" else ""
-print(f"## `{workload}` (seed {seed}{build})\n")
+length = f", `--repeats {repeats}`" if repeats else ""
+print(f"## `{workload}` (seed {seed}{build}{length})\n")
 print("| pair | first | parent `ops_per_s` | change `ops_per_s` | ratio | `setup_s` "
       "| `peak_rss_mb` | sim equal | `failed` | `correct` |")
 print("|---|---|---|---|---|---|---|---|---|---|")

@@ -5,6 +5,13 @@
 //! sweep must finish inside a minute. (Serial-vs-parallel routing-table
 //! parity is `cbps-overlay`'s `properties.rs::parallel_build_matches_serial`.)
 //!
+//! At each point the build must also hold little more than what it
+//! leaves behind: its peak live heap may exceed the built network's by at
+//! most [`MAX_TRANSIENT_PER_NODE`] bytes per node, so no second array of
+//! node-sized values is ever resident; and a freshly built node owns no
+//! heap of its own: the network holds at most [`MAX_SHARED_PER_NODE`]
+//! bytes per node beyond the node values themselves.
+//!
 //! Own integration-test binary for the same reason as `alloc_steady.rs`:
 //! the counting `#[global_allocator]` is process-wide, hence also a single
 //! test function. Ignored in debug builds: an un-optimized build's seconds
@@ -12,11 +19,14 @@
 
 mod counting_alloc;
 
+use std::mem::size_of;
 use std::time::{Duration, Instant};
 
-use counting_alloc::{live_bytes, CountingAlloc};
+use counting_alloc::{live_bytes, peak_live_bytes, reset_peak, CountingAlloc};
 
+use cbps::PubSubNode;
 use cbps_bench::runner::Deployment;
+use cbps_overlay::ChordNode;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -24,6 +34,17 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// The most the per-node seconds or bytes of one point may exceed the
 /// other's.
 const MAX_RATIO: f64 = 2.0;
+
+/// The most bytes per node the build may hold at its peak beyond what the
+/// built network holds: the key table, the finger grid and the index
+/// lookups the converged states are computed from, about 80–92 B per node.
+/// A second array of app values (160 B each) does not fit.
+const MAX_TRANSIENT_PER_NODE: i64 = 128;
+
+/// The most bytes per node the built network may hold beyond the node
+/// values: the ring view's 16 B entry per node plus fixed costs spread
+/// over the nodes. One boxed store per node (176 B) does not fit.
+const MAX_SHARED_PER_NODE: i64 = 32;
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "build-cost gate holds for release builds")]
@@ -34,15 +55,32 @@ fn build_cost_per_node_is_flat_from_a_thousand_to_ten_thousand_nodes() {
         .into_iter()
         .map(|nodes| {
             let before = live_bytes();
+            reset_peak();
             let started = Instant::now();
             let net = Deployment::new(nodes, 7).build();
             let secs = started.elapsed().as_secs_f64();
             let bytes = live_bytes() - before;
+            let transient = peak_live_bytes() - before - bytes;
             assert_eq!(net.len(), nodes);
+            let n = nodes as i64;
+            assert!(
+                transient <= MAX_TRANSIENT_PER_NODE * n,
+                "building {nodes} nodes peaked {transient} B ({} B per node) above what the \
+                 built network holds (bound {MAX_TRANSIENT_PER_NODE} B per node)",
+                transient / n
+            );
+            let beyond_nodes = bytes - (size_of::<ChordNode<PubSubNode>>() * nodes) as i64;
+            assert!(
+                beyond_nodes <= MAX_SHARED_PER_NODE * n,
+                "{nodes} freshly built nodes hold {beyond_nodes} B ({} B per node) beyond their \
+                 node values (bound {MAX_SHARED_PER_NODE} B per node): a node owns heap",
+                beyond_nodes / n
+            );
             eprintln!(
-                "{nodes:>6} nodes: {:.2} µs and {:.0} live bytes per node",
+                "{nodes:>6} nodes: {:.2} µs and {:.0} live bytes per node, {:.0} transient",
                 secs * 1e6 / nodes as f64,
-                bytes as f64 / nodes as f64
+                bytes as f64 / nodes as f64,
+                transient as f64 / nodes as f64,
             );
             (nodes, secs / nodes as f64, bytes as f64 / nodes as f64)
         })

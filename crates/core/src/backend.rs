@@ -11,15 +11,13 @@
 //! twin façade.
 
 use std::fmt;
-use std::sync::Arc;
 
 use cbps_overlay::{
-    build_stable, ChordNode, Envelope, KeySpace, OverlayConfig, OverlayServices, OverlayTimer,
+    build_stable_from, ChordNode, Envelope, KeySpace, OverlayConfig, OverlayServices, OverlayTimer,
     Peer, RingView, RoutingState,
 };
 use cbps_sim::{Context, NetConfig, Node, Simulator};
 
-use crate::config::PubSubConfig;
 use crate::msg::{PubSubMsg, PubSubTimer};
 use crate::node::PubSubNode;
 
@@ -66,16 +64,18 @@ pub trait OverlayBackend: fmt::Debug + Sized + 'static {
     fn warm_overlay(_node: &mut Self::Node) {}
 
     /// How many replicas the substrate can place (bounds
-    /// [`PubSubConfig::replication`]): the successor-list / leaf-set
-    /// length.
+    /// [`PubSubConfig::replication`](crate::PubSubConfig::replication)):
+    /// the successor-list / leaf-set length.
     fn replication_capacity(cfg: &Self::Config) -> usize;
 
-    /// Builds a converged network of `apps.len()` nodes (node `i` hosts
-    /// `apps[i]`) plus the global ring view.
+    /// Builds a converged network with one node per app `apps` yields
+    /// (node `i` hosts the `i`-th) plus the global ring view. Each app is
+    /// taken from the stream as its node is built, so the apps are never
+    /// resident twice.
     fn build(
         net: NetConfig,
         cfg: &Self::Config,
-        apps: Vec<PubSubNode>,
+        apps: impl ExactSizeIterator<Item = PubSubNode>,
     ) -> (Simulator<Self::Node>, RingView);
 
     /// The hosted pub/sub application of a node.
@@ -143,9 +143,9 @@ impl OverlayBackend for ChordBackend {
     fn build(
         net: NetConfig,
         cfg: &OverlayConfig,
-        apps: Vec<PubSubNode>,
+        apps: impl ExactSizeIterator<Item = PubSubNode>,
     ) -> (Simulator<Self::Node>, RingView) {
-        build_stable(net, *cfg, apps)
+        build_stable_from(net, *cfg, apps)
     }
 
     fn app(node: &Self::Node) -> &PubSubNode {
@@ -184,8 +184,3 @@ impl OverlayBackend for ChordBackend {
 /// The pub/sub deployment over the Chord substrate (what plain
 /// `PubSubNetwork` resolves to).
 pub type ChordPubSub = crate::PubSubNetwork<ChordBackend>;
-
-/// Fresh per-node application state for a network of `n` nodes.
-pub(crate) fn fresh_apps(cfg: &Arc<PubSubConfig>, n: usize) -> Vec<PubSubNode> {
-    (0..n).map(|_| PubSubNode::new(Arc::clone(cfg))).collect()
-}

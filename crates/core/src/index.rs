@@ -78,6 +78,15 @@ pub struct MatchIndex {
 }
 
 impl MatchIndex {
+    /// An empty index over no attributes: the engine of the store a node
+    /// lends before it stores anything.
+    pub(crate) const EMPTY: MatchIndex = MatchIndex {
+        dims: 0,
+        bounds: Vec::new(),
+        placed: Vec::new(),
+        len: 0,
+    };
+
     /// Creates an empty index for the given space.
     pub fn new(space: &EventSpace) -> Self {
         MatchIndex {

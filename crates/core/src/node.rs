@@ -18,7 +18,7 @@ use crate::event::{Event, EventId};
 use crate::index::ALL_ATTRIBUTES;
 use crate::mapping::MappingKind;
 use crate::msg::{CollectItem, DeliveredNote, NotifyBatch, NotifyItem, PubSubMsg, PubSubTimer};
-use crate::store::{MatchHit, StoredSub, SubscriptionStore};
+use crate::store::{MatchHit, StoredSub, SubscriptionStore, EMPTY_STORE};
 use crate::subscription::{SubId, Subscription};
 
 /// The capacity a `Vec` of word-sized (or larger) elements allocates on
@@ -31,16 +31,21 @@ const FIRST_GROWTH: usize = 4;
 pub type DynSvc<'x> = dyn OverlayServices<PubSubMsg, PubSubTimer> + 'x;
 
 /// The pub/sub application state of one node: subscriber, publisher and
-/// rendezvous roles combined (every node can play all three, §3.2).
+/// rendezvous roles combined (every node can play all three, §3.2). A role
+/// costs a node heap only once the node plays it: under a stateless
+/// mapping most nodes never store a subscription, and no node of a run
+/// without replication, buffering or collecting allocates the state those
+/// modes keep.
 #[derive(Debug)]
 pub struct PubSubNode {
     cfg: Arc<PubSubConfig>,
-    /// Rendezvous role: primary stored subscriptions. Boxed: more than
-    /// half of this value's bytes and idle at every relay, so it stays out
-    /// of the node array a routed hop strides over.
-    store: Box<SubscriptionStore>,
-    /// Passive replicas held for ring predecessors (activated on failure).
-    replicas: HashMap<SubId, Arc<StoredSub>>,
+    /// Rendezvous role: primary stored subscriptions, from the first one
+    /// filed here (or [`PubSubNode::reserve_workload`]) on. Boxed: idle at
+    /// every relay, so it stays out of the node array a routed hop strides
+    /// over.
+    store: Option<Box<SubscriptionStore>>,
+    /// Replica, buffering and collecting state, from its first use on.
+    mode: Option<Box<ModeState>>,
     /// Subscriber role: subscriptions this node issued.
     my_subs: HashMap<SubId, Arc<StoredSub>>,
     next_sub_seq: u32,
@@ -48,13 +53,6 @@ pub struct PubSubNode {
     /// Subscriber role: the notifications delivered here, and the set of
     /// their pairs a repeat is dropped by.
     delivered: DeliveredLog,
-    /// Buffered notifications per subscriber (buffering optimization).
-    notify_buffer: HashMap<Peer, Vec<NotifyItem>>,
-    /// Collect items heading clockwise / counter-clockwise.
-    collect_succ: Vec<CollectItem>,
-    collect_pred: Vec<CollectItem>,
-    /// Matches aggregated at this node as a range agent.
-    agent_buffer: HashMap<Peer, Vec<NotifyItem>>,
     flush_armed: bool,
     /// Reused match-result buffer for `handle_publish` (hot path; see
     /// [`SubscriptionStore::match_event_into`]).
@@ -65,21 +63,33 @@ pub struct PubSubNode {
     work: u64,
 }
 
+/// The state only replication, buffered notification and the collecting
+/// protocol touch.
+#[derive(Debug, Default)]
+struct ModeState {
+    /// Passive replicas held for ring predecessors (activated on failure).
+    replicas: HashMap<SubId, Arc<StoredSub>>,
+    /// Buffered notifications per subscriber (buffering optimization).
+    notify_buffer: HashMap<Peer, Vec<NotifyItem>>,
+    /// Collect items heading clockwise / counter-clockwise.
+    collect_succ: Vec<CollectItem>,
+    collect_pred: Vec<CollectItem>,
+    /// Matches aggregated at this node as a range agent.
+    agent_buffer: HashMap<Peer, Vec<NotifyItem>>,
+}
+
 impl PubSubNode {
     /// Creates the pub/sub state for one node under a shared configuration.
+    /// It owns no heap until the node stores, buffers or replicates.
     pub fn new(cfg: Arc<PubSubConfig>) -> Self {
         PubSubNode {
-            store: Box::new(SubscriptionStore::new(&cfg.space)),
             cfg,
-            replicas: HashMap::new(),
+            store: None,
+            mode: None,
             my_subs: HashMap::new(),
             next_sub_seq: 0,
             next_event_seq: 0,
             delivered: DeliveredLog::default(),
-            notify_buffer: HashMap::new(),
-            collect_succ: Vec::new(),
-            collect_pred: Vec::new(),
-            agent_buffer: HashMap::new(),
             flush_armed: false,
             match_buf: Vec::new(),
             work: 0,
@@ -91,14 +101,27 @@ impl PubSubNode {
         &self.cfg
     }
 
-    /// The rendezvous store (primary subscriptions held for others).
+    /// The rendezvous store (primary subscriptions held for others); an
+    /// empty one on a node that never stored a subscription.
     pub fn store(&self) -> &SubscriptionStore {
-        &self.store
+        self.store.as_deref().unwrap_or(&EMPTY_STORE)
     }
 
     /// Number of passive replicas currently held.
     pub fn replica_count(&self) -> usize {
-        self.replicas.len()
+        self.mode.as_ref().map_or(0, |mode| mode.replicas.len())
+    }
+
+    /// The rendezvous store, allocated on first use.
+    fn store_mut(&mut self) -> &mut SubscriptionStore {
+        let space = &self.cfg.space;
+        self.store
+            .get_or_insert_with(|| Box::new(SubscriptionStore::new(space)))
+    }
+
+    /// The replica, buffering and collecting state, allocated on first use.
+    fn mode_mut(&mut self) -> &mut ModeState {
+        self.mode.get_or_insert_default()
     }
 
     /// Cumulative rendezvous work units (publication deliveries processed
@@ -289,13 +312,13 @@ impl PubSubNode {
     fn handle_store(&mut self, id: SubId, stored: Arc<StoredSub>, svc: &mut DynSvc<'_>) {
         svc.stage(stored.trace, Stage::Store, TrafficClass::SUBSCRIPTION);
         let fresh = self.file(id, stored, svc.now());
-        svc.obs_sample(ObsSeries::StoreSize, self.store.len() as u64);
+        svc.obs_sample(ObsSeries::StoreSize, self.store().len() as u64);
         if fresh {
             svc.metrics().bump(Counter::StoreInsert, 1);
             let replication = self.cfg.replication;
             if replication > 0 {
                 // A fresh insert keeps the delivered record itself.
-                let stored = Arc::clone(self.store.get(id).expect("a fresh insert is stored"));
+                let stored = Arc::clone(self.store().get(id).expect("a fresh insert is stored"));
                 let succs: Vec<Peer> = svc.successors().iter().take(replication).copied().collect();
                 for peer in succs {
                     svc.direct(
@@ -320,7 +343,7 @@ impl PubSubNode {
     /// store is placed, and [`PubSubNode::owned_attributes`] may skip it.
     fn file(&mut self, id: SubId, stored: Arc<StoredSub>, now: SimTime) -> bool {
         let placed_by = self.cfg.mapping.placed_by(&stored.sub);
-        self.store.insert_placed(id, stored, placed_by, now)
+        self.store_mut().insert_placed(id, stored, placed_by, now)
     }
 
     /// The attributes whose event key for `event` is among `keys`, the keys
@@ -347,7 +370,8 @@ impl PubSubNode {
     }
 
     fn handle_unsubscribe(&mut self, id: SubId, svc: &mut DynSvc<'_>) {
-        if self.store.remove(id).is_some() && self.cfg.replication > 0 {
+        let removed = self.store.as_mut().and_then(|store| store.remove(id));
+        if removed.is_some() && self.cfg.replication > 0 {
             let succs: Vec<Peer> = svc
                 .successors()
                 .iter()
@@ -362,22 +386,28 @@ impl PubSubNode {
                 );
             }
         }
-        self.replicas.remove(&id);
+        if let Some(mode) = &mut self.mode {
+            mode.replicas.remove(&id);
+        }
     }
 
-    /// Pre-sizes the rendezvous-side match buffer for a bulk installation
-    /// of roughly `expected_stored` subscriptions. Deployment builders call
-    /// this with a per-node estimate derived from the workload totals
-    /// before replaying a trace; behavior is identical with or without it. An
+    /// Allocates the store and pre-sizes the rendezvous-side match buffer
+    /// for a bulk installation of roughly `expected_stored` subscriptions.
+    /// Deployment builders call this with a per-node estimate derived from
+    /// the workload totals before replaying a trace; behavior is identical
+    /// with or without it. The stores of a deployment whose nodes all
+    /// store are then allocated side by side, not each between the records
+    /// of its first install, which leaves the heap less fragmented. An
     /// estimate a vector's first push covers anyway (four elements) is
-    /// left to that push: reserving for it would make, on every node of a
-    /// deployment whose nodes mostly never store anything, the
-    /// minimum-capacity allocations the nodes that do store make by
-    /// themselves.
+    /// left to that push, and the store to its first record: reserving for
+    /// it would make, on every node of a deployment whose nodes mostly
+    /// never store anything, the allocations the nodes that do store make
+    /// by themselves.
     pub fn reserve_workload(&mut self, expected_stored: usize) {
         if expected_stored <= FIRST_GROWTH {
             return;
         }
+        self.store_mut();
         if self.match_buf.capacity() < expected_stored {
             self.match_buf
                 .reserve(expected_stored - self.match_buf.len());
@@ -390,7 +420,7 @@ impl PubSubNode {
     /// same warming happens lazily on first use; the allocation-audit
     /// harness calls this on every node after its warmup pass.
     pub fn warm(&mut self) {
-        let need = self.store.len();
+        let need = self.store().len();
         if self.match_buf.capacity() < need {
             self.match_buf.reserve(need - self.match_buf.len());
         }
@@ -406,8 +436,9 @@ impl PubSubNode {
         let trace = id.trace();
         let owned = self.owned_attributes(event, keys);
         let mut matches = std::mem::take(&mut self.match_buf);
-        self.store
-            .match_owned_into(event, svc.now(), owned, &mut matches);
+        if let Some(store) = &mut self.store {
+            store.match_owned_into(event, svc.now(), owned, &mut matches);
+        }
         self.work = self.work.wrapping_add(1 + matches.len() as u64);
         svc.metrics().bump(Counter::Matches, matches.len() as u64);
         svc.stage(trace, Stage::RendezvousMatch, TrafficClass::PUBLICATION);
@@ -431,13 +462,14 @@ impl PubSubNode {
                     );
                 }
                 NotifyMode::Buffered { period } => {
-                    self.notify_buffer.entry(subscriber).or_default().push(item);
+                    let buffer = &mut self.mode_mut().notify_buffer;
+                    buffer.entry(subscriber).or_default().push(item);
                     self.arm_flush(period, svc);
                 }
                 NotifyMode::Collecting { period } => {
                     // The one mode that needs more of the record than the
                     // hit carries: the rendezvous key set.
-                    let stored = Arc::clone(self.store.matched_record(row));
+                    let stored = Arc::clone(self.store().matched_record(row));
                     self.route_to_agent(item, &stored, svc);
                     self.arm_flush(period, svc);
                 }
@@ -465,8 +497,9 @@ impl PubSubNode {
             .or_else(|| stored.sk.iter_ranges(space).next());
         let Some(range) = range else { return };
         let agent_key = range.midpoint(space);
+        let mode = self.mode_mut();
         if svc.covers(agent_key) {
-            self.agent_buffer
+            mode.agent_buffer
                 .entry(stored.subscriber)
                 .or_default()
                 .push(item);
@@ -481,9 +514,9 @@ impl PubSubNode {
         // Nodes covering the part of the range before the midpoint push
         // clockwise; the rest push counter-clockwise.
         if space.distance_cw(range.start(), me.key) < space.distance_cw(range.start(), agent_key) {
-            self.collect_succ.push(citem);
+            mode.collect_succ.push(citem);
         } else {
-            self.collect_pred.push(citem);
+            mode.collect_pred.push(citem);
         }
     }
 
@@ -496,10 +529,13 @@ impl PubSubNode {
 
     fn flush(&mut self, svc: &mut DynSvc<'_>) {
         self.flush_armed = false;
+        let Some(mode) = self.mode.as_deref_mut() else {
+            return; // nothing was ever buffered or collected here
+        };
         // Plain buffered notifications, then agent aggregates: one message
         // per subscriber, in ascending subscriber order — the maps drain in
         // per-instance hash order, which must not reach the wire.
-        for buffer in [&mut self.notify_buffer, &mut self.agent_buffer] {
+        for buffer in [&mut mode.notify_buffer, &mut mode.agent_buffer] {
             let mut batches: Vec<(Peer, Vec<NotifyItem>)> = buffer.drain().collect();
             batches.sort_unstable_by_key(|(subscriber, _)| subscriber.idx);
             for (subscriber, items) in batches {
@@ -510,7 +546,8 @@ impl PubSubNode {
             }
         }
         // Collect exchanges: one merged message per ring direction.
-        let succ_items = std::mem::take(&mut self.collect_succ);
+        let succ_items = std::mem::take(&mut mode.collect_succ);
+        let pred_items = std::mem::take(&mut mode.collect_pred);
         if !succ_items.is_empty() {
             match svc.successor() {
                 Some(succ) => svc.direct(
@@ -521,7 +558,6 @@ impl PubSubNode {
                 None => self.absorb_collect_items(succ_items, svc),
             }
         }
-        let pred_items = std::mem::take(&mut self.collect_pred);
         if !pred_items.is_empty() {
             match svc.predecessor() {
                 Some(pred) => svc.direct(
@@ -562,8 +598,9 @@ impl PubSubNode {
     /// act as the agent ourselves.
     fn absorb_collect_items(&mut self, items: Vec<CollectItem>, svc: &mut DynSvc<'_>) {
         let mut touched = false;
+        let mode = self.mode_mut();
         for item in items {
-            self.agent_buffer
+            mode.agent_buffer
                 .entry(item.subscriber)
                 .or_default()
                 .push(NotifyItem {
@@ -583,11 +620,12 @@ impl PubSubNode {
         let space = svc.space();
         let me = svc.me();
         let mut touched = false;
+        let mode = self.mode_mut();
         for item in items {
             touched = true;
             svc.stage(item.trace(), Stage::CollectHop, TrafficClass::COLLECT);
             if svc.covers(item.agent_key) {
-                self.agent_buffer
+                mode.agent_buffer
                     .entry(item.subscriber)
                     .or_default()
                     .push(NotifyItem {
@@ -599,9 +637,9 @@ impl PubSubNode {
             // Keep moving toward the agent: clockwise if it lies in the
             // half-ring ahead of us, counter-clockwise otherwise.
             if space.distance_cw(me.key, item.agent_key) <= space.size() / 2 {
-                self.collect_succ.push(item);
+                mode.collect_succ.push(item);
             } else {
-                self.collect_pred.push(item);
+                mode.collect_pred.push(item);
             }
         }
         if touched {
@@ -648,7 +686,7 @@ impl PubSubNode {
         for (id, stored) in subs {
             if as_replica {
                 svc.metrics().bump(Counter::ReplicasStored, 1);
-                self.replicas.insert(id, stored);
+                self.mode_mut().replicas.insert(id, stored);
             } else {
                 svc.metrics().bump(Counter::StateTransferAdopted, 1);
                 self.file(id, stored, now);
@@ -688,8 +726,10 @@ impl OverlayApp for PubSubNode {
                 self.handle_state_batch(subs, as_replica, svc)
             }
             PubSubMsg::ReplicaDrop { ids } => {
-                for id in ids {
-                    self.replicas.remove(&id);
+                if let Some(mode) = &mut self.mode {
+                    for id in ids {
+                        mode.replicas.remove(&id);
+                    }
                 }
             }
             // Notifications are routed, not direct.
@@ -719,7 +759,7 @@ impl OverlayApp for PubSubNode {
         if let (Some(old_p), Some(new_p)) = (old, new) {
             if space.in_arc_oo(new_p.key, old_p.key, me.key) {
                 let batch: Vec<(SubId, Arc<StoredSub>)> = self
-                    .store
+                    .store()
                     .iter()
                     .filter(|(_, s)| !s.sk.extract_arc_oc(space, old_p.key, new_p.key).is_empty())
                     .map(|(id, s)| (id, Arc::clone(s)))
@@ -744,25 +784,28 @@ impl OverlayApp for PubSubNode {
             Some(p) => !s.sk.extract_arc_oc(space, p.key, me.key).is_empty(),
         };
         let demote: Vec<SubId> = self
-            .store
+            .store()
             .iter()
             .filter(|(_, s)| !covered(s))
             .map(|(id, _)| id)
             .collect();
-        for id in demote {
-            if let Some(s) = self.store.remove(id) {
-                self.replicas.insert(id, s);
+        if let Some(store) = &mut self.store {
+            for id in demote {
+                if let Some(s) = store.remove(id) {
+                    self.mode.get_or_insert_default().replicas.insert(id, s);
+                }
             }
         }
         let promote: Vec<SubId> = self
-            .replicas
+            .mode
             .iter()
+            .flat_map(|mode| &mode.replicas)
             .filter(|(_, s)| covered(s))
             .map(|(&id, _)| id)
             .collect();
         let now = svc.now();
         for id in promote {
-            if let Some(s) = self.replicas.remove(&id) {
+            if let Some(s) = self.mode_mut().replicas.remove(&id) {
                 svc.metrics().bump(Counter::ReplicasPromoted, 1);
                 self.file(id, s, now);
             }
@@ -773,7 +816,7 @@ impl OverlayApp for PubSubNode {
     fn on_leaving(&mut self, svc: &mut DynSvc<'_>) {
         let Some(succ) = svc.successor() else { return };
         let batch: Vec<(SubId, Arc<StoredSub>)> = self
-            .store
+            .store()
             .iter()
             .map(|(id, s)| (id, Arc::clone(s)))
             .collect();
@@ -811,7 +854,9 @@ impl OverlayApp for PubSubNode {
                 }
             }
             PrefetchStage::Rows => {
-                prefetch::<SubscriptionStore>(&self.store);
+                if let Some(store) = &self.store {
+                    prefetch::<SubscriptionStore>(store);
+                }
                 if let Some(last) = self.delivered.notes().last() {
                     prefetch(last);
                 }

@@ -8,6 +8,7 @@
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use cbps_overlay::{KeyRangeSet, Peer};
@@ -109,6 +110,18 @@ struct Row {
     /// reference count instead of copying a record.
     rec: Arc<StoredSub>,
 }
+
+/// An empty store of no event space, holding no heap: what a node that
+/// never stored anything lends as its store. It can be read, not filled or
+/// matched against.
+pub(crate) static EMPTY_STORE: SubscriptionStore = SubscriptionStore {
+    engine: MatchIndex::EMPTY,
+    rows: Vec::new(),
+    free: Vec::new(),
+    by_id: IdMap::with_hasher(BuildHasherDefault::new()),
+    expiry: BinaryHeap::new(),
+    peak: 0,
+};
 
 impl SubscriptionStore {
     /// Creates an empty store for subscriptions over `space`.

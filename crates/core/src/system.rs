@@ -8,7 +8,7 @@ use cbps_sim::{
     Metrics, NetConfig, NodeIdx, ObsMode, SimDuration, SimTime, Simulator, StageRecord, TraceId,
 };
 
-use crate::backend::{fresh_apps, ChordBackend, OverlayBackend};
+use crate::backend::{ChordBackend, OverlayBackend};
 use crate::config::PubSubConfig;
 use crate::error::{ConfigError, PubSubError};
 use crate::event::{Event, EventId};
@@ -623,7 +623,7 @@ impl<B: OverlayBackend> PubSubNetworkBuilder<B> {
     pub fn build_unchecked(self) -> PubSubNetwork<B> {
         assert!(self.nodes > 0, "a network needs at least one node");
         let cfg = self.pubsub.into_shared();
-        let apps = fresh_apps(&cfg, self.nodes);
+        let apps = (0..self.nodes).map(|_| PubSubNode::new(Arc::clone(&cfg)));
         let (sim, ring) = B::build(self.net, &self.overlay, apps);
         let mut net = PubSubNetwork {
             sim,

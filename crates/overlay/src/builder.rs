@@ -2,8 +2,9 @@
 //!
 //! Two modes:
 //!
-//! * [`build_stable`] — the experiments' mode: every node starts with
-//!   converged predecessor/successor/finger state computed from a global
+//! * [`build_stable_from`] (and [`build_stable`] over a vector) — the
+//!   experiments' mode: every node starts with converged
+//!   predecessor/successor/finger state computed from a global
 //!   [`RingView`] (the paper's simulations run on an already-formed Chord
 //!   ring and "exploit the Chord infrastructure" for maintenance);
 //! * incremental joins through [`crate::ChordNode::start_join`] plus
@@ -95,24 +96,14 @@ pub fn assign_node_keys(cfg: &OverlayConfig, n: usize) -> Vec<Key> {
 }
 
 /// Runs `build_one(idx)` for `0..n` across [`build_jobs`] worker threads on
-/// contiguous index chunks and returns the results in index order. With one
-/// job (the default) this is a plain inline loop. Used by the stable
-/// builders for per-node converged state, which is a pure function of the
-/// shared ring table — so the output is identical at any job count.
-pub fn build_indexed<T, F>(n: usize, build_one: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = Vec::with_capacity(n);
-    build_indexed_into(n, build_one, |built| out.push(built));
-    out
-}
-
-/// [`build_indexed`] handing each result to `sink`, in index order, instead
-/// of collecting them: with one job a value goes from its builder straight
-/// to where it will live, and no second array of them is ever resident.
-fn build_indexed_into<T, F>(n: usize, build_one: F, mut sink: impl FnMut(T))
+/// contiguous index chunks and hands each result to `sink`, in index order.
+/// With one job (the default) this is a plain inline loop, and a value goes
+/// from its builder straight to where it will live: no second array of
+/// them is ever resident. With more jobs each worker collects its chunk,
+/// so every value is built before the first is handed on. Used by the
+/// stable builders for per-node converged state, which is a pure function
+/// of the shared ring table — so the output is identical at any job count.
+pub fn build_indexed_into<T, F>(n: usize, build_one: F, mut sink: impl FnMut(T))
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -144,7 +135,11 @@ where
 /// [`RingView::finger_grid`], so the whole pass is O(n·m) with no per-node
 /// ring queries; construction fans out over [`build_jobs`] workers.
 pub fn build_routing_states(cfg: &OverlayConfig, ring: &RingView) -> Vec<RoutingState> {
-    build_indexed(ring.len(), converged_state_of(cfg, ring))
+    let mut states = Vec::with_capacity(ring.len());
+    build_indexed_into(ring.len(), converged_state_of(cfg, ring), |state| {
+        states.push(state)
+    });
+    states
 }
 
 /// The per-node builder behind [`build_routing_states`]: node index in,
@@ -187,7 +182,26 @@ fn converged_state_of<'a>(
 }
 
 /// Builds a converged ring of `apps.len()` nodes and returns the simulator
-/// together with the global ring view (node index `i` hosts `apps[i]`).
+/// together with the global ring view (node index `i` hosts `apps[i]`):
+/// [`build_stable_from`] over a vector the caller collected first, which
+/// stays resident beside the node array until the build returns.
+///
+/// # Panics
+///
+/// As [`build_stable_from`].
+pub fn build_stable<A: OverlayApp>(
+    net: NetConfig,
+    cfg: OverlayConfig,
+    apps: Vec<A>,
+) -> (Simulator<ChordNode<A>>, RingView) {
+    build_stable_from(net, cfg, apps)
+}
+
+/// Builds a converged ring with one node per app `apps` yields and
+/// returns the simulator together with the global ring view (node index
+/// `i` hosts the `i`-th app). Each app is taken from the stream as its
+/// node is built and moved straight into the node array, so no second
+/// array of apps is ever resident.
 ///
 /// When the overlay config enables maintenance, stabilize and finger timers
 /// are armed at staggered offsets.
@@ -195,13 +209,19 @@ fn converged_state_of<'a>(
 /// # Panics
 ///
 /// Panics if `apps` is empty or larger than the key space.
-pub fn build_stable<A: OverlayApp>(
+pub fn build_stable_from<A, I>(
     net: NetConfig,
     cfg: OverlayConfig,
-    apps: Vec<A>,
-) -> (Simulator<ChordNode<A>>, RingView) {
-    assert!(!apps.is_empty(), "a network needs at least one node");
+    apps: I,
+) -> (Simulator<ChordNode<A>>, RingView)
+where
+    A: OverlayApp,
+    I: IntoIterator<Item = A>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let mut apps = apps.into_iter();
     let n = apps.len();
+    assert!(n > 0, "a network needs at least one node");
     let keys = assign_node_keys(&cfg, n);
     let peers: Vec<Peer> = keys
         .iter()
@@ -212,7 +232,6 @@ pub fn build_stable<A: OverlayApp>(
 
     let mut sim = Simulator::new(net);
     sim.reserve_nodes(n);
-    let mut apps = apps.into_iter();
     build_indexed_into(n, converged_state_of(&cfg, &ring), |state| {
         let app = apps.next().expect("one state per app");
         sim.add_node(ChordNode::new(state, app));

@@ -88,7 +88,8 @@ mod timer;
 
 pub use app::{Delivery, OverlayApp, OverlaySvc};
 pub use builder::{
-    assign_node_keys, build_indexed, build_jobs, build_routing_states, build_stable, set_build_jobs,
+    assign_node_keys, build_indexed_into, build_jobs, build_routing_states, build_stable,
+    build_stable_from, set_build_jobs,
 };
 pub use cache::{LocationCache, INLINE_ENTRIES};
 pub use config::OverlayConfig;

@@ -42,7 +42,7 @@ impl OverlayBackend for PastryBackend {
     fn build(
         net: NetConfig,
         cfg: &PastryConfig,
-        apps: Vec<PubSubNode>,
+        apps: impl ExactSizeIterator<Item = PubSubNode>,
     ) -> (Simulator<Self::Node>, RingView) {
         build_pastry_stable(net, *cfg, apps)
     }

@@ -1,26 +1,35 @@
 //! Building static Pastry networks inside a simulator.
 
-use cbps_overlay::{assign_node_keys, build_indexed, OverlayApp, OverlayConfig, Peer, RingView};
+use cbps_overlay::{
+    assign_node_keys, build_indexed_into, OverlayApp, OverlayConfig, Peer, RingView,
+};
 use cbps_sim::{NetConfig, Simulator};
 
 use crate::node::PastryNode;
 use crate::state::{PastryConfig, PastryState};
 
-/// Builds a converged Pastry network of `apps.len()` nodes and returns
-/// the simulator together with the global ring view (node index `i` hosts
-/// `apps[i]`). Node keys use the same consistent hashing as the Chord
-/// builder, so a Pastry deployment with the same seed sees the same ring.
+/// Builds a converged Pastry network with one node per app `apps` yields
+/// and returns the simulator together with the global ring view (node
+/// index `i` hosts the `i`-th app). Node keys use the same consistent
+/// hashing as the Chord builder, so a Pastry deployment with the same seed
+/// sees the same ring.
 ///
 /// # Panics
 ///
 /// Panics if `apps` is empty or larger than the key space.
-pub fn build_pastry_stable<A: OverlayApp>(
+pub fn build_pastry_stable<A, I>(
     net: NetConfig,
     cfg: PastryConfig,
-    apps: Vec<A>,
-) -> (Simulator<PastryNode<A>>, RingView) {
-    assert!(!apps.is_empty(), "a network needs at least one node");
+    apps: I,
+) -> (Simulator<PastryNode<A>>, RingView)
+where
+    A: OverlayApp,
+    I: IntoIterator<Item = A>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let mut apps = apps.into_iter();
     let n = apps.len();
+    assert!(n > 0, "a network needs at least one node");
     // Reuse the Chord key-assignment (collision-free consistent hashing).
     let overlay_like = OverlayConfig::paper_default().with_space(cfg.space);
     let keys = assign_node_keys(&overlay_like, n);
@@ -32,14 +41,18 @@ pub fn build_pastry_stable<A: OverlayApp>(
     let ring = RingView::new(cfg.space, peers.clone());
 
     // Converged state is a pure function of the ring table, so it fans out
-    // over the overlay builder's worker pool (identical at any job count).
-    let states = build_indexed(n, |idx| PastryState::converged(cfg, peers[idx], &ring));
+    // over the overlay builder's worker pool (identical at any job count);
+    // each state goes straight into its node, beside the next app.
     let mut sim = Simulator::new(net);
     sim.reserve_nodes(n);
-    for (idx, (state, app)) in states.into_iter().zip(apps).enumerate() {
-        let added = sim.add_node(PastryNode::new(state, app));
-        debug_assert_eq!(added, idx);
-    }
+    build_indexed_into(
+        n,
+        |idx| PastryState::converged(cfg, peers[idx], &ring),
+        |state| {
+            let app = apps.next().expect("one state per app");
+            sim.add_node(PastryNode::new(state, app));
+        },
+    );
     (sim, ring)
 }
 

@@ -48,23 +48,32 @@ fn check_chains<B: OverlayBackend>(net: &PubSubNetwork<B>, notify: NotifyMode) {
     let mut explained = 0;
     for node in 0..net.len() {
         for note in net.delivered(node) {
-            assert!(
-                !note.trace().is_none(),
-                "delivered note carries no trace under enabled observability"
-            );
             let chain = net.explain(note.trace());
             assert!(
                 !chain.is_empty(),
                 "no stage records for delivered trace {:?}",
                 note.trace()
             );
-            // The chain starts at the application operation...
+            // Every record is one of this publication's...
+            assert!(
+                chain.iter().all(|r| r.trace == note.trace()),
+                "a record of another operation in the chain of {:?}: {chain:?}",
+                note.trace()
+            );
+            // ...and the chain starts at the application operation, on the
+            // node that published the event.
             assert_eq!(
                 chain[0].stage,
                 Stage::Publish,
                 "chain of a publication trace must start at publish"
             );
             assert_eq!(chain[0].class, TrafficClass::PUBLICATION);
+            assert_eq!(
+                chain[0].node,
+                note.event_id.node(),
+                "the publish record of {:?} ran on another node than its publisher",
+                note.event_id
+            );
             // ...carries monotone timestamps...
             for pair in chain.windows(2) {
                 assert!(
