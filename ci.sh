@@ -42,6 +42,17 @@ if grep -rnE '^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?static[[:space:]]+(mut
     exit 1
 fi
 
+# No mutable process-wide state in any library or binary: a `static mut`
+# or a `static` atomic, `Mutex`, `RwLock` or `OnceLock` would be a global
+# knob (the overlay builder's job count was one). Immutable statics and
+# the `thread_local!` scratch pools are fine.
+echo "==> no mutable statics in crates/*/src"
+if grep -rnE '^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?static[[:space:]]+(mut[[:space:]]|[A-Za-z_][A-Za-z0-9_]*[[:space:]]*:[[:space:]]*([A-Za-z_][A-Za-z0-9_]*::)*(Atomic[A-Za-z0-9]*|Mutex|RwLock|OnceLock)([^A-Za-z0-9_]|$))' \
+    crates/*/src; then
+    echo "FAIL: a mutable process-wide static in crates/*/src (above)" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -108,9 +119,9 @@ fi
 
 # Event-count and serial-vs-parallel smoke: a quick-scale figures subset
 # must simulate exactly the event counts the recorded baseline holds (wall
-# times legitimately drift; event counts may not), and --jobs (the sweep
-# worker pool and the parallel node construction) must not change a table:
-# the render at --jobs 4 and one at --jobs 1 must be byte-identical.
+# times legitimately drift; event counts may not), and --jobs (the pool
+# that runs independent sweep points) must not change a table: the render
+# at --jobs 4 and one at --jobs 1 must be byte-identical.
 echo "==> event-count and serial-vs-parallel smoke (figures --json, --jobs 4|1)"
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT

@@ -14,7 +14,7 @@ use cbps::{
     AkMapping, Event, EventSpace, MappingKind, MatchEngine, MatchIndex, SortedIndex, Subscription,
 };
 use cbps_overlay::{
-    hash::sha1, KeyRangeSet, KeySpace, OverlayConfig, Peer, RingView, RoutingState,
+    build_routing_states, hash::sha1, hashed_ring, KeyRangeSet, KeySpace, OverlayConfig,
 };
 use cbps_workload::{WorkloadConfig, WorkloadGen};
 
@@ -173,31 +173,10 @@ fn sweep_point<E: MatchEngine + Clone>(
     );
 }
 
-fn converged_state(n: usize) -> RoutingState {
-    let cfg = OverlayConfig::paper_default();
-    let peers: Vec<Peer> = (0..n)
-        .map(|i| Peer {
-            idx: i,
-            key: cbps_overlay::hash::key_of_bytes(cfg.space, format!("n{i}").as_bytes()),
-        })
-        .collect();
-    // Deduplicate keys for the view.
-    let mut seen = std::collections::HashSet::new();
-    let peers: Vec<Peer> = peers.into_iter().filter(|p| seen.insert(p.key)).collect();
-    let ring = RingView::new(cfg.space, peers.clone());
-    let me = peers[0];
-    let mut st = RoutingState::new(cfg, me);
-    st.set_predecessor(Some(ring.predecessor(me.key)));
-    st.set_successors(ring.successors_of(me.key, cfg.succ_list_len));
-    for (i, f) in ring.fingers_of(me.key).into_iter().enumerate() {
-        st.set_finger(i, f);
-    }
-    st
-}
-
 fn bench_overlay() {
-    let st = converged_state(500);
-    let space = OverlayConfig::paper_default().space;
+    let cfg = OverlayConfig::paper_default();
+    let st = build_routing_states(&cfg, &hashed_ring(cfg.space, 500)).swap_remove(0);
+    let space = cfg.space;
     let full = KeyRangeSet::full(space);
     bench("mcast-split-full-ring", || {
         std::hint::black_box(st.mcast_split(&full));
@@ -213,15 +192,9 @@ fn bench_overlay() {
 fn bench_pastry() {
     use cbps_pastry::{PastryConfig, PastryState};
     let cfg = PastryConfig::paper_default();
-    let overlay_like = OverlayConfig::paper_default();
-    let keys = cbps_overlay::assign_node_keys(&overlay_like, 500);
-    let peers: Vec<Peer> = keys
-        .iter()
-        .enumerate()
-        .map(|(idx, &key)| Peer { idx, key })
-        .collect();
-    let ring = RingView::new(cfg.space, peers.clone());
-    let st = PastryState::converged(cfg, peers[0], &ring);
+    let ring = hashed_ring(cfg.space, 500);
+    let node0 = ring.peers()[ring.positions_by_idx()[0] as usize];
+    let st = PastryState::converged(cfg, node0, &ring);
     let space = cfg.space;
     bench("pastry-next-hop", || {
         for k in (0..8192u64).step_by(257) {

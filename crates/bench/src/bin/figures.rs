@@ -151,7 +151,6 @@ fn main() {
     if report_path.is_some() {
         profile.obs = ObsMode::Stages;
     }
-    cbps_overlay::set_build_jobs(profile.jobs);
 
     let mut records: Vec<ExperimentReport> = Vec::new();
     let mut csv_failed = false;

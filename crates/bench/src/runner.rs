@@ -91,8 +91,9 @@ pub struct RunProfile {
     /// Network-size override (`--nodes`, at most [`MAX_NODES`]); `None`
     /// runs every experiment at its scale's sizes.
     pub nodes: Option<usize>,
-    /// Worker count for sweep points and overlay construction (`--jobs`);
-    /// 1 = fully serial.
+    /// Worker count for independent sweep points (`--jobs`); 1 = fully
+    /// serial. Each deployment is built inline on the thread that runs its
+    /// point.
     pub jobs: usize,
     /// Overlay substrate of the deployment-style experiments (`--overlay`).
     pub overlay: BackendKind,

@@ -20,8 +20,8 @@ use mapping1_install::Mapping1Install;
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Heap allocations a stored copy may cost after warm-up. This batch
-/// measures 0.30 (1 895 for 6 246 copies): growth of the engine's bounds
-/// table and the store's tables spread over the copies, plus the
+/// measures 0.16 (990 for 6 246 copies; the bound was set when it read
+/// 0.30): growth of the engine's bounds table and the store's tables spread over the copies, plus the
 /// per-subscription record and its key set spread over ≈ 15 copies. With
 /// the engine's own table of subscription handles growing too the same
 /// batch cost 0.31, with covering's groups and directory runs 0.78, with
@@ -36,8 +36,9 @@ const MAX_ALLOCS_PER_COPY: f64 = 0.32;
 /// copy wrote two records, two id-map entries and a shape-map entry
 /// beside its row, 427 with one slot space, 402 with the engine entry one
 /// row of bounds instead of a record with its bucket positions and list
-/// entries, 244 without covering's group and directory entry, and reads
-/// 203 without the engine's handle to the shape beside each bounds row.
+/// entries, 244 without covering's group and directory entry, 203
+/// without the engine's handle to the shape beside each bounds row (when
+/// the bound was set), and now reads 190 (1 188 608 B for 6 246 copies).
 /// What is left is the row, the `by_id` entry, the bounds row and the
 /// doubling slack of the arrays they sit in.
 const MAX_BYTES_PER_COPY: f64 = 215.0;

@@ -314,7 +314,7 @@ impl SubscriptionStore {
     }
 
     /// Writes all live subscriptions matched by `event` into `out`
-    /// (cleared first), in ascending id order. Purges expired entries
+    /// (cleared first), in ascending row order. Purges expired entries
     /// first. Allocation-free once `out` has grown to the largest match: a
     /// hit is read off the record table without touching a stored record
     /// or its reference count.
@@ -343,7 +343,6 @@ impl SubscriptionStore {
                 .expect("the engine names live rows");
             out.push((r.id, r.subscriber, row));
         });
-        out.sort_unstable_by_key(|&(id, ..)| id);
     }
 
     /// The stored record of a hit of the latest

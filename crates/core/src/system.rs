@@ -580,11 +580,6 @@ impl<B: OverlayBackend> PubSubNetworkBuilder<B> {
     /// [`ConfigError::ZeroFlushPeriod`] when a buffered or collecting
     /// notify mode has a zero period.
     pub fn build(self) -> Result<PubSubNetwork<B>, ConfigError> {
-        self.validate()?;
-        Ok(self.build_unchecked())
-    }
-
-    fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes == 0 {
             return Err(ConfigError::NoNodes);
         }
@@ -609,19 +604,6 @@ impl<B: OverlayBackend> PubSubNetworkBuilder<B> {
             }
             _ => {}
         }
-        Ok(())
-    }
-
-    /// Builds without validating — the escape hatch for callers that have
-    /// already validated (or deliberately construct a degenerate network).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero-node network; other invalid configurations
-    /// produce a network whose behavior is unspecified (replicas silently
-    /// dropped, misrouted rendezvous, busy flush loops).
-    pub fn build_unchecked(self) -> PubSubNetwork<B> {
-        assert!(self.nodes > 0, "a network needs at least one node");
         let cfg = self.pubsub.into_shared();
         let apps = (0..self.nodes).map(|_| PubSubNode::new(Arc::clone(&cfg)));
         let (sim, ring) = B::build(self.net, &self.overlay, apps);
@@ -634,6 +616,6 @@ impl<B: OverlayBackend> PubSubNetworkBuilder<B> {
         if self.obs.enabled() {
             net.set_observability(self.obs);
         }
-        net
+        Ok(net)
     }
 }

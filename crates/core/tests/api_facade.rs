@@ -197,25 +197,3 @@ fn config_errors_explain_themselves() {
     .to_string()
     .contains("2^10"));
 }
-
-#[test]
-fn build_unchecked_is_the_escape_hatch() {
-    // A configuration build() would accept also builds unchecked, to the
-    // same deployment.
-    let mut net = PubSubNetwork::builder().nodes(12).seed(1).build_unchecked();
-    assert_eq!(net.len(), 12);
-    let space = net.config().space.clone();
-    let sub = Subscription::builder(&space)
-        .range("a0", 0, 999_999)
-        .unwrap()
-        .build()
-        .unwrap();
-    net.node(2).unwrap().subscribe(sub, None).unwrap();
-    net.run_for_secs(10);
-    net.node(5)
-        .unwrap()
-        .publish(Event::new(&space, vec![1, 2, 3, 4]).unwrap())
-        .unwrap();
-    net.run_for_secs(10);
-    assert_eq!(net.delivered(2).len(), 1);
-}

@@ -151,7 +151,12 @@ fn engines_and_covering_match_the_oracle() {
                     let expected = oracle.matching_at(&event, now);
                     for (i, store) in stores.iter_mut().enumerate() {
                         store.match_event_into(&event, now, &mut out);
-                        let got: Vec<SubId> = out.iter().map(|&(id, ..)| id).collect();
+                        assert!(
+                            out.is_sorted_by_key(|&(.., row)| row),
+                            "case {case}: row order"
+                        );
+                        let mut got: Vec<SubId> = out.iter().map(|&(id, ..)| id).collect();
+                        got.sort_unstable();
                         assert_eq!(
                             got, expected,
                             "case {case}: store {:?} diverged from the oracle at {now:?}",
@@ -215,7 +220,9 @@ fn nested_stream_matches_the_oracle() {
         for v in (0..1000u64).step_by(7) {
             let event = Event::new_unchecked(vec![v, 0, 0]);
             store.match_event_into(&event, SimTime::ZERO, &mut out);
-            let got: Vec<SubId> = out.iter().map(|&(id, ..)| id).collect();
+            assert!(out.is_sorted_by_key(|&(.., row)| row), "{phase}: row order");
+            let mut got: Vec<SubId> = out.iter().map(|&(id, ..)| id).collect();
+            got.sort_unstable();
             let expected = oracle.matching_at(&event, SimTime::ZERO);
             assert_eq!(got, expected, "{phase}: x = {v}");
         }

@@ -299,7 +299,12 @@ fn record_table_churn() {
                     model.retain(|_, h| h.expires > clock);
                     let v = rng.gen_range(0u64..1000);
                     store.match_event_into(&Event::new_unchecked(vec![v]), now, &mut matched);
-                    let got: Vec<u64> = matched.iter().map(|(id, ..)| id.0).collect();
+                    assert!(
+                        matched.is_sorted_by_key(|&(.., row)| row),
+                        "{ctx}: row order"
+                    );
+                    let mut got: Vec<u64> = matched.iter().map(|(id, ..)| id.0).collect();
+                    got.sort_unstable();
                     let held = model.iter();
                     let expect: Vec<u64> = held
                         .filter(|(_, h)| h.lo <= v && v <= h.hi)
@@ -362,7 +367,7 @@ fn encloses(outer: &Subscription, inner: &Subscription) -> bool {
 /// from different subscribers, nested shapes and wider shapes arriving
 /// after narrower ones are the rule, and leases that lapse and are
 /// renewed. `match_event_into` must name exactly the live subscriptions
-/// whose own shape `Subscription::matches` the event, in ascending id
+/// whose own shape `Subscription::matches` the event, in ascending row
 /// order and with each one's subscriber: the engine's slot hits expanded
 /// into `(id, subscriber, row)`.
 #[test]
@@ -454,8 +459,14 @@ fn expansion_equals_brute_force_over_live_subscriptions() {
                         .map(|(&id, held)| (id, held.2))
                         .collect();
                     store.match_event_into(&event, now, &mut matched);
+                    assert!(
+                        matched.is_sorted_by_key(|&(.., row)| row),
+                        "{ctx}: row order"
+                    );
                     let hits = matched.iter();
-                    let got: Vec<(u64, usize)> = hits.map(|(id, to, _)| (id.0, to.idx)).collect();
+                    let mut got: Vec<(u64, usize)> =
+                        hits.map(|(id, to, _)| (id.0, to.idx)).collect();
+                    got.sort_unstable();
                     assert_eq!(got, expect, "{ctx}: {event:?}");
                 }
             }
@@ -508,7 +519,7 @@ fn nested_and_identical_shapes_answer_for_their_own_bounds() {
     assert!(store.remove(SubId(1)).is_some());
     store.insert(SubId(5), record(&space, held(52, 58, 5)), SimTime::ZERO);
     assert_eq!(hits(&mut store, 59), [(2, 1), (3, 2)]);
-    assert_eq!(hits(&mut store, 55), [(2, 1), (3, 2), (5, 0)]);
+    assert_eq!(hits(&mut store, 55), [(5, 0), (2, 1), (3, 2)]);
 }
 
 /// A freed row goes to the next newcomer while the expiry heap still

@@ -10,34 +10,16 @@
 //! * incremental joins through [`crate::ChordNode::start_join`] plus
 //!   stabilization, exercised by the churn tests.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use cbps_sim::{NetConfig, SimTime, Simulator};
 
 use crate::app::OverlayApp;
 use crate::config::OverlayConfig;
 use crate::hash::key_of_bytes;
-use crate::key::Key;
+use crate::key::{Key, KeySpace};
 use crate::node::ChordNode;
 use crate::ring::{Peer, RingView};
 use crate::state::RoutingState;
 use crate::timer::OverlayTimer;
-
-/// Worker threads used by the stable builders ([`build_stable`] and the
-/// Pastry equivalent) for converged-state construction. Construction output
-/// is a pure function of the ring table, so any job count produces
-/// identical networks; 1 (the default) builds inline with no threads.
-static BUILD_JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the builder worker count (clamped to at least 1).
-pub fn set_build_jobs(jobs: usize) {
-    BUILD_JOBS.store(jobs.max(1), Ordering::Relaxed);
-}
-
-/// Current builder worker count.
-pub fn build_jobs() -> usize {
-    BUILD_JOBS.load(Ordering::Relaxed).max(1)
-}
 
 /// Renders `node-{i}#{attempt}` into `buf` and returns the filled length.
 /// Byte-identical to `format!("node-{i}#{attempt}")`, so key placement (and
@@ -71,11 +53,11 @@ fn render_node_name(buf: &mut [u8; 40], i: usize, attempt: u32) -> usize {
 /// Assigns distinct ring keys to `n` nodes by consistent hashing of their
 /// names, rehashing on collision (small key spaces collide readily: 500
 /// nodes in a 2^13 space expect ~15 birthday collisions).
-pub fn assign_node_keys(cfg: &OverlayConfig, n: usize) -> Vec<Key> {
+pub fn assign_node_keys(space: KeySpace, n: usize) -> Vec<Key> {
     assert!(
-        (n as u64) <= cfg.space.size(),
+        (n as u64) <= space.size(),
         "cannot place {n} nodes in a key space of {}",
-        cfg.space.size()
+        space.size()
     );
     let mut used = std::collections::HashSet::with_capacity(n);
     let mut keys = Vec::with_capacity(n);
@@ -84,7 +66,7 @@ pub fn assign_node_keys(cfg: &OverlayConfig, n: usize) -> Vec<Key> {
         let mut attempt = 0u32;
         let key = loop {
             let len = render_node_name(&mut name, i, attempt);
-            let candidate = key_of_bytes(cfg.space, &name[..len]);
+            let candidate = key_of_bytes(space, &name[..len]);
             if used.insert(candidate) {
                 break candidate;
             }
@@ -95,51 +77,29 @@ pub fn assign_node_keys(cfg: &OverlayConfig, n: usize) -> Vec<Key> {
     keys
 }
 
-/// Runs `build_one(idx)` for `0..n` across [`build_jobs`] worker threads on
-/// contiguous index chunks and hands each result to `sink`, in index order.
-/// With one job (the default) this is a plain inline loop, and a value goes
-/// from its builder straight to where it will live: no second array of
-/// them is ever resident. With more jobs each worker collects its chunk,
-/// so every value is built before the first is handed on. Used by the
-/// stable builders for per-node converged state, which is a pure function
-/// of the shared ring table — so the output is identical at any job count.
-pub fn build_indexed_into<T, F>(n: usize, build_one: F, mut sink: impl FnMut(T))
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let jobs = build_jobs().min(n).max(1);
-    if jobs == 1 {
-        return (0..n).map(build_one).for_each(sink);
-    }
-    let chunk = n.div_ceil(jobs);
-    let mut parts: Vec<Vec<T>> = Vec::with_capacity(jobs);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                let build_one = &build_one;
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                scope.spawn(move || (lo..hi).map(build_one).collect::<Vec<T>>())
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("builder worker panicked"));
-        }
-    });
-    parts.into_iter().flatten().for_each(&mut sink);
+/// The ring prologue of every stable builder, Chord's and Pastry's: `n`
+/// nodes keyed by [`assign_node_keys`] (node index `i` at the `i`-th key)
+/// as one sorted [`RingView`].
+///
+/// # Panics
+///
+/// Panics if `n` is 0 or larger than the key space.
+pub fn hashed_ring(space: KeySpace, n: usize) -> RingView {
+    assert!(n > 0, "a network needs at least one node");
+    let peers = assign_node_keys(space, n)
+        .into_iter()
+        .enumerate()
+        .map(|(idx, key)| Peer { idx, key })
+        .collect();
+    RingView::new(space, peers)
 }
 
 /// Converged routing state for every node of `ring`, in node-index order.
 /// Neighbor lists come from ring adjacency and fingers from the batched
 /// [`RingView::finger_grid`], so the whole pass is O(n·m) with no per-node
-/// ring queries; construction fans out over [`build_jobs`] workers.
+/// ring queries.
 pub fn build_routing_states(cfg: &OverlayConfig, ring: &RingView) -> Vec<RoutingState> {
-    let mut states = Vec::with_capacity(ring.len());
-    build_indexed_into(ring.len(), converged_state_of(cfg, ring), |state| {
-        states.push(state)
-    });
-    states
+    (0..ring.len()).map(converged_state_of(cfg, ring)).collect()
 }
 
 /// The per-node builder behind [`build_routing_states`]: node index in,
@@ -147,27 +107,16 @@ pub fn build_routing_states(cfg: &OverlayConfig, ring: &RingView) -> Vec<Routing
 fn converged_state_of<'a>(
     cfg: &'a OverlayConfig,
     ring: &'a RingView,
-) -> impl Fn(usize) -> RoutingState + Sync + 'a {
+) -> impl Fn(usize) -> RoutingState + 'a {
     let sorted = ring.peers();
     let n = sorted.len();
     let bits = cfg.space.bits() as usize;
-    let mut peer_of_idx = vec![
-        Peer {
-            idx: 0,
-            key: cfg.space.key(0),
-        };
-        n
-    ];
-    let mut pos_of_idx = vec![0u32; n];
-    for (pos, p) in sorted.iter().enumerate() {
-        peer_of_idx[p.idx] = *p;
-        pos_of_idx[p.idx] = pos as u32;
-    }
+    let pos_of_idx = ring.positions_by_idx();
     let grid = ring.finger_grid();
     let succ_count = cfg.succ_list_len.min(n - 1);
     move |idx| {
-        let me = peer_of_idx[idx];
         let pos = pos_of_idx[idx] as usize;
+        let me = sorted[pos];
         let mut state = RoutingState::new(*cfg, me);
         if n == 1 {
             return state;
@@ -219,23 +168,15 @@ where
     I: IntoIterator<Item = A>,
     I::IntoIter: ExactSizeIterator,
 {
-    let mut apps = apps.into_iter();
+    let apps = apps.into_iter();
     let n = apps.len();
-    assert!(n > 0, "a network needs at least one node");
-    let keys = assign_node_keys(&cfg, n);
-    let peers: Vec<Peer> = keys
-        .iter()
-        .enumerate()
-        .map(|(idx, &key)| Peer { idx, key })
-        .collect();
-    let ring = RingView::new(cfg.space, peers);
+    let ring = hashed_ring(cfg.space, n);
 
     let mut sim = Simulator::new(net);
     sim.reserve_nodes(n);
-    build_indexed_into(n, converged_state_of(&cfg, &ring), |state| {
-        let app = apps.next().expect("one state per app");
+    for (state, app) in (0..n).map(converged_state_of(&cfg, &ring)).zip(apps) {
         sim.add_node(ChordNode::new(state, app));
-    });
+    }
 
     if cfg.maintenance {
         for idx in 0..n {
@@ -257,7 +198,6 @@ where
 mod tests {
     use super::*;
     use crate::app::Delivery;
-    use crate::key::KeySpace;
     use crate::services::OverlayServices;
 
     /// Minimal app that remembers what it was delivered.
@@ -281,8 +221,7 @@ mod tests {
 
     #[test]
     fn keys_are_distinct_even_in_tiny_spaces() {
-        let cfg = OverlayConfig::paper_default().with_space(KeySpace::new(7));
-        let keys = assign_node_keys(&cfg, 128); // fills the space entirely
+        let keys = assign_node_keys(KeySpace::new(7), 128); // fills the space entirely
         let mut set: Vec<u64> = keys.iter().map(|k| k.value()).collect();
         set.sort_unstable();
         set.dedup();
@@ -292,8 +231,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot place")]
     fn too_many_nodes_rejected() {
-        let cfg = OverlayConfig::paper_default().with_space(KeySpace::new(3));
-        let _ = assign_node_keys(&cfg, 9);
+        let _ = assign_node_keys(KeySpace::new(3), 9);
     }
 
     #[test]

@@ -88,8 +88,7 @@ mod timer;
 
 pub use app::{Delivery, OverlayApp, OverlaySvc};
 pub use builder::{
-    assign_node_keys, build_indexed_into, build_jobs, build_routing_states, build_stable,
-    build_stable_from, set_build_jobs,
+    assign_node_keys, build_routing_states, build_stable, build_stable_from, hashed_ring,
 };
 pub use cache::{LocationCache, INLINE_ENTRIES};
 pub use config::OverlayConfig;

@@ -83,6 +83,21 @@ impl RingView {
         &self.peers
     }
 
+    /// Where each node sits in [`Self::peers`]: entry `idx` is the sorted
+    /// position of the node with simulator index `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the node indices are exactly `0..len()`, as on a ring
+    /// from [`crate::hashed_ring`].
+    pub fn positions_by_idx(&self) -> Vec<u32> {
+        let mut pos_of_idx = vec![0u32; self.peers.len()];
+        for (pos, p) in self.peers.iter().enumerate() {
+            pos_of_idx[p.idx] = pos as u32;
+        }
+        pos_of_idx
+    }
+
     /// The node covering `key`: the first node whose identifier is equal to
     /// or follows `key` on the ring (Chord's `successor(key)`).
     pub fn successor(&self, key: Key) -> Peer {

@@ -307,37 +307,3 @@ fn large_ring_build_matches_oracle() {
         }
     }
 }
-
-/// Parallel construction is indistinguishable from serial: the routing
-/// states produced at any worker count are identical, field for field.
-#[test]
-fn parallel_build_matches_serial() {
-    let space = KeySpace::new(14);
-    let cfg = OverlayConfig::paper_default().with_space(space);
-    let keys = cbps_overlay::assign_node_keys(&cfg, 3_000);
-    let peers: Vec<Peer> = keys
-        .into_iter()
-        .enumerate()
-        .map(|(idx, key)| Peer { idx, key })
-        .collect();
-    let ring = RingView::new(space, peers);
-    type StateDigest = (Option<Peer>, Vec<Peer>, Vec<Option<Peer>>);
-    let digest = |states: &[RoutingState]| -> Vec<StateDigest> {
-        states
-            .iter()
-            .map(|st| {
-                (
-                    st.predecessor(),
-                    st.successors().to_vec(),
-                    st.fingers().collect(),
-                )
-            })
-            .collect()
-    };
-    cbps_overlay::set_build_jobs(1);
-    let serial = cbps_overlay::build_routing_states(&cfg, &ring);
-    cbps_overlay::set_build_jobs(4);
-    let parallel = cbps_overlay::build_routing_states(&cfg, &ring);
-    cbps_overlay::set_build_jobs(1);
-    assert_eq!(digest(&serial), digest(&parallel));
-}

@@ -1,8 +1,6 @@
 //! Building static Pastry networks inside a simulator.
 
-use cbps_overlay::{
-    assign_node_keys, build_indexed_into, OverlayApp, OverlayConfig, Peer, RingView,
-};
+use cbps_overlay::{hashed_ring, OverlayApp, RingView};
 use cbps_sim::{NetConfig, Simulator};
 
 use crate::node::PastryNode;
@@ -10,9 +8,9 @@ use crate::state::{PastryConfig, PastryState};
 
 /// Builds a converged Pastry network with one node per app `apps` yields
 /// and returns the simulator together with the global ring view (node
-/// index `i` hosts the `i`-th app). Node keys use the same consistent
-/// hashing as the Chord builder, so a Pastry deployment with the same seed
-/// sees the same ring.
+/// index `i` hosts the `i`-th app). The ring is the Chord builder's
+/// ([`hashed_ring`]), so a Pastry deployment of the same size sees the
+/// same ring.
 ///
 /// # Panics
 ///
@@ -27,39 +25,25 @@ where
     I: IntoIterator<Item = A>,
     I::IntoIter: ExactSizeIterator,
 {
-    let mut apps = apps.into_iter();
+    let apps = apps.into_iter();
     let n = apps.len();
-    assert!(n > 0, "a network needs at least one node");
-    // Reuse the Chord key-assignment (collision-free consistent hashing).
-    let overlay_like = OverlayConfig::paper_default().with_space(cfg.space);
-    let keys = assign_node_keys(&overlay_like, n);
-    let peers: Vec<Peer> = keys
-        .iter()
-        .enumerate()
-        .map(|(idx, &key)| Peer { idx, key })
-        .collect();
-    let ring = RingView::new(cfg.space, peers.clone());
+    let ring = hashed_ring(cfg.space, n);
 
-    // Converged state is a pure function of the ring table, so it fans out
-    // over the overlay builder's worker pool (identical at any job count);
-    // each state goes straight into its node, beside the next app.
+    // Each converged state goes straight into its node, beside its app.
     let mut sim = Simulator::new(net);
     sim.reserve_nodes(n);
-    build_indexed_into(
-        n,
-        |idx| PastryState::converged(cfg, peers[idx], &ring),
-        |state| {
-            let app = apps.next().expect("one state per app");
-            sim.add_node(PastryNode::new(state, app));
-        },
-    );
+    let pos_of_idx = ring.positions_by_idx();
+    for (idx, app) in apps.enumerate() {
+        let me = ring.peers()[pos_of_idx[idx] as usize];
+        sim.add_node(PastryNode::new(PastryState::converged(cfg, me, &ring), app));
+    }
     (sim, ring)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbps_overlay::{Delivery, OverlayServices};
+    use cbps_overlay::{assign_node_keys, Delivery, OverlayServices};
 
     #[derive(Default)]
     struct Sink {
@@ -95,8 +79,7 @@ mod tests {
         let cfg = PastryConfig::paper_default();
         let apps: Vec<Sink> = (0..10).map(|_| Sink::default()).collect();
         let (_, pastry_ring) = build_pastry_stable(NetConfig::new(9), cfg, apps);
-        let chord_keys =
-            assign_node_keys(&OverlayConfig::paper_default().with_space(cfg.space), 10);
+        let chord_keys = assign_node_keys(cfg.space, 10);
         let pastry_keys: Vec<_> = {
             let mut v: Vec<_> = pastry_ring.peers().iter().map(|p| p.key).collect();
             v.sort();
