@@ -156,10 +156,10 @@ if [ -f results/bench/BENCH_baseline.json ]; then
 fi
 echo "==> event-count and serial-vs-parallel smoke passed (baseline counts, identical tables)"
 
-# Overlay portability smoke: the Chord quick-scale tables must stay
-# byte-identical to the committed baseline, the same suite must run over
-# Pastry (its experiments assert cross-overlay delivery parity), and a
-# trace replayed over both must leave the same delivered-set fingerprint.
+# Overlay portability smoke: the Chord and the Pastry quick-scale tables
+# must stay byte-identical to their committed baselines (the Pastry
+# experiments also assert cross-overlay delivery parity), and a trace
+# replayed over both must leave the same delivered-set fingerprint.
 echo "==> overlay smoke (figures/cbps --overlay chord|pastry)"
 overlay_experiments="fig5 fig6 fig7 fig8 fig9a latency fig9b mcast partial hotspot vnodes"
 # shellcheck disable=SC2086
@@ -172,6 +172,10 @@ fi
 # shellcheck disable=SC2086
 ./target/release/figures --scale quick --jobs "$(nproc)" --overlay pastry \
     $overlay_experiments >"$smoke_dir/pastry.tables" 2>/dev/null
+if ! diff -u ci/baseline_overlay_pastry.tables "$smoke_dir/pastry.tables"; then
+    echo "FAIL: pastry tables drifted from the committed baseline" >&2
+    exit 1
+fi
 ./target/release/cbps gen-trace --out "$smoke_dir/smoke.trace" \
     --nodes 80 --subs 120 --pubs 240 --seed 5 --match 0.7 >/dev/null
 for overlay in chord pastry; do
@@ -183,7 +187,7 @@ if ! diff "$smoke_dir/chord.fp" "$smoke_dir/pastry.fp"; then
     echo "FAIL: chord and pastry delivered different notification sets" >&2
     exit 1
 fi
-echo "==> overlay smoke passed (chord baseline byte-identical, fingerprints match)"
+echo "==> overlay smoke passed (chord and pastry baselines byte-identical, fingerprints match)"
 
 # Benchmark smoke: the detached benchmark crate calls the library crates'
 # public items; build it, run its unit tests and a 1/50-size pass of all

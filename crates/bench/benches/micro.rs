@@ -14,7 +14,7 @@ use cbps::{
     AkMapping, Event, EventSpace, MappingKind, MatchEngine, MatchIndex, SortedIndex, Subscription,
 };
 use cbps_overlay::{
-    build_routing_states, hash::sha1, hashed_ring, KeyRangeSet, KeySpace, OverlayConfig,
+    build_routing_states, hash::sha1, hashed_ring, KeyRangeSet, KeySpace, OverlayConfig, RouteTable,
 };
 use cbps_workload::{WorkloadConfig, WorkloadGen};
 
@@ -194,7 +194,7 @@ fn bench_pastry() {
     let cfg = PastryConfig::paper_default();
     let ring = hashed_ring(cfg.space, 500);
     let node0 = ring.peers()[ring.positions_by_idx()[0] as usize];
-    let st = PastryState::converged(cfg, node0, &ring);
+    let mut st = PastryState::converged(cfg, node0, &ring);
     let space = cfg.space;
     bench("pastry-next-hop", || {
         for k in (0..8192u64).step_by(257) {

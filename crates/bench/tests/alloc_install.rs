@@ -20,15 +20,17 @@ use mapping1_install::Mapping1Install;
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Heap allocations a stored copy may cost after warm-up. This batch
-/// measures 0.16 (990 for 6 246 copies; the bound was set when it read
-/// 0.30): growth of the engine's bounds table and the store's tables spread over the copies, plus the
-/// per-subscription record and its key set spread over ≈ 15 copies. With
-/// the engine's own table of subscription handles growing too the same
-/// batch cost 0.31, with covering's groups and directory runs 0.78, with
-/// the engine's bucket lists 1.27, with a position list allocated per
-/// index entry as well 2.94, with a record and a constraint vector cloned
-/// per copy 11.35.
-const MAX_ALLOCS_PER_COPY: f64 = 0.32;
+/// measures 0.16 (990 for 6 246 copies): growth of the engine's bounds
+/// table and the store's tables spread over the copies, plus the
+/// per-subscription record and its key set spread over ≈ 15 copies. It
+/// read 0.30 (1 895) until the simulator's timing wheel gave way to one
+/// binary-heap event queue (`6b78dc6`): the wheel's slot vectors grew as
+/// the batch's messages landed in fresh slots. With the engine's own table
+/// of subscription handles growing too the same batch cost 0.31, with
+/// covering's groups and directory runs 0.78, with the engine's bucket
+/// lists 1.27, with a position list allocated per index entry as well
+/// 2.94, with a record and a constraint vector cloned per copy 11.35.
+const MAX_ALLOCS_PER_COPY: f64 = 0.17;
 
 /// Live heap bytes a stored copy may add after warm-up (requested sizes,
 /// so table capacity counts and allocator overhead does not): what the
@@ -37,11 +39,12 @@ const MAX_ALLOCS_PER_COPY: f64 = 0.32;
 /// beside its row, 427 with one slot space, 402 with the engine entry one
 /// row of bounds instead of a record with its bucket positions and list
 /// entries, 244 without covering's group and directory entry, 203
-/// without the engine's handle to the shape beside each bounds row (when
-/// the bound was set), and now reads 190 (1 188 608 B for 6 246 copies).
-/// What is left is the row, the `by_id` entry, the bounds row and the
-/// doubling slack of the arrays they sit in.
-const MAX_BYTES_PER_COPY: f64 = 215.0;
+/// without the engine's handle to the shape beside each bounds row, and
+/// reads 190 (1 188 608 B for 6 246 copies) since the heap event queue
+/// replaced the timing wheel's slot vectors (`6b78dc6`). What is left is
+/// the row, the `by_id` entry, the bounds row and the doubling slack of
+/// the arrays they sit in.
+const MAX_BYTES_PER_COPY: f64 = 200.0;
 
 #[test]
 #[cfg_attr(

@@ -21,6 +21,7 @@ use counting_alloc::{alloc_calls, CountingAlloc};
 use cbps_bench::runner::{paper_workload, run_trace, workload_gen, Deployment};
 use cbps_overlay::{
     build_routing_states, KeyRange, KeyRangeSet, KeySpace, OverlayConfig, Peer, RingView,
+    RouteTable,
 };
 use cbps_pastry::{PastryConfig, PastryState};
 use cbps_sim::SimDuration;

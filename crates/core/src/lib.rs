@@ -78,7 +78,7 @@ pub use sorted::SortedIndex;
 pub use space::{AttributeDef, EventSpace};
 pub use store::{MatchHit, StoredSub, SubscriptionStore};
 pub use subscription::{Constraint, SubId, Subscription, SubscriptionBuilder};
-pub use system::{NodeHandle, PubSubNetwork, PubSubNetworkBuilder};
+pub use system::{PubSubNetwork, PubSubNetworkBuilder};
 
 #[cfg(test)]
 mod tests {

@@ -39,12 +39,12 @@ use crate::subscription::{SubId, Subscription};
 ///
 /// // Node 3 subscribes to a0 ∈ [100_000, 200_000].
 /// let sub = Subscription::builder(&space).range("a0", 100_000, 200_000)?.build()?;
-/// let sub_id = net.node(3)?.subscribe(sub, None)?;
+/// let sub_id = net.subscribe(3, sub, None)?;
 /// net.run_for_secs(5);
 ///
 /// // Node 9 publishes a matching event.
 /// let event = Event::new(&space, vec![150_000, 1, 2, 3])?;
-/// let event_id = net.node(9)?.publish(event)?;
+/// let event_id = net.publish(9, event)?;
 /// net.run_for_secs(5);
 ///
 /// let notes = net.delivered(3);
@@ -82,64 +82,6 @@ impl<B: OverlayBackend> Clone for PubSubNetworkBuilder<B> {
             pubsub: self.pubsub.clone(),
             obs: self.obs,
         }
-    }
-}
-
-/// A borrowed view of one node of a [`PubSubNetwork`], obtained through
-/// [`PubSubNetwork::node`]. Scopes the application operations (`sub`,
-/// `unsub`, `pub`, delivered-notification access) to a node whose index
-/// has already been validated.
-#[derive(Debug)]
-pub struct NodeHandle<'a, B: OverlayBackend = ChordBackend> {
-    net: &'a mut PubSubNetwork<B>,
-    idx: NodeIdx,
-}
-
-impl<B: OverlayBackend> NodeHandle<'_, B> {
-    /// The node's index in the network.
-    pub fn idx(&self) -> NodeIdx {
-        self.idx
-    }
-
-    /// `true` while this node has not crashed or left.
-    pub fn is_alive(&self) -> bool {
-        self.net.is_alive(self.idx)
-    }
-
-    /// Issues a subscription from this node (see
-    /// [`PubSubNetwork::subscribe`]).
-    ///
-    /// # Errors
-    ///
-    /// [`PubSubError::InvalidSubscription`] when the subscription was
-    /// built for an event space of a different dimension count.
-    pub fn subscribe(
-        &mut self,
-        sub: Subscription,
-        ttl: Option<SimDuration>,
-    ) -> Result<SubId, PubSubError> {
-        self.net.subscribe(self.idx, sub, ttl)
-    }
-
-    /// Withdraws a subscription previously issued by this node. Returns
-    /// `false` if this node never issued `id` (or already unsubscribed).
-    pub fn unsubscribe(&mut self, id: SubId) -> Result<bool, PubSubError> {
-        self.net.unsubscribe(self.idx, id)
-    }
-
-    /// Publishes an event from this node (see [`PubSubNetwork::publish`]).
-    ///
-    /// # Errors
-    ///
-    /// [`PubSubError::DimensionMismatch`] when the event carries a
-    /// different number of attribute values than the network's space.
-    pub fn publish(&mut self, event: Event) -> Result<EventId, PubSubError> {
-        self.net.publish(self.idx, event)
-    }
-
-    /// Notifications received so far by this node as a subscriber.
-    pub fn delivered(&self) -> &[DeliveredNote] {
-        self.net.delivered(self.idx)
     }
 }
 
@@ -212,6 +154,10 @@ impl<B: OverlayBackend> PubSubNetwork<B> {
     }
 
     /// Notifications received so far by `node` as a subscriber.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of bounds.
     pub fn delivered(&self, node: NodeIdx) -> &[DeliveredNote] {
         self.app(node).delivered()
     }
@@ -254,20 +200,6 @@ impl<B: OverlayBackend> PubSubNetwork<B> {
         }
     }
 
-    /// A validated handle on one node, scoping the application operations
-    /// to it: `net.node(3)?.subscribe(sub, None)?`.
-    ///
-    /// # Errors
-    ///
-    /// [`PubSubError::UnknownNode`] when `node` is out of bounds.
-    pub fn node(&mut self, node: NodeIdx) -> Result<NodeHandle<'_, B>, PubSubError> {
-        self.check_node(node)?;
-        Ok(NodeHandle {
-            net: self,
-            idx: node,
-        })
-    }
-
     fn check_node(&self, node: NodeIdx) -> Result<(), PubSubError> {
         let nodes = self.sim.len();
         if node >= nodes {
@@ -301,22 +233,6 @@ impl<B: OverlayBackend> PubSubNetwork<B> {
         Ok(self.sim.with_node(node, |n, ctx| {
             B::app_call(n, ctx, |app, svc| app.subscribe(sub, ttl, svc))
         }))
-    }
-
-    /// Validates and issues a subscription built from raw constraint slots.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the validation errors of
-    /// [`Subscription::from_constraints`].
-    pub fn try_subscribe(
-        &mut self,
-        node: NodeIdx,
-        constraints: Vec<Option<crate::subscription::Constraint>>,
-        ttl: Option<SimDuration>,
-    ) -> Result<SubId, PubSubError> {
-        let sub = Subscription::from_constraints(&self.cfg.space, constraints)?;
-        self.subscribe(node, sub, ttl)
     }
 
     /// Issues a disjunction of subscriptions from `node`: the subscriber
@@ -374,16 +290,6 @@ impl<B: OverlayBackend> PubSubNetwork<B> {
         Ok(self.sim.with_node(node, |n, ctx| {
             B::app_call(n, ctx, |app, svc| app.publish(event, svc))
         }))
-    }
-
-    /// Validates and publishes an event from raw values.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the validation errors of [`Event::new`].
-    pub fn try_publish(&mut self, node: NodeIdx, values: Vec<u64>) -> Result<EventId, PubSubError> {
-        let event = Event::new(&self.cfg.space, values)?;
-        self.publish(node, event)
     }
 
     /// The active observability mode.

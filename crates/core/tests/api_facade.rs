@@ -1,5 +1,5 @@
-//! The fallible, handle-based public API: error paths, handle round
-//! trips, and builder validation.
+//! The fallible public API: error paths, a subscribe / publish / deliver
+//! round trip, and builder validation.
 
 use cbps::{
     AttributeDef, ConfigError, Event, EventSpace, NotifyMode, PubSubConfig, PubSubError,
@@ -32,19 +32,17 @@ fn handles_round_trip_subscribe_publish_deliver() {
         .unwrap()
         .build()
         .unwrap();
-    let sub_id = net.node(3).unwrap().subscribe(sub, None).unwrap();
+    let sub_id = net.subscribe(3, sub, None).unwrap();
     net.run_for_secs(10);
     let event = Event::new(&space, vec![5, 1, 2, 3]).unwrap();
-    let event_id = net.node(9).unwrap().publish(event).unwrap();
+    let event_id = net.publish(9, event).unwrap();
     net.run_for_secs(10);
-    let handle = net.node(3).unwrap();
-    assert_eq!(handle.idx(), 3);
-    let notes = handle.delivered();
+    let notes = net.delivered(3);
     assert_eq!(notes.len(), 1);
     assert_eq!(notes[0].sub_id, sub_id);
     assert_eq!(notes[0].event_id, event_id);
-    assert!(net.node(3).unwrap().unsubscribe(sub_id).unwrap());
-    assert!(!net.node(3).unwrap().unsubscribe(sub_id).unwrap());
+    assert!(net.unsubscribe(3, sub_id).unwrap());
+    assert!(!net.unsubscribe(3, sub_id).unwrap());
 }
 
 #[test]
@@ -56,7 +54,7 @@ fn unknown_node_is_an_error_not_a_panic() {
         .unwrap()
         .build()
         .unwrap();
-    let err = net.node(10).unwrap_err();
+    let err = net.subscribe(10, sub.clone(), None).unwrap_err();
     assert_eq!(
         err,
         PubSubError::UnknownNode {
@@ -74,7 +72,7 @@ fn unknown_node_is_an_error_not_a_panic() {
     );
     let event = Event::new(&space, vec![1, 2, 3, 4]).unwrap();
     assert!(matches!(
-        net.publish(11, event),
+        net.publish(11, event.clone()),
         Err(PubSubError::UnknownNode {
             node: 11,
             nodes: 10
@@ -86,7 +84,7 @@ fn unknown_node_is_an_error_not_a_panic() {
     ));
     // The message names both the index and the valid range.
     assert_eq!(
-        net.node(10).unwrap_err().to_string(),
+        net.publish(10, event).unwrap_err().to_string(),
         "node 10 does not exist (network has 10 nodes)"
     );
 }
@@ -100,7 +98,7 @@ fn foreign_space_subscription_is_rejected() {
         .unwrap()
         .build()
         .unwrap();
-    let err = net.node(1).unwrap().subscribe(sub, None).unwrap_err();
+    let err = net.subscribe(1, sub, None).unwrap_err();
     assert_eq!(
         err,
         PubSubError::InvalidSubscription {
@@ -115,7 +113,7 @@ fn foreign_space_event_is_rejected() {
     let mut net = small_net(10);
     let other = two_dim_space();
     let event = Event::new(&other, vec![1, 2]).unwrap();
-    let err = net.node(1).unwrap().publish(event).unwrap_err();
+    let err = net.publish(1, event).unwrap_err();
     assert_eq!(
         err,
         PubSubError::DimensionMismatch {

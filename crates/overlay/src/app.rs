@@ -12,7 +12,9 @@
 use std::sync::Arc;
 
 use cbps_rng::Rng;
-use cbps_sim::{Context, NodeIdx, PrefetchStage, SimDuration, SimTime, TraceId, TrafficClass};
+use cbps_sim::{
+    Context, Metrics, NodeIdx, PrefetchStage, SimDuration, SimTime, TraceId, TrafficClass,
+};
 
 use crate::key::{Key, KeySpace};
 use crate::msg::{Envelope, OverlayMsg};
@@ -121,8 +123,8 @@ pub trait OverlayApp: Sized {
 /// [`OverlayServices`], which is how applications receive it.
 #[derive(Debug)]
 pub struct OverlaySvc<'a, 'c, P, T, S: RouteTable = RoutingState> {
-    pub(crate) state: &'a mut S,
-    pub(crate) ctx: &'a mut Context<'c, Envelope<P>, OverlayTimer<T>>,
+    state: &'a mut S,
+    ctx: &'a mut Context<'c, Envelope<P>, OverlayTimer<T>>,
 }
 
 impl<'a, 'c, P: Clone, T, S: RouteTable> OverlaySvc<'a, 'c, P, T, S> {
@@ -132,104 +134,78 @@ impl<'a, 'c, P: Clone, T, S: RouteTable> OverlaySvc<'a, 'c, P, T, S> {
     pub fn new(state: &'a mut S, ctx: &'a mut Context<'c, Envelope<P>, OverlayTimer<T>>) -> Self {
         OverlaySvc { state, ctx }
     }
-}
 
-impl<P: Clone, T, S: RouteTable> OverlaySvc<'_, '_, P, T, S> {
-    /// This node's identity.
-    pub fn me(&self) -> Peer {
-        self.state.me()
-    }
-
-    /// The key space of the overlay.
-    pub fn space(&self) -> KeySpace {
-        self.state.space()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.ctx.now()
-    }
-
-    /// The run's deterministic RNG.
-    pub fn rng(&mut self) -> &mut Rng {
-        self.ctx.rng()
-    }
-
-    /// The run's metrics sink.
-    pub fn metrics(&mut self) -> &mut cbps_sim::Metrics {
-        self.ctx.metrics()
-    }
-
-    /// This node's immediate ring successor, if any.
-    pub fn successor(&self) -> Option<Peer> {
-        self.state.successor()
-    }
-
-    /// This node's ring predecessor, if known.
-    pub fn predecessor(&self) -> Option<Peer> {
-        self.state.predecessor()
-    }
-
-    /// This node's successor list (nearest first).
-    pub fn successors(&self) -> &[Peer] {
-        self.state.successors()
-    }
-
-    /// `true` iff this node currently covers `key` (`key ∈ (pred, me]`).
-    pub fn covers(&self, key: Key) -> bool {
-        self.state.covers(key)
-    }
-
-    /// Arms an application timer.
-    pub fn arm_timer(&mut self, delay: SimDuration, timer: T) {
-        self.ctx.arm_timer(delay, OverlayTimer::App(timer));
-    }
-
-    /// The overlay `send(m, k)` primitive: routes `payload` to the node
-    /// covering `key`. Reaching a key we cover ourselves delivers locally
-    /// without a network hop. `trace` ties the message to the application
-    /// operation it serves ([`TraceId::NONE`] for untraced traffic).
-    pub fn send(&mut self, key: Key, class: TrafficClass, payload: P, trace: TraceId) {
-        self.send_rc(key, class, Arc::new(payload), trace);
-    }
-
-    /// [`OverlaySvc::send`] over an already-shared payload (no fresh
+    /// [`OverlayServices::send`] over an already-shared payload (no fresh
     /// allocation; used by the per-key fan-out).
     fn send_rc(&mut self, key: Key, class: TrafficClass, payload: Arc<P>, trace: TraceId) {
         let me = self.state.me();
-        let unicast = |hops| OverlayMsg::Unicast {
+        let next = self.state.next_hop(key);
+        let body = OverlayMsg::Unicast {
             key,
             class,
             payload,
-            hops,
+            hops: u32::from(next.is_some()),
             src: me,
             trace,
         };
-        match self.state.next_hop(key) {
-            None => self.ctx.send_local(Envelope {
-                sender: me,
-                body: unicast(0),
-            }),
-            Some(hop) => self.ctx.send(
-                hop.idx,
-                class,
-                Envelope {
-                    sender: me,
-                    body: unicast(1),
-                },
-            ),
+        let envelope = Envelope { sender: me, body };
+        match next {
+            None => self.ctx.send_local(envelope),
+            Some(hop) => self.ctx.send(hop.idx, class, envelope),
         }
+    }
+}
+
+impl<P: Clone, T, S: RouteTable> OverlayServices<P, T> for OverlaySvc<'_, '_, P, T, S> {
+    fn me(&self) -> Peer {
+        self.state.me()
+    }
+
+    fn space(&self) -> KeySpace {
+        self.state.space()
+    }
+
+    fn now(&self) -> SimTime {
+        self.ctx.now()
+    }
+
+    fn rng(&mut self) -> &mut Rng {
+        self.ctx.rng()
+    }
+
+    fn metrics(&mut self) -> &mut Metrics {
+        self.ctx.metrics()
+    }
+
+    fn successor(&self) -> Option<Peer> {
+        self.state.successor()
+    }
+
+    fn predecessor(&self) -> Option<Peer> {
+        self.state.predecessor()
+    }
+
+    fn successors(&self) -> &[Peer] {
+        self.state.successors()
+    }
+
+    fn covers(&self, key: Key) -> bool {
+        self.state.covers(key)
+    }
+
+    fn arm_timer(&mut self, delay: SimDuration, timer: T) {
+        self.ctx.arm_timer(delay, OverlayTimer::App(timer));
+    }
+
+    /// The overlay `send(m, k)` primitive: reaching a key we cover
+    /// ourselves delivers locally without a network hop.
+    fn send(&mut self, key: Key, class: TrafficClass, payload: P, trace: TraceId) {
+        self.send_rc(key, class, Arc::new(payload), trace);
     }
 
     /// The paper's `m-cast(M, K)` primitive: every node covering at least
     /// one key in `targets` receives `payload` exactly once.
-    pub fn mcast(
-        &mut self,
-        targets: &KeyRangeSet,
-        class: TrafficClass,
-        payload: P,
-        trace: TraceId,
-    ) {
+    fn mcast(&mut self, targets: &KeyRangeSet, class: TrafficClass, payload: P, trace: TraceId) {
         if targets.is_empty() {
             return;
         }
@@ -272,7 +248,7 @@ impl<P: Clone, T, S: RouteTable> OverlaySvc<'_, '_, P, T, S> {
     /// `targets`. This is the baseline the basic architecture is restricted
     /// to (§4.3.1, "aggressive" variant) and the "unicast" series of the
     /// figures.
-    pub fn ucast_keys(
+    fn ucast_keys(
         &mut self,
         targets: &KeyRangeSet,
         class: TrafficClass,
@@ -290,37 +266,30 @@ impl<P: Clone, T, S: RouteTable> OverlaySvc<'_, '_, P, T, S> {
     /// key of `range`, then walk covering nodes successor-by-successor.
     /// Same message complexity as `m-cast`, but dilation grows with the
     /// number of covering nodes.
-    pub fn walk(&mut self, range: KeyRange, class: TrafficClass, payload: P, trace: TraceId) {
+    fn walk(&mut self, range: KeyRange, class: TrafficClass, payload: P, trace: TraceId) {
         let me = self.state.me();
-        let msg = Envelope {
-            sender: me,
-            body: OverlayMsg::Walk {
-                range,
-                class,
-                payload: Arc::new(payload),
-                hops: 0,
-                src: me,
-                walking: false,
-                trace,
-            },
-        };
         // Enter through normal routing toward the range start.
-        match self.state.next_hop(range.start()) {
-            None => self.ctx.send_local(msg),
-            Some(hop) => {
-                let mut env = msg;
-                if let OverlayMsg::Walk { hops, .. } = &mut env.body {
-                    *hops = 1;
-                }
-                self.ctx.send(hop.idx, class, env);
-            }
+        let next = self.state.next_hop(range.start());
+        let body = OverlayMsg::Walk {
+            range,
+            class,
+            payload: Arc::new(payload),
+            hops: u32::from(next.is_some()),
+            src: me,
+            walking: false,
+            trace,
+        };
+        let envelope = Envelope { sender: me, body };
+        match next {
+            None => self.ctx.send_local(envelope),
+            Some(hop) => self.ctx.send(hop.idx, class, envelope),
         }
     }
 
     /// One-hop message to a peer whose address is already known (ring
     /// neighbors, learned peers). Used by the collecting protocol and state
     /// transfer.
-    pub fn direct(&mut self, to: Peer, class: TrafficClass, payload: P) {
+    fn direct(&mut self, to: Peer, class: TrafficClass, payload: P) {
         let me = self.state.me();
         self.ctx.send(
             to.idx,

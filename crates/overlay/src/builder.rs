@@ -198,6 +198,7 @@ where
 mod tests {
     use super::*;
     use crate::app::Delivery;
+    use crate::route::RouteTable;
     use crate::services::OverlayServices;
 
     /// Minimal app that remembers what it was delivered.

@@ -187,17 +187,6 @@ impl<P> OverlayMsg<P> {
             _ => None,
         }
     }
-
-    /// The causal trace this message carries ([`TraceId::NONE`] for
-    /// maintenance and direct messages, whose items carry their own).
-    pub fn trace(&self) -> TraceId {
-        match self {
-            OverlayMsg::Unicast { trace, .. }
-            | OverlayMsg::MCast { trace, .. }
-            | OverlayMsg::Walk { trace, .. } => *trace,
-            _ => TraceId::NONE,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +221,6 @@ mod tests {
             trace: TraceId::for_publication(0, 1),
         };
         assert_eq!(m.class(), TrafficClass::PUBLICATION);
-        assert_eq!(m.trace(), TraceId::for_publication(0, 1));
         let g: OverlayMsg<u8> = OverlayMsg::GetPred;
         assert_eq!(g.class(), TrafficClass::MAINTENANCE);
         let p: OverlayMsg<u8> = OverlayMsg::Ping { token: 7 };

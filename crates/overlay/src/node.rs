@@ -1,8 +1,9 @@
 //! The Chord node: ring maintenance and the bridge to the application
-//! layered on top. Routed payload handling (unicast, `m-cast`, walks)
-//! lives in the overlay-neutral [`crate::routed`] module; this file is
-//! the Chord-specific remainder — join, stabilization, finger repair,
-//! failure handling.
+//! layered on top. Routed payload handling (unicast, `m-cast`, walks,
+//! direct messages) lives in the overlay-neutral [`crate::routed`] module,
+//! which every received or failed message body passes through
+//! ([`routed::dispatch`]); this file is the Chord-specific remainder —
+//! join, stabilization, finger repair, failure handling.
 
 use std::collections::HashMap;
 
@@ -12,6 +13,7 @@ use crate::app::{OverlayApp, OverlaySvc};
 use crate::key::Key;
 use crate::msg::{Envelope, OverlayMsg};
 use crate::ring::Peer;
+use crate::route::RouteTable;
 use crate::routed;
 use crate::services::OverlayServices;
 use crate::state::RoutingState;
@@ -115,7 +117,8 @@ impl<A: OverlayApp> ChordNode<A> {
     ) {
         let token = self.claim_token(Pending::Join);
         let me = self.state.me();
-        self.send_body(
+        routed::send_body(
+            &self.state,
             ctx,
             bootstrap.idx,
             OverlayMsg::FindSucc {
@@ -154,7 +157,7 @@ impl<A: OverlayApp> ChordNode<A> {
                 self.pending.remove(&token);
                 ctx.metrics().record(Series::LookupHops, 0);
             }
-            Some(hop) => self.send_body(ctx, hop.idx, msg),
+            Some(hop) => routed::send_body(&self.state, ctx, hop.idx, msg),
         }
     }
 
@@ -171,7 +174,8 @@ impl<A: OverlayApp> ChordNode<A> {
         }
         let me = self.state.me();
         if let (Some(pred), Some(succ)) = (self.state.predecessor(), self.state.successor()) {
-            self.send_body(
+            routed::send_body(
+                &self.state,
                 ctx,
                 pred.idx,
                 OverlayMsg::LeaveNotice {
@@ -179,7 +183,8 @@ impl<A: OverlayApp> ChordNode<A> {
                     replacement: succ,
                 },
             );
-            self.send_body(
+            routed::send_body(
+                &self.state,
                 ctx,
                 succ.idx,
                 OverlayMsg::LeaveNotice {
@@ -195,17 +200,6 @@ impl<A: OverlayApp> ChordNode<A> {
         self.next_token += 1;
         self.pending.insert(t, purpose);
         t
-    }
-
-    fn send_body(
-        &mut self,
-        ctx: &mut Context<'_, Envelope<A::Payload>, OverlayTimer<A::Timer>>,
-        to: NodeIdx,
-        body: OverlayMsg<A::Payload>,
-    ) {
-        let class = body.class();
-        let me = self.state.me();
-        ctx.send(to, class, Envelope { sender: me, body });
     }
 
     fn set_predecessor_with_hook(
@@ -230,13 +224,14 @@ impl<A: OverlayApp> ChordNode<A> {
         hops: u32,
         ctx: &mut Context<'_, Envelope<A::Payload>, OverlayTimer<A::Timer>>,
     ) {
-        if routed::ttl_exceeded::<RoutingState, A>(&self.state, hops, ctx) {
+        if routed::ttl_exceeded(&self.state, hops, ctx) {
             return;
         }
         match self.state.next_hop(target) {
             None => {
                 let me = self.state.me();
-                self.send_body(
+                routed::send_body(
+                    &self.state,
                     ctx,
                     reply_to.idx,
                     OverlayMsg::FindSuccReply {
@@ -246,7 +241,8 @@ impl<A: OverlayApp> ChordNode<A> {
                     },
                 );
             }
-            Some(hop) => self.send_body(
+            Some(hop) => routed::send_body(
+                &self.state,
                 ctx,
                 hop.idx,
                 OverlayMsg::FindSucc {
@@ -272,7 +268,7 @@ impl<A: OverlayApp> ChordNode<A> {
                 self.state.set_successors(vec![succ]);
                 // Announce ourselves so stabilization can integrate us.
                 let me = self.state.me();
-                self.send_body(ctx, succ.idx, OverlayMsg::Notify { peer: me });
+                routed::send_body(&self.state, ctx, succ.idx, OverlayMsg::Notify { peer: me });
                 if self.state.config().maintenance {
                     self.start_maintenance(ctx);
                 }
@@ -301,14 +297,14 @@ impl<A: OverlayApp> ChordNode<A> {
         }
         if let Some(succ) = self.state.successor() {
             self.succ_missed += 1; // cleared by the GetPredReply
-            self.send_body(ctx, succ.idx, OverlayMsg::GetPred);
+            routed::send_body(&self.state, ctx, succ.idx, OverlayMsg::GetPred);
         }
         // Probe the predecessor; an unanswered probe clears it so that the
         // true predecessor's next Notify can take its place (and our app is
         // told it now covers the dead node's arc).
         if let Some(pred) = self.state.predecessor() {
             let token = self.claim_token(Pending::Ping(pred));
-            self.send_body(ctx, pred.idx, OverlayMsg::Ping { token });
+            routed::send_body(&self.state, ctx, pred.idx, OverlayMsg::Ping { token });
             ctx.arm_timer(
                 cfg.stabilize_period / 2,
                 OverlayTimer::ProbeTimeout { token },
@@ -342,7 +338,7 @@ impl<A: OverlayApp> ChordNode<A> {
         list.extend(succ_list);
         self.state.set_successors(list);
         if let Some(s) = self.state.successor() {
-            self.send_body(ctx, s.idx, OverlayMsg::Notify { peer: me });
+            routed::send_body(&self.state, ctx, s.idx, OverlayMsg::Notify { peer: me });
         }
     }
 
@@ -360,7 +356,8 @@ impl<A: OverlayApp> ChordNode<A> {
             None => self.state.set_finger(i, me), // stored as None (self)
             Some(hop) => {
                 let token = self.claim_token(Pending::Finger(i));
-                self.send_body(
+                routed::send_body(
+                    &self.state,
                     ctx,
                     hop.idx,
                     OverlayMsg::FindSucc {
@@ -396,73 +393,16 @@ impl<A: OverlayApp> Node for ChordNode<A> {
                 src.into_iter().for_each(|src| self.state.learn(src));
             }
         }
-        match envelope.body {
-            OverlayMsg::Unicast {
-                key,
-                class,
-                payload,
-                hops,
-                src,
-                trace,
-            } => {
-                routed::handle_unicast(
-                    &mut self.state,
-                    &mut self.app,
-                    key,
-                    class,
-                    payload,
-                    hops,
-                    src,
-                    trace,
-                    ctx,
-                );
-            }
-            OverlayMsg::MCast {
-                targets,
-                class,
-                payload,
-                hops,
-                src,
-                trace,
-            } => {
-                routed::handle_mcast(
-                    &mut self.state,
-                    &mut self.app,
-                    targets,
-                    class,
-                    payload,
-                    hops,
-                    src,
-                    trace,
-                    ctx,
-                );
-            }
-            OverlayMsg::Walk {
-                range,
-                class,
-                payload,
-                hops,
-                src,
-                walking,
-                trace,
-            } => {
-                routed::handle_walk(
-                    &mut self.state,
-                    &mut self.app,
-                    range,
-                    class,
-                    payload,
-                    hops,
-                    src,
-                    walking,
-                    trace,
-                    ctx,
-                );
-            }
-            OverlayMsg::Direct { payload, class } => {
-                let _ = class;
-                routed::handle_direct(&mut self.state, &mut self.app, sender, payload, ctx);
-            }
+        let Some(body) = routed::dispatch(
+            &mut self.state,
+            &mut self.app,
+            envelope.body,
+            Some(sender),
+            ctx,
+        ) else {
+            return;
+        };
+        match body {
             OverlayMsg::FindSucc {
                 target,
                 reply_to,
@@ -478,7 +418,8 @@ impl<A: OverlayApp> Node for ChordNode<A> {
             OverlayMsg::GetPred => {
                 let pred = self.state.predecessor();
                 let succ_list = self.state.successors().to_vec();
-                self.send_body(
+                routed::send_body(
+                    &self.state,
                     ctx,
                     sender.idx,
                     OverlayMsg::GetPredReply { pred, succ_list },
@@ -525,11 +466,13 @@ impl<A: OverlayApp> Node for ChordNode<A> {
                 }
             }
             OverlayMsg::Ping { token } => {
-                self.send_body(ctx, sender.idx, OverlayMsg::Pong { token });
+                routed::send_body(&self.state, ctx, sender.idx, OverlayMsg::Pong { token });
             }
             OverlayMsg::Pong { token } => {
                 self.pending.remove(&token);
             }
+            // `dispatch` handled the routed payloads.
+            _ => {}
         }
     }
 
@@ -543,78 +486,15 @@ impl<A: OverlayApp> Node for ChordNode<A> {
         // entry for it, then re-dispatch routed payloads along the repaired
         // state (maintenance traffic is periodic and simply retries later).
         self.state.forget_idx(to);
-        match envelope.body {
-            OverlayMsg::Unicast {
-                key,
-                class,
-                payload,
-                hops,
-                src,
-                trace,
-            } => {
-                routed::handle_unicast(
-                    &mut self.state,
-                    &mut self.app,
-                    key,
-                    class,
-                    payload,
-                    hops,
-                    src,
-                    trace,
-                    ctx,
-                );
-            }
-            OverlayMsg::MCast {
-                targets,
-                class,
-                payload,
-                hops,
-                src,
-                trace,
-            } => {
-                routed::handle_mcast(
-                    &mut self.state,
-                    &mut self.app,
-                    targets,
-                    class,
-                    payload,
-                    hops,
-                    src,
-                    trace,
-                    ctx,
-                );
-            }
-            OverlayMsg::Walk {
-                range,
-                class,
-                payload,
-                hops,
-                src,
-                walking,
-                trace,
-            } => {
-                routed::handle_walk(
-                    &mut self.state,
-                    &mut self.app,
-                    range,
-                    class,
-                    payload,
-                    hops,
-                    src,
-                    walking,
-                    trace,
-                    ctx,
-                );
-            }
-            OverlayMsg::FindSucc {
-                target,
-                reply_to,
-                token,
-                hops,
-            } => {
-                self.handle_find_succ(target, reply_to, token, hops, ctx);
-            }
-            _ => {}
+        let body = routed::dispatch(&mut self.state, &mut self.app, envelope.body, None, ctx);
+        if let Some(OverlayMsg::FindSucc {
+            target,
+            reply_to,
+            token,
+            hops,
+        }) = body
+        {
+            self.handle_find_succ(target, reply_to, token, hops, ctx);
         }
     }
 

@@ -65,36 +65,3 @@ pub trait RouteTable {
         let _ = peer;
     }
 }
-
-impl RouteTable for crate::state::RoutingState {
-    fn me(&self) -> Peer {
-        crate::state::RoutingState::me(self)
-    }
-    fn space(&self) -> KeySpace {
-        crate::state::RoutingState::space(self)
-    }
-    fn max_route_hops(&self) -> u32 {
-        self.config().max_route_hops
-    }
-    fn predecessor(&self) -> Option<Peer> {
-        crate::state::RoutingState::predecessor(self)
-    }
-    fn successor(&self) -> Option<Peer> {
-        crate::state::RoutingState::successor(self)
-    }
-    fn successors(&self) -> &[Peer] {
-        crate::state::RoutingState::successors(self)
-    }
-    fn covers(&self, key: Key) -> bool {
-        crate::state::RoutingState::covers(self, key)
-    }
-    fn next_hop(&mut self, key: Key) -> Option<Peer> {
-        crate::state::RoutingState::next_hop(self, key)
-    }
-    fn mcast_split(&self, targets: &KeyRangeSet) -> (KeyRangeSet, Bundles) {
-        crate::state::RoutingState::mcast_split(self, targets)
-    }
-    fn learn(&mut self, peer: Peer) {
-        crate::state::RoutingState::learn(self, peer);
-    }
-}

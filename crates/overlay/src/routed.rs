@@ -1,17 +1,19 @@
-//! Shared handlers for routed payload messages.
+//! Shared handling of routed payload messages.
 //!
 //! The mechanics of the three payload-carrying message kinds — key
 //! unicast, `m-cast` splitting, and the conservative range walk — are the
 //! same on every structured overlay: account the hop, consult the routing
-//! state, forward or deliver, record dilation. These free functions
-//! implement those mechanics once, generically over the substrate's
-//! [`RouteTable`] and the hosted [`OverlayApp`]. An overlay node's
-//! `on_message` just destructures the wire message and calls in here;
-//! backend-specific code shrinks to ring maintenance.
+//! state, forward or deliver, record dilation. [`dispatch`] is the one
+//! place a wire [`OverlayMsg`] body is unpacked for them, written once
+//! generically over the substrate's [`RouteTable`] and the hosted
+//! [`OverlayApp`]; it also hands a received `Direct` body to the app. An
+//! overlay node's `on_message` (and Chord's `on_send_failed`, which
+//! re-dispatches a payload along its repaired state) passes the body in
+//! and gets back only what it must handle itself: ring maintenance.
 
 use std::sync::Arc;
 
-use cbps_sim::{Context, Counter, Series, TraceId, TrafficClass};
+use cbps_sim::{Context, Counter, NodeIdx, Series, TraceId, TrafficClass};
 
 use crate::app::{Delivery, OverlayApp, OverlaySvc};
 use crate::key::Key;
@@ -28,10 +30,10 @@ pub type RoutedCtx<'c, A> =
 /// `true` (and counts the drop) when a routed message has exceeded the
 /// substrate's hop TTL — the backstop against routing cycles while the
 /// overlay's state is damaged.
-pub fn ttl_exceeded<S: RouteTable, A: OverlayApp>(
+pub(crate) fn ttl_exceeded<S: RouteTable, M, T>(
     state: &S,
     hops: u32,
-    ctx: &mut RoutedCtx<'_, A>,
+    ctx: &mut Context<'_, M, T>,
 ) -> bool {
     if hops >= state.max_route_hops() {
         ctx.metrics().bump(Counter::RoutingTtlDrop, 1);
@@ -43,157 +45,232 @@ pub fn ttl_exceeded<S: RouteTable, A: OverlayApp>(
 
 /// One-hop transmission of `body`, stamped with this node's identity and
 /// accounted under the message's own traffic class.
-pub fn send_body<S: RouteTable, A: OverlayApp>(
+pub(crate) fn send_body<S: RouteTable, P, T>(
     state: &S,
-    ctx: &mut RoutedCtx<'_, A>,
-    to: cbps_sim::NodeIdx,
-    body: OverlayMsg<A::Payload>,
+    ctx: &mut Context<'_, Envelope<P>, OverlayTimer<T>>,
+    to: NodeIdx,
+    body: OverlayMsg<P>,
 ) {
     let class = body.class();
     let me = state.me();
     ctx.send(to, class, Envelope { sender: me, body });
 }
 
-/// Handles an incoming [`OverlayMsg::Unicast`]: forward toward the covering
-/// node or deliver locally with dilation accounting.
-#[allow(clippy::too_many_arguments)] // mirrors the wire message's fields
-pub fn handle_unicast<S: RouteTable, A: OverlayApp>(
+/// Handles a routed message body: a `Unicast`, `MCast` or `Walk` is
+/// forwarded or delivered here, and a `Direct` is handed to the app when
+/// `direct_from` names its sender. Every other body — ring maintenance,
+/// and a `Direct` whose send failed (`None`: a one-hop message has no
+/// route to repair) — is returned to the caller.
+pub fn dispatch<S: RouteTable, A: OverlayApp>(
     state: &mut S,
     app: &mut A,
-    key: Key,
-    class: TrafficClass,
-    payload: Arc<A::Payload>,
-    hops: u32,
-    src: Peer,
-    trace: TraceId,
+    body: OverlayMsg<A::Payload>,
+    direct_from: Option<Peer>,
     ctx: &mut RoutedCtx<'_, A>,
-) {
-    if ttl_exceeded::<S, A>(state, hops, ctx) {
-        return;
-    }
-    match state.next_hop(key) {
-        None => {
-            ctx.metrics()
-                .record(Series::dilation(class), u64::from(hops));
-            let delivery = Delivery {
-                targets_here: KeyRangeSet::of_key(state.space(), key),
+) -> Option<OverlayMsg<A::Payload>> {
+    match body {
+        OverlayMsg::Unicast {
+            key,
+            class,
+            payload,
+            hops,
+            src,
+            trace,
+        } => {
+            let hop = Hop {
                 class,
+                payload,
                 hops,
                 src,
                 trace,
             };
-            let mut svc = OverlaySvc::new(state, ctx);
-            app.on_deliver(take_payload(payload), delivery, &mut svc);
+            unicast(state, app, key, hop, ctx);
         }
-        Some(hop) => {
-            ctx.route_hop(trace, class);
-            send_body::<S, A>(
-                state,
-                ctx,
-                hop.idx,
-                OverlayMsg::Unicast {
-                    key,
-                    class,
-                    payload,
-                    hops: hops + 1,
-                    src,
-                    trace,
-                },
-            );
+        OverlayMsg::MCast {
+            targets,
+            class,
+            payload,
+            hops,
+            src,
+            trace,
+        } => {
+            let hop = Hop {
+                class,
+                payload,
+                hops,
+                src,
+                trace,
+            };
+            mcast(state, app, targets, hop, ctx);
+        }
+        OverlayMsg::Walk {
+            range,
+            class,
+            payload,
+            hops,
+            src,
+            walking,
+            trace,
+        } => {
+            let hop = Hop {
+                class,
+                payload,
+                hops,
+                src,
+                trace,
+            };
+            walk(state, app, range, walking, hop, ctx);
+        }
+        OverlayMsg::Direct { payload, .. } if let Some(from) = direct_from => {
+            let mut svc = OverlaySvc::new(state, ctx);
+            app.on_direct(from, take_payload(payload), &mut svc);
+        }
+        body => return Some(body),
+    }
+    None
+}
+
+/// The fields a routed payload message carries besides its target.
+struct Hop<P> {
+    class: TrafficClass,
+    payload: Arc<P>,
+    hops: u32,
+    src: Peer,
+    trace: TraceId,
+}
+
+impl<P> Hop<P> {
+    /// The delivery record of this message at the keys it targets here.
+    fn delivery(&self, targets_here: KeyRangeSet) -> Delivery {
+        Delivery {
+            targets_here,
+            class: self.class,
+            hops: self.hops,
+            src: self.src,
+            trace: self.trace,
+        }
+    }
+
+    /// This walk one hop further along `range`.
+    fn walk_on(self, range: KeyRange, walking: bool) -> OverlayMsg<P> {
+        OverlayMsg::Walk {
+            range,
+            class: self.class,
+            payload: self.payload,
+            hops: self.hops + 1,
+            src: self.src,
+            walking,
+            trace: self.trace,
         }
     }
 }
 
-/// Handles an incoming [`OverlayMsg::MCast`]: split the targets against the
-/// routing state (Figure 4), relay the remote bundles, deliver the local
-/// share.
-#[allow(clippy::too_many_arguments)] // mirrors the wire message's fields
-pub fn handle_mcast<S: RouteTable, A: OverlayApp>(
+/// Delivers `payload` to the app, recording the hops it took as dilation.
+fn deliver<S: RouteTable, A: OverlayApp>(
+    state: &mut S,
+    app: &mut A,
+    payload: A::Payload,
+    delivery: Delivery,
+    ctx: &mut RoutedCtx<'_, A>,
+) {
+    ctx.metrics()
+        .record(Series::dilation(delivery.class), u64::from(delivery.hops));
+    let mut svc = OverlaySvc::new(state, ctx);
+    app.on_deliver(payload, delivery, &mut svc);
+}
+
+// The three handlers below stay out of line (`#[inline(never)]`): inlined
+// into `dispatch`, they share one large frame, and the benchmark's `route`
+// workload measured ≈ 5 % fewer operations per second.
+
+/// [`OverlayMsg::Unicast`]: forward toward the covering node or deliver
+/// locally with dilation accounting.
+#[inline(never)]
+fn unicast<S: RouteTable, A: OverlayApp>(
+    state: &mut S,
+    app: &mut A,
+    key: Key,
+    hop: Hop<A::Payload>,
+    ctx: &mut RoutedCtx<'_, A>,
+) {
+    if ttl_exceeded(state, hop.hops, ctx) {
+        return;
+    }
+    match state.next_hop(key) {
+        None => {
+            let delivery = hop.delivery(KeyRangeSet::of_key(state.space(), key));
+            deliver(state, app, take_payload(hop.payload), delivery, ctx);
+        }
+        Some(next) => {
+            ctx.route_hop(hop.trace, hop.class);
+            let body = OverlayMsg::Unicast {
+                key,
+                class: hop.class,
+                payload: hop.payload,
+                hops: hop.hops + 1,
+                src: hop.src,
+                trace: hop.trace,
+            };
+            send_body(state, ctx, next.idx, body);
+        }
+    }
+}
+
+/// [`OverlayMsg::MCast`]: split the targets against the routing state
+/// (Figure 4), relay the remote bundles, deliver the local share.
+#[inline(never)]
+fn mcast<S: RouteTable, A: OverlayApp>(
     state: &mut S,
     app: &mut A,
     targets: KeyRangeSet,
-    class: TrafficClass,
-    payload: Arc<A::Payload>,
-    hops: u32,
-    src: Peer,
-    trace: TraceId,
+    hop: Hop<A::Payload>,
     ctx: &mut RoutedCtx<'_, A>,
 ) {
-    if ttl_exceeded::<S, A>(state, hops, ctx) {
+    if ttl_exceeded(state, hop.hops, ctx) {
         return;
     }
     let (local, mut bundles) = state.mcast_split(&targets);
     if !bundles.is_empty() {
-        ctx.route_hop(trace, class);
+        ctx.route_hop(hop.trace, hop.class);
     }
     for (peer, subset) in bundles.drain(..) {
-        send_body::<S, A>(
-            state,
-            ctx,
-            peer.idx,
-            OverlayMsg::MCast {
-                targets: subset,
-                class,
-                payload: Arc::clone(&payload),
-                hops: hops + 1,
-                src,
-                trace,
-            },
-        );
+        let body = OverlayMsg::MCast {
+            targets: subset,
+            class: hop.class,
+            payload: Arc::clone(&hop.payload),
+            hops: hop.hops + 1,
+            src: hop.src,
+            trace: hop.trace,
+        };
+        send_body(state, ctx, peer.idx, body);
     }
     if !local.is_empty() {
-        ctx.metrics()
-            .record(Series::dilation(class), u64::from(hops));
-        let delivery = Delivery {
-            targets_here: local,
-            class,
-            hops,
-            src,
-            trace,
-        };
-        let mut svc = OverlaySvc::new(state, ctx);
-        app.on_deliver(take_payload(payload), delivery, &mut svc);
+        let delivery = hop.delivery(local);
+        deliver(state, app, take_payload(hop.payload), delivery, ctx);
     }
 }
 
-/// Handles an incoming [`OverlayMsg::Walk`]: route toward the range start,
-/// then walk covering nodes successor-by-successor, delivering each node's
-/// portion of the range.
-#[allow(clippy::too_many_arguments)] // mirrors the wire message's fields
-pub fn handle_walk<S: RouteTable, A: OverlayApp>(
+/// [`OverlayMsg::Walk`]: route toward the range start, then walk covering
+/// nodes successor-by-successor, delivering each node's portion of the
+/// range.
+#[inline(never)]
+fn walk<S: RouteTable, A: OverlayApp>(
     state: &mut S,
     app: &mut A,
     range: KeyRange,
-    class: TrafficClass,
-    payload: Arc<A::Payload>,
-    hops: u32,
-    src: Peer,
     walking: bool,
-    trace: TraceId,
+    hop: Hop<A::Payload>,
     ctx: &mut RoutedCtx<'_, A>,
 ) {
-    if ttl_exceeded::<S, A>(state, hops, ctx) {
+    if ttl_exceeded(state, hop.hops, ctx) {
         return;
     }
     let space = state.space();
     if !walking {
         // Still routing toward the start of the range.
-        if let Some(hop) = state.next_hop(range.start()) {
-            ctx.route_hop(trace, class);
-            send_body::<S, A>(
-                state,
-                ctx,
-                hop.idx,
-                OverlayMsg::Walk {
-                    range,
-                    class,
-                    payload,
-                    hops: hops + 1,
-                    src,
-                    walking: false,
-                    trace,
-                },
-            );
+        if let Some(next) = state.next_hop(range.start()) {
+            ctx.route_hop(hop.trace, hop.class);
+            send_body(state, ctx, next.idx, hop.walk_on(range, false));
             return;
         }
     }
@@ -202,68 +279,36 @@ pub fn handle_walk<S: RouteTable, A: OverlayApp>(
     // payload without copying it.
     let me = state.me();
     let pred = state.predecessor().unwrap_or(me);
-    let full = KeyRangeSet::of_range(space, range);
-    let local = full.extract_arc_oc(space, pred.key, me.key);
+    let local = KeyRangeSet::of_range(space, range).extract_arc_oc(space, pred.key, me.key);
     let next = if range.contains(space, me.key) && me.key != range.end() {
         state.successor()
     } else {
         None
     };
-    let deliver = |state: &mut S, app: &mut A, payload: A::Payload, ctx: &mut RoutedCtx<'_, A>| {
-        ctx.metrics()
-            .record(Series::dilation(class), u64::from(hops));
-        let delivery = Delivery {
-            targets_here: local.clone(),
-            class,
-            hops,
-            src,
-            trace,
-        };
-        let mut svc = OverlaySvc::new(state, ctx);
-        app.on_deliver(payload, delivery, &mut svc);
-    };
     match next {
         // Continue walking while range keys remain beyond our own key.
         Some(succ) => {
             if !local.is_empty() {
-                deliver(state, app, take_payload(Arc::clone(&payload)), ctx);
+                let delivery = hop.delivery(local);
+                deliver(
+                    state,
+                    app,
+                    take_payload(Arc::clone(&hop.payload)),
+                    delivery,
+                    ctx,
+                );
             }
-            ctx.route_hop(trace, class);
-            send_body::<S, A>(
-                state,
-                ctx,
-                succ.idx,
-                OverlayMsg::Walk {
-                    range,
-                    class,
-                    payload,
-                    hops: hops + 1,
-                    src,
-                    walking: true,
-                    trace,
-                },
-            );
+            ctx.route_hop(hop.trace, hop.class);
+            send_body(state, ctx, succ.idx, hop.walk_on(range, true));
         }
         // Terminal node of the walk: the payload can be taken whole.
         None => {
             if !local.is_empty() {
-                deliver(state, app, take_payload(payload), ctx);
+                let delivery = hop.delivery(local);
+                deliver(state, app, take_payload(hop.payload), delivery, ctx);
             }
         }
     }
-}
-
-/// Handles an incoming [`OverlayMsg::Direct`]: hand the payload to the
-/// application with the immediate sender's identity.
-pub fn handle_direct<S: RouteTable, A: OverlayApp>(
-    state: &mut S,
-    app: &mut A,
-    sender: Peer,
-    payload: Arc<A::Payload>,
-    ctx: &mut RoutedCtx<'_, A>,
-) {
-    let mut svc = OverlaySvc::new(state, ctx);
-    app.on_direct(sender, take_payload(payload), &mut svc);
 }
 
 /// Handles an application timer ([`OverlayTimer::App`]).

@@ -4,9 +4,10 @@
 //! the sense that it can use any overlay routing scheme". This trait is
 //! that portability boundary: everything the CB-pub/sub layer needs from
 //! *an* overlay — key-routed send, the one-to-many primitives, one-hop
-//! sends, timers, neighbor knowledge — with no Chord specifics. Chord's
-//! [`OverlaySvc`](crate::OverlaySvc) implements it; so does the Pastry
-//! overlay in `cbps-pastry`.
+//! sends, timers, neighbor knowledge — with no Chord specifics. Its one
+//! implementor, [`OverlaySvc`](crate::OverlaySvc), is generic over the
+//! substrate's [`RouteTable`](crate::RouteTable), so Chord and the Pastry
+//! overlay in `cbps-pastry` hand their apps the same service handle.
 
 use cbps_rng::Rng;
 use cbps_sim::{Metrics, ObsSeries, SimDuration, SimTime, Stage, TraceId, TrafficClass};
@@ -77,61 +78,5 @@ pub trait OverlayServices<P: Clone, T> {
     #[inline]
     fn obs_sample(&mut self, series: ObsSeries, value: u64) {
         self.metrics().obs_mut().sample(series, value);
-    }
-}
-
-impl<P: Clone, T, S: crate::route::RouteTable> OverlayServices<P, T>
-    for crate::app::OverlaySvc<'_, '_, P, T, S>
-{
-    fn me(&self) -> Peer {
-        crate::app::OverlaySvc::me(self)
-    }
-    fn space(&self) -> KeySpace {
-        crate::app::OverlaySvc::space(self)
-    }
-    fn now(&self) -> SimTime {
-        crate::app::OverlaySvc::now(self)
-    }
-    fn rng(&mut self) -> &mut Rng {
-        crate::app::OverlaySvc::rng(self)
-    }
-    fn metrics(&mut self) -> &mut Metrics {
-        crate::app::OverlaySvc::metrics(self)
-    }
-    fn successor(&self) -> Option<Peer> {
-        crate::app::OverlaySvc::successor(self)
-    }
-    fn predecessor(&self) -> Option<Peer> {
-        crate::app::OverlaySvc::predecessor(self)
-    }
-    fn successors(&self) -> &[Peer] {
-        crate::app::OverlaySvc::successors(self)
-    }
-    fn covers(&self, key: Key) -> bool {
-        crate::app::OverlaySvc::covers(self, key)
-    }
-    fn arm_timer(&mut self, delay: SimDuration, timer: T) {
-        crate::app::OverlaySvc::arm_timer(self, delay, timer);
-    }
-    fn send(&mut self, key: Key, class: TrafficClass, payload: P, trace: TraceId) {
-        crate::app::OverlaySvc::send(self, key, class, payload, trace);
-    }
-    fn mcast(&mut self, targets: &KeyRangeSet, class: TrafficClass, payload: P, trace: TraceId) {
-        crate::app::OverlaySvc::mcast(self, targets, class, payload, trace);
-    }
-    fn ucast_keys(
-        &mut self,
-        targets: &KeyRangeSet,
-        class: TrafficClass,
-        payload: P,
-        trace: TraceId,
-    ) {
-        crate::app::OverlaySvc::ucast_keys(self, targets, class, payload, trace);
-    }
-    fn walk(&mut self, range: KeyRange, class: TrafficClass, payload: P, trace: TraceId) {
-        crate::app::OverlaySvc::walk(self, range, class, payload, trace);
-    }
-    fn direct(&mut self, to: Peer, class: TrafficClass, payload: P) {
-        crate::app::OverlaySvc::direct(self, to, class, payload);
     }
 }

@@ -11,6 +11,7 @@ use crate::inline::InlineVec;
 use crate::key::{Key, KeySpace};
 use crate::range::KeyRangeSet;
 use crate::ring::Peer;
+use crate::route::RouteTable;
 use crate::scratch::Bundles;
 use crate::split::Boundaries;
 
@@ -75,34 +76,9 @@ impl RoutingState {
         }
     }
 
-    /// This node's identity.
-    pub fn me(&self) -> Peer {
-        self.me
-    }
-
-    /// The key space.
-    pub fn space(&self) -> KeySpace {
-        self.cfg.space
-    }
-
     /// The overlay configuration.
     pub fn config(&self) -> &OverlayConfig {
         &self.cfg
-    }
-
-    /// Current predecessor, if known.
-    pub fn predecessor(&self) -> Option<Peer> {
-        self.pred
-    }
-
-    /// Immediate successor, if any (a single-node ring has none).
-    pub fn successor(&self) -> Option<Peer> {
-        self.succs.as_slice().first().copied()
-    }
-
-    /// The whole successor list.
-    pub fn successors(&self) -> &[Peer] {
-        self.succs.as_slice()
     }
 
     /// Finger entry `i` (targets `me.key + 2^i`); `None` when unknown or
@@ -221,14 +197,6 @@ impl RoutingState {
         self.finger_keys.is_inline() && self.succs.is_inline() && self.cache.is_inline()
     }
 
-    /// Records that `peer` exists (location cache learning). Learning
-    /// ourselves is a no-op.
-    pub fn learn(&mut self, peer: Peer) {
-        if peer.key != self.me.key {
-            self.cache.learn(peer);
-        }
-    }
-
     /// `learn(peer)` twice in one cache probe: a message's first hop names
     /// its source as its sender too.
     pub fn learn_twice(&mut self, peer: Peer) {
@@ -297,12 +265,39 @@ impl RoutingState {
             self.pred = None;
         }
     }
+}
+
+impl RouteTable for RoutingState {
+    fn me(&self) -> Peer {
+        self.me
+    }
+
+    fn space(&self) -> KeySpace {
+        self.cfg.space
+    }
+
+    fn max_route_hops(&self) -> u32 {
+        self.cfg.max_route_hops
+    }
+
+    fn predecessor(&self) -> Option<Peer> {
+        self.pred
+    }
+
+    /// Immediate successor, if any (a single-node ring has none).
+    fn successor(&self) -> Option<Peer> {
+        self.succs.as_slice().first().copied()
+    }
+
+    fn successors(&self) -> &[Peer] {
+        self.succs.as_slice()
+    }
 
     /// `true` iff this node covers `key`, i.e. `key ∈ (pred, me]`.
     ///
     /// A node with no known predecessor claims everything (true for a
     /// single-node ring; transiently optimistic while joining).
-    pub fn covers(&self, key: Key) -> bool {
+    fn covers(&self, key: Key) -> bool {
         match self.pred {
             None => true,
             Some(p) => self.cfg.space.in_arc_oc(key, p.key, self.me.key),
@@ -312,7 +307,7 @@ impl RoutingState {
     /// Greedy routing decision for `key`: `None` to deliver locally, or the
     /// next hop — the closest node preceding `key` among the finger table,
     /// successor list and location cache, falling back to the successor.
-    pub fn next_hop(&mut self, key: Key) -> Option<Peer> {
+    fn next_hop(&mut self, key: Key) -> Option<Peer> {
         if self.covers(key) {
             return None;
         }
@@ -367,7 +362,7 @@ impl RoutingState {
     /// successor `f_1`, the fingers, and the predecessor as the final
     /// `f_l` (see [`Boundaries`] for the partition). A node without a
     /// successor is alone on its ring and keeps everything.
-    pub fn mcast_split(&self, targets: &KeyRangeSet) -> (KeyRangeSet, Bundles) {
+    fn mcast_split(&self, targets: &KeyRangeSet) -> (KeyRangeSet, Bundles) {
         let space = self.cfg.space;
         let mut cuts = Boundaries::new(space, self.me);
         if let Some(succ) = self.successor() {
@@ -393,6 +388,14 @@ impl RoutingState {
             }
         }
         cuts.split(targets)
+    }
+
+    /// Records that `peer` exists (location cache learning). Learning
+    /// ourselves is a no-op.
+    fn learn(&mut self, peer: Peer) {
+        if peer.key != self.me.key {
+            self.cache.learn(peer);
+        }
     }
 }
 

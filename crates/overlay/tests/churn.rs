@@ -7,14 +7,16 @@
 
 use cbps_overlay::{
     build_stable, ChordNode, Delivery, OverlayApp, OverlayConfig, OverlayServices, Peer, RingView,
-    RoutingState,
+    RouteTable, RoutingState,
 };
 use cbps_sim::{Counter, NetConfig, Series, SimTime, Simulator, TraceId, TrafficClass};
 
-/// An app that records payload deliveries and predecessor changes.
+/// An app that records payload deliveries, direct messages and
+/// predecessor changes.
 #[derive(Default)]
 struct Probe {
     delivered: Vec<u32>,
+    directs: Vec<u32>,
     pred_changes: u32,
 }
 
@@ -24,6 +26,10 @@ impl OverlayApp for Probe {
 
     fn on_deliver(&mut self, payload: u32, _d: Delivery, _svc: &mut dyn OverlayServices<u32, ()>) {
         self.delivered.push(payload);
+    }
+
+    fn on_direct(&mut self, _from: Peer, payload: u32, _svc: &mut dyn OverlayServices<u32, ()>) {
+        self.directs.push(payload);
     }
 
     fn on_predecessor_changed(
@@ -306,4 +312,72 @@ fn unicast_routes_around_unannounced_crashes() {
         "delivered {delivered} of {expected_deliveries}"
     );
     let _ = victim_key;
+}
+
+#[test]
+fn walk_routes_around_unannounced_crashes() {
+    // Maintenance OFF: the walk's next node has crashed and nobody knows;
+    // the failed send re-dispatches the walk from the sender's repaired
+    // successor list.
+    let cfg = OverlayConfig::paper_default();
+    let apps: Vec<Probe> = (0..40).map(|_| Probe::default()).collect();
+    let (mut sim, ring) = cbps_overlay::build_stable(NetConfig::new(19), cfg, apps);
+    let space = cfg.space;
+
+    // A range spanning a few nodes, with the victim strictly inside it.
+    let peers = ring.peers();
+    let (first, victim, last) = (peers[10], peers[12], peers[15]);
+    let range = cbps_overlay::KeyRange::new(space.add(first.key, 1), last.key);
+    sim.crash(victim.idx);
+    sim.with_node(peers[30].idx, |node, ctx| {
+        node.app_call(ctx, |_, svc| {
+            svc.walk(range, TrafficClass::OTHER, 3, TraceId::NONE)
+        })
+    });
+    sim.run();
+
+    // Every live node covering part of the range got the payload; the
+    // victim's own arc is lost with it.
+    for peer in &peers[11..=15] {
+        let got = &sim.node(peer.idx).app().delivered;
+        if peer.idx == victim.idx {
+            assert!(got.is_empty());
+        } else {
+            assert!(
+                got.contains(&3),
+                "covering node {} missed the walk",
+                peer.idx
+            );
+        }
+    }
+    // Nobody outside the range delivered it.
+    for (idx, node) in sim.nodes() {
+        if !peers[11..=15].iter().any(|p| p.idx == idx) {
+            assert!(
+                node.app().delivered.is_empty(),
+                "node {idx} is outside the range"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_direct_to_a_crashed_peer_is_dropped() {
+    let cfg = OverlayConfig::paper_default();
+    let apps: Vec<Probe> = (0..10).map(|_| Probe::default()).collect();
+    let (mut sim, _ring) = cbps_overlay::build_stable(NetConfig::new(20), cfg, apps);
+
+    let target = sim.node(4).me();
+    sim.crash(target.idx);
+    sim.with_node(0, |node, ctx| {
+        node.app_call(ctx, |_, svc| svc.direct(target, TrafficClass::OTHER, 9))
+    });
+    sim.run();
+
+    // A failed one-hop send is not re-routed: no app sees it, the
+    // sender's own included.
+    for (idx, node) in sim.nodes() {
+        assert!(node.app().directs.is_empty(), "node {idx} got the direct");
+        assert!(node.app().delivered.is_empty(), "node {idx} delivered it");
+    }
 }

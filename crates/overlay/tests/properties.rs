@@ -9,7 +9,9 @@
 
 use std::collections::BTreeSet;
 
-use cbps_overlay::{KeyRange, KeyRangeSet, KeySpace, OverlayConfig, Peer, RingView, RoutingState};
+use cbps_overlay::{
+    KeyRange, KeyRangeSet, KeySpace, OverlayConfig, Peer, RingView, RouteTable, RoutingState,
+};
 use cbps_rng::Rng;
 
 /// A naive model of a key set: an explicit `BTreeSet<u64>`.

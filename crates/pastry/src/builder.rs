@@ -43,7 +43,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbps_overlay::{assign_node_keys, Delivery, OverlayServices};
+    use cbps_overlay::{assign_node_keys, Delivery, OverlayServices, RouteTable};
 
     #[derive(Default)]
     struct Sink {

@@ -35,9 +35,9 @@
 //! let mut net = PastryPubSubBuilder::new().nodes(40).seed(7).build()?;
 //! let space = net.config().space.clone();
 //! let sub = Subscription::builder(&space).range("a0", 100_000, 200_000)?.build()?;
-//! let sub_id = net.node(3)?.subscribe(sub, None)?;
+//! let sub_id = net.subscribe(3, sub, None)?;
 //! net.run_for_secs(5);
-//! net.node(9)?.publish(Event::new(&space, vec![150_000, 1, 2, 3])?)?;
+//! net.publish(9, Event::new(&space, vec![150_000, 1, 2, 3])?)?;
 //! net.run_for_secs(5);
 //! assert_eq!(net.delivered(3).len(), 1);
 //! assert_eq!(net.delivered(3)[0].sub_id, sub_id);

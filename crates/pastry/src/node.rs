@@ -1,17 +1,18 @@
-//! The Pastry node: a thin shell over the shared routed-message handlers.
+//! The Pastry node: a thin shell over the shared routed-message handling.
 //!
 //! All payload mechanics (unicast forwarding, `m-cast` splitting, the
-//! conservative range walk, delivery staging and dilation accounting) live
-//! in [`cbps_overlay::routed`], written once against the [`RouteTable`]
-//! surface that [`PastryState`] implements. What remains here is the
-//! substrate's identity: wiring the simulator upcalls to those handlers.
-//! Membership is static (the converged-network mode the paper's
-//! experiments run in), so the Chord maintenance messages an
-//! [`OverlayMsg`] can carry are ignored and only application timers fire.
+//! conservative range walk, direct messages, delivery staging and dilation
+//! accounting) live in [`cbps_overlay::routed`], written once against the
+//! [`RouteTable`] surface that [`PastryState`]
+//! implements: `on_message` passes every body to
+//! [`routed::dispatch`](cbps_overlay::routed::dispatch). Membership is
+//! static (the converged-network mode the paper's experiments run in), so
+//! the Chord maintenance messages that `dispatch` hands back are ignored
+//! and only application timers fire.
 
 use cbps_overlay::routed;
 use cbps_overlay::{
-    Envelope, OverlayApp, OverlayMsg, OverlayServices, OverlaySvc, OverlayTimer, Peer,
+    Envelope, OverlayApp, OverlayServices, OverlaySvc, OverlayTimer, Peer, RouteTable,
 };
 use cbps_sim::{Context, Node, NodeIdx, PrefetchStage};
 
@@ -19,9 +20,9 @@ use crate::state::PastryState;
 
 /// A Pastry overlay node hosting an application.
 ///
-/// Speaks the same wire [`Envelope`]/[`OverlayMsg`] language and hosts the
-/// same [`OverlayApp`] type as the Chord node, so applications and
-/// deployment layers are substrate-generic.
+/// Speaks the same wire [`Envelope`]/[`OverlayMsg`](cbps_overlay::OverlayMsg)
+/// language and hosts the same [`OverlayApp`] type as the Chord node, so
+/// applications and deployment layers are substrate-generic.
 #[derive(Debug)]
 pub struct PastryNode<A: OverlayApp> {
     state: PastryState,
@@ -76,78 +77,15 @@ impl<A: OverlayApp> Node for PastryNode<A> {
         envelope: Envelope<A::Payload>,
         ctx: &mut Context<'_, Self::Msg, Self::Timer>,
     ) {
-        let sender = envelope.sender;
-        match envelope.body {
-            OverlayMsg::Unicast {
-                key,
-                class,
-                payload,
-                hops,
-                src,
-                trace,
-            } => {
-                routed::handle_unicast(
-                    &mut self.state,
-                    &mut self.app,
-                    key,
-                    class,
-                    payload,
-                    hops,
-                    src,
-                    trace,
-                    ctx,
-                );
-            }
-            OverlayMsg::MCast {
-                targets,
-                class,
-                payload,
-                hops,
-                src,
-                trace,
-            } => {
-                routed::handle_mcast(
-                    &mut self.state,
-                    &mut self.app,
-                    targets,
-                    class,
-                    payload,
-                    hops,
-                    src,
-                    trace,
-                    ctx,
-                );
-            }
-            OverlayMsg::Walk {
-                range,
-                class,
-                payload,
-                hops,
-                src,
-                walking,
-                trace,
-            } => {
-                routed::handle_walk(
-                    &mut self.state,
-                    &mut self.app,
-                    range,
-                    class,
-                    payload,
-                    hops,
-                    src,
-                    walking,
-                    trace,
-                    ctx,
-                );
-            }
-            OverlayMsg::Direct { payload, class } => {
-                let _ = class;
-                routed::handle_direct(&mut self.state, &mut self.app, sender, payload, ctx);
-            }
-            // Chord ring-maintenance messages; never sent on the static
-            // Pastry substrate.
-            _ => {}
-        }
+        // What comes back is Chord ring maintenance, never sent on the
+        // static Pastry substrate.
+        let _ = routed::dispatch(
+            &mut self.state,
+            &mut self.app,
+            envelope.body,
+            Some(envelope.sender),
+            ctx,
+        );
     }
 
     #[inline]

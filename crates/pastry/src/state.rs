@@ -1,7 +1,7 @@
 //! Per-node Pastry routing state: leaf set + prefix routing table, and the
 //! routing / multicast-split decisions built on them.
 
-use cbps_overlay::{Boundaries, Bundles, Key, KeyRangeSet, KeySpace, Peer, RingView};
+use cbps_overlay::{Boundaries, Bundles, Key, KeyRangeSet, KeySpace, Peer, RingView, RouteTable};
 use cbps_sim::prefetch::prefetch_span;
 use cbps_sim::PrefetchStage;
 
@@ -83,29 +83,21 @@ pub struct PastryState {
 }
 
 impl PastryState {
-    /// Builds converged state for `me` from the global ring view.
+    /// Builds converged state for `me`, a node of `ring`, from the global
+    /// ring view. The leaf sets are the sorted ring positions on either side
+    /// of `me`, as Chord's successor lists are.
     pub fn converged(cfg: PastryConfig, me: Peer, ring: &RingView) -> Self {
         let space = cfg.space;
-        let mut leaves_cw = Vec::with_capacity(cfg.leaf_len);
-        let mut cur = me.key;
-        for _ in 0..cfg.leaf_len.min(ring.len().saturating_sub(1)) {
-            let next = ring.next_node(cur);
-            if next.key == me.key {
-                break;
-            }
-            leaves_cw.push(next);
-            cur = next.key;
-        }
-        let mut leaves_ccw = Vec::with_capacity(cfg.leaf_len);
-        let mut cur = me.key;
-        for _ in 0..cfg.leaf_len.min(ring.len().saturating_sub(1)) {
-            let prev = ring.predecessor(cur);
-            if prev.key == me.key || leaves_ccw.contains(&prev) {
-                break;
-            }
-            leaves_ccw.push(prev);
-            cur = prev.key;
-        }
+        let sorted = ring.peers();
+        let n = sorted.len();
+        let pos = sorted.partition_point(|p| p.key < me.key);
+        debug_assert!(
+            sorted.get(pos).is_some_and(|p| p.key == me.key),
+            "`me` is not on the ring"
+        );
+        let leaves = cfg.leaf_len.min(n.saturating_sub(1));
+        let leaves_cw = (1..=leaves).map(|k| sorted[(pos + k) % n]).collect();
+        let leaves_ccw = (1..=leaves).map(|k| sorted[(pos + n - k) % n]).collect();
         let m = space.bits();
         let mut table = Vec::with_capacity(m as usize);
         for r in 0..m {
@@ -133,47 +125,14 @@ impl PastryState {
         }
     }
 
-    /// This node's identity.
-    pub fn me(&self) -> Peer {
-        self.me
-    }
-
-    /// The key space.
-    pub fn space(&self) -> KeySpace {
-        self.cfg.space
-    }
-
     /// The configuration.
     pub fn config(&self) -> &PastryConfig {
         &self.cfg
     }
 
-    /// Immediate ring successor (first clockwise leaf).
-    pub fn successor(&self) -> Option<Peer> {
-        self.leaves_cw.first().copied()
-    }
-
-    /// Immediate ring predecessor (first counter-clockwise leaf).
-    pub fn predecessor(&self) -> Option<Peer> {
-        self.leaves_ccw.first().copied()
-    }
-
-    /// The clockwise leaf set (for replica placement).
-    pub fn successors(&self) -> &[Peer] {
-        &self.leaves_cw
-    }
-
     /// The routing table (row `r` shares exactly `r` leading bits).
     pub fn table(&self) -> &[Option<Peer>] {
         &self.table
-    }
-
-    /// `true` iff this node covers `key` (successor convention).
-    pub fn covers(&self, key: Key) -> bool {
-        match self.predecessor() {
-            None => true,
-            Some(p) => self.cfg.space.in_arc_oc(key, p.key, self.me.key),
-        }
     }
 
     /// Hints the lines a routed message reads here (see
@@ -198,12 +157,49 @@ impl PastryState {
             .copied()
             .chain(self.table.iter().flatten().copied())
     }
+}
+
+impl RouteTable for PastryState {
+    fn me(&self) -> Peer {
+        self.me
+    }
+
+    fn space(&self) -> KeySpace {
+        self.cfg.space
+    }
+
+    fn max_route_hops(&self) -> u32 {
+        self.cfg.max_route_hops
+    }
+
+    /// Immediate ring predecessor (first counter-clockwise leaf).
+    fn predecessor(&self) -> Option<Peer> {
+        self.leaves_ccw.first().copied()
+    }
+
+    /// Immediate ring successor (first clockwise leaf).
+    fn successor(&self) -> Option<Peer> {
+        self.leaves_cw.first().copied()
+    }
+
+    /// The clockwise leaf set (for replica placement).
+    fn successors(&self) -> &[Peer] {
+        &self.leaves_cw
+    }
+
+    /// `true` iff this node covers `key` (successor convention).
+    fn covers(&self, key: Key) -> bool {
+        match self.predecessor() {
+            None => true,
+            Some(p) => self.cfg.space.in_arc_oc(key, p.key, self.me.key),
+        }
+    }
 
     /// Pastry's routing decision: `None` to deliver locally; otherwise
     /// prefer the routing-table entry matching one more bit of `key`,
     /// falling back to the known node closest-preceding `key` (Chord
     /// style, which guarantees progress and termination).
-    pub fn next_hop(&self, key: Key) -> Option<Peer> {
+    fn next_hop(&mut self, key: Key) -> Option<Peer> {
         if self.covers(key) {
             return None;
         }
@@ -244,7 +240,7 @@ impl PastryState {
     /// boundary nodes: local = our arc; each remaining arc is relayed via
     /// the boundary node preceding it. Exactly-once and termination hold
     /// for the same reasons as on Chord.
-    pub fn mcast_split(&self, targets: &KeyRangeSet) -> (KeyRangeSet, Bundles) {
+    fn mcast_split(&self, targets: &KeyRangeSet) -> (KeyRangeSet, Bundles) {
         let mut cuts = Boundaries::new(self.cfg.space, self.me);
         if self.successor().is_some() {
             for p in self.known() {
@@ -253,36 +249,7 @@ impl PastryState {
         }
         cuts.split(targets)
     }
-}
 
-impl cbps_overlay::RouteTable for PastryState {
-    fn me(&self) -> Peer {
-        PastryState::me(self)
-    }
-    fn space(&self) -> KeySpace {
-        PastryState::space(self)
-    }
-    fn max_route_hops(&self) -> u32 {
-        self.config().max_route_hops
-    }
-    fn predecessor(&self) -> Option<Peer> {
-        PastryState::predecessor(self)
-    }
-    fn successor(&self) -> Option<Peer> {
-        PastryState::successor(self)
-    }
-    fn successors(&self) -> &[Peer] {
-        PastryState::successors(self)
-    }
-    fn covers(&self, key: Key) -> bool {
-        PastryState::covers(self, key)
-    }
-    fn next_hop(&mut self, key: Key) -> Option<Peer> {
-        PastryState::next_hop(self, key)
-    }
-    fn mcast_split(&self, targets: &KeyRangeSet) -> (KeyRangeSet, Bundles) {
-        PastryState::mcast_split(self, targets)
-    }
     // Pastry's routing table is computed at convergence; no opportunistic
     // learning, so `learn` keeps the default no-op.
 }
@@ -361,6 +328,38 @@ mod tests {
         assert!(!st.covers(s.key(150)));
     }
 
+    /// The `count` nodes preceding the node at `key`, closest first: one
+    /// ring query per step, the walk the position arithmetic replaced.
+    fn predecessors_of(ring: &RingView, key: Key, count: usize) -> Vec<Peer> {
+        let mut out = Vec::new();
+        let mut cur = key;
+        for _ in 0..count.min(ring.len() - 1) {
+            let prev = ring.predecessor(cur);
+            out.push(prev);
+            cur = prev.key;
+        }
+        out
+    }
+
+    #[test]
+    fn leaf_sets_match_ring_walks() {
+        let s = KeySpace::new(8);
+        for n in 1..=12u64 {
+            let keys: Vec<u64> = (0..n).map(|i| (i * 37 + 5) % 256).collect();
+            let ring = ring_of(&keys, s);
+            for leaf_len in 1..=8 {
+                let cfg = PastryConfig::paper_default()
+                    .with_space(s)
+                    .with_leaf_len(leaf_len);
+                for &me in ring.peers() {
+                    let st = PastryState::converged(cfg, me, &ring);
+                    assert_eq!(st.leaves_cw, ring.successors_of(me.key, leaf_len));
+                    assert_eq!(st.leaves_ccw, predecessors_of(&ring, me.key, leaf_len));
+                }
+            }
+        }
+    }
+
     #[test]
     fn routing_table_points_into_opposite_subtrees() {
         let s = KeySpace::new(8);
@@ -388,7 +387,7 @@ mod tests {
         let keys: Vec<u64> = (0..32).map(|i| i * 8 + 1).collect();
         let ring = ring_of(&keys, s);
         let me = ring.peers()[0];
-        let st = PastryState::converged(
+        let mut st = PastryState::converged(
             PastryConfig::paper_default().with_space(s).with_leaf_len(2),
             me,
             &ring,
@@ -406,7 +405,7 @@ mod tests {
         let s = KeySpace::new(8);
         let ring = ring_of(&[42], s);
         let me = ring.peers()[0];
-        let st = PastryState::converged(PastryConfig::paper_default().with_space(s), me, &ring);
+        let mut st = PastryState::converged(PastryConfig::paper_default().with_space(s), me, &ring);
         assert!(st.covers(s.key(0)));
         assert_eq!(st.next_hop(s.key(7)), None);
         let (local, bundles) = st.mcast_split(&KeyRangeSet::full(s));

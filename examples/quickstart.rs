@@ -29,15 +29,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .range("a2", 0, 50_000)?
         .build()?;
     println!("node 7 subscribes: {sub}");
-    let sub_id = net.node(7)?.subscribe(sub, None)?;
+    let sub_id = net.subscribe(7, sub, None)?;
     net.run_for_secs(10);
 
     // Two publications from node 60: one matching, one not.
     let hit = Event::new(&space, vec![200_000, 5, 20_000, 999])?;
     let miss = Event::new(&space, vec![999_000, 5, 20_000, 999])?;
     println!("node 60 publishes {hit} (matches) and {miss} (does not)");
-    let hit_id = net.node(60)?.publish(hit.clone())?;
-    net.node(60)?.publish(miss)?;
+    let hit_id = net.publish(60, hit.clone())?;
+    net.publish(60, miss)?;
     net.run_for_secs(10);
 
     // Inspect what the subscriber saw: a note names the event by id.

@@ -152,7 +152,7 @@ fn subscription_traces_chain_from_subscribe_to_store() {
         .unwrap()
         .build()
         .unwrap();
-    net.node(5).unwrap().subscribe(sub, None).unwrap();
+    net.subscribe(5, sub, None).unwrap();
     net.run_for_secs(60);
     let sub_trace = net
         .metrics()
