@@ -187,7 +187,31 @@ if ! diff "$smoke_dir/chord.fp" "$smoke_dir/pastry.fp"; then
     echo "FAIL: chord and pastry delivered different notification sets" >&2
     exit 1
 fi
-echo "==> overlay smoke passed (chord and pastry baselines byte-identical, fingerprints match)"
+# The same trace replayed over every overlay × mapping × primitive, and
+# over Chord m2 in the buffered, collecting and replicated modes, must
+# print exactly what the committed baseline holds (message counts per
+# class, hops, matches, store sizes, the delivered-set fingerprint).
+for overlay in chord pastry; do
+    for mapping in m1 m2 m3; do
+        for primitive in mcast unicast walk; do
+            flags="--overlay $overlay --mapping $mapping --primitive $primitive"
+            echo "== $flags"
+            # shellcheck disable=SC2086
+            ./target/release/cbps run-trace "$smoke_dir/smoke.trace" --nodes 80 --seed 5 $flags
+        done
+    done
+done >"$smoke_dir/run-trace.txt"
+for extra in "--notify buffered:5" "--notify collecting:5" "--replication 2"; do
+    flags="--overlay chord --mapping m2 $extra"
+    echo "== $flags"
+    # shellcheck disable=SC2086
+    ./target/release/cbps run-trace "$smoke_dir/smoke.trace" --nodes 80 --seed 5 $flags
+done >>"$smoke_dir/run-trace.txt"
+if ! diff -u ci/baseline_run_trace.txt "$smoke_dir/run-trace.txt"; then
+    echo "FAIL: cbps run-trace output drifted from ci/baseline_run_trace.txt" >&2
+    exit 1
+fi
+echo "==> overlay smoke passed (chord and pastry baselines byte-identical, fingerprints match, run-trace baseline)"
 
 # Benchmark smoke: the detached benchmark crate calls the library crates'
 # public items; build it, run its unit tests and a 1/50-size pass of all

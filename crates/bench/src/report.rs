@@ -11,7 +11,7 @@
 //! limited to numbers and the fixed stage/class vocabulary, so escaping
 //! reduces to the string-literal basics.
 
-use cbps_sim::{ObsSummary, Observability, Stage};
+use cbps_sim::{Histogram, ObsSummary, Observability, Series, Stage};
 
 use crate::runner::{RunProfile, RunTotals};
 
@@ -27,8 +27,9 @@ pub struct StageSummary {
     pub summary: ObsSummary,
 }
 
-/// Summary of one named histogram (`store.size`, `rendezvous.fanout`,
-/// `queue.depth`, ...). Units are those of the recorded samples.
+/// Summary of one [`Series`] histogram (`store.size`, `rendezvous.fanout`,
+/// `queue.depth`, `lookup.hops`, ...). Units are those of the recorded
+/// samples.
 #[derive(Clone, Debug)]
 pub struct NamedSummary {
     /// Histogram name.
@@ -84,7 +85,7 @@ impl LoadReport {
 pub struct ObsReport {
     /// Per-(class, stage) latency summaries, in pipeline order.
     pub stages: Vec<StageSummary>,
-    /// Named-histogram summaries, sorted by name.
+    /// Summaries of every non-empty [`Series`], sorted by name.
     pub named: Vec<NamedSummary>,
     /// Top-k most-loaded rendezvous nodes, heaviest first.
     pub hot_nodes: Vec<HotNode>,
@@ -100,9 +101,14 @@ pub struct ObsReport {
 pub const HOT_NODE_TOP_K: usize = 5;
 
 impl ObsReport {
-    /// Distills a merged observability registry (plus the per-node peak
-    /// store sizes accumulated alongside it) into report form.
-    pub fn distill(obs: &Observability, node_peaks: &[u64]) -> ObsReport {
+    /// Distills a merged observability registry (plus the merged
+    /// [`Series`] histograms, in [`Series::ALL`] order, and the per-node
+    /// peak store sizes accumulated alongside it) into report form.
+    pub fn distill(
+        obs: &Observability,
+        series: &[Histogram; Series::ALL.len()],
+        node_peaks: &[u64],
+    ) -> ObsReport {
         let stage_index = |s: Stage| {
             Stage::ALL
                 .iter()
@@ -127,11 +133,12 @@ impl ObsReport {
             .collect();
         stages.sort_by_key(|(c, s, _)| (*c, *s));
 
-        let mut named: Vec<NamedSummary> = obs
-            .named_histograms()
-            .filter_map(|(name, h)| {
+        let mut named: Vec<NamedSummary> = Series::ALL
+            .into_iter()
+            .zip(series)
+            .filter_map(|(series, h)| {
                 ObsSummary::of(h).map(|summary| NamedSummary {
-                    name: name.to_owned(),
+                    name: series.name().to_owned(),
                     summary,
                 })
             })
@@ -355,7 +362,15 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::runner::Scale;
-    use cbps_sim::{ObsMode, ObsSeries, SimTime, TraceId, TrafficClass};
+    use cbps_sim::{ObsMode, SimTime, TraceId, TrafficClass};
+
+    fn sample_series() -> [Histogram; Series::ALL.len()] {
+        let mut series: [Histogram; Series::ALL.len()] = Default::default();
+        series[Series::StoreSize as usize].record(7);
+        series[Series::StoreSize as usize].record(9);
+        series[Series::LookupHops as usize].record(3);
+        series
+    }
 
     fn sample_obs() -> Observability {
         let mut obs = Observability::new();
@@ -375,24 +390,22 @@ mod tests {
             9,
             SimTime::from_millis(40),
         );
-        obs.sample(ObsSeries::StoreSize, 7);
-        obs.sample(ObsSeries::StoreSize, 9);
         obs
     }
 
     #[test]
     fn distill_orders_and_summarizes() {
         let obs = sample_obs();
-        let report = ObsReport::distill(&obs, &[0, 5, 0, 12, 3]);
+        let report = ObsReport::distill(&obs, &sample_series(), &[0, 5, 0, 12, 3]);
         // Publish has zero latency (it *is* the origin); deliver is 40ms.
         assert_eq!(report.stages.len(), 2);
         assert_eq!(report.stages[0].class, "publication");
         assert_eq!(report.stages[0].stage, "publish");
         assert_eq!(report.stages[1].stage, "deliver");
         assert_eq!(report.stages[1].summary.max, 40_000);
-        assert_eq!(report.named.len(), 1);
-        assert_eq!(report.named[0].name, "store.size");
-        assert_eq!(report.named[0].summary.count, 2);
+        let named: Vec<_> = report.named.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(named, ["lookup.hops", "store.size"]);
+        assert_eq!(report.named[1].summary.count, 2);
         assert_eq!(
             report.hot_nodes,
             vec![
@@ -431,7 +444,10 @@ mod tests {
                     wall_secs: 1.5,
                     events: 3000,
                     peak_queue_depth: 17,
-                    obs: Some(ObsReport::distill(&obs, &[0, 4]).with_load(&[10, 30, 20])),
+                    obs: Some(
+                        ObsReport::distill(&obs, &sample_series(), &[0, 4])
+                            .with_load(&[10, 30, 20]),
+                    ),
                 },
                 ExperimentReport {
                     name: "keys".into(),

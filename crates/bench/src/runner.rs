@@ -16,7 +16,9 @@ use cbps::{
     ChordBackend, ConfigError, MappingKind, NotifyMode, OverlayBackend, Primitive, PubSubConfig,
     PubSubNetwork, PubSubNetworkBuilder,
 };
-use cbps_sim::{Counter, NetConfig, ObsMode, Observability, Series, SimDuration, TrafficClass};
+use cbps_sim::{
+    Counter, Histogram, NetConfig, ObsMode, Observability, Series, SimDuration, TrafficClass,
+};
 use cbps_workload::{Trace, WorkloadConfig, WorkloadGen};
 
 use crate::report::ObsReport;
@@ -135,6 +137,9 @@ pub struct RunTotals {
     pub queue_peak: u64,
     /// Merged observability registries; `None` when no run recorded any.
     pub obs: Option<Observability>,
+    /// The observed runs' [`Series`] histograms, merged position by
+    /// position (in [`Series::ALL`] order).
+    pub series: [Histogram; Series::ALL.len()],
     /// Per-node peak stored-subscription counts, element-wise max over
     /// the observed runs.
     pub hot_nodes: Vec<u64>,
@@ -151,8 +156,8 @@ impl RunTotals {
     }
 
     /// Moves one finished run's observability registry, per-node peaks
-    /// and rendezvous work into the totals (a no-op when the run recorded
-    /// nothing).
+    /// and rendezvous work into the totals and merges its series in (a
+    /// no-op when the run had observability off).
     pub fn record_obs<B: OverlayBackend>(&mut self, net: &mut PubSubNetwork<B>) {
         if !net.observability().enabled() {
             return;
@@ -160,6 +165,11 @@ impl RunTotals {
         let (peaks, works) = (net.peak_stored_counts(), net.rendezvous_work_counts());
         fold_max(&mut self.hot_nodes, peaks.into_iter().map(|p| p as u64));
         fold_max(&mut self.node_work, works.into_iter());
+        for (acc, series) in self.series.iter_mut().zip(Series::ALL) {
+            if let Some(h) = net.metrics().series(series) {
+                acc.merge(h);
+            }
+        }
         let run_obs = std::mem::take(net.metrics_mut().obs_mut());
         match self.obs.as_mut() {
             Some(acc) => acc.merge(&run_obs),
@@ -167,12 +177,12 @@ impl RunTotals {
         }
     }
 
-    /// The report distillate of the merged registry, hot nodes and node
-    /// load; `None` when no run was observed.
+    /// The report distillate of the merged registry, series, hot nodes
+    /// and node load; `None` when no run was observed.
     pub fn obs_report(&self) -> Option<ObsReport> {
-        self.obs
-            .as_ref()
-            .map(|obs| ObsReport::distill(obs, &self.hot_nodes).with_load(&self.node_work))
+        let obs = self.obs.as_ref()?;
+        let report = ObsReport::distill(obs, &self.series, &self.hot_nodes);
+        Some(report.with_load(&self.node_work))
     }
 }
 

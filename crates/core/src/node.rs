@@ -9,7 +9,7 @@ use std::sync::Arc;
 use cbps_overlay::{Delivery, KeyRange, KeyRangeSet, OverlayApp, OverlayServices, Peer};
 use cbps_sim::prefetch::prefetch;
 use cbps_sim::{
-    Counter, ObsSeries, PrefetchStage, Series, SimDuration, SimTime, Stage, TraceId, TrafficClass,
+    Counter, PrefetchStage, Series, SimDuration, SimTime, Stage, TraceId, TrafficClass,
 };
 
 use crate::config::{NotifyMode, Primitive, PubSubConfig};
@@ -312,7 +312,8 @@ impl PubSubNode {
     fn handle_store(&mut self, id: SubId, stored: Arc<StoredSub>, svc: &mut DynSvc<'_>) {
         svc.stage(stored.trace, Stage::Store, TrafficClass::SUBSCRIPTION);
         let fresh = self.file(id, stored, svc.now());
-        svc.obs_sample(ObsSeries::StoreSize, self.store().len() as u64);
+        svc.metrics()
+            .record(Series::StoreSize, self.store().len() as u64);
         if fresh {
             svc.metrics().bump(Counter::StoreInsert, 1);
             let replication = self.cfg.replication;
@@ -442,7 +443,8 @@ impl PubSubNode {
         self.work = self.work.wrapping_add(1 + matches.len() as u64);
         svc.metrics().bump(Counter::Matches, matches.len() as u64);
         svc.stage(trace, Stage::RendezvousMatch, TrafficClass::PUBLICATION);
-        svc.obs_sample(ObsSeries::RendezvousFanout, matches.len() as u64);
+        svc.metrics()
+            .record(Series::RendezvousFanout, matches.len() as u64);
         for (sub_id, subscriber, row) in matches.drain(..) {
             let item = NotifyItem {
                 sub_id,

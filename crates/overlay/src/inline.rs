@@ -81,40 +81,12 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     pub fn reserve_exact_to(&mut self, total: usize) {
         match self {
             InlineVec::Inline { .. } if total <= N => {}
-            InlineVec::Inline { .. } => self.spill_to(Vec::with_capacity(total)),
-            InlineVec::Heap(v) => v.reserve_exact(total.saturating_sub(v.len())),
-        }
-    }
-
-    /// `true` when one more insertion would spill to the heap.
-    pub fn inline_is_full(&self) -> bool {
-        matches!(self, InlineVec::Inline { len, .. } if *len as usize == N)
-    }
-
-    /// Moves the inline contents into `v` and switches to the spilled
-    /// representation. Lets callers that manage their own spill storage
-    /// (e.g. a free-list of recycled `Vec`s) pre-empt the plain-allocation
-    /// spill inside [`InlineVec::push`] / [`InlineVec::insert`]. No-op
-    /// when already spilled.
-    pub fn spill_to(&mut self, mut v: Vec<T>) {
-        debug_assert!(v.is_empty());
-        if let InlineVec::Inline { len, buf } = self {
-            v.extend_from_slice(&buf[..*len as usize]);
-            *self = InlineVec::Heap(v);
-        }
-    }
-
-    /// Takes the spilled backing `Vec`, leaving the vector empty. Returns
-    /// `None` (and leaves the contents alone) while still inline — the
-    /// counterpart of [`InlineVec::spill_to`] for recycling spill storage.
-    pub fn take_spill(&mut self) -> Option<Vec<T>> {
-        match self {
-            InlineVec::Inline { .. } => None,
-            InlineVec::Heap(v) => {
-                let v = std::mem::take(v);
-                *self = InlineVec::new();
-                Some(v)
+            InlineVec::Inline { len, buf } => {
+                let mut v = Vec::with_capacity(total);
+                v.extend_from_slice(&buf[..*len as usize]);
+                *self = InlineVec::Heap(v);
             }
+            InlineVec::Heap(v) => v.reserve_exact(total.saturating_sub(v.len())),
         }
     }
 
@@ -249,7 +221,7 @@ mod tests {
         v.insert(0, 1);
         v.insert(1, 2);
         v.insert(3, 4);
-        assert!(v.is_inline() && v.inline_is_full());
+        assert!(v.is_inline() && v.len() == v.capacity());
         assert_eq!(v.as_slice(), &[1, 2, 3, 4]);
         // Inserting into a full inline buffer spills, preserving order.
         v.insert(2, 99);
@@ -257,26 +229,6 @@ mod tests {
         assert_eq!(v.as_slice(), &[1, 2, 99, 3, 4]);
         assert_eq!(v.remove(2), 99);
         assert_eq!(v.as_slice(), &[1, 2, 3, 4]);
-        let spill = v.take_spill().expect("was spilled");
-        assert_eq!(spill, vec![1, 2, 3, 4]);
-        assert!(v.is_empty() && v.is_inline());
-    }
-
-    #[test]
-    fn managed_spill_roundtrip() {
-        let mut v: InlineVec<u32, 2> = InlineVec::new();
-        v.push(7);
-        v.push(8);
-        assert!(v.take_spill().is_none());
-        let recycled = Vec::with_capacity(16);
-        v.spill_to(recycled);
-        assert_eq!(v.as_slice(), &[7, 8]);
-        v.push(9);
-        assert_eq!(v.as_slice(), &[7, 8, 9]);
-        let back = v.take_spill().expect("spilled");
-        assert!(back.capacity() >= 16);
-        let mut w: InlineVec<u32, 2> = InlineVec::new();
-        w.clear();
-        assert!(w.is_empty());
+        assert!(!v.is_inline());
     }
 }

@@ -12,11 +12,8 @@
 //! circular reasoning into ordinary interval algebra. The segments live in
 //! an [`InlineVec`]: up to [`INLINE_SEGS`] segments are stored in place, so
 //! the common few-segment sets built on every m-cast hop never touch the
-//! heap. Wider sets spill into `Vec`s drawn from (and returned to) a
-//! per-thread free list, so even the spill path stops allocating once the
-//! pool is warm.
+//! heap. Wider sets spill into a plain `Vec`.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -25,43 +22,6 @@ use crate::key::{Key, KeySpace};
 
 /// Number of segments a [`KeyRangeSet`] stores inline before spilling.
 pub const INLINE_SEGS: usize = 4;
-
-/// Per-thread free list of spilled segment buffers. `take`/`put` keep the
-/// steady state allocation-free: a set that grows past [`INLINE_SEGS`]
-/// segments borrows a recycled `Vec` and its `Drop` returns it.
-mod spill {
-    use super::RefCell;
-
-    /// Bound on pooled buffers (beyond this, drops free normally).
-    const POOL_CAP: usize = 32;
-    /// Buffers that grew past this many segments are not worth hoarding.
-    const RETAIN_CAP: usize = 4096;
-
-    thread_local! {
-        static POOL: RefCell<Vec<Vec<(u64, u64)>>> = const { RefCell::new(Vec::new()) };
-    }
-
-    pub(super) fn take(min_cap: usize) -> Vec<(u64, u64)> {
-        POOL.with(|pool| {
-            let mut v = pool.borrow_mut().pop().unwrap_or_default();
-            v.reserve(min_cap.max(super::INLINE_SEGS * 2));
-            v
-        })
-    }
-
-    pub(super) fn put(mut v: Vec<(u64, u64)>) {
-        if v.capacity() == 0 || v.capacity() > RETAIN_CAP {
-            return;
-        }
-        v.clear();
-        POOL.with(|pool| {
-            let mut pool = pool.borrow_mut();
-            if pool.len() < POOL_CAP {
-                pool.push(v);
-            }
-        });
-    }
-}
 
 /// A circular interval of keys, walking clockwise from `start` to `end`,
 /// both inclusive.
@@ -147,8 +107,7 @@ impl fmt::Display for KeyRange {
 /// This is the value flowing through `SK`/`EK` mappings and the `m-cast`
 /// primitive. All operations keep the representation normalized (sorted,
 /// disjoint, non-adjacent linear segments). Sets of up to [`INLINE_SEGS`]
-/// segments are heap-free; wider sets borrow pooled spill storage (see the
-/// module docs).
+/// segments are heap-free; wider sets spill to the heap.
 ///
 /// # Examples
 ///
@@ -162,35 +121,10 @@ impl fmt::Display for KeyRange {
 /// assert_eq!(set.count(), 6);
 /// assert_eq!(set.iter_keys(s).count(), 6);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct KeyRangeSet {
     /// Sorted, disjoint, non-adjacent inclusive segments in linear space.
     segments: InlineVec<(u64, u64), INLINE_SEGS>,
-}
-
-impl Clone for KeyRangeSet {
-    fn clone(&self) -> Self {
-        let mut out = KeyRangeSet::new();
-        let segs = self.segments.as_slice();
-        if segs.len() > INLINE_SEGS {
-            let mut v = spill::take(segs.len());
-            v.extend_from_slice(segs);
-            out.segments = InlineVec::Heap(v);
-        } else {
-            for &seg in segs {
-                out.segments.push(seg);
-            }
-        }
-        out
-    }
-}
-
-impl Drop for KeyRangeSet {
-    fn drop(&mut self) {
-        if let Some(v) = self.segments.take_spill() {
-            spill::put(v);
-        }
-    }
 }
 
 /// Equality is over the key set; inline and spilled representations of the
@@ -261,7 +195,7 @@ impl KeyRangeSet {
     }
 
     /// `true` while the segments fit the inline buffer (diagnostics for
-    /// the allocation audit; spilled sets borrowed pooled storage).
+    /// the allocation audit).
     #[inline]
     pub fn is_inline(&self) -> bool {
         self.segments.is_inline()
@@ -346,10 +280,6 @@ impl KeyRangeSet {
                 .as_slice()
                 .partition_point(|&(slo, _)| slo < new_lo),
         };
-        // Spill through the pool rather than letting InlineVec allocate.
-        if self.segments.inline_is_full() {
-            self.segments.spill_to(spill::take(INLINE_SEGS * 2));
-        }
         self.segments.insert(pos, (new_lo, new_hi));
     }
 
@@ -632,25 +562,5 @@ mod tests {
             hasher.finish()
         };
         assert_eq!(h(&wide2), h(&merged));
-    }
-
-    /// Drop returns spilled buffers to the thread-local pool; later spills
-    /// reuse them (observable via capacity retention).
-    #[test]
-    fn spill_pool_recycles_buffers() {
-        let make_wide = || {
-            let mut set = KeyRangeSet::new();
-            for i in 0..(INLINE_SEGS as u64 + 12) {
-                set.insert_linear(i * 10, i * 10 + 2);
-            }
-            set
-        };
-        // Warm the pool, then build/drop repeatedly: contents must be
-        // identical every round (a stale pooled buffer would corrupt).
-        let reference = make_wide();
-        for _ in 0..100 {
-            let set = make_wide();
-            assert_eq!(set, reference);
-        }
     }
 }

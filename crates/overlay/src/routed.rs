@@ -57,15 +57,17 @@ pub(crate) fn send_body<S: RouteTable, P, T>(
 }
 
 /// Handles a routed message body: a `Unicast`, `MCast` or `Walk` is
-/// forwarded or delivered here, and a `Direct` is handed to the app when
-/// `direct_from` names its sender. Every other body — ring maintenance,
-/// and a `Direct` whose send failed (`None`: a one-hop message has no
-/// route to repair) — is returned to the caller.
+/// forwarded or delivered here, and a `Direct` is handed to the app.
+/// `from` names the sender of a received body; it is `None` for a body
+/// this node sent and could not hand over, which is re-routed along the
+/// repaired state. Every other body — ring maintenance, and a `Direct`
+/// whose send failed (a one-hop message has no route to repair) — is
+/// returned to the caller.
 pub fn dispatch<S: RouteTable, A: OverlayApp>(
     state: &mut S,
     app: &mut A,
     body: OverlayMsg<A::Payload>,
-    direct_from: Option<Peer>,
+    from: Option<Peer>,
     ctx: &mut RoutedCtx<'_, A>,
 ) -> Option<OverlayMsg<A::Payload>> {
     match body {
@@ -119,9 +121,12 @@ pub fn dispatch<S: RouteTable, A: OverlayApp>(
                 src,
                 trace,
             };
-            walk(state, app, range, walking, hop, ctx);
+            // A walk whose send to the next covering node failed has
+            // delivered this node's portion already: it only moves on.
+            let delivered_here = walking && from.is_none();
+            walk(state, app, range, walking, delivered_here, hop, ctx);
         }
-        OverlayMsg::Direct { payload, .. } if let Some(from) = direct_from => {
+        OverlayMsg::Direct { payload, .. } if let Some(from) = from => {
             let mut svc = OverlaySvc::new(state, ctx);
             app.on_direct(from, take_payload(payload), &mut svc);
         }
@@ -252,13 +257,14 @@ fn mcast<S: RouteTable, A: OverlayApp>(
 
 /// [`OverlayMsg::Walk`]: route toward the range start, then walk covering
 /// nodes successor-by-successor, delivering each node's portion of the
-/// range.
+/// range (unless `delivered_here`: then it is only passed on).
 #[inline(never)]
 fn walk<S: RouteTable, A: OverlayApp>(
     state: &mut S,
     app: &mut A,
     range: KeyRange,
     walking: bool,
+    delivered_here: bool,
     hop: Hop<A::Payload>,
     ctx: &mut RoutedCtx<'_, A>,
 ) {
@@ -279,7 +285,11 @@ fn walk<S: RouteTable, A: OverlayApp>(
     // payload without copying it.
     let me = state.me();
     let pred = state.predecessor().unwrap_or(me);
-    let local = KeyRangeSet::of_range(space, range).extract_arc_oc(space, pred.key, me.key);
+    let local = if delivered_here {
+        KeyRangeSet::new()
+    } else {
+        KeyRangeSet::of_range(space, range).extract_arc_oc(space, pred.key, me.key)
+    };
     let next = if range.contains(space, me.key) && me.key != range.end() {
         state.successor()
     } else {

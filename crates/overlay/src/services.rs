@@ -10,7 +10,7 @@
 //! overlay in `cbps-pastry` hand their apps the same service handle.
 
 use cbps_rng::Rng;
-use cbps_sim::{Metrics, ObsSeries, SimDuration, SimTime, Stage, TraceId, TrafficClass};
+use cbps_sim::{Metrics, SimDuration, SimTime, Stage, TraceId, TrafficClass};
 
 use crate::key::{Key, KeySpace};
 use crate::range::{KeyRange, KeyRangeSet};
@@ -71,12 +71,5 @@ pub trait OverlayServices<P: Clone, T> {
         self.metrics()
             .obs_mut()
             .stage(trace, stage, class, node, at);
-    }
-
-    /// Records a sample in an observability series (fan-out sizes, store
-    /// sizes, …). A single branch when observability is disabled.
-    #[inline]
-    fn obs_sample(&mut self, series: ObsSeries, value: u64) {
-        self.metrics().obs_mut().sample(series, value);
     }
 }

@@ -13,8 +13,8 @@
 //!   (with a configurable [`DelayModel`], default 50 ms as in the paper) and
 //!   arm timers;
 //! * [`Metrics`] — per-[`TrafficClass`] one-hop message counters, named
-//!   counters and exact [`Histogram`]s, from which every figure series of
-//!   the paper is derived;
+//!   counters and named [`Histogram`]s (exact below 64, log-bucketed
+//!   above), from which every figure series of the paper is derived;
 //! * crash/revive and message-loss injection for fault-tolerance tests;
 //! * [`prefetch`] — the cache-line hints the event loop lets a node issue
 //!   ahead of its upcalls ([`Node::prefetch`]), invisible to the simulation.
@@ -69,10 +69,7 @@ mod time;
 
 pub use config::{DelayModel, MatchEngineKind, NetConfig, PoolMode, SchedulerKind};
 pub use metrics::{Counter, Histogram, Metrics, Series, TrafficClass};
-pub use obs::{
-    LogHistogram, ObsMode, ObsSeries, ObsSummary, Observability, Stage, StageRecord, TraceId,
-    TraceLog,
-};
+pub use obs::{ObsMode, ObsSummary, Observability, Stage, StageRecord, TraceId, TraceLog};
 pub use prefetch::PrefetchStage;
 pub use queue::{EventQueue, TimingWheel};
 pub use sim::{Context, Node, NodeIdx, Simulator};

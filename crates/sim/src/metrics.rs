@@ -1,5 +1,6 @@
 //! Run-wide measurement: traffic-class message counters, typed counters,
-//! and compact histograms.
+//! the one [`Histogram`] type every measurement records into, and the
+//! [`Series`] registry of them.
 //!
 //! The paper's evaluation reports two kinds of quantities: the **number of
 //! one-hop messages sent in the system**, broken down by what the message is
@@ -7,7 +8,6 @@
 //! …), and per-node state sizes. [`Metrics`] accumulates the former during a
 //! run; the latter is sampled from node state by the harness.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::obs::Observability;
@@ -72,11 +72,24 @@ impl fmt::Display for TrafficClass {
     }
 }
 
-/// A compact histogram over non-negative integer samples.
+/// Number of linear sub-buckets per power-of-two bucket (HDR-style).
+const SUB_BITS: u32 = 5;
+pub(crate) const SUB_BUCKETS: u64 = 1 << SUB_BITS;
+/// Bucket count covering the whole `u64` range.
+const BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUB_BUCKETS as usize;
+
+/// A log-bucketed histogram over non-negative integer samples:
+/// power-of-two buckets, each split into 32 linear sub-buckets, HDR style.
 ///
-/// Stores exact counts per distinct value (the quantities we record — hop
-/// counts, key-set sizes, stored-subscription counts — have small supports),
-/// so means, maxima and percentiles are exact.
+/// Count, sum, mean, min and max are exact. Buckets are one value wide
+/// below 64, so every statistic of a series that stays below 64 (hop
+/// counts, key-set sizes, batch sizes) is exact; a larger value lands in
+/// a bucket at most 1/32 (≈3%) of the value wide. The bucket array is
+/// allocated on the first sample and grows only when a sample lands past
+/// its end, doubling from 64 buckets up to the 1 920 (15 KB) that cover
+/// every `u64`: a histogram nobody records into owns no heap, a hop-count
+/// series owns 512 bytes, and recording allocates nothing once the
+/// series' range has been seen.
 ///
 /// # Examples
 ///
@@ -87,40 +100,77 @@ impl fmt::Display for TrafficClass {
 /// for v in [1, 2, 2, 3] {
 ///     h.record(v);
 /// }
-/// assert_eq!(h.len(), 4);
-/// assert_eq!(h.mean(), 2.0);
-/// assert_eq!(h.max(), Some(3));
+/// assert_eq!((h.len(), h.mean(), h.max()), (4, 2.0, Some(3)));
 /// assert_eq!(h.percentile(50.0), Some(2));
+/// for v in 1..=1000u64 {
+///     h.record(v);
+/// }
+/// assert_eq!(h.max(), Some(1000));
+/// let p50 = h.percentile(50.0).unwrap();
+/// assert!((480..=520).contains(&p50), "p50 within 3%: {p50}");
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
-    /// Counts of the values below [`DENSE`], indexed by value: hop counts
-    /// and batch sizes, recorded once per routed delivery, all land here.
-    dense: [u64; DENSE],
-    /// Counts of everything else; no entry is zero.
-    spill: BTreeMap<u64, u64>,
+    /// Counts per bucket up to the highest bucket recorded into (rounded
+    /// up as in [`grow`](Self::grow)); empty before the first sample.
+    counts: Vec<u64>,
     total: u64,
     sum: u128,
+    min: u64,
+    max: u64,
 }
-
-/// Values below this are counted in a flat array instead of the map.
-const DENSE: usize = 64;
 
 impl Default for Histogram {
     fn default() -> Self {
-        Histogram {
-            dense: [0; DENSE],
-            spill: BTreeMap::new(),
-            total: 0,
-            sum: 0,
-        }
+        Histogram::new()
     }
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
+    /// Creates an empty histogram; it allocates nothing until a sample.
     pub fn new() -> Self {
-        Histogram::default()
+        Histogram {
+            counts: Vec::new(),
+            total: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+
+    /// The bucket index for `value`.
+    pub(crate) fn bucket_index(value: u64) -> usize {
+        if value < SUB_BUCKETS {
+            value as usize
+        } else {
+            // `exp` is the distance from the top linear bucket's exponent.
+            let exp = 63 - value.leading_zeros() - SUB_BITS;
+            let sub = (value >> exp) & (SUB_BUCKETS - 1);
+            ((exp as usize + 1) << SUB_BITS) + sub as usize
+        }
+    }
+
+    /// The smallest value mapping to bucket `index` (inverse of
+    /// [`bucket_index`](Self::bucket_index) on bucket lower bounds).
+    pub(crate) fn bucket_low(index: usize) -> u64 {
+        let i = index as u64;
+        if i < SUB_BUCKETS {
+            i
+        } else {
+            let exp = (i >> SUB_BITS) - 1;
+            let sub = i & (SUB_BUCKETS - 1);
+            (SUB_BUCKETS + sub) << exp
+        }
+    }
+
+    /// Extends the bucket array past `index`: to the next power of two,
+    /// at least 64 buckets (every value below 64), at most [`BUCKETS`].
+    /// The length depends only on the highest index ever recorded, so
+    /// equal contents have equal arrays.
+    #[cold]
+    fn grow(&mut self, index: usize) {
+        let len = (index + 1).next_power_of_two().clamp(64, BUCKETS);
+        self.counts.resize(len, 0);
     }
 
     /// Records one sample.
@@ -135,13 +185,15 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        if value < DENSE as u64 {
-            self.dense[value as usize] += n;
-        } else {
-            *self.spill.entry(value).or_insert(0) += n;
+        let index = Self::bucket_index(value);
+        if index >= self.counts.len() {
+            self.grow(index);
         }
+        self.counts[index] += n;
         self.total += n;
         self.sum += u128::from(value) * u128::from(n);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
 
     /// Number of recorded samples.
@@ -154,12 +206,12 @@ impl Histogram {
         self.total == 0
     }
 
-    /// Sum of all samples.
+    /// Exact sum of all samples.
     pub fn sum(&self) -> u128 {
         self.sum
     }
 
-    /// Arithmetic mean of the samples, or 0.0 when empty.
+    /// Exact arithmetic mean, or 0.0 when empty.
     pub fn mean(&self) -> f64 {
         if self.total == 0 {
             0.0
@@ -168,20 +220,21 @@ impl Histogram {
         }
     }
 
-    /// Smallest recorded sample.
+    /// Exact smallest recorded sample.
     pub fn min(&self) -> Option<u64> {
-        self.iter().next().map(|(value, _)| value)
+        (self.total != 0).then_some(self.min)
     }
 
-    /// Largest recorded sample.
+    /// Exact largest recorded sample.
     pub fn max(&self) -> Option<u64> {
-        let spilled = self.spill.keys().next_back().copied();
-        spilled.or_else(|| self.dense.iter().rposition(|&c| c != 0).map(|v| v as u64))
+        (self.total != 0).then_some(self.max)
     }
 
-    /// Exact percentile (nearest-rank method); `p` in `[0, 100]`.
+    /// Percentile by the nearest-rank method; `p` in `[0, 100]`.
     ///
-    /// Returns `None` when the histogram is empty.
+    /// Returns the lower bound of the bucket holding the ranked sample —
+    /// exact for values below 64, within ≈3% above — clamped to the exact
+    /// observed `[min, max]`.
     ///
     /// # Panics
     ///
@@ -192,28 +245,42 @@ impl Histogram {
             return None;
         }
         let rank = ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (value, count) in self.iter() {
+        let mut seen = 0u64;
+        for (low, count) in self.iter() {
             seen += count;
             if seen >= rank {
-                return Some(value);
+                return Some(low.clamp(self.min, self.max));
             }
         }
-        self.max()
+        Some(self.max)
     }
 
-    /// Iterates over `(value, count)` pairs in increasing value order.
+    /// Iterates over non-empty buckets as `(bucket_lower_bound, count)`,
+    /// in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let dense = self.dense.iter().enumerate();
-        let dense = dense.filter(|&(_, &c)| c != 0).map(|(v, &c)| (v as u64, c));
-        dense.chain(self.spill.iter().map(|(&v, &c)| (v, c)))
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(i, &c)| (Self::bucket_low(i), c))
     }
 
-    /// Merges another histogram into this one.
+    /// Merges another histogram into this one (bucket-wise; exact
+    /// count, sum, min and max are preserved).
     pub fn merge(&mut self, other: &Histogram) {
-        for (value, count) in other.iter() {
-            self.record_n(value, count);
+        if other.total == 0 {
+            return;
         }
+        if other.counts.len() > self.counts.len() {
+            self.grow(other.counts.len() - 1);
+        }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.total += other.total;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 }
 
@@ -259,7 +326,6 @@ macro_rules! positions {
         }
     };
 }
-pub(crate) use positions;
 
 positions! {
     /// A run-wide counter: a fixed position in every [`Metrics`], bumped
@@ -300,7 +366,7 @@ positions! {
 }
 
 positions! {
-    /// A run-wide exact histogram, as [`Counter`] is a counter: recorded
+    /// A run-wide [`Histogram`], as [`Counter`] is a counter: recorded
     /// by [`Metrics::record`], read by [`Metrics::series`] or by name
     /// through [`Metrics::histogram`].
     Series, "histogram" {
@@ -326,6 +392,12 @@ positions! {
         KeysPerSubscription => "keys.per-subscription",
         /// Keys a publication maps to.
         KeysPerPublication => "keys.per-publication",
+        /// Event-queue depth, sampled once every 64 events.
+        QueueDepth => "queue.depth",
+        /// Subscriptions held by a store after an insert.
+        StoreSize => "store.size",
+        /// Stored subscriptions an event matched at one rendezvous visit.
+        RendezvousFanout => "rendezvous.fanout",
     }
 }
 
@@ -365,9 +437,7 @@ impl Series {
 pub struct Metrics {
     messages: ClassCounts,
     counters: [u64; Counter::ALL.len()],
-    /// Boxed: eleven half-kilobyte histograms would otherwise sit inline in
-    /// the simulator.
-    histograms: Box<[Histogram; Series::ALL.len()]>,
+    histograms: [Histogram; Series::ALL.len()],
     obs: Observability,
 }
 
@@ -524,19 +594,32 @@ mod tests {
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![(2, 3), (4, 1)]);
     }
 
-    /// The dense array changes where a count lives, never what is read:
-    /// seeded samples crowding the 63/64 boundary (plus zero, far values
-    /// and `record_n(_, 0)`) against a model that keeps every count in one
-    /// ordered map, through `merge`, with equality judged on contents.
+    /// One-wide buckets below 64 and log buckets above change what a
+    /// count is filed under, never how it reads: seeded samples crowding
+    /// the 63/64 boundary (plus zero, far values and `record_n(_, 0)`)
+    /// against a model that files every count under its bucket's floor,
+    /// computed here from the value's top six bits, in one ordered map,
+    /// through `merge`, with equality judged on contents. Count, sum, min
+    /// and max are exact whatever the buckets.
     #[test]
-    fn dense_and_spilled_counts_read_as_one_ordered_map() {
+    fn bucket_counts_read_as_one_ordered_map() {
         use cbps_rng::Rng;
+        use std::collections::BTreeMap;
+
+        let floor = |v: u64| {
+            let shift = (64 - v.leading_zeros()).saturating_sub(6);
+            (v >> shift) << shift
+        };
+        let mut idle = Histogram::new();
+        idle.record_n(9, 0);
+        idle.merge(&Histogram::new());
+        assert_eq!(idle, Histogram::new());
         let mut rng = Rng::seed_from_u64(0x6364);
         let mut merged = Histogram::new();
-        let mut merged_model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut merged_model: Vec<(u64, u64)> = Vec::new();
         for round in 0..40 {
             let mut h = Histogram::new();
-            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut samples: Vec<(u64, u64)> = Vec::new();
             for _ in 0..rng.gen_range(0u64..300) {
                 let value = match rng.gen_range(0u32..10) {
                     0 => 0,
@@ -551,17 +634,22 @@ mod tests {
                     h.record_n(value, n);
                 }
                 if n > 0 {
-                    *model.entry(value).or_insert(0) += n;
+                    samples.push((value, n));
                 }
             }
-            let check = |h: &Histogram, model: &BTreeMap<u64, u64>| {
-                let pairs: Vec<(u64, u64)> = model.iter().map(|(&v, &c)| (v, c)).collect();
+            let check = |h: &Histogram, samples: &[(u64, u64)]| {
+                let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+                for &(v, n) in samples {
+                    *model.entry(floor(v)).or_insert(0) += n;
+                }
+                let pairs: Vec<(u64, u64)> = model.into_iter().collect();
                 assert_eq!(h.iter().collect::<Vec<_>>(), pairs, "round {round}");
-                assert_eq!(h.len(), model.values().sum::<u64>());
-                let sum = pairs.iter().map(|&(v, c)| u128::from(v) * u128::from(c));
+                assert_eq!(h.len(), samples.iter().map(|&(_, n)| n).sum::<u64>());
+                let sum = samples.iter().map(|&(v, n)| u128::from(v) * u128::from(n));
                 assert_eq!(h.sum(), sum.sum::<u128>());
-                assert_eq!(h.min(), model.keys().next().copied());
-                assert_eq!(h.max(), model.keys().next_back().copied());
+                let (min, max) = (h.min(), h.max());
+                assert_eq!(min, samples.iter().map(|&(v, _)| v).min());
+                assert_eq!(max, samples.iter().map(|&(v, _)| v).max());
                 for p in [0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
                     let rank = ((p / 100.0) * h.len() as f64).ceil().max(1.0) as u64;
                     let mut seen = 0;
@@ -569,27 +657,28 @@ mod tests {
                         seen += c;
                         seen >= rank
                     });
-                    assert_eq!(h.percentile(p), want.map(|&(v, _)| v), "p{p} round {round}");
+                    let want = want.map(|&(v, _)| v.clamp(min.unwrap(), max.unwrap()));
+                    assert_eq!(h.percentile(p), want, "p{p} round {round}");
                 }
             };
-            check(&h, &model);
-            // Equal contents compare equal however they were recorded.
+            check(&h, &samples);
+            // Equal contents compare equal however they were recorded (and
+            // a histogram that never took a sample holds no bucket array).
             let mut replay = Histogram::new();
-            for (&v, &c) in model.iter().rev() {
-                replay.record_n(v, c);
+            for &(v, n) in samples.iter().rev() {
+                replay.record_n(v, n);
             }
             assert_eq!(h, replay);
-            if let Some((&v, _)) = model.iter().next_back() {
+            if let Some(&(v, _)) = samples.last() {
                 replay.record(v);
                 assert_ne!(h, replay);
             }
             merged.merge(&h);
-            for (v, c) in model {
-                *merged_model.entry(v).or_insert(0) += c;
-            }
+            merged_model.extend(samples);
             check(&merged, &merged_model);
         }
-        assert!(merged_model.contains_key(&63) && merged_model.contains_key(&64));
+        let values: Vec<u64> = merged_model.iter().map(|&(v, _)| v).collect();
+        assert!(values.contains(&63) && values.contains(&64));
     }
 
     #[test]
@@ -628,11 +717,10 @@ mod tests {
     /// Every name a report, a test or the benchmark reads, spelled out: a
     /// rename fails here before it silently reads 0 (or panics) there.
     /// Each position reads back by its name what its handle wrote, on a
-    /// fresh sink and a cleared one; a histogram nobody recorded into
-    /// reads as absent.
+    /// fresh sink and a cleared one, with observability off; a histogram
+    /// nobody recorded into reads as absent.
     #[test]
     fn every_position_reads_back_under_its_one_name() {
-        use crate::obs::{ObsMode, ObsSeries};
         use std::collections::BTreeSet;
 
         let counters = [
@@ -664,16 +752,17 @@ mod tests {
             "dilation.other",
             "keys.per-subscription",
             "keys.per-publication",
+            "queue.depth",
+            "store.size",
+            "rendezvous.fanout",
         ];
-        let sampled = ["queue.depth", "store.size", "rendezvous.fanout"];
         let names = |all: &[&'static str]| all.iter().copied().collect::<BTreeSet<_>>();
         assert_eq!(names(&Counter::ALL.map(Counter::name)), names(&counters));
         assert_eq!(names(&Series::ALL.map(Series::name)), names(&series));
-        assert_eq!(names(&ObsSeries::ALL.map(ObsSeries::name)), names(&sampled));
-        let lens = (Counter::ALL.len(), Series::ALL.len(), ObsSeries::ALL.len());
-        assert_eq!(lens, (counters.len(), series.len(), sampled.len()));
-        let every = names(&[&counters[..], &series, &sampled].concat());
-        assert_eq!(every.len(), counters.len() + series.len() + sampled.len());
+        let lens = (Counter::ALL.len(), Series::ALL.len());
+        assert_eq!(lens, (counters.len(), series.len()));
+        let every = names(&[&counters[..], &series].concat());
+        assert_eq!(every.len(), counters.len() + series.len());
 
         let classes = [
             TrafficClass::SUBSCRIPTION,
@@ -695,19 +784,15 @@ mod tests {
 
         let fresh = Metrics::new();
         let mut cleared = Metrics::new();
-        cleared.obs_mut().set_mode(ObsMode::Stages);
         for (i, c) in Counter::ALL.into_iter().enumerate() {
             cleared.bump(c, i as u64 + 7);
         }
         for (i, s) in Series::ALL.into_iter().enumerate() {
             cleared.record(s, i as u64 + 7);
         }
-        for s in ObsSeries::ALL {
-            cleared.obs_mut().sample(s, 7);
-        }
         cleared.clear();
         for mut m in [fresh, cleared] {
-            m.obs_mut().set_mode(ObsMode::Stages);
+            assert!(!m.obs().enabled());
             for (i, name) in counters.into_iter().enumerate() {
                 assert_eq!(m.counter(name), 0, "{name}");
                 m.bump(Counter::by_name(name), i as u64 + 1);
@@ -720,14 +805,6 @@ mod tests {
                 let h = m.histogram(name).expect("recorded");
                 assert_eq!(h.iter().collect::<Vec<_>>(), [(i as u64, 1), (100, 1)]);
             }
-            for (i, name) in sampled.into_iter().enumerate() {
-                assert!(m.obs().named_histogram(name).is_none(), "{name}");
-                m.obs_mut().sample(ObsSeries::by_name(name), i as u64);
-                let h = m.obs().named_histogram(name).expect("sampled");
-                assert_eq!((h.len(), h.max()), (1, Some(i as u64)), "{name}");
-            }
-            let read: Vec<_> = m.obs().named_histograms().map(|(name, _)| name).collect();
-            assert_eq!(read, sampled);
         }
     }
 

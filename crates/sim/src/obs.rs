@@ -1,5 +1,5 @@
-//! Causal observability: trace identifiers, stage records, and log-bucketed
-//! latency histograms.
+//! Causal observability: trace identifiers, stage records and the
+//! stage-latency registry of [`Histogram`]s.
 //!
 //! The paper's evaluation reduces protocol behaviour to per-class hop
 //! *averages*; this module is the substrate for richer questions — "where
@@ -14,9 +14,8 @@
 //!   delivered notification can be explained hop-by-hop;
 //! * [`Observability`] — the per-run container embedded in
 //!   [`Metrics`](crate::Metrics): the trace log plus a registry of
-//!   [`LogHistogram`]s keyed by `(TrafficClass, Stage)` recording
-//!   **since-origin** latency in microseconds, and one histogram per
-//!   [`ObsSeries`] (rendezvous fan-out, store sizes, queue depths).
+//!   [`Histogram`]s keyed by `(TrafficClass, Stage)` recording
+//!   **since-origin** latency in microseconds.
 //!
 //! # Overhead policy
 //!
@@ -24,12 +23,13 @@
 //! behaviour, so experiment tables are byte-identical whether observability
 //! is on or off. With [`ObsMode::Off`] (the default) every recording entry
 //! point reduces to a single branch; no allocation, no hashing. With
-//! tracing on, the histograms are allocation-free per sample (fixed bucket
-//! arrays) and the trace log drops — rather than grows — past its capacity.
+//! tracing on, a histogram allocates its bucket array on its first sample
+//! (and grows it only for a sample past its end), and the trace log drops
+//! — rather than grows — past its capacity.
 
 use std::collections::HashMap;
 
-use crate::metrics::{positions, TrafficClass};
+use crate::metrics::{Histogram, TrafficClass};
 use crate::sim::NodeIdx;
 use crate::time::SimTime;
 
@@ -228,200 +228,6 @@ impl ObsMode {
     }
 }
 
-/// Number of linear sub-buckets per power-of-two bucket (HDR-style).
-const SUB_BITS: u32 = 5;
-const SUB_BUCKETS: u64 = 1 << SUB_BITS;
-/// Bucket count covering the whole `u64` range.
-const BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUB_BUCKETS as usize;
-
-/// A log-bucketed histogram: power-of-two buckets, each split into
-/// 32 linear sub-buckets, HDR style.
-///
-/// Values below 32 are exact; larger values land in a bucket whose width is
-/// at most 1/32 (≈3%) of the value. Recording is allocation-free — the
-/// bucket array is allocated once at construction — which is what lets the
-/// observability layer sample every stage of every message without touching
-/// the allocator on the hot path. The exact [`Histogram`](crate::Histogram)
-/// remains the right tool for small-support series (hop counts) where
-/// tables must be exact.
-///
-/// # Examples
-///
-/// ```
-/// use cbps_sim::LogHistogram;
-///
-/// let mut h = LogHistogram::new();
-/// for v in 1..=1000u64 {
-///     h.record(v);
-/// }
-/// assert_eq!(h.len(), 1000);
-/// assert_eq!(h.max(), Some(1000));
-/// let p50 = h.percentile(50.0).unwrap();
-/// assert!((480..=520).contains(&p50), "p50 within 3%: {p50}");
-/// ```
-#[derive(Clone, Debug)]
-pub struct LogHistogram {
-    counts: Box<[u64; BUCKETS]>,
-    total: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram::new()
-    }
-}
-
-impl LogHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        LogHistogram {
-            counts: Box::new([0; BUCKETS]),
-            total: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// The bucket index for `value`.
-    fn bucket_index(value: u64) -> usize {
-        if value < SUB_BUCKETS {
-            value as usize
-        } else {
-            // `exp` is the distance from the top linear bucket's exponent.
-            let exp = 63 - value.leading_zeros() - SUB_BITS;
-            let sub = (value >> exp) & (SUB_BUCKETS - 1);
-            ((exp as usize + 1) << SUB_BITS) + sub as usize
-        }
-    }
-
-    /// The smallest value mapping to bucket `index` (inverse of
-    /// [`bucket_index`](Self::bucket_index) on bucket lower bounds).
-    fn bucket_low(index: usize) -> u64 {
-        let i = index as u64;
-        if i < SUB_BUCKETS {
-            i
-        } else {
-            let exp = (i >> SUB_BITS) - 1;
-            let sub = i & (SUB_BUCKETS - 1);
-            (SUB_BUCKETS + sub) << exp
-        }
-    }
-
-    /// Records one sample. Allocation-free.
-    #[inline]
-    pub fn record(&mut self, value: u64) {
-        self.record_n(value, 1);
-    }
-
-    /// Records `n` samples of the same value.
-    #[inline]
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.counts[Self::bucket_index(value)] += n;
-        self.total += n;
-        self.sum += u128::from(value) * u128::from(n);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> u64 {
-        self.total
-    }
-
-    /// `true` when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Exact sum of all samples.
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
-    /// Exact arithmetic mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// Exact smallest recorded sample.
-    pub fn min(&self) -> Option<u64> {
-        if self.total == 0 {
-            None
-        } else {
-            Some(self.min)
-        }
-    }
-
-    /// Exact largest recorded sample.
-    pub fn max(&self) -> Option<u64> {
-        if self.total == 0 {
-            None
-        } else {
-            Some(self.max)
-        }
-    }
-
-    /// Percentile by the nearest-rank method; `p` in `[0, 100]`.
-    ///
-    /// Returns the lower bound of the bucket holding the ranked sample —
-    /// exact for values below 32, within ≈3% above — clamped to the exact
-    /// observed `[min, max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]` or NaN.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        assert!((0.0..=100.0).contains(&p), "percentile {p} out of [0, 100]");
-        if self.total == 0 {
-            return None;
-        }
-        let rank = ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return Some(Self::bucket_low(i).clamp(self.min, self.max));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Iterates over non-empty buckets as `(bucket_lower_bound, count)`.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_low(i), c))
-    }
-
-    /// Merges another histogram into this one (bucket-wise; exact
-    /// min/max/sum are preserved).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        if other.total == 0 {
-            return;
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 /// Bounded per-run log of [`StageRecord`]s.
 ///
 /// The log keeps the **earliest** records when full (dropping new ones and
@@ -522,7 +328,7 @@ pub struct ObsSummary {
 
 impl ObsSummary {
     /// Summarizes a histogram; `None` when it is empty.
-    pub fn of(h: &LogHistogram) -> Option<ObsSummary> {
+    pub fn of(h: &Histogram) -> Option<ObsSummary> {
         if h.is_empty() {
             return None;
         }
@@ -537,22 +343,9 @@ impl ObsSummary {
     }
 }
 
-positions! {
-    /// A per-run sampled series, recorded by [`Observability::sample`] only
-    /// while observability is on.
-    ObsSeries, "observability series" {
-        /// Event-queue depth, sampled once every 64 events.
-        QueueDepth => "queue.depth",
-        /// Subscriptions held by a store after an insert.
-        StoreSize => "store.size",
-        /// Stored subscriptions an event matched at one rendezvous visit.
-        RendezvousFanout => "rendezvous.fanout",
-    }
-}
-
-/// Per-run observability state: mode, trace log, stage-latency registry and
-/// one histogram per [`ObsSeries`]. Embedded in [`Metrics`](crate::Metrics)
-/// so every layer that can count a message can also record a stage.
+/// Per-run observability state: mode, trace log and stage-latency registry.
+/// Embedded in [`Metrics`](crate::Metrics) so every layer that can count a
+/// message can also record a stage.
 ///
 /// # Examples
 ///
@@ -575,9 +368,7 @@ positions! {
 pub struct Observability {
     mode: ObsMode,
     log: TraceLog,
-    latency: HashMap<(TrafficClass, Stage), LogHistogram>,
-    /// Allocated on a series' first sample, so a disabled run holds none.
-    sampled: [Option<LogHistogram>; ObsSeries::ALL.len()],
+    latency: HashMap<(TrafficClass, Stage), Histogram>,
     origins: HashMap<TraceId, SimTime>,
 }
 
@@ -662,55 +453,19 @@ impl Observability {
         }
     }
 
-    /// Records a sample in a series (fan-out sizes, queue depths, store
-    /// sizes). No-op when disabled.
-    #[inline]
-    pub fn sample(&mut self, series: ObsSeries, value: u64) {
-        if !self.mode.enabled() {
-            return;
-        }
-        self.sampled[series as usize]
-            .get_or_insert_with(LogHistogram::new)
-            .record(value);
-    }
-
     /// The stage log.
     pub fn log(&self) -> &TraceLog {
         &self.log
     }
 
     /// The since-origin latency histogram for one `(class, stage)` cell.
-    pub fn stage_histogram(&self, class: TrafficClass, stage: Stage) -> Option<&LogHistogram> {
+    pub fn stage_histogram(&self, class: TrafficClass, stage: Stage) -> Option<&Histogram> {
         self.latency.get(&(class, stage))
     }
 
     /// Iterates over every non-empty `(class, stage)` latency histogram.
-    pub fn stage_histograms(
-        &self,
-    ) -> impl Iterator<Item = (TrafficClass, Stage, &LogHistogram)> + '_ {
+    pub fn stage_histograms(&self) -> impl Iterator<Item = (TrafficClass, Stage, &Histogram)> + '_ {
         self.latency.iter().map(|(&(c, s), h)| (c, s, h))
-    }
-
-    /// A series' histogram, if any samples were recorded in it.
-    pub fn series(&self, series: ObsSeries) -> Option<&LogHistogram> {
-        self.sampled[series as usize].as_ref()
-    }
-
-    /// The histogram of the series named `name`, if any samples were
-    /// recorded in it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no [`ObsSeries`] has that name.
-    pub fn named_histogram(&self, name: &str) -> Option<&LogHistogram> {
-        self.series(ObsSeries::by_name(name))
-    }
-
-    /// Iterates over `(name, histogram)` of every series that has samples,
-    /// in [`ObsSeries::ALL`] order.
-    pub fn named_histograms(&self) -> impl Iterator<Item = (&'static str, &LogHistogram)> + '_ {
-        let sampled = ObsSeries::ALL.into_iter().zip(&self.sampled);
-        sampled.filter_map(|(series, h)| Some((series.name(), h.as_ref()?)))
     }
 
     /// When the given trace was first observed, if ever.
@@ -724,11 +479,6 @@ impl Observability {
         for (key, h) in &other.latency {
             self.latency.entry(*key).or_default().merge(h);
         }
-        for (mine, theirs) in self.sampled.iter_mut().zip(&other.sampled) {
-            if let Some(theirs) = theirs {
-                mine.get_or_insert_with(LogHistogram::new).merge(theirs);
-            }
-        }
         self.log.merge(&other.log);
         for (&t, &at) in &other.origins {
             self.origins.entry(t).or_insert(at);
@@ -739,7 +489,6 @@ impl Observability {
     pub fn clear(&mut self) {
         self.log.clear();
         self.latency.clear();
-        self.sampled = Default::default();
         self.origins.clear();
     }
 }
@@ -747,6 +496,7 @@ impl Observability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::SUB_BUCKETS;
 
     #[test]
     fn trace_id_packing() {
@@ -765,9 +515,9 @@ mod tests {
     #[test]
     fn bucket_boundaries_exact_below_sub_buckets() {
         for v in 0..SUB_BUCKETS {
-            let i = LogHistogram::bucket_index(v);
+            let i = Histogram::bucket_index(v);
             assert_eq!(i as u64, v);
-            assert_eq!(LogHistogram::bucket_low(i), v);
+            assert_eq!(Histogram::bucket_low(i), v);
         }
     }
 
@@ -789,10 +539,10 @@ mod tests {
             (1 << 40) + 12345,
             u64::MAX,
         ] {
-            let i = LogHistogram::bucket_index(v);
-            let low = LogHistogram::bucket_low(i);
+            let i = Histogram::bucket_index(v);
+            let low = Histogram::bucket_low(i);
             assert!(low <= v, "low {low} > v {v}");
-            assert_eq!(LogHistogram::bucket_index(low), i, "floor of {v}");
+            assert_eq!(Histogram::bucket_index(low), i, "floor of {v}");
             // Relative error bound: bucket width ≤ low / 32.
             assert!(v - low <= low / SUB_BUCKETS + 1, "{v} vs {low}");
         }
@@ -800,7 +550,7 @@ mod tests {
 
     #[test]
     fn log_histogram_exact_small_values() {
-        let mut h = LogHistogram::new();
+        let mut h = Histogram::new();
         for v in [5u64, 1, 3, 3, 8] {
             h.record(v);
         }
@@ -816,7 +566,7 @@ mod tests {
 
     #[test]
     fn log_histogram_percentile_error_bounded() {
-        let mut h = LogHistogram::new();
+        let mut h = Histogram::new();
         for v in 1..=100_000u64 {
             h.record(v);
         }
@@ -830,16 +580,16 @@ mod tests {
 
     #[test]
     fn log_histogram_merge() {
-        let mut a = LogHistogram::new();
+        let mut a = Histogram::new();
         a.record_n(10, 4);
-        let mut b = LogHistogram::new();
+        let mut b = Histogram::new();
         b.record(1_000_000);
         a.merge(&b);
         assert_eq!(a.len(), 5);
         assert_eq!(a.min(), Some(10));
         assert_eq!(a.max(), Some(1_000_000));
         assert_eq!(a.sum(), 1_000_040);
-        let empty = LogHistogram::new();
+        let empty = Histogram::new();
         a.merge(&empty);
         assert_eq!(a.len(), 5);
     }
@@ -856,12 +606,8 @@ mod tests {
             SimTime::ZERO,
         );
         obs.hop(t, TrafficClass::PUBLICATION, 1, SimTime::from_millis(50));
-        for series in ObsSeries::ALL {
-            obs.sample(series, 3);
-        }
         assert!(obs.log().is_empty());
         assert_eq!(obs.stage_histograms().count(), 0);
-        assert_eq!(obs.named_histograms().count(), 0);
     }
 
     #[test]
@@ -952,7 +698,6 @@ mod tests {
             0,
             SimTime::ZERO,
         );
-        a.sample(ObsSeries::RendezvousFanout, 3);
 
         let mut b = Observability::new();
         b.set_mode(ObsMode::Stages);
@@ -964,17 +709,12 @@ mod tests {
             1,
             SimTime::ZERO,
         );
-        b.sample(ObsSeries::RendezvousFanout, 5);
-        b.sample(ObsSeries::QueueDepth, 7);
 
         a.merge(&b);
         let h = a
             .stage_histogram(TrafficClass::PUBLICATION, Stage::Publish)
             .unwrap();
         assert_eq!(h.len(), 2);
-        assert_eq!(a.series(ObsSeries::RendezvousFanout).unwrap().len(), 2);
-        assert_eq!(a.series(ObsSeries::QueueDepth).unwrap().len(), 1);
-        assert!(a.series(ObsSeries::StoreSize).is_none());
         assert_eq!(a.log().len(), 2);
 
         // `figures --jobs N` folds per-run sinks through `merge` in
@@ -999,7 +739,6 @@ mod tests {
                 node,
                 SimTime::from_secs(1),
             );
-            obs.sample(ObsSeries::RendezvousFanout, u64::from(stages));
             obs
         };
         let fold = |order: &[usize]| {
@@ -1025,12 +764,7 @@ mod tests {
                 })
                 .collect();
             stages.sort_by_key(|&(c, s, ..)| (c, s));
-            let mut named: Vec<_> = obs
-                .named_histograms()
-                .map(|(n, h)| (n.to_owned(), h.iter().collect::<Vec<_>>(), h.sum()))
-                .collect();
-            named.sort();
-            (stages, named, obs.log().len(), obs.log().dropped())
+            (stages, obs.log().len(), obs.log().dropped())
         };
         let forward = fold(&[0, 1, 2, 3]);
         let reversed = fold(&[3, 2, 1, 0]);
@@ -1052,17 +786,15 @@ mod tests {
             0,
             SimTime::ZERO,
         );
-        obs.sample(ObsSeries::StoreSize, 1);
         obs.clear();
         assert!(obs.log().is_empty());
         assert_eq!(obs.stage_histograms().count(), 0);
-        assert_eq!(obs.named_histograms().count(), 0);
         assert_eq!(obs.mode(), ObsMode::Full);
     }
 
     #[test]
     fn summary_of_histogram() {
-        let mut h = LogHistogram::new();
+        let mut h = Histogram::new();
         for v in [1u64, 2, 3, 4, 5] {
             h.record(v);
         }
@@ -1071,6 +803,6 @@ mod tests {
         assert_eq!(s.mean, 3.0);
         assert_eq!(s.p50, 3);
         assert_eq!(s.max, 5);
-        assert!(ObsSummary::of(&LogHistogram::new()).is_none());
+        assert!(ObsSummary::of(&Histogram::new()).is_none());
     }
 }

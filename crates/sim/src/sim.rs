@@ -9,8 +9,8 @@
 use cbps_rng::Rng;
 
 use crate::config::NetConfig;
-use crate::metrics::{Metrics, TrafficClass};
-use crate::obs::{ObsSeries, Stage, TraceId};
+use crate::metrics::{Metrics, Series, TrafficClass};
+use crate::obs::{Stage, TraceId};
 use crate::pool::{EventPool, Handle};
 use crate::prefetch::PrefetchStage;
 use crate::queue::EventQueue;
@@ -150,6 +150,8 @@ impl<'a, M, T> Context<'a, M, T> {
 
 #[derive(Debug)]
 enum EventKind<M, T> {
+    /// A message for `to`; `from == to` for a node talking to itself and
+    /// for an external injection, neither of which is a network hop.
     Deliver {
         from: NodeIdx,
         to: NodeIdx,
@@ -158,12 +160,6 @@ enum EventKind<M, T> {
     Timer {
         node: NodeIdx,
         timer: T,
-    },
-    /// External injection: delivered as a message from the node to itself
-    /// without a network hop (used by workload drivers).
-    Inject {
-        to: NodeIdx,
-        msg: M,
     },
 }
 
@@ -374,7 +370,7 @@ impl<N: Node> Simulator<N> {
     /// Panics if `when` is in the past.
     pub fn inject_at(&mut self, when: SimTime, to: NodeIdx, msg: N::Msg) {
         assert!(when >= self.time, "cannot schedule in the past");
-        self.push_event(when, EventKind::Inject { to, msg });
+        self.push_event(when, EventKind::Deliver { from: to, to, msg });
     }
 
     /// Schedules a timer upcall on `node` at absolute time `when`.
@@ -422,9 +418,7 @@ impl<N: Node> Simulator<N> {
             return false;
         };
         let kind = self.pool.remove(handle);
-        let (EventKind::Deliver { to: node, .. }
-        | EventKind::Inject { to: node, .. }
-        | EventKind::Timer { node, .. }) = &kind;
+        let (EventKind::Deliver { to: node, .. } | EventKind::Timer { node, .. }) = &kind;
         // `get`: an index that does not exist fails below, where it
         // always has.
         if let Some(node) = self.nodes.get(*node) {
@@ -436,87 +430,28 @@ impl<N: Node> Simulator<N> {
         self.events_processed += 1;
         // Queue depth is tracked sparsely (1 in 64 events): `queue_peak`
         // is a sampled statistic and the same sample feeds the
-        // observability registry when it is on. Keeping the tracking out
-        // of `push_event` leaves the steady-state push branch-lean.
+        // `queue.depth` series. Keeping the tracking out of `push_event`
+        // leaves the steady-state push branch-lean.
         if self.events_processed & 63 == 0 {
             let depth = self.queue.len() + 1;
-            if depth > self.queue_peak {
-                self.queue_peak = depth;
-            }
-            if self.metrics.obs().enabled() {
-                self.metrics
-                    .obs_mut()
-                    .sample(ObsSeries::QueueDepth, depth as u64);
-            }
+            self.queue_peak = self.queue_peak.max(depth);
+            self.metrics.record(Series::QueueDepth, depth as u64);
         }
         match kind {
             EventKind::Deliver { from, to, msg } => {
                 if self.alive[to] {
-                    self.upcall_message(from, to, msg);
+                    self.with_node(to, |node, ctx| node.on_message(from, msg, ctx));
                 } else if from != to && self.alive[from] {
-                    self.upcall_send_failed(from, to, msg);
-                }
-            }
-            EventKind::Inject { to, msg } => {
-                if self.alive[to] {
-                    self.upcall_message(to, to, msg);
+                    self.with_node(from, |node, ctx| node.on_send_failed(to, msg, ctx));
                 }
             }
             EventKind::Timer { node, timer } => {
                 if self.alive[node] {
-                    self.upcall_timer(node, timer);
+                    self.with_node(node, |node, ctx| node.on_timer(timer, ctx));
                 }
             }
         }
         true
-    }
-
-    fn upcall_message(&mut self, from: NodeIdx, to: NodeIdx, msg: N::Msg) {
-        let mut actions = std::mem::take(&mut self.actions);
-        {
-            let mut ctx = Context {
-                node: to,
-                time: self.time,
-                rng: &mut self.rng,
-                metrics: &mut self.metrics,
-                actions: &mut actions,
-            };
-            self.nodes[to].on_message(from, msg, &mut ctx);
-        }
-        self.apply_actions(to, &mut actions);
-        self.actions = actions;
-    }
-
-    fn upcall_send_failed(&mut self, sender: NodeIdx, to: NodeIdx, msg: N::Msg) {
-        let mut actions = std::mem::take(&mut self.actions);
-        {
-            let mut ctx = Context {
-                node: sender,
-                time: self.time,
-                rng: &mut self.rng,
-                metrics: &mut self.metrics,
-                actions: &mut actions,
-            };
-            self.nodes[sender].on_send_failed(to, msg, &mut ctx);
-        }
-        self.apply_actions(sender, &mut actions);
-        self.actions = actions;
-    }
-
-    fn upcall_timer(&mut self, node: NodeIdx, timer: N::Timer) {
-        let mut actions = std::mem::take(&mut self.actions);
-        {
-            let mut ctx = Context {
-                node,
-                time: self.time,
-                rng: &mut self.rng,
-                metrics: &mut self.metrics,
-                actions: &mut actions,
-            };
-            self.nodes[node].on_timer(timer, &mut ctx);
-        }
-        self.apply_actions(node, &mut actions);
-        self.actions = actions;
     }
 
     #[inline]

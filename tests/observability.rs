@@ -14,7 +14,7 @@ use cbps::{
 use cbps_bench::experiments::run_named;
 use cbps_bench::{RunProfile, Scale};
 use cbps_pastry::PastryBackend;
-use cbps_sim::{Counter, NetConfig, ObsMode, ObsSeries, Series, SimDuration, Stage, TrafficClass};
+use cbps_sim::{Counter, NetConfig, ObsMode, Series, SimDuration, Stage, TrafficClass};
 use cbps_workload::{WorkloadConfig, WorkloadGen};
 
 fn network_on<B: OverlayBackend>(notify: NotifyMode, seed: u64, obs: ObsMode) -> PubSubNetwork<B> {
@@ -340,7 +340,6 @@ fn disabled_observability_records_nothing() {
     let obs = net.metrics().obs();
     assert!(obs.log().is_empty());
     assert_eq!(obs.stage_histograms().count(), 0);
-    assert_eq!(obs.named_histograms().count(), 0);
     let mut checked = 0;
     for node in 0..net.len() {
         let traces: Vec<_> = net.delivered(node).iter().map(|n| n.trace()).collect();
@@ -358,33 +357,38 @@ fn disabled_observability_records_nothing() {
 /// the `matches` counter plus the number of `rendezvous.fanout` samples.
 /// Per-key unicast under mapping 3 sends each publication to each of its
 /// keys, and each key is one rendezvous visit, even when one node covers
-/// several of them: the samples are the publications' keys, summed.
+/// several of them: the samples are the publications' keys, summed. The
+/// series are recorded whatever the observability mode, so the ledger
+/// holds, and reads the same, with observability off.
 #[test]
 fn rendezvous_work_is_matched_publications_plus_matches() {
-    let mut net = PubSubNetworkBuilder::<ChordBackend>::new()
-        .nodes(60)
-        .net_config(NetConfig::new(37))
-        .pubsub(
-            PubSubConfig::paper_default()
-                .with_mapping(MappingKind::SelectiveAttribute)
-                .with_primitive(Primitive::Unicast),
-        )
-        .observability(ObsMode::Full)
-        .build()
-        .expect("valid network configuration");
-    run_workload(&mut net, 37);
-    let m = net.metrics();
-    let matches = m.count(Counter::Matches);
-    assert!(matches > 0, "workload produced no matches");
-    let fanout = m
-        .obs()
-        .series(ObsSeries::RendezvousFanout)
-        .expect("publications reached rendezvous nodes");
-    let keys = m
-        .series(Series::KeysPerPublication)
-        .expect("publications were mapped");
-    assert_eq!(u128::from(fanout.len()), keys.sum());
-    assert_eq!(fanout.sum(), u128::from(matches));
-    let work: u64 = net.rendezvous_work_counts().iter().sum();
-    assert_eq!(work, matches + fanout.len());
+    let ledger = |mode| {
+        let mut net = PubSubNetworkBuilder::<ChordBackend>::new()
+            .nodes(60)
+            .net_config(NetConfig::new(37))
+            .pubsub(
+                PubSubConfig::paper_default()
+                    .with_mapping(MappingKind::SelectiveAttribute)
+                    .with_primitive(Primitive::Unicast),
+            )
+            .observability(mode)
+            .build()
+            .expect("valid network configuration");
+        run_workload(&mut net, 37);
+        let m = net.metrics();
+        let matches = m.count(Counter::Matches);
+        assert!(matches > 0, "workload produced no matches");
+        let fanout = m
+            .series(Series::RendezvousFanout)
+            .expect("publications reached rendezvous nodes");
+        let keys = m
+            .series(Series::KeysPerPublication)
+            .expect("publications were mapped");
+        assert_eq!(u128::from(fanout.len()), keys.sum(), "{mode:?}");
+        assert_eq!(fanout.sum(), u128::from(matches), "{mode:?}");
+        let work: u64 = net.rendezvous_work_counts().iter().sum();
+        assert_eq!(work, matches + fanout.len(), "{mode:?}");
+        fanout.clone()
+    };
+    assert_eq!(ledger(ObsMode::Off), ledger(ObsMode::Full));
 }
