@@ -5,9 +5,11 @@ set -eu
 
 cd "$(dirname "$0")"
 
-# `unsafe` allow-list. Library and binary code has one block, the prefetch
-# hint in cbps-sim (`crates/sim/src/prefetch.rs`, behind a scoped `allow` in
-# a crate that otherwise denies it); the six other library crates forbid it
+# `unsafe` allow-list. Library and binary code has two blocks, both in
+# cbps-sim's `crates/sim/src/prefetch.rs` (behind scoped `allow`s in a
+# crate that otherwise denies it): the prefetch hint and the huge-page
+# advice. Each must sit under its own `// SAFETY:` comment, one that no
+# other block already claimed. The six other library crates forbid it
 # outright, and no other file under `crates/*/src` may say the word. (The
 # allocation gates' counting `GlobalAlloc` lives under `crates/bench/tests`.)
 echo "==> unsafe allow-list"
@@ -16,9 +18,12 @@ if [ "$unsafe_files" != "crates/sim/src/prefetch.rs " ]; then
     echo "FAIL: \`unsafe\` outside the allow-list: $unsafe_files" >&2
     exit 1
 fi
-if [ "$(grep -c 'unsafe {' crates/sim/src/prefetch.rs)" != 1 ] ||
-    ! grep -B6 'unsafe {' crates/sim/src/prefetch.rs | grep -q '// SAFETY:'; then
-    echo "FAIL: prefetch.rs must hold exactly one unsafe block, under a SAFETY comment" >&2
+if ! awk '
+    /\/\/ SAFETY:/ { comment = 1 }
+    /unsafe \{/ { blocks++; if (!comment) bare++; comment = 0 }
+    END { exit !(blocks == 2 && bare == 0) }
+' crates/sim/src/prefetch.rs; then
+    echo "FAIL: prefetch.rs must hold exactly two unsafe blocks, each under its own SAFETY comment" >&2
     exit 1
 fi
 grep -q '^#!\[deny(unsafe_code)\]' crates/sim/src/lib.rs || {

@@ -22,7 +22,11 @@
 #     its relative move against the bound `BENCHMARK.json` (read from
 #     CHANGE_DIR) gives it;
 #   - whether the delivered fingerprints of the last runs
-#     (`benchmark/out/run-WORKLOAD.json`) agree.
+#     (`benchmark/out/run-WORKLOAD.json`) agree;
+#   - each side's medians of the host probes that file records after every
+#     run (`host_speed.ops_per_s_wall`, `host_speed.memory_probe_ns`): a
+#     claim about the memory path must also show on the wall as measured,
+#     with the memory probe itself unmoved (benchmark README, "Host time").
 # A run takes 20–60 s. Not part of `ci.sh`.
 #
 # With ALIGNED=1 the script runs each tree's alignment-pinned binary
@@ -77,6 +81,7 @@ run() {
     # shellcheck disable=SC2086
     (cd "$dir" && "./$bin" --workload "$workload" --seed "$seed" $length \
         --trace 0 2>/dev/null | tail -1) >"$out/$1.$2"
+    cp "$dir/benchmark/out/run-$workload.json" "$out/$1.$2.json"
 }
 
 i=1
@@ -204,4 +209,19 @@ for tree in (parent, change):
         fingerprints.append(json.load(f)["delivered_fingerprint"])
 print(f"Delivered fingerprint of the last runs: {fingerprints[0]} / {fingerprints[1]} "
       f"(equal: {fingerprints[0] == fingerprints[1]}).")
+
+
+def host(side, probe):
+    runs = []
+    for i in range(1, pairs + 1):
+        with open(f"{out}/{side}.{i}.json") as f:
+            runs.append(json.load(f)["host_speed"][probe])
+    return statistics.median(runs)
+
+
+wall = [host(side, "ops_per_s_wall") for side in ("parent", "change")]
+probe = [host(side, "memory_probe_ns") for side in ("parent", "change")]
+print(f"Host probes (medians, parent → change): `ops_per_s_wall` {ops(wall[0])} → "
+      f"{ops(wall[1])} ({wall[1] / wall[0] - 1:+.1%}); `memory_probe_ns` {probe[0]:.1f} → "
+      f"{probe[1]:.1f} ({probe[1] / probe[0] - 1:+.1%}).")
 EOF

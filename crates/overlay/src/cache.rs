@@ -191,16 +191,13 @@ impl LocationCache {
     }
 
     /// Position of the least recently used entry (the cache is non-empty):
-    /// stamps are distinct and lead the word, so the least word.
+    /// stamps are distinct and lead the word, so the least word. Two
+    /// passes, the minimum and then where it is, each free of the
+    /// loop-carried reload of the best slot so far that one pass needs.
     fn lru_position(&self) -> usize {
         let slots = self.slots.as_slice();
-        let mut victim = 0;
-        for (i, &slot) in slots.iter().enumerate() {
-            if slot < slots[victim] {
-                victim = i;
-            }
-        }
-        victim
+        let least = slots.iter().fold(u64::MAX, |least, &slot| least.min(slot));
+        slots.iter().position(|&slot| slot == least).unwrap_or(0)
     }
 
     fn peer_at(&self, at: usize) -> Peer {

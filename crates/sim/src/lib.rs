@@ -17,7 +17,8 @@
 //!   above), from which every figure series of the paper is derived;
 //! * crash/revive and message-loss injection for fault-tolerance tests;
 //! * [`prefetch`] — the cache-line hints the event loop lets a node issue
-//!   ahead of its upcalls ([`Node::prefetch`]), invisible to the simulation.
+//!   ahead of its upcalls ([`Node::prefetch`]) and the huge-page advice on
+//!   the node array, both invisible to the simulation.
 //!
 //! # Examples
 //!
@@ -53,8 +54,9 @@
 //! assert_eq!(sim.node(a).delivered + sim.node(b).delivered, 5);
 //! ```
 
-// `deny`, not `forbid`: the `prefetch` module carries a scoped `allow` for
-// the one block that issues the hint instruction (ci.sh pins the list).
+// `deny`, not `forbid`: the `prefetch` module carries scoped `allow`s for
+// the two blocks that issue the hint instruction and the huge-page advice
+// (ci.sh pins the list).
 #![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 

@@ -549,22 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn log_histogram_exact_small_values() {
-        let mut h = Histogram::new();
-        for v in [5u64, 1, 3, 3, 8] {
-            h.record(v);
-        }
-        assert_eq!(h.len(), 5);
-        assert_eq!(h.sum(), 20);
-        assert_eq!(h.mean(), 4.0);
-        assert_eq!(h.min(), Some(1));
-        assert_eq!(h.max(), Some(8));
-        assert_eq!(h.percentile(0.0), Some(1));
-        assert_eq!(h.percentile(50.0), Some(3));
-        assert_eq!(h.percentile(100.0), Some(8));
-    }
-
-    #[test]
     fn log_histogram_percentile_error_bounded() {
         let mut h = Histogram::new();
         for v in 1..=100_000u64 {

@@ -1,4 +1,5 @@
-//! Software prefetch hints for the single-threaded event loop.
+//! Hints that change no value: software prefetch for the single-threaded
+//! event loop, and transparent huge pages for the node array.
 //!
 //! At the deployment sizes the roadmap aims for, every event lands on a
 //! node last visited thousands of events ago, so an upcall starts with a
@@ -20,11 +21,21 @@
 //! A hint has no architectural effect, so simulated results cannot depend
 //! on it; a node that ignores the hook pays a bounds check per call.
 //!
-//! This module holds the workspace's only `unsafe` block in library
-//! code; every other crate keeps `#![forbid(unsafe_code)]`. A hint is used
-//! rather than a safe demand load (`black_box(field)`) because a load
-//! blocks retirement until its line arrives and a hint does not: on the
-//! benchmark's `route` workload demand loads gave half the gain.
+//! Those lines are also far apart in the address space: at 10^5 nodes the
+//! node array alone spans over 100 MB, so with 4 KiB pages nearly every
+//! hop also misses the TLB. [`advise_huge_pages`] asks the kernel to back
+//! the array's whole 2 MiB pages with transparent huge pages
+//! (`madvise(MADV_HUGEPAGE)`); [`Simulator`](crate::Simulator) calls it
+//! whenever the array is reserved or grows. The advice changes where bytes
+//! live, never what they are, and a kernel that ignores it (THP `never`)
+//! or applies it anyway (`always`) runs the same simulation.
+//!
+//! This module holds the workspace's only two `unsafe` blocks in library
+//! code, the hint and the advice; every other crate keeps
+//! `#![forbid(unsafe_code)]`. A hint is used rather than a safe demand
+//! load (`black_box(field)`) because a load blocks retirement until its
+//! line arrives and a hint does not: on the benchmark's `route` workload
+//! demand loads gave half the gain.
 
 /// Which of a node's cache lines a [`Node::prefetch`](crate::Node::prefetch)
 /// call should ask for.
@@ -100,9 +111,75 @@ pub fn prefetch_tail<T>(slice: &[T]) {
     hint(slice.as_ptr_range().end.cast());
 }
 
+/// Bytes in a transparent huge page on x86_64 Linux.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// The whole 2 MiB pages inside `bytes` bytes from address `addr`, as
+/// their aligned start and their total length; `None` when not one fits.
+pub fn huge_page_span(addr: usize, bytes: usize) -> Option<(usize, usize)> {
+    let start = addr.checked_next_multiple_of(HUGE_PAGE)?;
+    let end = addr.checked_add(bytes)? & !(HUGE_PAGE - 1);
+    (end > start).then(|| (start, end - start))
+}
+
+/// Advises the kernel to back the whole 2 MiB pages of `buffer`'s
+/// allocation — its capacity, not only its length — with transparent huge
+/// pages. Issues no call when no whole page fits (a buffer under 2 MiB
+/// never holds one); empty off Linux x86_64 and under
+/// `--cfg cbps_no_prefetch`, like the hint.
+#[allow(unsafe_code)]
+pub fn advise_huge_pages<T>(buffer: &Vec<T>) {
+    let bytes = buffer.capacity().saturating_mul(std::mem::size_of::<T>());
+    let Some((start, len)) = huge_page_span(buffer.as_ptr() as usize, bytes) else {
+        return;
+    };
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(cbps_no_prefetch)))]
+    {
+        use std::ffi::{c_int, c_void};
+        extern "C" {
+            fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        }
+        const MADV_HUGEPAGE: c_int = 14;
+        // SAFETY: `MADV_HUGEPAGE` only marks the pages of
+        // `[start, start + len)` as eligible for huge pages: it neither
+        // reads nor writes nor unmaps them, and the kernel keeps their
+        // contents when it collapses or splits them. The range lies inside
+        // `buffer`'s own allocation and is 2 MiB-aligned, hence
+        // page-aligned as the call requires. Failure (say, a kernel built
+        // without THP) changes nothing, so the result is ignored.
+        unsafe { madvise(start as *mut c_void, len, MADV_HUGEPAGE) };
+    }
+    #[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(cbps_no_prefetch))))]
+    let _ = (start, len);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const MIB: usize = 1 << 20;
+
+    #[test]
+    fn huge_page_span_covers_only_whole_aligned_pages() {
+        // Under 2 MiB: no whole page, aligned or not.
+        assert_eq!(huge_page_span(2 * MIB, MIB), None);
+        assert_eq!(huge_page_span(2 * MIB + 64, 2 * MIB - 1), None);
+        // An unaligned start: the span begins at the next boundary.
+        assert_eq!(huge_page_span(3 * MIB, 6 * MIB), Some((4 * MIB, 4 * MIB)));
+        assert_eq!(huge_page_span(3 * MIB, 4 * MIB), Some((4 * MIB, 2 * MIB)));
+        // An exact multiple from a boundary: all of it.
+        assert_eq!(huge_page_span(4 * MIB, 6 * MIB), Some((4 * MIB, 6 * MIB)));
+        // An unaligned start whose end falls on a boundary: up to the end.
+        assert_eq!(
+            huge_page_span(MIB + 4096, 5 * MIB - 4096),
+            Some((2 * MIB, 4 * MIB))
+        );
+        // Zero bytes, at a boundary or not.
+        assert_eq!(huge_page_span(2 * MIB, 0), None);
+        assert_eq!(huge_page_span(3 * MIB, 0), None);
+        // Near the top of the address space nothing overflows.
+        assert_eq!(huge_page_span(usize::MAX - MIB, 4 * MIB), None);
+    }
 
     /// Hints accept anything a reference can name, including nothing.
     #[test]

@@ -12,7 +12,7 @@ use crate::config::NetConfig;
 use crate::metrics::{Metrics, Series, TrafficClass};
 use crate::obs::{Stage, TraceId};
 use crate::pool::{EventPool, Handle};
-use crate::prefetch::PrefetchStage;
+use crate::prefetch::{self, PrefetchStage};
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
@@ -263,15 +263,22 @@ impl<N: Node> Simulator<N> {
     /// that knows its deployment size adds them without reallocating the
     /// node array up the doubling ladder: at 10^5 nodes of over a kilobyte
     /// each the ladder's last copy and its slack cost 20 MB of peak memory
-    /// and left the heap in a different shape from run to run.
+    /// and left the heap in a different shape from run to run. The array's
+    /// whole 2 MiB pages are advised for transparent huge pages
+    /// ([`prefetch::advise_huge_pages`]).
     pub fn reserve_nodes(&mut self, additional: usize) {
         self.nodes.reserve_exact(additional);
         self.alive.reserve_exact(additional);
+        prefetch::advise_huge_pages(&self.nodes);
     }
 
     /// Adds a node and returns its index.
     pub fn add_node(&mut self, node: N) -> NodeIdx {
+        let grows = self.nodes.len() == self.nodes.capacity();
         self.nodes.push(node);
+        if grows {
+            prefetch::advise_huge_pages(&self.nodes);
+        }
         self.alive.push(true);
         self.nodes.len() - 1
     }
