@@ -9,9 +9,8 @@
 //! ground-truth notifications still delivered with replication factors
 //! 0, 1 and 2, plus the state-transfer cost.
 //!
-//! Requires dynamic membership, which only the Chord substrate supports
-//! (`OverlayBackend::SUPPORTS_CHURN`); the experiment pins Chord
-//! regardless of `--overlay`.
+//! Requires dynamic membership, which only the Chord deployment has
+//! (`ChordPubSub`); the experiment pins Chord regardless of `--overlay`.
 
 use cbps::{MappingKind, PubSubConfig, PubSubNetwork};
 use cbps_overlay::OverlayConfig;

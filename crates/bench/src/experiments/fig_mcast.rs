@@ -15,6 +15,7 @@
 //! handlers), so the ablation honors `--overlay`: the same range sends
 //! measured over the Chord substrate or the Pastry substrate.
 
+use cbps::Primitive;
 use cbps_overlay::{
     build_stable, ChordNode, KeyRange, KeyRangeSet, KeySpace, OverlayConfig, OverlayServices,
 };
@@ -25,21 +26,27 @@ use crate::probe::ProbeApp;
 use crate::runner::{BackendKind, Scale, Sweep};
 use crate::table::Table;
 
+/// The protocols compared, with their row labels.
+const PROTOCOLS: [(Primitive, &str); 3] = [
+    (Primitive::MCast, "m-cast"),
+    (Primitive::Unicast, "per-key unicast"),
+    (Primitive::Walk, "successor walk"),
+];
+
 /// Sends one message through `svc` to the `width` keys from key 1000 on,
 /// by protocol `how`.
-fn fire(svc: &mut dyn OverlayServices<u64, ()>, how: &str, space: KeySpace, width: u64) {
+fn fire(svc: &mut dyn OverlayServices<u64, ()>, how: Primitive, space: KeySpace, width: u64) {
     let range = KeyRange::new(space.key(1000), space.key(1000 + width - 1));
     let targets = KeyRangeSet::of_range(space, range);
     match how {
-        "m-cast" => svc.mcast(&targets, TrafficClass::OTHER, 1, TraceId::NONE),
-        "per-key unicast" => svc.ucast_keys(&targets, TrafficClass::OTHER, 1, TraceId::NONE),
-        "successor walk" => svc.walk(range, TrafficClass::OTHER, 1, TraceId::NONE),
-        other => unreachable!("unknown protocol {other}"),
+        Primitive::MCast => svc.mcast(&targets, TrafficClass::OTHER, 1, TraceId::NONE),
+        Primitive::Unicast => svc.ucast_keys(&targets, TrafficClass::OTHER, 1, TraceId::NONE),
+        Primitive::Walk => svc.walk(range, TrafficClass::OTHER, 1, TraceId::NONE),
     }
 }
 
 /// `(messages, max dilation, deliveries)` of one range send from node 0.
-fn send(overlay: BackendKind, n: usize, width: u64, seed: u64, how: &str) -> (u64, u32, u64) {
+fn send(overlay: BackendKind, n: usize, width: u64, seed: u64, how: Primitive) -> (u64, u32, u64) {
     let apps: Vec<ProbeApp> = (0..n).map(|_| ProbeApp::default()).collect();
     match overlay {
         BackendKind::Chord => {
@@ -94,11 +101,11 @@ pub fn run(sweep: &Sweep) -> Table {
         Scale::Paper | Scale::Large => 500,
     };
     for width in [64u64, 256, 1024, 4096] {
-        for how in ["m-cast", "per-key unicast", "successor walk"] {
+        for (how, label) in PROTOCOLS {
             let (msgs, dilation, deliveries) = send(sweep.profile.overlay, n, width, 941, how);
             table.push_row(vec![
                 width.to_string(),
-                how.to_owned(),
+                label.to_owned(),
                 msgs.to_string(),
                 dilation.to_string(),
                 deliveries.to_string(),

@@ -4,17 +4,18 @@
 //! any overlay routing scheme". The *node* logic has always been
 //! overlay-neutral via [`cbps_overlay::OverlayServices`]; this trait makes
 //! the *deployment* layer neutral too: everything the system façade needs
-//! from a substrate — its node type, a converged-network constructor, a
-//! way to reach the hosted application, and the churn entry points — so a
-//! single generic `PubSubNetwork<B>` serves Chord, Pastry, and any future
-//! substrate (a Kademlia sketch, an idealized one-hop overlay) without a
-//! twin façade.
+//! from a substrate — its node type, a converged-network constructor and a
+//! way to reach the hosted application — so a single generic
+//! `PubSubNetwork<B>` serves Chord, Pastry, and any future substrate (a
+//! Kademlia sketch, an idealized one-hop overlay) without a twin façade.
+//! Every item is one that each substrate implements; join and leave are
+//! Chord's alone, so they are inherent methods of [`ChordPubSub`].
 
 use std::fmt;
 
 use cbps_overlay::{
     build_stable_from, ChordNode, Envelope, KeySpace, OverlayConfig, OverlayServices, OverlayTimer,
-    Peer, RingView, RoutingState,
+    RingView,
 };
 use cbps_sim::{Context, NetConfig, Node, Simulator};
 
@@ -30,16 +31,10 @@ pub type BackendCtx<'c> = Context<'c, Envelope<PubSubMsg>, OverlayTimer<PubSubTi
 ///
 /// Implementations provide the glue between the generic
 /// [`PubSubNetwork`](crate::PubSubNetwork) façade and one substrate's node
-/// type: configuration, converged bootstrap, application access, and (where
-/// supported) dynamic-membership operations.
+/// type: configuration, converged bootstrap and application access.
 pub trait OverlayBackend: fmt::Debug + Sized + 'static {
     /// Human-readable backend name (CLI selection, reports).
     const NAME: &'static str;
-
-    /// Whether the substrate supports dynamic membership (join, leave,
-    /// crash recovery). Backends built statically (converged-network mode)
-    /// set this to `false`; the churn entry points then panic.
-    const SUPPORTS_CHURN: bool;
 
     /// Substrate configuration (key space, routing parameters).
     type Config: Clone + fmt::Debug;
@@ -84,9 +79,6 @@ pub trait OverlayBackend: fmt::Debug + Sized + 'static {
     /// Exclusive access to a node's hosted pub/sub state.
     fn app_mut(node: &mut Self::Node) -> &mut PubSubNode;
 
-    /// A node's identity.
-    fn me(node: &Self::Node) -> Peer;
-
     /// Runs an application-level call against a node with a live
     /// overlay-neutral service handle.
     fn app_call<R>(
@@ -94,18 +86,6 @@ pub trait OverlayBackend: fmt::Debug + Sized + 'static {
         ctx: &mut BackendCtx<'_>,
         f: impl FnOnce(&mut PubSubNode, &mut dyn OverlayServices<PubSubMsg, PubSubTimer>) -> R,
     ) -> R;
-
-    /// Starts a graceful departure (state push + neighbor relinking).
-    /// Only called when [`Self::SUPPORTS_CHURN`].
-    fn start_leave(node: &mut Self::Node, ctx: &mut BackendCtx<'_>);
-
-    /// Creates a fresh, not-yet-joined node. Only called when
-    /// [`Self::SUPPORTS_CHURN`].
-    fn new_node(cfg: &Self::Config, me: Peer, app: PubSubNode) -> Self::Node;
-
-    /// Starts the join protocol through `bootstrap`. Only called when
-    /// [`Self::SUPPORTS_CHURN`].
-    fn start_join(node: &mut Self::Node, bootstrap: Peer, ctx: &mut BackendCtx<'_>);
 }
 
 /// The Chord substrate of [`cbps_overlay`]: finger-table routing with
@@ -115,7 +95,6 @@ pub struct ChordBackend;
 
 impl OverlayBackend for ChordBackend {
     const NAME: &'static str = "chord";
-    const SUPPORTS_CHURN: bool = true;
 
     type Config = OverlayConfig;
     type Node = ChordNode<PubSubNode>;
@@ -156,10 +135,6 @@ impl OverlayBackend for ChordBackend {
         node.app_mut()
     }
 
-    fn me(node: &Self::Node) -> Peer {
-        node.me()
-    }
-
     fn app_call<R>(
         node: &mut Self::Node,
         ctx: &mut BackendCtx<'_>,
@@ -167,20 +142,11 @@ impl OverlayBackend for ChordBackend {
     ) -> R {
         node.app_call(ctx, f)
     }
-
-    fn start_leave(node: &mut Self::Node, ctx: &mut BackendCtx<'_>) {
-        node.start_leave(ctx);
-    }
-
-    fn new_node(cfg: &OverlayConfig, me: Peer, app: PubSubNode) -> Self::Node {
-        ChordNode::new(RoutingState::new(*cfg, me), app)
-    }
-
-    fn start_join(node: &mut Self::Node, bootstrap: Peer, ctx: &mut BackendCtx<'_>) {
-        node.start_join(bootstrap, ctx);
-    }
 }
 
 /// The pub/sub deployment over the Chord substrate (what plain
-/// `PubSubNetwork` resolves to).
+/// `PubSubNetwork` resolves to). Only this deployment has dynamic
+/// membership: [`leave`](crate::PubSubNetwork::leave) and
+/// [`join_new_node`](crate::PubSubNetwork::join_new_node) are its inherent
+/// methods.
 pub type ChordPubSub = crate::PubSubNetwork<ChordBackend>;

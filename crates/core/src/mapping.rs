@@ -284,7 +284,7 @@ impl AkMapping {
             // Fully-wildcard subscriptions are rejected at construction, so
             // a most selective dimension always exists.
             MappingKind::SelectiveAttribute => Some(
-                most_selective_by_sizes(sub, &self.domain_sizes)
+                sub.most_selective_by(|i| self.domain_sizes[i])
                     .expect("subscription has a constraint"),
             ),
             MappingKind::AttributeSplit | MappingKind::KeySpaceSplit => None,
@@ -396,27 +396,6 @@ impl AkMapping {
         self.insert_image(s, c.lo(), c.hi(), &mut set);
         set
     }
-}
-
-/// Most selective constrained dimension given raw domain sizes (mirrors
-/// [`Subscription::most_selective`] without needing the full `EventSpace`).
-fn most_selective_by_sizes(sub: &Subscription, sizes: &[u64]) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for (i, c) in sub.constraints().iter().enumerate() {
-        let Some(c) = c else { continue };
-        match best {
-            None => best = Some(i),
-            Some(b) => {
-                let cb = sub.constraint(b).expect("best is constrained");
-                let lhs = u128::from(c.span()) * u128::from(sizes[b]);
-                let rhs = u128::from(cb.span()) * u128::from(sizes[i]);
-                if lhs < rhs {
-                    best = Some(i);
-                }
-            }
-        }
-    }
-    best
 }
 
 #[cfg(test)]

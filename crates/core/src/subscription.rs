@@ -243,6 +243,12 @@ impl Subscription {
     /// minimizing `r_i / |Ω_i|` (§4.2, Mapping 3). Ties break to the lowest
     /// index. Returns `None` for a fully-wildcard subscription.
     pub fn most_selective(&self, space: &EventSpace) -> Option<usize> {
+        self.most_selective_by(|i| space.attr(i).size())
+    }
+
+    /// [`Subscription::most_selective`] given each dimension's domain size
+    /// `|Ω_i|` (the ak-mapping keeps the sizes, not the space).
+    pub(crate) fn most_selective_by(&self, size: impl Fn(usize) -> u64) -> Option<usize> {
         let mut best: Option<usize> = None;
         for (i, c) in self.constraints.iter().enumerate() {
             let Some(c) = c else { continue };
@@ -251,8 +257,8 @@ impl Subscription {
                 Some(b) => {
                     let cb = self.constraints[b].expect("best is constrained");
                     // r_i/|Ω_i| < r_b/|Ω_b| ⇔ r_i·|Ω_b| < r_b·|Ω_i| exactly.
-                    let lhs = u128::from(c.span()) * u128::from(space.attr(b).size());
-                    let rhs = u128::from(cb.span()) * u128::from(space.attr(i).size());
+                    let lhs = u128::from(c.span()) * u128::from(size(b));
+                    let rhs = u128::from(cb.span()) * u128::from(size(i));
                     if lhs < rhs {
                         best = Some(i);
                     }

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use cbps_overlay::{Peer, RingView};
+use cbps_overlay::{ChordNode, Peer, RingView, RoutingState};
 use cbps_sim::{
     Metrics, NetConfig, NodeIdx, ObsMode, SimDuration, SimTime, Simulator, StageRecord, TraceId,
 };
@@ -24,7 +24,12 @@ use crate::subscription::{SubId, Subscription};
 /// `pub`, `notify` via [`PubSubNetwork::delivered`]) together with clock
 /// control and measurement access. The aliases
 /// [`ChordPubSub`](crate::ChordPubSub) and `PastryPubSub` (in
-/// `cbps-pastry`) name the two bundled substrates.
+/// `cbps-pastry`) name the two bundled substrates. Every deployment can
+/// [`crash`](PubSubNetwork::crash) a node (fail-stop is a simulator
+/// operation); only the Chord one has dynamic membership
+/// ([`leave`](PubSubNetwork::leave),
+/// [`join_new_node`](PubSubNetwork::join_new_node)), so churn on another
+/// substrate does not compile.
 ///
 /// # Examples
 ///
@@ -95,6 +100,44 @@ impl PubSubNetwork {
     }
 }
 
+/// Dynamic membership, which only the Chord substrate has: on any other
+/// deployment these methods do not exist.
+impl PubSubNetwork<ChordBackend> {
+    /// Makes `node` leave gracefully: state is pushed to its successor and
+    /// its neighbors are relinked before it goes silent.
+    pub fn leave(&mut self, node: NodeIdx) {
+        self.sim.with_node(node, |n, ctx| n.start_leave(ctx));
+        self.sim.crash(node);
+    }
+
+    /// Adds a brand-new node that joins through `bootstrap`, and adds it to
+    /// the [`ring`](PubSubNetwork::ring) view. Requires the overlay to have
+    /// maintenance enabled (stabilization integrates the joiner). Returns
+    /// the new node's index.
+    pub fn join_new_node(&mut self, key_seed: &str, bootstrap: NodeIdx) -> NodeIdx {
+        let space = self.overlay_cfg.space;
+        let mut key = cbps_overlay::hash::key_of_bytes(space, key_seed.as_bytes());
+        // The view holds every node ever added, so its keys are all taken.
+        while self.ring.peers().iter().any(|p| p.key == key) {
+            key = space.add(key, 1);
+        }
+        let idx = self.sim.len();
+        let me = Peer { idx, key };
+        let node = ChordNode::new(
+            RoutingState::new(self.overlay_cfg, me),
+            PubSubNode::new(Arc::clone(&self.cfg)),
+        );
+        let added = self.sim.add_node(node);
+        debug_assert_eq!(added, idx);
+        let mut peers = self.ring.peers().to_vec();
+        peers.push(me);
+        self.ring = RingView::new(space, peers);
+        let boot = self.sim.node(bootstrap).me();
+        self.sim.with_node(idx, |n, ctx| n.start_join(boot, ctx));
+        idx
+    }
+}
+
 impl<B: OverlayBackend> PubSubNetwork<B> {
     /// The shared pub/sub configuration.
     pub fn config(&self) -> &PubSubConfig {
@@ -106,7 +149,9 @@ impl<B: OverlayBackend> PubSubNetwork<B> {
         &self.overlay_cfg
     }
 
-    /// The global ring view (oracle; protocol logic never uses it).
+    /// The global ring view (oracle; protocol logic never uses it): every
+    /// node built or joined. Nodes that crashed or left stay in it, as
+    /// they stay in [`len`](PubSubNetwork::len).
     pub fn ring(&self) -> &RingView {
         &self.ring
     }
@@ -362,57 +407,6 @@ impl<B: OverlayBackend> PubSubNetwork<B> {
     /// Crashes a node abruptly (fail-stop).
     pub fn crash(&mut self, node: NodeIdx) {
         self.sim.crash(node);
-    }
-
-    /// Makes `node` leave gracefully: state is pushed to its successor and
-    /// its neighbors are relinked before it goes silent.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a substrate with static membership
-    /// (`B::SUPPORTS_CHURN == false`).
-    pub fn leave(&mut self, node: NodeIdx) {
-        assert!(
-            B::SUPPORTS_CHURN,
-            "the {} substrate has static membership: leave() is unsupported",
-            B::NAME
-        );
-        self.sim.with_node(node, |n, ctx| B::start_leave(n, ctx));
-        self.sim.crash(node);
-    }
-
-    /// Adds a brand-new node that joins through `bootstrap`. Requires the
-    /// overlay to have maintenance enabled (stabilization integrates the
-    /// joiner). Returns the new node's index.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a substrate with static membership
-    /// (`B::SUPPORTS_CHURN == false`).
-    pub fn join_new_node(&mut self, key_seed: &str, bootstrap: NodeIdx) -> NodeIdx {
-        assert!(
-            B::SUPPORTS_CHURN,
-            "the {} substrate has static membership: join_new_node() is unsupported",
-            B::NAME
-        );
-        let space = B::key_space(&self.overlay_cfg);
-        let mut key = cbps_overlay::hash::key_of_bytes(space, key_seed.as_bytes());
-        while self.sim.nodes().any(|(_, n)| B::me(n).key == key) {
-            key = space.add(key, 1);
-        }
-        let idx = self.sim.len();
-        let me = Peer { idx, key };
-        let node = B::new_node(
-            &self.overlay_cfg,
-            me,
-            PubSubNode::new(Arc::clone(&self.cfg)),
-        );
-        let added = self.sim.add_node(node);
-        debug_assert_eq!(added, idx);
-        let boot = B::me(self.sim.node(bootstrap));
-        self.sim
-            .with_node(idx, |n, ctx| B::start_join(n, boot, ctx));
-        idx
     }
 }
 

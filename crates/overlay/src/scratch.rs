@@ -6,12 +6,12 @@
 //! thread-local free list, so a steady-state split performs no heap
 //! allocation at all (the boundary list is the one buffer of
 //! [`take_cuts`]; the bundle sets themselves are inline-first
-//! [`KeyRangeSet`]s whose rare spill buffers are pooled in
-//! [`crate::range`]).
+//! [`KeyRangeSet`]s, which allocate only in the rare case that one spills
+//! past its inline segments).
 //!
 //! [`Bundles`] is a safe plain wrapper around `Vec`: dropping one clears it
-//! (running the members' own recycling `Drop`s) and pushes the storage
-//! back onto the current thread's free list. A simulator runs its nodes on
+//! (dropping the member sets) and pushes the storage back onto the
+//! current thread's free list. A simulator runs its nodes on
 //! the one thread that drives it, so thread-local pooling needs no
 //! synchronization.
 
@@ -74,8 +74,8 @@ impl DerefMut for Bundles {
 
 impl Drop for Bundles {
     fn drop(&mut self) {
-        // Clearing drops the member range sets, which recycle their own
-        // spill buffers; then the container itself goes back to the pool.
+        // Clearing drops the member range sets (freeing any spilled
+        // segments); then the container itself goes back to the pool.
         self.0.clear();
         if self.0.capacity() == 0 {
             return;

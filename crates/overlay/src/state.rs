@@ -207,8 +207,8 @@ impl RoutingState {
 
     /// Removes every trace of the node at simulator index `idx` (used when
     /// a send fails: the sender knows the address, not necessarily the
-    /// key). Returns the peers scrubbed.
-    pub fn forget_idx(&mut self, idx: usize) -> Vec<Peer> {
+    /// key).
+    pub fn forget_idx(&mut self, idx: usize) {
         let mut dead: Vec<Peer> = Vec::new();
         let mut note = |p: Peer| {
             if !dead.contains(&p) {
@@ -239,10 +239,9 @@ impl RoutingState {
         for p in self.cache.peers_at(idx) {
             note(p);
         }
-        for p in dead.clone() {
+        for p in dead {
             self.forget(p);
         }
-        dead
     }
 
     /// Removes every trace of a peer believed dead: cache entry, fingers,

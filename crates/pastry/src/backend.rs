@@ -2,7 +2,7 @@
 //! into the generic pub/sub deployment layer of [`cbps`].
 
 use cbps::{BackendCtx, OverlayBackend, PubSubMsg, PubSubNode, PubSubTimer};
-use cbps_overlay::{KeySpace, OverlayServices, Peer, RingView};
+use cbps_overlay::{KeySpace, OverlayServices, RingView};
 use cbps_sim::{NetConfig, Simulator};
 
 use crate::builder::build_pastry_stable;
@@ -11,14 +11,34 @@ use crate::state::PastryConfig;
 
 /// The Pastry substrate: bit-prefix routing table plus leaf sets, built
 /// statically in converged-network mode (the setting of the paper's
-/// experiments). Dynamic membership lives in the Chord substrate; the
-/// churn entry points panic here.
+/// experiments). Dynamic membership lives in the Chord substrate, so a
+/// Pastry deployment has no `leave` or `join_new_node`:
+///
+/// ```compile_fail,E0599
+/// let mut net = cbps_pastry::PastryPubSubBuilder::new().nodes(8).build().unwrap();
+/// net.leave(0);
+/// ```
+///
+/// The same calls on the Chord deployment compile and run:
+///
+/// ```
+/// use cbps_overlay::OverlayConfig;
+///
+/// let mut net = cbps::PubSubNetwork::builder()
+///     .nodes(8)
+///     .overlay(OverlayConfig::paper_default().with_maintenance(true))
+///     .build()
+///     .unwrap();
+/// net.leave(0);
+/// let joiner = net.join_new_node("joiner", 1);
+/// net.run_for_secs(60);
+/// assert!(!net.is_alive(0) && net.is_alive(joiner));
+/// ```
 #[derive(Clone, Copy, Debug)]
 pub struct PastryBackend;
 
 impl OverlayBackend for PastryBackend {
     const NAME: &'static str = "pastry";
-    const SUPPORTS_CHURN: bool = false;
 
     type Config = PastryConfig;
     type Node = PastryNode<PubSubNode>;
@@ -55,28 +75,12 @@ impl OverlayBackend for PastryBackend {
         node.app_mut()
     }
 
-    fn me(node: &Self::Node) -> Peer {
-        node.me()
-    }
-
     fn app_call<R>(
         node: &mut Self::Node,
         ctx: &mut BackendCtx<'_>,
         f: impl FnOnce(&mut PubSubNode, &mut dyn OverlayServices<PubSubMsg, PubSubTimer>) -> R,
     ) -> R {
         node.app_call(ctx, f)
-    }
-
-    fn start_leave(_node: &mut Self::Node, _ctx: &mut BackendCtx<'_>) {
-        unreachable!("the pastry substrate has static membership");
-    }
-
-    fn new_node(_cfg: &PastryConfig, _me: Peer, _app: PubSubNode) -> Self::Node {
-        unreachable!("the pastry substrate has static membership");
-    }
-
-    fn start_join(_node: &mut Self::Node, _bootstrap: Peer, _ctx: &mut BackendCtx<'_>) {
-        unreachable!("the pastry substrate has static membership");
     }
 }
 

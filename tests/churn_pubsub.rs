@@ -3,6 +3,7 @@
 //! (§4.1's self-configuration claims).
 
 use cbps::{Event, MappingKind, PubSubConfig, PubSubNetwork, Subscription};
+use cbps_overlay::hash::key_of_bytes;
 use cbps_overlay::OverlayConfig;
 use cbps_sim::{Counter, NetConfig};
 
@@ -184,6 +185,15 @@ fn joining_node_pulls_rendezvous_state() {
         16,
         "deliveries lost around the join"
     );
+}
+
+#[test]
+fn ring_view_names_the_joiner_as_owner_of_its_key() {
+    let mut net = maintained(20, 0, 26);
+    let key = key_of_bytes(net.ring().space(), b"ring-joiner");
+    let joiner = net.join_new_node("ring-joiner", 0);
+    assert_eq!(net.ring().len(), net.len());
+    assert_eq!(net.ring().successor(key).idx, joiner);
 }
 
 #[test]
