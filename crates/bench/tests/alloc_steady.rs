@@ -1,10 +1,12 @@
-//! Steady-state allocation gate: after warmup, a routed publication must
-//! be processed without a single heap allocation — the slab pool recycles
-//! envelope and timer slots, inline range sets keep m-cast splits on the
-//! stack, notifications travel as inline singletons of two ids, and the
-//! warm hooks pre-fault every bounded scratch buffer. It replays the
-//! figures workload on a 120-node Chord ring, warms up on two batches of
-//! 256 publications and audits a third.
+//! Steady-state allocation gate: after warmup, a routed publication and
+//! the notifications it triggers must be processed without a single heap
+//! allocation — the slab pool recycles envelope and timer slots, inline
+//! range sets keep m-cast splits on the stack, a notification is routed by
+//! value as an inline singleton of two ids, and the warm hooks pre-fault
+//! every bounded scratch buffer. It replays the figures workload on a
+//! 120-node Chord ring, warms up on two batches of 256 publications and
+//! audits a third; every publication matches one of the trace's
+//! subscriptions, so the audited window routes notifications too.
 //!
 //! The counting `#[global_allocator]` is process-wide, which is exactly
 //! why this file holds a single test in its own integration-test binary:
@@ -24,7 +26,8 @@ use cbps_overlay::{
     RouteTable,
 };
 use cbps_pastry::{PastryConfig, PastryState};
-use cbps_sim::SimDuration;
+use cbps_sim::{SimDuration, TrafficClass};
+use cbps_workload::OpKind;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -55,7 +58,18 @@ fn steady_state_routed_events_do_not_allocate() {
     // delivery logs, metric tables — hits its high-water mark before
     // counting starts.
     const BATCH: usize = 256;
-    let events: Vec<cbps::Event> = (0..3 * BATCH).map(|_| gen.gen_random_event()).collect();
+    let subs: Vec<&cbps::Subscription> = trace
+        .ops()
+        .iter()
+        .filter_map(|op| match &op.kind {
+            OpKind::Subscribe { sub, ttl: None } => Some(sub),
+            _ => None,
+        })
+        .collect();
+    assert!(!subs.is_empty(), "the trace holds no lasting subscription");
+    let events: Vec<cbps::Event> = (0..3 * BATCH)
+        .map(|i| gen.gen_matching_event(subs[i % subs.len()]))
+        .collect();
     for (i, ev) in events[..2 * BATCH].iter().enumerate() {
         net.publish(i % nodes, ev.clone()).expect("warmup publish");
         let until = net.now() + SimDuration::from_secs(2);
@@ -68,6 +82,7 @@ fn steady_state_routed_events_do_not_allocate() {
 
     // Measured: injection happens outside the counted region; only the
     // bounded drain of each publication is audited.
+    let notified = net.sim_mut().metrics().messages(TrafficClass::NOTIFICATION);
     let (mut allocs, mut processed) = (0u64, 0u64);
     for (i, ev) in events[2 * BATCH..].iter().enumerate() {
         net.publish((2 * BATCH + i) % nodes, ev.clone())
@@ -80,10 +95,13 @@ fn steady_state_routed_events_do_not_allocate() {
         processed += net.sim_mut().events_processed() - ev0;
         allocs += a1 - a0;
     }
+    let notified = net.sim_mut().metrics().messages(TrafficClass::NOTIFICATION) - notified;
     assert!(processed > 0, "steady-state window processed no events");
+    assert!(notified > 0, "steady-state window sent no notification");
     assert_eq!(
         allocs, 0,
-        "steady-state window performed {allocs} heap allocations over {processed} events"
+        "steady-state window performed {allocs} heap allocations over {processed} events \
+         and {notified} notification hops"
     );
     splits_do_not_allocate();
 }

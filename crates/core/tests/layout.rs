@@ -9,7 +9,7 @@ use std::mem::size_of;
 use cbps::{
     CollectItem, DeliveredNote, NotifyItem, PubSubMsg, PubSubNode, Subscription, SubscriptionStore,
 };
-use cbps_overlay::{ChordNode, Envelope, LocationCache, RoutingState};
+use cbps_overlay::{ChordNode, Envelope, LocationCache, OverlayMsg, RoutingState};
 
 #[test]
 fn hot_values_stay_under_their_size_ceilings() {
@@ -30,7 +30,16 @@ fn hot_values_stay_under_their_size_ceilings() {
             size_of::<ChordNode<PubSubNode>>(),
             1120,
         ),
+        // Every pool slot holds an event around one envelope. The body's
+        // largest variant is the m-cast's, with its inline target set; a
+        // unicast, walk or direct message carries its payload by value and
+        // must stay below it.
         ("Envelope<PubSubMsg>", size_of::<Envelope<PubSubMsg>>(), 128),
+        (
+            "OverlayMsg<PubSubMsg>",
+            size_of::<OverlayMsg<PubSubMsg>>(),
+            112,
+        ),
         // One per node that stores (one per node while the build gave every
         // node one): the engine is one array header (624 B while it carried
         // a bucket matrix and counting scratch, 480 B while a covering table

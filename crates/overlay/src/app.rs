@@ -51,7 +51,13 @@ pub struct Delivery {
 /// Membership hooks (`on_predecessor_changed`, `on_leaving`) only fire on
 /// substrates with dynamic membership.
 pub trait OverlayApp: Sized {
-    /// The payload the overlay routes for this application.
+    /// The payload the overlay routes for this application. A unicast,
+    /// walk or direct message carries it by value, moved from hop to hop;
+    /// an `m-cast`'s branches share one behind an `Arc`. It is cloned once
+    /// per key by [`OverlayServices::ucast_keys`], at a walk node that
+    /// delivers and passes the walk on, and at an `m-cast` branch that
+    /// delivers while its siblings are in flight, so a clone should be
+    /// cheap (the pub/sub payload's is a reference-count bump).
     type Payload: Clone;
     /// Application timer token.
     type Timer;
@@ -134,26 +140,6 @@ impl<'a, 'c, P: Clone, T, S: RouteTable> OverlaySvc<'a, 'c, P, T, S> {
     pub fn new(state: &'a mut S, ctx: &'a mut Context<'c, Envelope<P>, OverlayTimer<T>>) -> Self {
         OverlaySvc { state, ctx }
     }
-
-    /// [`OverlayServices::send`] over an already-shared payload (no fresh
-    /// allocation; used by the per-key fan-out).
-    fn send_rc(&mut self, key: Key, class: TrafficClass, payload: Arc<P>, trace: TraceId) {
-        let me = self.state.me();
-        let next = self.state.next_hop(key);
-        let body = OverlayMsg::Unicast {
-            key,
-            class,
-            payload,
-            hops: u32::from(next.is_some()),
-            src: me,
-            trace,
-        };
-        let envelope = Envelope { sender: me, body };
-        match next {
-            None => self.ctx.send_local(envelope),
-            Some(hop) => self.ctx.send(hop.idx, class, envelope),
-        }
-    }
 }
 
 impl<P: Clone, T, S: RouteTable> OverlayServices<P, T> for OverlaySvc<'_, '_, P, T, S> {
@@ -198,9 +184,24 @@ impl<P: Clone, T, S: RouteTable> OverlayServices<P, T> for OverlaySvc<'_, '_, P,
     }
 
     /// The overlay `send(m, k)` primitive: reaching a key we cover
-    /// ourselves delivers locally without a network hop.
+    /// ourselves delivers locally without a network hop. The payload moves
+    /// into the message: nothing is allocated.
     fn send(&mut self, key: Key, class: TrafficClass, payload: P, trace: TraceId) {
-        self.send_rc(key, class, Arc::new(payload), trace);
+        let me = self.state.me();
+        let next = self.state.next_hop(key);
+        let body = OverlayMsg::Unicast {
+            key,
+            class,
+            payload,
+            hops: u32::from(next.is_some()),
+            src: me,
+            trace,
+        };
+        let envelope = Envelope { sender: me, body };
+        match next {
+            None => self.ctx.send_local(envelope),
+            Some(hop) => self.ctx.send(hop.idx, class, envelope),
+        }
     }
 
     /// The paper's `m-cast(M, K)` primitive: every node covering at least
@@ -247,7 +248,7 @@ impl<P: Clone, T, S: RouteTable> OverlayServices<P, T> for OverlaySvc<'_, '_, P,
     /// Naive unicast fan-out: one independent routed `send` per key in
     /// `targets`. This is the baseline the basic architecture is restricted
     /// to (§4.3.1, "aggressive" variant) and the "unicast" series of the
-    /// figures.
+    /// figures. Each key's message carries its own clone of the payload.
     fn ucast_keys(
         &mut self,
         targets: &KeyRangeSet,
@@ -256,9 +257,8 @@ impl<P: Clone, T, S: RouteTable> OverlayServices<P, T> for OverlaySvc<'_, '_, P,
         trace: TraceId,
     ) {
         let space = self.space();
-        let payload = Arc::new(payload);
         for key in targets.iter_keys(space) {
-            self.send_rc(key, class, Arc::clone(&payload), trace);
+            self.send(key, class, payload.clone(), trace);
         }
     }
 
@@ -273,7 +273,7 @@ impl<P: Clone, T, S: RouteTable> OverlayServices<P, T> for OverlaySvc<'_, '_, P,
         let body = OverlayMsg::Walk {
             range,
             class,
-            payload: Arc::new(payload),
+            payload,
             hops: u32::from(next.is_some()),
             src: me,
             walking: false,
@@ -296,10 +296,7 @@ impl<P: Clone, T, S: RouteTable> OverlayServices<P, T> for OverlaySvc<'_, '_, P,
             class,
             Envelope {
                 sender: me,
-                body: OverlayMsg::Direct {
-                    payload: Arc::new(payload),
-                    class,
-                },
+                body: OverlayMsg::Direct { payload, class },
             },
         );
     }

@@ -3,7 +3,9 @@
 //! Every message travels inside an [`Envelope`] stamping the immediate
 //! sender's identity, which receivers feed to their location cache (the
 //! "finger caching" of §5.1). Application payloads are generic: the overlay
-//! routes them without inspecting them.
+//! routes them without inspecting them. A payload with one destination
+//! travels by value, moved from hop to hop; only an `m-cast`'s branches
+//! share theirs behind an [`Arc`].
 
 use std::sync::Arc;
 
@@ -25,9 +27,9 @@ pub struct Envelope<P> {
 
 /// The overlay protocol messages.
 ///
-/// `Unicast`, `MCast` and `Walk` carry application payloads; the remaining
-/// variants implement ring maintenance (join, stabilization, finger repair,
-/// liveness).
+/// `Unicast`, `MCast`, `Walk` and `Direct` carry application payloads; the
+/// remaining variants implement ring maintenance (join, stabilization,
+/// finger repair, liveness).
 #[derive(Clone, Debug, PartialEq)]
 pub enum OverlayMsg<P> {
     /// Key-routed payload: the overlay's standard `send(m, k)` primitive.
@@ -36,9 +38,8 @@ pub enum OverlayMsg<P> {
         key: Key,
         /// Traffic class used to count every hop of this message.
         class: TrafficClass,
-        /// Application payload, shared so every hop and branch bumps a
-        /// reference count instead of deep-copying.
-        payload: Arc<P>,
+        /// Application payload, moved along with the message.
+        payload: P,
         /// One-hop transmissions so far (delivery dilation).
         hops: u32,
         /// The originating node.
@@ -54,7 +55,9 @@ pub enum OverlayMsg<P> {
         targets: KeyRangeSet,
         /// Traffic class used to count every hop of this message.
         class: TrafficClass,
-        /// Application payload, shared across the branches of the split.
+        /// Application payload, shared across the branches of the split
+        /// (and kept behind a pointer: the inline target set leaves no
+        /// room for it in the envelope).
         payload: Arc<P>,
         /// One-hop transmissions so far on this branch.
         hops: u32,
@@ -71,8 +74,9 @@ pub enum OverlayMsg<P> {
         range: KeyRange,
         /// Traffic class used to count every hop of this message.
         class: TrafficClass,
-        /// Application payload, shared along the walk.
-        payload: Arc<P>,
+        /// Application payload, moved along the walk (a node that delivers
+        /// and passes the walk on delivers a clone).
+        payload: P,
         /// One-hop transmissions so far.
         hops: u32,
         /// The originating node.
@@ -88,7 +92,7 @@ pub enum OverlayMsg<P> {
     /// notification-collecting protocol and state transfer).
     Direct {
         /// Application payload.
-        payload: Arc<P>,
+        payload: P,
         /// Traffic class the hop was counted under.
         class: TrafficClass,
     },
@@ -149,9 +153,9 @@ pub enum OverlayMsg<P> {
     },
 }
 
-/// Takes an application payload out of its shared wrapper: zero-copy when
-/// this is the last live reference (the common unicast case), one deep
-/// clone when sibling branches are still in flight.
+/// Takes an `m-cast` payload out of its shared wrapper: zero-copy when
+/// this is the last live reference, one clone when sibling branches are
+/// still in flight.
 #[inline]
 pub fn take_payload<P: Clone>(rc: Arc<P>) -> P {
     Arc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone())
@@ -215,7 +219,7 @@ mod tests {
         let m: OverlayMsg<u8> = OverlayMsg::Unicast {
             key: s.key(3),
             class: TrafficClass::PUBLICATION,
-            payload: Arc::new(9),
+            payload: 9,
             hops: 0,
             src,
             trace: TraceId::for_publication(0, 1),

@@ -128,23 +128,24 @@ pub fn dispatch<S: RouteTable, A: OverlayApp>(
         }
         OverlayMsg::Direct { payload, .. } if let Some(from) = from => {
             let mut svc = OverlaySvc::new(state, ctx);
-            app.on_direct(from, take_payload(payload), &mut svc);
+            app.on_direct(from, payload, &mut svc);
         }
         body => return Some(body),
     }
     None
 }
 
-/// The fields a routed payload message carries besides its target.
-struct Hop<P> {
+/// The fields a routed payload message carries besides its target: `Q` is
+/// the payload itself, or an `m-cast`'s shared `Arc` of it.
+struct Hop<Q> {
     class: TrafficClass,
-    payload: Arc<P>,
+    payload: Q,
     hops: u32,
     src: Peer,
     trace: TraceId,
 }
 
-impl<P> Hop<P> {
+impl<Q> Hop<Q> {
     /// The delivery record of this message at the keys it targets here.
     fn delivery(&self, targets_here: KeyRangeSet) -> Delivery {
         Delivery {
@@ -155,7 +156,9 @@ impl<P> Hop<P> {
             trace: self.trace,
         }
     }
+}
 
+impl<P> Hop<P> {
     /// This walk one hop further along `range`.
     fn walk_on(self, range: KeyRange, walking: bool) -> OverlayMsg<P> {
         OverlayMsg::Walk {
@@ -204,7 +207,7 @@ fn unicast<S: RouteTable, A: OverlayApp>(
     match state.next_hop(key) {
         None => {
             let delivery = hop.delivery(KeyRangeSet::of_key(state.space(), key));
-            deliver(state, app, take_payload(hop.payload), delivery, ctx);
+            deliver(state, app, hop.payload, delivery, ctx);
         }
         Some(next) => {
             ctx.route_hop(hop.trace, hop.class);
@@ -228,7 +231,7 @@ fn mcast<S: RouteTable, A: OverlayApp>(
     state: &mut S,
     app: &mut A,
     targets: KeyRangeSet,
-    hop: Hop<A::Payload>,
+    hop: Hop<Arc<A::Payload>>,
     ctx: &mut RoutedCtx<'_, A>,
 ) {
     if ttl_exceeded(state, hop.hops, ctx) {
@@ -282,7 +285,7 @@ fn walk<S: RouteTable, A: OverlayApp>(
     }
     // We cover part of the range: deliver our portion. Decide first
     // whether the walk continues so a terminal delivery can take the
-    // payload without copying it.
+    // payload without cloning it.
     let me = state.me();
     let pred = state.predecessor().unwrap_or(me);
     let local = if delivered_here {
@@ -300,13 +303,7 @@ fn walk<S: RouteTable, A: OverlayApp>(
         Some(succ) => {
             if !local.is_empty() {
                 let delivery = hop.delivery(local);
-                deliver(
-                    state,
-                    app,
-                    take_payload(Arc::clone(&hop.payload)),
-                    delivery,
-                    ctx,
-                );
+                deliver(state, app, hop.payload.clone(), delivery, ctx);
             }
             ctx.route_hop(hop.trace, hop.class);
             send_body(state, ctx, succ.idx, hop.walk_on(range, true));
@@ -315,7 +312,7 @@ fn walk<S: RouteTable, A: OverlayApp>(
         None => {
             if !local.is_empty() {
                 let delivery = hop.delivery(local);
-                deliver(state, app, take_payload(hop.payload), delivery, ctx);
+                deliver(state, app, hop.payload, delivery, ctx);
             }
         }
     }

@@ -207,60 +207,37 @@ impl RoutingState {
 
     /// Removes every trace of the node at simulator index `idx` (used when
     /// a send fails: the sender knows the address, not necessarily the
-    /// key).
+    /// key). A node index names one key for the life of a run, so this is
+    /// [`Self::forget`] of that node, found by its index alone.
     pub fn forget_idx(&mut self, idx: usize) {
-        let mut dead: Vec<Peer> = Vec::new();
-        let mut note = |p: Peer| {
-            if !dead.contains(&p) {
-                dead.push(p);
-            }
-        };
-        let mut live = self.finger_live;
-        while live != 0 {
-            let i = live.trailing_zeros() as usize;
-            live &= live - 1;
-            if self.finger_idxs.as_slice()[i] as usize == idx {
-                note(Peer {
-                    idx,
-                    key: self.cfg.space.key(self.finger_keys.as_slice()[i]),
-                });
-            }
-        }
-        for s in self.succs.as_slice() {
-            if s.idx == idx {
-                note(*s);
-            }
-        }
-        if let Some(p) = self.pred {
-            if p.idx == idx {
-                note(p);
-            }
-        }
-        for p in self.cache.peers_at(idx) {
-            note(p);
-        }
-        for p in dead {
-            self.forget(p);
-        }
+        self.cache.forget_idx(idx);
+        self.scrub(|_, at| at == idx);
     }
 
     /// Removes every trace of a peer believed dead: cache entry, fingers,
     /// successor-list entries, predecessor.
     pub fn forget(&mut self, peer: Peer) {
         self.cache.forget(peer.key);
+        self.scrub(|key, idx| key == peer.key.value() && idx == peer.idx);
+    }
+
+    /// Drops every finger, successor and predecessor whose raw key and
+    /// index `dead` names.
+    fn scrub(&mut self, dead: impl Fn(u64, usize) -> bool) {
         let (keys, idxs) = (self.finger_keys.as_slice(), self.finger_idxs.as_slice());
         let mut live = self.finger_live;
         while live != 0 {
             let i = live.trailing_zeros() as usize;
             live &= live - 1;
-            if keys[i] == peer.key.value() && idxs[i] as usize == peer.idx {
+            if dead(keys[i], idxs[i] as usize) {
                 self.finger_live &= !(1u64 << i);
             }
         }
-        while let Some(at) = self.succs.as_slice().iter().position(|p| *p == peer) {
+        let named = |p: &Peer| dead(p.key.value(), p.idx);
+        while let Some(at) = self.succs.as_slice().iter().position(named) {
             self.succs.remove(at);
         }
-        if self.pred == Some(peer) {
+        if self.pred.as_ref().is_some_and(named) {
             self.pred = None;
         }
     }
@@ -804,6 +781,43 @@ mod tests {
         assert!(st.fingers().all(|f| f != Some(dead)));
         // Successor list falls back to the next node.
         assert_eq!(st.successor().unwrap().key, s.key(20));
+    }
+
+    /// One node in all four places — finger, successor list, predecessor
+    /// and cache — beside other peers in each: the scrub by index leaves
+    /// exactly what the scrub by peer leaves.
+    #[test]
+    fn forget_idx_leaves_what_forget_leaves() {
+        let mut st = converged(&[1, 8, 14, 20, 27], 8);
+        let s = st.space();
+        let dead = Peer {
+            idx: 2,
+            key: s.key(14),
+        };
+        let other = Peer {
+            idx: 3,
+            key: s.key(20),
+        };
+        st.cache = LocationCache::new(8);
+        st.set_predecessor(Some(dead));
+        st.set_finger(0, dead);
+        st.set_successors(vec![dead, other]);
+        for k in [5, 14, 23] {
+            st.learn(Peer {
+                idx: if k == 14 { 2 } else { 9 + k as usize },
+                key: s.key(k),
+            });
+        }
+        assert!(st.fingers().any(|f| f == Some(dead)));
+        assert_eq!(st.cache.len(), 3);
+        let mut by_peer = st.clone();
+        by_peer.forget(dead);
+        st.forget_idx(dead.idx);
+        assert_eq!(format!("{st:?}"), format!("{by_peer:?}"));
+        assert_eq!(st.predecessor(), None);
+        assert_eq!(st.successors(), [other]);
+        assert!(st.fingers().all(|f| f.is_none_or(|f| f.idx != dead.idx)));
+        assert_eq!(st.cache.len(), 2);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * [`Simulator`] — a single-threaded, seed-deterministic event loop over a
 //!   fixed universe of [`Node`]s;
-//! * [`queue`] — its [`EventQueue`], a binary min-heap that pops pending
-//!   events in `(time, seq)` order;
+//! * [`queue`] — its [`EventQueue`], a binary min-heap beside a FIFO lane
+//!   for network sends, that pops pending events in `(time, seq)` order;
 //! * [`Context`] — the handle through which nodes send one-hop messages
 //!   (with a configurable [`DelayModel`], default 50 ms as in the paper) and
 //!   arm timers;

@@ -5,8 +5,10 @@
 //! inline (a routed envelope easily exceeds a hundred bytes) makes every
 //! one of those moves a large memcpy. The pool fixes the payload in place
 //! instead: events live in a slab, the queue orders 8-byte copyable
-//! [`Handle`]s, and the payload moves exactly twice — into the slab at
-//! schedule time, out of it at pop time.
+//! [`Handle`]s, and a payload is written into the slab once — when the
+//! node sends it, before the simulator has decided its delay or whether it
+//! is lost — and read out of it once, at pop time. A lost send is checked
+//! in and out again without being queued.
 //!
 //! Freed slots are recycled through a free list, so steady-state
 //! scheduling performs **zero heap allocations**: slab and free list reach
@@ -75,6 +77,18 @@ impl<T> EventPool<T> {
         Handle { slot, gen: 0 }
     }
 
+    /// The event behind `h`, left in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` is stale.
+    #[inline]
+    pub(crate) fn get(&self, h: Handle) -> &T {
+        let e = &self.entries[h.slot as usize];
+        assert_eq!(e.gen, h.gen, "stale event handle");
+        e.val.as_ref().expect("event slot already vacated")
+    }
+
     /// Checks the event behind `h` out, retiring the slot's generation.
     ///
     /// # Panics
@@ -110,6 +124,7 @@ mod tests {
     fn reuse_recycles_slots_without_growing() {
         let mut pool: EventPool<u64> = EventPool::new();
         let h = pool.insert(1);
+        assert_eq!(*pool.get(h), 1);
         assert_eq!(pool.remove(h), 1);
         for i in 0..100 {
             let h = pool.insert(i);

@@ -1,5 +1,5 @@
 //! The simulator's event queue: a binary min-heap over packed
-//! `(time, seq)` keys.
+//! `(time, seq)` keys, beside a FIFO lane for keys that arrive in order.
 //!
 //! [`EventQueue`] orders entries by a `u128` key — `(time_micros << 64) |
 //! seq` — and pops them in ascending key order. The simulator hands out a
@@ -11,10 +11,20 @@
 //! histories to it. Why a heap, and the queue depths the simulator runs
 //! at: DESIGN.md, "Event scheduler".
 //!
+//! Network sends take [`EventQueue::push_lane`]. Under a fixed network
+//! delay a send's key `(now + d, seq)` is larger than that of every send
+//! before it — the clock never goes back and `seq` only grows — so the
+//! lane is a queue that stays sorted by construction, and such an entry
+//! costs a ring-buffer append and a front pop instead of two heap sifts.
+//! An entry whose key is not above the lane's tail (a jittered delay)
+//! goes to the heap instead, so the lane never has to sort. A pop takes
+//! the smaller of the two heads: the order is exactly the heap's.
+//!
 //! # Examples
 //!
 //! `seq` is a per-push counter (the simulator's event sequence number),
-//! and pops come back in `(time, seq)` order regardless of push order:
+//! and pops come back in `(time, seq)` order regardless of push order or
+//! of which part holds an entry:
 //!
 //! ```
 //! use cbps_sim::EventQueue;
@@ -22,9 +32,10 @@
 //! let key = |time_us: u64, seq: u64| ((time_us as u128) << 64) | seq as u128;
 //! let mut queue = EventQueue::new();
 //! queue.push(key(0, 0), "now");
-//! queue.push(key(50_000, 1), "a");
-//! queue.push(key(50_000, 2), "b");
-//! queue.push(key(10_000, 3), "early");
+//! queue.push_lane(key(50_000, 1), "a");
+//! queue.push_lane(key(50_000, 2), "b");
+//! queue.push_lane(key(10_000, 3), "early"); // below the lane's tail: heap
+//! assert_eq!(queue.len(), 4);
 //! assert_eq!(queue.peek_key(), Some(key(0, 0)));
 //! assert_eq!(queue.pop(), Some((key(0, 0), "now")));
 //! assert_eq!(queue.pop(), Some((key(10_000, 3), "early")));
@@ -34,7 +45,7 @@
 //! ```
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Min-priority queue over packed `(time, seq)` keys.
 ///
@@ -45,6 +56,8 @@ use std::collections::BinaryHeap;
 #[derive(Debug)]
 pub struct EventQueue<V> {
     heap: BinaryHeap<Entry<V>>,
+    /// Entries from [`EventQueue::push_lane`], in ascending key order.
+    lane: VecDeque<Entry<V>>,
 }
 
 /// One queued entry, ordered by its key alone and in reverse, so that
@@ -91,35 +104,63 @@ impl<V> EventQueue<V> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
         }
     }
 
-    /// Number of queued entries.
+    /// Number of queued entries, in the heap and the lane together.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// `true` when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lane.is_empty()
     }
 
-    /// Queues an entry under `key`.
+    /// Queues an entry under `key` on the heap.
     #[inline]
     pub fn push(&mut self, key: u128, value: V) {
         self.heap.push(Entry { key, value });
     }
 
+    /// Queues an entry under `key` that is most likely larger than every
+    /// key pushed here before: appended to the lane when it is above the
+    /// lane's tail, else pushed on the heap. Either way it pops in key
+    /// order.
+    #[inline]
+    pub fn push_lane(&mut self, key: u128, value: V) {
+        let entry = Entry { key, value };
+        match self.lane.back() {
+            Some(tail) if tail.key >= key => self.heap.push(entry),
+            _ => self.lane.push_back(entry),
+        }
+    }
+
     /// Pops the entry with the smallest key.
     #[inline]
     pub fn pop(&mut self) -> Option<(u128, V)> {
-        self.heap.pop().map(|e| (e.key, e.value))
+        let from_lane = match (self.lane.front(), self.heap.peek()) {
+            (Some(lane), Some(heap)) => lane.key < heap.key,
+            (lane, _) => lane.is_some(),
+        };
+        let entry = if from_lane {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop()
+        };
+        entry.map(|e| (e.key, e.value))
     }
 
     /// Key of the entry the next [`EventQueue::pop`] would return.
     #[inline]
     pub fn peek_key(&self) -> Option<u128> {
-        self.heap.peek().map(|e| e.key)
+        let lane = self.lane.front().map(|e| e.key);
+        let heap = self.heap.peek().map(|e| e.key);
+        match (lane, heap) {
+            (Some(l), Some(h)) => Some(l.min(h)),
+            (l, h) => l.or(h),
+        }
     }
 }
 
@@ -144,7 +185,7 @@ mod tests {
     /// The queue beside its model: a `Vec` kept sorted in descending key
     /// order, whose last element is the next pop. Every push takes the
     /// next `seq`, as the simulator's do, and queues it as the value; every
-    /// pop and peek asserts that queue and model agree.
+    /// pop and peek asserts that queue and model agree, in length too.
     #[derive(Default)]
     struct Checked {
         queue: EventQueue<u64>,
@@ -153,11 +194,24 @@ mod tests {
     }
 
     impl Checked {
-        /// Pushes one entry at each of `times`, in order.
+        /// Pushes one entry at each of `times`, in order, on the heap.
         fn push(&mut self, times: impl IntoIterator<Item = u64>) {
+            self.push_to(times, EventQueue::push);
+        }
+
+        /// Pushes one entry at each of `times`, in order, through the lane.
+        fn push_lane(&mut self, times: impl IntoIterator<Item = u64>) {
+            self.push_to(times, EventQueue::push_lane);
+        }
+
+        fn push_to(
+            &mut self,
+            times: impl IntoIterator<Item = u64>,
+            push: fn(&mut EventQueue<u64>, u128, u64),
+        ) {
             for t in times {
                 let k = key(t, self.seq);
-                self.queue.push(k, self.seq);
+                push(&mut self.queue, k, self.seq);
                 self.model.insert(self.model.partition_point(|&m| m > k), k);
                 self.seq += 1;
             }
@@ -165,6 +219,7 @@ mod tests {
 
         fn peek(&self) -> Option<u128> {
             assert_eq!(self.queue.peek_key(), self.model.last().copied());
+            assert_eq!(self.queue.len(), self.model.len());
             self.queue.peek_key()
         }
 
@@ -304,6 +359,66 @@ mod tests {
                 _ => {}
             }
         }
+        checked.drain();
+    }
+
+    #[test]
+    fn lane_pushes_below_the_tail_go_to_the_heap() {
+        let mut checked = Checked::default();
+        checked.push_lane([50_000, 50_000, 60_000]);
+        checked.push_lane([55_000]);
+        checked.push([10]);
+        assert_eq!((checked.queue.lane.len(), checked.queue.heap.len()), (3, 2));
+        checked.drain();
+    }
+
+    /// Heap pushes (timers, local hand-backs), lane pushes one fixed hop
+    /// ahead (in key order) and lane pushes with a jittered delay (often
+    /// out of order), interleaved with peeks, single pops and drains to an
+    /// arbitrary stop.
+    #[test]
+    fn lane_and_heap_interleaved_match_model() {
+        let mut rng = Rng::seed_from_u64(0x1a7e);
+        let mut checked = Checked::default();
+        let (mut now, mut both_held, mut spilled) = (0u64, 0u32, 0u32);
+        for _ in 0..8_000 {
+            let burst = rng.gen_range(1usize..4);
+            match rng.gen_range(0u32..10) {
+                0..=3 => checked.push_lane(std::iter::repeat_n(now + 50_000, burst)),
+                4..=5 => {
+                    let lane = checked.queue.lane.len();
+                    checked.push_lane([now + rng.gen_range(10_000u64..90_000)]);
+                    spilled += u32::from(checked.queue.lane.len() == lane);
+                }
+                6..=7 => checked.push(std::iter::repeat_n(now, burst)),
+                _ => {
+                    let delay = rng.gen_range(0u64..2_000_000);
+                    checked.push(std::iter::repeat_n(now + delay, burst));
+                }
+            }
+            both_held +=
+                u32::from(!checked.queue.lane.is_empty() && !checked.queue.heap.is_empty());
+            match rng.gen_range(0u32..4) {
+                0 => {
+                    checked.peek();
+                }
+                1 | 2 => {
+                    now = time_of(checked.pop().expect("a push preceded the pop"));
+                }
+                _ => {
+                    let until = now + rng.gen_range(0u64..100_000);
+                    while checked.peek().is_some_and(|k| time_of(k) <= until) {
+                        now = time_of(checked.pop().expect("peeked"));
+                    }
+                    now = now.max(until);
+                }
+            }
+        }
+        assert!(
+            both_held > 1_000,
+            "lane and heap rarely held entries together"
+        );
+        assert!(spilled > 100, "only {spilled} lane pushes went to the heap");
         checked.drain();
     }
 }

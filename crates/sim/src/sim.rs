@@ -73,21 +73,35 @@ pub trait Node {
 /// Handle passed to node upcalls for interacting with the simulated world.
 ///
 /// Collects the sends and timer arms performed during one upcall; the
-/// simulator turns them into queue entries when the upcall returns.
+/// simulator turns them into queue entries when the upcall returns. A sent
+/// message goes straight into the event pool, and the collected action
+/// holds its 8-byte handle.
 #[derive(Debug)]
 pub struct Context<'a, M, T> {
     node: NodeIdx,
     time: SimTime,
     rng: &'a mut Rng,
     metrics: &'a mut Metrics,
-    actions: &'a mut Vec<Action<M, T>>,
+    pool: &'a mut EventPool<EventKind<M, T>>,
+    actions: &'a mut Vec<Action<T>>,
 }
 
 #[derive(Debug)]
-enum Action<M, T> {
-    Send { to: NodeIdx, msg: M },
-    SendLocal { msg: M },
-    ArmTimer { delay: SimDuration, timer: T },
+enum Action<T> {
+    /// A pooled [`EventKind::Deliver`] to another node: its loss and delay
+    /// are drawn when the upcall returns.
+    Send {
+        to: NodeIdx,
+        event: Handle,
+    },
+    /// A pooled [`EventKind::Deliver`] back to the sending node.
+    SendLocal {
+        event: Handle,
+    },
+    ArmTimer {
+        delay: SimDuration,
+        timer: T,
+    },
 }
 
 impl<'a, M, T> Context<'a, M, T> {
@@ -116,14 +130,22 @@ impl<'a, M, T> Context<'a, M, T> {
     /// after the configured network delay (unless lost).
     pub fn send(&mut self, to: NodeIdx, class: TrafficClass, msg: M) {
         self.metrics.count_message(class);
-        self.actions.push(Action::Send { to, msg });
+        let from = self.node;
+        let event = self.pool.insert(EventKind::Deliver { from, to, msg });
+        self.actions.push(Action::Send { to, event });
     }
 
     /// Hands `msg` back to this same node with zero delay and **without**
     /// counting a network hop: the node is talking to itself (e.g. an
     /// overlay delivering a payload whose rendezvous is the caller).
     pub fn send_local(&mut self, msg: M) {
-        self.actions.push(Action::SendLocal { msg });
+        let node = self.node;
+        let event = self.pool.insert(EventKind::Deliver {
+            from: node,
+            to: node,
+            msg,
+        });
+        self.actions.push(Action::SendLocal { event });
     }
 
     /// Arms a one-shot timer on this node, firing after `delay`.
@@ -214,9 +236,10 @@ fn key_time(key: u128) -> SimTime {
 pub struct Simulator<N: Node> {
     nodes: Vec<N>,
     alive: Vec<bool>,
-    /// The event queue (see [`crate::queue`]), a binary heap over 8-byte
-    /// pool [`Handle`]s, not event payloads: payloads sit still in `pool`
-    /// while the heap's sifts move their tickets (see [`crate::pool`]).
+    /// The event queue (see [`crate::queue`]): a binary heap, and a FIFO
+    /// lane for network sends, over 8-byte pool [`Handle`]s, not event
+    /// payloads: payloads sit still in `pool` while the heap's sifts move
+    /// their tickets (see [`crate::pool`]).
     queue: EventQueue<Handle>,
     pool: EventPool<EventKind<N::Msg, N::Timer>>,
     time: SimTime,
@@ -224,7 +247,7 @@ pub struct Simulator<N: Node> {
     config: NetConfig,
     rng: Rng,
     metrics: Metrics,
-    actions: Vec<Action<N::Msg, N::Timer>>,
+    actions: Vec<Action<N::Timer>>,
     events_processed: u64,
     queue_peak: usize,
 }
@@ -409,6 +432,7 @@ impl<N: Node> Simulator<N> {
                 time: self.time,
                 rng: &mut self.rng,
                 metrics: &mut self.metrics,
+                pool: &mut self.pool,
                 actions: &mut actions,
             };
             f(&mut self.nodes[idx], &mut ctx)
@@ -463,46 +487,48 @@ impl<N: Node> Simulator<N> {
 
     #[inline]
     fn push_event(&mut self, time: SimTime, kind: EventKind<N::Msg, N::Timer>) {
-        let seq = self.seq;
-        self.seq += 1;
         let handle = self.pool.insert(kind);
+        self.push_handle(time, handle);
+    }
+
+    /// Queues an event already in the pool on the heap.
+    #[inline]
+    fn push_handle(&mut self, time: SimTime, handle: Handle) {
+        let seq = self.next_seq();
         self.queue.push(pack(time, seq), handle);
     }
 
-    fn apply_actions(&mut self, origin: NodeIdx, actions: &mut Vec<Action<N::Msg, N::Timer>>) {
+    #[inline]
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    fn apply_actions(&mut self, origin: NodeIdx, actions: &mut Vec<Action<N::Timer>>) {
         for action in actions.drain(..) {
             match action {
-                Action::Send { to, msg } => {
+                Action::Send { to, event } => {
                     // Loss is decided at send time; lost messages were
                     // already counted by Context::send.
                     if self.config.loss_probability > 0.0
                         && self.rng.f64() < self.config.loss_probability
                     {
+                        self.pool.remove(event);
                         continue;
                     }
-                    if let Some(node) = self.nodes.get(to) {
-                        node.prefetch(PrefetchStage::Node, Some((to, &msg)));
+                    if let (Some(node), EventKind::Deliver { msg, .. }) =
+                        (self.nodes.get(to), self.pool.get(event))
+                    {
+                        node.prefetch(PrefetchStage::Node, Some((to, msg)));
                     }
                     let delay = self.config.delay.sample(&mut self.rng);
-                    self.push_event(
-                        self.time + delay,
-                        EventKind::Deliver {
-                            from: origin,
-                            to,
-                            msg,
-                        },
-                    );
+                    // Under a fixed delay every send's key is above the
+                    // last one's: the lane keeps it in order for free.
+                    let seq = self.next_seq();
+                    self.queue.push_lane(pack(self.time + delay, seq), event);
                 }
-                Action::SendLocal { msg } => {
-                    self.push_event(
-                        self.time,
-                        EventKind::Deliver {
-                            from: origin,
-                            to: origin,
-                            msg,
-                        },
-                    );
-                }
+                Action::SendLocal { event } => self.push_handle(self.time, event),
                 Action::ArmTimer { delay, timer } => {
                     self.push_event(
                         self.time + delay,
@@ -543,5 +569,46 @@ impl<N: Node> Simulator<N> {
         if until > self.time {
             self.time = until;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Sends four copies of every message to the other node while its TTL
+    /// lasts.
+    struct Flood;
+
+    impl Node for Flood {
+        type Msg = u8;
+        type Timer = ();
+
+        fn on_message(&mut self, _: NodeIdx, ttl: u8, ctx: &mut Context<'_, u8, ()>) {
+            for _ in 0..4 * u8::from(ttl > 0) {
+                ctx.send(1 - ctx.self_idx(), TrafficClass::OTHER, ttl - 1);
+            }
+        }
+
+        fn on_timer(&mut self, _: (), _: &mut Context<'_, u8, ()>) {}
+    }
+
+    /// A send is checked into the pool before its loss is drawn; a lost
+    /// one is checked out again, so a drained lossy run leaves no slot
+    /// occupied.
+    #[test]
+    fn lost_sends_leave_the_pool_empty() {
+        let mut sim = Simulator::new(NetConfig::new(3).with_loss_probability(0.25));
+        sim.add_node(Flood);
+        sim.add_node(Flood);
+        sim.inject_at(SimTime::ZERO, 1, 5);
+        sim.run();
+        let (sent, events) = (
+            sim.metrics().messages(TrafficClass::OTHER),
+            sim.events_processed(),
+        );
+        assert!(events > 20, "the flood died out: {events} events");
+        assert!(events < sent + 1, "no send was lost");
+        assert_eq!(sim.pool.len(), 0);
     }
 }

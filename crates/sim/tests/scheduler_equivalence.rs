@@ -9,12 +9,16 @@
 //! storms, crash/revive mid-run, `run_until` boundaries that stop between
 //! events, and long-horizon timers out to weeks ahead — and pin each run's
 //! events, queue peak, end time and upcall-log digest. A binary heap and a
-//! timing wheel both produced these pins; the heap is the queue now
-//! (`queue.rs`), and names here and in `storm` keep the wheel's tiers.
+//! timing wheel both produced the first pins; the queue now is a heap
+//! beside a FIFO lane for network sends (`queue.rs`), and names here and
+//! in `storm` keep the wheel's tiers. The jittered and the lossy storm were
+//! pinned on the heap alone: under jitter a send's key can fall below the
+//! lane's tail and must go to the heap, and a lost send is checked into the
+//! event pool and out again without being queued.
 
 mod storm;
 
-use cbps_sim::{SimDuration, SimTime, Simulator};
+use cbps_sim::{DelayModel, NetConfig, SimDuration, SimTime, Simulator};
 use storm::{fingerprint, seed_workload, Ping, StormNode};
 
 fn build(seed: u64) -> Simulator<StormNode> {
@@ -103,4 +107,42 @@ fn long_horizon_timers_cross_every_wheel_level() {
         "far-future timer never fired"
     );
     assert!(fp.timers_fired >= 12);
+}
+
+/// Jittered delays: a send made later can arrive earlier, so its key falls
+/// below keys already queued and the lane hands it to the heap.
+#[test]
+fn uniform_delay_storm_keeps_the_heap_order() {
+    let config = NetConfig::new(99).with_delay(DelayModel::Uniform {
+        min: SimDuration::from_millis(10),
+        max: SimDuration::from_millis(90),
+    });
+    let mut sim: Simulator<StormNode> = storm::build_with(config);
+    seed_workload(&mut sim);
+    sim.run();
+    let fp = fingerprint(&sim);
+    assert_eq!(
+        fp.pin(),
+        (14_255, 1_428, 11_201_167_814, 476_797_507_855_795_825)
+    );
+    assert!(fp.events > 1_000, "storm too small to be meaningful");
+}
+
+/// One send in ten is lost: it is counted and never arrives, and its loss
+/// is drawn in send order, before its delay.
+#[test]
+fn lossy_storm_drops_the_same_sends() {
+    let mut sim: Simulator<StormNode> =
+        storm::build_with(NetConfig::new(5).with_loss_probability(0.1));
+    seed_workload(&mut sim);
+    sim.run();
+    let fp = fingerprint(&sim);
+    assert_eq!(
+        (fp.pin(), fp.messages),
+        (
+            (5_274, 697, 10_801_300_000, 5_815_896_663_818_016_268),
+            2_336
+        )
+    );
+    assert!(fp.events > 1_000, "storm too small to be meaningful");
 }

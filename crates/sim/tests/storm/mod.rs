@@ -210,7 +210,12 @@ pub fn fingerprint<N: Storm>(sim: &Simulator<N>) -> Fingerprint {
 pub const NODES: usize = 16;
 
 pub fn build<N: Storm>(seed: u64) -> Simulator<N> {
-    let mut sim = Simulator::new(NetConfig::new(seed));
+    build_with(NetConfig::new(seed))
+}
+
+/// [`build`] under any network configuration (delay model, loss).
+pub fn build_with<N: Storm>(config: NetConfig) -> Simulator<N> {
+    let mut sim = Simulator::new(config);
     let log = Log::default();
     for _ in 0..NODES {
         sim.add_node(StormNode::new(NODES, Rc::clone(&log)).into());

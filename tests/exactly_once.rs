@@ -18,7 +18,6 @@
 //! subscriber's own drop of a repeat is driven by hand-made notifications.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use cbps::{
     ChordBackend, EventId, MappingKind, NotifyBatch, NotifyItem, NotifyMode, Oracle,
@@ -312,7 +311,7 @@ fn a_repeated_pair_is_delivered_once() {
         body: OverlayMsg::Unicast {
             key: subscriber.key,
             class: TrafficClass::NOTIFICATION,
-            payload: Arc::new(PubSubMsg::Notification { items }),
+            payload: PubSubMsg::Notification { items },
             hops: 0,
             src: publisher,
             trace: item.trace(),
